@@ -1,22 +1,21 @@
 """Symmetry-preserving finite-difference schemes for the 1-D viscous
 Burgers equation on a periodic domain, with a moving-mesh engine, a
 discrete symmetry-group toolbox, and a series reference solution for
-quantitative error and convergence studies.
+quantitative error and convergence studies. Pure Python on numpy; the
+adaptive mesh is placed by a closed-form O(N) equidistribution.
 
 All value types are immutable and every operation is a pure function, so
 independent runs may execute concurrently without coordination.
 """
 
-from ._backend import COMPILED, backend_name
 from .errors import (DomainViolationError, NoConvergenceError, NoDecayError,
-                     NodeCrossingError, NonMonotoneNodesError,
-                     NonUniformGridError, SimulationError,
-                     TruncationUnsafeError)
+                     NodeCrossingError, NonFiniteSolutionError,
+                     NonMonotoneNodesError, NonUniformGridError,
+                     SimulationError, TruncationUnsafeError)
 from .exact import FourierCoeffs, coefficients, evaluate
 from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
-                   RelaxationParams, advance_constant,
-                   advance_equidistributed, advance_lagrangian,
-                   advance_stationary, default_relaxation,
+                   advance_constant, advance_equidistributed,
+                   advance_lagrangian, advance_stationary,
                    equidistribute_initial, mean_spacing, monitor,
                    uniform_slice)
 from .harness import (ConvergenceRow, ErrorReport, convergence_study,

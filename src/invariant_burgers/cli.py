@@ -73,17 +73,32 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             values[key.replace("-", "_")] = value
     explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
                 for a in argv if a.startswith("--")}
+    actions = _flag_actions(parser, args.command)
     for key, value in values.items():
-        if key in explicit or not hasattr(args, key):
+        action = actions.get(key)
+        if key in explicit or action is None or not hasattr(args, key):
             continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            value = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
+        # the flag's own converter: a default of None says nothing of type
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise ValueError(f"config {key} = {value!r}: not a valid "
+                                 f"{action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config {key} = {value!r}: choose from "
+                             f"{', '.join(map(str, action.choices))}")
         setattr(args, key, value)
+
+
+def _flag_actions(parser: argparse.ArgumentParser,
+                  command: str) -> dict[str, argparse.Action]:
+    """The option actions of one subcommand, keyed by destination."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {a.dest: a for a in action.choices[command]._actions
+                    if a.option_strings}
+    return {}
 
 
 def _config_from(args: argparse.Namespace) -> SchemeConfig:

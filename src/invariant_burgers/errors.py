@@ -18,7 +18,11 @@ class NodeCrossingError(SimulationError):
 
 
 class NoConvergenceError(SimulationError):
-    """The mesh relaxation exhausted its iteration budget."""
+    """The initial mesh equidistribution did not settle within its rounds."""
+
+
+class NonFiniteSolutionError(SimulationError):
+    """A time step produced non-finite solution values (the run blew up)."""
 
 
 class NonUniformGridError(SimulationError):

@@ -1,4 +1,6 @@
-"""Periodic grids on one time layer and the four grid-evolution equations.
+"""Periodic grids on one time layer and the four grid-evolution equations:
+stationary, Lagrangian, rigid translation, and equidistribution of a
+monitor function, whose discrete relation is solved exactly in O(N).
 
 Node positions are stored unwrapped (they may drift outside the fundamental
 interval); the array order realizes the computational coordinate, and the
@@ -8,11 +10,10 @@ the fundamental interval happens only on output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _backend
 from .errors import NoConvergenceError, NodeCrossingError
 
 TAU = 2.0 * np.pi
@@ -116,32 +117,6 @@ class MonitorParams:
             raise ValueError("alpha must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class RelaxationParams:
-    """Stopping control for the equidistribution relaxation solver.
-
-    ``tolerance`` is the max nodal displacement per sweep at which the
-    iteration stops; ``omega`` overrides the auto-selected relaxation
-    factor 2 / (1 + sin(pi/N)).
-    """
-
-    max_iters: int
-    tolerance: float
-    omega: float | None = None
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.omega is not None and not 0.0 < self.omega < 2.0:
-            raise ValueError("omega must lie in (0, 2)")
-
-
-def default_relaxation(n: int, domain_length: float = TAU) -> RelaxationParams:
-    return RelaxationParams(max_iters=10 * n, tolerance=1e-12 * domain_length)
-
-
 def mean_spacing(grid: GridSlice) -> float:
     """Mean grid spacing L / N; independent of node distribution."""
     return grid.domain_length / grid.n
@@ -188,35 +163,33 @@ def monitor(fld: DiscreteField, params: MonitorParams) -> np.ndarray:
 
 
 def advance_equidistributed(fld: DiscreteField, params: MonitorParams,
-                            relax: RelaxationParams, dt: float,
-                            guess: np.ndarray | None = None) -> GridSlice:
+                            dt: float) -> GridSlice:
     """Place the next grid layer by equidistributing the monitor.
 
-    Solves (rho_{i+1}+rho_i)(x_{i+1}-x_i) = (rho_i+rho_{i-1})(x_i-x_{i-1})
-    cyclically for the new positions, with the monitor lagged on the current
-    layer. The singular cyclic system is closed by moving node 0
-    Lagrangianly (x_0 += dt*u_0), which keeps the grid equation equivariant
-    under boosts; a fixed anchor would not be.
-
-    ``guess`` warm-starts the relaxation (a Lagrangian predictor is used
-    when absent); it influences only the iteration count, not the result.
+    The new positions satisfy
+    (rho_{i+1}+rho_i)(x_{i+1}-x_i) = (rho_i+rho_{i-1})(x_i-x_{i-1})
+    cyclically, with the monitor lagged on the current layer. The singular
+    cyclic system is closed by moving node 0 Lagrangianly
+    (x_0 += dt*u_0), which keeps the grid equation equivariant under
+    boosts; a fixed anchor would not be.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     rho = monitor(fld, params)
     grid = fld.grid
-    anchor = grid.x[0] + dt * fld.u[0]
-    if guess is None:
-        guess = grid.x + dt * fld.u
-    x1 = _solve_equidistribution(np.asarray(guess, dtype=float).copy(), rho,
-                                 anchor, grid.domain_length, relax)
+    x1 = _solve_equidistribution(rho, grid.x[0] + dt * fld.u[0],
+                                 grid.domain_length)
     _require_ordered(x1, grid.domain_length,
                      "equidistributed mesh violates node ordering")
     return replace(grid, t=grid.t + dt, x=x1)
 
 
+# largest node displacement between rounds, relative to L, at which the
+# initial equidistribution counts as settled
+_SETTLE_RTOL = 1e-12
+
+
 def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams,
-                           relax: RelaxationParams,
                            max_rounds: int = 100) -> GridSlice:
     """Fixed-point equidistribution of the initial data at t = 0.
 
@@ -228,14 +201,14 @@ def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams,
     anchor degenerates to a fixed one).
     """
     x = grid.x
+    tol = _SETTLE_RTOL * grid.domain_length
     for _ in range(max_rounds):
         fld = DiscreteField(grid=replace(grid, x=x), u=initial(x))
-        rho = monitor(fld, params)
-        x_new = _solve_equidistribution(x.copy(), rho, x[0],
-                                        grid.domain_length, relax)
+        x_new = _solve_equidistribution(monitor(fld, params), x[0],
+                                        grid.domain_length)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
-        if change <= relax.tolerance:
+        if change <= tol:
             break
     else:
         raise NoConvergenceError(
@@ -257,47 +230,20 @@ def equidistribution_residual(x: np.ndarray, rho: np.ndarray,
     return (rp + rho) * (xp - x) - (rho + rm) * (x - xm)
 
 
-def _solve_equidistribution(x: np.ndarray, rho: np.ndarray, anchor: float,
-                            domain_length: float, relax: RelaxationParams,
-                            sweeps_fn=None) -> np.ndarray:
-    """SOR relaxation of the anchored cyclic system; returns new positions.
+def _solve_equidistribution(rho: np.ndarray, anchor: float,
+                            domain_length: float) -> np.ndarray:
+    """Exact solution of the anchored cyclic equidistribution system.
 
-    Convergence is declared when a sweep moves no node by more than the
-    displacement tolerance AND the equidistribution residual is below
-    tolerance * L * max(rho); the residual check guards against premature
-    stops on non-monotone SOR transients.
+    Each relation equates the flux (rho_i + rho_{i+1}) * gap_i of two
+    adjacent cells, so every gap carries one flux C, and the N gaps summing
+    to L fix C = L / sum_i 1/(rho_i + rho_{i+1}).
     """
-    if sweeps_fn is None:
-        sweeps_fn = _backend.sor_sweeps
-    n = len(rho)
-    omega = relax.omega
-    if omega is None:
-        omega = 2.0 / (1.0 + np.sin(np.pi / n))
-    east = (np.roll(rho, -1) + rho)[1:]
-    west = (rho + np.roll(rho, 1))[1:]
-    inv = 1.0 / (west + east)
-    wn = np.ascontiguousarray(west * inv)
-    en = np.ascontiguousarray(east * inv)
-    y = x[1:].copy()
-    res_cap = relax.tolerance * domain_length * float(np.max(rho))
-    budget = relax.max_iters
-    tol = relax.tolerance
-    out = x.copy()
-    out[0] = anchor
-    while budget > 0:
-        done, _ = sweeps_fn(y, wn, en, anchor, anchor + domain_length,
-                            omega, tol, budget)
-        budget -= done
-        out[1:] = y
-        res = equidistribution_residual(out, rho, domain_length)
-        if float(np.max(np.abs(res))) <= res_cap:
-            return out
-        # non-monotone SOR transient: the displacement test fired early;
-        # resume with a tighter displacement target so re-entries stay rare
-        tol *= 0.25
-    raise NoConvergenceError(
-        f"mesh relaxation exhausted {relax.max_iters} sweeps "
-        f"(tolerance {relax.tolerance:g})")
+    inv = 1.0 / (rho + np.roll(rho, -1))
+    gaps = inv * (domain_length / inv.sum())
+    x = np.empty(len(rho))
+    x[0] = anchor
+    x[1:] = anchor + np.cumsum(gaps[:-1])
+    return x
 
 
 def _require_ordered(x: np.ndarray, domain_length: float, message: str):

@@ -87,7 +87,7 @@ def convergence_study(config: SchemeConfig, ns: Sequence[int],
         raise ValueError("resolutions must be consecutive powers of two")
     rows: list[ConvergenceRow] = []
     for n in ns:
-        cfg = replace(config, n_points=n, relax=None)
+        cfg = replace(config, n_points=n)
         try:
             report = linf_error(run(cfg, initial), coeffs)
         except Exception as exc:

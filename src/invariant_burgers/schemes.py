@@ -14,10 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonUniformGridError, SimulationError
+from .errors import (NonFiniteSolutionError, NonUniformGridError,
+                     SimulationError)
 from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
-                   RelaxationParams, advance_constant, advance_equidistributed,
-                   advance_lagrangian, advance_stationary, default_relaxation,
+                   advance_constant, advance_equidistributed,
+                   advance_lagrangian, advance_stationary,
                    equidistribute_initial, mean_spacing, uniform_slice)
 from .interpolate import InterpKind, interpolate
 
@@ -67,7 +68,6 @@ class SchemeConfig:
     alpha: float = 1.0
     frame_velocity: float = 0.0
     interp_kind: InterpKind = InterpKind.QUADRATIC
-    relax: RelaxationParams | None = None
     domain_start: float = 0.0
     domain_length: float = TAU
 
@@ -83,11 +83,6 @@ class SchemeConfig:
             raise ValueError("dt_factor must be positive")
         if self.n_points < 4:
             raise ValueError("n_points must be >= 4")
-
-    def relaxation(self) -> RelaxationParams:
-        if self.relax is not None:
-            return self.relax
-        return default_relaxation(self.n_points, self.domain_length)
 
     def monitor_params(self) -> MonitorParams:
         return MonitorParams(alpha=self.alpha)
@@ -114,6 +109,14 @@ class Trajectory:
         return self.snapshots[0]
 
 
+def _next_field(grid: GridSlice, u1: np.ndarray) -> DiscreteField:
+    """Attach a step's new values to its layer; a blow-up is a numerical
+    failure of the step, not a malformed argument."""
+    if not np.isfinite(u1).all():
+        raise NonFiniteSolutionError("non-finite solution values")
+    return DiscreteField(grid=grid, u=u1)
+
+
 def ftcs_step_fixed(fld: DiscreteField, dt: float, nu: float) -> DiscreteField:
     """Forward-time centered-space update on a uniform stationary grid."""
     if not dt > 0.0:
@@ -127,7 +130,7 @@ def ftcs_step_fixed(fld: DiscreteField, dt: float, nu: float) -> DiscreteField:
     um = np.roll(u, 1)
     u1 = (u - dt * u * (up - um) / (2.0 * h)
           + dt * nu * (up - 2.0 * u + um) / h ** 2)
-    return DiscreteField(grid=advance_stationary(grid, dt), u=u1)
+    return _next_field(advance_stationary(grid, dt), u1)
 
 
 def invariant_step(fld: DiscreteField, grid_next: GridSlice, dt: float,
@@ -155,7 +158,7 @@ def invariant_step(fld: DiscreteField, grid_next: GridSlice, dt: float,
     diff = (2.0 * nu / (xp - xm)) * ((up - u) / (xp - grid.x)
                                      - (u - um) / (grid.x - xm))
     u1 = u + dt * (-(u - xdot) * slope + diff)
-    return DiscreteField(grid=grid_next, u=u1)
+    return _next_field(grid_next, u1)
 
 
 def evolution_projection_step(fld: DiscreteField, dt: float, nu: float,
@@ -176,8 +179,7 @@ def evolution_projection_step(fld: DiscreteField, dt: float, nu: float,
     targets = grid.x + dt * float(np.mean(fld.u))
     u1 = interpolate(moved.x, evolved.u, targets, interp_kind,
                      grid.domain_length)
-    new_grid = replace(grid, t=grid.t + dt, x=targets)
-    return DiscreteField(grid=new_grid, u=u1)
+    return _next_field(replace(grid, t=grid.t + dt, x=targets), u1)
 
 
 def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
@@ -199,10 +201,9 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     def sample_initial(x: np.ndarray) -> np.ndarray:
         return np.asarray(initial(x), dtype=float) + eps3
 
-    relax = config.relaxation()
     mon = config.monitor_params()
     if kind is SchemeKind.EULERIAN_ADAPTIVE:
-        grid = equidistribute_initial(sample_initial, grid, mon, relax)
+        grid = equidistribute_initial(sample_initial, grid, mon)
     fld = DiscreteField(grid=grid, u=sample_initial(grid.x))
 
     h = mean_spacing(grid)
@@ -210,8 +211,6 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     snapshots = [fld]
     t = 0.0
     step = 0
-    prev_x = None  # previous mesh layer, for warm-starting the mesh solver
-    prev_dt = None
     while t < config.t_final - 1e-12 * config.t_final:
         dt = min(dt0, config.t_final - t)
         try:
@@ -221,12 +220,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
                 moved = advance_lagrangian(fld.grid, fld.u, dt)
                 fld = invariant_step(fld, moved, dt, config.nu)
             elif kind is SchemeKind.EULERIAN_ADAPTIVE:
-                guess = None
-                if prev_x is not None:
-                    # extrapolate the mesh motion; cuts relaxation sweeps
-                    guess = fld.grid.x + (fld.grid.x - prev_x) * (dt / prev_dt)
-                prev_x, prev_dt = fld.grid.x, dt
-                moved = advance_equidistributed(fld, mon, relax, dt, guess)
+                moved = advance_equidistributed(fld, mon, dt)
                 fld = invariant_step(fld, moved, dt, config.nu)
             elif kind is SchemeKind.CONSTANT_FRAME:
                 moved = advance_constant(fld.grid, config.frame_velocity, dt)

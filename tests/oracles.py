@@ -1,7 +1,7 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately written along a different path from the
-package: dense linear algebra instead of relaxation, scalar loops instead
+package: dense linear algebra instead of closed forms, scalar loops instead
 of vectorized stencils, adaptive quadrature instead of trapezoid sums.
 """
 

@@ -12,7 +12,7 @@ import pytest
 
 from invariant_burgers import (
     DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
-    MonitorParams, RelaxationParams, SchemeConfig, SchemeKind, TAU,
+    MonitorParams, SchemeConfig, SchemeKind, TAU,
     advance_equidistributed, apply_field, coefficients, constant_grid_residual,
     convergence_study, evaluate, frame_comparison, grid_spacing_profile,
     interpolate, invariance_defect, linf_error, max_defect, mean_spacing,
@@ -175,14 +175,13 @@ def test_criterion_5_stencil_certificates():
 
 def test_criterion_6_mesh_oracle_equivalence():
     rng = np.random.default_rng(2024)
-    relax = RelaxationParams(max_iters=5000, tolerance=1e-13 * TAU)
     worst = 0.0
     for _ in range(100):
         n = int(rng.choice([16, 24, 32, 48, 64]))
         x, u = random_smooth_field(rng, n)
         fld = DiscreteField(grid=GridSlice(t=0.0, x=x - x[0]), u=u)
         dt = float(rng.uniform(1e-4, 5e-3))
-        out = advance_equidistributed(fld, MonitorParams(alpha=1.0), relax, dt)
+        out = advance_equidistributed(fld, MonitorParams(alpha=1.0), dt)
         rho = monitor(fld, MonitorParams(alpha=1.0))
         ref = dense_equidistribution_solve(rho, fld.grid.x[0] + dt * u[0], TAU)
         worst = max(worst, float(np.max(np.abs(out.x - ref))))

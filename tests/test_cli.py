@@ -75,6 +75,43 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "N=8" in summary  # flag wins over the file
 
 
+def test_config_file_values_take_the_flag_types(tmp_path, capsys):
+    # dt_factor (float, default None), n (int) and interp (a choice)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scheme = evolution-projection\ndt_factor = 1.5\n"
+                   "n = 16\nsnapshot-every = 1\ninterp = linear\n")
+    out = tmp_path / "t.csv"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    assert "scheme=evolution-projection N=16" in capsys.readouterr().out
+    # dt = 1.5 h^2 with h = 2 pi / 16 reaches t = 0.5 in 3 steps (the
+    # default constant would take 2), each stored with the initial layer
+    assert len(out.read_text().splitlines()) == 1 + 4 * 16
+
+
+@pytest.mark.parametrize("line", ["interp = cubic", "n = 1.5",
+                                  "dt_factor = fast"])
+def test_config_file_rejects_bad_values(tmp_path, capsys, line):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ValueError step=- message=")
+    assert line.split(" = ")[0] in err
+
+
+def test_blow_up_reports_step_and_time(tmp_path, capsys):
+    code = main(["run", "--dt-factor", "12", "--n", "256", "--t-final", "2",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("error kind=NonFiniteSolutionError step=")
+    step = int(err.split("step=")[1].split()[0])
+    assert f"message='step {step} (t=" in err
+
+
 def test_nonzero_exit_with_machine_readable_error(tmp_path, capsys):
     code = main(["run", "--scheme", "lagrangian", "--n", "16",
                  "--t-final", "4.0", "--dt-factor", "200.0",
