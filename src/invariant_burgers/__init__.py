@@ -2,7 +2,9 @@
 Burgers equation on a periodic domain, with a moving-mesh engine, a
 discrete symmetry-group toolbox, and a series reference solution for
 quantitative error and convergence studies. Pure Python on numpy; the
-adaptive mesh is placed by a closed-form O(N) equidistribution.
+adaptive mesh is placed by a closed-form O(N) equidistribution. One
+moving-mesh stencil serves the solver and the invariance certifier; each
+scheme pairs it with a grid equation, and FTCS is the stationary one.
 
 All value types are immutable and every operation is a pure function, so
 independent runs may execute concurrently without coordination.
@@ -10,8 +12,8 @@ independent runs may execute concurrently without coordination.
 
 from .errors import (DomainViolationError, NoConvergenceError, NoDecayError,
                      NodeCrossingError, NonFiniteSolutionError,
-                     NonMonotoneNodesError, NonUniformGridError,
-                     SimulationError, TruncationUnsafeError)
+                     NonMonotoneNodesError, SimulationError,
+                     TruncationUnsafeError)
 from .exact import FourierCoeffs, coefficients, evaluate
 from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    advance_constant, advance_equidistributed,
@@ -23,8 +25,8 @@ from .harness import (ConvergenceRow, ErrorReport, convergence_study,
 from .interpolate import InterpKind, PeriodicCubicSpline, interpolate, \
     project_periodic
 from .schemes import (DEFAULT_DT_FACTORS, SchemeConfig, SchemeKind,
-                      Trajectory, evolution_projection_step, ftcs_step_fixed,
-                      invariant_step, run)
+                      Trajectory, evolution_projection_step, invariant_step,
+                      moving_mesh_terms, run)
 from .symmetry import (Generator, GroupElement, SpaceTimePoint, Stencil,
                        StencilParams, apply_field, apply_point,
                        constant_grid_residual, ftcs_residual,

@@ -70,13 +70,16 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+            values[key.replace("-", "_")] = key, value
     explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
                 for a in argv if a.startswith("--")}
     actions = _flag_actions(parser, args.command)
-    for key, value in values.items():
+    for key, (written, value) in values.items():
         action = actions.get(key)
-        if key in explicit or action is None or not hasattr(args, key):
+        if action is None:
+            raise ValueError(f"config {written!r}: no such flag for "
+                             f"{args.command}")
+        if key in explicit or not hasattr(args, key):
             continue
         # the flag's own converter: a default of None says nothing of type
         if action.type is not None:

@@ -25,10 +25,6 @@ class NonFiniteSolutionError(SimulationError):
     """A time step produced non-finite solution values (the run blew up)."""
 
 
-class NonUniformGridError(SimulationError):
-    """An operation requiring a uniform grid received a non-uniform one."""
-
-
 class NonMonotoneNodesError(SimulationError):
     """Interpolation nodes are not strictly increasing."""
 

@@ -58,10 +58,7 @@ class GridSlice:
 
     def gaps(self) -> np.ndarray:
         """Periodic gaps x_{i+1} - x_i, closing with x_0 + L - x_{N-1}."""
-        g = np.empty(self.n)
-        g[:-1] = np.diff(self.x)
-        g[-1] = self.x[0] + self.domain_length - self.x[-1]
-        return g
+        return periodic_gaps(self.x, self.domain_length)
 
     def wrapped_x(self) -> np.ndarray:
         """Positions reduced into [domain_start, domain_start + L)."""
@@ -70,11 +67,26 @@ class GridSlice:
 
     def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
         """Unwrapped left/right neighbour positions (periodic +-L jumps)."""
-        xp = np.roll(self.x, -1)
-        xp[-1] += self.domain_length
-        xm = np.roll(self.x, 1)
-        xm[0] -= self.domain_length
-        return xm, xp
+        return periodic_neighbors(self.x, self.domain_length)
+
+
+def periodic_neighbors(a: np.ndarray, jump: float = 0.0
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """West and east periodic neighbours (a_{i-1}, a_{i+1}) of every entry.
+
+    Values are shifted exactly; ``jump`` = L unwraps positions across the
+    seam (x_{N-1} - L west of node 0, x_0 + L east of node N-1).
+    """
+    first, last = a[:1], a[-1:]
+    if jump:
+        first, last = first + jump, last - jump
+    return np.concatenate((last, a[:-1])), np.concatenate((a[1:], first))
+
+
+def periodic_gaps(x: np.ndarray, domain_length: float) -> np.ndarray:
+    """Gaps x_{i+1} - x_i of ordered periodic nodes, closing with
+    x_0 + L - x_{N-1}."""
+    return np.diff(x, append=x[0] + domain_length)
 
 
 def uniform_slice(n: int, t: float = 0.0, domain_start: float = 0.0,
@@ -153,7 +165,8 @@ def advance_constant(grid: GridSlice, c: float, dt: float) -> GridSlice:
 def monitor(fld: DiscreteField, params: MonitorParams) -> np.ndarray:
     """Nodal monitor values from the periodic centered difference quotient."""
     xm, xp = fld.grid.neighbors()
-    slope = (np.roll(fld.u, -1) - np.roll(fld.u, 1)) / (xp - xm)
+    um, up = periodic_neighbors(fld.u)
+    slope = (up - um) / (xp - xm)
     radicand = 1.0 + params.alpha * (slope if params.unsquared_slope
                                      else slope ** 2)
     if np.any(radicand < 0.0):
@@ -221,12 +234,8 @@ def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams,
 def equidistribution_residual(x: np.ndarray, rho: np.ndarray,
                               domain_length: float) -> np.ndarray:
     """Residual of the discrete equidistribution relation, per node."""
-    xp = np.roll(x, -1).copy()
-    xp[-1] += domain_length
-    xm = np.roll(x, 1).copy()
-    xm[0] -= domain_length
-    rp = np.roll(rho, -1)
-    rm = np.roll(rho, 1)
+    xm, xp = periodic_neighbors(x, domain_length)
+    rm, rp = periodic_neighbors(rho)
     return (rp + rho) * (xp - x) - (rho + rm) * (x - xm)
 
 
@@ -238,7 +247,7 @@ def _solve_equidistribution(rho: np.ndarray, anchor: float,
     adjacent cells, so every gap carries one flux C, and the N gaps summing
     to L fix C = L / sum_i 1/(rho_i + rho_{i+1}).
     """
-    inv = 1.0 / (rho + np.roll(rho, -1))
+    inv = 1.0 / (rho + periodic_neighbors(rho)[1])
     gaps = inv * (domain_length / inv.sum())
     x = np.empty(len(rho))
     x[0] = anchor
@@ -247,6 +256,5 @@ def _solve_equidistribution(rho: np.ndarray, anchor: float,
 
 
 def _require_ordered(x: np.ndarray, domain_length: float, message: str):
-    closure = x[0] + domain_length - x[-1]
-    if np.any(np.diff(x) <= 0.0) or closure <= 0.0:
+    if np.any(periodic_gaps(x, domain_length) <= 0.0):
         raise NodeCrossingError(message)

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonMonotoneNodesError
-from .grid import TAU, DiscreteField
+from .grid import TAU, DiscreteField, periodic_gaps, periodic_neighbors
 
 
 class InterpKind(str, Enum):
@@ -87,12 +87,10 @@ class PeriodicCubicSpline:
         nodes_x = np.asarray(nodes_x, dtype=float)
         nodes_u = np.asarray(nodes_u, dtype=float)
         _check_nodes(nodes_x, domain_length)
-        h = np.empty(len(nodes_x))
-        h[:-1] = np.diff(nodes_x)
-        h[-1] = nodes_x[0] + domain_length - nodes_x[-1]
-        hm = np.roll(h, 1)  # h_{i-1}
-        du = (np.roll(nodes_u, -1) - nodes_u) / h
-        rhs = du - np.roll(du, 1)
+        h = periodic_gaps(nodes_x, domain_length)
+        hm = periodic_neighbors(h)[0]  # h_{i-1}
+        du = (periodic_neighbors(nodes_u)[1] - nodes_u) / h
+        rhs = du - periodic_neighbors(du)[0]
         self._m = _solve_cyclic_tridiagonal(hm / 6.0, (hm + h) / 3.0,
                                             h / 6.0, rhs)
         self._x = nodes_x

@@ -1,25 +1,27 @@
-"""Time stepping: the classical fixed-grid scheme, the moving-mesh
-discretization, the evolution-projection composite, and the ``run`` driver
-that assembles a grid equation with a step rule into a trajectory.
+"""Time stepping: the moving-mesh discretization, the evolution-projection
+composite, and the ``run`` driver that pairs a grid equation with the
+moving-mesh update into a trajectory.
 
-Everything is explicit (forward Euler in time) with the time step tied to
-the mean spacing through dt = dt_factor * h^2.
+Every scheme is one moving-mesh stencil (``moving_mesh_terms``) on a layer
+placed by its grid equation; classical FTCS is that stencil on the
+stationary layer. Everything is explicit (forward Euler in time) with the
+time step tied to the mean spacing through dt = dt_factor * h^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (NonFiniteSolutionError, NonUniformGridError,
-                     SimulationError)
+from .errors import NonFiniteSolutionError, SimulationError
 from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    advance_constant, advance_equidistributed,
                    advance_lagrangian, advance_stationary,
-                   equidistribute_initial, mean_spacing, uniform_slice)
+                   equidistribute_initial, mean_spacing, periodic_neighbors,
+                   uniform_slice)
 from .interpolate import InterpKind, interpolate
 
 
@@ -117,30 +119,24 @@ def _next_field(grid: GridSlice, u1: np.ndarray) -> DiscreteField:
     return DiscreteField(grid=grid, u=u1)
 
 
-def ftcs_step_fixed(fld: DiscreteField, dt: float, nu: float) -> DiscreteField:
-    """Forward-time centered-space update on a uniform stationary grid."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    grid = fld.grid
-    h = mean_spacing(grid)
-    if np.max(np.abs(grid.gaps() - h)) > 1e-12 * h:
-        raise NonUniformGridError("fixed-grid update requires uniform spacing")
-    u = fld.u
-    up = np.roll(u, -1)
-    um = np.roll(u, 1)
-    u1 = (u - dt * u * (up - um) / (2.0 * h)
-          + dt * nu * (up - 2.0 * u + um) / h ** 2)
-    return _next_field(advance_stationary(grid, dt), u1)
+def moving_mesh_terms(xw, xc, xe, uw, uc, ue, xdot, nu):
+    """Advection and diffusion terms of the moving-mesh relation
+    (u_next - u_c)/dt + advection - diffusion = 0 at a node, for scalars or
+    arrays. The centred slope is weighted by the velocity relative to the
+    grid motion, u_c - xdot; with xdot = 0 this is the FTCS relation.
+    """
+    slope = (ue - uw) / (xe - xw)
+    diffusion = (2.0 * nu / (xe - xw)) * ((ue - uc) / (xe - xc)
+                                          - (uc - uw) / (xc - xw))
+    return (uc - xdot) * slope, diffusion
 
 
 def invariant_step(fld: DiscreteField, grid_next: GridSlice, dt: float,
                    nu: float) -> DiscreteField:
-    """Explicit update on a moving mesh.
-
-    The advection factor is the velocity relative to the grid motion
-    (u_i - xdot_i), with xdot taken from the two grid layers; centered
-    quotients use the periodic jump correction. A stationary uniform next
-    layer reproduces the fixed-grid update.
+    """Explicit update on a moving mesh: the moving-mesh stencil on every
+    node, with the grid velocity xdot taken from the two layers and the
+    periodic neighbours unwrapped across the seam. On a stationary next
+    layer (xdot = 0) this is the classical FTCS update.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -151,14 +147,11 @@ def invariant_step(fld: DiscreteField, grid_next: GridSlice, dt: float,
         raise ValueError("next grid layer is not at t + dt")
     u = fld.u
     xm, xp = grid.neighbors()
-    up = np.roll(u, -1)
-    um = np.roll(u, 1)
+    um, up = periodic_neighbors(u)
     xdot = (grid_next.x - grid.x) / dt
-    slope = (up - um) / (xp - xm)
-    diff = (2.0 * nu / (xp - xm)) * ((up - u) / (xp - grid.x)
-                                     - (u - um) / (grid.x - xm))
-    u1 = u + dt * (-(u - xdot) * slope + diff)
-    return _next_field(grid_next, u1)
+    advection, diffusion = moving_mesh_terms(xm, grid.x, xp, um, u, up,
+                                             xdot, nu)
+    return _next_field(grid_next, u - dt * (advection - diffusion))
 
 
 def evolution_projection_step(fld: DiscreteField, dt: float, nu: float,
@@ -206,39 +199,47 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         grid = equidistribute_initial(sample_initial, grid, mon)
     fld = DiscreteField(grid=grid, u=sample_initial(grid.x))
 
+    # the grid equation of each moving-mesh scheme (evolution-projection,
+    # a composite, has none); each looks its advance up when called, so a
+    # rebinding of the module attribute reaches the step loop
+    advance = {
+        SchemeKind.CLASSICAL_FTCS:
+            lambda fld, dt: advance_stationary(fld.grid, dt),
+        SchemeKind.LAGRANGIAN:
+            lambda fld, dt: advance_lagrangian(fld.grid, fld.u, dt),
+        SchemeKind.EULERIAN_ADAPTIVE:
+            lambda fld, dt: advance_equidistributed(fld, mon, dt),
+        SchemeKind.CONSTANT_FRAME:
+            lambda f, dt: advance_constant(f.grid, config.frame_velocity, dt),
+    }.get(kind)
+
     h = mean_spacing(grid)
     dt0 = config.dt_factor * h * h
     snapshots = [fld]
     t = 0.0
     step = 0
-    while t < config.t_final - 1e-12 * config.t_final:
-        dt = min(dt0, config.t_final - t)
-        try:
-            if kind is SchemeKind.CLASSICAL_FTCS:
-                fld = ftcs_step_fixed(fld, dt, config.nu)
-            elif kind is SchemeKind.LAGRANGIAN:
-                moved = advance_lagrangian(fld.grid, fld.u, dt)
-                fld = invariant_step(fld, moved, dt, config.nu)
-            elif kind is SchemeKind.EULERIAN_ADAPTIVE:
-                moved = advance_equidistributed(fld, mon, dt)
-                fld = invariant_step(fld, moved, dt, config.nu)
-            elif kind is SchemeKind.CONSTANT_FRAME:
-                moved = advance_constant(fld.grid, config.frame_velocity, dt)
-                fld = invariant_step(fld, moved, dt, config.nu)
-            elif kind is SchemeKind.EVOLUTION_PROJECTION:
-                fld = evolution_projection_step(fld, dt, config.nu,
-                                                config.interp_kind)
-        except SimulationError as exc:
-            exc.step = step
-            exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)
-            raise
-        step += 1
-        t = fld.grid.t
-        is_last = t >= config.t_final - 1e-12 * config.t_final
-        if is_last:
-            # land exactly on t_final; the last step was shortened to reach it
-            fld = DiscreteField(grid=replace(fld.grid, t=config.t_final),
-                                u=fld.u)
-        if is_last or (snapshot_every > 0 and step % snapshot_every == 0):
-            snapshots.append(fld)
+    # a blow-up surfaces as NonFiniteSolutionError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < config.t_final - 1e-12 * config.t_final:
+            dt = min(dt0, config.t_final - t)
+            try:
+                if advance is None:
+                    fld = evolution_projection_step(fld, dt, config.nu,
+                                                    config.interp_kind)
+                else:
+                    fld = invariant_step(fld, advance(fld, dt), dt,
+                                         config.nu)
+            except SimulationError as exc:
+                exc.step = step
+                exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)
+                raise
+            step += 1
+            t = fld.grid.t
+            is_last = t >= config.t_final - 1e-12 * config.t_final
+            if is_last:
+                # land exactly on t_final (the last step was cut to reach it)
+                fld = DiscreteField(grid=replace(fld.grid, t=config.t_final),
+                                    u=fld.u)
+            if is_last or (snapshot_every > 0 and step % snapshot_every == 0):
+                snapshots.append(fld)
     return Trajectory(snapshots=tuple(snapshots), config=config)

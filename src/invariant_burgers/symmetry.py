@@ -16,9 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainViolationError
-from .grid import DiscreteField, GridSlice, MonitorParams
-
-TAU = 2.0 * math.pi
+from .grid import TAU, DiscreteField, GridSlice, MonitorParams
+from .schemes import moving_mesh_terms
 
 
 class Generator(Enum):
@@ -166,22 +165,22 @@ def scheme_residual(s: Stencil, p: StencilParams) -> float:
     boosts cancel; with a stationary next layer it degenerates to the
     classical fixed-grid relation.
     """
-    xdot = (s.x_next[1] - s.x[1]) / s.dt
-    return _residual_terms(s, p, xdot)
+    return _residual(s, p, _grid_velocity(s))
 
 
 def ftcs_residual(s: Stencil, p: StencilParams) -> float:
-    """Classical fixed-grid relation: no grid-velocity term."""
-    return _residual_terms(s, p, 0.0)
+    """Classical fixed-grid relation: the moving-mesh stencil with no
+    grid-velocity term, i.e. on a stationary layer."""
+    return _residual(s, p, 0.0)
 
 
-def _residual_terms(s: Stencil, p: StencilParams, xdot: float) -> float:
-    xw, xc, xe = s.x
-    uw, uc, ue = s.u
-    slope = (ue - uw) / (xe - xw)
-    diff = (2.0 * p.nu / (xe - xw)) * ((ue - uc) / (xe - xc)
-                                       - (uc - uw) / (xc - xw))
-    return (s.u_next[1] - uc) / s.dt + (uc - xdot) * slope - diff
+def _grid_velocity(s: Stencil) -> float:
+    return (s.x_next[1] - s.x[1]) / s.dt
+
+
+def _residual(s: Stencil, p: StencilParams, xdot: float) -> float:
+    advection, diffusion = moving_mesh_terms(*s.x, *s.u, xdot, p.nu)
+    return (s.u_next[1] - s.u[1]) / s.dt + advection - diffusion
 
 
 def stationary_grid_residual(s: Stencil, p: StencilParams) -> float:
@@ -196,12 +195,20 @@ def constant_grid_residual(s: Stencil, p: StencilParams) -> float:
 
 def satisfy_scheme(s: Stencil, p: StencilParams) -> Stencil:
     """Solve the scheme relation for the next-layer center value."""
-    xdot = (s.x_next[1] - s.x[1]) / s.dt
-    return _with_center(s, s.u[1] - s.dt * _advection_diffusion(s, p, xdot))
+    return _satisfy(s, p, _grid_velocity(s))
 
 
 def satisfy_ftcs(s: Stencil, p: StencilParams) -> Stencil:
-    return _with_center(s, s.u[1] - s.dt * _advection_diffusion(s, p, 0.0))
+    """Solve the fixed-grid relation (the stencil at xdot = 0) for the
+    next-layer center value."""
+    return _satisfy(s, p, 0.0)
+
+
+def _satisfy(s: Stencil, p: StencilParams, xdot: float) -> Stencil:
+    advection, diffusion = moving_mesh_terms(*s.x, *s.u, xdot, p.nu)
+    u_next = s.u_next.copy()
+    u_next[1] = s.u[1] - s.dt * (advection - diffusion)
+    return replace(s, u_next=u_next)
 
 
 def satisfy_stationary(s: Stencil, p: StencilParams) -> Stencil:
@@ -216,31 +223,12 @@ def satisfy_constant(s: Stencil, p: StencilParams) -> Stencil:
     return replace(s, x_next=x_next)
 
 
-def _advection_diffusion(s: Stencil, p: StencilParams, xdot: float) -> float:
-    xw, xc, xe = s.x
-    uw, uc, ue = s.u
-    slope = (ue - uw) / (xe - xw)
-    diff = (2.0 * p.nu / (xe - xw)) * ((ue - uc) / (xe - xc)
-                                       - (uc - uw) / (xc - xw))
-    return (uc - xdot) * slope - diff
-
-
-def _with_center(s: Stencil, value: float) -> Stencil:
-    u_next = s.u_next.copy()
-    u_next[1] = value
-    return replace(s, u_next=u_next)
-
-
 def stencil_scale(s: Stencil, p: StencilParams) -> float:
     """Magnitude of the individual relation terms, for defect normalization."""
-    xdot = (s.x_next[1] - s.x[1]) / s.dt
-    xw, xc, xe = s.x
-    uw, uc, ue = s.u
-    slope = (ue - uw) / (xe - xw)
-    diff = (2.0 * p.nu / (xe - xw)) * ((ue - uc) / (xe - xc)
-                                       - (uc - uw) / (xc - xw))
-    return max(abs((s.u_next[1] - uc) / s.dt), abs((uc - xdot) * slope),
-               abs(diff), 1.0)
+    advection, diffusion = moving_mesh_terms(*s.x, *s.u, _grid_velocity(s),
+                                             p.nu)
+    return max(abs((s.u_next[1] - s.u[1]) / s.dt), abs(advection),
+               abs(diffusion), 1.0)
 
 
 def invariance_defect(residual, g: GroupElement, s: Stencil,

@@ -90,7 +90,7 @@ def test_config_file_values_take_the_flag_types(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["interp = cubic", "n = 1.5",
-                                  "dt_factor = fast"])
+                                  "dt_factor = fast", "dt-facotr = 1.5"])
 def test_config_file_rejects_bad_values(tmp_path, capsys, line):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(line + "\n")
@@ -102,11 +102,14 @@ def test_config_file_rejects_bad_values(tmp_path, capsys, line):
     assert line.split(" = ")[0] in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blow_up_reports_step_and_time(tmp_path, capsys):
     code = main(["run", "--dt-factor", "12", "--n", "256", "--t-final", "2",
                  "--out", str(tmp_path / "t.csv")])
     assert code == 1
-    err = capsys.readouterr().err.strip().splitlines()[-1]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1  # the error line alone, no numpy warnings
+    err = lines[0]
     assert err.startswith("error kind=NonFiniteSolutionError step=")
     step = int(err.split("step=")[1].split()[0])
     assert f"message='step {step} (t=" in err

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (
-    DiscreteField, DomainViolationError, Generator, GroupElement,
+    DiscreteField, DomainViolationError, Generator, GridSlice, GroupElement,
     MonitorParams, SpaceTimePoint, Stencil, StencilParams, TAU, apply_field,
     apply_point, constant_grid_residual, ftcs_residual, invariance_defect,
     invariant_step, max_defect, monitor, sample_stencil, satisfy_constant,
     satisfy_ftcs, satisfy_scheme, satisfy_stationary, scheme_residual,
     stationary_grid_residual, stencil_scale, transform_stencil, uniform_slice,
 )
+
+from oracles import moving_mesh_update_loop
 
 GENERATORS = list(Generator)
 
@@ -171,18 +175,48 @@ def test_fixed_grid_relation_boost_defect_closed_form():
         assert abs(measured - analytic) <= 1e-12 * stencil_scale(s, p)
 
 
-def test_scheme_step_sits_on_residual_manifold():
-    # the explicit update and the residual are rearrangements of the same
-    # relation; the step output must zero the residual
-    fld = sin_field(n=16)
-    grid1 = uniform_slice(16, t=0.003)
-    out = invariant_step(fld, grid1, 0.003, 0.1)
-    i = 5
-    s = Stencil(t=0.0, dt=0.003,
-                x=fld.grid.x[i - 1:i + 2], u=fld.u[i - 1:i + 2],
-                x_next=grid1.x[i - 1:i + 2], u_next=out.u[i - 1:i + 2])
+@st.composite
+def moving_layers(draw):
+    """A random ordered periodic grid (gaps in [0.2, 1.8] h before
+    normalization, node 0 in [-10, 10]) carrying sin x, a time step, and a
+    next layer x + dt r cos x with r in [-1, 1]."""
+    n = draw(st.integers(4, 96))
+    weights = draw(hnp.arrays(float, n, elements=st.floats(0.2, 1.8)))
+    x0 = draw(st.floats(-10.0, 10.0))
+    dt = draw(st.floats(1e-4, 1e-2))
+    r = draw(st.floats(-1.0, 1.0))
+    offsets = np.concatenate([[0.0], np.cumsum(weights[:-1])])
+    grid = GridSlice(t=0.0, x=x0 + offsets * (TAU / weights.sum()))
+    grid_next = GridSlice(t=dt, x=grid.x + dt * r * np.cos(grid.x))
+    return DiscreteField(grid=grid, u=np.sin(grid.x)), grid_next, dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(moving_layers())
+def test_scheme_step_sits_on_residual_manifold(case):
+    # the certifier's residual and the running step share one stencil: the
+    # step output zeroes the residual at every node of a random moving grid
+    fld, grid_next, dt = case
     p = StencilParams(nu=0.1)
-    assert abs(scheme_residual(s, p)) <= 1e-12 * stencil_scale(s, p)
+    out = invariant_step(fld, grid_next, dt, p.nu)
+    expected = moving_mesh_update_loop(fld.grid.x, fld.u, grid_next.x, dt,
+                                       p.nu, TAU)
+    assert np.max(np.abs(out.u - expected)) <= 1e-15
+    n = len(out.u)
+    seam = np.zeros(n + 2)
+    seam[0], seam[-1] = -TAU, TAU  # unwrap the neighbours across the seam
+    idx = np.arange(-1, n + 1) % n
+    x, x1 = fld.grid.x[idx] + seam, grid_next.x[idx] + seam
+    u, u1 = fld.u[idx], out.u[idx]
+    for i in range(1, n + 1):
+        nodes = slice(i - 1, i + 2)
+        s = Stencil(t=0.0, dt=dt, x=x[nodes], u=u[nodes],
+                    x_next=x1[nodes], u_next=u1[nodes])
+        # (u1 - u)/dt carries the rounding of the stored values, a few ulp
+        # of max(|u|, |u1|) over dt, that no update can avoid
+        rounding = 4.0 * np.spacing(max(abs(u[i]), abs(u1[i]))) / dt
+        assert abs(scheme_residual(s, p)) <= \
+            1e-12 * stencil_scale(s, p) + rounding
 
 
 def test_monitor_invariant_under_boosted_field():
