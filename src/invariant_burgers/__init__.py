@@ -12,8 +12,7 @@ independent runs may execute concurrently without coordination.
 
 from .errors import (DomainViolationError, NoConvergenceError, NoDecayError,
                      NodeCrossingError, NonFiniteSolutionError,
-                     NonMonotoneNodesError, SimulationError,
-                     TruncationUnsafeError)
+                     SimulationError, TruncationUnsafeError)
 from .exact import FourierCoeffs, coefficients, evaluate
 from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    advance_constant, advance_equidistributed,

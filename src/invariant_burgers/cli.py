@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -51,16 +50,15 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--snapshot-every", type=int, default=0,
                         help="store every k-th step (0: first/last only)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampling-based diagnostics; runs "
-                             "themselves are deterministic")
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv: list[str]):
-    """Overlay file values under explicitly passed flags."""
+def _apply_config_file(args: argparse.Namespace,
+                       parser: argparse.ArgumentParser,
+                       argv: list[str]) -> argparse.Namespace:
+    """Reparse ``argv`` with the file values as the subcommand's defaults,
+    so every flag given on the command line, abbreviated or not, wins."""
     if not args.config:
-        return
+        return args
     values = {}
     with open(args.config) as fh:
         for line in fh:
@@ -71,16 +69,15 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
                 raise ValueError(f"bad config line: {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             values[key.replace("-", "_")] = key, value
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
-                for a in argv if a.startswith("--")}
-    actions = _flag_actions(parser, args.command)
+    sub = next(a for a in parser._actions if isinstance(
+        a, argparse._SubParsersAction)).choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.option_strings}
+    defaults = {}
     for key, (written, value) in values.items():
         action = actions.get(key)
         if action is None:
             raise ValueError(f"config {written!r}: no such flag for "
                              f"{args.command}")
-        if key in explicit or not hasattr(args, key):
-            continue
         # the flag's own converter: a default of None says nothing of type
         if action.type is not None:
             try:
@@ -91,17 +88,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config {key} = {value!r}: choose from "
                              f"{', '.join(map(str, action.choices))}")
-        setattr(args, key, value)
-
-
-def _flag_actions(parser: argparse.ArgumentParser,
-                  command: str) -> dict[str, argparse.Action]:
-    """The option actions of one subcommand, keyed by destination."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return {a.dest: a for a in action.choices[command]._actions
-                    if a.option_strings}
-    return {}
+        defaults[key] = value
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _config_from(args: argparse.Namespace) -> SchemeConfig:
@@ -227,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, parser, argv)
+        args = _apply_config_file(args, parser, argv)
         return args.func(args)
     except SimulationError as exc:
         step = getattr(exc, "step", None)

@@ -13,20 +13,28 @@ class SimulationError(Exception):
     step: int | None = None
 
 
-class NodeCrossingError(SimulationError):
-    """A grid update would invert a mesh interval (time step too large)."""
+class NodeCrossingError(SimulationError, ValueError):
+    """Node positions are not strictly increasing with a positive periodic
+    closure gap.
+
+    Raised by ``GridSlice`` on construction and by the interpolants on their
+    nodes. Inside a run it means a grid update inverted a mesh interval
+    (time step too large); it is also a ``ValueError``, because building a
+    grid from unordered nodes is a bad argument.
+    """
 
 
 class NoConvergenceError(SimulationError):
     """The initial mesh equidistribution did not settle within its rounds."""
 
 
-class NonFiniteSolutionError(SimulationError):
-    """A time step produced non-finite solution values (the run blew up)."""
+class NonFiniteSolutionError(SimulationError, ValueError):
+    """Solution values are not finite.
 
-
-class NonMonotoneNodesError(SimulationError):
-    """Interpolation nodes are not strictly increasing."""
+    Raised by ``DiscreteField`` on construction. Inside a run it means a
+    time step blew up; it is also a ``ValueError``, because building a field
+    from non-finite values is a bad argument.
+    """
 
 
 class DomainViolationError(SimulationError):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoConvergenceError, NodeCrossingError
+from .errors import (NoConvergenceError, NodeCrossingError,
+                     NonFiniteSolutionError)
 
 TAU = 2.0 * np.pi
 
@@ -28,7 +29,11 @@ def _as_float_array(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSlice:
-    """One time layer: a time value plus ordered node positions."""
+    """One time layer: a time value plus ordered node positions.
+
+    Construction is the one node-order check (``require_ordered``), so every
+    grid equation that returns a ``GridSlice`` is checked by building it.
+    """
 
     t: float
     x: np.ndarray
@@ -44,13 +49,7 @@ class GridSlice:
             raise ValueError("non-finite grid data")
         if self.domain_length <= 0.0:
             raise ValueError("domain_length must be positive")
-        gaps = self.gaps()
-        if np.any(gaps <= 0.0):
-            raise ValueError("node positions must be strictly increasing "
-                             "with a positive periodic closure gap")
-        # structural identity; guards against corrupted closure bookkeeping
-        if abs(gaps.sum() - self.domain_length) > 1e-12 * self.domain_length:
-            raise ValueError("periodic gaps do not sum to the domain length")
+        require_ordered(self.x, self.domain_length)
 
     @property
     def n(self) -> int:
@@ -89,6 +88,20 @@ def periodic_gaps(x: np.ndarray, domain_length: float) -> np.ndarray:
     return np.diff(x, append=x[0] + domain_length)
 
 
+def require_ordered(x: np.ndarray, domain_length: float):
+    """Raise ``NodeCrossingError`` unless every periodic gap of ``x`` is
+    positive (a NaN gap is not); the message names the first interval that
+    is not."""
+    gaps = periodic_gaps(x, domain_length)
+    if not np.all(gaps > 0.0):
+        i = int(np.argmin(gaps > 0.0))
+        east = "x[0] + L" if i == len(x) - 1 else f"x[{i + 1}]"
+        raise NodeCrossingError(
+            f"mesh interval x[{i}] -> {east} has gap {gaps[i]:.6g}; nodes "
+            f"must be strictly increasing with a positive periodic closure "
+            f"gap")
+
+
 def uniform_slice(n: int, t: float = 0.0, domain_start: float = 0.0,
                   domain_length: float = TAU) -> GridSlice:
     x = domain_start + np.arange(n) * (domain_length / n)
@@ -109,7 +122,7 @@ class DiscreteField:
             raise ValueError(f"u has {len(self.u)} values for "
                              f"{self.grid.n} nodes")
         if not np.isfinite(self.u).all():
-            raise ValueError("non-finite solution values")
+            raise NonFiniteSolutionError("non-finite solution values")
 
 
 @dataclass(frozen=True)
@@ -142,16 +155,15 @@ def advance_stationary(grid: GridSlice, dt: float) -> GridSlice:
 
 
 def advance_lagrangian(grid: GridSlice, u: np.ndarray, dt: float) -> GridSlice:
-    """Move every node with its local velocity: x_i += dt * u_i."""
+    """Move every node with its local velocity: x_i += dt * u_i. A step too
+    large for the velocity gradient inverts an interval, which the new
+    layer rejects with ``NodeCrossingError``."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     u = _as_float_array(u)
     if len(u) != grid.n:
         raise ValueError("u length does not match the grid")
     x1 = grid.x + dt * u
-    _require_ordered(x1, grid.domain_length,
-                     "Lagrangian move inverted a mesh interval "
-                     "(dt too large for the velocity gradient)")
     return replace(grid, t=grid.t + dt, x=x1)
 
 
@@ -192,8 +204,6 @@ def advance_equidistributed(fld: DiscreteField, params: MonitorParams,
     grid = fld.grid
     x1 = _solve_equidistribution(rho, grid.x[0] + dt * fld.u[0],
                                  grid.domain_length)
-    _require_ordered(x1, grid.domain_length,
-                     "equidistributed mesh violates node ordering")
     return replace(grid, t=grid.t + dt, x=x1)
 
 
@@ -226,8 +236,6 @@ def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams,
     else:
         raise NoConvergenceError(
             f"initial equidistribution did not settle in {max_rounds} rounds")
-    _require_ordered(x, grid.domain_length,
-                     "initial equidistribution violates node ordering")
     return replace(grid, x=x)
 
 
@@ -253,8 +261,3 @@ def _solve_equidistribution(rho: np.ndarray, anchor: float,
     x[0] = anchor
     x[1:] = anchor + np.cumsum(gaps[:-1])
     return x
-
-
-def _require_ordered(x: np.ndarray, domain_length: float, message: str):
-    if np.any(periodic_gaps(x, domain_length) <= 0.0):
-        raise NodeCrossingError(message)

@@ -9,12 +9,12 @@ bitwise-identical files.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import SimulationError
 from .exact import FourierCoeffs, evaluate
 from .grid import DiscreteField, mean_spacing, uniform_slice
 from .interpolate import InterpKind, interpolate
@@ -90,8 +90,10 @@ def convergence_study(config: SchemeConfig, ns: Sequence[int],
         cfg = replace(config, n_points=n)
         try:
             report = linf_error(run(cfg, initial), coeffs)
-        except Exception as exc:
-            raise type(exc)(f"N={n}: {exc}") from exc
+        except (SimulationError, ValueError) as exc:
+            # the same object, so a typed failure keeps its step
+            exc.args = (f"N={n}: {exc}",)
+            raise
         order = None
         if rows:
             order = float(np.log2(rows[-1].linf_error / report.linf_error))

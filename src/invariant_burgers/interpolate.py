@@ -11,21 +11,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonMonotoneNodesError
-from .grid import TAU, DiscreteField, periodic_gaps, periodic_neighbors
+from .grid import (TAU, DiscreteField, periodic_gaps, periodic_neighbors,
+                   require_ordered)
 
 
 class InterpKind(str, Enum):
     LINEAR = "linear"
     QUADRATIC = "quadratic"
     CUBIC_SPLINE = "cubic-spline"
-
-
-def _check_nodes(nodes_x: np.ndarray, domain_length: float):
-    if np.any(np.diff(nodes_x) <= 0.0):
-        raise NonMonotoneNodesError("nodes must be strictly increasing")
-    if nodes_x[0] + domain_length - nodes_x[-1] <= 0.0:
-        raise NonMonotoneNodesError("periodic closure gap is not positive")
 
 
 def _reduce_queries(nodes_x: np.ndarray, query_x: np.ndarray,
@@ -47,7 +40,7 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
     nodes_x = np.asarray(nodes_x, dtype=float)
     nodes_u = np.asarray(nodes_u, dtype=float)
     query_x = np.atleast_1d(np.asarray(query_x, dtype=float))
-    _check_nodes(nodes_x, domain_length)
+    require_ordered(nodes_x, domain_length)
     kind = InterpKind(kind)
     if kind is InterpKind.CUBIC_SPLINE:
         return PeriodicCubicSpline(nodes_x, nodes_u, domain_length)(query_x)
@@ -86,7 +79,7 @@ class PeriodicCubicSpline:
     def __init__(self, nodes_x, nodes_u, domain_length: float = TAU):
         nodes_x = np.asarray(nodes_x, dtype=float)
         nodes_u = np.asarray(nodes_u, dtype=float)
-        _check_nodes(nodes_x, domain_length)
+        require_ordered(nodes_x, domain_length)
         h = periodic_gaps(nodes_x, domain_length)
         hm = periodic_neighbors(h)[0]  # h_{i-1}
         du = (periodic_neighbors(nodes_u)[1] - nodes_u) / h

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteSolutionError, SimulationError
+from .errors import SimulationError
 from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    advance_constant, advance_equidistributed,
                    advance_lagrangian, advance_stationary,
@@ -111,14 +111,6 @@ class Trajectory:
         return self.snapshots[0]
 
 
-def _next_field(grid: GridSlice, u1: np.ndarray) -> DiscreteField:
-    """Attach a step's new values to its layer; a blow-up is a numerical
-    failure of the step, not a malformed argument."""
-    if not np.isfinite(u1).all():
-        raise NonFiniteSolutionError("non-finite solution values")
-    return DiscreteField(grid=grid, u=u1)
-
-
 def moving_mesh_terms(xw, xc, xe, uw, uc, ue, xdot, nu):
     """Advection and diffusion terms of the moving-mesh relation
     (u_next - u_c)/dt + advection - diffusion = 0 at a node, for scalars or
@@ -136,7 +128,8 @@ def invariant_step(fld: DiscreteField, grid_next: GridSlice, dt: float,
     """Explicit update on a moving mesh: the moving-mesh stencil on every
     node, with the grid velocity xdot taken from the two layers and the
     periodic neighbours unwrapped across the seam. On a stationary next
-    layer (xdot = 0) this is the classical FTCS update.
+    layer (xdot = 0) this is the classical FTCS update. A blow-up surfaces
+    as the new field's ``NonFiniteSolutionError``.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -151,7 +144,8 @@ def invariant_step(fld: DiscreteField, grid_next: GridSlice, dt: float,
     xdot = (grid_next.x - grid.x) / dt
     advection, diffusion = moving_mesh_terms(xm, grid.x, xp, um, u, up,
                                              xdot, nu)
-    return _next_field(grid_next, u - dt * (advection - diffusion))
+    return DiscreteField(grid=grid_next,
+                         u=u - dt * (advection - diffusion))
 
 
 def evolution_projection_step(fld: DiscreteField, dt: float, nu: float,
@@ -172,7 +166,7 @@ def evolution_projection_step(fld: DiscreteField, dt: float, nu: float,
     targets = grid.x + dt * float(np.mean(fld.u))
     u1 = interpolate(moved.x, evolved.u, targets, interp_kind,
                      grid.domain_length)
-    return _next_field(replace(grid, t=grid.t + dt, x=targets), u1)
+    return DiscreteField(grid=replace(grid, t=grid.t + dt, x=targets), u=u1)
 
 
 def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],

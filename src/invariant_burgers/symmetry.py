@@ -261,13 +261,13 @@ def sample_stencil(rng: np.random.Generator) -> Stencil:
 
 def max_defect(residual, g: GroupElement, n_samples: int = 1000,
                seed: int = 0, p: StencilParams = StencilParams(),
-               satisfy=None, normalize: bool = True) -> float:
+               satisfy=None) -> float:
     """Max invariance defect over seeded random stencils.
 
     ``satisfy`` optionally closes each sample on the relation's own solution
     manifold (needed for scalings, where the relation is equivariant rather
-    than term-by-term invariant). With ``normalize`` the defect is measured
-    relative to the size of the relation's terms.
+    than term-by-term invariant). The defect is measured relative to the
+    size of the relation's terms.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -275,8 +275,6 @@ def max_defect(residual, g: GroupElement, n_samples: int = 1000,
         s = sample_stencil(rng)
         if satisfy is not None:
             s = satisfy(s, p)
-        d = invariance_defect(residual, g, s, p)
-        if normalize:
-            d /= stencil_scale(s, p)
-        worst = max(worst, d)
+        worst = max(worst, invariance_defect(residual, g, s, p)
+                    / stencil_scale(s, p))
     return worst

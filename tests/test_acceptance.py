@@ -8,12 +8,11 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from invariant_burgers import (
     DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
     MonitorParams, SchemeConfig, SchemeKind, TAU,
-    advance_equidistributed, apply_field, coefficients, constant_grid_residual,
+    advance_equidistributed, apply_field, constant_grid_residual,
     convergence_study, evaluate, frame_comparison, grid_spacing_profile,
     interpolate, invariance_defect, linf_error, max_defect, mean_spacing,
     monitor, project_periodic, run, sample_stencil, satisfy_constant,

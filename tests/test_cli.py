@@ -89,6 +89,19 @@ def test_config_file_values_take_the_flag_types(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 4 * 16
 
 
+def test_abbreviated_flag_wins_over_config_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scheme = evolution-projection\ndt-factor = 1.5\n"
+                   "n = 16\n")
+    out = tmp_path / "t.csv"
+    code = main(["run", "--config", str(cfg), "--dt", "0.5",
+                 "--snapshot-every", "1", "--out", str(out)])
+    assert code == 0
+    # dt = 0.5 h^2 with h = 2 pi / 16 reaches t = 0.5 in 7 steps (the
+    # file's 1.5 would take 3), each stored with the initial layer
+    assert len(out.read_text().splitlines()) == 1 + 8 * 16
+
+
 @pytest.mark.parametrize("line", ["interp = cubic", "n = 1.5",
                                   "dt_factor = fast", "dt-facotr = 1.5"])
 def test_config_file_rejects_bad_values(tmp_path, capsys, line):
@@ -122,6 +135,16 @@ def test_nonzero_exit_with_machine_readable_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error kind=NodeCrossingError step=0")
+
+
+def test_convergence_failure_reports_its_step(tmp_path, capsys):
+    code = main(["convergence", "--scheme", "lagrangian", "--t-final", "4",
+                 "--dt-factor", "60", "--n-min", "32", "--n-max", "64",
+                 "--out", str(tmp_path / "c.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=NodeCrossingError step=0 "
+                          "message='N=32: step 0 (t=0): ")
 
 
 def test_output_directory_env_override(tmp_path, capsys, monkeypatch):

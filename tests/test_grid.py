@@ -7,7 +7,8 @@ from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (
     DiscreteField, Generator, GridSlice, GroupElement, MonitorParams,
-    NoConvergenceError, NodeCrossingError, TAU, advance_constant,
+    NoConvergenceError, NodeCrossingError, NonFiniteSolutionError, TAU,
+    advance_constant,
     advance_equidistributed, advance_lagrangian, advance_stationary,
     apply_field, equidistribute_initial, mean_spacing, monitor,
     transform_monitor, uniform_slice,
@@ -51,6 +52,28 @@ def test_grid_slice_validation():
         GridSlice(t=0.0, x=np.array([0.0, 2.0, 1.0, 3.0]))  # not increasing
     with pytest.raises(ValueError):
         GridSlice(t=0.0, x=np.array([0.0, 1.0, 2.0, TAU + 1.0]))  # closure
+
+
+def test_grid_slice_accepts_positions_far_from_the_origin():
+    # gaps of a shifted lattice no longer sum to L exactly; order is all
+    # a grid needs
+    x = uniform_slice(64).x + 1e6
+    np.testing.assert_array_equal(GridSlice(t=0.0, x=x).x, x)
+
+
+def test_grid_slice_names_the_first_inverted_interval():
+    with pytest.raises(NodeCrossingError, match=r"x\[2\] -> x\[3\]"):
+        GridSlice(t=0.0, x=np.array([0.0, 1.0, 2.0, 1.5, 3.0]))
+    with pytest.raises(NodeCrossingError, match=r"x\[3\] -> x\[0\] \+ L"):
+        GridSlice(t=0.0, x=np.array([0.0, 1.0, 2.0, TAU + 1.0]))
+
+
+def test_container_errors_are_typed_value_errors():
+    grid = uniform_slice(8)
+    with pytest.raises(NonFiniteSolutionError):
+        DiscreteField(grid=grid, u=np.full(8, np.nan))
+    assert issubclass(NonFiniteSolutionError, ValueError)
+    assert issubclass(NodeCrossingError, ValueError)
 
 
 def test_wrapped_positions_stay_in_fundamental_interval():

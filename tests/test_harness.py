@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from invariant_burgers import (
-    DiscreteField, SchemeConfig, SchemeKind, TAU, Trajectory,
+    DiscreteField, NodeCrossingError, SchemeConfig, SchemeKind, TAU,
+    Trajectory,
     convergence_study, evaluate, frame_comparison, grid_spacing_profile,
     linf_error, mean_spacing, run, uniform_slice,
 )
@@ -74,6 +75,15 @@ def test_convergence_study_rejects_bad_resolutions(coeffs_nu01):
         convergence_study(config, [16, 48], coeffs_nu01)
     with pytest.raises(ValueError):
         convergence_study(config, [], coeffs_nu01)
+
+
+def test_convergence_study_failure_keeps_its_step(coeffs_nu01):
+    config = config_for(SchemeKind.LAGRANGIAN, t_final=4.0,
+                        dt_factor=60.0)  # dt*|u_x| > 1: crossing
+    with pytest.raises(NodeCrossingError) as excinfo:
+        convergence_study(config, [32, 64], coeffs_nu01)
+    assert excinfo.value.step == 0
+    assert str(excinfo.value).startswith("N=32: step 0 (t=0): ")
 
 
 def test_spacing_profile_uniform_for_fixed_grid():

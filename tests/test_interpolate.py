@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invariant_burgers import (DiscreteField, Generator, GridSlice,
-                               GroupElement, InterpKind, NonMonotoneNodesError,
+                               GroupElement, InterpKind, NodeCrossingError,
                                PeriodicCubicSpline, TAU, apply_field,
                                interpolate, project_periodic, uniform_slice)
 
@@ -102,12 +102,18 @@ def test_projection_commutes_with_boost(kind):
 
 
 def test_non_monotone_nodes_rejected():
-    with pytest.raises(NonMonotoneNodesError):
+    with pytest.raises(NodeCrossingError):
         interpolate([0.0, 2.0, 1.0, 3.0], [0.0, 0.0, 0.0, 0.0], 0.5,
                     InterpKind.LINEAR, TAU)
-    with pytest.raises(NonMonotoneNodesError):
+    with pytest.raises(NodeCrossingError):
         interpolate([0.0, 1.0, 2.0, TAU + 0.5], [0.0] * 4, 0.5,
                     InterpKind.LINEAR, TAU)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nan_nodes_rejected(kind):
+    with pytest.raises(NodeCrossingError, match=r"x\[0\] -> x\[1\]"):
+        interpolate([0.0, np.nan, 2.0, 3.0], [0.0] * 4, 0.5, kind, TAU)
 
 
 def test_spline_matches_scipy_periodic():
