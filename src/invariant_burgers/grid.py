@@ -127,15 +127,9 @@ class DiscreteField:
 
 @dataclass(frozen=True)
 class MonitorParams:
-    """Weight function parameters: rho = sqrt(1 + alpha * slope^2).
-
-    ``unsquared_slope`` switches to the raw (signed) difference quotient
-    inside the radicand; that form can go negative for steep descending
-    data and exists only for comparison runs.
-    """
+    """Weight function parameters: rho = sqrt(1 + alpha * slope^2)."""
 
     alpha: float = 1.0
-    unsquared_slope: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha < 0.0:
@@ -179,12 +173,7 @@ def monitor(fld: DiscreteField, params: MonitorParams) -> np.ndarray:
     xm, xp = fld.grid.neighbors()
     um, up = periodic_neighbors(fld.u)
     slope = (up - um) / (xp - xm)
-    radicand = 1.0 + params.alpha * (slope if params.unsquared_slope
-                                     else slope ** 2)
-    if np.any(radicand < 0.0):
-        raise ValueError("unsquared-slope monitor produced a negative "
-                         "radicand; use the squared form")
-    return np.sqrt(radicand)
+    return np.sqrt(1.0 + params.alpha * slope ** 2)
 
 
 def advance_equidistributed(fld: DiscreteField, params: MonitorParams,

@@ -29,7 +29,6 @@ class ErrorReport:
     h: float
     linf_error: float
     rms_error: float
-    pointwise: np.ndarray | None = None  # rows of (x, u_num - u_exact)
 
     def __post_init__(self):
         if self.linf_error < 0.0:
@@ -54,8 +53,7 @@ def _measured_field(traj: Trajectory) -> DiscreteField:
     return fld
 
 
-def linf_error(traj: Trajectory, coeffs: FourierCoeffs,
-               keep_pointwise: bool = False) -> ErrorReport:
+def linf_error(traj: Trajectory, coeffs: FourierCoeffs) -> ErrorReport:
     """Max nodal deviation from the reference solution at the final time.
 
     The reference is evaluated at the final node positions themselves, so
@@ -64,16 +62,12 @@ def linf_error(traj: Trajectory, coeffs: FourierCoeffs,
     fld = _measured_field(traj)
     u_ref = evaluate(coeffs, fld.grid.t, fld.grid.x)
     diff = fld.u - u_ref
-    pointwise = None
-    if keep_pointwise:
-        pointwise = np.column_stack([fld.grid.wrapped_x(), diff])
     return ErrorReport(
         scheme_kind=SchemeKind(traj.config.scheme_kind),
         n=traj.config.n_points,
         h=mean_spacing(fld.grid),
         linf_error=float(np.max(np.abs(diff))),
         rms_error=float(np.sqrt(np.mean(diff ** 2))),
-        pointwise=pointwise,
     )
 
 

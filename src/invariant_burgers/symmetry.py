@@ -102,14 +102,11 @@ def apply_field(g: GroupElement, fld: DiscreteField) -> DiscreteField:
 def transform_monitor(g: GroupElement, params: MonitorParams) -> MonitorParams:
     """Equivalence extension of the monitor weight under scalings.
 
-    The centered slope picks up a factor e^(-2 eps), so keeping
-    alpha*slope^2 (the default radicand) unchanged requires
-    alpha -> e^(4 eps) * alpha; the unsquared radicand requires e^(2 eps).
+    The centered slope picks up a factor e^(-2 eps), so keeping the
+    radicand 1 + alpha*slope^2 unchanged requires alpha -> e^(4 eps) * alpha.
     """
     if g.extend_alpha and g.generator is Generator.SCALING:
-        power = 2.0 if params.unsquared_slope else 4.0
-        return replace(params,
-                       alpha=math.exp(power * g.epsilon) * params.alpha)
+        return replace(params, alpha=math.exp(4.0 * g.epsilon) * params.alpha)
     return params
 
 

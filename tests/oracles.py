@@ -116,3 +116,15 @@ def random_smooth_field(rng, n, n_modes=3, amplitude=1.0):
         u += amplitude * (rng.normal() * np.sin(k * x)
                           + rng.normal() * np.cos(k * x)) / k
     return x, u
+
+
+def dense_spline_matrix(x, length):
+    """Dense cyclic matrix of the periodic spline's moment equations."""
+    n = len(x)
+    h = [x[(i + 1) % n] + length * ((i + 1) // n) - x[i] for i in range(n)]
+    A = np.zeros((n, n))
+    for i in range(n):
+        A[i, (i - 1) % n] += h[i - 1] / 6.0
+        A[i, i] += (h[i - 1] + h[i]) / 3.0
+        A[i, (i + 1) % n] += h[i] / 6.0
+    return A

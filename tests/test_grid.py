@@ -194,17 +194,6 @@ def test_monitor_at_least_one():
     assert np.all(monitor(fld, MonitorParams(alpha=2.0)) >= 1.0)
 
 
-def test_monitor_unsquared_slope_variant():
-    fld = sin_field(64, amplitude=0.5)  # slopes stay above -1
-    rho = monitor(fld, MonitorParams(alpha=1.0, unsquared_slope=True))
-    h = mean_spacing(fld.grid)
-    assert rho[0] == pytest.approx(math.sqrt(1.0 + 0.5 * math.sin(h) / h),
-                                   abs=1e-14)
-    with pytest.raises(ValueError):
-        monitor(sin_field(64, amplitude=3.0),
-                MonitorParams(alpha=1.0, unsquared_slope=True))
-
-
 # ---------------------------------------------------------------------------
 # equidistribution
 # ---------------------------------------------------------------------------
@@ -345,11 +334,9 @@ def test_monitor_invariant_under_boost():
                                rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("unsquared", [False, True])
-def test_monitor_scaling_equivalence_extension(unsquared):
-    amplitude = 0.5 if unsquared else 1.0
-    fld = sin_field(64, amplitude=amplitude)
-    params = MonitorParams(alpha=1.0, unsquared_slope=unsquared)
+def test_monitor_scaling_equivalence_extension():
+    fld = sin_field(64)
+    params = MonitorParams(alpha=1.0)
     g = GroupElement(Generator.SCALING, 0.4, extend_alpha=True)
     scaled = apply_field(g, fld)
     np.testing.assert_allclose(

@@ -36,12 +36,12 @@ def test_linf_error_zero_on_self_comparison(coeffs_nu01):
 
 def test_linf_error_reports_geometry(coeffs_nu01):
     traj = run(config_for(SchemeKind.LAGRANGIAN), np.sin)
-    report = linf_error(traj, coeffs_nu01, keep_pointwise=True)
+    report = linf_error(traj, coeffs_nu01)
     assert report.n == 64
     assert report.h == pytest.approx(TAU / 64)
-    assert report.pointwise.shape == (64, 2)
-    assert report.linf_error == pytest.approx(
-        np.max(np.abs(report.pointwise[:, 1])))
+    fld = traj.final
+    diff = fld.u - evaluate(coeffs_nu01, fld.grid.t, fld.grid.x)
+    assert report.linf_error == pytest.approx(np.max(np.abs(diff)))
     assert report.rms_error <= report.linf_error
 
 

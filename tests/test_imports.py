@@ -1,7 +1,8 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports, and every private
+module-level name is read somewhere in the package.
 
-Package ``__init__.py`` files are exempt (their imports are the public
-re-exports), and so are ``from __future__`` imports.
+Package ``__init__.py`` files are exempt from the import scan (their imports
+are the public re-exports), and so are ``from __future__`` imports.
 """
 
 import ast
@@ -27,6 +28,38 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module
+    of ``sources`` (file name -> text) reads, by name, attribute or import.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                defined = [getattr(node.target, "id", "")]
+            else:
+                continue
+            dead += [f"{name}:{node.lineno}: {d}" for d in defined
+                     if d.startswith("_") and not d.startswith("__")
+                     and d not in read]
+    return dead
+
+
 def test_scan_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os\nimport numpy as np\n"
@@ -41,3 +74,21 @@ def test_package_modules_use_their_imports():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_scan_finds_a_dead_private_name():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_SPARE: int = 4\n"
+                 "def _used():\n    return _LIMIT\n"
+                 "def _dead():\n    return _used()\n"
+                 "class _Gone:\n    pass\n"
+                 "def _shared():\n    pass\n__all__ = []\n"),
+        "b.py": "from a import _shared\n",
+    }
+    assert dead_private_names(sources) == [
+        "a.py:2: _SPARE", "a.py:5: _dead", "a.py:7: _Gone"]
+
+
+def test_package_private_names_are_read():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_private_names(sources) == []

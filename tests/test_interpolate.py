@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (DiscreteField, Generator, GridSlice,
                                GroupElement, InterpKind, NodeCrossingError,
                                PeriodicCubicSpline, TAU, apply_field,
                                interpolate, project_periodic, uniform_slice)
+from invariant_burgers.interpolate import _solve_cyclic_tridiagonal
 
-from oracles import periodic_spline_scipy, random_smooth_field
+from oracles import (dense_spline_matrix, periodic_spline_scipy,
+                     random_smooth_field)
 
 KINDS = [InterpKind.LINEAR, InterpKind.QUADRATIC, InterpKind.CUBIC_SPLINE]
 
@@ -29,6 +33,50 @@ def test_interpolation_condition_at_nodes(kind):
     x, u = random_smooth_field(rng, 20)
     values = interpolate(x, u, x, kind, TAU)
     np.testing.assert_allclose(values, u, rtol=0, atol=1e-14)
+
+
+@st.composite
+def ordered_grids(draw, min_n):
+    """Periodic nodes from node 0 in [-10, 10], with gap weights in
+    [0.05, 1.95] scaled so the N gaps sum to L."""
+    n = draw(st.integers(min_n, 300))
+    w = draw(hnp.arrays(float, n, elements=st.floats(0.05, 1.95)))
+    x0 = draw(st.floats(-10.0, 10.0))
+    return x0 + np.concatenate(([0.0], np.cumsum(w[:-1] * (TAU / w.sum()))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_grids(min_n=3), st.data())
+def test_cyclic_solve_matches_dense_spline_system(x, data):
+    n = len(x)
+    A = dense_spline_matrix(x, TAU)
+    # rhs on a 1e-6 lattice in [-1, 1]: tiny entries would put the solve in
+    # the subnormal range, where no solver keeps relative precision
+    rhs = 1e-6 * data.draw(hnp.arrays(np.int64, n,
+                                      elements=st.integers(-10**6, 10**6)))
+    i = np.arange(n)
+    m = _solve_cyclic_tridiagonal(A[i, (i - 1) % n], A[i, i],
+                                  A[i, (i + 1) % n], rhs)
+    ref = np.linalg.solve(A, rhs)
+    assert np.max(np.abs(m - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_grids(min_n=4), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.data())
+def test_local_stencils_reproduce_affine_data(x, a, b, data):
+    # queries in [x_1, x_{N-2}]: neither stencil reaches across the seam.
+    # The bound is 1e-13 up to |u| = 10 and grows with |u| beyond: the
+    # quadratic weights reach about 10 at gap ratio 39, so its rounding is
+    # a few ulp(max |u|) times that
+    n = len(x)
+    u = a + b * x
+    s = data.draw(hnp.arrays(float, 16, elements=st.floats(0.0, 1.0)))
+    q = x[1] + s * (x[n - 2] - x[1])
+    for kind in (InterpKind.LINEAR, InterpKind.QUADRATIC):
+        np.testing.assert_allclose(
+            interpolate(x, u, q, kind, TAU), a + b * q, rtol=0,
+            atol=1e-14 * max(np.abs(u).max(), 10.0))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -99,6 +147,16 @@ def test_projection_commutes_with_boost(kind):
     lhs = project_periodic(boosted, targets + g.epsilon * fld.grid.t, kind)
     rhs = project_periodic(fld, targets, kind) + g.epsilon
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_values_must_match_nodes(kind):
+    x = [0.0, 1.0, 2.0, 3.0]
+    for u in ([0.0] * 6, [0.0] * 2):
+        with pytest.raises(ValueError, match="values for"):
+            interpolate(x, u, 0.5, kind, TAU)
+    with pytest.raises(ValueError, match="values for"):
+        interpolate([], [], 0.5, kind, TAU)
 
 
 def test_non_monotone_nodes_rejected():
