@@ -12,7 +12,7 @@ independent runs may execute concurrently without coordination.
 
 from .errors import (DomainViolationError, NoConvergenceError, NoDecayError,
                      NodeCrossingError, NonFiniteSolutionError,
-                     SimulationError, TruncationUnsafeError)
+                     SimulationError)
 from .exact import FourierCoeffs, coefficients, evaluate
 from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    advance_constant, advance_equidistributed,
@@ -21,8 +21,7 @@ from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    uniform_slice)
 from .harness import (ConvergenceRow, ErrorReport, convergence_study,
                       frame_comparison, grid_spacing_profile, linf_error)
-from .interpolate import InterpKind, PeriodicCubicSpline, interpolate, \
-    project_periodic
+from .interpolate import InterpKind, PeriodicCubicSpline, project_periodic
 from .schemes import (DEFAULT_DT_FACTORS, SchemeConfig, SchemeKind,
                       Trajectory, evolution_projection_step, invariant_step,
                       moving_mesh_terms, run)

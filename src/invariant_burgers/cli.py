@@ -19,8 +19,9 @@ from .errors import SimulationError
 from .exact import coefficients, evaluate
 from .grid import TAU
 from .harness import (frame_comparison, linf_error, write_convergence_csv,
-                      write_errors_csv, write_frames_csv, write_spacing_csv,
-                      write_trajectory_csv, convergence_study)
+                      write_errors_csv, write_exact_csv, write_frames_csv,
+                      write_spacing_csv, write_trajectory_csv,
+                      convergence_study)
 from .interpolate import InterpKind
 from .schemes import SchemeConfig, SchemeKind, run
 
@@ -28,14 +29,21 @@ OUTDIR_ENV = "INVARIANT_BURGERS_OUTDIR"
 CONVERGENCE_NS = (4, 8, 16, 32, 64, 128, 256, 512)
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, n: bool = True,
+                scheme: bool = True):
+    """Add the flags a subcommand reads; ``n`` and ``scheme`` false leave
+    out the grid size and the scheme settings."""
     parser.add_argument("--config", help="flat key=value file with defaults "
                                          "for the flags below")
-    parser.add_argument("--scheme", choices=[k.value for k in SchemeKind],
-                        default=SchemeKind.CLASSICAL_FTCS.value)
-    parser.add_argument("--n", type=int, default=64, help="grid points")
+    if n:
+        parser.add_argument("--n", type=int, default=64, help="grid points")
     parser.add_argument("--nu", type=float, default=0.1, help="viscosity")
     parser.add_argument("--t-final", type=float, default=0.5)
+    parser.add_argument("--out", help="output CSV path")
+    if not scheme:
+        return
+    parser.add_argument("--scheme", choices=[k.value for k in SchemeKind],
+                        default=SchemeKind.CLASSICAL_FTCS.value)
     parser.add_argument("--dt-factor", type=float, default=None,
                         help="C in dt = C h^2 (default: the scheme's "
                              "calibrated constant)")
@@ -47,9 +55,6 @@ def _add_common(parser: argparse.ArgumentParser):
                              "drift velocity")
     parser.add_argument("--interp", choices=[k.value for k in InterpKind],
                         default=InterpKind.QUADRATIC.value)
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--snapshot-every", type=int, default=0,
-                        help="store every k-th step (0: first/last only)")
 
 
 def _apply_config_file(args: argparse.Namespace,
@@ -93,11 +98,11 @@ def _apply_config_file(args: argparse.Namespace,
     return parser.parse_args(argv)
 
 
-def _config_from(args: argparse.Namespace) -> SchemeConfig:
+def _config_from(args: argparse.Namespace, n_points: int) -> SchemeConfig:
     return SchemeConfig(
         scheme_kind=SchemeKind(args.scheme),
         nu=args.nu,
-        n_points=args.n,
+        n_points=n_points,
         t_final=args.t_final,
         dt_factor=args.dt_factor,
         alpha=args.alpha,
@@ -115,7 +120,7 @@ def _out_path(args: argparse.Namespace, default_name: str) -> str:
 
 
 def _cmd_run(args) -> int:
-    config = _config_from(args)
+    config = _config_from(args, args.n)
     traj = run(config, np.sin, snapshot_every=args.snapshot_every)
     path = _out_path(args, "trajectory.csv")
     write_trajectory_csv(path, traj)
@@ -130,7 +135,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    config = _config_from(args)
+    # the study sets the grid size of each row
+    config = _config_from(args, CONVERGENCE_NS[0])
     ns = [n for n in CONVERGENCE_NS if args.n_min <= n <= args.n_max]
     coeffs = coefficients(config.nu)
     rows = convergence_study(config, ns, coeffs)
@@ -144,7 +150,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_frames(args) -> int:
-    config = _config_from(args)
+    config = _config_from(args, args.n)
     d = frame_comparison(config, args.eps3)
     path = _out_path(args, "frames.csv")
     write_frames_csv(path, config.scheme_kind, config.n_points, args.eps3, d)
@@ -154,7 +160,7 @@ def _cmd_frames(args) -> int:
 
 
 def _cmd_spacing(args) -> int:
-    config = _config_from(args)
+    config = _config_from(args, args.n)
     traj = run(config, np.sin)
     path = _out_path(args, "spacing.csv")
     write_spacing_csv(path, traj)
@@ -167,10 +173,7 @@ def _cmd_exact(args) -> int:
     x = np.arange(args.n) * (TAU / args.n)
     u = evaluate(coeffs, args.t_final, x)
     path = _out_path(args, "exact.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x,u\n")
-        for xi, ui in zip(x, u):
-            fh.write(f"{float(args.t_final)!r},{float(xi)!r},{float(ui)!r}\n")
+    write_exact_csv(path, args.t_final, x, u)
     print(f"exact nu={args.nu!r} t={args.t_final!r} N={args.n} "
           f"J={coeffs.truncation_index} -> {path}")
     return 0
@@ -185,13 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate one scheme, write t,x,u")
     _add_common(p_run)
+    p_run.add_argument("--snapshot-every", type=int, default=0,
+                       help="store every k-th step (0: first/last only)")
     p_run.add_argument("--errors-out", help="also write a scheme,N,h,linf,rms "
                                             "error report")
     p_run.set_defaults(func=_cmd_run)
 
     p_conv = sub.add_parser("convergence",
                             help="error vs resolution for one scheme")
-    _add_common(p_conv)
+    _add_common(p_conv, n=False)
     p_conv.add_argument("--n-min", type=int, default=4)
     p_conv.add_argument("--n-max", type=int, default=512)
     p_conv.set_defaults(func=_cmd_convergence)
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.set_defaults(func=_cmd_spacing)
 
     p_ex = sub.add_parser("exact", help="sample the reference solution")
-    _add_common(p_ex)
+    _add_common(p_ex, scheme=False)
     p_ex.set_defaults(func=_cmd_exact)
     return parser
 

@@ -41,9 +41,5 @@ class DomainViolationError(SimulationError):
     """A group transformation was applied outside its domain of definition."""
 
 
-class TruncationUnsafeError(SimulationError):
-    """Series truncation is not accurate enough at the requested time."""
-
-
 class NoDecayError(SimulationError):
     """Fourier coefficients did not decay below tolerance within the cap."""

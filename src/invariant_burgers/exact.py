@@ -13,12 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoDecayError, TruncationUnsafeError
+from .errors import NoDecayError
 
 TAU = 2.0 * np.pi
 
 _M_START = 256
 _M_CAP = 2 ** 20
+# the series tail bound at t = 0, relative to a_0, below which it is cut,
+# and the highest mode it may keep
+_TOL = 1e-12
+_J_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,6 @@ class FourierCoeffs:
     nu: float
     a: np.ndarray
     quad_points: int
-    tol: float
-    t_min: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
@@ -46,39 +48,37 @@ class FourierCoeffs:
         return len(self.a) - 1
 
 
-def coefficients(nu: float, tol: float = 1e-12, t_min: float = 0.0,
-                 j_cap: int = 200) -> FourierCoeffs:
-    """Compute coefficients until the evaluation tail bound drops below tol.
+def coefficients(nu: float) -> FourierCoeffs:
+    """Compute coefficients until the evaluation tail bound drops below
+    ``_TOL``.
 
-    The truncation index J is the smallest j with
-    |a_j| * j * exp(-nu * t_min * j^2) < tol * a_0; the number of quadrature
-    points doubles until a_0 is stable to tol relative and the retained
+    The truncation index J is the smallest j with |a_j| * j < _TOL * a_0,
+    the tail bound at t = 0; the damping exp(-nu t j^2) only shrinks it
+    for t > 0, so one table serves every t >= 0. The number of quadrature
+    points doubles until a_0 is stable to _TOL relative and the retained
     modes are safely below the aliasing range.
     """
     if not nu > 0.0:
         raise ValueError("nu must be positive")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     m = _M_START
     a0_prev = None
     while m <= _M_CAP:
         x = np.arange(m) * (TAU / m)
         f = np.exp(-(1.0 - np.cos(x)) / (2.0 * nu))
         a0 = float(f.mean())
-        j_hi = min(j_cap, m // 4)
+        j_hi = min(_J_CAP, m // 4)
         j = np.arange(1, j_hi + 1)
         a = 2.0 * (f[None, :] * np.cos(np.outer(j, x))).mean(axis=1)
-        damp = j.astype(float) * np.exp(-nu * t_min * j.astype(float) ** 2)
-        below = np.abs(a) * damp < tol * a0
-        a0_stable = a0_prev is not None and abs(a0 - a0_prev) <= tol * a0
+        below = np.abs(a) * j < _TOL * a0
+        a0_stable = a0_prev is not None and abs(a0 - a0_prev) <= _TOL * a0
         if below.any() and a0_stable:
             J = int(j[np.argmax(below)])
             return FourierCoeffs(nu=nu, a=np.concatenate([[a0], a[:J]]),
-                                 quad_points=m, tol=tol, t_min=t_min)
-        if a0_stable and j_hi >= j_cap:
+                                 quad_points=m)
+        if a0_stable and j_hi >= _J_CAP:
             raise NoDecayError(
-                f"coefficients did not decay below tol={tol:g} within "
-                f"j <= {j_cap} (nu={nu:g})")
+                f"coefficients did not decay below tol={_TOL:g} within "
+                f"j <= {_J_CAP} (nu={nu:g})")
         a0_prev = a0
         m *= 2
     raise NoDecayError(f"quadrature did not converge within {_M_CAP} points")
@@ -95,12 +95,6 @@ def evaluate(coeffs: FourierCoeffs, t: float, x) -> np.ndarray:
         raise ValueError("t must be nonnegative")
     a = coeffs.a
     J = coeffs.truncation_index
-    if t < coeffs.t_min:
-        tail = abs(a[J]) * max(J, 1) * np.exp(-coeffs.nu * t * J ** 2)
-        if tail > coeffs.tol * a[0]:
-            raise TruncationUnsafeError(
-                f"truncation at J={J} unsafe for t={t:g} "
-                f"(built for t >= {coeffs.t_min:g})")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     # symmetric reduction keeps series arguments small and makes the odd

@@ -32,7 +32,8 @@ class GridSlice:
     """One time layer: a time value plus ordered node positions.
 
     Construction is the one node-order check (``require_ordered``), so every
-    grid equation that returns a ``GridSlice`` is checked by building it.
+    grid equation that returns a ``GridSlice`` is checked by building it;
+    a non-finite node fails it too (some gap is NaN or not positive).
     """
 
     t: float
@@ -45,8 +46,8 @@ class GridSlice:
         n = len(self.x)
         if n < 4:
             raise ValueError(f"need at least 4 nodes, got {n}")
-        if not np.isfinite(self.x).all() or not np.isfinite(self.t):
-            raise ValueError("non-finite grid data")
+        if not np.isfinite(self.t):
+            raise ValueError("non-finite layer time")
         if self.domain_length <= 0.0:
             raise ValueError("domain_length must be positive")
         require_ordered(self.x, self.domain_length)
@@ -64,28 +65,29 @@ class GridSlice:
         return self.domain_start + np.mod(self.x - self.domain_start,
                                           self.domain_length)
 
-    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unwrapped left/right neighbour positions (periodic +-L jumps)."""
-        return periodic_neighbors(self.x, self.domain_length)
 
-
-def periodic_neighbors(a: np.ndarray, jump: float = 0.0
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """West and east periodic neighbours (a_{i-1}, a_{i+1}) of every entry.
-
-    Values are shifted exactly; ``jump`` = L unwraps positions across the
-    seam (x_{N-1} - L west of node 0, x_0 + L east of node N-1).
-    """
-    first, last = a[:1], a[-1:]
+def ghosted(a: np.ndarray, jump: float = 0.0) -> np.ndarray:
+    """The N + 3 slots [a_{N-1} - jump, a_0 .. a_{N-1}, a_0 + jump,
+    a_1 + jump] of a periodic array: slot j holds entry j - 1 (one entry:
+    the last slot is a_0 + 2 jump). ``jump`` = L unwraps node positions
+    across the seam; ``jump`` = 0 copies values without arithmetic.
+    Stencils read the views g[:-3], g[1:-2], g[2:-1] (west, centre, east of
+    every entry); interpolants bracket a query by slots j, j + 1 with
+    1 <= j <= N and read at most one slot beyond."""
+    n = len(a)
+    g = np.concatenate((a[-1:], a, a[:1], a[1 % n:1 % n + 1]))
     if jump:
-        first, last = first + jump, last - jump
-    return np.concatenate((last, a[:-1])), np.concatenate((a[1:], first))
+        g[0] -= jump
+        g[n + 1] += jump
+        g[n + 2] += jump if n > 1 else 2.0 * jump
+    return g
 
 
 def periodic_gaps(x: np.ndarray, domain_length: float) -> np.ndarray:
     """Gaps x_{i+1} - x_i of ordered periodic nodes, closing with
     x_0 + L - x_{N-1}."""
-    return np.diff(x, append=x[0] + domain_length)
+    g = ghosted(x, domain_length)
+    return g[2:-1] - g[1:-2]
 
 
 def require_ordered(x: np.ndarray, domain_length: float):
@@ -170,9 +172,9 @@ def advance_constant(grid: GridSlice, c: float, dt: float) -> GridSlice:
 
 def monitor(fld: DiscreteField, params: MonitorParams) -> np.ndarray:
     """Nodal monitor values from the periodic centered difference quotient."""
-    xm, xp = fld.grid.neighbors()
-    um, up = periodic_neighbors(fld.u)
-    slope = (up - um) / (xp - xm)
+    xg = ghosted(fld.grid.x, fld.grid.domain_length)
+    ug = ghosted(fld.u)
+    slope = (ug[2:-1] - ug[:-3]) / (xg[2:-1] - xg[:-3])
     return np.sqrt(1.0 + params.alpha * slope ** 2)
 
 
@@ -197,12 +199,13 @@ def advance_equidistributed(fld: DiscreteField, params: MonitorParams,
 
 
 # largest node displacement between rounds, relative to L, at which the
-# initial equidistribution counts as settled
+# initial equidistribution counts as settled, and the rounds allowed for it
 _SETTLE_RTOL = 1e-12
+_MAX_ROUNDS = 100
 
 
-def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams,
-                           max_rounds: int = 100) -> GridSlice:
+def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams
+                           ) -> GridSlice:
     """Fixed-point equidistribution of the initial data at t = 0.
 
     Starting an adaptive run from a uniform mesh would shove the nodes to
@@ -214,7 +217,7 @@ def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams,
     """
     x = grid.x
     tol = _SETTLE_RTOL * grid.domain_length
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         fld = DiscreteField(grid=replace(grid, x=x), u=initial(x))
         x_new = _solve_equidistribution(monitor(fld, params), x[0],
                                         grid.domain_length)
@@ -224,16 +227,15 @@ def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams,
             break
     else:
         raise NoConvergenceError(
-            f"initial equidistribution did not settle in {max_rounds} rounds")
+            f"initial equidistribution did not settle in {_MAX_ROUNDS} rounds")
     return replace(grid, x=x)
 
 
 def equidistribution_residual(x: np.ndarray, rho: np.ndarray,
                               domain_length: float) -> np.ndarray:
     """Residual of the discrete equidistribution relation, per node."""
-    xm, xp = periodic_neighbors(x, domain_length)
-    rm, rp = periodic_neighbors(rho)
-    return (rp + rho) * (xp - x) - (rho + rm) * (x - xm)
+    xg, rg = ghosted(x, domain_length), ghosted(rho)
+    return (rg[2:-1] + rho) * (xg[2:-1] - x) - (rho + rg[:-3]) * (x - xg[:-3])
 
 
 def _solve_equidistribution(rho: np.ndarray, anchor: float,
@@ -244,7 +246,7 @@ def _solve_equidistribution(rho: np.ndarray, anchor: float,
     adjacent cells, so every gap carries one flux C, and the N gaps summing
     to L fix C = L / sum_i 1/(rho_i + rho_{i+1}).
     """
-    inv = 1.0 / (rho + periodic_neighbors(rho)[1])
+    inv = 1.0 / (rho + ghosted(rho)[2:-1])
     gaps = inv * (domain_length / inv.sum())
     x = np.empty(len(rho))
     x[0] = anchor

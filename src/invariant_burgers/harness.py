@@ -178,6 +178,11 @@ def write_spacing_csv(path, traj: Trajectory):
                ((float(x), float(dx)) for x, dx in grid_spacing_profile(traj)))
 
 
+def write_exact_csv(path, t: float, x, u):
+    _write_csv(path, ["t", "x", "u"],
+               ((float(t), float(xi), float(ui)) for xi, ui in zip(x, u)))
+
+
 def write_frames_csv(path, scheme_kind: SchemeKind, n: int, eps3: float,
                      discrepancy: float):
     _write_csv(path, ["scheme", "N", "eps3", "discrepancy"],

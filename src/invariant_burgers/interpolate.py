@@ -4,13 +4,10 @@ All three reproduce affine data exactly and commute with translations of
 nodes and queries and with constant value offsets, which is what makes them
 safe projection operators for the symmetry-preserving schemes.
 
-Each call unwraps the N nodes once into ghosted arrays of N + 3 slots: slot
-j holds node j - 1 for j = 0 .. N + 2, that is one periodic image on the
-left (x_{N-1} - L) and two on the right (x_0 + L, x_1 + L), with values
-copied unchanged. A query is reduced into [x_0, x_0 + L) and bracketed by
-slots j, j + 1 with 1 <= j <= N, so every stencil (linear j, j + 1;
-quadratic j - 1 .. j + 1 or j .. j + 2; spline j, j + 1) indexes the
-ghosted arrays directly.
+Each call unwraps the nodes and values once into ghost arrays
+(``grid.ghosted``). A query is reduced into [x_0, x_0 + L) and bracketed by
+ghost slots j, j + 1, so every stencil (linear j, j + 1; quadratic
+j - 1 .. j + 1 or j .. j + 2; spline j, j + 1) indexes them directly.
 """
 
 from __future__ import annotations
@@ -19,7 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import TAU, DiscreteField, _as_float_array, require_ordered
+from .grid import (TAU, DiscreteField, _as_float_array, ghosted,
+                   require_ordered)
 
 
 class InterpKind(str, Enum):
@@ -40,14 +38,6 @@ def _checked_nodes(nodes_x, nodes_u, domain_length: float
     return x, u
 
 
-def _unwrap(nodes_x: np.ndarray, domain_length: float
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Ghosted positions of nodes -1 .. N+1, and the node behind each slot
-    (index nodal arrays with it to ghost them)."""
-    period, node = np.divmod(np.arange(-1, len(nodes_x) + 2), len(nodes_x))
-    return nodes_x[node] + domain_length * period, node
-
-
 def _bracket(nodes_x: np.ndarray, query_x, domain_length: float
              ) -> tuple[np.ndarray, np.ndarray]:
     """Queries shifted by multiples of L into [x_0, x_0 + L), and the ghost
@@ -64,8 +54,7 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
     if kind is InterpKind.CUBIC_SPLINE:
         return PeriodicCubicSpline(nodes_x, nodes_u, domain_length)(query_x)
     x, u = _checked_nodes(nodes_x, nodes_u, domain_length)
-    xg, node = _unwrap(x, domain_length)
-    ug = u[node]
+    xg, ug = ghosted(x, domain_length), ghosted(u)
     q, j = _bracket(x, query_x, domain_length)
 
     if kind is InterpKind.LINEAR:
@@ -88,19 +77,17 @@ class PeriodicCubicSpline:
 
     def __init__(self, nodes_x, nodes_u, domain_length: float = TAU):
         x, u = _checked_nodes(nodes_x, nodes_u, domain_length)
-        xg, node = _unwrap(x, domain_length)
-        n = len(x)
-        ug = u[node]
-        # gap and slope east of each node; each row reads its west gap from
-        # the same array, so rows 0 and N-1 share one closing gap
-        h = np.diff(xg[1:n + 2])
-        du = np.diff(ug[1:n + 2]) / h
-        west = node[:n]
-        m = _solve_cyclic_tridiagonal(h[west] / 6.0, (h[west] + h) / 3.0,
-                                      h / 6.0, du - du[west])
+        xg, ug = ghosted(x, domain_length), ghosted(u)
+        # gap and slope east of each node; rows read their west gap from the
+        # ghosts of the same array, so rows 0 and N-1 share one closing gap
+        h = xg[2:-1] - xg[1:-2]
+        du = (ug[2:-1] - ug[1:-2]) / h
+        hg = ghosted(h)
+        m = _solve_cyclic_tridiagonal(hg[:-3] / 6.0, (hg[:-3] + h) / 3.0,
+                                      h / 6.0, du - ghosted(du)[:-3])
         self._x = x
         self._length = domain_length
-        self._xg, self._ug, self._mg, self._h = xg, ug, m[node], h[node]
+        self._xg, self._ug, self._mg, self._h = xg, ug, ghosted(m), hg
 
     def __call__(self, query_x) -> np.ndarray:
         q, j = _bracket(self._x, query_x, self._length)

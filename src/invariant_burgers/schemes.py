@@ -20,7 +20,7 @@ from .errors import SimulationError
 from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    advance_constant, advance_equidistributed,
                    advance_lagrangian, advance_stationary,
-                   equidistribute_initial, mean_spacing, periodic_neighbors,
+                   equidistribute_initial, ghosted, mean_spacing,
                    uniform_slice)
 from .interpolate import InterpKind, interpolate
 
@@ -138,14 +138,13 @@ def invariant_step(fld: DiscreteField, grid_next: GridSlice, dt: float,
         raise ValueError("grid layers differ in size")
     if abs(grid_next.t - (grid.t + dt)) > 1e-9 * max(1.0, abs(grid.t)):
         raise ValueError("next grid layer is not at t + dt")
-    u = fld.u
-    xm, xp = grid.neighbors()
-    um, up = periodic_neighbors(u)
+    xg, ug = ghosted(grid.x, grid.domain_length), ghosted(fld.u)
     xdot = (grid_next.x - grid.x) / dt
-    advection, diffusion = moving_mesh_terms(xm, grid.x, xp, um, u, up,
+    advection, diffusion = moving_mesh_terms(xg[:-3], grid.x, xg[2:-1],
+                                             ug[:-3], fld.u, ug[2:-1],
                                              xdot, nu)
     return DiscreteField(grid=grid_next,
-                         u=u - dt * (advection - diffusion))
+                         u=fld.u - dt * (advection - diffusion))
 
 
 def evolution_projection_step(fld: DiscreteField, dt: float, nu: float,

@@ -155,3 +155,34 @@ def test_output_directory_env_override(tmp_path, capsys, monkeypatch):
                  "--out", "nested.csv"])
     assert code == 0
     assert (tmp_path / "nested.csv").exists()
+
+
+# every flag a subcommand does not read, with a value it would accept
+UNREAD_FLAGS = [
+    ("exact", "scheme", "lagrangian"),
+    ("exact", "dt-factor", "1.5"),
+    ("exact", "alpha", "5"),
+    ("exact", "eps3", "0.5"),
+    ("exact", "interp", "linear"),
+    ("exact", "snapshot-every", "3"),
+    ("convergence", "n", "128"),
+    ("convergence", "snapshot-every", "2"),
+    ("frames", "snapshot-every", "2"),
+    ("spacing", "snapshot-every", "2"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys,
+                                                     command, flag, value):
+    out = str(tmp_path / "out.csv")
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}", value, "--out", out])
+    assert exc.value.code == 2
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ValueError step=- message=")
+    assert f"config '{flag}': no such flag for {command}" in err

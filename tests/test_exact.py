@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invariant_burgers import (FourierCoeffs, NoDecayError, TAU,
-                               TruncationUnsafeError, coefficients, evaluate)
+                               coefficients, evaluate)
 
 from oracles import leading_coefficient_quadrature, trapezoid_coefficient
 
@@ -44,8 +44,7 @@ def test_truncation_robust_to_doubling(coeffs_nu01):
     j2 = 2 * coeffs_nu01.truncation_index
     m2 = 2 * coeffs_nu01.quad_points
     a2 = np.array([trapezoid_coefficient(0.1, j, m2) for j in range(j2 + 1)])
-    deeper = FourierCoeffs(nu=0.1, a=a2, quad_points=m2, tol=coeffs_nu01.tol,
-                           t_min=0.0)
+    deeper = FourierCoeffs(nu=0.1, a=a2, quad_points=m2)
     x = np.arange(64) * (TAU / 64)
     delta = np.max(np.abs(evaluate(coeffs_nu01, 0.5, x)
                           - evaluate(deeper, 0.5, x)))
@@ -88,14 +87,7 @@ def test_coefficient_tail_decays(coeffs_nu01):
 def test_constructor_rejects_growing_tail():
     with pytest.raises(ValueError):
         FourierCoeffs(nu=0.1, a=np.array([1.0, 0.5, 1e-4, 1e-3]),
-                      quad_points=256, tol=1e-12, t_min=0.0)
-
-
-def test_truncation_guard_raises_below_t_min():
-    coeffs = coefficients(0.1, t_min=0.4)
-    assert evaluate(coeffs, 0.5, 1.0) is not None
-    with pytest.raises(TruncationUnsafeError):
-        evaluate(coeffs, 0.0, 1.0)
+                      quad_points=256)
 
 
 def test_negative_time_rejected(coeffs_nu01):
@@ -104,8 +96,10 @@ def test_negative_time_rejected(coeffs_nu01):
 
 
 def test_no_decay_error_for_impossible_tolerance():
+    # at nu = 1e-4 the modes decay too slowly to fall below the tolerance
+    # within the mode cap
     with pytest.raises(NoDecayError):
-        coefficients(0.1, tol=1e-30)
+        coefficients(1e-4)
 
 
 def test_scalar_and_array_evaluation(coeffs_nu01):

@@ -68,6 +68,16 @@ def test_grid_slice_names_the_first_inverted_interval():
         GridSlice(t=0.0, x=np.array([0.0, 1.0, 2.0, TAU + 1.0]))
 
 
+@pytest.mark.parametrize("node", [0, 3, 7])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_grid_slice_rejects_a_non_finite_node_by_its_order(node, value):
+    # a NaN or infinite node leaves some periodic gap NaN or not positive
+    x = uniform_slice(8).x
+    x[node] = value
+    with pytest.raises(NodeCrossingError):
+        GridSlice(t=0.0, x=x)
+
+
 def test_container_errors_are_typed_value_errors():
     grid = uniform_slice(8)
     with pytest.raises(NonFiniteSolutionError):
@@ -277,11 +287,12 @@ def test_equidistributed_anchor_is_lagrangian():
     assert out.x[0] == pytest.approx(fld.grid.x[0] + dt * fld.u[0], abs=0)
 
 
-def test_equidistribute_initial_no_convergence_error():
+def test_equidistribute_initial_no_convergence_error(monkeypatch):
     # the sine data needs about ten mesh -> resample rounds to settle
+    monkeypatch.setattr("invariant_burgers.grid._MAX_ROUNDS", 1)
     with pytest.raises(NoConvergenceError):
         equidistribute_initial(np.sin, uniform_slice(64),
-                               MonitorParams(alpha=1.0), max_rounds=1)
+                               MonitorParams(alpha=1.0))
 
 
 def test_equidistribute_initial_concentrates_where_slope_is_steep():

@@ -1,11 +1,14 @@
-"""Every module of the package uses what it imports, and every private
-module-level name is read somewhere in the package.
+"""Every module of the package uses what it imports, every private
+module-level name is read somewhere in the package, and no package
+attribute hides a submodule of the same name.
 
 Package ``__init__.py`` files are exempt from the import scan (their imports
 are the public re-exports), and so are ``from __future__`` imports.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "invariant_burgers"
@@ -92,3 +95,19 @@ def test_scan_finds_a_dead_private_name():
 def test_package_private_names_are_read():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def test_package_attributes_are_their_submodules():
+    # a re-export named like its module (say, the function ``interpolate``)
+    # makes ``import invariant_burgers.interpolate as m`` bind the function,
+    # so patching ``m`` would silently patch nothing
+    import invariant_burgers
+
+    names = sorted(p.stem for p in PACKAGE.glob("*.py")
+                   if p.name != "__init__.py")
+    assert names
+    for name in names:
+        importlib.import_module(f"invariant_burgers.{name}")
+    shadowed = [name for name in names if getattr(invariant_burgers, name)
+                is not sys.modules[f"invariant_burgers.{name}"]]
+    assert shadowed == []

@@ -6,8 +6,9 @@ from hypothesis.extra import numpy as hnp
 from invariant_burgers import (DiscreteField, Generator, GridSlice,
                                GroupElement, InterpKind, NodeCrossingError,
                                PeriodicCubicSpline, TAU, apply_field,
-                               interpolate, project_periodic, uniform_slice)
-from invariant_burgers.interpolate import _solve_cyclic_tridiagonal
+                               project_periodic, uniform_slice)
+from invariant_burgers.interpolate import (_solve_cyclic_tridiagonal,
+                                           interpolate)
 
 from oracles import (dense_spline_matrix, periodic_spline_scipy,
                      random_smooth_field)
@@ -124,6 +125,16 @@ def test_constant_reproduction(kind):
     fld = DiscreteField(grid=grid, u=np.full(16, 3.25))
     values = project_periodic(fld, np.linspace(0, TAU, 50), kind)
     np.testing.assert_allclose(values, 3.25, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constant_reproduction_on_few_nodes(kind, n):
+    # with one node the quadratic stencil reaches node 0 two periods on
+    x = 0.4 + np.arange(n) * (TAU / n) + np.arange(n) ** 2 * 0.1
+    q = np.linspace(-TAU, 2 * TAU, 301)
+    values = interpolate(x, np.full(n, -1.5), q, kind, TAU)
+    np.testing.assert_allclose(values, -1.5, rtol=0, atol=1e-14)
 
 
 def test_projection_identity_on_source_nodes():
