@@ -17,8 +17,9 @@ class NodeCrossingError(SimulationError, ValueError):
     """Node positions are not strictly increasing with a positive periodic
     closure gap.
 
-    Raised by ``GridSlice`` on construction and by the interpolants on their
-    nodes. Inside a run it means a grid update inverted a mesh interval
+    Raised by ``grid.require_ordered``: on ``GridSlice`` construction, on
+    the layer each grid equation returns, and on the interpolants' nodes.
+    Inside a run it means a grid update inverted a mesh interval
     (time step too large); it is also a ``ValueError``, because building a
     grid from unordered nodes is a bad argument.
     """
@@ -31,9 +32,10 @@ class NoConvergenceError(SimulationError):
 class NonFiniteSolutionError(SimulationError, ValueError):
     """Solution values are not finite.
 
-    Raised by ``DiscreteField`` on construction. Inside a run it means a
-    time step blew up; it is also a ``ValueError``, because building a field
-    from non-finite values is a bad argument.
+    Raised by ``grid.require_finite``: on ``DiscreteField`` construction and
+    on the values of every step of a run, where it means the step blew up;
+    it is also a ``ValueError``, because building a field from non-finite
+    values is a bad argument.
     """
 
 

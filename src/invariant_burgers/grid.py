@@ -6,6 +6,13 @@ Node positions are stored unwrapped (they may drift outside the fundamental
 interval); the array order realizes the computational coordinate, and the
 periodic closure gap ``x[0] + L - x[-1]`` must stay positive. Wrapping into
 the fundamental interval happens only on output.
+
+The grid equations and the monitor work on raw arrays: a layer is the ghost
+array ``xg = ghosted(x, L)`` of its positions, as ``require_ordered``
+returns it after checking them, and each grid equation returns the checked
+ghost array of the next layer. ``GridSlice`` and ``DiscreteField`` are the
+validated containers for a layer handed across the API (snapshots,
+transformations, error measurement).
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ def _as_float_array(values) -> np.ndarray:
 class GridSlice:
     """One time layer: a time value plus ordered node positions.
 
-    Construction is the one node-order check (``require_ordered``), so every
-    grid equation that returns a ``GridSlice`` is checked by building it;
-    a non-finite node fails it too (some gap is NaN or not positive).
+    Construction checks node order with ``require_ordered``, the same check
+    every grid equation applies to the layer it returns; a non-finite node
+    fails it too (some gap is NaN or not positive).
     """
 
     t: float
@@ -48,8 +55,8 @@ class GridSlice:
             raise ValueError(f"need at least 4 nodes, got {n}")
         if not np.isfinite(self.t):
             raise ValueError("non-finite layer time")
-        if self.domain_length <= 0.0:
-            raise ValueError("domain_length must be positive")
+        if not 0.0 < self.domain_length < np.inf:
+            raise ValueError("domain_length must be positive and finite")
         require_ordered(self.x, self.domain_length)
 
     @property
@@ -58,7 +65,8 @@ class GridSlice:
 
     def gaps(self) -> np.ndarray:
         """Periodic gaps x_{i+1} - x_i, closing with x_0 + L - x_{N-1}."""
-        return periodic_gaps(self.x, self.domain_length)
+        xg = ghosted(self.x, self.domain_length)
+        return xg[2:-1] - xg[1:-2]
 
     def wrapped_x(self) -> np.ndarray:
         """Positions reduced into [domain_start, domain_start + L)."""
@@ -83,18 +91,12 @@ def ghosted(a: np.ndarray, jump: float = 0.0) -> np.ndarray:
     return g
 
 
-def periodic_gaps(x: np.ndarray, domain_length: float) -> np.ndarray:
-    """Gaps x_{i+1} - x_i of ordered periodic nodes, closing with
-    x_0 + L - x_{N-1}."""
-    g = ghosted(x, domain_length)
-    return g[2:-1] - g[1:-2]
-
-
-def require_ordered(x: np.ndarray, domain_length: float):
-    """Raise ``NodeCrossingError`` unless every periodic gap of ``x`` is
-    positive (a NaN gap is not); the message names the first interval that
-    is not."""
-    gaps = periodic_gaps(x, domain_length)
+def require_ordered(x: np.ndarray, domain_length: float) -> np.ndarray:
+    """The ghost array ``ghosted(x, L)`` of node positions whose periodic
+    gaps are all positive; raise ``NodeCrossingError`` otherwise (a NaN gap
+    is not positive), naming the first interval that is not."""
+    xg = ghosted(x, domain_length)
+    gaps = xg[2:-1] - xg[1:-2]
     if not np.all(gaps > 0.0):
         i = int(np.argmin(gaps > 0.0))
         east = "x[0] + L" if i == len(x) - 1 else f"x[{i + 1}]"
@@ -102,6 +104,15 @@ def require_ordered(x: np.ndarray, domain_length: float):
             f"mesh interval x[{i}] -> {east} has gap {gaps[i]:.6g}; nodes "
             f"must be strictly increasing with a positive periodic closure "
             f"gap")
+    return xg
+
+
+def require_finite(u: np.ndarray) -> np.ndarray:
+    """``u`` if every value is finite; raise ``NonFiniteSolutionError``
+    otherwise."""
+    if not np.isfinite(u).all():
+        raise NonFiniteSolutionError("non-finite solution values")
+    return u
 
 
 def uniform_slice(n: int, t: float = 0.0, domain_start: float = 0.0,
@@ -123,8 +134,7 @@ class DiscreteField:
         if len(self.u) != self.grid.n:
             raise ValueError(f"u has {len(self.u)} values for "
                              f"{self.grid.n} nodes")
-        if not np.isfinite(self.u).all():
-            raise NonFiniteSolutionError("non-finite solution values")
+        require_finite(self.u)
 
 
 @dataclass(frozen=True)
@@ -143,43 +153,46 @@ def mean_spacing(grid: GridSlice) -> float:
     return grid.domain_length / grid.n
 
 
-def advance_stationary(grid: GridSlice, dt: float) -> GridSlice:
-    """Keep every node in place; only the layer time advances."""
+def advance_stationary(xg: np.ndarray, dt: float) -> np.ndarray:
+    """Keep every node in place: the layer ``xg`` is the next layer too,
+    neither ghosted nor checked again."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return replace(grid, t=grid.t + dt)
+    return xg
 
 
-def advance_lagrangian(grid: GridSlice, u: np.ndarray, dt: float) -> GridSlice:
+def advance_lagrangian(xg: np.ndarray, u: np.ndarray, dt: float,
+                       domain_length: float) -> np.ndarray:
     """Move every node with its local velocity: x_i += dt * u_i. A step too
-    large for the velocity gradient inverts an interval, which the new
-    layer rejects with ``NodeCrossingError``."""
+    large for the velocity gradient inverts an interval, which the order
+    check of the new layer rejects with ``NodeCrossingError``."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    u = _as_float_array(u)
-    if len(u) != grid.n:
+    if len(u) != len(xg) - 3:
         raise ValueError("u length does not match the grid")
-    x1 = grid.x + dt * u
-    return replace(grid, t=grid.t + dt, x=x1)
+    return require_ordered(xg[1:-2] + dt * u, domain_length)
 
 
-def advance_constant(grid: GridSlice, c: float, dt: float) -> GridSlice:
+def advance_constant(xg: np.ndarray, c: float, dt: float,
+                     domain_length: float) -> np.ndarray:
     """Translate the whole grid rigidly: x_i += c * dt."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return replace(grid, t=grid.t + dt, x=grid.x + c * dt)
+    return require_ordered(xg[1:-2] + c * dt, domain_length)
 
 
-def monitor(fld: DiscreteField, params: MonitorParams) -> np.ndarray:
-    """Nodal monitor values from the periodic centered difference quotient."""
-    xg = ghosted(fld.grid.x, fld.grid.domain_length)
-    ug = ghosted(fld.u)
+def monitor(xg: np.ndarray, u: np.ndarray, params: MonitorParams
+            ) -> np.ndarray:
+    """Nodal monitor values from the periodic centered difference quotient
+    of ``u`` on the layer ``xg``."""
+    ug = ghosted(u)
     slope = (ug[2:-1] - ug[:-3]) / (xg[2:-1] - xg[:-3])
     return np.sqrt(1.0 + params.alpha * slope ** 2)
 
 
-def advance_equidistributed(fld: DiscreteField, params: MonitorParams,
-                            dt: float) -> GridSlice:
+def advance_equidistributed(xg: np.ndarray, u: np.ndarray,
+                            params: MonitorParams, dt: float,
+                            domain_length: float) -> np.ndarray:
     """Place the next grid layer by equidistributing the monitor.
 
     The new positions satisfy
@@ -191,11 +204,9 @@ def advance_equidistributed(fld: DiscreteField, params: MonitorParams,
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    rho = monitor(fld, params)
-    grid = fld.grid
-    x1 = _solve_equidistribution(rho, grid.x[0] + dt * fld.u[0],
-                                 grid.domain_length)
-    return replace(grid, t=grid.t + dt, x=x1)
+    x1 = _solve_equidistribution(monitor(xg, u, params), xg[1] + dt * u[0],
+                                 domain_length)
+    return require_ordered(x1, domain_length)
 
 
 # largest node displacement between rounds, relative to L, at which the
@@ -215,12 +226,12 @@ def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams
     stays at its current position (no time has elapsed, so the Lagrangian
     anchor degenerates to a fixed one).
     """
-    x = grid.x
-    tol = _SETTLE_RTOL * grid.domain_length
+    x, length = grid.x, grid.domain_length
+    tol = _SETTLE_RTOL * length
     for _ in range(_MAX_ROUNDS):
-        fld = DiscreteField(grid=replace(grid, x=x), u=initial(x))
-        x_new = _solve_equidistribution(monitor(fld, params), x[0],
-                                        grid.domain_length)
+        u = require_finite(_as_float_array(initial(x)))
+        x_new = _solve_equidistribution(
+            monitor(require_ordered(x, length), u, params), x[0], length)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         if change <= tol:
@@ -244,11 +255,12 @@ def _solve_equidistribution(rho: np.ndarray, anchor: float,
 
     Each relation equates the flux (rho_i + rho_{i+1}) * gap_i of two
     adjacent cells, so every gap carries one flux C, and the N gaps summing
-    to L fix C = L / sum_i 1/(rho_i + rho_{i+1}).
+    to L fix C = L / sum_i 1/(rho_i + rho_{i+1}). The positions are the
+    partial sums of 1/(rho_i + rho_{i+1}) scaled by L over their own last
+    sum, so the closing gap does not absorb the rounding of N - 1 additions.
     """
-    inv = 1.0 / (rho + ghosted(rho)[2:-1])
-    gaps = inv * (domain_length / inv.sum())
+    c = np.cumsum(1.0 / (rho + ghosted(rho)[2:-1]))
     x = np.empty(len(rho))
     x[0] = anchor
-    x[1:] = anchor + np.cumsum(gaps[:-1])
+    x[1:] = anchor + c[:-1] * (domain_length / c[-1])
     return x

@@ -4,10 +4,12 @@ All three reproduce affine data exactly and commute with translations of
 nodes and queries and with constant value offsets, which is what makes them
 safe projection operators for the symmetry-preserving schemes.
 
-Each call unwraps the nodes and values once into ghost arrays
-(``grid.ghosted``). A query is reduced into [x_0, x_0 + L) and bracketed by
-ghost slots j, j + 1, so every stencil (linear j, j + 1; quadratic
-j - 1 .. j + 1 or j .. j + 2; spline j, j + 1) indexes them directly.
+``interpolate`` checks its nodes and ghosts them once (``grid.ghosted``)
+and hands the ghost arrays to ``_evaluate``, which the evolution-projection
+step calls directly on a layer it has already checked. A query is reduced
+into [x_0, x_0 + L) and bracketed by ghost slots j, j + 1, so every stencil
+(linear j, j + 1; quadratic j - 1 .. j + 1 or j .. j + 2; spline j, j + 1)
+indexes the ghost arrays directly.
 """
 
 from __future__ import annotations
@@ -26,40 +28,46 @@ class InterpKind(str, Enum):
     CUBIC_SPLINE = "cubic-spline"
 
 
-def _checked_nodes(nodes_x, nodes_u, domain_length: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and values as 1-D float arrays of one nonzero length, with the
-    nodes in periodic order."""
+def _checked_ghosts(nodes_x, nodes_u, domain_length: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Ghost arrays of nodes and values of one nonzero length, the nodes
+    checked for periodic order."""
     x, u = _as_float_array(nodes_x), _as_float_array(nodes_u)
     if not 0 < len(x) == len(u):
         raise ValueError(f"need one value per node and at least one node, "
                          f"got {len(u)} values for {len(x)} nodes")
-    require_ordered(x, domain_length)
-    return x, u
+    return require_ordered(x, domain_length), ghosted(u)
 
 
-def _bracket(nodes_x: np.ndarray, query_x, domain_length: float
+def _bracket(xg: np.ndarray, query_x, domain_length: float
              ) -> tuple[np.ndarray, np.ndarray]:
     """Queries shifted by multiples of L into [x_0, x_0 + L), and the ghost
     slot j of the node at or left of each."""
     q = np.atleast_1d(np.asarray(query_x, dtype=float))
-    q = nodes_x[0] + np.mod(q - nodes_x[0], domain_length)
-    return q, np.searchsorted(nodes_x, q, side="right")
+    q = xg[1] + np.mod(q - xg[1], domain_length)
+    return q, np.searchsorted(xg[1:-2], q, side="right")
 
 
 def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
                 domain_length: float = TAU) -> np.ndarray:
     """Evaluate the periodic interpolant of (nodes_x, nodes_u) at query_x."""
     kind = InterpKind(kind)
-    if kind is InterpKind.CUBIC_SPLINE:
-        return PeriodicCubicSpline(nodes_x, nodes_u, domain_length)(query_x)
-    x, u = _checked_nodes(nodes_x, nodes_u, domain_length)
-    xg, ug = ghosted(x, domain_length), ghosted(u)
-    q, j = _bracket(x, query_x, domain_length)
+    xg, ug = _checked_ghosts(nodes_x, nodes_u, domain_length)
+    return _evaluate(xg, ug, query_x, kind, domain_length)
+
+
+def _evaluate(xg: np.ndarray, ug: np.ndarray, query_x, kind: InterpKind,
+              domain_length: float) -> np.ndarray:
+    """The interpolant of kind ``kind`` through the ghosted, checked nodes
+    ``xg`` and values ``ug``, at query_x."""
+    q, j = _bracket(xg, query_x, domain_length)
 
     if kind is InterpKind.LINEAR:
         w = (q - xg[j]) / (xg[j + 1] - xg[j])
         return ug[j] * (1.0 - w) + ug[j + 1] * w
+
+    if kind is InterpKind.CUBIC_SPLINE:
+        return _spline_values(xg, ug, _spline_moments(xg, ug), q, j)
 
     # quadratic: centered three-point stencil, switching at the bracket
     # midpoint so the choice depends only on relative positions; midpoint
@@ -72,31 +80,41 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
     return ug[base] * l0 + ug[base + 1] * l1 + ug[base + 2] * l2
 
 
+def _spline_moments(xg: np.ndarray, ug: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Ghost arrays of the spline's second derivatives at the nodes and of
+    the gap east of each node."""
+    # rows read their west gap from the ghosts of the one gap array, so
+    # rows 0 and N-1 share one closing gap
+    h = xg[2:-1] - xg[1:-2]
+    du = (ug[2:-1] - ug[1:-2]) / h
+    hg = ghosted(h)
+    m = _solve_cyclic_tridiagonal(hg[:-3] / 6.0, (hg[:-3] + h) / 3.0,
+                                  h / 6.0, du - ghosted(du)[:-3])
+    return ghosted(m), hg
+
+
+def _spline_values(xg, ug, moments, q, j) -> np.ndarray:
+    """The spline with ``moments`` at queries q bracketed by slots j."""
+    mg, hg = moments
+    hj = hg[j]
+    s = (q - xg[j]) / hj
+    r = 1.0 - s
+    return (ug[j] * r + ug[j + 1] * s
+            + hj ** 2 / 6.0 * ((r ** 3 - r) * mg[j] + (s ** 3 - s) * mg[j + 1]))
+
+
 class PeriodicCubicSpline:
     """C^2 periodic cubic spline; the coefficient table is immutable."""
 
     def __init__(self, nodes_x, nodes_u, domain_length: float = TAU):
-        x, u = _checked_nodes(nodes_x, nodes_u, domain_length)
-        xg, ug = ghosted(x, domain_length), ghosted(u)
-        # gap and slope east of each node; rows read their west gap from the
-        # ghosts of the same array, so rows 0 and N-1 share one closing gap
-        h = xg[2:-1] - xg[1:-2]
-        du = (ug[2:-1] - ug[1:-2]) / h
-        hg = ghosted(h)
-        m = _solve_cyclic_tridiagonal(hg[:-3] / 6.0, (hg[:-3] + h) / 3.0,
-                                      h / 6.0, du - ghosted(du)[:-3])
-        self._x = x
+        self._xg, self._ug = _checked_ghosts(nodes_x, nodes_u, domain_length)
+        self._moments = _spline_moments(self._xg, self._ug)
         self._length = domain_length
-        self._xg, self._ug, self._mg, self._h = xg, ug, ghosted(m), hg
 
     def __call__(self, query_x) -> np.ndarray:
-        q, j = _bracket(self._x, query_x, self._length)
-        hj = self._h[j]
-        s = (q - self._xg[j]) / hj
-        r = 1.0 - s
-        return (self._ug[j] * r + self._ug[j + 1] * s
-                + hj ** 2 / 6.0 * ((r ** 3 - r) * self._mg[j]
-                                   + (s ** 3 - s) * self._mg[j + 1]))
+        q, j = _bracket(self._xg, query_x, self._length)
+        return _spline_values(self._xg, self._ug, self._moments, q, j)
 
 
 def project_periodic(source: DiscreteField, target_x, kind: InterpKind

@@ -6,11 +6,18 @@ Every scheme is one moving-mesh stencil (``moving_mesh_terms``) on a layer
 placed by its grid equation; classical FTCS is that stencil on the
 stationary layer. Everything is explicit (forward Euler in time) with the
 time step tied to the mean spacing through dt = dt_factor * h^2.
+
+The step functions work on raw arrays: a layer is the checked ghost array
+``xg`` of its positions (``grid.require_ordered``) and the nodal values
+``u``. ``run`` carries (t, xg, u) from step to step, so each new layer is
+ghosted and order-checked once, an unchanged one not at all, and ``u`` is
+checked for finiteness once per step; it builds ``GridSlice`` and
+``DiscreteField`` only for the snapshots it stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -21,8 +28,8 @@ from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    advance_constant, advance_equidistributed,
                    advance_lagrangian, advance_stationary,
                    equidistribute_initial, ghosted, mean_spacing,
-                   uniform_slice)
-from .interpolate import InterpKind, interpolate
+                   require_finite, require_ordered, uniform_slice)
+from .interpolate import InterpKind, _evaluate
 
 
 class SchemeKind(str, Enum):
@@ -77,6 +84,10 @@ class SchemeConfig:
         if self.dt_factor is None:
             object.__setattr__(self, "dt_factor",
                                DEFAULT_DT_FACTORS[SchemeKind(self.scheme_kind)])
+        for name in ("nu", "t_final", "dt_factor", "frame_velocity",
+                     "domain_start", "domain_length"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.nu > 0.0:
             raise ValueError("nu must be positive")
         if not self.t_final > 0.0:
@@ -123,33 +134,32 @@ def moving_mesh_terms(xw, xc, xe, uw, uc, ue, xdot, nu):
     return (uc - xdot) * slope, diffusion
 
 
-def invariant_step(fld: DiscreteField, grid_next: GridSlice, dt: float,
-                   nu: float) -> DiscreteField:
+def invariant_step(xg: np.ndarray, u: np.ndarray, xg_next: np.ndarray,
+                   dt: float, nu: float) -> np.ndarray:
     """Explicit update on a moving mesh: the moving-mesh stencil on every
-    node, with the grid velocity xdot taken from the two layers and the
-    periodic neighbours unwrapped across the seam. On a stationary next
-    layer (xdot = 0) this is the classical FTCS update. A blow-up surfaces
-    as the new field's ``NonFiniteSolutionError``.
+    node of the layer ``xg`` (ghost array, neighbours unwrapped across the
+    seam), with the grid velocity xdot taken from the next layer
+    ``xg_next``. On a stationary next layer (xdot = 0) this is the
+    classical FTCS update. Returns the new nodal values, unchecked.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    grid = fld.grid
-    if grid_next.n != grid.n:
-        raise ValueError("grid layers differ in size")
-    if abs(grid_next.t - (grid.t + dt)) > 1e-9 * max(1.0, abs(grid.t)):
-        raise ValueError("next grid layer is not at t + dt")
-    xg, ug = ghosted(grid.x, grid.domain_length), ghosted(fld.u)
-    xdot = (grid_next.x - grid.x) / dt
-    advection, diffusion = moving_mesh_terms(xg[:-3], grid.x, xg[2:-1],
-                                             ug[:-3], fld.u, ug[2:-1],
-                                             xdot, nu)
-    return DiscreteField(grid=grid_next,
-                         u=fld.u - dt * (advection - diffusion))
+    if len(xg_next) != len(xg) or len(u) != len(xg) - 3:
+        raise ValueError("layers and values differ in size")
+    ug = ghosted(u)
+    x = xg[1:-2]
+    xdot = (xg_next[1:-2] - x) / dt
+    advection, diffusion = moving_mesh_terms(xg[:-3], x, xg[2:-1],
+                                             ug[:-3], u, ug[2:-1], xdot, nu)
+    return u - dt * (advection - diffusion)
 
 
-def evolution_projection_step(fld: DiscreteField, dt: float, nu: float,
-                              interp_kind: InterpKind) -> DiscreteField:
-    """One mesh-following step, re-mapped to a uniformly spaced layer.
+def evolution_projection_step(xg: np.ndarray, u: np.ndarray, dt: float,
+                              nu: float, interp_kind: InterpKind,
+                              domain_length: float
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """One mesh-following step, re-mapped to a uniformly spaced layer;
+    returns the checked ghost array of that layer and the values on it.
 
     Nodes move Lagrangianly, the moving-mesh update runs on the moved
     layer, and the result is interpolated back onto the step-start lattice
@@ -158,14 +168,15 @@ def evolution_projection_step(fld: DiscreteField, dt: float, nu: float,
     lattice held fixed in one frame is a moving lattice in every other.
     For zero-mean data the targets stay on the original lattice to
     roundoff, so the grid remains the familiar stationary uniform one.
+    The interpolant reads the moved layer as its order check left it.
     """
-    grid = fld.grid
-    moved = advance_lagrangian(grid, fld.u, dt)
-    evolved = invariant_step(fld, moved, dt, nu)
-    targets = grid.x + dt * float(np.mean(fld.u))
-    u1 = interpolate(moved.x, evolved.u, targets, interp_kind,
-                     grid.domain_length)
-    return DiscreteField(grid=replace(grid, t=grid.t + dt, x=targets), u=u1)
+    moved = advance_lagrangian(xg, u, dt, domain_length)
+    evolved = invariant_step(xg, u, moved, dt, nu)
+    targets = require_ordered(xg[1:-2] + dt * float(np.mean(u)),
+                              domain_length)
+    u1 = _evaluate(moved, ghosted(evolved), targets[1:-2],
+                   InterpKind(interp_kind), domain_length)
+    return targets, u1
 
 
 def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
@@ -179,9 +190,11 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     moving frame. ``snapshot_every`` stores every k-th step in addition to
     the first and last; 0 keeps only those two.
     """
+    if snapshot_every < 0:
+        raise ValueError("snapshot_every must be >= 0")
     kind = SchemeKind(config.scheme_kind)
-    grid = uniform_slice(config.n_points, 0.0, config.domain_start,
-                         config.domain_length)
+    length = config.domain_length
+    grid = uniform_slice(config.n_points, 0.0, config.domain_start, length)
     eps3 = config.frame_velocity if kind is not SchemeKind.CONSTANT_FRAME else 0.0
 
     def sample_initial(x: np.ndarray) -> np.ndarray:
@@ -197,42 +210,47 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # rebinding of the module attribute reaches the step loop
     advance = {
         SchemeKind.CLASSICAL_FTCS:
-            lambda fld, dt: advance_stationary(fld.grid, dt),
+            lambda xg, u, dt: advance_stationary(xg, dt),
         SchemeKind.LAGRANGIAN:
-            lambda fld, dt: advance_lagrangian(fld.grid, fld.u, dt),
+            lambda xg, u, dt: advance_lagrangian(xg, u, dt, length),
         SchemeKind.EULERIAN_ADAPTIVE:
-            lambda fld, dt: advance_equidistributed(fld, mon, dt),
+            lambda xg, u, dt: advance_equidistributed(xg, u, mon, dt, length),
         SchemeKind.CONSTANT_FRAME:
-            lambda f, dt: advance_constant(f.grid, config.frame_velocity, dt),
+            lambda xg, u, dt: advance_constant(xg, config.frame_velocity, dt,
+                                               length),
     }.get(kind)
 
     h = mean_spacing(grid)
     dt0 = config.dt_factor * h * h
     snapshots = [fld]
-    t = 0.0
+    # the initial layer was checked when its GridSlice was built
+    t, xg, u = 0.0, ghosted(grid.x, length), fld.u
+    t_end = config.t_final - 1e-12 * config.t_final
     step = 0
     # a blow-up surfaces as NonFiniteSolutionError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < config.t_final - 1e-12 * config.t_final:
+        while t < t_end:
             dt = min(dt0, config.t_final - t)
             try:
                 if advance is None:
-                    fld = evolution_projection_step(fld, dt, config.nu,
-                                                    config.interp_kind)
+                    xg, u = evolution_projection_step(
+                        xg, u, dt, config.nu, config.interp_kind, length)
                 else:
-                    fld = invariant_step(fld, advance(fld, dt), dt,
-                                         config.nu)
+                    xg_next = advance(xg, u, dt)
+                    u = invariant_step(xg, u, xg_next, dt, config.nu)
+                    xg = xg_next
+                require_finite(u)
             except SimulationError as exc:
                 exc.step = step
                 exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)
                 raise
             step += 1
-            t = fld.grid.t
-            is_last = t >= config.t_final - 1e-12 * config.t_final
-            if is_last:
-                # land exactly on t_final (the last step was cut to reach it)
-                fld = DiscreteField(grid=replace(fld.grid, t=config.t_final),
-                                    u=fld.u)
+            t = t + dt
+            is_last = t >= t_end
             if is_last or (snapshot_every > 0 and step % snapshot_every == 0):
-                snapshots.append(fld)
+                # the last step was cut to land exactly on t_final
+                layer = GridSlice(t=config.t_final if is_last else t,
+                                  x=xg[1:-2], domain_start=config.domain_start,
+                                  domain_length=length)
+                snapshots.append(DiscreteField(grid=layer, u=u))
     return Trajectory(snapshots=tuple(snapshots), config=config)

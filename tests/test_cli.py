@@ -128,6 +128,24 @@ def test_blow_up_reports_step_and_time(tmp_path, capsys):
     assert f"message='step {step} (t=" in err
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("t-final", "inf", "t_final"),
+    ("nu", "inf", "nu"),
+    ("eps3", "nan", "frame_velocity"),
+    ("dt-factor", "inf", "dt_factor"),
+    ("snapshot-every", "-3", "snapshot_every"),
+])
+def test_run_rejects_a_hostile_value_by_name(tmp_path, capsys, flag, value,
+                                            name):
+    code = main(["run", "--n", "8", f"--{flag}", value,
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ValueError step=- message=")
+    assert name in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_nonzero_exit_with_machine_readable_error(tmp_path, capsys):
     code = main(["run", "--scheme", "lagrangian", "--n", "16",
                  "--t-final", "4.0", "--dt-factor", "200.0",

@@ -6,8 +6,8 @@ import pytest
 from invariant_burgers import (
     DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
     NodeCrossingError, SchemeConfig, SchemeKind, TAU, advance_stationary,
-    apply_field, evolution_projection_step, invariant_step, mean_spacing, run,
-    uniform_slice,
+    apply_field, evolution_projection_step, ghosted, invariant_step,
+    mean_spacing, run, uniform_slice,
 )
 
 from oracles import ftcs_update_loop, moving_mesh_update_loop
@@ -22,12 +22,32 @@ def sin_field(n=64):
     return DiscreteField(grid=grid, u=np.sin(grid.x))
 
 
+def layer(grid):
+    """The ghost array of a slice's positions, as the step functions take
+    a layer."""
+    return ghosted(grid.x, grid.domain_length)
+
+
+def moving_step(fld, grid_next, dt, nu):
+    """The moving-mesh update from ``fld`` onto the slice ``grid_next``."""
+    u = invariant_step(layer(fld.grid), fld.u, layer(grid_next), dt, nu)
+    return DiscreteField(grid=grid_next, u=u)
+
+
+def projection_step(fld, dt, nu, interp_kind):
+    xg, u = evolution_projection_step(layer(fld.grid), fld.u, dt, nu,
+                                      interp_kind, fld.grid.domain_length)
+    return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xg[1:-2]), u=u)
+
+
 # ---------------------------------------------------------------------------
 # fixed-grid step: the moving-mesh update on the stationary layer
 # ---------------------------------------------------------------------------
 
 def ftcs_step(fld, dt, nu):
-    return invariant_step(fld, advance_stationary(fld.grid, dt), dt, nu)
+    xg = layer(fld.grid)
+    u = invariant_step(xg, fld.u, advance_stationary(xg, dt), dt, nu)
+    return DiscreteField(grid=fld.grid, u=u)
 
 
 def test_ftcs_constant_state_is_fixed_point():
@@ -69,7 +89,7 @@ def test_invariant_step_constant_state_any_mesh_motion():
     grid = uniform_slice(16)
     fld = DiscreteField(grid=grid, u=np.full(16, 1.7))
     wobble = GridSlice(t=2e-3, x=grid.x + 1e-3 * np.sin(3 * grid.x))
-    out = invariant_step(fld, wobble, 2e-3, 0.1)
+    out = moving_step(fld, wobble, 2e-3, 0.1)
     np.testing.assert_allclose(out.u, 1.7, rtol=0, atol=1e-12)
 
 
@@ -77,7 +97,7 @@ def test_invariant_step_matches_loop_oracle():
     fld = sin_field(8)
     dt = 1e-3
     moved = GridSlice(t=dt, x=fld.grid.x + dt * np.cos(fld.grid.x))
-    out = invariant_step(fld, moved, dt, 0.1)
+    out = moving_step(fld, moved, dt, 0.1)
     expected = moving_mesh_update_loop(fld.grid.x, fld.u, moved.x, dt, 0.1, TAU)
     np.testing.assert_allclose(out.u, expected, rtol=0, atol=1e-15)
 
@@ -86,23 +106,21 @@ def test_invariant_step_single_step_boost_equivariance():
     fld = sin_field(32)
     dt = 2e-3
     moved = GridSlice(t=dt, x=fld.grid.x + dt * fld.u)
-    rest = invariant_step(fld, moved, dt, 0.1)
+    rest = moving_step(fld, moved, dt, 0.1)
 
     g = GroupElement(Generator.GALILEAN_BOOST, 1.0)
     boosted_in = apply_field(g, fld)
     boosted_grid = GridSlice(t=dt, x=moved.x + g.epsilon * dt,
                              domain_start=moved.domain_start)
-    boosted_out = invariant_step(boosted_in, boosted_grid, dt, 0.1)
+    boosted_out = moving_step(boosted_in, boosted_grid, dt, 0.1)
     np.testing.assert_allclose(boosted_out.u, rest.u + g.epsilon,
                                rtol=0, atol=1e-12)
 
 
 def test_invariant_step_validates_layers():
     fld = sin_field(16)
-    with pytest.raises(ValueError):
-        invariant_step(fld, uniform_slice(8, t=1e-3), 1e-3, 0.1)
-    with pytest.raises(ValueError):
-        invariant_step(fld, uniform_slice(16, t=0.5), 1e-3, 0.1)
+    with pytest.raises(ValueError, match="differ in size"):
+        moving_step(fld, uniform_slice(8, t=1e-3), 1e-3, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +131,7 @@ def test_projection_step_constant_state():
     grid = uniform_slice(16)
     c = 0.9
     fld = DiscreteField(grid=grid, u=np.full(16, c))
-    out = evolution_projection_step(fld, 1e-3, 0.1, InterpKind.QUADRATIC)
+    out = projection_step(fld, 1e-3, 0.1, InterpKind.QUADRATIC)
     # values are reproduced exactly; the lattice rides with the bulk
     # velocity, which for constant data is the state itself
     np.testing.assert_allclose(out.u, c, rtol=0, atol=1e-13)
@@ -125,7 +143,7 @@ def test_projection_step_constant_state():
 
 def test_projection_step_keeps_lattice_for_zero_mean_data():
     fld = sin_field(64)
-    out = evolution_projection_step(fld, 1e-3, 0.1, InterpKind.QUADRATIC)
+    out = projection_step(fld, 1e-3, 0.1, InterpKind.QUADRATIC)
     np.testing.assert_allclose(out.grid.x, fld.grid.x, rtol=0, atol=1e-16)
 
 
@@ -236,6 +254,21 @@ def test_config_validation():
         SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, t_final=-1.0)
     with pytest.raises(ValueError):
         SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=2)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["nu", "t_final", "dt_factor",
+                                  "frame_velocity", "domain_start",
+                                  "domain_length"])
+def test_config_rejects_a_non_finite_value_by_name(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SchemeConfig(scheme_kind=SchemeKind.LAGRANGIAN, **{name: value})
+
+
+def test_run_rejects_a_negative_snapshot_interval():
+    config = SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=8)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        run(config, np.sin, snapshot_every=-3)
 
 
 @pytest.mark.parametrize("kind", [SchemeKind.CLASSICAL_FTCS,
