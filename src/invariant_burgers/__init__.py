@@ -21,12 +21,12 @@ from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    require_ordered, uniform_slice)
 from .harness import (ConvergenceRow, ErrorReport, convergence_study,
                       frame_comparison, grid_spacing_profile, linf_error)
-from .interpolate import InterpKind, PeriodicCubicSpline, project_periodic
+from .interpolate import InterpKind
 from .schemes import (DEFAULT_DT_FACTORS, SchemeConfig, SchemeKind,
                       Trajectory, evolution_projection_step, invariant_step,
                       moving_mesh_terms, run)
-from .symmetry import (Generator, GroupElement, SpaceTimePoint, Stencil,
-                       StencilParams, apply_field, apply_point,
+from .symmetry import (Generator, GroupElement, Stencil, StencilParams,
+                       apply_field, apply_point,
                        constant_grid_residual, ftcs_residual,
                        invariance_defect, max_defect, sample_stencil,
                        satisfy_constant, satisfy_ftcs, satisfy_scheme,

@@ -100,14 +100,14 @@ def _apply_config_file(args: argparse.Namespace,
 
 def _config_from(args: argparse.Namespace, n_points: int) -> SchemeConfig:
     return SchemeConfig(
-        scheme_kind=SchemeKind(args.scheme),
+        scheme_kind=args.scheme,
         nu=args.nu,
         n_points=n_points,
         t_final=args.t_final,
         dt_factor=args.dt_factor,
         alpha=args.alpha,
         frame_velocity=args.eps3,
-        interp_kind=InterpKind(args.interp),
+        interp_kind=args.interp,
     )
 
 

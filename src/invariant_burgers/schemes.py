@@ -17,6 +17,7 @@ checked for finiteness once per step; it builds ``GridSlice`` and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -27,8 +28,8 @@ from .errors import SimulationError
 from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
                    advance_constant, advance_equidistributed,
                    advance_lagrangian, advance_stationary,
-                   equidistribute_initial, ghosted, mean_spacing,
-                   require_finite, require_ordered, uniform_slice)
+                   equidistribute_initial, ghosted, require_finite,
+                   require_ordered, uniform_slice)
 from .interpolate import InterpKind, _evaluate
 
 
@@ -60,11 +61,18 @@ DEFAULT_DT_FACTORS = {
     SchemeKind.EVOLUTION_PROJECTION: 2.829,
 }
 
+# Most steps a run may take, about 3,000 times the longest run in the tests
+# and benchmark workloads (N=512 to t=0.5): a huge t_final or a tiny
+# dt_factor fails before the first step instead of stepping for hours.
+_MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Everything a run needs besides the initial data.
 
+    ``scheme_kind`` and ``interp_kind`` may be given as enum members or
+    their string values; construction stores the enum member.
     ``dt_factor`` defaults to the scheme's calibrated constant from
     ``DEFAULT_DT_FACTORS``.
     """
@@ -81,9 +89,12 @@ class SchemeConfig:
     domain_length: float = TAU
 
     def __post_init__(self):
+        # an unknown value raises "... is not a valid SchemeKind/InterpKind"
+        object.__setattr__(self, "scheme_kind", SchemeKind(self.scheme_kind))
+        object.__setattr__(self, "interp_kind", InterpKind(self.interp_kind))
         if self.dt_factor is None:
             object.__setattr__(self, "dt_factor",
-                               DEFAULT_DT_FACTORS[SchemeKind(self.scheme_kind)])
+                               DEFAULT_DT_FACTORS[self.scheme_kind])
         for name in ("nu", "t_final", "dt_factor", "frame_velocity",
                      "domain_start", "domain_length"):
             if not np.isfinite(getattr(self, name)):
@@ -94,8 +105,20 @@ class SchemeConfig:
             raise ValueError("t_final must be positive")
         if not self.dt_factor > 0.0:
             raise ValueError("dt_factor must be positive")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got "
+                             f"{self.n_points!r}")
         if self.n_points < 4:
             raise ValueError("n_points must be >= 4")
+
+    @property
+    def boost(self) -> float:
+        """The Galilean boost applied to the initial data: the frame
+        velocity, except on the constant-frame scheme, where it is the
+        grid's drift velocity instead and the data is not boosted."""
+        if self.scheme_kind is SchemeKind.CONSTANT_FRAME:
+            return 0.0
+        return self.frame_velocity
 
     def monitor_params(self) -> MonitorParams:
         return MonitorParams(alpha=self.alpha)
@@ -184,21 +207,30 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     """Integrate the configured scheme from t = 0 to t_final.
 
     ``initial`` maps node positions to velocities. A nonzero
-    ``frame_velocity`` on a non-constant-frame scheme realizes a run in a
-    uniformly moving reference frame: the initial data is boosted before
-    stepping (positions are untouched at t = 0) and outputs are left in the
-    moving frame. ``snapshot_every`` stores every k-th step in addition to
-    the first and last; 0 keeps only those two.
+    ``config.boost`` realizes a run in a uniformly moving reference frame:
+    the initial data is boosted before stepping (positions are untouched at
+    t = 0) and outputs are left in the moving frame. ``snapshot_every``
+    stores every k-th step in addition to the first and last; 0 keeps only
+    those two. A run of more than ``_MAX_STEPS`` steps is rejected with a
+    ``ValueError`` before the first one.
     """
     if snapshot_every < 0:
         raise ValueError("snapshot_every must be >= 0")
-    kind = SchemeKind(config.scheme_kind)
+    kind = config.scheme_kind
     length = config.domain_length
+    # the mean spacing L / N, taken before a grid of N nodes is built
+    h = length / config.n_points
+    dt0 = config.dt_factor * h * h
+    # compared, not divided: dt0 may underflow to 0
+    if config.t_final > _MAX_STEPS * dt0:
+        raise ValueError(
+            f"t_final={config.t_final!r} needs more than {_MAX_STEPS} steps "
+            f"of dt = dt_factor * h^2 = {dt0!r} (dt_factor="
+            f"{config.dt_factor!r}); lower t_final or raise dt_factor")
     grid = uniform_slice(config.n_points, 0.0, config.domain_start, length)
-    eps3 = config.frame_velocity if kind is not SchemeKind.CONSTANT_FRAME else 0.0
 
     def sample_initial(x: np.ndarray) -> np.ndarray:
-        return np.asarray(initial(x), dtype=float) + eps3
+        return np.asarray(initial(x), dtype=float) + config.boost
 
     mon = config.monitor_params()
     if kind is SchemeKind.EULERIAN_ADAPTIVE:
@@ -220,8 +252,6 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
                                                length),
     }.get(kind)
 
-    h = mean_spacing(grid)
-    dt0 = config.dt_factor * h * h
     snapshots = [fld]
     # the initial layer was checked when its GridSlice was built
     t, xg, u = 0.0, ghosted(grid.x, length), fld.u

@@ -45,15 +45,10 @@ class GroupElement:
         return replace(self, epsilon=-self.epsilon)
 
 
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    t: float
-    x: float
-    u: float
-
-
-def _map_txu(g: GroupElement, t, x, u):
-    """The closed-form group action on (t, x, u); works on scalars/arrays."""
+def apply_point(g: GroupElement, t, x, u):
+    """The closed-form action of ``g`` on (t, x, u), returned as a new
+    (t, x, u); each argument may be a scalar or an array. Time inversion
+    raises ``DomainViolationError`` where 1 - eps*t is not positive."""
     eps = g.epsilon
     gen = g.generator
     if gen is Generator.TIME_TRANSLATION:
@@ -74,26 +69,18 @@ def _map_txu(g: GroupElement, t, x, u):
     return t / f, x / f, u * f + eps * x
 
 
-def apply_point(g: GroupElement, p: SpaceTimePoint) -> SpaceTimePoint:
-    t, x, u = _map_txu(g, p.t, p.x, p.u)
-    return SpaceTimePoint(t=float(t), x=float(x), u=float(u))
-
-
 def apply_field(g: GroupElement, fld: DiscreteField) -> DiscreteField:
-    """Transform every node (t, x_i, u_i) of one time layer simultaneously."""
+    """Transform every node (t, x_i, u_i) of one time layer simultaneously
+    with ``apply_point``; the domain start is one more point of the layer,
+    and the domain length scales with x under scalings and inversions."""
     grid = fld.grid
-    t, x, u = _map_txu(g, grid.t, grid.x, fld.u)
-    start, length = grid.domain_start, grid.domain_length
-    if g.generator is Generator.SPACE_TRANSLATION:
-        start = start + g.epsilon
-    elif g.generator is Generator.GALILEAN_BOOST:
-        start = start + g.epsilon * grid.t
-    elif g.generator is Generator.SCALING:
-        scale = math.exp(g.epsilon)
-        start, length = scale * start, scale * length
+    t, x, u = apply_point(g, grid.t, grid.x, fld.u)
+    _, start, _ = apply_point(g, grid.t, grid.domain_start, 0.0)
+    length = grid.domain_length
+    if g.generator is Generator.SCALING:
+        length = math.exp(g.epsilon) * length
     elif g.generator is Generator.TIME_INVERSION:
-        f = 1.0 - g.epsilon * grid.t
-        start, length = start / f, length / f
+        length = length / (1.0 - g.epsilon * grid.t)
     new_grid = GridSlice(t=float(t), x=x, domain_start=start,
                          domain_length=length)
     return DiscreteField(grid=new_grid, u=u)
@@ -141,8 +128,8 @@ class StencilParams:
 
 
 def transform_stencil(g: GroupElement, s: Stencil) -> Stencil:
-    t0, x0, u0 = _map_txu(g, s.t, s.x, s.u)
-    t1, x1, u1 = _map_txu(g, s.t + s.dt, s.x_next, s.u_next)
+    t0, x0, u0 = apply_point(g, s.t, s.x, s.u)
+    t1, x1, u1 = apply_point(g, s.t + s.dt, s.x_next, s.u_next)
     return Stencil(t=float(t0), dt=float(t1 - t0), x=x0, u=u0,
                    x_next=x1, u_next=u1)
 

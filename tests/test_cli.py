@@ -1,7 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from invariant_burgers.cli import main
+from invariant_burgers.cli import OUTDIR_ENV, build_parser, main
 
 
 def test_run_writes_trajectory_and_summary(tmp_path, capsys):
@@ -134,6 +136,8 @@ def test_blow_up_reports_step_and_time(tmp_path, capsys):
     ("eps3", "nan", "frame_velocity"),
     ("dt-factor", "inf", "dt_factor"),
     ("snapshot-every", "-3", "snapshot_every"),
+    ("t-final", "1e300", "t_final"),
+    ("dt-factor", "1e-300", "dt_factor"),
 ])
 def test_run_rejects_a_hostile_value_by_name(tmp_path, capsys, flag, value,
                                             name):
@@ -166,8 +170,6 @@ def test_convergence_failure_reports_its_step(tmp_path, capsys):
 
 
 def test_output_directory_env_override(tmp_path, capsys, monkeypatch):
-    from invariant_burgers.cli import OUTDIR_ENV
-
     monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
     code = main(["run", "--n", "16", "--t-final", "0.05",
                  "--out", "nested.csv"])
@@ -204,3 +206,62 @@ def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error kind=ValueError step=- message=")
     assert f"config '{flag}': no such flag for {command}" in err
+
+
+def subcommand_flags():
+    """(subcommand, flag action) for every flag of every subcommand, read
+    from the parser so that a new flag joins the cases below."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action) for command, parser in sub.choices.items()
+            for action in parser._actions
+            if action.option_strings and action.dest not in ("help",
+                                                              "config")]
+
+
+# a valid value other than the default for each flag that is neither a
+# choice nor a path; a new flag missing here fails the round trip by name
+NON_DEFAULT = {"n": "12", "nu": "0.2", "t_final": "0.03", "dt_factor": "0.5",
+               "alpha": "2.5", "eps3": "0.3", "snapshot_every": "2",
+               "n_min": "8", "n_max": "8"}
+# flags that keep each run short, unless one is the flag under test
+FAST = {"n": "8", "t_final": "0.05", "n_max": "16"}
+
+
+def non_default(action) -> str:
+    if action.choices is not None:
+        return next(c for c in reversed(action.choices)
+                    if c != action.default)
+    if action.type is None:
+        return f"{action.dest}.csv"
+    assert action.dest in NON_DEFAULT, f"no test value for {action.dest}"
+    value = NON_DEFAULT[action.dest]
+    assert action.type(value) != action.default
+    return value
+
+
+@pytest.mark.parametrize(
+    "command, action",
+    [pytest.param(c, a, id=f"{c}-{a.option_strings[0][2:]}")
+     for c, a in subcommand_flags()])
+def test_every_flag_reads_alike_from_argv_and_config_file(
+        tmp_path, capsys, monkeypatch, command, action):
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    flag, value = action.option_strings[0], non_default(action)
+    dests = {a.dest for c, a in subcommand_flags() if c == command}
+    base = [arg for dest, fast in FAST.items()
+            if dest in dests and dest != action.dest
+            for arg in (f"--{dest.replace('_', '-')}", fast)]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    outputs = []
+    for argv in ([command, *base, flag, value],
+                 [command, *base, "--config", str(cfg)]):
+        workdir = tmp_path / str(len(outputs))
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert main(argv) == 0
+        files = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        assert files
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1]

@@ -50,6 +50,18 @@ def test_frame_comparison_zero_boost_is_exact():
     assert frame_comparison(config, 0.0) == 0.0
 
 
+def test_constant_frame_kind_given_as_a_string_measures_alike(coeffs_nu01):
+    # the drift of the constant-frame grid is no boost, so neither
+    # linf_error nor frame_comparison may undo one, however the kind is
+    # written
+    by_enum = config_for(SchemeKind.CONSTANT_FRAME, n_points=32,
+                         frame_velocity=0.5)
+    by_string = config_for("constant-frame", n_points=32, frame_velocity=0.5)
+    assert (linf_error(run(by_string, np.sin), coeffs_nu01)
+            == linf_error(run(by_enum, np.sin), coeffs_nu01))
+    assert frame_comparison(by_string, 0.5) == frame_comparison(by_enum, 0.5)
+
+
 def test_errors_comparable_across_schemes(coeffs_nu01):
     errors = []
     for kind in (SchemeKind.CLASSICAL_FTCS, SchemeKind.LAGRANGIAN,

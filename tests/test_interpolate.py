@@ -5,8 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (DiscreteField, Generator, GridSlice,
                                GroupElement, InterpKind, NodeCrossingError,
-                               PeriodicCubicSpline, TAU, apply_field,
-                               project_periodic, uniform_slice)
+                               TAU, apply_field, uniform_slice)
 from invariant_burgers.interpolate import (_solve_cyclic_tridiagonal,
                                            interpolate)
 
@@ -123,7 +122,8 @@ def test_periodic_in_queries(kind):
 def test_constant_reproduction(kind):
     grid = uniform_slice(16)
     fld = DiscreteField(grid=grid, u=np.full(16, 3.25))
-    values = project_periodic(fld, np.linspace(0, TAU, 50), kind)
+    values = interpolate(fld.grid.x, fld.u, np.linspace(0, TAU, 50), kind,
+                         fld.grid.domain_length)
     np.testing.assert_allclose(values, 3.25, rtol=0, atol=1e-14)
 
 
@@ -142,8 +142,9 @@ def test_projection_identity_on_source_nodes():
     x, u = random_smooth_field(rng, 28)
     fld = DiscreteField(grid=GridSlice(t=0.0, x=x - x[0]), u=u)
     for kind in KINDS:
-        np.testing.assert_allclose(project_periodic(fld, fld.grid.x, kind),
-                                   u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            interpolate(fld.grid.x, fld.u, fld.grid.x, kind,
+                        fld.grid.domain_length), u, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -155,8 +156,11 @@ def test_projection_commutes_with_boost(kind):
     g = GroupElement(Generator.GALILEAN_BOOST, 1.0)
 
     boosted = apply_field(g, fld)
-    lhs = project_periodic(boosted, targets + g.epsilon * fld.grid.t, kind)
-    rhs = project_periodic(fld, targets, kind) + g.epsilon
+    lhs = interpolate(boosted.grid.x, boosted.u,
+                      targets + g.epsilon * fld.grid.t, kind,
+                      boosted.grid.domain_length)
+    rhs = interpolate(fld.grid.x, fld.u, targets, kind,
+                      fld.grid.domain_length) + g.epsilon
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -189,14 +193,7 @@ def test_spline_matches_scipy_periodic():
     rng = np.random.default_rng(41)
     x, u = random_smooth_field(rng, 30)
     q = rng.uniform(-TAU, 2 * TAU, 200)
-    ours = PeriodicCubicSpline(x, u, TAU)(q)
+    ours = interpolate(x, u, q, InterpKind.CUBIC_SPLINE, TAU)
     ref = periodic_spline_scipy(x, u, TAU, q)
     np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 
-
-def test_spline_coefficients_reusable_between_calls():
-    rng = np.random.default_rng(43)
-    x, u = random_smooth_field(rng, 16)
-    spline = PeriodicCubicSpline(x, u, TAU)
-    q = rng.uniform(0, TAU, 10)
-    np.testing.assert_array_equal(spline(q), spline(q))

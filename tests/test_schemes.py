@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invariant_burgers import (
-    DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
+    DEFAULT_DT_FACTORS, DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
     NodeCrossingError, SchemeConfig, SchemeKind, TAU, advance_stationary,
     apply_field, evolution_projection_step, ghosted, invariant_step,
     mean_spacing, run, uniform_slice,
@@ -263,6 +263,54 @@ def test_config_validation():
 def test_config_rejects_a_non_finite_value_by_name(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SchemeConfig(scheme_kind=SchemeKind.LAGRANGIAN, **{name: value})
+
+
+@pytest.mark.parametrize("value", [16.5, 16.0, "16"])
+def test_config_rejects_a_grid_size_that_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=value)
+
+
+@pytest.mark.parametrize("value", [np.int64(16), np.int32(16)])
+def test_config_takes_a_numpy_integer_grid_size(value):
+    config = SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS,
+                          n_points=value, t_final=0.05)
+    assert len(run(config, np.sin).final.u) == 16
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("scheme_kind", "ftsc", "SchemeKind"),
+    ("interp_kind", "cubic", "InterpKind"),
+])
+def test_config_rejects_an_unknown_kind(name, value, kind):
+    fields = {"scheme_kind": SchemeKind.CLASSICAL_FTCS, name: value}
+    with pytest.raises(ValueError, match=f"'{value}' is not a valid {kind}"):
+        SchemeConfig(**fields)
+
+
+def test_config_stores_its_kinds_as_enums():
+    config = SchemeConfig(scheme_kind="constant-frame", interp_kind="linear")
+    assert config.scheme_kind is SchemeKind.CONSTANT_FRAME
+    assert config.interp_kind is InterpKind.LINEAR
+    assert config.dt_factor == DEFAULT_DT_FACTORS[SchemeKind.CONSTANT_FRAME]
+
+
+@pytest.mark.parametrize("kind, boost", [(SchemeKind.CONSTANT_FRAME, 0.0),
+                                         (SchemeKind.LAGRANGIAN, 0.5)])
+def test_config_boost_is_the_frame_velocity_except_on_a_drifting_grid(
+        kind, boost):
+    assert SchemeConfig(scheme_kind=kind, frame_velocity=0.5).boost == boost
+
+
+@pytest.mark.parametrize("field, value", [("t_final", 1e300),
+                                          ("dt_factor", 1e-300),
+                                          ("dt_factor", 5e-324)])
+def test_run_rejects_too_many_steps_before_the_first(field, value):
+    # dt_factor 5e-324 makes dt = C h^2 underflow to 0
+    config = SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=8,
+                          **{field: value})
+    with pytest.raises(ValueError, match="t_final=.*dt_factor="):
+        run(config, np.sin)
 
 
 def test_run_rejects_a_negative_snapshot_interval():
