@@ -169,6 +169,8 @@ def _cmd_spacing(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
     coeffs = coefficients(args.nu)
     x = np.arange(args.n) * (TAU / args.n)
     u = evaluate(coeffs, args.t_final, x)

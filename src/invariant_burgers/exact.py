@@ -58,8 +58,8 @@ def coefficients(nu: float) -> FourierCoeffs:
     points doubles until a_0 is stable to _TOL relative and the retained
     modes are safely below the aliasing range.
     """
-    if not nu > 0.0:
-        raise ValueError("nu must be positive")
+    if not 0.0 < nu < np.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     m = _M_START
     a0_prev = None
     while m <= _M_CAP:
@@ -91,8 +91,8 @@ def evaluate(coeffs: FourierCoeffs, t: float, x) -> np.ndarray:
     are reduced into the fundamental period first so the series arguments
     stay small.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t!r}")
     a = coeffs.a
     J = coeffs.truncation_index
     x = np.asarray(x, dtype=float)

@@ -137,17 +137,6 @@ class DiscreteField:
         require_finite(self.u)
 
 
-@dataclass(frozen=True)
-class MonitorParams:
-    """Weight function parameters: rho = sqrt(1 + alpha * slope^2)."""
-
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha < 0.0:
-            raise ValueError("alpha must be finite and >= 0")
-
-
 def mean_spacing(grid: GridSlice) -> float:
     """Mean grid spacing L / N; independent of node distribution."""
     return grid.domain_length / grid.n
@@ -181,18 +170,17 @@ def advance_constant(xg: np.ndarray, c: float, dt: float,
     return require_ordered(xg[1:-2] + c * dt, domain_length)
 
 
-def monitor(xg: np.ndarray, u: np.ndarray, params: MonitorParams
-            ) -> np.ndarray:
-    """Nodal monitor values from the periodic centered difference quotient
-    of ``u`` on the layer ``xg``."""
+def monitor(xg: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
+    """Nodal monitor values sqrt(1 + alpha * slope^2), where the slope is
+    the periodic centered difference quotient of ``u`` on the layer ``xg``.
+    ``SchemeConfig`` checks that the weight ``alpha`` is finite and >= 0."""
     ug = ghosted(u)
     slope = (ug[2:-1] - ug[:-3]) / (xg[2:-1] - xg[:-3])
-    return np.sqrt(1.0 + params.alpha * slope ** 2)
+    return np.sqrt(1.0 + alpha * slope ** 2)
 
 
-def advance_equidistributed(xg: np.ndarray, u: np.ndarray,
-                            params: MonitorParams, dt: float,
-                            domain_length: float) -> np.ndarray:
+def advance_equidistributed(xg: np.ndarray, u: np.ndarray, alpha: float,
+                            dt: float, domain_length: float) -> np.ndarray:
     """Place the next grid layer by equidistributing the monitor.
 
     The new positions satisfy
@@ -204,7 +192,7 @@ def advance_equidistributed(xg: np.ndarray, u: np.ndarray,
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    x1 = _solve_equidistribution(monitor(xg, u, params), xg[1] + dt * u[0],
+    x1 = _solve_equidistribution(monitor(xg, u, alpha), xg[1] + dt * u[0],
                                  domain_length)
     return require_ordered(x1, domain_length)
 
@@ -215,7 +203,7 @@ _SETTLE_RTOL = 1e-12
 _MAX_ROUNDS = 100
 
 
-def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams
+def equidistribute_initial(initial, grid: GridSlice, alpha: float
                            ) -> GridSlice:
     """Fixed-point equidistribution of the initial data at t = 0.
 
@@ -231,7 +219,7 @@ def equidistribute_initial(initial, grid: GridSlice, params: MonitorParams
     for _ in range(_MAX_ROUNDS):
         u = require_finite(_as_float_array(initial(x)))
         x_new = _solve_equidistribution(
-            monitor(require_ordered(x, length), u, params), x[0], length)
+            monitor(require_ordered(x, length), u, alpha), x[0], length)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         if change <= tol:

@@ -105,8 +105,15 @@ def frame_comparison(config: SchemeConfig, eps3: float) -> float:
     mapped back with the inverse boost, and both fields are read on a
     common uniform grid through cubic splines; the max-norm difference is
     returned. Symmetry-preserving schemes leave this at roundoff level,
-    the fixed-grid scheme does not.
+    the fixed-grid scheme does not. The constant-frame scheme has no
+    boosted run (its frame velocity is the drift of its grid) and raises
+    ``ValueError``.
     """
+    if config.scheme_kind is SchemeKind.CONSTANT_FRAME:
+        raise ValueError(
+            "frame_comparison needs a boosted run, and the constant-frame "
+            "scheme has none: its frame velocity is the drift of its grid, "
+            "and its data stays unboosted")
     rest = run(replace(config, frame_velocity=0.0), np.sin)
     boosted = run(replace(config, frame_velocity=eps3), np.sin)
     f_rest = rest.final

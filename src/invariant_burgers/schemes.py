@@ -25,11 +25,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import SimulationError
-from .grid import (TAU, DiscreteField, GridSlice, MonitorParams,
-                   advance_constant, advance_equidistributed,
-                   advance_lagrangian, advance_stationary,
-                   equidistribute_initial, ghosted, require_finite,
-                   require_ordered, uniform_slice)
+from .grid import (TAU, DiscreteField, GridSlice, advance_constant,
+                   advance_equidistributed, advance_lagrangian,
+                   advance_stationary, equidistribute_initial, ghosted,
+                   require_finite, require_ordered, uniform_slice)
 from .interpolate import InterpKind, _evaluate
 
 
@@ -95,7 +94,7 @@ class SchemeConfig:
         if self.dt_factor is None:
             object.__setattr__(self, "dt_factor",
                                DEFAULT_DT_FACTORS[self.scheme_kind])
-        for name in ("nu", "t_final", "dt_factor", "frame_velocity",
+        for name in ("nu", "t_final", "dt_factor", "alpha", "frame_velocity",
                      "domain_start", "domain_length"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -105,6 +104,8 @@ class SchemeConfig:
             raise ValueError("t_final must be positive")
         if not self.dt_factor > 0.0:
             raise ValueError("dt_factor must be positive")
+        if not self.alpha >= 0.0:
+            raise ValueError("alpha must be >= 0")
         if not isinstance(self.n_points, numbers.Integral):
             raise ValueError(f"n_points must be an integer, got "
                              f"{self.n_points!r}")
@@ -119,9 +120,6 @@ class SchemeConfig:
         if self.scheme_kind is SchemeKind.CONSTANT_FRAME:
             return 0.0
         return self.frame_velocity
-
-    def monitor_params(self) -> MonitorParams:
-        return MonitorParams(alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -232,9 +230,8 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     def sample_initial(x: np.ndarray) -> np.ndarray:
         return np.asarray(initial(x), dtype=float) + config.boost
 
-    mon = config.monitor_params()
     if kind is SchemeKind.EULERIAN_ADAPTIVE:
-        grid = equidistribute_initial(sample_initial, grid, mon)
+        grid = equidistribute_initial(sample_initial, grid, config.alpha)
     fld = DiscreteField(grid=grid, u=sample_initial(grid.x))
 
     # the grid equation of each moving-mesh scheme (evolution-projection,
@@ -246,7 +243,8 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         SchemeKind.LAGRANGIAN:
             lambda xg, u, dt: advance_lagrangian(xg, u, dt, length),
         SchemeKind.EULERIAN_ADAPTIVE:
-            lambda xg, u, dt: advance_equidistributed(xg, u, mon, dt, length),
+            lambda xg, u, dt: advance_equidistributed(xg, u, config.alpha, dt,
+                                                      length),
         SchemeKind.CONSTANT_FRAME:
             lambda xg, u, dt: advance_constant(xg, config.frame_velocity, dt,
                                                length),

@@ -2,9 +2,10 @@
 certifier for the invariance of finite-difference relations.
 
 The five generators act on (t, x, u) points, whole discrete fields, and
-two-layer stencils. Equivalence extensions optionally carry constitutive
-constants along: the frame velocity of the constant-motion grid equation
-under boosts, and the monitor weight under scalings.
+two-layer stencils, and always carry the constants along: a boost shifts
+the drift velocity c of the constant-motion grid equation, and a scaling
+rescales c and the monitor weight. Each stencil relation is one function,
+its solve for the next layer's center unknown (``satisfy_*``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainViolationError
-from .grid import TAU, DiscreteField, GridSlice, MonitorParams
+from .grid import TAU, DiscreteField, GridSlice
 from .schemes import moving_mesh_terms
 
 
@@ -30,12 +31,10 @@ class Generator(Enum):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One generator with its real parameter and optional extensions."""
+    """One generator with its real parameter."""
 
     generator: Generator
     epsilon: float
-    extend_alpha: bool = False
-    extend_c: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.epsilon):
@@ -86,15 +85,14 @@ def apply_field(g: GroupElement, fld: DiscreteField) -> DiscreteField:
     return DiscreteField(grid=new_grid, u=u)
 
 
-def transform_monitor(g: GroupElement, params: MonitorParams) -> MonitorParams:
-    """Equivalence extension of the monitor weight under scalings.
-
-    The centered slope picks up a factor e^(-2 eps), so keeping the
-    radicand 1 + alpha*slope^2 unchanged requires alpha -> e^(4 eps) * alpha.
-    """
-    if g.extend_alpha and g.generator is Generator.SCALING:
-        return replace(params, alpha=math.exp(4.0 * g.epsilon) * params.alpha)
-    return params
+def transform_monitor(g: GroupElement, alpha: float) -> float:
+    """The monitor weight under ``g``: a scaling multiplies the centered
+    slope by e^(-2 eps), so keeping the radicand 1 + alpha*slope^2
+    unchanged takes alpha -> e^(4 eps) * alpha; the other generators keep
+    it."""
+    if g.generator is Generator.SCALING:
+        return math.exp(4.0 * g.epsilon) * alpha
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -135,50 +133,28 @@ def transform_stencil(g: GroupElement, s: Stencil) -> Stencil:
 
 
 def transform_params(g: GroupElement, p: StencilParams) -> StencilParams:
-    """Extensions on constants; the viscosity is invariant under the
-    whole periodic-compatible subgroup."""
-    if g.extend_c and g.generator is Generator.GALILEAN_BOOST:
+    """The constants under ``g``: a boost shifts the drift velocity,
+    c -> c + eps, and a scaling rescales it like a velocity,
+    c -> e^(-eps) c. The viscosity is invariant under the whole
+    periodic-compatible subgroup."""
+    if g.generator is Generator.GALILEAN_BOOST:
         return replace(p, c=p.c + g.epsilon)
+    if g.generator is Generator.SCALING:
+        return replace(p, c=math.exp(-g.epsilon) * p.c)
     return p
-
-
-def scheme_residual(s: Stencil, p: StencilParams) -> float:
-    """Defining relation of the moving-mesh discretization.
-
-    The grid velocity (x_next - x)/dt in the advection factor is what lets
-    boosts cancel; with a stationary next layer it degenerates to the
-    classical fixed-grid relation.
-    """
-    return _residual(s, p, _grid_velocity(s))
-
-
-def ftcs_residual(s: Stencil, p: StencilParams) -> float:
-    """Classical fixed-grid relation: the moving-mesh stencil with no
-    grid-velocity term, i.e. on a stationary layer."""
-    return _residual(s, p, 0.0)
 
 
 def _grid_velocity(s: Stencil) -> float:
     return (s.x_next[1] - s.x[1]) / s.dt
 
 
-def _residual(s: Stencil, p: StencilParams, xdot: float) -> float:
-    advection, diffusion = moving_mesh_terms(*s.x, *s.u, xdot, p.nu)
-    return (s.u_next[1] - s.u[1]) / s.dt + advection - diffusion
-
-
-def stationary_grid_residual(s: Stencil, p: StencilParams) -> float:
-    """Defining relation of the non-moving grid: x stays put."""
-    return s.x_next[1] - s.x[1]
-
-
-def constant_grid_residual(s: Stencil, p: StencilParams) -> float:
-    """Defining relation of the rigidly drifting grid: x advances by c*dt."""
-    return s.x_next[1] - s.x[1] - p.c * s.dt
-
-
 def satisfy_scheme(s: Stencil, p: StencilParams) -> Stencil:
-    """Solve the scheme relation for the next-layer center value."""
+    """Solve the moving-mesh relation for the next-layer center value.
+
+    The grid velocity (x_next - x)/dt in the advection factor is what lets
+    boosts cancel; with a stationary next layer it degenerates to the
+    classical fixed-grid relation.
+    """
     return _satisfy(s, p, _grid_velocity(s))
 
 
@@ -196,12 +172,14 @@ def _satisfy(s: Stencil, p: StencilParams, xdot: float) -> Stencil:
 
 
 def satisfy_stationary(s: Stencil, p: StencilParams) -> Stencil:
+    """Solve the non-moving grid relation: x stays put."""
     x_next = s.x_next.copy()
     x_next[1] = s.x[1]
     return replace(s, x_next=x_next)
 
 
 def satisfy_constant(s: Stencil, p: StencilParams) -> Stencil:
+    """Solve the rigidly drifting grid relation: x advances by c*dt."""
     x_next = s.x_next.copy()
     x_next[1] = s.x[1] + p.c * s.dt
     return replace(s, x_next=x_next)
@@ -215,16 +193,25 @@ def stencil_scale(s: Stencil, p: StencilParams) -> float:
                abs(diffusion), 1.0)
 
 
-def invariance_defect(residual, g: GroupElement, s: Stencil,
-                      p: StencilParams = StencilParams()) -> float:
-    """|residual(g . stencil) - residual(stencil)|, extensions included.
+def relation_defect(satisfy, s: Stencil, p: StencilParams) -> float:
+    """How far ``s`` is from the relation that ``satisfy`` solves: the
+    change the solve makes to the next layer's center unknown, |du|/dt for
+    a value relation and |dx| for a grid relation."""
+    on = satisfy(s, p)
+    return (abs(on.u_next[1] - s.u_next[1]) / s.dt
+            + abs(on.x_next[1] - s.x_next[1]))
 
-    Zero (up to roundoff) certifies invariance of the relation for this
-    sample; a stencil that satisfies the relation exposes the defect of the
-    transformed relation directly.
+
+def invariance_defect(satisfy, g: GroupElement, s: Stencil,
+                      p: StencilParams = StencilParams()) -> float:
+    """The ``relation_defect`` of the image under ``g`` of a solution.
+
+    ``s`` is first put on the relation; its image and the transformed
+    constants are then measured against the same relation. Zero (up to
+    roundoff) certifies invariance of the relation for this sample.
     """
-    return abs(residual(transform_stencil(g, s), transform_params(g, p))
-               - residual(s, p))
+    image = transform_stencil(g, satisfy(s, p))
+    return relation_defect(satisfy, image, transform_params(g, p))
 
 
 def sample_stencil(rng: np.random.Generator) -> Stencil:
@@ -243,22 +230,15 @@ def sample_stencil(rng: np.random.Generator) -> Stencil:
     )
 
 
-def max_defect(residual, g: GroupElement, n_samples: int = 1000,
-               seed: int = 0, p: StencilParams = StencilParams(),
-               satisfy=None) -> float:
-    """Max invariance defect over seeded random stencils.
-
-    ``satisfy`` optionally closes each sample on the relation's own solution
-    manifold (needed for scalings, where the relation is equivariant rather
-    than term-by-term invariant). The defect is measured relative to the
-    size of the relation's terms.
-    """
+def max_defect(satisfy, g: GroupElement, n_samples: int = 1000,
+               seed: int = 0, p: StencilParams = StencilParams()) -> float:
+    """Max invariance defect over seeded random stencils, each put on the
+    relation first and measured relative to the size of the relation's
+    terms there."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
-        s = sample_stencil(rng)
-        if satisfy is not None:
-            s = satisfy(s, p)
-        worst = max(worst, invariance_defect(residual, g, s, p)
+        s = satisfy(sample_stencil(rng), p)
+        worst = max(worst, invariance_defect(satisfy, g, s, p)
                     / stencil_scale(s, p))
     return worst

@@ -138,6 +138,8 @@ def test_blow_up_reports_step_and_time(tmp_path, capsys):
     ("snapshot-every", "-3", "snapshot_every"),
     ("t-final", "1e300", "t_final"),
     ("dt-factor", "1e-300", "dt_factor"),
+    ("alpha", "nan", "alpha"),
+    ("alpha", "-1", "alpha"),
 ])
 def test_run_rejects_a_hostile_value_by_name(tmp_path, capsys, flag, value,
                                             name):
@@ -148,6 +150,34 @@ def test_run_rejects_a_hostile_value_by_name(tmp_path, capsys, flag, value,
     assert err.startswith("error kind=ValueError step=- message=")
     assert name in err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("n", "0", "n must be >= 1"),
+    ("n", "-5", "n must be >= 1"),
+    ("t-final", "inf", "t must be"),
+    ("t-final", "nan", "t must be"),
+    ("nu", "inf", "nu must be"),
+])
+def test_exact_rejects_a_hostile_value_by_name(tmp_path, capsys, flag, value,
+                                              message):
+    code = main(["exact", f"--{flag}", value,
+                 "--out", str(tmp_path / "e.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error kind=ValueError step=- message='{message}")
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_frames_rejects_the_constant_frame_scheme(tmp_path, capsys):
+    code = main(["frames", "--scheme", "constant-frame", "--n", "16",
+                 "--t-final", "0.05", "--eps3", "0.5",
+                 "--out", str(tmp_path / "f.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ValueError step=- message=")
+    assert "constant-frame" in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_nonzero_exit_with_machine_readable_error(tmp_path, capsys):

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (
-    DiscreteField, Generator, GridSlice, GroupElement, MonitorParams,
-    NoConvergenceError, NodeCrossingError, NonFiniteSolutionError, TAU,
-    advance_constant,
+    DiscreteField, Generator, GridSlice, GroupElement, NoConvergenceError,
+    NodeCrossingError, NonFiniteSolutionError, TAU, advance_constant,
     advance_equidistributed, advance_lagrangian, advance_stationary,
     apply_field, equidistribute_initial, ghosted, mean_spacing, monitor,
     transform_monitor, uniform_slice,
@@ -38,8 +37,8 @@ def gaps(xg):
     return xg[2:-1] - xg[1:-2]
 
 
-def field_monitor(fld, params):
-    return monitor(layer(fld.grid), fld.u, params)
+def field_monitor(fld, alpha):
+    return monitor(layer(fld.grid), fld.u, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +184,7 @@ def test_gap_sum_preserved_by_advances():
         advance_stationary(xg, 0.01),
         advance_lagrangian(xg, fld.u, 0.01, TAU),
         advance_constant(xg, 1.3, 0.01, TAU),
-        advance_equidistributed(xg, fld.u, MonitorParams(alpha=1.0), 0.01,
-                                TAU),
+        advance_equidistributed(xg, fld.u, 1.0, 0.01, TAU),
     ):
         assert abs(gaps(out).sum() - TAU) <= 1e-12 * TAU
 
@@ -197,21 +195,21 @@ def test_gap_sum_preserved_by_advances():
 
 def test_monitor_is_one_for_zero_alpha():
     np.testing.assert_array_equal(
-        field_monitor(sin_field(64), MonitorParams(alpha=0.0)), np.ones(64))
+        field_monitor(sin_field(64), 0.0), np.ones(64))
 
 
 def test_monitor_is_one_for_constant_state():
     grid = uniform_slice(32)
     fld = DiscreteField(grid=grid, u=np.full(32, 5.0))
     np.testing.assert_array_equal(
-        field_monitor(fld, MonitorParams(alpha=1.0)), np.ones(32))
+        field_monitor(fld, 1.0), np.ones(32))
 
 
 def test_monitor_closed_form_at_origin():
     # centered quotient of sin at x=0 on a uniform grid is sin(h)/h
     fld = sin_field(64)
     h = mean_spacing(fld.grid)
-    rho = field_monitor(fld, MonitorParams(alpha=1.0))
+    rho = field_monitor(fld, 1.0)
     expected = math.sqrt(1.0 + (math.sin(h) / h) ** 2)
     assert rho[0] == pytest.approx(expected, abs=1e-14)
 
@@ -220,7 +218,7 @@ def test_monitor_matches_loop_oracle():
     rng = np.random.default_rng(42)
     x, u = random_smooth_field(rng, 24)
     fld = DiscreteField(grid=GridSlice(t=0.0, x=x - x[0]), u=u)
-    rho = field_monitor(fld, MonitorParams(alpha=0.7))
+    rho = field_monitor(fld, 0.7)
     np.testing.assert_allclose(
         rho, monitor_loop(fld.grid.x, u, 0.7, TAU), rtol=0, atol=1e-14)
 
@@ -229,7 +227,7 @@ def test_monitor_at_least_one():
     rng = np.random.default_rng(3)
     x, u = random_smooth_field(rng, 40)
     fld = DiscreteField(grid=GridSlice(t=0.0, x=x - x[0]), u=u)
-    assert np.all(field_monitor(fld, MonitorParams(alpha=2.0)) >= 1.0)
+    assert np.all(field_monitor(fld, 2.0) >= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +236,7 @@ def test_monitor_at_least_one():
 
 def test_equidistributed_constant_monitor_gives_uniform_gaps():
     fld = sin_field(32)
-    out = advance_equidistributed(layer(fld.grid), fld.u,
-                                  MonitorParams(alpha=0.0), 0.01, TAU)
+    out = advance_equidistributed(layer(fld.grid), fld.u, 0.0, 0.01, TAU)
     np.testing.assert_allclose(gaps(out), TAU / 32, rtol=0, atol=1e-9)
 
 
@@ -249,9 +246,8 @@ def test_equidistributed_matches_dense_solve():
         x, u = random_smooth_field(rng, 32)
         fld = DiscreteField(grid=GridSlice(t=0.0, x=x - x[0] + 0.2), u=u)
         dt = 1e-3
-        out = advance_equidistributed(layer(fld.grid), u,
-                                      MonitorParams(alpha=1.0), dt, TAU)
-        rho = field_monitor(fld, MonitorParams(alpha=1.0))
+        out = advance_equidistributed(layer(fld.grid), u, 1.0, dt, TAU)
+        rho = field_monitor(fld, 1.0)
         ref = dense_equidistribution_solve(rho, fld.grid.x[0] + dt * u[0], TAU)
         assert np.max(np.abs(nodes(out) - ref)) <= 1e-10
 
@@ -269,16 +265,16 @@ def monitored_fields(draw):
     offsets = np.concatenate([[0.0], np.cumsum(weights[:-1])])
     x = x0 + offsets * (TAU / weights.sum())
     fld = DiscreteField(grid=GridSlice(t=0.0, x=x), u=u)
-    slope2 = field_monitor(fld, MonitorParams(alpha=1.0)) ** 2 - 1.0
+    slope2 = field_monitor(fld, 1.0) ** 2 - 1.0
     alpha = (rho_max ** 2 - 1.0) / slope2.max() if slope2.max() > 0.0 else 0.0
-    return fld, MonitorParams(alpha=alpha)
+    return fld, alpha
 
 
-def check_placement(fld, params, dt):
+def check_placement(fld, alpha, dt):
     """The placed layer agrees with the dense solve, carries one flux in
     every cell up to the rounding of stored positions, and spans L."""
-    out = advance_equidistributed(layer(fld.grid), fld.u, params, dt, TAU)
-    rho = field_monitor(fld, params)
+    out = advance_equidistributed(layer(fld.grid), fld.u, alpha, dt, TAU)
+    rho = field_monitor(fld, alpha)
     ref = dense_equidistribution_solve(rho, fld.grid.x[0] + dt * fld.u[0],
                                        TAU)
     assert np.max(np.abs(nodes(out) - ref)) <= 1e-10
@@ -306,16 +302,15 @@ def test_equidistributed_closing_gap_keeps_the_flux():
     grid = uniform_slice(88)
     u = np.ones(88)
     u[0] = 0.0
-    check_placement(DiscreteField(grid=grid, u=u),
-                    MonitorParams(alpha=26.40730929630311), 1.0 / 128.0)
+    check_placement(DiscreteField(grid=grid, u=u), 26.40730929630311,
+                    1.0 / 128.0)
 
 
 def test_equidistributed_products_are_equal():
     fld = sin_field(64)
-    params = MonitorParams(alpha=1.0)
-    out = nodes(advance_equidistributed(layer(fld.grid), fld.u, params,
-                                        0.005, TAU))
-    rho = field_monitor(fld, params)
+    out = nodes(advance_equidistributed(layer(fld.grid), fld.u, 1.0, 0.005,
+                                        TAU))
+    rho = field_monitor(fld, 1.0)
     res = equidistribution_residual(out, rho, TAU)
     res_cap = 1e-12 * TAU * TAU * rho.max()
     assert np.max(np.abs(res)) <= res_cap
@@ -329,8 +324,7 @@ def test_equidistributed_products_are_equal():
 def test_equidistributed_anchor_is_lagrangian():
     fld = sin_field(32)
     dt = 0.01
-    out = advance_equidistributed(layer(fld.grid), fld.u,
-                                  MonitorParams(alpha=1.0), dt, TAU)
+    out = advance_equidistributed(layer(fld.grid), fld.u, 1.0, dt, TAU)
     assert nodes(out)[0] == pytest.approx(fld.grid.x[0] + dt * fld.u[0],
                                           abs=0)
 
@@ -339,13 +333,12 @@ def test_equidistribute_initial_no_convergence_error(monkeypatch):
     # the sine data needs about ten mesh -> resample rounds to settle
     monkeypatch.setattr("invariant_burgers.grid._MAX_ROUNDS", 1)
     with pytest.raises(NoConvergenceError):
-        equidistribute_initial(np.sin, uniform_slice(64),
-                               MonitorParams(alpha=1.0))
+        equidistribute_initial(np.sin, uniform_slice(64), 1.0)
 
 
 def test_equidistribute_initial_concentrates_where_slope_is_steep():
     grid = uniform_slice(64)
-    out = equidistribute_initial(np.sin, grid, MonitorParams(alpha=1.0))
+    out = equidistribute_initial(np.sin, grid, 1.0)
     gaps = out.gaps()
     # arc-length monitor of sin is largest where |cos| is largest (x=0, pi)
     assert gaps.min() < gaps.mean() < gaps.max()
@@ -375,13 +368,12 @@ def test_lagrangian_advance_commutes_with_boost_exactly():
 def test_equidistributed_advance_commutes_with_boost():
     fld = sin_field(48)
     dt = 0.01
-    params = MonitorParams(alpha=1.0)
     boost = GroupElement(Generator.GALILEAN_BOOST, 1.0)
 
-    rest = advance_equidistributed(layer(fld.grid), fld.u, params, dt, TAU)
+    rest = advance_equidistributed(layer(fld.grid), fld.u, 1.0, dt, TAU)
     boosted_in = apply_field(boost, fld)
     boosted_out = advance_equidistributed(layer(boosted_in.grid), boosted_in.u,
-                                          params, dt, TAU)
+                                          1.0, dt, TAU)
     # the boosted mesh should be the rest mesh shifted by eps*(t+dt)
     np.testing.assert_allclose(nodes(boosted_out), nodes(rest) + 1.0 * dt,
                                rtol=0, atol=1e-10)
@@ -389,17 +381,15 @@ def test_equidistributed_advance_commutes_with_boost():
 
 def test_monitor_invariant_under_boost():
     fld = sin_field(64)
-    params = MonitorParams(alpha=1.0)
     boosted = apply_field(GroupElement(Generator.GALILEAN_BOOST, 2.0), fld)
-    np.testing.assert_allclose(field_monitor(boosted, params),
-                               field_monitor(fld, params), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(field_monitor(boosted, 1.0),
+                               field_monitor(fld, 1.0), rtol=0, atol=1e-13)
 
 
 def test_monitor_scaling_equivalence_extension():
     fld = sin_field(64)
-    params = MonitorParams(alpha=1.0)
-    g = GroupElement(Generator.SCALING, 0.4, extend_alpha=True)
+    g = GroupElement(Generator.SCALING, 0.4)
     scaled = apply_field(g, fld)
     np.testing.assert_allclose(
-        field_monitor(scaled, transform_monitor(g, params)),
-        field_monitor(fld, params), rtol=0, atol=1e-12)
+        field_monitor(scaled, transform_monitor(g, 1.0)),
+        field_monitor(fld, 1.0), rtol=0, atol=1e-12)

@@ -254,10 +254,12 @@ def test_config_validation():
         SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, t_final=-1.0)
     with pytest.raises(ValueError):
         SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=2)
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        SchemeConfig(scheme_kind=SchemeKind.EULERIAN_ADAPTIVE, alpha=-1.0)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("name", ["nu", "t_final", "dt_factor",
+@pytest.mark.parametrize("name", ["nu", "t_final", "dt_factor", "alpha",
                                   "frame_velocity", "domain_start",
                                   "domain_length"])
 def test_config_rejects_a_non_finite_value_by_name(name, value):

@@ -7,12 +7,10 @@ from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (
     DiscreteField, DomainViolationError, Generator, GridSlice, GroupElement,
-    MonitorParams, Stencil, StencilParams, TAU, apply_field,
-    apply_point, constant_grid_residual, ftcs_residual, invariance_defect,
-    ghosted, invariant_step, max_defect, monitor, sample_stencil,
-    satisfy_constant,
-    satisfy_ftcs, satisfy_scheme, satisfy_stationary, scheme_residual,
-    stationary_grid_residual, stencil_scale, transform_stencil, uniform_slice,
+    Stencil, StencilParams, TAU, apply_field, apply_point, invariance_defect,
+    ghosted, invariant_step, max_defect, monitor, relation_defect,
+    sample_stencil, satisfy_constant, satisfy_ftcs, satisfy_scheme,
+    satisfy_stationary, stencil_scale, transform_stencil, uniform_slice,
 )
 
 from oracles import moving_mesh_update_loop
@@ -131,18 +129,33 @@ def test_stationary_relation_defect_equals_boost_drift():
     for eps in (1.0, -1.0, 5.0):
         s = satisfy_stationary(manual_stencil(), p)
         g = GroupElement(Generator.GALILEAN_BOOST, eps)
-        d = invariance_defect(stationary_grid_residual, g, s, p)
+        d = invariance_defect(satisfy_stationary, g, s, p)
         assert d == pytest.approx(abs(eps * s.dt), abs=1e-14)
 
 
 def test_constant_grid_defect_vanishes_iff_extended():
     p = StencilParams(c=0.8)
     s = satisfy_constant(manual_stencil(), p)
-    extended = GroupElement(Generator.GALILEAN_BOOST, 1.0, extend_c=True)
-    bare = GroupElement(Generator.GALILEAN_BOOST, 1.0)
-    assert invariance_defect(constant_grid_residual, extended, s, p) <= 1e-14
-    assert invariance_defect(constant_grid_residual, bare, s, p) == \
-        pytest.approx(abs(1.0 * s.dt), abs=1e-14)
+    g = GroupElement(Generator.GALILEAN_BOOST, 1.0)
+    assert invariance_defect(satisfy_constant, g, s, p) <= 1e-14
+    # the image measured against the untransformed constants
+    bare = relation_defect(satisfy_constant, transform_stencil(g, s), p)
+    assert bare == pytest.approx(abs(1.0 * s.dt), abs=1e-14)
+
+
+@pytest.mark.parametrize("gen, eps", [
+    (Generator.SCALING, 0.5), (Generator.SCALING, -0.5),
+    (Generator.TIME_TRANSLATION, 1.0), (Generator.SPACE_TRANSLATION, 1.0),
+])
+def test_constant_grid_relation_invariant_with_its_drift(gen, eps):
+    # a scaling maps dt -> e^(2 eps) dt and x -> e^eps x, so the drift
+    # x_next - x = c dt holds on the image only with c -> e^(-eps) c
+    rng = np.random.default_rng(31)
+    p = StencilParams(c=0.8)
+    g = GroupElement(gen, eps)
+    worst = max(invariance_defect(satisfy_constant, g, sample_stencil(rng), p)
+                for _ in range(200))
+    assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("gen,eps_values", [
@@ -156,9 +169,8 @@ def test_scheme_relation_invariant(gen, eps_values):
     # relation's own solution set; the time increment transforms with the
     # stencil, which realizes the co-scaling of dt automatically
     for i, eps in enumerate(eps_values):
-        worst = max_defect(scheme_residual, GroupElement(gen, eps),
-                           n_samples=200, seed=100 + i,
-                           satisfy=satisfy_scheme)
+        worst = max_defect(satisfy_scheme, GroupElement(gen, eps),
+                           n_samples=200, seed=100 + i)
         assert worst <= 1e-11
 
 
@@ -169,7 +181,7 @@ def test_fixed_grid_relation_boost_defect_closed_form():
     g = GroupElement(Generator.GALILEAN_BOOST, eps)
     for _ in range(300):
         s = satisfy_ftcs(sample_stencil(rng), p)
-        measured = invariance_defect(ftcs_residual, g, s, p)
+        measured = invariance_defect(satisfy_ftcs, g, s, p)
         analytic = abs(eps * (s.u[2] - s.u[0]) / (s.x[2] - s.x[0]))
         assert abs(measured - analytic) <= 1e-12 * stencil_scale(s, p)
 
@@ -193,8 +205,9 @@ def moving_layers(draw):
 @settings(max_examples=300, deadline=None)
 @given(moving_layers())
 def test_scheme_step_sits_on_residual_manifold(case):
-    # the certifier's residual and the running step share one stencil: the
-    # step output zeroes the residual at every node of a random moving grid
+    # the certifier's relation and the running step share one stencil: the
+    # step output satisfies the relation at every node of a random moving
+    # grid
     fld, grid_next, dt = case
     p = StencilParams(nu=0.1)
     out_u = invariant_step(ghosted(fld.grid.x, TAU), fld.u,
@@ -215,17 +228,16 @@ def test_scheme_step_sits_on_residual_manifold(case):
         # (u1 - u)/dt carries the rounding of the stored values, a few ulp
         # of max(|u|, |u1|) over dt, that no update can avoid
         rounding = 4.0 * np.spacing(max(abs(u[i]), abs(u1[i]))) / dt
-        assert abs(scheme_residual(s, p)) <= \
+        assert relation_defect(satisfy_scheme, s, p) <= \
             1e-12 * stencil_scale(s, p) + rounding
 
 
 def test_monitor_invariant_under_boosted_field():
     fld = sin_field(n=64, t=0.4)
-    params = MonitorParams(alpha=1.0)
     boosted = apply_field(GroupElement(Generator.GALILEAN_BOOST, 1.0), fld)
     np.testing.assert_allclose(
-        monitor(ghosted(boosted.grid.x, TAU), boosted.u, params),
-        monitor(ghosted(fld.grid.x, TAU), fld.u, params), rtol=0, atol=1e-13)
+        monitor(ghosted(boosted.grid.x, TAU), boosted.u, 1.0),
+        monitor(ghosted(fld.grid.x, TAU), fld.u, 1.0), rtol=0, atol=1e-13)
 
 
 def test_transformed_stencil_rescales_dt_under_scaling():
