@@ -35,7 +35,8 @@ class NonFiniteSolutionError(SimulationError, ValueError):
     Raised by ``grid.require_finite``: on ``DiscreteField`` construction and
     on the values of every step of a run, where it means the step blew up;
     it is also a ``ValueError``, because building a field from non-finite
-    values is a bad argument.
+    values is a bad argument. ``exact.evaluate`` and ``harness.linf_error``
+    raise it for a reference solution or an error that is not finite.
     """
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoDecayError
+from .errors import NoDecayError, NonFiniteSolutionError
 
 TAU = 2.0 * np.pi
 
@@ -89,7 +89,8 @@ def evaluate(coeffs: FourierCoeffs, t: float, x) -> np.ndarray:
 
     The denominator is the smoothed potential, strictly positive; queries
     are reduced into the fundamental period first so the series arguments
-    stay small.
+    stay small. At small nu the cosine sums cancel, and where that leaves
+    a value that is not finite ``NonFiniteSolutionError`` is raised.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t!r}")
@@ -102,9 +103,14 @@ def evaluate(coeffs: FourierCoeffs, t: float, x) -> np.ndarray:
     xr = np.atleast_1d(x)
     xr = xr - TAU * np.round(xr / TAU)
     j = np.arange(J + 1, dtype=float)
-    damped = a * np.exp(-coeffs.nu * t * j ** 2)
-    phase = np.outer(xr, j)
-    num = 2.0 * coeffs.nu * np.sin(phase[:, 1:]) @ (damped[1:] * j[1:])
-    den = np.cos(phase) @ damped
-    out = num / den
+    with np.errstate(all="ignore"):
+        damped = a * np.exp(-coeffs.nu * t * j ** 2)
+        phase = np.outer(xr, j)
+        num = 2.0 * coeffs.nu * np.sin(phase[:, 1:]) @ (damped[1:] * j[1:])
+        den = np.cos(phase) @ damped
+        out = num / den
+    if not np.isfinite(out).all():
+        raise NonFiniteSolutionError(
+            f"reference solution is not finite at t={float(t)!r} "
+            f"(nu={coeffs.nu!r}): the cosine series cancels")
     return float(out[0]) if scalar else out

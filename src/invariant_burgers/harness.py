@@ -2,9 +2,15 @@
 comparisons, convergence studies, grid-spacing profiles, and the CSV
 artifacts they produce.
 
-CSV output is locale-independent (``.`` decimal, LF endings) and floats are
-written with shortest round-trip repr, so identical configurations produce
-bitwise-identical files.
+Every CSV goes through ``_write_csv``: a header line, then one block per
+snapshot or per report row. A block's scalar columns (t, scheme, N) repeat
+on each of its rows and its array columns (x, u, gaps) give one value per
+row; a block of scalars only is one row. The files keep three promises, so
+identical configurations produce bitwise-identical files:
+
+- floats are written with the shortest repr that round-trips, ``repr(v)``;
+- the decimal point is ``.`` whatever the locale;
+- lines end in LF alone.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import NonFiniteSolutionError, SimulationError
 from .exact import FourierCoeffs, evaluate
 from .grid import DiscreteField, mean_spacing, uniform_slice
 from .interpolate import InterpKind, interpolate
@@ -57,17 +63,25 @@ def linf_error(traj: Trajectory, coeffs: FourierCoeffs) -> ErrorReport:
     """Max nodal deviation from the reference solution at the final time.
 
     The reference is evaluated at the final node positions themselves, so
-    moving-mesh runs are compared without any re-mapping error.
+    moving-mesh runs are compared without any re-mapping error. An error
+    that is not finite raises ``NonFiniteSolutionError``.
     """
     fld = _measured_field(traj)
     u_ref = evaluate(coeffs, fld.grid.t, fld.grid.x)
-    diff = fld.u - u_ref
+    with np.errstate(all="ignore"):
+        diff = fld.u - u_ref
+        linf = float(np.max(np.abs(diff)))
+        rms = float(np.sqrt(np.mean(diff ** 2)))
+    if not np.isfinite([linf, rms]).all():
+        raise NonFiniteSolutionError(
+            f"error against the reference is not finite at "
+            f"t={float(fld.grid.t)!r}: linf={linf!r} rms={rms!r}")
     return ErrorReport(
         scheme_kind=traj.config.scheme_kind,
         n=traj.config.n_points,
         h=mean_spacing(fld.grid),
-        linf_error=float(np.max(np.abs(diff))),
-        rms_error=float(np.sqrt(np.mean(diff ** 2))),
+        linf_error=linf,
+        rms_error=rms,
     )
 
 
@@ -138,26 +152,49 @@ def grid_spacing_profile(traj: Trajectory) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, float):  # includes numpy scalars
+    """A scalar column's text: shortest round-trip repr for a float
+    (``np.float64`` included), str for anything else."""
+    if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]):
+def _write_csv(path, header: Sequence[str], blocks: Iterable[Sequence]):
+    """Write ``header`` and then one block at a time; this is the one CSV
+    writer.
+
+    A block is a sequence of columns. A scalar column (t, scheme, N) is
+    formatted once with ``_fmt`` and repeated on every row of the block; an
+    array column (x, u, gaps) holds one float per row, and all of a block's
+    arrays have the same length. A block with no array is one row. The
+    arrays' values go through ``tolist()`` into one %-format of the whole
+    block, so each is formatted by ``repr`` in C; the text is the same as
+    ``repr(float(v))`` value by value. Each block is one write, so memory
+    stays at one block.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for block in blocks:
+            cells, arrays = [], []
+            for col in block:
+                if np.ndim(col):
+                    arrays.append(np.asarray(col, dtype=float))
+                    cells.append("%r")
+                else:
+                    cells.append(_fmt(col).replace("%", "%%"))
+            line = ",".join(cells) + "\n"
+            if not arrays:
+                fh.write(line % ())
+                continue
+            values = np.column_stack(arrays).ravel().tolist()
+            fh.write((line * len(arrays[0])) % tuple(values))
 
 
 def write_trajectory_csv(path, traj: Trajectory):
     """One row per node per snapshot: t,x,u (positions wrapped)."""
-    def rows():
-        for fld in traj.snapshots:
-            xw = fld.grid.wrapped_x()
-            for xi, ui in zip(xw, fld.u):
-                yield (fld.grid.t, float(xi), float(ui))
-    _write_csv(path, ["t", "x", "u"], rows())
+    _write_csv(path, ["t", "x", "u"],
+               ((fld.grid.t, fld.grid.wrapped_x(), fld.u)
+                for fld in traj.snapshots))
 
 
 def write_errors_csv(path, reports: Sequence[ErrorReport]):
@@ -179,13 +216,11 @@ def write_convergence_csv(path, scheme_kind: SchemeKind,
 
 
 def write_spacing_csv(path, traj: Trajectory):
-    _write_csv(path, ["x", "dx"],
-               ((float(x), float(dx)) for x, dx in grid_spacing_profile(traj)))
+    _write_csv(path, ["x", "dx"], [grid_spacing_profile(traj).T])
 
 
 def write_exact_csv(path, t: float, x, u):
-    _write_csv(path, ["t", "x", "u"],
-               ((float(t), float(xi), float(ui)) for xi, ui in zip(x, u)))
+    _write_csv(path, ["t", "x", "u"], [(float(t), x, u)])
 
 
 def write_frames_csv(path, scheme_kind: SchemeKind, n: int, eps3: float,

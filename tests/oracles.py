@@ -128,3 +128,14 @@ def dense_spline_matrix(x, length):
         A[i, i] += (h[i - 1] + h[i]) / 3.0
         A[i, (i + 1) % n] += h[i] / 6.0
     return A
+
+
+def csv_bytes(header, rows):
+    """CSV text formatted one value at a time, one row at a time:
+    ``repr(float(v))`` for a float (``np.float64`` included), ``str`` for
+    anything else, LF endings."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float)
+                              else str(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()

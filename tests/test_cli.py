@@ -1,4 +1,5 @@
 import argparse
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,29 @@ def test_exact_rejects_a_hostile_value_by_name(tmp_path, capsys, flag, value,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error kind=ValueError step=- message='{message}")
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scheme", "lagrangian", "--n", "32", "--nu", "0.02",
+     "--errors-out", "e.csv"],
+    ["exact", "--n", "8", "--nu", "0.005", "--t-final", "0.5"],
+])
+def test_a_reference_that_is_not_finite_is_a_typed_error(tmp_path, capsys,
+                                                         monkeypatch, argv):
+    # at small nu the series reference cancels to inf; the command must
+    # fail cleanly instead of writing inf or leaking a numpy warning
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", "o.csv"])
+    assert code == 1
+    assert caught == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "error kind=NonFiniteSolutionError step=- message='reference "
+        "solution is not finite")
     assert not (tmp_path / "e.csv").exists()
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from invariant_burgers import (FourierCoeffs, NoDecayError, TAU,
-                               coefficients, evaluate)
+from invariant_burgers import (FourierCoeffs, NoDecayError,
+                               NonFiniteSolutionError, TAU, coefficients,
+                               evaluate)
 
 from oracles import leading_coefficient_quadrature, trapezoid_coefficient
 
@@ -93,6 +94,14 @@ def test_constructor_rejects_growing_tail():
 def test_negative_time_rejected(coeffs_nu01):
     with pytest.raises(ValueError):
         evaluate(coeffs_nu01, -0.1, 1.0)
+
+
+def test_reference_that_cancels_to_inf_is_a_typed_error():
+    # at nu = 0.005 the series' denominator cancels to zero at x = pi; the
+    # error is raised without a numpy warning (warnings fail the suite)
+    coeffs = coefficients(0.005)
+    with pytest.raises(NonFiniteSolutionError, match="t=0.5 .nu=0.005"):
+        evaluate(coeffs, 0.5, np.arange(8) * (TAU / 8))
 
 
 def test_no_decay_error_for_impossible_tolerance():

@@ -1,17 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from invariant_burgers import (
-    DiscreteField, NodeCrossingError, SchemeConfig, SchemeKind, TAU,
-    Trajectory,
+    DiscreteField, NodeCrossingError, NonFiniteSolutionError, SchemeConfig,
+    SchemeKind, TAU, Trajectory,
     convergence_study, evaluate, frame_comparison, grid_spacing_profile,
     linf_error, mean_spacing, run, uniform_slice,
 )
+from invariant_burgers import harness
 from invariant_burgers.harness import (write_convergence_csv,
-                                       write_errors_csv, write_spacing_csv,
+                                       write_errors_csv, write_exact_csv,
+                                       write_frames_csv, write_spacing_csv,
                                        write_trajectory_csv)
+
+from oracles import csv_bytes
 
 
 def config_for(kind, **kw):
@@ -173,3 +178,143 @@ def test_spacing_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,dx"
     assert len(lines) == 17
+
+
+def test_linf_error_rejects_an_error_that_is_not_finite(coeffs_nu01):
+    # finite values whose squared deviation overflows: the rms is inf
+    huge = Trajectory(
+        snapshots=tuple(DiscreteField(grid=uniform_slice(16, t=t),
+                                      u=np.full(16, 1e200))
+                        for t in (0.0, 0.5)),
+        config=config_for(SchemeKind.CLASSICAL_FTCS))
+    with pytest.raises(NonFiniteSolutionError, match="not finite"):
+        linf_error(huge, coeffs_nu01)
+
+
+@pytest.fixture(scope="module")
+def wrapping_run():
+    """A boosted Lagrangian run whose nodes drift past the period's end, so
+    later snapshots wrap some x."""
+    traj = run(config_for(SchemeKind.LAGRANGIAN, n_points=32, t_final=0.3,
+                          frame_velocity=1.5), np.sin, snapshot_every=2)
+    assert len(traj.snapshots) >= 3
+    assert any(np.any(f.grid.wrapped_x() != f.grid.x) for f in traj.snapshots)
+    return traj
+
+
+AWKWARD = np.array([-0.0, 5e-324, 1e-7, 1e16, 0.1 + 0.2, -1.5e300, 2.0])
+
+
+@pytest.fixture(scope="module")
+def csv_cases(wrapping_run, coeffs_nu01):
+    """Every CSV kind: (writer, its call, header, rows the per-value oracle
+    formats)."""
+    coeffs = coeffs_nu01
+    ftcs = run(config_for(SchemeKind.CLASSICAL_FTCS, n_points=16,
+                          t_final=0.05), np.sin)
+    reports = [linf_error(wrapping_run, coeffs), linf_error(ftcs, coeffs)]
+    conv = convergence_study(config_for(SchemeKind.CLASSICAL_FTCS), [16, 32],
+                             coeffs)
+    assert conv[0].observed_order is None
+    x = np.arange(64) * (TAU / 64)
+    u = evaluate(coeffs, 0.5, x)
+    t_odd = 0.1 + 0.2
+    return {
+        "trajectory": (
+            write_trajectory_csv,
+            lambda p: write_trajectory_csv(p, wrapping_run), ["t", "x", "u"],
+            [(f.grid.t, float(xi), float(ui)) for f in wrapping_run.snapshots
+             for xi, ui in zip(f.grid.wrapped_x(), f.u)]),
+        "errors": (
+            write_errors_csv,
+            lambda p: write_errors_csv(p, reports),
+            ["scheme", "N", "h", "linf", "rms"],
+            [(r.scheme_kind.value, r.n, r.h, r.linf_error, r.rms_error)
+             for r in reports]),
+        "convergence": (
+            write_convergence_csv,
+            lambda p: write_convergence_csv(p, SchemeKind.CLASSICAL_FTCS,
+                                            conv),
+            ["scheme", "N", "h", "linf", "order", "rms"],
+            [("ftcs", r.n, r.h, r.linf_error,
+              "" if r.observed_order is None else repr(r.observed_order),
+              r.rms_error) for r in conv]),
+        "spacing": (
+            write_spacing_csv,
+            lambda p: write_spacing_csv(p, wrapping_run), ["x", "dx"],
+            [(float(a), float(b))
+             for a, b in grid_spacing_profile(wrapping_run)]),
+        "exact": (
+            write_exact_csv,
+            lambda p: write_exact_csv(p, 0.5, x, u), ["t", "x", "u"],
+            [(0.5, float(a), float(b)) for a, b in zip(x, u)]),
+        "exact-awkward": (
+            write_exact_csv,
+            lambda p: write_exact_csv(p, t_odd, AWKWARD, AWKWARD[::-1]),
+            ["t", "x", "u"],
+            [(t_odd, float(a), float(b))
+             for a, b in zip(AWKWARD, AWKWARD[::-1])]),
+        "exact-integer-t": (
+            write_exact_csv,
+            lambda p: write_exact_csv(p, 0, x[:4], u[:4]), ["t", "x", "u"],
+            [(0.0, float(a), float(b)) for a, b in zip(x[:4], u[:4])]),
+        "frames": (
+            write_frames_csv,
+            lambda p: write_frames_csv(p, SchemeKind.LAGRANGIAN, 512, 0.75,
+                                       3.4e-7),
+            ["scheme", "N", "eps3", "discrepancy"],
+            [("lagrangian", 512, 0.75, 3.4e-7)]),
+    }
+
+
+CSV_KINDS = ["trajectory", "errors", "convergence", "spacing", "exact",
+             "exact-awkward", "exact-integer-t", "frames"]
+
+
+@pytest.mark.parametrize("kind", CSV_KINDS)
+def test_csv_bytes_match_the_per_value_oracle(tmp_path, csv_cases, kind):
+    _, write, header, rows = csv_cases[kind]
+    path = tmp_path / f"{kind}.csv"
+    write(path)
+    assert path.read_bytes() == csv_bytes(header, rows)
+
+
+def test_trajectory_csv_round_trips_bit_for_bit(tmp_path, wrapping_run):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, wrapping_run)
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().split("\n")
+    assert lines[0] == "t,x,u" and lines[-1] == ""
+    fields = [line.split(",") for line in lines[1:-1]]
+    number = re.compile(r"-?\d+(\.\d+)?(e[-+]\d+)?")
+    assert all(len(row) == 3 and all(number.fullmatch(v) for v in row)
+               for row in fields)
+    table = np.array([[float(v) for v in row] for row in fields])
+    n = wrapping_run.config.n_points
+    assert len(table) == n * len(wrapping_run.snapshots)
+    for k, fld in enumerate(wrapping_run.snapshots):
+        block = table[k * n:(k + 1) * n]
+        for col, want in zip(block.T, (np.full(n, fld.grid.t),
+                                       fld.grid.wrapped_x(), fld.u)):
+            assert np.array_equal(col.view(np.int64), want.view(np.int64))
+
+
+def test_every_writer_goes_through_the_one_csv_writer(tmp_path, monkeypatch,
+                                                      csv_cases):
+    # the benchmark's writer span wraps harness._write_csv by name, so a
+    # writer that formats or opens its own file would escape it
+    calls = []
+    monkeypatch.setattr(harness, "_write_csv",
+                        lambda path, header, blocks: calls.append(
+                            (path, list(header), list(blocks))))
+    for kind in CSV_KINDS:
+        _, write, header, _ = csv_cases[kind]
+        path = tmp_path / f"{kind}.csv"
+        calls.clear()
+        write(path)
+        assert [c[:2] for c in calls] == [(path, header)], kind
+        assert not path.exists(), kind
+    writers = {name for name in vars(harness)
+               if name.startswith("write_") and name.endswith("_csv")}
+    assert writers == {csv_cases[k][0].__name__ for k in CSV_KINDS}
