@@ -122,10 +122,10 @@ def _out_path(args: argparse.Namespace, default_name: str) -> str:
 def _cmd_run(args) -> int:
     config = _config_from(args, args.n)
     traj = run(config, np.sin, snapshot_every=args.snapshot_every)
+    # the report first: a refused reference leaves no trajectory file behind
+    report = linf_error(traj, coefficients(config.nu))
     path = _out_path(args, "trajectory.csv")
     write_trajectory_csv(path, traj)
-    coeffs = coefficients(config.nu)
-    report = linf_error(traj, coeffs)
     if args.errors_out:
         write_errors_csv(args.errors_out, [report])
     print(f"scheme={config.scheme_kind.value} N={config.n_points} "

@@ -97,7 +97,7 @@ def require_ordered(x: np.ndarray, domain_length: float) -> np.ndarray:
     is not positive), naming the first interval that is not."""
     xg = ghosted(x, domain_length)
     gaps = xg[2:-1] - xg[1:-2]
-    if not np.all(gaps > 0.0):
+    if not (gaps > 0.0).all():
         i = int(np.argmin(gaps > 0.0))
         east = "x[0] + L" if i == len(x) - 1 else f"x[{i + 1}]"
         raise NodeCrossingError(

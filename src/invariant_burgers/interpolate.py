@@ -4,13 +4,24 @@ All three reproduce affine data exactly and commute with translations of
 nodes and queries and with constant value offsets, which is what makes them
 safe projection operators for the symmetry-preserving schemes.
 
-``interpolate`` is the one entry point: it checks its nodes, ghosts them
-once (``grid.ghosted``) and hands the ghost arrays to ``_evaluate``, which
-the evolution-projection step calls directly on a layer it has already
-checked. A query is reduced into [x_0, x_0 + L) and bracketed by ghost
-slots j, j + 1, so every stencil (linear j, j + 1; quadratic j - 1 .. j + 1
-or j .. j + 2; spline j, j + 1) indexes the ghost arrays directly. The
-spline solves for its moments on every call.
+``interpolate`` is the one entry point: it checks its nodes and queries,
+ghosts the nodes once (``grid.ghosted``) and hands the ghost arrays to
+``_evaluate``, which the evolution-projection step calls directly on a layer
+it has already checked, with targets it has already checked. Every stencil
+indexes the ghost arrays directly:
+
+- linear and spline reduce each query into [x_0, x_0 + L) and bracket it
+  by ghost slots j, j + 1 (the node at or left of it and the next one);
+- quadratic reads the three slots b .. b + 2 centred on the node nearest
+  the query, midpoint ties going left; one search over the midpoints of
+  neighbouring nodes gives b. The queries are reduced into the period only
+  when some query lies outside the window these stencils reach, between
+  the midpoints of the first and of the last two ghost slots. The
+  projection's targets normally lie inside, so they are used as given,
+  without the rounding of a reduction. The value is the Newton form of the
+  parabola through the three nodes (slot slopes, then second differences).
+
+The spline solves for its moments on every call.
 """
 
 from __future__ import annotations
@@ -33,58 +44,70 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
     """Evaluate the periodic interpolant of (nodes_x, nodes_u) at query_x.
 
     The nodes must be strictly increasing with a positive periodic closure
-    gap (``NodeCrossingError`` otherwise); queries may lie anywhere and are
-    read modulo ``domain_length``.
+    gap (``NodeCrossingError`` otherwise). The queries must be finite
+    (``ValueError`` naming the first one that is not); they may lie
+    anywhere and are read modulo ``domain_length``.
     """
     kind = InterpKind(kind)
     x, u = _as_float_array(nodes_x), _as_float_array(nodes_u)
     if not 0 < len(x) == len(u):
         raise ValueError(f"need one value per node and at least one node, "
                          f"got {len(u)} values for {len(x)} nodes")
-    return _evaluate(require_ordered(x, domain_length), ghosted(u), query_x,
-                     kind, domain_length)
-
-
-def _evaluate(xg: np.ndarray, ug: np.ndarray, query_x, kind: InterpKind,
-              domain_length: float) -> np.ndarray:
-    """The interpolant of kind ``kind`` through the ghosted, checked nodes
-    ``xg`` and values ``ug``, at query_x."""
-    # each query shifted by a multiple of L into [x_0, x_0 + L), and the
-    # ghost slot j of the node at or left of it
     q = np.atleast_1d(np.asarray(query_x, dtype=float))
-    q = xg[1] + np.mod(q - xg[1], domain_length)
+    finite = np.isfinite(q)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"query {i} is {float(q.flat[i])!r}; queries must "
+                         f"be finite")
+    return _evaluate(require_ordered(x, domain_length), ghosted(u), q, kind,
+                     domain_length)
+
+
+def _evaluate(xg: np.ndarray, ug: np.ndarray, q: np.ndarray,
+              kind: InterpKind, domain_length: float) -> np.ndarray:
+    """The interpolant of kind ``kind`` through the ghosted, checked nodes
+    ``xg`` and values ``ug``, at the finite queries ``q``."""
+    quadratic = kind is InterpKind.QUADRATIC
+    # each query shifted by a multiple of L into [x_0, x_0 + L); the
+    # quadratic keeps its queries as given when all lie in the window its
+    # stencils reach, (mid(slots 0, 1), mid(slots N + 1, N + 2)]
+    if not (quadratic
+            and 0.5 * (xg[0] + xg[1]) < q.min(initial=np.inf)
+            and q.max(initial=-np.inf) <= 0.5 * (xg[-2] + xg[-1])):
+        q = xg[1] + np.mod(q - xg[1], domain_length)
+
+    if quadratic:
+        # b = the number of node midpoints left of q: slot b + 1 holds the
+        # node nearest q, ties going left, for q in the window, and b stays
+        # in 0 .. N for any q. The value is the Newton form over slots
+        # b .. b + 2, from the slot slopes s_k and second differences c_k
+        b = np.searchsorted(0.5 * (xg[1:-2] + xg[2:-1]), q, side="left")
+        s = (ug[1:] - ug[:-1]) / (xg[1:] - xg[:-1])
+        c = (s[1:] - s[:-1]) / (xg[2:] - xg[:-2])
+        return ug[b] + (q - xg[b]) * (s[b] + (q - xg[b + 1]) * c[b])
+
+    # the ghost slot j of the node at or left of each query
     j = np.searchsorted(xg[1:-2], q, side="right")
 
     if kind is InterpKind.LINEAR:
         w = (q - xg[j]) / (xg[j + 1] - xg[j])
         return ug[j] * (1.0 - w) + ug[j + 1] * w
 
-    if kind is InterpKind.CUBIC_SPLINE:
-        # second derivatives m at the nodes; rows read their west gap from
-        # the ghosts of the one gap array, so rows 0 and N-1 share one
-        # closing gap
-        h = xg[2:-1] - xg[1:-2]
-        du = (ug[2:-1] - ug[1:-2]) / h
-        hg = ghosted(h)
-        mg = ghosted(_solve_cyclic_tridiagonal(
-            hg[:-3] / 6.0, (hg[:-3] + h) / 3.0, h / 6.0,
-            du - ghosted(du)[:-3]))
-        hj = hg[j]
-        s = (q - xg[j]) / hj
-        r = 1.0 - s
-        return (ug[j] * r + ug[j + 1] * s
-                + hj ** 2 / 6.0 * ((r ** 3 - r) * mg[j]
-                                   + (s ** 3 - s) * mg[j + 1]))
-
-    # quadratic: centered three-point stencil, switching at the bracket
-    # midpoint so the choice depends only on relative positions; midpoint
-    # ties keep the left stencil
-    base = np.where(q <= 0.5 * (xg[j] + xg[j + 1]), j - 1, j)
-    x0, x1, x2 = xg[base], xg[base + 1], xg[base + 2]
-    l0 = (q - x1) * (q - x2) / ((x0 - x1) * (x0 - x2))
-    l1 = (q - x0) * (q - x2) / ((x1 - x0) * (x1 - x2))
-    l2 = (q - x0) * (q - x1) / ((x2 - x0) * (x2 - x1))
-    return ug[base] * l0 + ug[base + 1] * l1 + ug[base + 2] * l2
+    # cubic spline: second derivatives m at the nodes; rows read their west
+    # gap from the ghosts of the one gap array, so rows 0 and N-1 share one
+    # closing gap
+    h = xg[2:-1] - xg[1:-2]
+    du = (ug[2:-1] - ug[1:-2]) / h
+    hg = ghosted(h)
+    mg = ghosted(_solve_cyclic_tridiagonal(
+        hg[:-3] / 6.0, (hg[:-3] + h) / 3.0, h / 6.0,
+        du - ghosted(du)[:-3]))
+    hj = hg[j]
+    s = (q - xg[j]) / hj
+    r = 1.0 - s
+    return (ug[j] * r + ug[j + 1] * s
+            + hj ** 2 / 6.0 * ((r ** 3 - r) * mg[j]
+                               + (s ** 3 - s) * mg[j + 1]))
 
 
 def _solve_cyclic_tridiagonal(west, diag, east, rhs) -> np.ndarray:

@@ -193,7 +193,9 @@ def evolution_projection_step(xg: np.ndarray, u: np.ndarray, dt: float,
     """
     moved = advance_lagrangian(xg, u, dt, domain_length)
     evolved = invariant_step(xg, u, moved, dt, nu)
-    targets = require_ordered(xg[1:-2] + dt * float(np.mean(u)),
+    # the mean as np.mean forms it (pairwise sum over n), without its
+    # dispatch
+    targets = require_ordered(xg[1:-2] + dt * float(u.sum() / len(u)),
                               domain_length)
     u1 = _evaluate(moved, ghosted(evolved), targets[1:-2],
                    InterpKind(interp_kind), domain_length)

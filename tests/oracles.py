@@ -5,6 +5,7 @@ package: dense linear algebra instead of closed forms, scalar loops instead
 of vectorized stencils, adaptive quadrature instead of trapezoid sums.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -104,6 +105,42 @@ def periodic_spline_scipy(x, u, length, queries):
     spline = CubicSpline(xs, us, bc_type="periodic")
     q = x[0] + np.mod(queries - x[0], length)
     return spline(q)
+
+
+def periodic_quadratic_loop(x, u, length, queries):
+    """Scalar loop of the periodic quadratic interpolant, in Lagrange form.
+
+    Ghost slots as ``grid.ghosted`` lays them out. Per query: the slot j
+    (0 .. N + 1) of the node at or left of it, then the stencil of slots
+    j - 1 .. j + 1 if the query lies at or left of the midpoint of slots j
+    and j + 1 (ties keep the left stencil), else j .. j + 2. Queries are
+    shifted by multiples of L into [x_0, x_0 + L) with Python's ``%``
+    (numpy's ``mod`` rounds the same) when any of them lies outside
+    (mid(slots 0, 1), mid(slots N + 1, N + 2)], the window these stencils
+    reach. The shift rounds, and at an exact midpoint that rounding can
+    move a query across the switch, so the oracle shifts exactly when the
+    package does.
+    """
+    n = len(x)
+    x = [float(v) for v in x]
+    u = [float(v) for v in u]
+    xs = ([x[-1] - length] + x
+          + [x[0] + length, x[1] + length if n > 1 else x[0] + 2.0 * length])
+    us = [u[-1]] + u + [u[0], u[1 % n]]
+    qs = [float(q) for q in queries]
+    lo, hi = 0.5 * (xs[0] + xs[1]), 0.5 * (xs[-2] + xs[-1])
+    if not all(lo < q <= hi for q in qs):
+        qs = [x[0] + (q - x[0]) % length for q in qs]
+    out = []
+    for q in qs:
+        j = bisect.bisect_right(xs, q, 0, n + 2) - 1
+        b = j - 1 if q <= 0.5 * (xs[j] + xs[j + 1]) else j
+        x0, x1, x2 = xs[b:b + 3]
+        l0 = (q - x1) * (q - x2) / ((x0 - x1) * (x0 - x2))
+        l1 = (q - x0) * (q - x2) / ((x1 - x0) * (x1 - x2))
+        l2 = (q - x0) * (q - x1) / ((x2 - x0) * (x2 - x1))
+        out.append(us[b] * l0 + us[b + 1] * l1 + us[b + 2] * l2)
+    return np.array(out)
 
 
 def random_smooth_field(rng, n, n_modes=3, amplitude=1.0):

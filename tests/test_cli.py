@@ -191,6 +191,7 @@ def test_a_reference_that_is_not_finite_is_a_typed_error(tmp_path, capsys,
         "error kind=NonFiniteSolutionError step=- message='reference "
         "solution is not finite")
     assert not (tmp_path / "e.csv").exists()
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_frames_rejects_the_constant_frame_scheme(tmp_path, capsys):

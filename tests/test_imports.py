@@ -1,6 +1,6 @@
 """Every module of the package uses what it imports, every private
-module-level name is read somewhere in the package, and no package
-attribute hides a submodule of the same name.
+module-level name is read somewhere in the package, no package attribute
+hides a submodule of the same name, and one function brackets queries.
 
 Package ``__init__.py`` files are exempt from the import scan (their imports
 are the public re-exports), and so are ``from __future__`` imports.
@@ -63,6 +63,27 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
     return dead
 
 
+def calls_outside(source: str, callee: str, allowed: str) -> list[str]:
+    """Calls of ``callee`` (as a name or an attribute) anywhere but inside
+    the module-level definition ``allowed``, as "line N in <definition>"."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and where == "<module>":
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name == callee and where != allowed:
+                found.append(f"line {node.lineno} in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_scan_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os\nimport numpy as np\n"
@@ -111,3 +132,26 @@ def test_package_attributes_are_their_submodules():
     shadowed = [name for name in names if getattr(invariant_burgers, name)
                 is not sys.modules[f"invariant_burgers.{name}"]]
     assert shadowed == []
+
+
+def test_scan_finds_a_call_outside_its_function():
+    source = ("import numpy as np\n"
+              "def _evaluate(a, q):\n"
+              "    def inner():\n        return a.searchsorted(q)\n"
+              "    return np.searchsorted(a, q), inner()\n"
+              "def other(a, q):\n    return np.searchsorted(a, q)\n"
+              "class C:\n    def _evaluate(self, a, q):\n"
+              "        return a.searchsorted(q)\n"
+              "TOP = np.searchsorted([0.0], 1.0)\n")
+    assert calls_outside(source, "searchsorted", "_evaluate") == [
+        "line 7 in other", "line 10 in C", "line 11 in <module>"]
+
+
+def test_only_evaluate_brackets_queries():
+    # one bracket path: every search of sorted positions in the package is
+    # the interpolants' own, in interpolate._evaluate
+    found = {p.name: calls_outside(p.read_text(), "searchsorted",
+                                   "_evaluate" if p.name == "interpolate.py"
+                                   else None)
+             for p in PACKAGE.glob("*.py")}
+    assert {k: v for k, v in found.items() if v} == {}

@@ -6,11 +6,12 @@ from hypothesis.extra import numpy as hnp
 from invariant_burgers import (DiscreteField, Generator, GridSlice,
                                GroupElement, InterpKind, NodeCrossingError,
                                TAU, apply_field, uniform_slice)
+from invariant_burgers.grid import ghosted
 from invariant_burgers.interpolate import (_solve_cyclic_tridiagonal,
                                            interpolate)
 
-from oracles import (dense_spline_matrix, periodic_spline_scipy,
-                     random_smooth_field)
+from oracles import (dense_spline_matrix, periodic_quadratic_loop,
+                     periodic_spline_scipy, random_smooth_field)
 
 KINDS = [InterpKind.LINEAR, InterpKind.QUADRATIC, InterpKind.CUBIC_SPLINE]
 
@@ -79,6 +80,41 @@ def test_local_stencils_reproduce_affine_data(x, a, b, data):
             atol=1e-14 * max(np.abs(u).max(), 10.0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(ordered_grids(min_n=1), st.data())
+def test_quadratic_matches_the_scalar_loop_oracle(x, data):
+    # Newton form against the oracle's Lagrange form, on the same stencil.
+    # Both round to a few ulp(max |u|) times the largest ratio R of ghost
+    # gaps (slot slopes and second differences grow like 1/gap), so the
+    # bound is 8 eps max|u| R; on 6,000 random grids with R up to 3e3 the
+    # largest difference was 2.6 eps max|u| R
+    n = len(x)
+    u = 1e-6 * data.draw(hnp.arrays(np.int64, n,
+                                    elements=st.integers(-10**7, 10**7)))
+    xg = ghosted(x, TAU)
+    gaps = np.diff(xg)
+    mid = 0.5 * (xg[:-1] + xg[1:])
+    lo, hi = mid[0], mid[-1]
+    s = data.draw(hnp.arrays(float, 64, elements=st.floats(0.0, 1.0,
+                                                           exclude_max=True)))
+    q = np.concatenate((
+        x[0] - 2 * TAU + 5 * TAU * s,        # [x_0 - 2L, x_0 + 3L)
+        x, mid,                              # nodes, exact midpoints
+        [x[0] + TAU, x[-1] - TAU],           # the seam, both sides
+        [np.nextafter(lo, -np.inf), lo, np.nextafter(lo, np.inf),
+         np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf)]))
+    bound = 8 * np.finfo(float).eps * np.abs(u).max() * (gaps.max()
+                                                         / gaps.min())
+    inside = q[(lo < q) & (q <= hi)]
+    # all queries (some outside the window: all are shifted into the
+    # period), those inside the window (used as given), and those with the
+    # open end of the window, which alone is outside
+    for queries in (q, inside, np.append(inside, lo)):
+        np.testing.assert_allclose(
+            interpolate(x, u, queries, InterpKind.QUADRATIC, TAU),
+            periodic_quadratic_loop(x, u, TAU, queries), rtol=0, atol=bound)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_affine_reproduction_away_from_seam(kind):
     # affine data is not periodic, so the seam cannot reproduce it: local
@@ -116,6 +152,20 @@ def test_periodic_in_queries(kind):
     shifted = interpolate(x, u, q + TAU, kind, TAU)
     # identical up to one rounding of the shifted query argument
     np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_periodic_across_the_seam(kind):
+    # one query at a time, so none is shifted for the sake of another: just
+    # above x_0 + L and just below x_0 the stencils read the ghost slots
+    rng = np.random.default_rng(29)
+    x, u = random_smooth_field(rng, 24)
+    first = x[0] + 0.3 * (x[1] - x[0])
+    closing = x[-1] + 0.7 * (x[0] + TAU - x[-1])
+    for q, image in ((first + TAU, first), (closing - TAU, closing)):
+        np.testing.assert_allclose(interpolate(x, u, q, kind, TAU),
+                                   interpolate(x, u, image, kind, TAU),
+                                   rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -172,6 +222,24 @@ def test_values_must_match_nodes(kind):
             interpolate(x, u, 0.5, kind, TAU)
     with pytest.raises(ValueError, match="values for"):
         interpolate([], [], 0.5, kind, TAU)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_a_non_finite_query_is_rejected_by_its_index(kind, bad, at):
+    q = np.linspace(0.0, 5.0, 7)
+    q[at] = bad
+    with pytest.raises(ValueError,
+                       match=rf"^query {at} is {bad!r}; queries must be "):
+        interpolate([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], q, kind, TAU)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_queries_give_no_values(kind):
+    values = interpolate([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], [],
+                         kind, TAU)
+    assert values.shape == (0,)
 
 
 def test_non_monotone_nodes_rejected():

@@ -1,6 +1,7 @@
 """The bookkeeping of ``run``'s step loop: how much layer work each step
-costs, the whole trajectory against a plain loop over the stencil oracle,
-and the step functions the benchmark's tracer expects ``run`` to call."""
+costs, the whole trajectory against a plain loop over the stencil and remap
+oracles, and the step functions the benchmark's tracer expects ``run`` to
+call."""
 
 import importlib.util
 import sys
@@ -14,7 +15,7 @@ from invariant_burgers import (DiscreteField, GridSlice, InterpKind,
                                SchemeConfig, SchemeKind, TAU)
 from invariant_burgers.grid import ghosted, require_ordered
 
-from oracles import moving_mesh_update_loop
+from oracles import moving_mesh_update_loop, periodic_quadratic_loop
 
 PACKAGE = "invariant_burgers"
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -91,7 +92,8 @@ def test_each_step_ghosts_and_checks_each_new_layer_once(config, per_step):
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("kind", [SchemeKind.CLASSICAL_FTCS,
                                   SchemeKind.LAGRANGIAN,
-                                  SchemeKind.CONSTANT_FRAME])
+                                  SchemeKind.CONSTANT_FRAME,
+                                  SchemeKind.EVOLUTION_PROJECTION])
 def test_run_matches_a_plain_loop_over_the_oracle(kind, every):
     n, c = 16, 0.5
     config = SchemeConfig(scheme_kind=kind, n_points=n, frame_velocity=c)
@@ -106,12 +108,17 @@ def test_run_matches_a_plain_loop_over_the_oracle(kind, every):
         dt = min(dt0, config.t_final - t)
         if kind is SchemeKind.CLASSICAL_FTCS:
             x1 = x
-        elif kind is SchemeKind.LAGRANGIAN:
-            x1 = x + dt * u
-        else:
+        elif kind is SchemeKind.CONSTANT_FRAME:
             x1 = x + dt * c
-        u = moving_mesh_update_loop(x, u, x1, dt, config.nu, TAU)
-        x, t = x1, t + dt
+        else:
+            x1 = x + dt * u
+        u1 = moving_mesh_update_loop(x, u, x1, dt, config.nu, TAU)
+        if kind is SchemeKind.EVOLUTION_PROJECTION:
+            # remapped onto the step-start lattice moved by the mean velocity
+            targets = x + dt * (sum(u) / n)
+            u1 = periodic_quadratic_loop(x1, u1, TAU, targets)
+            x1 = targets
+        x, u, t = x1, u1, t + dt
         layers.append((t, x, u))
     steps = len(layers) - 1
     assert steps * dt0 > config.t_final  # the last step is cut
