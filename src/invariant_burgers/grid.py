@@ -78,26 +78,30 @@ def ghosted(a: np.ndarray, jump: float = 0.0) -> np.ndarray:
     """The N + 3 slots [a_{N-1} - jump, a_0 .. a_{N-1}, a_0 + jump,
     a_1 + jump] of a periodic array: slot j holds entry j - 1 (one entry:
     the last slot is a_0 + 2 jump). ``jump`` = L unwraps node positions
-    across the seam; ``jump`` = 0 copies values without arithmetic.
-    Stencils read the views g[:-3], g[1:-2], g[2:-1] (west, centre, east of
-    every entry); interpolants bracket a query by slots j, j + 1 with
-    1 <= j <= N and read at most one slot beyond."""
+    across the seam; ``jump`` = 0 copies values without arithmetic (a -0.0
+    keeps its sign). The stencil reads the slot row g[:-1], every entry
+    between its west and east neighbour; interpolants bracket a query by
+    slots j, j + 1 with 1 <= j <= N and read at most one slot beyond."""
     n = len(a)
-    g = np.concatenate((a[-1:], a, a[:1], a[1 % n:1 % n + 1]))
+    g = np.empty(n + 3)
+    g[1:-2] = a
     if jump:
-        g[0] -= jump
-        g[n + 1] += jump
-        g[n + 2] += jump if n > 1 else 2.0 * jump
+        g[0] = a[-1] - jump
+        g[-2] = a[0] + jump
+        g[-1] = a[1] + jump if n > 1 else a[0] + 2.0 * jump
+    else:
+        g[0], g[-2], g[-1] = a[-1], a[0], a[1 % n]
     return g
 
 
 def require_ordered(x: np.ndarray, domain_length: float) -> np.ndarray:
     """The ghost array ``ghosted(x, L)`` of node positions whose periodic
-    gaps are all positive; raise ``NodeCrossingError`` otherwise (a NaN gap
-    is not positive), naming the first interval that is not."""
+    gaps are all positive, which the smallest gap decides (a NaN gap makes
+    it NaN, which is not positive); raise ``NodeCrossingError`` otherwise,
+    naming the first interval that is not."""
     xg = ghosted(x, domain_length)
     gaps = xg[2:-1] - xg[1:-2]
-    if not (gaps > 0.0).all():
+    if not gaps.min() > 0.0:
         i = int(np.argmin(gaps > 0.0))
         east = "x[0] + L" if i == len(x) - 1 else f"x[{i + 1}]"
         raise NodeCrossingError(

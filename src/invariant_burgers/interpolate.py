@@ -44,23 +44,32 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
     """Evaluate the periodic interpolant of (nodes_x, nodes_u) at query_x.
 
     The nodes must be strictly increasing with a positive periodic closure
-    gap (``NodeCrossingError`` otherwise). The queries must be finite
-    (``ValueError`` naming the first one that is not); they may lie
-    anywhere and are read modulo ``domain_length``.
+    gap (``NodeCrossingError`` otherwise). ``domain_length`` must be
+    positive, finite and small enough that the nodes beside the seam keep
+    apart from their images one period away (``ValueError`` naming it
+    otherwise). The queries must be finite (``ValueError`` naming the first
+    one that is not); they may lie anywhere and are read modulo it.
     """
     kind = InterpKind(kind)
     x, u = _as_float_array(nodes_x), _as_float_array(nodes_u)
     if not 0 < len(x) == len(u):
         raise ValueError(f"need one value per node and at least one node, "
                          f"got {len(u)} values for {len(x)} nodes")
+    if not 0.0 < domain_length < np.inf:
+        raise ValueError(f"domain_length must be positive and finite, got "
+                         f"{domain_length!r}")
     q = np.atleast_1d(np.asarray(query_x, dtype=float))
     finite = np.isfinite(q)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"query {i} is {float(q.flat[i])!r}; queries must "
                          f"be finite")
-    return _evaluate(require_ordered(x, domain_length), ghosted(u), q, kind,
-                     domain_length)
+    xg = require_ordered(x, domain_length)
+    if not (xg[0] < xg[1] and xg[-2] < xg[-1]):
+        raise ValueError(f"domain_length={domain_length!r} swamps the node "
+                         f"gaps: a node and its neighbour across the seam "
+                         f"round to one position one period away")
+    return _evaluate(xg, ghosted(u), q, kind, domain_length)
 
 
 def _evaluate(xg: np.ndarray, ug: np.ndarray, q: np.ndarray,
@@ -84,7 +93,8 @@ def _evaluate(xg: np.ndarray, ug: np.ndarray, q: np.ndarray,
         b = np.searchsorted(0.5 * (xg[1:-2] + xg[2:-1]), q, side="left")
         s = (ug[1:] - ug[:-1]) / (xg[1:] - xg[:-1])
         c = (s[1:] - s[:-1]) / (xg[2:] - xg[:-2])
-        return ug[b] + (q - xg[b]) * (s[b] + (q - xg[b + 1]) * c[b])
+        return ug.take(b) + (q - xg.take(b)) * (
+            s.take(b) + (q - xg[1:].take(b)) * c.take(b))
 
     # the ghost slot j of the node at or left of each query
     j = np.searchsorted(xg[1:-2], q, side="right")

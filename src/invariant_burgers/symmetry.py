@@ -165,7 +165,7 @@ def satisfy_ftcs(s: Stencil, p: StencilParams) -> Stencil:
 
 
 def _satisfy(s: Stencil, p: StencilParams, xdot: float) -> Stencil:
-    advection, diffusion = moving_mesh_terms(*s.x, *s.u, xdot, p.nu)
+    (advection,), (diffusion,) = moving_mesh_terms(s.x, s.u, xdot, p.nu)
     u_next = s.u_next.copy()
     u_next[1] = s.u[1] - s.dt * (advection - diffusion)
     return replace(s, u_next=u_next)
@@ -187,8 +187,8 @@ def satisfy_constant(s: Stencil, p: StencilParams) -> Stencil:
 
 def stencil_scale(s: Stencil, p: StencilParams) -> float:
     """Magnitude of the individual relation terms, for defect normalization."""
-    advection, diffusion = moving_mesh_terms(*s.x, *s.u, _grid_velocity(s),
-                                             p.nu)
+    (advection,), (diffusion,) = moving_mesh_terms(s.x, s.u,
+                                                   _grid_velocity(s), p.nu)
     return max(abs((s.u_next[1] - s.u[1]) / s.dt), abs(advection),
                abs(diffusion), 1.0)
 

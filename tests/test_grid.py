@@ -14,8 +14,8 @@ from invariant_burgers import (
 )
 from invariant_burgers.grid import equidistribution_residual
 
-from oracles import (dense_equidistribution_solve, monitor_loop,
-                     random_smooth_field)
+from oracles import (dense_equidistribution_solve, ghosted_by_concatenation,
+                     monitor_loop, random_smooth_field)
 
 
 def sin_field(n=64, amplitude=1.0):
@@ -90,6 +90,13 @@ def test_grid_slice_names_the_first_inverted_interval():
         GridSlice(t=0.0, x=np.array([0.0, 1.0, 2.0, 1.5, 3.0]))
     with pytest.raises(NodeCrossingError, match=r"x\[3\] -> x\[0\] \+ L"):
         GridSlice(t=0.0, x=np.array([0.0, 1.0, 2.0, TAU + 1.0]))
+    # a gap of exactly zero is not positive either
+    with pytest.raises(NodeCrossingError,
+                       match=r"x\[1\] -> x\[2\] has gap 0"):
+        GridSlice(t=0.0, x=np.array([0.0, 1.0, 1.0, 2.0]))
+    with pytest.raises(NodeCrossingError,
+                       match=r"x\[3\] -> x\[0\] \+ L has gap 0"):
+        GridSlice(t=0.0, x=np.array([0.0, 1.0, 2.0, TAU]))
 
 
 @pytest.mark.parametrize("node", [0, 3, 7])
@@ -115,6 +122,26 @@ def test_wrapped_positions_stay_in_fundamental_interval():
     drifted = GridSlice(t=0.0, x=grid.x + 3.7 * TAU)
     w = drifted.wrapped_x()
     assert np.all((w >= 0.0) & (w < TAU))
+
+
+# ---------------------------------------------------------------------------
+# ghost slots
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 700)),
+       seed=st.integers(0, 2**32 - 1),
+       jump=st.sampled_from([0.0, TAU, 3.5]),
+       zeros=st.sets(st.sampled_from([0, 1, -1])))
+def test_ghosted_matches_the_concatenated_layout_by_bytes(n, seed, jump,
+                                                          zeros):
+    # entries of -0.0 beside the seam must keep their sign in the ghosts
+    a = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
+    for i in zeros:
+        a[i % n] = -0.0
+    g = ghosted(a, jump)
+    assert g.dtype == np.float64 and g.shape == (n + 3,)
+    assert g.tobytes() == ghosted_by_concatenation(a, jump).tobytes()
 
 
 # ---------------------------------------------------------------------------

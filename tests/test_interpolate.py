@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +235,27 @@ def test_a_non_finite_query_is_rejected_by_its_index(kind, bad, at):
     with pytest.raises(ValueError,
                        match=rf"^query {at} is {bad!r}; queries must be "):
         interpolate([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], q, kind, TAU)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("length", [np.inf, np.nan, 0.0, -1.0, 1e308])
+def test_a_bad_domain_length_is_refused_by_name(kind, length):
+    # refused before any arithmetic: no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="domain_length"):
+            interpolate([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0],
+                        [-1.0, 0.5], kind, domain_length=length)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("length", [4.0, 1e6, 1e15])
+def test_a_long_domain_gives_finite_values(kind, length):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = interpolate([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0],
+                             [-1.0, 0.5, 3.5], kind, domain_length=length)
+    assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("kind", KINDS)
