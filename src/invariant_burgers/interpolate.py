@@ -5,21 +5,24 @@ nodes and queries and with constant value offsets, which is what makes them
 safe projection operators for the symmetry-preserving schemes.
 
 ``interpolate`` is the one entry point: it checks its nodes and queries,
-ghosts the nodes once (``grid.ghosted``) and hands the ghost arrays to
-``_evaluate``, which the evolution-projection step calls directly on a layer
-it has already checked, with targets it has already checked. Every stencil
+and that no sum of two node positions or squared gap overflows, ghosts the
+nodes once (``grid.ghosted``) and hands the ghost arrays to ``_evaluate``,
+which the evolution-projection step calls directly on a layer it has
+already checked, with targets it has already checked. Every stencil
 indexes the ghost arrays directly:
 
 - linear and spline reduce each query into [x_0, x_0 + L) and bracket it
   by ghost slots j, j + 1 (the node at or left of it and the next one);
 - quadratic reads the three slots b .. b + 2 centred on the node nearest
-  the query, midpoint ties going left; one search over the midpoints of
-  neighbouring nodes gives b. The queries are reduced into the period only
-  when some query lies outside the window these stencils reach, between
-  the midpoints of the first and of the last two ghost slots. The
-  projection's targets normally lie inside, so they are used as given,
-  without the rounding of a reduction. The value is the Newton form of the
-  parabola through the three nodes (slot slopes, then second differences).
+  the query, midpoint ties going left. When there is one query per node
+  and each lies between the midpoints beside its node, as the
+  projection's targets normally do, b = i for query i: two comparisons
+  over the midpoints check that, with no search. Otherwise one search
+  over the midpoints gives b, after reducing the queries into the period
+  if one lies outside the window the stencils reach, between the
+  midpoints of the first and of the last two ghost slots. Both ways give
+  the same b. The value is the Newton form of the parabola through the
+  three nodes (slot slopes, then second differences).
 
 The spline solves for its moments on every call.
 """
@@ -47,7 +50,9 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
     gap (``NodeCrossingError`` otherwise). ``domain_length`` must be
     positive, finite and small enough that the nodes beside the seam keep
     apart from their images one period away (``ValueError`` naming it
-    otherwise). The queries must be finite (``ValueError`` naming the first
+    otherwise). Nodes or a length at which a sum of two positions or a
+    squared gap overflows are refused (``ValueError`` naming the one at
+    fault). The queries must be finite (``ValueError`` naming the first
     one that is not); they may lie anywhere and are read modulo it.
     """
     kind = InterpKind(kind)
@@ -64,7 +69,14 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
         i = int(np.argmin(finite))
         raise ValueError(f"query {i} is {float(q.flat[i])!r}; queries must "
                          f"be finite")
-    xg = require_ordered(x, domain_length)
+    # the interpolants add two slot positions and square a gap
+    with np.errstate(over="ignore"):
+        xg = require_ordered(x, domain_length)
+        if _reach(xg) == np.inf:
+            name = ("nodes_x" if _reach(x) == np.inf
+                    else f"domain_length={domain_length!r}")
+            raise ValueError(f"{name} is too large: a sum of two positions "
+                             f"or a squared gap overflows")
     if not (xg[0] < xg[1] and xg[-2] < xg[-1]):
         raise ValueError(f"domain_length={domain_length!r} swamps the node "
                          f"gaps: a node and its neighbour across the seam "
@@ -72,30 +84,39 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
     return _evaluate(xg, ghosted(u), q, kind, domain_length)
 
 
+def _reach(x: np.ndarray) -> float:
+    """The largest of twice the extreme positions and the squared gaps of
+    the ordered positions ``x``; inf where either overflows."""
+    gap = (x[1:] - x[:-1]).max(initial=0.0)
+    return max(-2.0 * x[0], 2.0 * x[-1], gap ** 2)
+
+
 def _evaluate(xg: np.ndarray, ug: np.ndarray, q: np.ndarray,
               kind: InterpKind, domain_length: float) -> np.ndarray:
     """The interpolant of kind ``kind`` through the ghosted, checked nodes
     ``xg`` and values ``ug``, at the finite queries ``q``."""
-    quadratic = kind is InterpKind.QUADRATIC
-    # each query shifted by a multiple of L into [x_0, x_0 + L); the
-    # quadratic keeps its queries as given when all lie in the window its
-    # stencils reach, (mid(slots 0, 1), mid(slots N + 1, N + 2)]
-    if not (quadratic
-            and 0.5 * (xg[0] + xg[1]) < q.min(initial=np.inf)
-            and q.max(initial=-np.inf) <= 0.5 * (xg[-2] + xg[-1])):
-        q = xg[1] + np.mod(q - xg[1], domain_length)
-
-    if quadratic:
-        # b = the number of node midpoints left of q: slot b + 1 holds the
-        # node nearest q, ties going left, for q in the window, and b stays
-        # in 0 .. N for any q. The value is the Newton form over slots
-        # b .. b + 2, from the slot slopes s_k and second differences c_k
-        b = np.searchsorted(0.5 * (xg[1:-2] + xg[2:-1]), q, side="left")
+    if kind is InterpKind.QUADRATIC:
+        # slot b + 1 holds the node nearest q, ties going left: node i for
+        # query i when each lies between the midpoints beside its node;
+        # else the count of inner midpoints left of q (0 .. N for any q),
+        # the queries reduced first if one lies outside (mid[0], mid[-1]]
+        mid = 0.5 * (xg[:-1] + xg[1:])
+        n = len(xg) - 3
+        if q.shape == (n,) and (mid[:-2] < q).all() and (q <= mid[1:-1]).all():
+            b = slice(0, n)
+        else:
+            if not (mid[0] < q.min(initial=np.inf)
+                    and q.max(initial=-np.inf) <= mid[-1]):
+                q = xg[1] + np.mod(q - xg[1], domain_length)
+            b = np.searchsorted(mid[1:-1], q, side="left")
+        # the Newton form over slots b .. b + 2, from the slot slopes s_k
+        # and second differences c_k
         s = (ug[1:] - ug[:-1]) / (xg[1:] - xg[:-1])
         c = (s[1:] - s[:-1]) / (xg[2:] - xg[:-2])
-        return ug.take(b) + (q - xg.take(b)) * (
-            s.take(b) + (q - xg[1:].take(b)) * c.take(b))
+        return ug[b] + (q - xg[b]) * (s[b] + (q - xg[1:][b]) * c[b])
 
+    # each query shifted by a multiple of L into [x_0, x_0 + L)
+    q = xg[1] + np.mod(q - xg[1], domain_length)
     # the ghost slot j of the node at or left of each query
     j = np.searchsorted(xg[1:-2], q, side="right")
 

@@ -197,6 +197,10 @@ def evolution_projection_step(xg: np.ndarray, u: np.ndarray, dt: float,
     For zero-mean data the targets stay on the original lattice to
     roundoff, so the grid remains the familiar stationary uniform one.
     The interpolant reads the moved layer as its order check left it.
+    Each target is its node moved by dt (mean(u) - u_i), a fraction of a
+    gap once N is past a few dozen, so it normally lies between the
+    midpoints beside its moved node and the quadratic reads that node's
+    parabola without a search.
     """
     moved = advance_lagrangian(xg, u, dt, domain_length)
     evolved = invariant_step(xg, u, moved, dt, nu)

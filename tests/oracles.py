@@ -156,6 +156,28 @@ def periodic_quadratic_loop(x, u, length, queries):
     return np.array(out)
 
 
+def quadratic_by_search(x, u, length, queries):
+    """The periodic quadratic interpolant with every query bracketed by a
+    search. Ghost slots laid out by ``ghosted_by_concatenation``. The
+    queries are shifted into [x_0, x_0 + L) when one lies outside
+    (mid(slots 0, 1), mid(slots N + 1, N + 2)]; the base slot b of each
+    stencil is the number of midpoints of slots 1 .. N + 1 left of the
+    query (``searchsorted``, ties going left), and the Newton form over
+    slots b .. b + 2 is gathered by ``take``. This is the package's
+    arithmetic, so the two agree byte for byte."""
+    xg = ghosted_by_concatenation(np.asarray(x, dtype=float), length)
+    ug = ghosted_by_concatenation(np.asarray(u, dtype=float), 0.0)
+    q = np.asarray(queries, dtype=float)
+    if not (0.5 * (xg[0] + xg[1]) < q.min(initial=np.inf)
+            and q.max(initial=-np.inf) <= 0.5 * (xg[-2] + xg[-1])):
+        q = xg[1] + np.mod(q - xg[1], length)
+    b = np.searchsorted(0.5 * (xg[1:-2] + xg[2:-1]), q, side="left")
+    s = (ug[1:] - ug[:-1]) / (xg[1:] - xg[:-1])
+    c = (s[1:] - s[:-1]) / (xg[2:] - xg[:-2])
+    return ug.take(b) + (q - xg.take(b)) * (
+        s.take(b) + (q - xg[1:].take(b)) * c.take(b))
+
+
 def random_smooth_field(rng, n, n_modes=3, amplitude=1.0):
     """Strictly ordered periodic grid plus a low-mode random profile."""
     gaps = rng.uniform(0.4, 1.6, n)

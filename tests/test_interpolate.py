@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (DiscreteField, Generator, GridSlice,
@@ -13,7 +13,8 @@ from invariant_burgers.interpolate import (_solve_cyclic_tridiagonal,
                                            interpolate)
 
 from oracles import (dense_spline_matrix, periodic_quadratic_loop,
-                     periodic_spline_scipy, random_smooth_field)
+                     periodic_spline_scipy, quadratic_by_search,
+                     random_smooth_field)
 
 KINDS = [InterpKind.LINEAR, InterpKind.QUADRATIC, InterpKind.CUBIC_SPLINE]
 
@@ -39,10 +40,10 @@ def test_interpolation_condition_at_nodes(kind):
 
 
 @st.composite
-def ordered_grids(draw, min_n):
+def ordered_grids(draw, min_n, max_n=300):
     """Periodic nodes from node 0 in [-10, 10], with gap weights in
     [0.05, 1.95] scaled so the N gaps sum to L."""
-    n = draw(st.integers(min_n, 300))
+    n = draw(st.integers(min_n, max_n))
     w = draw(hnp.arrays(float, n, elements=st.floats(0.05, 1.95)))
     x0 = draw(st.floats(-10.0, 10.0))
     return x0 + np.concatenate(([0.0], np.cumsum(w[:-1] * (TAU / w.sum()))))
@@ -115,6 +116,47 @@ def test_quadratic_matches_the_scalar_loop_oracle(x, data):
         np.testing.assert_allclose(
             interpolate(x, u, queries, InterpKind.QUADRATIC, TAU),
             periodic_quadratic_loop(x, u, TAU, queries), rtol=0, atol=bound)
+
+
+@st.composite
+def partner_queries(draw, x):
+    """One query per node: node i moved by a fraction in [-1, 1] of the
+    half gap on that side, then up to three of them replaced by an exact
+    midpoint beside their node or one ulp either side of it. The midpoints
+    are the package's, 0.5 * (slot + next slot) over ``ghosted``. Some
+    draws leave a query outside the two midpoints beside its node."""
+    n = len(x)
+    xg = ghosted(x, TAU)
+    mid = 0.5 * (xg[:-1] + xg[1:])
+    f = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    q = x + 0.5 * f * np.where(f < 0, xg[1:-2] - xg[:-3], xg[2:-1] - xg[1:-2])
+    edits = st.tuples(st.integers(0, n - 1), st.sampled_from([0, 1]),
+                      st.sampled_from([-np.inf, 0.0, np.inf]))
+    for i, east, ulp in draw(st.lists(edits, max_size=3)):
+        # the west (east = 0) or east midpoint of node i, or its neighbour
+        # one ulp towards -inf or +inf
+        q[i] = np.nextafter(mid[i + east], ulp) if ulp else mid[i + east]
+    partner = bool((mid[:-2] < q).all() and (q <= mid[1:-1]).all())
+    event(f"partner bracket {'holds' if partner else 'fails'}")
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_grids(min_n=4, max_n=64), st.data())
+def test_partner_bracket_agrees_with_the_search_by_bytes(x, data):
+    n = len(x)
+    u = 1e-6 * data.draw(hnp.arrays(np.int64, n,
+                                    elements=st.integers(-10**7, 10**7)))
+    q = data.draw(partner_queries(x))
+    ours = interpolate(x, u, q, InterpKind.QUADRATIC, TAU)
+    assert ours.tobytes() == quadratic_by_search(x, u, TAU, q).tobytes()
+    # 2-D queries are searched: as one column and as an N x N block of
+    # rotations they give the bytes of the same queries in one row
+    i = np.arange(n)
+    for shaped in (q[:, None], q[np.add.outer(i, i) % n]):
+        flat = interpolate(x, u, shaped.ravel(), InterpKind.QUADRATIC, TAU)
+        assert (interpolate(x, u, shaped, InterpKind.QUADRATIC, TAU).tobytes()
+                == flat.reshape(shaped.shape).tobytes())
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -255,6 +297,30 @@ def test_a_long_domain_gives_finite_values(kind, length):
         warnings.simplefilter("error")
         values = interpolate([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0],
                              [-1.0, 0.5, 3.5], kind, domain_length=length)
+    assert np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("spacing, length, name", [
+    (2.5e199, 1e200, "nodes_x"),         # node gaps square to inf
+    (2.5e307, 1e308, "nodes_x"),         # so do sums of two slots
+    (1e154, 1e155, "domain_length"),     # only the closing gap squares
+], ids=["node-gap", "huge-nodes", "closing-gap"])
+def test_coordinates_that_overflow_are_refused_by_name(kind, spacing,
+                                                        length, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name}"):
+            interpolate(np.arange(4) * spacing, [0.0, 1.0, 0.0, 1.0],
+                        [1.0, -1.0], kind, domain_length=length)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_largest_gaps_that_square_give_finite_values(kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = interpolate(np.arange(4) * 1e154, [0.0, 1.0, 0.0, 1.0],
+                             [1.0, -1.0, 3.5e154], kind, domain_length=4e154)
     assert np.isfinite(values).all()
 
 

@@ -96,13 +96,17 @@ def test_each_step_ghosts_and_checks_each_new_layer_once(config, per_step):
     assert extra == tuple(k * n for n in per_step)
 
 
+# the projection brackets its targets by the search on one of its two
+# steps at N = 16, and by the partner bracket on every step at N = 64
 @pytest.mark.parametrize("every", [1, 3])
-@pytest.mark.parametrize("kind", [SchemeKind.CLASSICAL_FTCS,
-                                  SchemeKind.LAGRANGIAN,
-                                  SchemeKind.CONSTANT_FRAME,
-                                  SchemeKind.EVOLUTION_PROJECTION])
-def test_run_matches_a_plain_loop_over_the_oracle(kind, every):
-    n, c = 16, 0.5
+@pytest.mark.parametrize("kind, n", [
+    pytest.param(kind, 16, id=kind.value)
+    for kind in (SchemeKind.CLASSICAL_FTCS, SchemeKind.LAGRANGIAN,
+                 SchemeKind.CONSTANT_FRAME, SchemeKind.EVOLUTION_PROJECTION)
+] + [pytest.param(SchemeKind.EVOLUTION_PROJECTION, 64,
+                  id="evolution-projection-n64")])
+def test_run_matches_a_plain_loop_over_the_oracle(kind, n, every):
+    c = 0.5
     config = SchemeConfig(scheme_kind=kind, n_points=n, frame_velocity=c)
     traj = ib.run(config, np.sin, snapshot_every=every)
 
@@ -143,6 +147,30 @@ def test_run_matches_a_plain_loop_over_the_oracle(kind, every):
         assert abs(snap.grid.t - t) <= 1e-14
         np.testing.assert_allclose(snap.grid.x, x, rtol=0, atol=atol)
         np.testing.assert_allclose(snap.u, u, rtol=0, atol=atol)
+
+
+def test_the_projection_searches_only_where_the_partner_bracket_fails(
+        monkeypatch):
+    # at N = 64 every target lies between the midpoints beside its own
+    # node, so no step searches; at N = 32 some do not, and the search
+    # brackets them
+    searchsorted = np.searchsorted
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+
+    def searches(n):
+        calls.clear()
+        ib.run(SchemeConfig(scheme_kind=SchemeKind.EVOLUTION_PROJECTION,
+                            n_points=n), np.sin)
+        return len(calls)
+
+    assert searches(64) == 0
+    assert searches(32) >= 1
 
 
 def load_spans():
