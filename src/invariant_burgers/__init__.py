@@ -6,8 +6,10 @@ adaptive mesh is placed by a closed-form O(N) equidistribution. One
 moving-mesh stencil serves the solver and the invariance certifier; each
 scheme pairs it with a grid equation, and FTCS is the stationary one.
 
-All value types are immutable and every operation is a pure function, so
-independent runs may execute concurrently without coordination.
+All value types are immutable. Each run owns its layers, the mutable
+buffers it steps through; the step functions write into layers that the
+caller passes, and the results a run returns are copies that never alias
+them. So independent runs may execute concurrently without coordination.
 """
 
 from .errors import (DomainViolationError, NoConvergenceError, NoDecayError,

@@ -17,8 +17,9 @@ class NodeCrossingError(SimulationError, ValueError):
     """Node positions are not strictly increasing with a positive periodic
     closure gap.
 
-    Raised by ``grid.require_ordered``: on ``GridSlice`` construction, on
-    the layer each grid equation returns, and on the interpolants' nodes.
+    Raised by ``grid.require_ordered`` on ``GridSlice`` construction and
+    on the interpolants' nodes, and by the placement of each layer a grid
+    equation writes (``grid.Layer.place``), which applies the same check.
     Inside a run it means a grid update inverted a mesh interval
     (time step too large); it is also a ``ValueError``, because building a
     grid from unordered nodes is a bad argument.

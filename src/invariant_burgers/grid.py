@@ -7,12 +7,16 @@ interval); the array order realizes the computational coordinate, and the
 periodic closure gap ``x[0] + L - x[-1]`` must stay positive. Wrapping into
 the fundamental interval happens only on output.
 
-The grid equations and the monitor work on raw arrays: a layer is the ghost
-array ``xg = ghosted(x, L)`` of its positions, as ``require_ordered``
-returns it after checking them, and each grid equation returns the checked
-ghost array of the next layer. ``GridSlice`` and ``DiscreteField`` are the
-validated containers for a layer handed across the API (snapshots,
-transformations, error measurement).
+The grid equations and the monitor work on ``Layer``s: one buffer per
+layer, allocated once per run, holding the ghost slots of ``ghosted`` and
+the views a step reads. A grid equation writes the next layer's positions
+into a destination layer that the caller passes and places it there
+(ghost slots, gaps, order check, wide gaps), so placing a layer forms no
+view and allocates no array. ``ghosted`` and ``require_ordered`` build the
+ghost slots and order verdicts of arrays handed in from outside; a layer's
+placement gives the same slots, verdict and message. ``GridSlice`` and
+``DiscreteField`` are the validated containers for a layer handed across
+the API (snapshots, transformations, error measurement).
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ class GridSlice:
             raise ValueError("non-finite layer time")
         if not 0.0 < self.domain_length < np.inf:
             raise ValueError("domain_length must be positive and finite")
-        require_ordered(self.x, self.domain_length)
+        # equal infinite nodes make a NaN gap, which fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            require_ordered(self.x, self.domain_length)
 
     @property
     def n(self) -> int:
@@ -100,15 +106,21 @@ def require_ordered(x: np.ndarray, domain_length: float) -> np.ndarray:
     it NaN, which is not positive); raise ``NodeCrossingError`` otherwise,
     naming the first interval that is not."""
     xg = ghosted(x, domain_length)
-    gaps = xg[2:-1] - xg[1:-2]
+    _require_positive(xg[2:-1] - xg[1:-2])
+    return xg
+
+
+def _require_positive(gaps: np.ndarray):
+    """Raise ``NodeCrossingError`` naming the first of the periodic node
+    gaps that is not positive, if any is (a NaN gap makes the minimum
+    NaN, which is not positive)."""
     if not gaps.min() > 0.0:
         i = int(np.argmin(gaps > 0.0))
-        east = "x[0] + L" if i == len(x) - 1 else f"x[{i + 1}]"
+        east = "x[0] + L" if i == len(gaps) - 1 else f"x[{i + 1}]"
         raise NodeCrossingError(
             f"mesh interval x[{i}] -> {east} has gap {gaps[i]:.6g}; nodes "
             f"must be strictly increasing with a positive periodic closure "
             f"gap")
-    return xg
 
 
 def require_finite(u: np.ndarray) -> np.ndarray:
@@ -117,6 +129,83 @@ def require_finite(u: np.ndarray) -> np.ndarray:
     if not np.isfinite(u).all():
         raise NonFiniteSolutionError("non-finite solution values")
     return u
+
+
+class Layer:
+    """One time layer held in place: ``g`` is one buffer of the N + 3
+    slots that ``ghosted`` lays out, and every other member is a view of it
+    or a buffer of its own, all formed when the layer is allocated, so
+    writing a layer forms no view and allocates no array.
+
+    - ``nodes`` is slots 1 .. N. The stencil and the monitor read the slot
+      row g[:-1] through ``row_east`` g[1:-1] and ``row_west`` g[:-2]
+      (each slot and the one before it) and ``east`` g[2:-1] and ``west``
+      g[:-3] (the neighbours of each node).
+    - ``gaps`` g[1:] - g[:-1] (N + 2) and ``wide`` g[2:] - g[:-2]
+      (N + 1), with their slot-row parts ``row_gaps`` and ``row_wide``,
+      hold the gaps and wide gaps of a position layer.
+    - ``slopes`` (with ``slopes_east`` and ``slopes_west``),
+      ``advection``, ``diffusion`` and ``work`` are the scratch rows of the
+      stencil that writes the layer as values.
+
+    Write the nodes, then ``place`` positions (L > 0) or ``fill`` values;
+    both need N >= 2, where slot 2 holds a_1.
+    """
+
+    def __init__(self, n: int):
+        g = self.g = np.empty(n + 3)
+        self.nodes = g[1:-2]
+        self.row_east, self.row_west = g[1:-1], g[:-2]
+        self.east, self.west = g[2:-1], g[:-3]
+        self.gaps, self.wide = np.empty(n + 2), np.empty(n + 1)
+        self.row_gaps, self.row_wide = self.gaps[:-1], self.wide[:-1]
+        self._node_gaps = self.gaps[1:-1]
+        self._slots = (g[1:], g[:-1], g[2:], g[:-2])
+        self.slopes = np.empty(n + 1)
+        self.slopes_east, self.slopes_west = self.slopes[1:], self.slopes[:-1]
+        self.advection, self.diffusion, self.work = (
+            np.empty(n), np.empty(n), np.empty(n))
+
+    @classmethod
+    def of_positions(cls, x: np.ndarray, domain_length: float) -> Layer:
+        """A new layer holding the positions ``x``, placed."""
+        layer = cls(len(x))
+        layer.nodes[...] = x
+        return layer.place(domain_length)
+
+    @classmethod
+    def of_values(cls, u: np.ndarray) -> Layer:
+        """A new layer holding the values ``u``, filled."""
+        layer = cls(len(u))
+        layer.nodes[...] = u
+        return layer.fill()
+
+    def place(self, domain_length: float) -> Layer:
+        """Complete a layer of node positions: its ghost slots as
+        ``ghosted(x, L)`` lays them out, its gaps and wide gaps, and the
+        order check of ``require_ordered`` on the node gaps, with its
+        message."""
+        g = self.g
+        g[0] = g[-3] - domain_length
+        g[-2] = g[1] + domain_length
+        g[-1] = g[2] + domain_length
+        self.measure()
+        _require_positive(self._node_gaps)
+        return self
+
+    def fill(self) -> Layer:
+        """Complete a layer of nodal values: its ghost slots copied as
+        ``ghosted(u)`` copies them, without arithmetic."""
+        g = self.g
+        g[0], g[-2], g[-1] = g[-3], g[1], g[2]
+        return self
+
+    def measure(self) -> Layer:
+        """Form the gaps and wide gaps of the slots as they stand."""
+        east, west, east2, west2 = self._slots
+        np.subtract(east, west, self.gaps)
+        np.subtract(east2, west2, self.wide)
+        return self
 
 
 def uniform_slice(n: int, t: float = 0.0, domain_start: float = 0.0,
@@ -146,46 +235,52 @@ def mean_spacing(grid: GridSlice) -> float:
     return grid.domain_length / grid.n
 
 
-def advance_stationary(xg: np.ndarray, dt: float) -> np.ndarray:
-    """Keep every node in place: the layer ``xg`` is the next layer too,
-    neither ghosted nor checked again."""
+def advance_stationary(xl: Layer, dt: float) -> Layer:
+    """Keep every node in place: the layer ``xl`` is the next layer too,
+    written, placed and checked no further."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return xg
+    return xl
 
 
-def advance_lagrangian(xg: np.ndarray, u: np.ndarray, dt: float,
-                       domain_length: float) -> np.ndarray:
-    """Move every node with its local velocity: x_i += dt * u_i. A step too
-    large for the velocity gradient inverts an interval, which the order
-    check of the new layer rejects with ``NodeCrossingError``."""
+def advance_lagrangian(xl: Layer, ul: Layer, dt: float, domain_length: float,
+                       out: Layer) -> Layer:
+    """Move every node with its local velocity, x_i += dt * u_i, into the
+    layer ``out``, and place it there. A step too large for the velocity
+    gradient inverts an interval, which the placement rejects with
+    ``NodeCrossingError``."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if len(u) != len(xg) - 3:
-        raise ValueError("u length does not match the grid")
-    return require_ordered(xg[1:-2] + dt * u, domain_length)
+    if not len(ul.g) == len(xl.g) == len(out.g):
+        raise ValueError("layers differ in size")
+    np.multiply(dt, ul.nodes, out.nodes)
+    np.add(xl.nodes, out.nodes, out.nodes)
+    return out.place(domain_length)
 
 
-def advance_constant(xg: np.ndarray, c: float, dt: float,
-                     domain_length: float) -> np.ndarray:
-    """Translate the whole grid rigidly: x_i += c * dt."""
+def advance_constant(xl: Layer, c: float, dt: float, domain_length: float,
+                     out: Layer) -> Layer:
+    """Translate the whole grid rigidly, x_i += c * dt, into the layer
+    ``out``, and place it there."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return require_ordered(xg[1:-2] + c * dt, domain_length)
+    np.add(xl.nodes, c * dt, out.nodes)
+    return out.place(domain_length)
 
 
-def monitor(xg: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
+def monitor(xl: Layer, ul: Layer, alpha: float) -> np.ndarray:
     """Nodal monitor values sqrt(1 + alpha * slope^2), where the slope is
-    the periodic centered difference quotient of ``u`` on the layer ``xg``.
-    ``SchemeConfig`` checks that the weight ``alpha`` is finite and >= 0."""
-    ug = ghosted(u)
-    slope = (ug[2:-1] - ug[:-3]) / (xg[2:-1] - xg[:-3])
+    the periodic centered difference quotient of the values ``ul`` over
+    the wide gaps of the positions ``xl``. ``SchemeConfig`` checks that the
+    weight ``alpha`` is finite and >= 0."""
+    slope = (ul.east - ul.west) / xl.row_wide
     return np.sqrt(1.0 + alpha * slope ** 2)
 
 
-def advance_equidistributed(xg: np.ndarray, u: np.ndarray, alpha: float,
-                            dt: float, domain_length: float) -> np.ndarray:
-    """Place the next grid layer by equidistributing the monitor.
+def advance_equidistributed(xl: Layer, ul: Layer, alpha: float, dt: float,
+                            domain_length: float, out: Layer) -> Layer:
+    """Place the next grid layer, in ``out``, by equidistributing the
+    monitor.
 
     The new positions satisfy
     (rho_{i+1}+rho_i)(x_{i+1}-x_i) = (rho_i+rho_{i-1})(x_i-x_{i-1})
@@ -196,9 +291,10 @@ def advance_equidistributed(xg: np.ndarray, u: np.ndarray, alpha: float,
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    x1 = _solve_equidistribution(monitor(xg, u, alpha), xg[1] + dt * u[0],
-                                 domain_length)
-    return require_ordered(x1, domain_length)
+    _solve_equidistribution(monitor(xl, ul, alpha),
+                            xl.nodes[0] + dt * ul.nodes[0], domain_length,
+                            out.nodes)
+    return out.place(domain_length)
 
 
 # largest node displacement between rounds, relative to L, at which the
@@ -220,10 +316,13 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
     """
     x, length = grid.x, grid.domain_length
     tol = _SETTLE_RTOL * length
+    xl, ul = Layer(grid.n), Layer(grid.n)
     for _ in range(_MAX_ROUNDS):
-        u = require_finite(_as_float_array(initial(x)))
+        ul.nodes[...] = require_finite(_as_float_array(initial(x)))
+        xl.nodes[...] = x
         x_new = _solve_equidistribution(
-            monitor(require_ordered(x, length), u, alpha), x[0], length)
+            monitor(xl.place(length), ul.fill(), alpha), x[0], length,
+            np.empty(grid.n))
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         if change <= tol:
@@ -242,7 +341,8 @@ def equidistribution_residual(x: np.ndarray, rho: np.ndarray,
 
 
 def _solve_equidistribution(rho: np.ndarray, anchor: float,
-                            domain_length: float) -> np.ndarray:
+                            domain_length: float, x: np.ndarray
+                            ) -> np.ndarray:
     """Exact solution of the anchored cyclic equidistribution system.
 
     Each relation equates the flux (rho_i + rho_{i+1}) * gap_i of two
@@ -250,9 +350,9 @@ def _solve_equidistribution(rho: np.ndarray, anchor: float,
     to L fix C = L / sum_i 1/(rho_i + rho_{i+1}). The positions are the
     partial sums of 1/(rho_i + rho_{i+1}) scaled by L over their own last
     sum, so the closing gap does not absorb the rounding of N - 1 additions.
+    They are written into ``x``, which is returned.
     """
     c = np.cumsum(1.0 / (rho + ghosted(rho)[2:-1]))
-    x = np.empty(len(rho))
     x[0] = anchor
     x[1:] = anchor + c[:-1] * (domain_length / c[-1])
     return x

@@ -6,10 +6,11 @@ safe projection operators for the symmetry-preserving schemes.
 
 ``interpolate`` is the one entry point: it checks its nodes and queries,
 and that no sum of two node positions or squared gap overflows, ghosts the
-nodes once (``grid.ghosted``) and hands the ghost arrays to ``_evaluate``,
-which the evolution-projection step calls directly on a layer it has
-already checked, with targets it has already checked. Every stencil
-indexes the ghost arrays directly:
+nodes once (``grid.ghosted``) and hands the ghost arrays to ``_evaluate``.
+The evolution-projection step calls ``_evaluate`` directly on the slots of
+a layer it has placed, with the gaps and wide gaps its placement formed,
+and with targets it has placed. Every stencil indexes the ghost arrays
+directly:
 
 - linear and spline reduce each query into [x_0, x_0 + L) and bracket it
   by ghost slots j, j + 1 (the node at or left of it and the next one);
@@ -69,8 +70,9 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
         i = int(np.argmin(finite))
         raise ValueError(f"query {i} is {float(q.flat[i])!r}; queries must "
                          f"be finite")
-    # the interpolants add two slot positions and square a gap
-    with np.errstate(over="ignore"):
+    # the interpolants add two slot positions and square a gap; equal
+    # infinite nodes make a NaN gap, which fails the order check
+    with np.errstate(over="ignore", invalid="ignore"):
         xg = require_ordered(x, domain_length)
         if _reach(xg) == np.inf:
             name = ("nodes_x" if _reach(x) == np.inf
@@ -81,7 +83,8 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
         raise ValueError(f"domain_length={domain_length!r} swamps the node "
                          f"gaps: a node and its neighbour across the seam "
                          f"round to one position one period away")
-    return _evaluate(xg, ghosted(u), q, kind, domain_length)
+    return _evaluate(xg, ghosted(u), q, kind, domain_length,
+                     xg[1:] - xg[:-1], xg[2:] - xg[:-2])
 
 
 def _reach(x: np.ndarray) -> float:
@@ -92,9 +95,12 @@ def _reach(x: np.ndarray) -> float:
 
 
 def _evaluate(xg: np.ndarray, ug: np.ndarray, q: np.ndarray,
-              kind: InterpKind, domain_length: float) -> np.ndarray:
+              kind: InterpKind, domain_length: float, gaps: np.ndarray,
+              wide: np.ndarray) -> np.ndarray:
     """The interpolant of kind ``kind`` through the ghosted, checked nodes
-    ``xg`` and values ``ug``, at the finite queries ``q``."""
+    ``xg`` and values ``ug``, at the finite queries ``q``; the quadratic
+    reads the gaps xg[1:] - xg[:-1] and the wide gaps xg[2:] - xg[:-2] of
+    the slots from ``gaps`` and ``wide``."""
     if kind is InterpKind.QUADRATIC:
         # slot b + 1 holds the node nearest q, ties going left: node i for
         # query i when each lies between the midpoints beside its node;
@@ -111,8 +117,8 @@ def _evaluate(xg: np.ndarray, ug: np.ndarray, q: np.ndarray,
             b = np.searchsorted(mid[1:-1], q, side="left")
         # the Newton form over slots b .. b + 2, from the slot slopes s_k
         # and second differences c_k
-        s = (ug[1:] - ug[:-1]) / (xg[1:] - xg[:-1])
-        c = (s[1:] - s[:-1]) / (xg[2:] - xg[:-2])
+        s = (ug[1:] - ug[:-1]) / gaps
+        c = (s[1:] - s[:-1]) / wide
         return ug[b] + (q - xg[b]) * (s[b] + (q - xg[1:][b]) * c[b])
 
     # each query shifted by a multiple of L into [x_0, x_0 + L)

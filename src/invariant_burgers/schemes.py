@@ -11,12 +11,17 @@ At N = 512 a numpy call costs about a microsecond whatever it computes, so
 the step makes few: one stencil pass over a slot row, and no grid velocity
 on a stationary layer.
 
-The step functions work on raw arrays: a layer is the checked ghost array
-``xg`` of its positions (``grid.require_ordered``) and the nodal values
-``u``. ``run`` carries (t, xg, u) from step to step, so each new layer is
-ghosted and order-checked once, an unchanged one not at all, and ``u`` is
-checked for finiteness once per step; it builds ``GridSlice`` and
-``DiscreteField`` only for the snapshots it stores.
+The step functions work in place on ``grid.Layer``s. ``run`` allocates its
+layers once and each step writes the new positions and values into spare
+layers that it passes as destinations, through the views and scratch rows
+those layers formed when they were allocated; the step forms no view and
+allocates no array of values, apart from the adaptive mesh solve and the
+projection's remap (the finiteness check still makes its boolean mask).
+Each new position layer is placed and order-checked once, an unchanged one
+not at all (so the stationary layer's gaps and wide gaps are formed once
+per run), and each new value layer is filled and checked for finiteness
+once. ``GridSlice`` and ``DiscreteField`` are built only for
+the snapshots it stores, from copies, so no result aliases a layer.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import SimulationError
-from .grid import (TAU, DiscreteField, GridSlice, advance_constant,
+from .grid import (TAU, DiscreteField, GridSlice, Layer, advance_constant,
                    advance_equidistributed, advance_lagrangian,
-                   advance_stationary, equidistribute_initial, ghosted,
-                   require_finite, require_ordered, uniform_slice)
+                   advance_stationary, equidistribute_initial,
+                   require_finite, uniform_slice)
 from .interpolate import InterpKind, _evaluate
 
 
@@ -147,47 +152,65 @@ class Trajectory:
         return self.snapshots[0]
 
 
-def moving_mesh_terms(x, u, xdot, nu):
+def moving_mesh_terms(xl: Layer, ul: Layer, xdot, nu: float, out: Layer
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Advection and diffusion terms of the moving-mesh relation
-    (u_next - u_k)/dt + advection - diffusion = 0 at the interior slots
-    1 .. m - 2 of a row of m positions ``x`` and values ``u``. The centred
-    slope is weighted by the velocity relative to the grid motion,
-    u_k - xdot (xdot a scalar or one per interior slot); with xdot = 0 this
-    is the FTCS relation. Each gap's slope is formed once for its two
-    nodes, and each wide gap x_{k+1} - x_{k-1} once for both terms.
+    (u_next - u_k)/dt + advection - diffusion = 0 at the nodes of the
+    position layer ``xl`` and value layer ``ul``, read over their slot
+    rows: the row gaps and row wide gaps of ``xl`` and the row views of
+    ``ul``. The centred slope is weighted by the velocity relative to the
+    grid motion, u_k - xdot (xdot a scalar or one per node); xdot = None
+    on a stationary layer skips the subtraction (u - 0.0 is u bit for
+    bit, -0.0 included) and gives the FTCS relation. Each gap's slope is
+    formed once for its two nodes. The terms are written into the scratch
+    rows of ``out`` and returned as views of them.
     """
-    gap_slopes = (u[1:] - u[:-1]) / (x[1:] - x[:-1])
-    wide = x[2:] - x[:-2]
-    advection = (u[1:-1] - xdot) * ((u[2:] - u[:-2]) / wide)
-    diffusion = (2.0 * nu / wide) * (gap_slopes[1:] - gap_slopes[:-1])
+    slopes, advection, diffusion = out.slopes, out.advection, out.diffusion
+    np.subtract(ul.row_east, ul.row_west, slopes)
+    np.divide(slopes, xl.row_gaps, slopes)
+    np.subtract(ul.east, ul.west, advection)
+    np.divide(advection, xl.row_wide, advection)
+    relative = (ul.nodes if xdot is None
+                else np.subtract(ul.nodes, xdot, out.work))
+    np.multiply(relative, advection, advection)
+    np.subtract(out.slopes_east, out.slopes_west, diffusion)
+    np.multiply(np.divide(2.0 * nu, xl.row_wide, out.work), diffusion,
+                diffusion)
     return advection, diffusion
 
 
-def invariant_step(xg: np.ndarray, u: np.ndarray, xg_next: np.ndarray,
-                   dt: float, nu: float) -> np.ndarray:
-    """Explicit update on a moving mesh: the moving-mesh stencil over the
-    slot row ``xg[:-1]`` of the layer ``xg`` (ghost array, neighbours
-    unwrapped across the seam), with the grid velocity xdot taken from the
-    next layer ``xg_next``. A next layer that is ``xg`` itself (from
-    ``advance_stationary``) gives xdot = 0 unformed and the classical FTCS
-    update. Returns the new nodal values, unchecked.
+def invariant_step(xl: Layer, ul: Layer, xl_next: Layer, dt: float,
+                   nu: float, out: Layer) -> Layer:
+    """Explicit update on a moving mesh, written into the value layer
+    ``out`` and filled there: the moving-mesh stencil over the slot row of
+    the layer ``xl`` (neighbours unwrapped across the seam), with the grid
+    velocity xdot taken from the next layer ``xl_next``. A next layer that
+    is ``xl`` itself (from ``advance_stationary``) gives the classical FTCS
+    update, with no grid velocity formed. The new values are unchecked.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if len(xg_next) != len(xg) or len(u) != len(xg) - 3:
+    if not len(xl_next.g) == len(xl.g) == len(ul.g) == len(out.g):
         raise ValueError("layers and values differ in size")
-    xdot = 0.0 if xg_next is xg else (xg_next[1:-2] - xg[1:-2]) / dt
-    advection, diffusion = moving_mesh_terms(xg[:-1], ghosted(u)[:-1], xdot,
-                                             nu)
-    return u - dt * (advection - diffusion)
+    xdot = None
+    if xl_next is not xl:
+        xdot = np.subtract(xl_next.nodes, xl.nodes, out.work)
+        np.divide(xdot, dt, xdot)
+    advection, diffusion = moving_mesh_terms(xl, ul, xdot, nu, out)
+    np.subtract(advection, diffusion, advection)
+    np.multiply(dt, advection, advection)
+    np.subtract(ul.nodes, advection, out.nodes)
+    return out.fill()
 
 
-def evolution_projection_step(xg: np.ndarray, u: np.ndarray, dt: float,
-                              nu: float, interp_kind: InterpKind,
-                              domain_length: float
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """One mesh-following step, re-mapped to a uniformly spaced layer;
-    returns the checked ghost array of that layer and the values on it.
+def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
+                              interp_kind: InterpKind, domain_length: float,
+                              moved: Layer, evolved: Layer, targets: Layer,
+                              out: Layer) -> tuple[Layer, Layer]:
+    """One mesh-following step, re-mapped to a uniformly spaced layer:
+    the positions of that layer are placed in ``targets`` and the values
+    on it filled in ``out``, which are returned; ``moved`` and ``evolved``
+    take the moved layer and the values on it.
 
     Nodes move Lagrangianly, the moving-mesh update runs on the moved
     layer, and the result is interpolated back onto the step-start lattice
@@ -196,21 +219,26 @@ def evolution_projection_step(xg: np.ndarray, u: np.ndarray, dt: float,
     lattice held fixed in one frame is a moving lattice in every other.
     For zero-mean data the targets stay on the original lattice to
     roundoff, so the grid remains the familiar stationary uniform one.
-    The interpolant reads the moved layer as its order check left it.
-    Each target is its node moved by dt (mean(u) - u_i), a fraction of a
-    gap once N is past a few dozen, so it normally lies between the
-    midpoints beside its moved node and the quadratic reads that node's
-    parabola without a search.
+    The interpolant reads the moved layer as its placement left it, gaps
+    and wide gaps included. Each target is its node moved by
+    dt (mean(u) - u_i), a fraction of a gap once N is past a few dozen, so
+    it normally lies between the midpoints beside its moved node and the
+    quadratic reads that node's parabola without a search.
     """
-    moved = advance_lagrangian(xg, u, dt, domain_length)
-    evolved = invariant_step(xg, u, moved, dt, nu)
+    if not isinstance(interp_kind, InterpKind):
+        raise TypeError(f"interp_kind must be an InterpKind, got "
+                        f"{interp_kind!r}")
+    advance_lagrangian(xl, ul, dt, domain_length, moved)
+    invariant_step(xl, ul, moved, dt, nu, evolved)
     # the mean as np.mean forms it (pairwise sum over n), without its
     # dispatch
-    targets = require_ordered(xg[1:-2] + dt * float(u.sum() / len(u)),
-                              domain_length)
-    u1 = _evaluate(moved, ghosted(evolved), targets[1:-2],
-                   InterpKind(interp_kind), domain_length)
-    return targets, u1
+    u = ul.nodes
+    np.add(xl.nodes, dt * float(u.sum() / len(u)), targets.nodes)
+    targets.place(domain_length)
+    out.nodes[...] = _evaluate(moved.g, evolved.g, targets.nodes,
+                               interp_kind, domain_length, moved.gaps,
+                               moved.wide)
+    return targets, out.fill()
 
 
 def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
@@ -252,20 +280,26 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # rebinding of the module attribute reaches the step loop
     advance = {
         SchemeKind.CLASSICAL_FTCS:
-            lambda xg, u, dt: advance_stationary(xg, dt),
+            lambda xl, ul, dt, out: advance_stationary(xl, dt),
         SchemeKind.LAGRANGIAN:
-            lambda xg, u, dt: advance_lagrangian(xg, u, dt, length),
+            lambda xl, ul, dt, out: advance_lagrangian(xl, ul, dt, length,
+                                                       out),
         SchemeKind.EULERIAN_ADAPTIVE:
-            lambda xg, u, dt: advance_equidistributed(xg, u, config.alpha, dt,
-                                                      length),
+            lambda xl, ul, dt, out: advance_equidistributed(
+                xl, ul, config.alpha, dt, length, out),
         SchemeKind.CONSTANT_FRAME:
-            lambda xg, u, dt: advance_constant(xg, config.frame_velocity, dt,
-                                               length),
+            lambda xl, ul, dt, out: advance_constant(
+                xl, config.frame_velocity, dt, length, out),
     }.get(kind)
 
     snapshots = [fld]
-    # the initial layer was checked when its GridSlice was built
-    t, xg, u = 0.0, ghosted(grid.x, length), fld.u
+    # the run's layers, allocated once: the step-start positions and
+    # values, the spares each step writes, and the projection's moved
+    # layer and the values evolved on it
+    n = config.n_points
+    xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(fld.u)
+    x_spare, u_spare, moved, evolved = (Layer(n) for _ in range(4))
+    t = 0.0
     t_end = config.t_final - 1e-12 * config.t_final
     step = 0
     # a blow-up surfaces as NonFiniteSolutionError, not as numpy warnings
@@ -274,24 +308,32 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             dt = min(dt0, config.t_final - t)
             try:
                 if advance is None:
-                    xg, u = evolution_projection_step(
-                        xg, u, dt, config.nu, config.interp_kind, length)
+                    x_next, u_next = evolution_projection_step(
+                        xl, ul, dt, config.nu, config.interp_kind, length,
+                        moved, evolved, x_spare, u_spare)
                 else:
-                    xg_next = advance(xg, u, dt)
-                    u = invariant_step(xg, u, xg_next, dt, config.nu)
-                    xg = xg_next
-                require_finite(u)
+                    x_next = advance(xl, ul, dt, x_spare)
+                    u_next = invariant_step(xl, ul, x_next, dt, config.nu,
+                                            u_spare)
+                require_finite(u_next.nodes)
             except SimulationError as exc:
                 exc.step = step
                 exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)
                 raise
+            # the stationary grid equation returns the step-start layer
+            if x_next is not xl:
+                xl, x_spare = x_next, xl
+            ul, u_spare = u_next, ul
             step += 1
             t = t + dt
             is_last = t >= t_end
             if is_last or (snapshot_every > 0 and step % snapshot_every == 0):
-                # the last step was cut to land exactly on t_final
+                # the last step was cut to land exactly on t_final; a
+                # snapshot owns its arrays, the layers are written again
                 layer = GridSlice(t=config.t_final if is_last else t,
-                                  x=xg[1:-2], domain_start=config.domain_start,
+                                  x=xl.nodes.copy(),
+                                  domain_start=config.domain_start,
                                   domain_length=length)
-                snapshots.append(DiscreteField(grid=layer, u=u))
+                snapshots.append(DiscreteField(grid=layer,
+                                               u=ul.nodes.copy()))
     return Trajectory(snapshots=tuple(snapshots), config=config)

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainViolationError
-from .grid import TAU, DiscreteField, GridSlice
+from .grid import TAU, DiscreteField, GridSlice, Layer
 from .schemes import moving_mesh_terms
 
 
@@ -164,8 +164,20 @@ def satisfy_ftcs(s: Stencil, p: StencilParams) -> Stencil:
     return _satisfy(s, p, 0.0)
 
 
+def _terms(s: Stencil, xdot: float, nu: float) -> tuple[float, float]:
+    """The advection and diffusion terms of the moving-mesh stencil at the
+    center of ``s``: its step-start rows are the slot rows of one-node
+    layers, whose last slot the stencil never reads."""
+    xl, ul = Layer(1), Layer(1)
+    xl.g[:-1], ul.g[:-1] = s.x, s.u
+    xl.g[-1] = ul.g[-1] = np.nan
+    (advection,), (diffusion,) = moving_mesh_terms(xl.measure(), ul, xdot,
+                                                   nu, Layer(1))
+    return advection, diffusion
+
+
 def _satisfy(s: Stencil, p: StencilParams, xdot: float) -> Stencil:
-    (advection,), (diffusion,) = moving_mesh_terms(s.x, s.u, xdot, p.nu)
+    advection, diffusion = _terms(s, xdot, p.nu)
     u_next = s.u_next.copy()
     u_next[1] = s.u[1] - s.dt * (advection - diffusion)
     return replace(s, u_next=u_next)
@@ -187,8 +199,7 @@ def satisfy_constant(s: Stencil, p: StencilParams) -> Stencil:
 
 def stencil_scale(s: Stencil, p: StencilParams) -> float:
     """Magnitude of the individual relation terms, for defect normalization."""
-    (advection,), (diffusion,) = moving_mesh_terms(s.x, s.u,
-                                                   _grid_velocity(s), p.nu)
+    advection, diffusion = _terms(s, _grid_velocity(s), p.nu)
     return max(abs((s.u_next[1] - s.u[1]) / s.dt), abs(advection),
                abs(diffusion), 1.0)
 

@@ -15,10 +15,11 @@ from invariant_burgers import (
     advance_equidistributed, apply_field,
     convergence_study, evaluate, frame_comparison, grid_spacing_profile,
     invariance_defect, linf_error, max_defect, mean_spacing,
-    monitor, relation_defect, require_ordered, run, sample_stencil,
+    monitor, relation_defect, run, sample_stencil,
     satisfy_constant, satisfy_scheme, satisfy_stationary, StencilParams,
     transform_stencil, uniform_slice,
 )
+from invariant_burgers.grid import Layer
 from invariant_burgers.interpolate import interpolate
 
 from oracles import (dense_equidistribution_solve,
@@ -179,11 +180,11 @@ def test_criterion_6_mesh_oracle_equivalence():
     for _ in range(100):
         n = int(rng.choice([16, 24, 32, 48, 64]))
         x, u = random_smooth_field(rng, n)
-        xg = require_ordered(x - x[0], TAU)
+        xl, ul = Layer.of_positions(x - x[0], TAU), Layer.of_values(u)
         dt = float(rng.uniform(1e-4, 5e-3))
-        out = advance_equidistributed(xg, u, 1.0, dt, TAU)[1:-2]
-        rho = monitor(xg, u, 1.0)
-        ref = dense_equidistribution_solve(rho, xg[1] + dt * u[0], TAU)
+        out = advance_equidistributed(xl, ul, 1.0, dt, TAU, Layer(n)).nodes
+        rho = monitor(xl, ul, 1.0)
+        ref = dense_equidistribution_solve(rho, xl.nodes[0] + dt * u[0], TAU)
         worst = max(worst, float(np.max(np.abs(out - ref))))
     ok = worst <= 1e-10
     assert _verdict("6 (mesh oracle <= 1e-10)", ok,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from invariant_burgers import (
     apply_field, equidistribute_initial, ghosted, mean_spacing, monitor,
     transform_monitor, uniform_slice,
 )
-from invariant_burgers.grid import equidistribution_residual
+from invariant_burgers.grid import (Layer, equidistribution_residual,
+                                   require_ordered)
+from invariant_burgers.interpolate import InterpKind, interpolate
 
 from oracles import (dense_equidistribution_solve, ghosted_by_concatenation,
                      monitor_loop, random_smooth_field)
@@ -24,21 +27,25 @@ def sin_field(n=64, amplitude=1.0):
 
 
 def layer(grid):
-    """The ghost array of a slice's positions, as the grid equations take
-    and return a layer."""
-    return ghosted(grid.x, grid.domain_length)
+    """The layer placed at a slice's positions, as the grid equations take
+    and return one."""
+    return Layer.of_positions(grid.x, grid.domain_length)
 
 
-def nodes(xg):
-    return xg[1:-2]
+def values(u):
+    return Layer.of_values(u)
 
 
-def gaps(xg):
-    return xg[2:-1] - xg[1:-2]
+def nodes(xl):
+    return xl.nodes
+
+
+def gaps(xl):
+    return xl.gaps[1:-1]
 
 
 def field_monitor(fld, alpha):
-    return monitor(layer(fld.grid), fld.u, alpha)
+    return monitor(layer(fld.grid), values(fld.u), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +116,22 @@ def test_grid_slice_rejects_a_non_finite_node_by_its_order(node, value):
         GridSlice(t=0.0, x=x)
 
 
+@pytest.mark.parametrize("x, interval", [
+    ([0.0, np.inf, np.inf, 3.0], r"x\[1\] -> x\[2\] has gap nan"),
+    ([-np.inf, -np.inf, 1.0, 2.0], r"x\[0\] -> x\[1\] has gap nan"),
+])
+def test_equal_infinite_nodes_are_a_crossing_without_a_warning(x, interval):
+    # their gap inf - inf is NaN, which the order check must meet quietly,
+    # on both ways in: the interpolant's nodes and a slice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in InterpKind:
+            with pytest.raises(NodeCrossingError, match=interval):
+                interpolate(x, [0.0, 1.0, 0.0, 1.0], [0.5], kind)
+        with pytest.raises(NodeCrossingError, match=interval):
+            GridSlice(t=0.0, x=x)
+
+
 def test_container_errors_are_typed_value_errors():
     grid = uniform_slice(8)
     with pytest.raises(NonFiniteSolutionError):
@@ -144,6 +167,46 @@ def test_ghosted_matches_the_concatenated_layout_by_bytes(n, seed, jump,
     assert g.tobytes() == ghosted_by_concatenation(a, jump).tobytes()
 
 
+def verdict(fn, *args):
+    """The message of the ``NodeCrossingError`` that ``fn`` raises, or
+    None."""
+    try:
+        fn(*args)
+    except NodeCrossingError as exc:
+        return str(exc)
+    return None
+
+
+node_values = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=hnp.arrays(float, st.integers(2, 40), elements=node_values),
+       ordered=st.booleans(),
+       length=st.one_of(st.floats(1e-3, 1e3), st.just(TAU)))
+def test_a_placed_layer_matches_ghosted_and_require_ordered(x, ordered,
+                                                            length):
+    # the same ghost slots, gaps and wide gaps, order verdict and message,
+    # whatever the nodes hold; a filled layer the same value ghosts
+    if ordered:
+        x = np.sort(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = verdict(require_ordered, x, length)
+        xg = ghosted(x, length)
+        placed = Layer(len(x))
+        placed.nodes[...] = x
+        assert verdict(placed.place, length) == expected
+        gaps, wide = xg[1:] - xg[:-1], xg[2:] - xg[:-2]
+    assert placed.g.tobytes() == xg.tobytes()
+    assert placed.gaps.tobytes() == gaps.tobytes()
+    assert placed.wide.tobytes() == wide.tobytes()
+    filled = Layer(len(x))
+    filled.nodes[...] = x
+    assert filled.fill().g.tobytes() == ghosted(x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # stationary / lagrangian / constant advances
 # ---------------------------------------------------------------------------
@@ -163,13 +226,15 @@ def test_advance_stationary_rejects_degenerate_step():
 
 def test_advance_lagrangian_zero_velocity():
     grid = uniform_slice(16)
-    out = advance_lagrangian(layer(grid), np.zeros(16), 0.05, TAU)
+    out = advance_lagrangian(layer(grid), values(np.zeros(16)), 0.05,
+                             TAU, Layer(16))
     np.testing.assert_array_equal(nodes(out), grid.x)
 
 
 def test_advance_lagrangian_rigid_motion_preserves_gaps():
     grid = uniform_slice(16)
-    out = advance_lagrangian(layer(grid), np.full(16, 0.7), 0.1, TAU)
+    out = advance_lagrangian(layer(grid), values(np.full(16, 0.7)), 0.1,
+                             TAU, Layer(16))
     np.testing.assert_allclose(nodes(out), grid.x + 0.1 * 0.7, rtol=0, atol=0)
     np.testing.assert_allclose(gaps(out), grid.gaps(), rtol=0, atol=5e-15)
 
@@ -178,7 +243,7 @@ def test_advance_lagrangian_matches_formula():
     # independent elementwise evaluation of the node-motion rule
     grid = uniform_slice(8)
     u = np.sin(grid.x)
-    out = advance_lagrangian(layer(grid), u, 0.1, TAU)
+    out = advance_lagrangian(layer(grid), values(u), 0.1, TAU, Layer(8))
     expected = [grid.x[i] + 0.1 * math.sin(grid.x[i]) for i in range(8)]
     np.testing.assert_allclose(nodes(out), expected, rtol=0, atol=1e-16)
 
@@ -188,30 +253,31 @@ def test_advance_lagrangian_detects_node_crossing():
     u = np.zeros(8)
     u[3] = -2.0 * mean_spacing(grid)  # node 3 would overtake node 2
     with pytest.raises(NodeCrossingError):
-        advance_lagrangian(layer(grid), u, 1.0, TAU)
+        advance_lagrangian(layer(grid), values(u), 1.0, TAU, Layer(8))
 
 
 def test_advance_constant_zero_velocity_is_stationary():
     grid = uniform_slice(12)
     xg = layer(grid)
-    np.testing.assert_array_equal(advance_constant(xg, 0.0, 0.01, TAU),
-                                  advance_stationary(xg, 0.01))
+    np.testing.assert_array_equal(
+        advance_constant(xg, 0.0, 0.01, TAU, Layer(12)).g,
+        advance_stationary(xg, 0.01).g)
 
 
 def test_advance_constant_shifts_every_node():
     grid = uniform_slice(12)
-    out = advance_constant(layer(grid), 1.0, 0.01, TAU)
+    out = advance_constant(layer(grid), 1.0, 0.01, TAU, Layer(12))
     np.testing.assert_allclose(nodes(out) - grid.x, 0.01, rtol=0, atol=1e-14)
 
 
 def test_gap_sum_preserved_by_advances():
     fld = sin_field(32)
-    xg = layer(fld.grid)
+    xg, ul = layer(fld.grid), values(fld.u)
     for out in (
         advance_stationary(xg, 0.01),
-        advance_lagrangian(xg, fld.u, 0.01, TAU),
-        advance_constant(xg, 1.3, 0.01, TAU),
-        advance_equidistributed(xg, fld.u, 1.0, 0.01, TAU),
+        advance_lagrangian(xg, ul, 0.01, TAU, Layer(32)),
+        advance_constant(xg, 1.3, 0.01, TAU, Layer(32)),
+        advance_equidistributed(xg, ul, 1.0, 0.01, TAU, Layer(32)),
     ):
         assert abs(gaps(out).sum() - TAU) <= 1e-12 * TAU
 
@@ -263,7 +329,8 @@ def test_monitor_at_least_one():
 
 def test_equidistributed_constant_monitor_gives_uniform_gaps():
     fld = sin_field(32)
-    out = advance_equidistributed(layer(fld.grid), fld.u, 0.0, 0.01, TAU)
+    out = advance_equidistributed(layer(fld.grid), values(fld.u), 0.0, 0.01,
+                                  TAU, Layer(32))
     np.testing.assert_allclose(gaps(out), TAU / 32, rtol=0, atol=1e-9)
 
 
@@ -273,7 +340,8 @@ def test_equidistributed_matches_dense_solve():
         x, u = random_smooth_field(rng, 32)
         fld = DiscreteField(grid=GridSlice(t=0.0, x=x - x[0] + 0.2), u=u)
         dt = 1e-3
-        out = advance_equidistributed(layer(fld.grid), u, 1.0, dt, TAU)
+        out = advance_equidistributed(layer(fld.grid), values(u), 1.0, dt,
+                                      TAU, Layer(32))
         rho = field_monitor(fld, 1.0)
         ref = dense_equidistribution_solve(rho, fld.grid.x[0] + dt * u[0], TAU)
         assert np.max(np.abs(nodes(out) - ref)) <= 1e-10
@@ -300,7 +368,8 @@ def monitored_fields(draw):
 def check_placement(fld, alpha, dt):
     """The placed layer agrees with the dense solve, carries one flux in
     every cell up to the rounding of stored positions, and spans L."""
-    out = advance_equidistributed(layer(fld.grid), fld.u, alpha, dt, TAU)
+    out = advance_equidistributed(layer(fld.grid), values(fld.u), alpha, dt,
+                                  TAU, Layer(fld.grid.n))
     rho = field_monitor(fld, alpha)
     ref = dense_equidistribution_solve(rho, fld.grid.x[0] + dt * fld.u[0],
                                        TAU)
@@ -335,8 +404,8 @@ def test_equidistributed_closing_gap_keeps_the_flux():
 
 def test_equidistributed_products_are_equal():
     fld = sin_field(64)
-    out = nodes(advance_equidistributed(layer(fld.grid), fld.u, 1.0, 0.005,
-                                        TAU))
+    out = nodes(advance_equidistributed(layer(fld.grid), values(fld.u), 1.0,
+                                        0.005, TAU, Layer(64)))
     rho = field_monitor(fld, 1.0)
     res = equidistribution_residual(out, rho, TAU)
     res_cap = 1e-12 * TAU * TAU * rho.max()
@@ -351,7 +420,8 @@ def test_equidistributed_products_are_equal():
 def test_equidistributed_anchor_is_lagrangian():
     fld = sin_field(32)
     dt = 0.01
-    out = advance_equidistributed(layer(fld.grid), fld.u, 1.0, dt, TAU)
+    out = advance_equidistributed(layer(fld.grid), values(fld.u), 1.0, dt,
+                                  TAU, Layer(32))
     assert nodes(out)[0] == pytest.approx(fld.grid.x[0] + dt * fld.u[0],
                                           abs=0)
 
@@ -381,13 +451,14 @@ def test_lagrangian_advance_commutes_with_boost_exactly():
     fld = sin_field(32)
     dt = 0.02
     boost = GroupElement(Generator.GALILEAN_BOOST, 1.5)
-    moved = GridSlice(t=dt, x=nodes(advance_lagrangian(layer(fld.grid),
-                                                       fld.u, dt, TAU)))
+    moved = GridSlice(t=dt, x=nodes(advance_lagrangian(
+        layer(fld.grid), values(fld.u), dt, TAU, Layer(32))))
     direct = DiscreteField(grid=moved, u=fld.u)  # carry values for transform
     transformed_after = apply_field(boost, direct)
 
     boosted = apply_field(boost, fld)
-    moved_boosted = advance_lagrangian(layer(boosted.grid), boosted.u, dt, TAU)
+    moved_boosted = advance_lagrangian(layer(boosted.grid), values(boosted.u),
+                                       dt, TAU, Layer(32))
     np.testing.assert_allclose(nodes(moved_boosted), transformed_after.grid.x,
                                rtol=0, atol=1e-12)
 
@@ -397,10 +468,12 @@ def test_equidistributed_advance_commutes_with_boost():
     dt = 0.01
     boost = GroupElement(Generator.GALILEAN_BOOST, 1.0)
 
-    rest = advance_equidistributed(layer(fld.grid), fld.u, 1.0, dt, TAU)
+    rest = advance_equidistributed(layer(fld.grid), values(fld.u), 1.0, dt,
+                                   TAU, Layer(48))
     boosted_in = apply_field(boost, fld)
-    boosted_out = advance_equidistributed(layer(boosted_in.grid), boosted_in.u,
-                                          1.0, dt, TAU)
+    boosted_out = advance_equidistributed(layer(boosted_in.grid),
+                                          values(boosted_in.u), 1.0, dt, TAU,
+                                          Layer(48))
     # the boosted mesh should be the rest mesh shifted by eps*(t+dt)
     np.testing.assert_allclose(nodes(boosted_out), nodes(rest) + 1.0 * dt,
                                rtol=0, atol=1e-10)

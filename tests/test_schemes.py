@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from invariant_burgers import (
     DEFAULT_DT_FACTORS, DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
     NodeCrossingError, SchemeConfig, SchemeKind, TAU, advance_stationary,
-    apply_field, evolution_projection_step, ghosted, invariant_step,
+    apply_field, evolution_projection_step, invariant_step,
     mean_spacing, run, uniform_slice,
 )
+
+from invariant_burgers.grid import Layer
 
 from oracles import (ftcs_update_loop, moving_mesh_update_loop,
                      random_smooth_field)
@@ -25,21 +27,25 @@ def sin_field(n=64):
 
 
 def layer(grid):
-    """The ghost array of a slice's positions, as the step functions take
-    a layer."""
-    return ghosted(grid.x, grid.domain_length)
+    """The layer placed at a slice's positions, as the step functions take
+    one."""
+    return Layer.of_positions(grid.x, grid.domain_length)
 
 
 def moving_step(fld, grid_next, dt, nu):
     """The moving-mesh update from ``fld`` onto the slice ``grid_next``."""
-    u = invariant_step(layer(fld.grid), fld.u, layer(grid_next), dt, nu)
-    return DiscreteField(grid=grid_next, u=u)
+    out = invariant_step(layer(fld.grid), Layer.of_values(fld.u),
+                         layer(grid_next), dt, nu, Layer(fld.grid.n))
+    return DiscreteField(grid=grid_next, u=out.nodes)
 
 
 def projection_step(fld, dt, nu, interp_kind):
-    xg, u = evolution_projection_step(layer(fld.grid), fld.u, dt, nu,
-                                      interp_kind, fld.grid.domain_length)
-    return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xg[1:-2]), u=u)
+    n = fld.grid.n
+    xl, ul = evolution_projection_step(
+        layer(fld.grid), Layer.of_values(fld.u), dt, nu, interp_kind,
+        fld.grid.domain_length, *(Layer(n) for _ in range(4)))
+    return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xl.nodes),
+                         u=ul.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +53,11 @@ def projection_step(fld, dt, nu, interp_kind):
 # ---------------------------------------------------------------------------
 
 def ftcs_step(fld, dt, nu):
-    xg = layer(fld.grid)
-    u = invariant_step(xg, fld.u, advance_stationary(xg, dt), dt, nu)
-    return DiscreteField(grid=fld.grid, u=u)
+    xl = layer(fld.grid)
+    out = invariant_step(xl, Layer.of_values(fld.u),
+                         advance_stationary(xl, dt), dt, nu,
+                         Layer(fld.grid.n))
+    return DiscreteField(grid=fld.grid, u=out.nodes)
 
 
 def test_ftcs_constant_state_is_fixed_point():
@@ -125,14 +133,17 @@ def test_invariant_step_single_step_boost_equivariance():
 def test_a_stationary_step_equals_a_step_onto_a_copied_layer(n, seed, dt,
                                                              nu):
     # the layer itself as the next layer skips xdot; a copy of it forms
-    # xdot = (x - x)/dt = 0 at every node, and the values must not differ
+    # xdot = (x - x)/dt = 0 at every node, and the values (ghost slots
+    # included) must not differ
     rng = np.random.default_rng(seed)
     x, u = random_smooth_field(rng, n)
     u[rng.integers(0, n, 3)] = rng.choice([0.0, -0.0], 3)
-    xg = ghosted(x, TAU)
-    skipped = invariant_step(xg, u, advance_stationary(xg, dt), dt, nu)
-    formed = invariant_step(xg, u, xg.copy(), dt, nu)
-    assert skipped.tobytes() == formed.tobytes()
+    xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
+    skipped = invariant_step(xl, ul, advance_stationary(xl, dt), dt, nu,
+                             Layer(n))
+    formed = invariant_step(xl, ul, Layer.of_positions(x, TAU), dt, nu,
+                            Layer(n))
+    assert skipped.g.tobytes() == formed.g.tobytes()
 
 
 def test_invariant_step_validates_layers():

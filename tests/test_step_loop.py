@@ -13,9 +13,10 @@ import pytest
 import invariant_burgers as ib
 from invariant_burgers import (DiscreteField, GridSlice, InterpKind,
                                SchemeConfig, SchemeKind, TAU)
-from invariant_burgers.grid import ghosted, require_ordered
+from invariant_burgers.grid import (Layer, _require_positive, ghosted,
+                                   require_ordered)
 
-from oracles import moving_mesh_update_loop, periodic_quadratic_loop
+from oracles import moving_mesh_update_loop, quadratic_by_search
 
 PACKAGE = "invariant_burgers"
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -34,66 +35,76 @@ def instrument(monkeypatch, original, replacement):
                 monkeypatch.setattr(module, attr, replacement)
 
 
-WORK = ("ghosts", "value_ghosts", "checks", "containers")
+WORK = ("placed", "filled", "checks", "ghosted", "require_ordered",
+        "containers")
 
 
 def layer_work(config, t_final):
-    """Position ghosts (ghost arrays with a nonzero jump), value ghosts
-    (jump 0), order checks and containers built by one run of ``config``
-    to ``t_final``."""
+    """Position layers placed, value layers filled, order checks (by a
+    placement or by ``require_ordered``), ``ghosted`` and
+    ``require_ordered`` calls, and containers built by one run of
+    ``config`` to ``t_final``."""
     counts = dict.fromkeys(WORK, 0)
 
-    def ghosted_counted(a, jump=0.0):
-        counts["ghosts" if jump else "value_ghosts"] += 1
-        return ghosted(a, jump)
-
-    def ordered_counted(x, domain_length):
-        counts["checks"] += 1
-        return require_ordered(x, domain_length)
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
-        instrument(mp, ghosted, ghosted_counted)
-        instrument(mp, require_ordered, ordered_counted)
+        for key, fn in (("ghosted", ghosted),
+                        ("require_ordered", require_ordered),
+                        ("checks", _require_positive)):
+            instrument(mp, fn, counted(key, fn))
+        mp.setattr(Layer, "place", counted("placed", Layer.place))
+        mp.setattr(Layer, "fill", counted("filled", Layer.fill))
         for cls in (GridSlice, DiscreteField):
-            post_init = cls.__post_init__
-
-            def counted(self, post_init=post_init):
-                counts["containers"] += 1
-                post_init(self)
-
-            mp.setattr(cls, "__post_init__", counted)
+            mp.setattr(cls, "__post_init__",
+                       counted("containers", cls.__post_init__))
         ib.run(SchemeConfig(**{**config, "t_final": t_final}), np.sin)
     return counts
 
 
-# per extra step: position ghosts, value ghosts, order checks, containers.
-# The value ghosts are the stencil's copy of u, plus the monitor's and the
-# mesh solve's on the adaptive grid, the remap's copy of the evolved values
-# on the projection, and the spline's three (gaps, gap slopes, moments).
+# per extra step: position layers placed, value layers filled, order
+# checks, ghosted and require_ordered calls, containers. Each new layer is
+# placed or filled once, and each placement checks its order once; the
+# step-start layer of FTCS is its next layer too. Only the adaptive mesh
+# solve (the monitor's ghosts) and the spline (gaps, gap slopes, moments)
+# still call ghosted.
 PER_STEP = [
-    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0)),
-    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0)),
+    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0, 0, 0)),
     ({"scheme_kind": SchemeKind.CONSTANT_FRAME, "frame_velocity": 0.5},
-     (1, 1, 1, 0)),
-    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, (1, 3, 1, 0)),
+     (1, 1, 1, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, (1, 1, 1, 1, 0, 0)),
 ] + [
     ({"scheme_kind": SchemeKind.EVOLUTION_PROJECTION, "interp_kind": kind},
-     (2, 5 if kind is InterpKind.CUBIC_SPLINE else 2, 2, 0))
+     (2, 2, 2, 3 if kind is InterpKind.CUBIC_SPLINE else 0, 0, 0))
     for kind in InterpKind
 ]
+# the schemes whose steps build no ghost array and no order verdict
+# outside their layers
+IN_PLACE = [config for config, _ in PER_STEP
+            if config["scheme_kind"] in (SchemeKind.CLASSICAL_FTCS,
+                                         SchemeKind.LAGRANGIAN,
+                                         SchemeKind.CONSTANT_FRAME)
+            or config.get("interp_kind") is InterpKind.QUADRATIC]
 
 
 @pytest.mark.parametrize("config, per_step", PER_STEP)
 def test_each_step_ghosts_and_checks_each_new_layer_once(config, per_step):
-    config = {**config, "n_points": 32}
+    fields = {**config, "n_points": 32}
     h = TAU / 32
-    dt0 = SchemeConfig(**config).dt_factor * h * h
+    dt0 = SchemeConfig(**fields).dt_factor * h * h
     k = 4
     # (m - 1/2) dt0 takes m steps, the last one cut in half
-    short = layer_work(config, (k - 0.5) * dt0)
-    long = layer_work(config, (2 * k - 0.5) * dt0)
-    extra = tuple(long[key] - short[key] for key in WORK)
-    assert extra == tuple(k * n for n in per_step)
+    short = layer_work(fields, (k - 0.5) * dt0)
+    long = layer_work(fields, (2 * k - 0.5) * dt0)
+    extra = {key: long[key] - short[key] for key in WORK}
+    assert tuple(extra.values()) == tuple(k * n for n in per_step)
+    if config in IN_PLACE:
+        assert extra["ghosted"] == extra["require_ordered"] == 0
 
 
 # the projection brackets its targets by the search on one of its two
@@ -126,8 +137,8 @@ def test_run_matches_a_plain_loop_over_the_oracle(kind, n, every):
         u1 = moving_mesh_update_loop(x, u, x1, dt, config.nu, TAU)
         if kind is SchemeKind.EVOLUTION_PROJECTION:
             # remapped onto the step-start lattice moved by the mean velocity
-            targets = x + dt * (sum(u) / n)
-            u1 = periodic_quadratic_loop(x1, u1, TAU, targets)
+            targets = x + dt * float(np.sum(u) / n)
+            u1 = quadratic_by_search(x1, u1, TAU, targets)
             x1 = targets
         x, u, t = x1, u1, t + dt
         layers.append((t, x, u))
@@ -138,15 +149,27 @@ def test_run_matches_a_plain_loop_over_the_oracle(kind, n, every):
                     if s % every == 0 or s == steps]
     assert len(traj.snapshots) == len(stored)
     assert traj.final.grid.t == config.t_final
-    # the moving-mesh schemes run the oracle's arithmetic in the same order,
-    # so they match it bit for bit; the projection's oracle remaps in
-    # Lagrange form, the package in Newton form
-    atol = 1e-14 if kind is SchemeKind.EVOLUTION_PROJECTION else 0.0
+    # every scheme runs the oracle's arithmetic in the same order (the
+    # projection remaps by the searched Newton form and takes the mean as
+    # the package does), so each matches it bit for bit
     for snap, s in zip(traj.snapshots, stored):
         t, x, u = layers[s]
         assert abs(snap.grid.t - t) <= 1e-14
-        np.testing.assert_allclose(snap.grid.x, x, rtol=0, atol=atol)
-        np.testing.assert_allclose(snap.u, u, rtol=0, atol=atol)
+        np.testing.assert_array_equal(snap.grid.x, x)
+        np.testing.assert_array_equal(snap.u, u)
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_snapshots_own_their_arrays(kind):
+    # run() writes each step into layers it reuses, so every stored array
+    # must be a copy that no other snapshot shares
+    traj = ib.run(SchemeConfig(scheme_kind=kind, n_points=16), np.sin,
+                  snapshot_every=1)
+    arrays = [a for snap in traj.snapshots for a in (snap.grid.x, snap.u)]
+    assert len(traj.snapshots) > 2
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_the_projection_searches_only_where_the_partner_bracket_fails(

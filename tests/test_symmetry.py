@@ -8,10 +8,12 @@ from hypothesis.extra import numpy as hnp
 from invariant_burgers import (
     DiscreteField, DomainViolationError, Generator, GridSlice, GroupElement,
     Stencil, StencilParams, TAU, apply_field, apply_point, invariance_defect,
-    ghosted, invariant_step, max_defect, monitor, relation_defect,
+    invariant_step, max_defect, monitor, relation_defect,
     sample_stencil, satisfy_constant, satisfy_ftcs, satisfy_scheme,
     satisfy_stationary, stencil_scale, transform_stencil, uniform_slice,
 )
+
+from invariant_burgers.grid import Layer
 
 from oracles import moving_mesh_update_loop
 
@@ -210,8 +212,10 @@ def test_scheme_step_sits_on_residual_manifold(case):
     # grid
     fld, grid_next, dt = case
     p = StencilParams(nu=0.1)
-    out_u = invariant_step(ghosted(fld.grid.x, TAU), fld.u,
-                           ghosted(grid_next.x, TAU), dt, p.nu)
+    out_u = invariant_step(Layer.of_positions(fld.grid.x, TAU),
+                           Layer.of_values(fld.u),
+                           Layer.of_positions(grid_next.x, TAU), dt, p.nu,
+                           Layer(fld.grid.n)).nodes
     expected = moving_mesh_update_loop(fld.grid.x, fld.u, grid_next.x, dt,
                                        p.nu, TAU)
     np.testing.assert_array_equal(out_u, expected)
@@ -233,8 +237,10 @@ def test_monitor_invariant_under_boosted_field():
     fld = sin_field(n=64, t=0.4)
     boosted = apply_field(GroupElement(Generator.GALILEAN_BOOST, 1.0), fld)
     np.testing.assert_allclose(
-        monitor(ghosted(boosted.grid.x, TAU), boosted.u, 1.0),
-        monitor(ghosted(fld.grid.x, TAU), fld.u, 1.0), rtol=0, atol=1e-13)
+        monitor(Layer.of_positions(boosted.grid.x, TAU),
+                Layer.of_values(boosted.u), 1.0),
+        monitor(Layer.of_positions(fld.grid.x, TAU), Layer.of_values(fld.u),
+                1.0), rtol=0, atol=1e-13)
 
 
 def test_transformed_stencil_rescales_dt_under_scaling():
