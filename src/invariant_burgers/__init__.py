@@ -4,7 +4,11 @@ discrete symmetry-group toolbox, and a series reference solution for
 quantitative error and convergence studies. Pure Python on numpy; the
 adaptive mesh is placed by a closed-form O(N) equidistribution. One
 moving-mesh stencil serves the solver and the invariance certifier; each
-scheme pairs it with a grid equation, and FTCS is the stationary one.
+scheme pairs it with a grid equation, and FTCS is the stationary one. The
+solver takes the stencil's grid velocity from the grid equation (none, u,
+or the drift c; the difference quotient only on the equidistributed grid),
+and the certifier from the difference quotient, which equals it in exact
+arithmetic.
 
 All value types are immutable. Each run owns its layers, the mutable
 buffers it steps through; the step functions write into layers that the
@@ -12,9 +16,8 @@ caller passes, and the results a run returns are copies that never alias
 them. So independent runs may execute concurrently without coordination.
 """
 
-from .errors import (DomainViolationError, NoConvergenceError, NoDecayError,
-                     NodeCrossingError, NonFiniteSolutionError,
-                     SimulationError)
+from .errors import (NoConvergenceError, NoDecayError, NodeCrossingError,
+                     NonFiniteSolutionError, SimulationError)
 from .exact import FourierCoeffs, coefficients, evaluate
 from .grid import (TAU, DiscreteField, GridSlice, advance_constant,
                    advance_equidistributed, advance_lagrangian,

@@ -41,9 +41,5 @@ class NonFiniteSolutionError(SimulationError, ValueError):
     """
 
 
-class DomainViolationError(SimulationError):
-    """A group transformation was applied outside its domain of definition."""
-
-
 class NoDecayError(SimulationError):
     """Fourier coefficients did not decay below tolerance within the cap."""

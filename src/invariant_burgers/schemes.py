@@ -7,9 +7,18 @@ placed by its grid equation; classical FTCS is that stencil on the
 stationary layer. Everything is explicit (forward Euler in time) with the
 time step tied to the mean spacing through dt = dt_factor * h^2.
 
+The stencil's grid velocity xdot is the one each grid equation defines,
+not a quotient re-derived from positions: none on the stationary grid;
+xdot = u on the Lagrangian grid (and the projection's evolution sub-step),
+where u - xdot is zero and no advection term is formed, so the step is
+u + dt * diffusion; the drift c on the constant grid; and the difference
+quotient (x_next - x)/dt only on the equidistributed grid, which has no
+closed-form velocity. In exact arithmetic each equals the quotient that the
+certifier's relation (``symmetry.satisfy_scheme``) uses.
+
 At N = 512 a numpy call costs about a microsecond whatever it computes, so
-the step makes few: one stencil pass over a slot row, and no grid velocity
-on a stationary layer.
+the step makes few: one stencil pass over a slot row, no grid velocity on
+a stationary layer and no advection term on a Lagrangian one.
 
 The step functions work in place on ``grid.Layer``s. ``run`` allocates its
 layers once and each step writes the new positions and values into spare
@@ -153,53 +162,60 @@ class Trajectory:
 
 
 def moving_mesh_terms(xl: Layer, ul: Layer, xdot, nu: float, out: Layer
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray | None, np.ndarray]:
     """Advection and diffusion terms of the moving-mesh relation
     (u_next - u_k)/dt + advection - diffusion = 0 at the nodes of the
     position layer ``xl`` and value layer ``ul``, read over their slot
     rows: the row gaps and row wide gaps of ``xl`` and the row views of
     ``ul``. The centred slope is weighted by the velocity relative to the
-    grid motion, u_k - xdot (xdot a scalar or one per node); xdot = None
-    on a stationary layer skips the subtraction (u - 0.0 is u bit for
-    bit, -0.0 included) and gives the FTCS relation. Each gap's slope is
-    formed once for its two nodes. The terms are written into the scratch
-    rows of ``out`` and returned as views of them.
+    grid motion, u_k - xdot, where xdot is the grid velocity its grid
+    equation defines: None on a stationary layer, which skips the
+    subtraction (u - 0.0 is u bit for bit, -0.0 included) and gives the
+    FTCS relation; the value layer ``ul`` itself on a Lagrangian layer,
+    where u_k - xdot is zero, so no advection term is formed and None
+    stands in for it; a scalar (the drift c) or one value per node (the
+    difference quotient) otherwise. Each gap's slope is formed once for
+    its two nodes. The terms are written into the scratch rows of ``out``
+    and returned as views of them.
     """
     slopes, advection, diffusion = out.slopes, out.advection, out.diffusion
     np.subtract(ul.row_east, ul.row_west, slopes)
     np.divide(slopes, xl.row_gaps, slopes)
+    np.subtract(out.slopes_east, out.slopes_west, diffusion)
+    np.multiply(np.divide(2.0 * nu, xl.row_wide, out.work), diffusion,
+                diffusion)
+    if xdot is ul:
+        return None, diffusion
     np.subtract(ul.east, ul.west, advection)
     np.divide(advection, xl.row_wide, advection)
     relative = (ul.nodes if xdot is None
                 else np.subtract(ul.nodes, xdot, out.work))
     np.multiply(relative, advection, advection)
-    np.subtract(out.slopes_east, out.slopes_west, diffusion)
-    np.multiply(np.divide(2.0 * nu, xl.row_wide, out.work), diffusion,
-                diffusion)
     return advection, diffusion
 
 
-def invariant_step(xl: Layer, ul: Layer, xl_next: Layer, dt: float,
-                   nu: float, out: Layer) -> Layer:
+def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, nu: float,
+                   out: Layer) -> Layer:
     """Explicit update on a moving mesh, written into the value layer
     ``out`` and filled there: the moving-mesh stencil over the slot row of
     the layer ``xl`` (neighbours unwrapped across the seam), with the grid
-    velocity xdot taken from the next layer ``xl_next``. A next layer that
-    is ``xl`` itself (from ``advance_stationary``) gives the classical FTCS
-    update, with no grid velocity formed. The new values are unchecked.
+    velocity ``xdot`` that the grid equation defines (see
+    ``moving_mesh_terms``). None, on the stationary layer, gives the
+    classical FTCS update; ``ul`` itself, on the Lagrangian layer, gives
+    u + dt * diffusion. The new values are unchecked.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if not len(xl_next.g) == len(xl.g) == len(ul.g) == len(out.g):
+    if not len(xl.g) == len(ul.g) == len(out.g):
         raise ValueError("layers and values differ in size")
-    xdot = None
-    if xl_next is not xl:
-        xdot = np.subtract(xl_next.nodes, xl.nodes, out.work)
-        np.divide(xdot, dt, xdot)
     advection, diffusion = moving_mesh_terms(xl, ul, xdot, nu, out)
-    np.subtract(advection, diffusion, advection)
-    np.multiply(dt, advection, advection)
-    np.subtract(ul.nodes, advection, out.nodes)
+    if advection is None:
+        np.multiply(dt, diffusion, diffusion)
+        np.add(ul.nodes, diffusion, out.nodes)
+    else:
+        np.subtract(advection, diffusion, advection)
+        np.multiply(dt, advection, advection)
+        np.subtract(ul.nodes, advection, out.nodes)
     return out.fill()
 
 
@@ -212,8 +228,9 @@ def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
     on it filled in ``out``, which are returned; ``moved`` and ``evolved``
     take the moved layer and the values on it.
 
-    Nodes move Lagrangianly, the moving-mesh update runs on the moved
-    layer, and the result is interpolated back onto the step-start lattice
+    Nodes move Lagrangianly, the moving-mesh update runs onto the moved
+    layer with its grid velocity xdot = u (so with no advection term), and
+    the result is interpolated back onto the step-start lattice
     advanced by the bulk (mean) velocity. Advancing the re-mapping targets
     with the bulk velocity keeps the whole composite boost-equivariant: a
     lattice held fixed in one frame is a moving lattice in every other.
@@ -229,7 +246,7 @@ def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
         raise TypeError(f"interp_kind must be an InterpKind, got "
                         f"{interp_kind!r}")
     advance_lagrangian(xl, ul, dt, domain_length, moved)
-    invariant_step(xl, ul, moved, dt, nu, evolved)
+    invariant_step(xl, ul, ul, dt, nu, evolved)
     # the mean as np.mean forms it (pairwise sum over n), without its
     # dispatch
     u = ul.nodes
@@ -250,9 +267,12 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     the initial data is boosted before stepping (positions are untouched at
     t = 0) and outputs are left in the moving frame. ``snapshot_every``
     stores every k-th step in addition to the first and last; 0 keeps only
-    those two. A run of more than ``_MAX_STEPS`` steps is rejected with a
-    ``ValueError`` before the first one.
+    those two; it must be an integer. A run of more than ``_MAX_STEPS``
+    steps is rejected with a ``ValueError`` before the first one.
     """
+    if not isinstance(snapshot_every, numbers.Integral):
+        raise ValueError(f"snapshot_every must be an integer, got "
+                         f"{snapshot_every!r}")
     if snapshot_every < 0:
         raise ValueError("snapshot_every must be >= 0")
     kind = config.scheme_kind
@@ -275,21 +295,28 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         grid = equidistribute_initial(sample_initial, grid, config.alpha)
     fld = DiscreteField(grid=grid, u=sample_initial(grid.x))
 
+    c = config.frame_velocity
+
+    def equidistributed(xl, ul, dt, out):
+        x_next = advance_equidistributed(xl, ul, config.alpha, dt, length,
+                                         out)
+        # the one grid with no closed-form velocity: its difference quotient
+        return x_next, (x_next.nodes - xl.nodes) / dt
+
     # the grid equation of each moving-mesh scheme (evolution-projection,
-    # a composite, has none); each looks its advance up when called, so a
-    # rebinding of the module attribute reaches the step loop
+    # a composite, has none) with the grid velocity it defines; each looks
+    # its advance up when called, so a rebinding of the module attribute
+    # reaches the step loop
     advance = {
         SchemeKind.CLASSICAL_FTCS:
-            lambda xl, ul, dt, out: advance_stationary(xl, dt),
+            lambda xl, ul, dt, out: (advance_stationary(xl, dt), None),
         SchemeKind.LAGRANGIAN:
-            lambda xl, ul, dt, out: advance_lagrangian(xl, ul, dt, length,
-                                                       out),
-        SchemeKind.EULERIAN_ADAPTIVE:
-            lambda xl, ul, dt, out: advance_equidistributed(
-                xl, ul, config.alpha, dt, length, out),
+            lambda xl, ul, dt, out: (
+                advance_lagrangian(xl, ul, dt, length, out), ul),
+        SchemeKind.EULERIAN_ADAPTIVE: equidistributed,
         SchemeKind.CONSTANT_FRAME:
-            lambda xl, ul, dt, out: advance_constant(
-                xl, config.frame_velocity, dt, length, out),
+            lambda xl, ul, dt, out: (
+                advance_constant(xl, c, dt, length, out), c),
     }.get(kind)
 
     snapshots = [fld]
@@ -312,8 +339,8 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
                         xl, ul, dt, config.nu, config.interp_kind, length,
                         moved, evolved, x_spare, u_spare)
                 else:
-                    x_next = advance(xl, ul, dt, x_spare)
-                    u_next = invariant_step(xl, ul, x_next, dt, config.nu,
+                    x_next, xdot = advance(xl, ul, dt, x_spare)
+                    u_next = invariant_step(xl, ul, xdot, dt, config.nu,
                                             u_spare)
                 require_finite(u_next.nodes)
             except SimulationError as exc:

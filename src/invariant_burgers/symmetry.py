@@ -1,11 +1,14 @@
 """Discrete actions of the one-parameter symmetry groups and a numerical
 certifier for the invariance of finite-difference relations.
 
-The five generators act on (t, x, u) points, whole discrete fields, and
+The four generators act on (t, x, u) points, whole discrete fields, and
 two-layer stencils, and always carry the constants along: a boost shifts
 the drift velocity c of the constant-motion grid equation, and a scaling
-rescales c and the monitor weight. Each stencil relation is one function,
-its solve for the next layer's center unknown (``satisfy_*``).
+rescales c and the monitor weight. The Burgers equation on the line also
+admits the projective map t -> t/(1 - eps t), x -> x/(1 - eps t),
+u -> u (1 - eps t) + eps x, but the periodic problem does not, because
+that map rescales the period with time. Each stencil relation is one
+function, its solve for the next layer's center unknown (``satisfy_*``).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainViolationError
 from .grid import TAU, DiscreteField, GridSlice, Layer
 from .schemes import moving_mesh_terms
 
@@ -26,7 +28,6 @@ class Generator(Enum):
     SPACE_TRANSLATION = "space-translation"
     GALILEAN_BOOST = "galilean-boost"
     SCALING = "scaling"
-    TIME_INVERSION = "time-inversion"
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ class GroupElement:
 
 def apply_point(g: GroupElement, t, x, u):
     """The closed-form action of ``g`` on (t, x, u), returned as a new
-    (t, x, u); each argument may be a scalar or an array. Time inversion
-    raises ``DomainViolationError`` where 1 - eps*t is not positive."""
+    (t, x, u); each argument may be a scalar or an array."""
     eps = g.epsilon
     gen = g.generator
     if gen is Generator.TIME_TRANSLATION:
@@ -56,30 +56,21 @@ def apply_point(g: GroupElement, t, x, u):
         return t, x + eps, u
     if gen is Generator.GALILEAN_BOOST:
         return t, x + eps * t, u + eps
-    if gen is Generator.SCALING:
-        return (math.exp(2.0 * eps) * t, math.exp(eps) * x,
-                math.exp(-eps) * u)
-    # time inversion, defined only while 1 - eps*t stays positive
-    f = 1.0 - eps * np.asarray(t)
-    if np.any(f <= 0.0):
-        raise DomainViolationError(
-            f"time inversion with epsilon={eps} undefined at t={t}")
-    f = f if np.ndim(t) else float(f)
-    return t / f, x / f, u * f + eps * x
+    # the scaling
+    return (math.exp(2.0 * eps) * t, math.exp(eps) * x,
+            math.exp(-eps) * u)
 
 
 def apply_field(g: GroupElement, fld: DiscreteField) -> DiscreteField:
     """Transform every node (t, x_i, u_i) of one time layer simultaneously
     with ``apply_point``; the domain start is one more point of the layer,
-    and the domain length scales with x under scalings and inversions."""
+    and the domain length scales with x under scalings."""
     grid = fld.grid
     t, x, u = apply_point(g, grid.t, grid.x, fld.u)
     _, start, _ = apply_point(g, grid.t, grid.domain_start, 0.0)
     length = grid.domain_length
     if g.generator is Generator.SCALING:
         length = math.exp(g.epsilon) * length
-    elif g.generator is Generator.TIME_INVERSION:
-        length = length / (1.0 - g.epsilon * grid.t)
     new_grid = GridSlice(t=float(t), x=x, domain_start=start,
                          domain_length=length)
     return DiscreteField(grid=new_grid, u=u)
@@ -153,7 +144,10 @@ def satisfy_scheme(s: Stencil, p: StencilParams) -> Stencil:
 
     The grid velocity (x_next - x)/dt in the advection factor is what lets
     boosts cancel; with a stationary next layer it degenerates to the
-    classical fixed-grid relation.
+    classical fixed-grid relation. This is the general relation: the
+    solver's step takes xdot from its grid equation instead (u on a
+    Lagrangian layer, the drift c on a constant one), and each of those
+    equals this difference quotient in exact arithmetic.
     """
     return _satisfy(s, p, _grid_velocity(s))
 

@@ -46,19 +46,20 @@ def ftcs_update_loop(u, dt, nu, h):
     return np.array(out)
 
 
-def moving_mesh_update_loop(x0, u, x1, dt, nu, length):
-    """Scalar-loop evaluation of the moving-mesh update formula."""
+def moving_mesh_update_loop(x0, u, xdot, dt, nu, length):
+    """Scalar-loop evaluation of the moving-mesh update formula, with the
+    grid velocity ``xdot`` given as one scalar or one value per node."""
     n = len(u)
     out = [0.0] * n
     for i in range(n):
         ip, im = (i + 1) % n, (i - 1) % n
         xe = x0[ip] + (length if i == n - 1 else 0.0)
         xw = x0[im] - (length if i == 0 else 0.0)
-        xdot = (x1[i] - x0[i]) / dt
+        v = xdot[i] if np.ndim(xdot) else xdot
         slope = (u[ip] - u[im]) / (xe - xw)
         diff = (2.0 * nu / (xe - xw)) * ((u[ip] - u[i]) / (xe - x0[i])
                                          - (u[i] - u[im]) / (x0[i] - xw))
-        out[i] = u[i] + dt * (-(u[i] - xdot) * slope + diff)
+        out[i] = u[i] + dt * (-(u[i] - v) * slope + diff)
     return np.array(out)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from invariant_burgers import (
     DEFAULT_DT_FACTORS, DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
-    NodeCrossingError, SchemeConfig, SchemeKind, TAU, advance_stationary,
+    NodeCrossingError, SchemeConfig, SchemeKind, TAU,
     apply_field, evolution_projection_step, invariant_step,
     mean_spacing, run, uniform_slice,
 )
@@ -33,9 +33,11 @@ def layer(grid):
 
 
 def moving_step(fld, grid_next, dt, nu):
-    """The moving-mesh update from ``fld`` onto the slice ``grid_next``."""
-    out = invariant_step(layer(fld.grid), Layer.of_values(fld.u),
-                         layer(grid_next), dt, nu, Layer(fld.grid.n))
+    """The moving-mesh update from ``fld`` onto the slice ``grid_next``,
+    with the grid velocity its difference quotient."""
+    xdot = (grid_next.x - fld.grid.x) / dt
+    out = invariant_step(layer(fld.grid), Layer.of_values(fld.u), xdot, dt,
+                         nu, Layer(fld.grid.n))
     return DiscreteField(grid=grid_next, u=out.nodes)
 
 
@@ -53,10 +55,8 @@ def projection_step(fld, dt, nu, interp_kind):
 # ---------------------------------------------------------------------------
 
 def ftcs_step(fld, dt, nu):
-    xl = layer(fld.grid)
-    out = invariant_step(xl, Layer.of_values(fld.u),
-                         advance_stationary(xl, dt), dt, nu,
-                         Layer(fld.grid.n))
+    out = invariant_step(layer(fld.grid), Layer.of_values(fld.u), None, dt,
+                         nu, Layer(fld.grid.n))
     return DiscreteField(grid=fld.grid, u=out.nodes)
 
 
@@ -108,7 +108,9 @@ def test_invariant_step_matches_loop_oracle():
     dt = 1e-3
     moved = GridSlice(t=dt, x=fld.grid.x + dt * np.cos(fld.grid.x))
     out = moving_step(fld, moved, dt, 0.1)
-    expected = moving_mesh_update_loop(fld.grid.x, fld.u, moved.x, dt, 0.1, TAU)
+    expected = moving_mesh_update_loop(fld.grid.x, fld.u,
+                                       (moved.x - fld.grid.x) / dt, dt, 0.1,
+                                       TAU)
     np.testing.assert_array_equal(out.u, expected)
 
 
@@ -132,24 +134,25 @@ def test_invariant_step_single_step_boost_equivariance():
        dt=st.floats(1e-5, 1e-2), nu=st.floats(1e-3, 1.0))
 def test_a_stationary_step_equals_a_step_onto_a_copied_layer(n, seed, dt,
                                                              nu):
-    # the layer itself as the next layer skips xdot; a copy of it forms
-    # xdot = (x - x)/dt = 0 at every node, and the values (ghost slots
-    # included) must not differ
+    # no grid velocity skips u - xdot; the difference quotient onto a copy
+    # of the layer, xdot = (x - x)/dt = 0 at every node, and the drift
+    # c = 0 form it, and the values (ghost slots included) must not differ
     rng = np.random.default_rng(seed)
     x, u = random_smooth_field(rng, n)
     u[rng.integers(0, n, 3)] = rng.choice([0.0, -0.0], 3)
     xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
-    skipped = invariant_step(xl, ul, advance_stationary(xl, dt), dt, nu,
-                             Layer(n))
-    formed = invariant_step(xl, ul, Layer.of_positions(x, TAU), dt, nu,
-                            Layer(n))
-    assert skipped.g.tobytes() == formed.g.tobytes()
+    skipped = invariant_step(xl, ul, None, dt, nu, Layer(n))
+    for xdot in ((x - x.copy()) / dt, 0.0):
+        formed = invariant_step(xl, ul, xdot, dt, nu, Layer(n))
+        assert skipped.g.tobytes() == formed.g.tobytes()
 
 
 def test_invariant_step_validates_layers():
-    fld = sin_field(16)
-    with pytest.raises(ValueError, match="differ in size"):
-        moving_step(fld, uniform_slice(8, t=1e-3), 1e-3, 0.1)
+    xl = layer(uniform_slice(16))
+    for ul, out in ((Layer.of_values(np.zeros(8)), Layer(16)),
+                    (Layer.of_values(np.zeros(16)), Layer(8))):
+        with pytest.raises(ValueError, match="differ in size"):
+            invariant_step(xl, ul, None, 1e-3, 0.1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +351,40 @@ def test_run_rejects_a_negative_snapshot_interval():
     config = SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=8)
     with pytest.raises(ValueError, match="snapshot_every"):
         run(config, np.sin, snapshot_every=-3)
+
+
+@pytest.mark.parametrize("every", [2.5, float("nan"), "3", 3.0])
+def test_run_rejects_a_snapshot_interval_that_is_not_an_integer(every):
+    config = SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=8)
+    with pytest.raises(ValueError, match="snapshot_every must be an integer"):
+        run(config, np.sin, snapshot_every=every)
+
+
+def test_run_takes_a_numpy_integer_snapshot_interval():
+    config = SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=32)
+    times = [[f.grid.t for f in run(config, np.sin,
+                                    snapshot_every=every).snapshots]
+             for every in (3, np.int64(3))]
+    assert len(times[0]) > 3
+    assert times[0] == times[1]
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.7])
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_constant_frame_at_zero_drift_is_ftcs_byte_for_byte(n, offset):
+    # the drift c = 0 moves no node (x + 0 dt is x) and its grid velocity
+    # makes u - c equal u, so every stored layer matches the FTCS run's
+    every = 1 if n < 512 else 10
+    ftcs, frame = (run(SchemeConfig(scheme_kind=kind, n_points=n,
+                                    domain_start=offset), np.sin,
+                       snapshot_every=every)
+                   for kind in (SchemeKind.CLASSICAL_FTCS,
+                                SchemeKind.CONSTANT_FRAME))
+    assert len(ftcs.snapshots) == len(frame.snapshots) > 2
+    for a, b in zip(ftcs.snapshots, frame.snapshots):
+        assert a.grid.t == b.grid.t
+        assert a.grid.x.tobytes() == b.grid.x.tobytes()
+        assert a.u.tobytes() == b.u.tobytes()
 
 
 @pytest.mark.parametrize("kind", [SchemeKind.CLASSICAL_FTCS,

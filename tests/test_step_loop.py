@@ -128,13 +128,14 @@ def test_run_matches_a_plain_loop_over_the_oracle(kind, n, every):
     t, layers = 0.0, [(0.0, x, u)]
     while t < config.t_final * (1.0 - 1e-12):
         dt = min(dt0, config.t_final - t)
+        # the grid velocity is the one each grid equation defines
         if kind is SchemeKind.CLASSICAL_FTCS:
-            x1 = x
+            x1, xdot = x, 0.0
         elif kind is SchemeKind.CONSTANT_FRAME:
-            x1 = x + dt * c
+            x1, xdot = x + dt * c, c
         else:
-            x1 = x + dt * u
-        u1 = moving_mesh_update_loop(x, u, x1, dt, config.nu, TAU)
+            x1, xdot = x + dt * u, u
+        u1 = moving_mesh_update_loop(x, u, xdot, dt, config.nu, TAU)
         if kind is SchemeKind.EVOLUTION_PROJECTION:
             # remapped onto the step-start lattice moved by the mean velocity
             targets = x + dt * float(np.sum(u) / n)
