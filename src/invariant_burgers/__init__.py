@@ -21,8 +21,8 @@ from .errors import (NoConvergenceError, NoDecayError, NodeCrossingError,
 from .exact import FourierCoeffs, coefficients, evaluate
 from .grid import (TAU, DiscreteField, GridSlice, advance_constant,
                    advance_equidistributed, advance_lagrangian,
-                   advance_stationary, equidistribute_initial, ghosted,
-                   mean_spacing, monitor, require_ordered, uniform_slice)
+                   advance_stationary, equidistribute_initial, mean_spacing,
+                   monitor, uniform_slice)
 from .harness import (ConvergenceRow, ErrorReport, convergence_study,
                       frame_comparison, grid_spacing_profile, linf_error)
 from .interpolate import InterpKind

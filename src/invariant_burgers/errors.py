@@ -17,12 +17,12 @@ class NodeCrossingError(SimulationError, ValueError):
     """Node positions are not strictly increasing with a positive periodic
     closure gap.
 
-    Raised by ``grid.require_ordered`` on ``GridSlice`` construction and
-    on the interpolants' nodes, and by the placement of each layer a grid
-    equation writes (``grid.Layer.place``), which applies the same check.
-    Inside a run it means a grid update inverted a mesh interval
-    (time step too large); it is also a ``ValueError``, because building a
-    grid from unordered nodes is a bad argument.
+    Raised by the placement of a layer of positions (``grid.Layer.place``):
+    of each layer a grid equation writes, and of the nodes of a
+    ``GridSlice`` and of the interpolants. Inside a run it means a grid
+    update inverted a mesh interval (time step too large); it is also a
+    ``ValueError``, because building a grid from unordered nodes is a bad
+    argument.
     """
 
 

@@ -8,15 +8,15 @@ periodic closure gap ``x[0] + L - x[-1]`` must stay positive. Wrapping into
 the fundamental interval happens only on output.
 
 The grid equations and the monitor work on ``Layer``s: one buffer per
-layer, allocated once per run, holding the ghost slots of ``ghosted`` and
-the views a step reads. A grid equation writes the next layer's positions
-into a destination layer that the caller passes and places it there
-(ghost slots, gaps, order check, wide gaps), so placing a layer forms no
-view and allocates no array. ``ghosted`` and ``require_ordered`` build the
-ghost slots and order verdicts of arrays handed in from outside; a layer's
-placement gives the same slots, verdict and message. ``GridSlice`` and
-``DiscreteField`` are the validated containers for a layer handed across
-the API (snapshots, transformations, error measurement).
+layer holding the N + 3 periodic ghost slots, with the views a step reads.
+A run allocates its layers once; a grid equation writes the next layer's
+positions into a destination layer that the caller passes and places it
+there (ghost slots, gaps, wide gaps, order check), so placing a layer forms
+no view and allocates no array. ``Layer`` is the one ghost builder and its
+placement the one order check: ``GridSlice``, the interpolants and the mesh
+solve place or fill a layer too. ``GridSlice`` and ``DiscreteField`` are
+the validated containers for a layer handed across the API (snapshots,
+transformations, error measurement).
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ def _as_float_array(values) -> np.ndarray:
 class GridSlice:
     """One time layer: a time value plus ordered node positions.
 
-    Construction checks node order with ``require_ordered``, the same check
-    every grid equation applies to the layer it returns; a non-finite node
-    fails it too (some gap is NaN or not positive).
+    Construction checks node order by placing a transient layer of the
+    nodes (``Layer.place``), the same check every grid equation applies to
+    the layer it returns; a non-finite node fails it too (some gap is NaN
+    or not positive). The slice keeps no layer.
     """
 
     t: float
@@ -61,53 +62,23 @@ class GridSlice:
             raise ValueError("non-finite layer time")
         if not 0.0 < self.domain_length < np.inf:
             raise ValueError("domain_length must be positive and finite")
-        # equal infinite nodes make a NaN gap, which fails the check
-        with np.errstate(over="ignore", invalid="ignore"):
-            require_ordered(self.x, self.domain_length)
+        self.gaps()  # places a layer of the nodes, which checks them
 
     @property
     def n(self) -> int:
         return len(self.x)
 
     def gaps(self) -> np.ndarray:
-        """Periodic gaps x_{i+1} - x_i, closing with x_0 + L - x_{N-1}."""
-        xg = ghosted(self.x, self.domain_length)
-        return xg[2:-1] - xg[1:-2]
+        """Periodic gaps x_{i+1} - x_i, closing with x_0 + L - x_{N-1}: the
+        node gaps of a layer placed at the positions, which checks them."""
+        # equal infinite nodes make a NaN gap, which fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Layer.of_positions(self.x, self.domain_length).gaps[1:-1]
 
     def wrapped_x(self) -> np.ndarray:
         """Positions reduced into [domain_start, domain_start + L)."""
         return self.domain_start + np.mod(self.x - self.domain_start,
                                           self.domain_length)
-
-
-def ghosted(a: np.ndarray, jump: float = 0.0) -> np.ndarray:
-    """The N + 3 slots [a_{N-1} - jump, a_0 .. a_{N-1}, a_0 + jump,
-    a_1 + jump] of a periodic array: slot j holds entry j - 1 (one entry:
-    the last slot is a_0 + 2 jump). ``jump`` = L unwraps node positions
-    across the seam; ``jump`` = 0 copies values without arithmetic (a -0.0
-    keeps its sign). The stencil reads the slot row g[:-1], every entry
-    between its west and east neighbour; interpolants bracket a query by
-    slots j, j + 1 with 1 <= j <= N and read at most one slot beyond."""
-    n = len(a)
-    g = np.empty(n + 3)
-    g[1:-2] = a
-    if jump:
-        g[0] = a[-1] - jump
-        g[-2] = a[0] + jump
-        g[-1] = a[1] + jump if n > 1 else a[0] + 2.0 * jump
-    else:
-        g[0], g[-2], g[-1] = a[-1], a[0], a[1 % n]
-    return g
-
-
-def require_ordered(x: np.ndarray, domain_length: float) -> np.ndarray:
-    """The ghost array ``ghosted(x, L)`` of node positions whose periodic
-    gaps are all positive, which the smallest gap decides (a NaN gap makes
-    it NaN, which is not positive); raise ``NodeCrossingError`` otherwise,
-    naming the first interval that is not."""
-    xg = ghosted(x, domain_length)
-    _require_positive(xg[2:-1] - xg[1:-2])
-    return xg
 
 
 def _require_positive(gaps: np.ndarray):
@@ -133,9 +104,13 @@ def require_finite(u: np.ndarray) -> np.ndarray:
 
 class Layer:
     """One time layer held in place: ``g`` is one buffer of the N + 3
-    slots that ``ghosted`` lays out, and every other member is a view of it
-    or a buffer of its own, all formed when the layer is allocated, so
-    writing a layer forms no view and allocates no array.
+    periodic ghost slots [a_{N-1} - L, a_0 .. a_{N-1}, a_0 + L, a_1 + L]
+    of N entries a (slot j holds entry j - 1; with one node the last slot
+    is a_0 + 2L), where L is the period of a position layer and 0 for a
+    value layer, whose ghosts are copies (a -0.0 keeps its sign). Every
+    other member is a view of ``g`` or a buffer of its own, all formed when
+    the layer is allocated, so writing a layer forms no view and allocates
+    no array.
 
     - ``nodes`` is slots 1 .. N. The stencil and the monitor read the slot
       row g[:-1] through ``row_east`` g[1:-1] and ``row_west`` g[:-2]
@@ -149,7 +124,8 @@ class Layer:
       stencil that writes the layer as values.
 
     Write the nodes, then ``place`` positions (L > 0) or ``fill`` values;
-    both need N >= 2, where slot 2 holds a_1.
+    both take N >= 1. The interpolants bracket a query by slots j, j + 1
+    with 1 <= j <= N and read at most one slot beyond.
     """
 
     def __init__(self, n: int):
@@ -181,23 +157,29 @@ class Layer:
         return layer.fill()
 
     def place(self, domain_length: float) -> Layer:
-        """Complete a layer of node positions: its ghost slots as
-        ``ghosted(x, L)`` lays them out, its gaps and wide gaps, and the
-        order check of ``require_ordered`` on the node gaps, with its
-        message."""
+        """Complete a layer of node positions: its ghost slots, its gaps
+        and wide gaps, and the order check on the node gaps, which raises
+        ``NodeCrossingError`` naming the first interval whose gap is not
+        positive."""
         g = self.g
         g[0] = g[-3] - domain_length
         g[-2] = g[1] + domain_length
-        g[-1] = g[2] + domain_length
+        # with one node, slot 2 is the ghost a_0 + L just written, and the
+        # last slot is a_0 + 2L in one addition
+        g[-1] = (g[2] + domain_length if len(g) > 4
+                 else g[1] + 2.0 * domain_length)
         self.measure()
         _require_positive(self._node_gaps)
         return self
 
     def fill(self) -> Layer:
-        """Complete a layer of nodal values: its ghost slots copied as
-        ``ghosted(u)`` copies them, without arithmetic."""
+        """Complete a layer of nodal values: its ghost slots copied,
+        without arithmetic."""
         g = self.g
-        g[0], g[-2], g[-1] = g[-3], g[1], g[2]
+        # in order: with one node, slot 2 is the ghost slot written second
+        g[0] = g[-3]
+        g[-2] = g[1]
+        g[-1] = g[2]
         return self
 
     def measure(self) -> Layer:
@@ -268,13 +250,20 @@ def advance_constant(xl: Layer, c: float, dt: float, domain_length: float,
     return out.place(domain_length)
 
 
-def monitor(xl: Layer, ul: Layer, alpha: float) -> np.ndarray:
+def monitor(xl: Layer, ul: Layer, alpha: float, out: Layer) -> Layer:
     """Nodal monitor values sqrt(1 + alpha * slope^2), where the slope is
     the periodic centered difference quotient of the values ``ul`` over
-    the wide gaps of the positions ``xl``. ``SchemeConfig`` checks that the
-    weight ``alpha`` is finite and >= 0."""
-    slope = (ul.east - ul.west) / xl.row_wide
-    return np.sqrt(1.0 + alpha * slope ** 2)
+    the wide gaps of the positions ``xl``, written into the value layer
+    ``out`` and filled there. ``SchemeConfig`` checks that the weight
+    ``alpha`` is finite and >= 0."""
+    rho = out.nodes
+    np.subtract(ul.east, ul.west, rho)
+    np.divide(rho, xl.row_wide, rho)
+    np.square(rho, rho)
+    np.multiply(alpha, rho, rho)
+    np.add(1.0, rho, rho)
+    np.sqrt(rho, rho)
+    return out.fill()
 
 
 def advance_equidistributed(xl: Layer, ul: Layer, alpha: float, dt: float,
@@ -287,13 +276,14 @@ def advance_equidistributed(xl: Layer, ul: Layer, alpha: float, dt: float,
     cyclically, with the monitor lagged on the current layer. The singular
     cyclic system is closed by moving node 0 Lagrangianly
     (x_0 += dt*u_0), which keeps the grid equation equivariant under
-    boosts; a fixed anchor would not be.
+    boosts; a fixed anchor would not be. The monitor is written into
+    ``out`` as a value layer first, and the positions then replace it.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    _solve_equidistribution(monitor(xl, ul, alpha),
-                            xl.nodes[0] + dt * ul.nodes[0], domain_length,
-                            out.nodes)
+    anchor = xl.nodes[0] + dt * ul.nodes[0]
+    _solve_equidistribution(monitor(xl, ul, alpha, out), anchor,
+                            domain_length, out.nodes)
     return out.place(domain_length)
 
 
@@ -316,12 +306,12 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
     """
     x, length = grid.x, grid.domain_length
     tol = _SETTLE_RTOL * length
-    xl, ul = Layer(grid.n), Layer(grid.n)
+    xl, ul, rho = Layer(grid.n), Layer(grid.n), Layer(grid.n)
     for _ in range(_MAX_ROUNDS):
         ul.nodes[...] = require_finite(_as_float_array(initial(x)))
         xl.nodes[...] = x
         x_new = _solve_equidistribution(
-            monitor(xl.place(length), ul.fill(), alpha), x[0], length,
+            monitor(xl.place(length), ul.fill(), alpha, rho), x[0], length,
             np.empty(grid.n))
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
@@ -333,14 +323,7 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
     return replace(grid, x=x)
 
 
-def equidistribution_residual(x: np.ndarray, rho: np.ndarray,
-                              domain_length: float) -> np.ndarray:
-    """Residual of the discrete equidistribution relation, per node."""
-    xg, rg = ghosted(x, domain_length), ghosted(rho)
-    return (rg[2:-1] + rho) * (xg[2:-1] - x) - (rho + rg[:-3]) * (x - xg[:-3])
-
-
-def _solve_equidistribution(rho: np.ndarray, anchor: float,
+def _solve_equidistribution(rho: Layer, anchor: float,
                             domain_length: float, x: np.ndarray
                             ) -> np.ndarray:
     """Exact solution of the anchored cyclic equidistribution system.
@@ -350,9 +333,12 @@ def _solve_equidistribution(rho: np.ndarray, anchor: float,
     to L fix C = L / sum_i 1/(rho_i + rho_{i+1}). The positions are the
     partial sums of 1/(rho_i + rho_{i+1}) scaled by L over their own last
     sum, so the closing gap does not absorb the rounding of N - 1 additions.
-    They are written into ``x``, which is returned.
+    The monitor is read from the filled value layer ``rho``, each node's
+    east neighbour from its ``east`` view. The positions are written into
+    ``x``, which is returned; ``x`` may be the nodes of ``rho``, which are
+    read first.
     """
-    c = np.cumsum(1.0 / (rho + ghosted(rho)[2:-1]))
+    c = np.cumsum(1.0 / (rho.nodes + rho.east))
     x[0] = anchor
     x[1:] = anchor + c[:-1] * (domain_length / c[-1])
     return x

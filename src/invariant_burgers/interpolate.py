@@ -4,12 +4,12 @@ All three reproduce affine data exactly and commute with translations of
 nodes and queries and with constant value offsets, which is what makes them
 safe projection operators for the symmetry-preserving schemes.
 
-``interpolate`` is the one entry point: it checks its nodes and queries,
-and that no sum of two node positions or squared gap overflows, ghosts the
-nodes once (``grid.ghosted``) and hands the ghost arrays to ``_evaluate``.
-The evolution-projection step calls ``_evaluate`` directly on the slots of
-a layer it has placed, with the gaps and wide gaps its placement formed,
-and with targets it has placed. Every stencil indexes the ghost arrays
+``interpolate`` is the one entry point: it checks its queries, places its
+nodes in a ``grid.Layer`` (which checks their order), checks that no sum of
+two node positions or squared gap overflows, fills its values in another
+and hands both layers to ``_evaluate``. The evolution-projection step calls
+``_evaluate`` directly on the layers it has placed and filled, with targets
+it has placed. Every stencil indexes the ghost slots ``g`` of the layers
 directly:
 
 - linear and spline reduce each query into [x_0, x_0 + L) and bracket it
@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import TAU, _as_float_array, ghosted, require_ordered
+from .grid import TAU, Layer, _as_float_array
 
 
 class InterpKind(str, Enum):
@@ -73,7 +73,8 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
     # the interpolants add two slot positions and square a gap; equal
     # infinite nodes make a NaN gap, which fails the order check
     with np.errstate(over="ignore", invalid="ignore"):
-        xg = require_ordered(x, domain_length)
+        xl = Layer.of_positions(x, domain_length)
+        xg = xl.g
         if _reach(xg) == np.inf:
             name = ("nodes_x" if _reach(x) == np.inf
                     else f"domain_length={domain_length!r}")
@@ -83,8 +84,7 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
         raise ValueError(f"domain_length={domain_length!r} swamps the node "
                          f"gaps: a node and its neighbour across the seam "
                          f"round to one position one period away")
-    return _evaluate(xg, ghosted(u), q, kind, domain_length,
-                     xg[1:] - xg[:-1], xg[2:] - xg[:-2])
+    return _evaluate(xl, Layer.of_values(u), q, kind, domain_length)
 
 
 def _reach(x: np.ndarray) -> float:
@@ -94,13 +94,12 @@ def _reach(x: np.ndarray) -> float:
     return max(-2.0 * x[0], 2.0 * x[-1], gap ** 2)
 
 
-def _evaluate(xg: np.ndarray, ug: np.ndarray, q: np.ndarray,
-              kind: InterpKind, domain_length: float, gaps: np.ndarray,
-              wide: np.ndarray) -> np.ndarray:
-    """The interpolant of kind ``kind`` through the ghosted, checked nodes
-    ``xg`` and values ``ug``, at the finite queries ``q``; the quadratic
-    reads the gaps xg[1:] - xg[:-1] and the wide gaps xg[2:] - xg[:-2] of
-    the slots from ``gaps`` and ``wide``."""
+def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
+              domain_length: float) -> np.ndarray:
+    """The interpolant of kind ``kind`` through the placed position layer
+    ``xl`` and filled value layer ``ul``, at the finite queries ``q``; the
+    quadratic reads the gaps and wide gaps of ``xl``'s slots."""
+    xg, ug = xl.g, ul.g
     if kind is InterpKind.QUADRATIC:
         # slot b + 1 holds the node nearest q, ties going left: node i for
         # query i when each lies between the midpoints beside its node;
@@ -117,8 +116,8 @@ def _evaluate(xg: np.ndarray, ug: np.ndarray, q: np.ndarray,
             b = np.searchsorted(mid[1:-1], q, side="left")
         # the Newton form over slots b .. b + 2, from the slot slopes s_k
         # and second differences c_k
-        s = (ug[1:] - ug[:-1]) / gaps
-        c = (s[1:] - s[:-1]) / wide
+        s = (ug[1:] - ug[:-1]) / xl.gaps
+        c = (s[1:] - s[:-1]) / xl.wide
         return ug[b] + (q - xg[b]) * (s[b] + (q - xg[1:][b]) * c[b])
 
     # each query shifted by a multiple of L into [x_0, x_0 + L)
@@ -130,16 +129,16 @@ def _evaluate(xg: np.ndarray, ug: np.ndarray, q: np.ndarray,
         w = (q - xg[j]) / (xg[j + 1] - xg[j])
         return ug[j] * (1.0 - w) + ug[j + 1] * w
 
-    # cubic spline: second derivatives m at the nodes; rows read their west
-    # gap from the ghosts of the one gap array, so rows 0 and N-1 share one
-    # closing gap
-    h = xg[2:-1] - xg[1:-2]
-    du = (ug[2:-1] - ug[1:-2]) / h
-    hg = ghosted(h)
-    mg = ghosted(_solve_cyclic_tridiagonal(
-        hg[:-3] / 6.0, (hg[:-3] + h) / 3.0, h / 6.0,
-        du - ghosted(du)[:-3]))
-    hj = hg[j]
+    # cubic spline: second derivatives m at the nodes. The node gaps h,
+    # the gap slopes du and the moments are copied into value layers, so
+    # each row reads its west neighbour from a ghost copy and rows 0 and
+    # N-1 share one closing gap
+    hl = Layer.of_values(xl.gaps[1:-1])
+    h, hw = hl.nodes, hl.west
+    dl = Layer.of_values((ul.east - ul.nodes) / h)
+    mg = Layer.of_values(_solve_cyclic_tridiagonal(
+        hw / 6.0, (hw + h) / 3.0, h / 6.0, dl.nodes - dl.west)).g
+    hj = hl.g[j]
     s = (q - xg[j]) / hj
     r = 1.0 - s
     return (ug[j] * r + ug[j + 1] * s

@@ -20,17 +20,22 @@ At N = 512 a numpy call costs about a microsecond whatever it computes, so
 the step makes few: one stencil pass over a slot row, no grid velocity on
 a stationary layer and no advection term on a Lagrangian one.
 
-The step functions work in place on ``grid.Layer``s. ``run`` allocates its
-layers once and each step writes the new positions and values into spare
-layers that it passes as destinations, through the views and scratch rows
-those layers formed when they were allocated; the step forms no view and
-allocates no array of values, apart from the adaptive mesh solve and the
+The step functions work in place on ``grid.Layer``s, the package's one
+ghost layout. ``run`` allocates its layers once and each step writes the
+new positions and values into spare layers that it passes as destinations,
+through the views and scratch rows those layers formed when they were
+allocated; the step forms no view and allocates no layer, and no array of
+values apart from the adaptive mesh solve's partial sums and the
 projection's remap (the finiteness check still makes its boolean mask).
-Each new position layer is placed and order-checked once, an unchanged one
-not at all (so the stationary layer's gaps and wide gaps are formed once
-per run), and each new value layer is filled and checked for finiteness
-once. ``GridSlice`` and ``DiscreteField`` are built only for
-the snapshots it stores, from copies, so no result aliases a layer.
+The adaptive step writes its monitor into the destination layer, which the
+new positions then replace; the remap reads the moved and evolved layers
+(the cubic spline copies its gaps, gap slopes and moments into value
+layers of its own). Each new position layer is placed and order-checked
+once, an unchanged one not at all (so the stationary layer's gaps and wide
+gaps are formed once per run), and each new value layer is filled and
+checked for finiteness once. ``GridSlice`` and ``DiscreteField`` are built
+only for the snapshots it stores, from copies, so no result aliases a
+layer.
 """
 
 from __future__ import annotations
@@ -236,11 +241,11 @@ def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
     lattice held fixed in one frame is a moving lattice in every other.
     For zero-mean data the targets stay on the original lattice to
     roundoff, so the grid remains the familiar stationary uniform one.
-    The interpolant reads the moved layer as its placement left it, gaps
-    and wide gaps included. Each target is its node moved by
-    dt (mean(u) - u_i), a fraction of a gap once N is past a few dozen, so
-    it normally lies between the midpoints beside its moved node and the
-    quadratic reads that node's parabola without a search.
+    The interpolant reads the moved and evolved layers as their placement
+    and fill left them, gaps and wide gaps included. Each target is its
+    node moved by dt (mean(u) - u_i), a fraction of a gap once N is past a
+    few dozen, so it normally lies between the midpoints beside its moved
+    node and the quadratic reads that node's parabola without a search.
     """
     if not isinstance(interp_kind, InterpKind):
         raise TypeError(f"interp_kind must be an InterpKind, got "
@@ -252,9 +257,8 @@ def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
     u = ul.nodes
     np.add(xl.nodes, dt * float(u.sum() / len(u)), targets.nodes)
     targets.place(domain_length)
-    out.nodes[...] = _evaluate(moved.g, evolved.g, targets.nodes,
-                               interp_kind, domain_length, moved.gaps,
-                               moved.wide)
+    out.nodes[...] = _evaluate(moved, evolved, targets.nodes, interp_kind,
+                               domain_length)
     return targets, out.fill()
 
 

@@ -64,7 +64,7 @@ def moving_mesh_update_loop(x0, u, xdot, dt, nu, length):
 
 
 def ghosted_by_concatenation(a, jump):
-    """The N + 3 ghost slots of ``grid.ghosted``, laid out by concatenating
+    """The N + 3 ghost slots of ``grid.Layer``, laid out by concatenating
     [a_{N-1}], a, [a_0], [a_1] (a_0 again when N = 1) and then adding the
     jump to the three ghosts only when it is nonzero."""
     n = len(a)
@@ -74,6 +74,31 @@ def ghosted_by_concatenation(a, jump):
         g[n + 1] += jump
         g[n + 2] += jump if n > 1 else 2.0 * jump
     return g
+
+
+def order_verdict(x, length):
+    """The message of the order check on the positions ``x`` of period
+    ``length``, or None: a scalar loop over the periodic gaps, the closing
+    one (x_0 + L) - x_{N-1}, that stops at the first gap that is not
+    positive (a NaN gap is not)."""
+    n = len(x)
+    for i in range(n):
+        east = x[i + 1] if i < n - 1 else x[0] + length
+        gap = float(east - x[i])
+        if not gap > 0.0:
+            name = "x[0] + L" if i == n - 1 else f"x[{i + 1}]"
+            return (f"mesh interval x[{i}] -> {name} has gap {gap:.6g}; "
+                    f"nodes must be strictly increasing with a positive "
+                    f"periodic closure gap")
+    return None
+
+
+def equidistribution_residual(x, rho, length):
+    """Residual of the discrete equidistribution relation, per node, over
+    the concatenated ghost layout."""
+    xg = ghosted_by_concatenation(x, length)
+    rg = ghosted_by_concatenation(rho, 0.0)
+    return (rg[2:-1] + rho) * (xg[2:-1] - x) - (rho + rg[:-3]) * (x - xg[:-3])
 
 
 def monitor_loop(x, u, alpha, length):
@@ -124,7 +149,7 @@ def periodic_spline_scipy(x, u, length, queries):
 def periodic_quadratic_loop(x, u, length, queries):
     """Scalar loop of the periodic quadratic interpolant, in Lagrange form.
 
-    Ghost slots as ``grid.ghosted`` lays them out. Per query: the slot j
+    Ghost slots as ``grid.Layer`` lays them out. Per query: the slot j
     (0 .. N + 1) of the node at or left of it, then the stencil of slots
     j - 1 .. j + 1 if the query lies at or left of the midpoint of slots j
     and j + 1 (ties keep the left stencil), else j .. j + 2. Queries are

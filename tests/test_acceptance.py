@@ -183,7 +183,7 @@ def test_criterion_6_mesh_oracle_equivalence():
         xl, ul = Layer.of_positions(x - x[0], TAU), Layer.of_values(u)
         dt = float(rng.uniform(1e-4, 5e-3))
         out = advance_equidistributed(xl, ul, 1.0, dt, TAU, Layer(n)).nodes
-        rho = monitor(xl, ul, 1.0)
+        rho = monitor(xl, ul, 1.0, Layer(n)).nodes
         ref = dense_equidistribution_solve(rho, xl.nodes[0] + dt * u[0], TAU)
         worst = max(worst, float(np.max(np.abs(out - ref))))
     ok = worst <= 1e-10

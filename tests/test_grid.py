@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -10,15 +11,15 @@ from invariant_burgers import (
     DiscreteField, Generator, GridSlice, GroupElement, NoConvergenceError,
     NodeCrossingError, NonFiniteSolutionError, TAU, advance_constant,
     advance_equidistributed, advance_lagrangian, advance_stationary,
-    apply_field, equidistribute_initial, ghosted, mean_spacing, monitor,
+    apply_field, equidistribute_initial, mean_spacing, monitor,
     transform_monitor, uniform_slice,
 )
-from invariant_burgers.grid import (Layer, equidistribution_residual,
-                                   require_ordered)
+from invariant_burgers.grid import Layer
 from invariant_burgers.interpolate import InterpKind, interpolate
 
-from oracles import (dense_equidistribution_solve, ghosted_by_concatenation,
-                     monitor_loop, random_smooth_field)
+from oracles import (dense_equidistribution_solve, equidistribution_residual,
+                     ghosted_by_concatenation, monitor_loop, order_verdict,
+                     random_smooth_field)
 
 
 def sin_field(n=64, amplitude=1.0):
@@ -45,7 +46,8 @@ def gaps(xl):
 
 
 def field_monitor(fld, alpha):
-    return monitor(layer(fld.grid), values(fld.u), alpha)
+    return monitor(layer(fld.grid), values(fld.u), alpha,
+                   Layer(fld.grid.n)).nodes
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +158,23 @@ def test_wrapped_positions_stay_in_fundamental_interval():
        seed=st.integers(0, 2**32 - 1),
        jump=st.sampled_from([0.0, TAU, 3.5]),
        zeros=st.sets(st.sampled_from([0, 1, -1])))
-def test_ghosted_matches_the_concatenated_layout_by_bytes(n, seed, jump,
-                                                          zeros):
-    # entries of -0.0 beside the seam must keep their sign in the ghosts
+def test_a_layer_matches_the_concatenated_layout_by_bytes(n, seed, jump,
+                                                         zeros):
+    # a layer filled with values (jump 0) or placed at positions (jump L);
+    # entries of -0.0 beside the seam must keep their sign in the ghosts.
+    # A placement lays out its slots before its order check, which these
+    # unsorted nodes may fail
     a = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
     for i in zeros:
         a[i % n] = -0.0
-    g = ghosted(a, jump)
+    layer = Layer(n)
+    layer.nodes[...] = a
+    if jump:
+        with contextlib.suppress(NodeCrossingError):
+            layer.place(jump)
+    else:
+        layer.fill()
+    g = layer.g
     assert g.dtype == np.float64 and g.shape == (n + 3,)
     assert g.tobytes() == ghosted_by_concatenation(a, jump).tobytes()
 
@@ -183,28 +195,23 @@ node_values = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(x=hnp.arrays(float, st.integers(2, 40), elements=node_values),
+@given(x=hnp.arrays(float, st.integers(1, 40), elements=node_values),
        ordered=st.booleans(),
        length=st.one_of(st.floats(1e-3, 1e3), st.just(TAU)))
-def test_a_placed_layer_matches_ghosted_and_require_ordered(x, ordered,
-                                                            length):
-    # the same ghost slots, gaps and wide gaps, order verdict and message,
-    # whatever the nodes hold; a filled layer the same value ghosts
+def test_a_placed_layer_matches_the_order_oracle(x, ordered, length):
+    # the scalar loop's order verdict and message, whatever the nodes hold,
+    # and the gaps and wide gaps of the concatenated layout
     if ordered:
         x = np.sort(x)
+    placed = Layer(len(x))
+    placed.nodes[...] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = verdict(require_ordered, x, length)
-        xg = ghosted(x, length)
-        placed = Layer(len(x))
-        placed.nodes[...] = x
-        assert verdict(placed.place, length) == expected
+        assert verdict(placed.place, length) == order_verdict(x, length)
+        xg = ghosted_by_concatenation(x, length)
         gaps, wide = xg[1:] - xg[:-1], xg[2:] - xg[:-2]
     assert placed.g.tobytes() == xg.tobytes()
     assert placed.gaps.tobytes() == gaps.tobytes()
     assert placed.wide.tobytes() == wide.tobytes()
-    filled = Layer(len(x))
-    filled.nodes[...] = x
-    assert filled.fill().g.tobytes() == ghosted(x).tobytes()
 
 
 # ---------------------------------------------------------------------------

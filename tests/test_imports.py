@@ -1,6 +1,7 @@
 """Every module of the package uses what it imports, every private
 module-level name is read somewhere in the package, no package attribute
-hides a submodule of the same name, and one function brackets queries.
+hides a submodule of the same name, one function brackets queries and
+one class checks node order.
 
 Package ``__init__.py`` files are exempt from the import scan (their imports
 are the public re-exports), and so are ``from __future__`` imports.
@@ -153,5 +154,13 @@ def test_only_evaluate_brackets_queries():
     found = {p.name: calls_outside(p.read_text(), "searchsorted",
                                    "_evaluate" if p.name == "interpolate.py"
                                    else None)
+             for p in PACKAGE.glob("*.py")}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_only_a_layer_checks_node_order():
+    # one order check: every call of the gap verdict is a layer's placement
+    found = {p.name: calls_outside(p.read_text(), "_require_positive",
+                                   "Layer" if p.name == "grid.py" else None)
              for p in PACKAGE.glob("*.py")}
     assert {k: v for k, v in found.items() if v} == {}

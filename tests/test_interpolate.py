@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from invariant_burgers import (DiscreteField, Generator, GridSlice,
                                GroupElement, InterpKind, NodeCrossingError,
                                TAU, apply_field, uniform_slice)
-from invariant_burgers.grid import ghosted
+from invariant_burgers.grid import Layer
 from invariant_burgers.interpolate import (_solve_cyclic_tridiagonal,
                                            interpolate)
 
@@ -94,7 +94,7 @@ def test_quadratic_matches_the_scalar_loop_oracle(x, data):
     n = len(x)
     u = 1e-6 * data.draw(hnp.arrays(np.int64, n,
                                     elements=st.integers(-10**7, 10**7)))
-    xg = ghosted(x, TAU)
+    xg = Layer.of_positions(x, TAU).g
     gaps = np.diff(xg)
     mid = 0.5 * (xg[:-1] + xg[1:])
     lo, hi = mid[0], mid[-1]
@@ -123,10 +123,10 @@ def partner_queries(draw, x):
     """One query per node: node i moved by a fraction in [-1, 1] of the
     half gap on that side, then up to three of them replaced by an exact
     midpoint beside their node or one ulp either side of it. The midpoints
-    are the package's, 0.5 * (slot + next slot) over ``ghosted``. Some
+    are the package's, 0.5 * (slot + next slot) over a placed layer. Some
     draws leave a query outside the two midpoints beside its node."""
     n = len(x)
-    xg = ghosted(x, TAU)
+    xg = Layer.of_positions(x, TAU).g
     mid = 0.5 * (xg[:-1] + xg[1:])
     f = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
     q = x + 0.5 * f * np.where(f < 0, xg[1:-2] - xg[:-3], xg[2:-1] - xg[1:-2])

@@ -13,8 +13,7 @@ import pytest
 import invariant_burgers as ib
 from invariant_burgers import (DiscreteField, GridSlice, InterpKind,
                                SchemeConfig, SchemeKind, TAU)
-from invariant_burgers.grid import (Layer, _require_positive, ghosted,
-                                   require_ordered)
+from invariant_burgers.grid import Layer, _require_positive
 
 from oracles import moving_mesh_update_loop, quadratic_by_search
 
@@ -35,15 +34,13 @@ def instrument(monkeypatch, original, replacement):
                 monkeypatch.setattr(module, attr, replacement)
 
 
-WORK = ("placed", "filled", "checks", "ghosted", "require_ordered",
-        "containers")
+WORK = ("placed", "filled", "checks", "layers", "containers")
 
 
 def layer_work(config, t_final):
-    """Position layers placed, value layers filled, order checks (by a
-    placement or by ``require_ordered``), ``ghosted`` and
-    ``require_ordered`` calls, and containers built by one run of
-    ``config`` to ``t_final``."""
+    """Position layers placed, value layers filled, order checks, layers
+    allocated and containers built by one run of ``config`` to
+    ``t_final``."""
     counts = dict.fromkeys(WORK, 0)
 
     def counted(key, fn):
@@ -53,10 +50,9 @@ def layer_work(config, t_final):
         return call
 
     with pytest.MonkeyPatch.context() as mp:
-        for key, fn in (("ghosted", ghosted),
-                        ("require_ordered", require_ordered),
-                        ("checks", _require_positive)):
-            instrument(mp, fn, counted(key, fn))
+        instrument(mp, _require_positive,
+                   counted("checks", _require_positive))
+        mp.setattr(Layer, "__init__", counted("layers", Layer.__init__))
         mp.setattr(Layer, "place", counted("placed", Layer.place))
         mp.setattr(Layer, "fill", counted("filled", Layer.fill))
         for cls in (GridSlice, DiscreteField):
@@ -67,29 +63,26 @@ def layer_work(config, t_final):
 
 
 # per extra step: position layers placed, value layers filled, order
-# checks, ghosted and require_ordered calls, containers. Each new layer is
-# placed or filled once, and each placement checks its order once; the
-# step-start layer of FTCS is its next layer too. Only the adaptive mesh
-# solve (the monitor's ghosts) and the spline (gaps, gap slopes, moments)
-# still call ghosted.
+# checks, layers allocated, containers. Each new layer is placed or filled
+# once, and each placement checks its order once; the step-start layer of
+# FTCS is its next layer too. The adaptive step fills its monitor into the
+# destination layer before placing the positions there. Only the spline
+# allocates layers in a step: value layers of its gaps, gap slopes and
+# moments.
 PER_STEP = [
-    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0, 0, 0)),
-    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0, 0)),
     ({"scheme_kind": SchemeKind.CONSTANT_FRAME, "frame_velocity": 0.5},
-     (1, 1, 1, 0, 0, 0)),
-    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, (1, 1, 1, 1, 0, 0)),
+     (1, 1, 1, 0, 0)),
+    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, (1, 2, 1, 0, 0)),
 ] + [
     ({"scheme_kind": SchemeKind.EVOLUTION_PROJECTION, "interp_kind": kind},
-     (2, 2, 2, 3 if kind is InterpKind.CUBIC_SPLINE else 0, 0, 0))
+     (2, 5, 2, 3, 0) if kind is InterpKind.CUBIC_SPLINE else (2, 2, 2, 0, 0))
     for kind in InterpKind
 ]
-# the schemes whose steps build no ghost array and no order verdict
-# outside their layers
+# the schemes whose steps run in the layers the run allocated
 IN_PLACE = [config for config, _ in PER_STEP
-            if config["scheme_kind"] in (SchemeKind.CLASSICAL_FTCS,
-                                         SchemeKind.LAGRANGIAN,
-                                         SchemeKind.CONSTANT_FRAME)
-            or config.get("interp_kind") is InterpKind.QUADRATIC]
+            if config.get("interp_kind") is not InterpKind.CUBIC_SPLINE]
 
 
 @pytest.mark.parametrize("config, per_step", PER_STEP)
@@ -104,7 +97,7 @@ def test_each_step_ghosts_and_checks_each_new_layer_once(config, per_step):
     extra = {key: long[key] - short[key] for key in WORK}
     assert tuple(extra.values()) == tuple(k * n for n in per_step)
     if config in IN_PLACE:
-        assert extra["ghosted"] == extra["require_ordered"] == 0
+        assert extra["layers"] == 0
 
 
 # the projection brackets its targets by the search on one of its two
