@@ -14,21 +14,21 @@ All value types are immutable. Each run owns its layers, the mutable
 buffers it steps through; the step functions write into layers that the
 caller passes, and the results a run returns are copies that never alias
 them. So independent runs may execute concurrently without coordination.
+The public API takes and returns validated values only; the functions on
+``grid.Layer``s (grid equations, monitor, stencil) are the inside of
+``run``, which validates once, and are not exported.
 """
 
 from .errors import (NoConvergenceError, NoDecayError, NodeCrossingError,
                      NonFiniteSolutionError, SimulationError)
 from .exact import FourierCoeffs, coefficients, evaluate
-from .grid import (TAU, DiscreteField, GridSlice, advance_constant,
-                   advance_equidistributed, advance_lagrangian,
-                   advance_stationary, equidistribute_initial, mean_spacing,
-                   monitor, uniform_slice)
+from .grid import (TAU, DiscreteField, GridSlice, equidistribute_initial,
+                   mean_spacing, uniform_slice)
 from .harness import (ConvergenceRow, ErrorReport, convergence_study,
                       frame_comparison, grid_spacing_profile, linf_error)
 from .interpolate import InterpKind
 from .schemes import (DEFAULT_DT_FACTORS, SchemeConfig, SchemeKind,
-                      Trajectory, evolution_projection_step, invariant_step,
-                      moving_mesh_terms, run)
+                      Trajectory, run)
 from .symmetry import (Generator, GroupElement, Stencil, StencilParams,
                        apply_field, apply_point, invariance_defect,
                        max_defect, relation_defect, sample_stencil,

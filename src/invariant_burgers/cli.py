@@ -138,6 +138,11 @@ def _cmd_convergence(args) -> int:
     # the study sets the grid size of each row
     config = _config_from(args, CONVERGENCE_NS[0])
     ns = [n for n in CONVERGENCE_NS if args.n_min <= n <= args.n_max]
+    if not ns:
+        raise ValueError(
+            f"n-min={args.n_min} and n-max={args.n_max} leave no resolution "
+            f"of the ladder {CONVERGENCE_NS[0]}..{CONVERGENCE_NS[-1]} "
+            f"(powers of two)")
     coeffs = coefficients(config.nu)
     rows = convergence_study(config, ns, coeffs)
     path = _out_path(args, "convergence.csv")

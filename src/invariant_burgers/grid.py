@@ -9,13 +9,17 @@ the fundamental interval happens only on output.
 
 The grid equations and the monitor work on ``Layer``s: one buffer per
 layer holding the N + 3 periodic ghost slots, with the views a step reads.
-A run allocates its layers once; a grid equation writes the next layer's
-positions into a destination layer that the caller passes and places it
-there (ghost slots, gaps, wide gaps, order check), so placing a layer forms
-no view and allocates no array. ``Layer`` is the one ghost builder and its
-placement the one order check: ``GridSlice``, the interpolants and the mesh
-solve place or fill a layer too. ``GridSlice`` and ``DiscreteField`` are
-the validated containers for a layer handed across the API (snapshots,
+A position layer carries its period from allocation on, so no grid
+equation takes the domain length. A run allocates its layers once; a grid
+equation writes the next layer's positions into a destination layer that
+the caller passes and places it there (ghost slots, gaps, wide gaps, order
+check), so placing a layer forms no view and allocates no array. ``Layer``
+is the one ghost builder and its placement the one order check:
+``GridSlice``, the interpolants and the mesh solve place or fill a layer
+too. The layer functions are the inside of ``schemes.run``, which
+validates once (N, the period, a finite dt > 0): they check none of it
+again and are not exported. ``GridSlice`` and ``DiscreteField`` are the
+validated containers for a layer handed across the API (snapshots,
 transformations, error measurement).
 """
 
@@ -106,8 +110,11 @@ class Layer:
     """One time layer held in place: ``g`` is one buffer of the N + 3
     periodic ghost slots [a_{N-1} - L, a_0 .. a_{N-1}, a_0 + L, a_1 + L]
     of N entries a (slot j holds entry j - 1; with one node the last slot
-    is a_0 + 2L), where L is the period of a position layer and 0 for a
-    value layer, whose ghosts are copies (a -0.0 keeps its sign). Every
+    is a_0 + 2L). L is the layer's ``period``, given at allocation: the
+    domain length for a layer of positions and 0 for a layer of values,
+    whose ghosts are copies (a -0.0 keeps its sign). ``fill`` ignores the
+    period, so one layer may hold values and then positions, as the
+    adaptive step's destination holds its monitor and then the mesh. Every
     other member is a view of ``g`` or a buffer of its own, all formed when
     the layer is allocated, so writing a layer forms no view and allocates
     no array.
@@ -123,12 +130,13 @@ class Layer:
       ``advection``, ``diffusion`` and ``work`` are the scratch rows of the
       stencil that writes the layer as values.
 
-    Write the nodes, then ``place`` positions (L > 0) or ``fill`` values;
-    both take N >= 1. The interpolants bracket a query by slots j, j + 1
-    with 1 <= j <= N and read at most one slot beyond.
+    Write the nodes, then ``place`` positions (period L > 0) or ``fill``
+    values; both take N >= 1. The interpolants bracket a query by slots j,
+    j + 1 with 1 <= j <= N and read at most one slot beyond.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, period: float = 0.0):
+        self.period = period
         g = self.g = np.empty(n + 3)
         self.nodes = g[1:-2]
         self.row_east, self.row_west = g[1:-1], g[:-2]
@@ -145,9 +153,9 @@ class Layer:
     @classmethod
     def of_positions(cls, x: np.ndarray, domain_length: float) -> Layer:
         """A new layer holding the positions ``x``, placed."""
-        layer = cls(len(x))
+        layer = cls(len(x), domain_length)
         layer.nodes[...] = x
-        return layer.place(domain_length)
+        return layer.place()
 
     @classmethod
     def of_values(cls, u: np.ndarray) -> Layer:
@@ -156,18 +164,17 @@ class Layer:
         layer.nodes[...] = u
         return layer.fill()
 
-    def place(self, domain_length: float) -> Layer:
-        """Complete a layer of node positions: its ghost slots, its gaps
-        and wide gaps, and the order check on the node gaps, which raises
-        ``NodeCrossingError`` naming the first interval whose gap is not
-        positive."""
-        g = self.g
-        g[0] = g[-3] - domain_length
-        g[-2] = g[1] + domain_length
+    def place(self) -> Layer:
+        """Complete a layer of node positions over its period: its ghost
+        slots, its gaps and wide gaps, and the order check on the node
+        gaps, which raises ``NodeCrossingError`` naming the first interval
+        whose gap is not positive."""
+        g, period = self.g, self.period
+        g[0] = g[-3] - period
+        g[-2] = g[1] + period
         # with one node, slot 2 is the ghost a_0 + L just written, and the
         # last slot is a_0 + 2L in one addition
-        g[-1] = (g[2] + domain_length if len(g) > 4
-                 else g[1] + 2.0 * domain_length)
+        g[-1] = g[2] + period if len(g) > 4 else g[1] + 2.0 * period
         self.measure()
         _require_positive(self._node_gaps)
         return self
@@ -220,34 +227,25 @@ def mean_spacing(grid: GridSlice) -> float:
 def advance_stationary(xl: Layer, dt: float) -> Layer:
     """Keep every node in place: the layer ``xl`` is the next layer too,
     written, placed and checked no further."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
     return xl
 
 
-def advance_lagrangian(xl: Layer, ul: Layer, dt: float, domain_length: float,
-                       out: Layer) -> Layer:
+def advance_lagrangian(xl: Layer, ul: Layer, dt: float, out: Layer
+                       ) -> Layer:
     """Move every node with its local velocity, x_i += dt * u_i, into the
     layer ``out``, and place it there. A step too large for the velocity
     gradient inverts an interval, which the placement rejects with
     ``NodeCrossingError``."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if not len(ul.g) == len(xl.g) == len(out.g):
-        raise ValueError("layers differ in size")
     np.multiply(dt, ul.nodes, out.nodes)
     np.add(xl.nodes, out.nodes, out.nodes)
-    return out.place(domain_length)
+    return out.place()
 
 
-def advance_constant(xl: Layer, c: float, dt: float, domain_length: float,
-                     out: Layer) -> Layer:
+def advance_constant(xl: Layer, c: float, dt: float, out: Layer) -> Layer:
     """Translate the whole grid rigidly, x_i += c * dt, into the layer
     ``out``, and place it there."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
     np.add(xl.nodes, c * dt, out.nodes)
-    return out.place(domain_length)
+    return out.place()
 
 
 def monitor(xl: Layer, ul: Layer, alpha: float, out: Layer) -> Layer:
@@ -267,7 +265,7 @@ def monitor(xl: Layer, ul: Layer, alpha: float, out: Layer) -> Layer:
 
 
 def advance_equidistributed(xl: Layer, ul: Layer, alpha: float, dt: float,
-                            domain_length: float, out: Layer) -> Layer:
+                            out: Layer) -> Layer:
     """Place the next grid layer, in ``out``, by equidistributing the
     monitor.
 
@@ -279,12 +277,9 @@ def advance_equidistributed(xl: Layer, ul: Layer, alpha: float, dt: float,
     boosts; a fixed anchor would not be. The monitor is written into
     ``out`` as a value layer first, and the positions then replace it.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
     anchor = xl.nodes[0] + dt * ul.nodes[0]
-    _solve_equidistribution(monitor(xl, ul, alpha, out), anchor,
-                            domain_length, out.nodes)
-    return out.place(domain_length)
+    _solve_equidistribution(monitor(xl, ul, alpha, out), anchor, out.nodes)
+    return out.place()
 
 
 # largest node displacement between rounds, relative to L, at which the
@@ -306,12 +301,13 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
     """
     x, length = grid.x, grid.domain_length
     tol = _SETTLE_RTOL * length
-    xl, ul, rho = Layer(grid.n), Layer(grid.n), Layer(grid.n)
+    # the monitor's layer carries the period that the mesh solve reads
+    xl, ul, rho = Layer(grid.n, length), Layer(grid.n), Layer(grid.n, length)
     for _ in range(_MAX_ROUNDS):
         ul.nodes[...] = require_finite(_as_float_array(initial(x)))
         xl.nodes[...] = x
         x_new = _solve_equidistribution(
-            monitor(xl.place(length), ul.fill(), alpha, rho), x[0], length,
+            monitor(xl.place(), ul.fill(), alpha, rho), x[0],
             np.empty(grid.n))
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
@@ -323,8 +319,7 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
     return replace(grid, x=x)
 
 
-def _solve_equidistribution(rho: Layer, anchor: float,
-                            domain_length: float, x: np.ndarray
+def _solve_equidistribution(rho: Layer, anchor: float, x: np.ndarray
                             ) -> np.ndarray:
     """Exact solution of the anchored cyclic equidistribution system.
 
@@ -334,11 +329,12 @@ def _solve_equidistribution(rho: Layer, anchor: float,
     partial sums of 1/(rho_i + rho_{i+1}) scaled by L over their own last
     sum, so the closing gap does not absorb the rounding of N - 1 additions.
     The monitor is read from the filled value layer ``rho``, each node's
-    east neighbour from its ``east`` view. The positions are written into
-    ``x``, which is returned; ``x`` may be the nodes of ``rho``, which are
-    read first.
+    east neighbour from its ``east`` view, and L from its period, that of
+    the positions the solve places. The positions are written into ``x``,
+    which is returned; ``x`` may be the nodes of ``rho``, which are read
+    first.
     """
     c = np.cumsum(1.0 / (rho.nodes + rho.east))
     x[0] = anchor
-    x[1:] = anchor + c[:-1] * (domain_length / c[-1])
+    x[1:] = anchor + c[:-1] * (rho.period / c[-1])
     return x

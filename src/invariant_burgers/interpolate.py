@@ -7,10 +7,10 @@ safe projection operators for the symmetry-preserving schemes.
 ``interpolate`` is the one entry point: it checks its queries, places its
 nodes in a ``grid.Layer`` (which checks their order), checks that no sum of
 two node positions or squared gap overflows, fills its values in another
-and hands both layers to ``_evaluate``. The evolution-projection step calls
-``_evaluate`` directly on the layers it has placed and filled, with targets
-it has placed. Every stencil indexes the ghost slots ``g`` of the layers
-directly:
+and hands both layers to ``_evaluate``, which reads the period from the
+position layer. The evolution-projection step calls ``_evaluate`` directly
+on the layers it has placed and filled, with targets it has placed. Every
+stencil indexes the ghost slots ``g`` of the layers directly:
 
 - linear and spline reduce each query into [x_0, x_0 + L) and bracket it
   by ghost slots j, j + 1 (the node at or left of it and the next one);
@@ -84,7 +84,7 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
         raise ValueError(f"domain_length={domain_length!r} swamps the node "
                          f"gaps: a node and its neighbour across the seam "
                          f"round to one position one period away")
-    return _evaluate(xl, Layer.of_values(u), q, kind, domain_length)
+    return _evaluate(xl, Layer.of_values(u), q, kind)
 
 
 def _reach(x: np.ndarray) -> float:
@@ -94,12 +94,13 @@ def _reach(x: np.ndarray) -> float:
     return max(-2.0 * x[0], 2.0 * x[-1], gap ** 2)
 
 
-def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
-              domain_length: float) -> np.ndarray:
+def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind
+              ) -> np.ndarray:
     """The interpolant of kind ``kind`` through the placed position layer
-    ``xl`` and filled value layer ``ul``, at the finite queries ``q``; the
-    quadratic reads the gaps and wide gaps of ``xl``'s slots."""
-    xg, ug = xl.g, ul.g
+    ``xl`` and filled value layer ``ul``, at the finite queries ``q`` read
+    modulo the period of ``xl``; the quadratic reads the gaps and wide
+    gaps of ``xl``'s slots."""
+    xg, ug, period = xl.g, ul.g, xl.period
     if kind is InterpKind.QUADRATIC:
         # slot b + 1 holds the node nearest q, ties going left: node i for
         # query i when each lies between the midpoints beside its node;
@@ -112,7 +113,7 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
         else:
             if not (mid[0] < q.min(initial=np.inf)
                     and q.max(initial=-np.inf) <= mid[-1]):
-                q = xg[1] + np.mod(q - xg[1], domain_length)
+                q = xg[1] + np.mod(q - xg[1], period)
             b = np.searchsorted(mid[1:-1], q, side="left")
         # the Newton form over slots b .. b + 2, from the slot slopes s_k
         # and second differences c_k
@@ -121,7 +122,7 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
         return ug[b] + (q - xg[b]) * (s[b] + (q - xg[1:][b]) * c[b])
 
     # each query shifted by a multiple of L into [x_0, x_0 + L)
-    q = xg[1] + np.mod(q - xg[1], domain_length)
+    q = xg[1] + np.mod(q - xg[1], period)
     # the ghost slot j of the node at or left of each query
     j = np.searchsorted(xg[1:-2], q, side="right")
 

@@ -20,22 +20,23 @@ At N = 512 a numpy call costs about a microsecond whatever it computes, so
 the step makes few: one stencil pass over a slot row, no grid velocity on
 a stationary layer and no advection term on a Lagrangian one.
 
-The step functions work in place on ``grid.Layer``s, the package's one
-ghost layout. ``run`` allocates its layers once and each step writes the
-new positions and values into spare layers that it passes as destinations,
-through the views and scratch rows those layers formed when they were
-allocated; the step forms no view and allocates no layer, and no array of
-values apart from the adaptive mesh solve's partial sums and the
-projection's remap (the finiteness check still makes its boolean mask).
-The adaptive step writes its monitor into the destination layer, which the
-new positions then replace; the remap reads the moved and evolved layers
-(the cubic spline copies its gaps, gap slopes and moments into value
-layers of its own). Each new position layer is placed and order-checked
-once, an unchanged one not at all (so the stationary layer's gaps and wide
-gaps are formed once per run), and each new value layer is filled and
-checked for finiteness once. ``GridSlice`` and ``DiscreteField`` are built
-only for the snapshots it stores, from copies, so no result aliases a
-layer.
+``run`` is the step layer's one boundary. It and ``SchemeConfig``
+validate once; it then allocates its ``grid.Layer``s once, each of N + 3
+slots and each position layer with the period L, and steps with a finite
+dt in (0, dt_factor * h^2], so the step functions, which work in place on
+those layers, check none of it again and are not exported. Each step
+writes the new positions and values into spare layers passed as
+destinations, through the views and scratch rows formed at allocation; it
+forms no view and allocates no layer, and no array of values apart from
+the adaptive mesh solve's partial sums and the projection's remap (the
+finiteness check still makes its boolean mask). The adaptive step writes
+its monitor into the destination layer, which the new positions then
+replace; the remap reads the moved and evolved layers (the cubic spline
+copies its gaps, gap slopes and moments into value layers of its own).
+Each new position layer is placed and order-checked once, an unchanged
+one not at all, and each new value layer is filled and checked for
+finiteness once. ``GridSlice`` and ``DiscreteField`` are built only for
+the snapshots ``run`` stores, from copies, so no result aliases a layer.
 """
 
 from __future__ import annotations
@@ -68,13 +69,17 @@ class SchemeKind(str, Enum):
 # u0 = sin x) to equal that scheme's value in the published reference
 # table, rounded to three digits. Constant-frame has no table entry and
 # shares the FTCS constant. Admissible range: explicit diffusion stays
-# positive while nu dt / gap^2 <= 1/2 on the lattice the stencil runs on.
-# FTCS, constant-frame and projection (whose stencil runs on the uniform
-# step-start lattice) have gap = h, so C <= 1/(2 nu) = 5 at nu = 0.1. On the
-# Lagrangian and adaptive meshes the smallest gap sets the limit,
-# C <= (min_gap/h)^2 / (2 nu), which the fitted Lagrangian constant exceeds
-# near the front (nu dt / min_gap^2 = 0.57 at N=64). CHANGES.md records the
-# fit and these diffusive numbers for each scheme.
+# positive while nu dt / (h_w h_e) <= 1/2 at every node, h_w and h_e its
+# gaps on the step-start layer; on uniform gaps h that is C <= 1/(2 nu),
+# 5 at nu = 0.1. The largest number over a run to t = 0.5 from u0 = sin x,
+# at N = 64 and N = 512:
+#   FTCS and constant-frame  0.108 and 0.108  (uniform gaps h)
+#   evolution-projection     0.283 and 0.283  (uniform gaps h)
+#   eulerian-adaptive        0.484 and 0.522
+#   lagrangian               0.544 and 0.574
+# so the fitted Lagrangian constant crosses 1/2 at both sizes and the
+# adaptive one at N = 512, both near the front, where the smallest gaps
+# are. CHANGES.md records the fit.
 DEFAULT_DT_FACTORS = {
     SchemeKind.CLASSICAL_FTCS: 1.076,
     SchemeKind.LAGRANGIAN: 1.567,
@@ -209,10 +214,6 @@ def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, nu: float,
     classical FTCS update; ``ul`` itself, on the Lagrangian layer, gives
     u + dt * diffusion. The new values are unchecked.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if not len(xl.g) == len(ul.g) == len(out.g):
-        raise ValueError("layers and values differ in size")
     advection, diffusion = moving_mesh_terms(xl, ul, xdot, nu, out)
     if advection is None:
         np.multiply(dt, diffusion, diffusion)
@@ -225,9 +226,9 @@ def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, nu: float,
 
 
 def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
-                              interp_kind: InterpKind, domain_length: float,
-                              moved: Layer, evolved: Layer, targets: Layer,
-                              out: Layer) -> tuple[Layer, Layer]:
+                              interp_kind: InterpKind, moved: Layer,
+                              evolved: Layer, targets: Layer, out: Layer
+                              ) -> tuple[Layer, Layer]:
     """One mesh-following step, re-mapped to a uniformly spaced layer:
     the positions of that layer are placed in ``targets`` and the values
     on it filled in ``out``, which are returned; ``moved`` and ``evolved``
@@ -247,21 +248,20 @@ def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
     few dozen, so it normally lies between the midpoints beside its moved
     node and the quadratic reads that node's parabola without a search.
     """
-    if not isinstance(interp_kind, InterpKind):
-        raise TypeError(f"interp_kind must be an InterpKind, got "
-                        f"{interp_kind!r}")
-    advance_lagrangian(xl, ul, dt, domain_length, moved)
+    advance_lagrangian(xl, ul, dt, moved)
     invariant_step(xl, ul, ul, dt, nu, evolved)
     # the mean as np.mean forms it (pairwise sum over n), without its
     # dispatch
     u = ul.nodes
     np.add(xl.nodes, dt * float(u.sum() / len(u)), targets.nodes)
-    targets.place(domain_length)
-    out.nodes[...] = _evaluate(moved, evolved, targets.nodes, interp_kind,
-                               domain_length)
+    targets.place()
+    out.nodes[...] = _evaluate(moved, evolved, targets.nodes, interp_kind)
     return targets, out.fill()
 
 
+# a blow-up, in the set-up or in a step, surfaces as a typed error (a
+# NonFiniteSolutionError or a NodeCrossingError), not as numpy warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         snapshot_every: int = 0) -> Trajectory:
     """Integrate the configured scheme from t = 0 to t_final.
@@ -272,7 +272,8 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     t = 0) and outputs are left in the moving frame. ``snapshot_every``
     stores every k-th step in addition to the first and last; 0 keeps only
     those two; it must be an integer. A run of more than ``_MAX_STEPS``
-    steps is rejected with a ``ValueError`` before the first one.
+    steps is rejected with a ``ValueError`` before the first one. The
+    step functions it calls check nothing of this again.
     """
     if not isinstance(snapshot_every, numbers.Integral):
         raise ValueError(f"snapshot_every must be an integer, got "
@@ -302,8 +303,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     c = config.frame_velocity
 
     def equidistributed(xl, ul, dt, out):
-        x_next = advance_equidistributed(xl, ul, config.alpha, dt, length,
-                                         out)
+        x_next = advance_equidistributed(xl, ul, config.alpha, dt, out)
         # the one grid with no closed-form velocity: its difference quotient
         return x_next, (x_next.nodes - xl.nodes) / dt
 
@@ -315,56 +315,53 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         SchemeKind.CLASSICAL_FTCS:
             lambda xl, ul, dt, out: (advance_stationary(xl, dt), None),
         SchemeKind.LAGRANGIAN:
-            lambda xl, ul, dt, out: (
-                advance_lagrangian(xl, ul, dt, length, out), ul),
+            lambda xl, ul, dt, out: (advance_lagrangian(xl, ul, dt, out), ul),
         SchemeKind.EULERIAN_ADAPTIVE: equidistributed,
         SchemeKind.CONSTANT_FRAME:
-            lambda xl, ul, dt, out: (
-                advance_constant(xl, c, dt, length, out), c),
+            lambda xl, ul, dt, out: (advance_constant(xl, c, dt, out), c),
     }.get(kind)
 
     snapshots = [fld]
-    # the run's layers, allocated once: the step-start positions and
-    # values, the spares each step writes, and the projection's moved
-    # layer and the values evolved on it
+    # the run's layers, allocated once with one size, the position layers
+    # with the period L: the step-start positions and values, the spares
+    # each step writes, and the projection's moved layer and the values
+    # evolved on it
     n = config.n_points
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(fld.u)
-    x_spare, u_spare, moved, evolved = (Layer(n) for _ in range(4))
+    x_spare, moved = Layer(n, length), Layer(n, length)
+    u_spare, evolved = Layer(n), Layer(n)
     t = 0.0
     t_end = config.t_final - 1e-12 * config.t_final
     step = 0
-    # a blow-up surfaces as NonFiniteSolutionError, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end:
-            dt = min(dt0, config.t_final - t)
-            try:
-                if advance is None:
-                    x_next, u_next = evolution_projection_step(
-                        xl, ul, dt, config.nu, config.interp_kind, length,
-                        moved, evolved, x_spare, u_spare)
-                else:
-                    x_next, xdot = advance(xl, ul, dt, x_spare)
-                    u_next = invariant_step(xl, ul, xdot, dt, config.nu,
-                                            u_spare)
-                require_finite(u_next.nodes)
-            except SimulationError as exc:
-                exc.step = step
-                exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)
-                raise
-            # the stationary grid equation returns the step-start layer
-            if x_next is not xl:
-                xl, x_spare = x_next, xl
-            ul, u_spare = u_next, ul
-            step += 1
-            t = t + dt
-            is_last = t >= t_end
-            if is_last or (snapshot_every > 0 and step % snapshot_every == 0):
-                # the last step was cut to land exactly on t_final; a
-                # snapshot owns its arrays, the layers are written again
-                layer = GridSlice(t=config.t_final if is_last else t,
-                                  x=xl.nodes.copy(),
-                                  domain_start=config.domain_start,
-                                  domain_length=length)
-                snapshots.append(DiscreteField(grid=layer,
-                                               u=ul.nodes.copy()))
+    while t < t_end:
+        # finite and in (0, dt0]: dt0 > 0 and t < t_end <= t_final
+        dt = min(dt0, config.t_final - t)
+        try:
+            if advance is None:
+                x_next, u_next = evolution_projection_step(
+                    xl, ul, dt, config.nu, config.interp_kind, moved,
+                    evolved, x_spare, u_spare)
+            else:
+                x_next, xdot = advance(xl, ul, dt, x_spare)
+                u_next = invariant_step(xl, ul, xdot, dt, config.nu, u_spare)
+            require_finite(u_next.nodes)
+        except SimulationError as exc:
+            exc.step = step
+            exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)
+            raise
+        # the stationary grid equation returns the step-start layer
+        if x_next is not xl:
+            xl, x_spare = x_next, xl
+        ul, u_spare = u_next, ul
+        step += 1
+        t = t + dt
+        is_last = t >= t_end
+        if is_last or (snapshot_every > 0 and step % snapshot_every == 0):
+            # the last step was cut to land exactly on t_final; a snapshot
+            # owns its arrays, the layers are written again
+            layer = GridSlice(t=config.t_final if is_last else t,
+                              x=xl.nodes.copy(),
+                              domain_start=config.domain_start,
+                              domain_length=length)
+            snapshots.append(DiscreteField(grid=layer, u=ul.nodes.copy()))
     return Trajectory(snapshots=tuple(snapshots), config=config)

@@ -11,15 +11,14 @@ import numpy as np
 
 from invariant_burgers import (
     DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
-    SchemeConfig, SchemeKind, TAU,
-    advance_equidistributed, apply_field,
+    SchemeConfig, SchemeKind, TAU, apply_field,
     convergence_study, evaluate, frame_comparison, grid_spacing_profile,
     invariance_defect, linf_error, max_defect, mean_spacing,
-    monitor, relation_defect, run, sample_stencil,
+    relation_defect, run, sample_stencil,
     satisfy_constant, satisfy_scheme, satisfy_stationary, StencilParams,
     transform_stencil, uniform_slice,
 )
-from invariant_burgers.grid import Layer
+from invariant_burgers.grid import Layer, advance_equidistributed, monitor
 from invariant_burgers.interpolate import interpolate
 
 from oracles import (dense_equidistribution_solve,
@@ -182,7 +181,7 @@ def test_criterion_6_mesh_oracle_equivalence():
         x, u = random_smooth_field(rng, n)
         xl, ul = Layer.of_positions(x - x[0], TAU), Layer.of_values(u)
         dt = float(rng.uniform(1e-4, 5e-3))
-        out = advance_equidistributed(xl, ul, 1.0, dt, TAU, Layer(n)).nodes
+        out = advance_equidistributed(xl, ul, 1.0, dt, Layer(n, TAU)).nodes
         rho = monitor(xl, ul, 1.0, Layer(n)).nodes
         ref = dense_equidistribution_solve(rho, xl.nodes[0] + dt * u[0], TAU)
         worst = max(worst, float(np.max(np.abs(out - ref))))

@@ -67,6 +67,19 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert len(lines) == 4  # N = 8, 16, 32
 
 
+@pytest.mark.parametrize("n_min, n_max", [("64", "32"), ("5", "7")])
+def test_convergence_rejects_an_empty_range(tmp_path, capsys, n_min, n_max):
+    out = tmp_path / "conv.csv"
+    code = main(["convergence", "--n-min", n_min, "--n-max", n_max,
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=ValueError step=- message=")
+    assert (f"n-min={n_min} and n-max={n_max} leave no resolution of the "
+            f"ladder 4..512") in err
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scheme = lagrangian\nn = 16\nt-final = 0.05  # short\n")

@@ -1,7 +1,8 @@
 """Every module of the package uses what it imports, every private
 module-level name is read somewhere in the package, no package attribute
-hides a submodule of the same name, one function brackets queries and
-one class checks node order.
+hides a submodule of the same name, one function brackets queries,
+one class checks node order, and no exported name takes or returns a
+``grid.Layer``.
 
 Package ``__init__.py`` files are exempt from the import scan (their imports
 are the public re-exports), and so are ``from __future__`` imports.
@@ -9,7 +10,10 @@ are the public re-exports), and so are ``from __future__`` imports.
 
 import ast
 import importlib
+import inspect
+import re
 import sys
+import types
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "invariant_burgers"
@@ -164,3 +168,44 @@ def test_only_a_layer_checks_node_order():
                                    "Layer" if p.name == "grid.py" else None)
              for p in PACKAGE.glob("*.py")}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def layer_signatures(module) -> list[str]:
+    """Public names of ``module``, other than its submodules, with a
+    parameter or return annotated with ``Layer`` (the annotations are the
+    strings of ``from __future__ import annotations``); for a class, the
+    functions it defines count."""
+    found = []
+    for name, value in sorted(vars(module).items()):
+        if name.startswith("_") or isinstance(value, types.ModuleType):
+            continue
+        functions = ([value] if inspect.isfunction(value) else
+                     [f for f in vars(value).values() if inspect.isfunction(f)]
+                     if inspect.isclass(value) else [])
+        if any(re.search(r"\bLayer\b", str(annotation))
+               for f in functions
+               for annotation in inspect.unwrap(f).__annotations__.values()):
+            found.append(name)
+    return found
+
+
+def test_scan_finds_a_function_on_layers():
+    module = types.ModuleType("m")
+    exec("from __future__ import annotations\n"
+         "import numpy as np\n"
+         "def step(xl: Layer, dt: float) -> None: ...\n"
+         "def place(x: np.ndarray) -> tuple[Layer, Layer]: ...\n"
+         "def gaps(x: np.ndarray) -> np.ndarray: ...\n"
+         "def _inner(xl: Layer) -> Layer: ...\n"
+         "class Slice:\n    def layer(self) -> Layer: ...\n"
+         "class Layers:\n    def gaps(self) -> np.ndarray: ...\n",
+         vars(module))
+    assert layer_signatures(module) == ["Slice", "place", "step"]
+
+
+def test_no_exported_name_takes_a_layer():
+    # the functions on layers are the inside of run(), which validates
+    # once; the package exports only what checks its own arguments
+    import invariant_burgers
+
+    assert layer_signatures(invariant_burgers) == []

@@ -1,18 +1,23 @@
 """The bookkeeping of ``run``'s step loop: how much layer work each step
-costs, the whole trajectory against a plain loop over the stencil and remap
-oracles, and the step functions the benchmark's tracer expects ``run`` to
-call."""
+costs, what every step function is handed, the whole trajectory against a
+plain loop over the stencil and remap oracles, and the step functions the
+benchmark's tracer expects ``run`` to call."""
 
 import importlib.util
+import inspect
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import invariant_burgers as ib
 from invariant_burgers import (DiscreteField, GridSlice, InterpKind,
-                               SchemeConfig, SchemeKind, TAU)
+                               SchemeConfig, SchemeKind, SimulationError, TAU)
+from invariant_burgers import grid, schemes
 from invariant_burgers.grid import Layer, _require_positive
 
 from oracles import moving_mesh_update_loop, quadratic_by_search
@@ -98,6 +103,69 @@ def test_each_step_ghosts_and_checks_each_new_layer_once(config, per_step):
     assert tuple(extra.values()) == tuple(k * n for n in per_step)
     if config in IN_PLACE:
         assert extra["layers"] == 0
+
+
+# the step functions run() calls, each with the names of its arguments that
+# are position layers; its other layer arguments hold values
+STEP_FUNCTIONS = [
+    (grid.advance_stationary, {"xl"}),
+    (grid.advance_lagrangian, {"xl", "out"}),
+    (grid.advance_constant, {"xl", "out"}),
+    (grid.advance_equidistributed, {"xl", "out"}),
+    (schemes.invariant_step, {"xl"}),
+    (schemes.evolution_projection_step, {"xl", "moved", "targets"}),
+]
+
+
+def asserting(fn, positions, config, calls):
+    """``fn``, asserting first that its dt is finite and in (0, dt0],
+    dt0 = dt_factor * h^2 as ``run`` forms it, that each of its layers has
+    N + 3 slots and that each position layer has the run's period."""
+    signature = inspect.signature(fn)
+    n, length = config.n_points, config.domain_length
+    h = length / n
+    dt0 = config.dt_factor * h * h
+
+    def call(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        dt = bound["dt"]
+        assert math.isfinite(dt) and 0.0 < dt <= dt0, dt
+        for name, value in bound.items():
+            if isinstance(value, Layer):
+                assert len(value.g) == n + 3, name
+                if name in positions:
+                    assert value.period == length, name
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    return call
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(list(SchemeKind)), n=st.integers(4, 64),
+       log_dt_factor=st.floats(-3.0, 300.0),
+       t_final=st.floats(5e-324, 10.0), length=st.floats(1e-3, 1e3),
+       c=st.floats(-10.0, 10.0))
+def test_run_hands_every_step_a_valid_dt_and_layers(kind, n, log_dt_factor,
+                                                    t_final, length, c):
+    # run() is the step layer's one boundary: the step functions check
+    # none of this themselves
+    config = SchemeConfig(scheme_kind=kind, n_points=n, t_final=t_final,
+                          dt_factor=10.0 ** log_dt_factor,
+                          domain_length=length, frame_velocity=c)
+    h = length / n
+    assume(t_final <= 2000 * config.dt_factor * h * h)
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for fn, positions in STEP_FUNCTIONS:
+            instrument(mp, fn, asserting(fn, positions, config, calls))
+        try:
+            ib.run(config, np.sin)
+        except (ValueError, SimulationError):
+            return
+    assert calls[("evolution_projection_step"
+                  if kind is SchemeKind.EVOLUTION_PROJECTION
+                  else "invariant_step")] >= 1
 
 
 # the projection brackets its targets by the search on one of its two
