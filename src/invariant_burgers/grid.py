@@ -1,6 +1,6 @@
-"""Periodic grids on one time layer and the four grid-evolution equations:
-stationary, Lagrangian, rigid translation, and equidistribution of a
-monitor function, whose discrete relation is solved exactly in O(N).
+"""Periodic grids on one time layer and the three grid-evolution equations:
+stationary, Lagrangian, and equidistribution of a monitor function, whose
+discrete relation is solved exactly in O(N).
 
 Node positions are stored unwrapped (they may drift outside the fundamental
 interval); the array order realizes the computational coordinate, and the
@@ -241,13 +241,6 @@ def advance_lagrangian(xl: Layer, ul: Layer, dt: float, out: Layer
     return out.place()
 
 
-def advance_constant(xl: Layer, c: float, dt: float, out: Layer) -> Layer:
-    """Translate the whole grid rigidly, x_i += c * dt, into the layer
-    ``out``, and place it there."""
-    np.add(xl.nodes, c * dt, out.nodes)
-    return out.place()
-
-
 def monitor(xl: Layer, ul: Layer, alpha: float, out: Layer) -> Layer:
     """Nodal monitor values sqrt(1 + alpha * slope^2), where the slope is
     the periodic centered difference quotient of the values ``ul`` over
@@ -332,9 +325,12 @@ def _solve_equidistribution(rho: Layer, anchor: float, x: np.ndarray
     east neighbour from its ``east`` view, and L from its period, that of
     the positions the solve places. The positions are written into ``x``,
     which is returned; ``x`` may be the nodes of ``rho``, which are read
-    first.
+    first. A sum not in (0, inf) raises ``NonFiniteSolutionError``.
     """
     c = np.cumsum(1.0 / (rho.nodes + rho.east))
+    if not 0.0 < c[-1] < np.inf:
+        raise NonFiniteSolutionError(
+            f"equidistribution monitor is not finite: its sum is {c[-1]!r}")
     x[0] = anchor
     x[1:] = anchor + c[:-1] * (rho.period / c[-1])
     return x

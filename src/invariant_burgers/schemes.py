@@ -4,14 +4,15 @@ moving-mesh update into a trajectory.
 
 Every scheme is one moving-mesh stencil (``moving_mesh_terms``) on a layer
 placed by its grid equation; classical FTCS is that stencil on the
-stationary layer. Everything is explicit (forward Euler in time) with the
-time step tied to the mean spacing through dt = dt_factor * h^2.
+stationary layer, and constant-frame is FTCS on the lattice at rest in the
+frame of its drift c, xi = x - c t, reported at x = xi + c t. Everything
+is explicit (forward Euler in time) with dt = dt_factor * h^2.
 
 The stencil's grid velocity xdot is the one each grid equation defines,
 not a quotient re-derived from positions: none on the stationary grid;
 xdot = u on the Lagrangian grid (and the projection's evolution sub-step),
 where u - xdot is zero and no advection term is formed, so the step is
-u + dt * diffusion; the drift c on the constant grid; and the difference
+u + dt * diffusion; the drift c in constant-frame; and the difference
 quotient (x_next - x)/dt only on the equidistributed grid, which has no
 closed-form velocity. In exact arithmetic each equals the quotient that the
 certifier's relation (``symmetry.satisfy_scheme``) uses.
@@ -42,17 +43,16 @@ the snapshots ``run`` stores, from copies, so no result aliases a layer.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .errors import SimulationError
-from .grid import (TAU, DiscreteField, GridSlice, Layer, advance_constant,
-                   advance_equidistributed, advance_lagrangian,
-                   advance_stationary, equidistribute_initial,
-                   require_finite, uniform_slice)
+from .grid import (TAU, DiscreteField, Layer, advance_equidistributed,
+                   advance_lagrangian, advance_stationary,
+                   equidistribute_initial, require_finite, uniform_slice)
 from .interpolate import InterpKind, _evaluate
 
 
@@ -300,8 +300,6 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         grid = equidistribute_initial(sample_initial, grid, config.alpha)
     fld = DiscreteField(grid=grid, u=sample_initial(grid.x))
 
-    c = config.frame_velocity
-
     def equidistributed(xl, ul, dt, out):
         x_next = advance_equidistributed(xl, ul, config.alpha, dt, out)
         # the one grid with no closed-form velocity: its difference quotient
@@ -310,15 +308,21 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # the grid equation of each moving-mesh scheme (evolution-projection,
     # a composite, has none) with the grid velocity it defines; each looks
     # its advance up when called, so a rebinding of the module attribute
-    # reaches the step loop
+    # reaches the step loop. FTCS and constant-frame step on the lattice at
+    # rest in the frame of their drift (0 for FTCS), xi = x - c t, whose
+    # grid velocity is None at zero drift, so that run is the FTCS run
+    drift = config.frame_velocity if kind is SchemeKind.CONSTANT_FRAME else 0.0
+    lattice_xdot = drift or None
+
+    def stationary(xl, ul, dt, out):
+        return advance_stationary(xl, dt), lattice_xdot
+
     advance = {
-        SchemeKind.CLASSICAL_FTCS:
-            lambda xl, ul, dt, out: (advance_stationary(xl, dt), None),
+        SchemeKind.CLASSICAL_FTCS: stationary,
+        SchemeKind.CONSTANT_FRAME: stationary,
         SchemeKind.LAGRANGIAN:
             lambda xl, ul, dt, out: (advance_lagrangian(xl, ul, dt, out), ul),
         SchemeKind.EULERIAN_ADAPTIVE: equidistributed,
-        SchemeKind.CONSTANT_FRAME:
-            lambda xl, ul, dt, out: (advance_constant(xl, c, dt, out), c),
     }.get(kind)
 
     snapshots = [fld]
@@ -330,12 +334,12 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(fld.u)
     x_spare, moved = Layer(n, length), Layer(n, length)
     u_spare, evolved = Layer(n), Layer(n)
-    t = 0.0
+    step, t = 0, 0.0
     t_end = config.t_final - 1e-12 * config.t_final
-    step = 0
     while t < t_end:
         # finite and in (0, dt0]: dt0 > 0 and t < t_end <= t_final
         dt = min(dt0, config.t_final - t)
+        t_next = t + dt
         try:
             if advance is None:
                 x_next, u_next = evolution_projection_step(
@@ -345,23 +349,22 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
                 x_next, xdot = advance(xl, ul, dt, x_spare)
                 u_next = invariant_step(xl, ul, xdot, dt, config.nu, u_spare)
             require_finite(u_next.nodes)
+            # the stationary grid equation returns the step-start layer
+            if x_next is not xl:
+                xl, x_spare = x_next, xl
+            ul, u_spare = u_next, ul
+            is_last = t_next >= t_end
+            if is_last or (snapshot_every > 0
+                           and (step + 1) % snapshot_every == 0):
+                # the last step was cut to land exactly on t_final; a
+                # snapshot owns its arrays and checks its lab positions
+                t_snap = config.t_final if is_last else t_next
+                snapshots.append(DiscreteField(
+                    grid=replace(grid, t=t_snap, x=xl.nodes + drift * t_snap),
+                    u=ul.nodes.copy()))
         except SimulationError as exc:
             exc.step = step
             exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)
             raise
-        # the stationary grid equation returns the step-start layer
-        if x_next is not xl:
-            xl, x_spare = x_next, xl
-        ul, u_spare = u_next, ul
-        step += 1
-        t = t + dt
-        is_last = t >= t_end
-        if is_last or (snapshot_every > 0 and step % snapshot_every == 0):
-            # the last step was cut to land exactly on t_final; a snapshot
-            # owns its arrays, the layers are written again
-            layer = GridSlice(t=config.t_final if is_last else t,
-                              x=xl.nodes.copy(),
-                              domain_start=config.domain_start,
-                              domain_length=length)
-            snapshots.append(DiscreteField(grid=layer, u=ul.nodes.copy()))
+        step, t = step + 1, t_next
     return Trajectory(snapshots=tuple(snapshots), config=config)

@@ -144,6 +144,29 @@ def test_blow_up_reports_step_and_time(tmp_path, capsys):
     assert f"message='step {step} (t=" in err
 
 
+def test_a_collapse_of_the_reported_positions_reports_its_step(tmp_path,
+                                                             capsys):
+    # the first snapshot reports the lattice at x + 1e17 dt, where doubles
+    # are farther apart than its nodes
+    code = main(["run", "--scheme", "constant-frame", "--n", "16",
+                 "--eps3", "1e17", "--snapshot-every", "1",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=NodeCrossingError step=")
+    step = int(err.split("step=")[1].split()[0])
+    assert f"message='step {step} (t=" in err
+
+
+def test_constant_frame_at_zero_drift_writes_the_ftcs_trajectory(tmp_path):
+    paths = {kind: tmp_path / f"{kind}.csv"
+             for kind in ("constant-frame", "ftcs")}
+    for kind, path in paths.items():
+        assert main(["run", "--scheme", kind, "--n", "32",
+                     "--snapshot-every", "3", "--out", str(path)]) == 0
+    assert paths["constant-frame"].read_bytes() == paths["ftcs"].read_bytes()
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("t-final", "inf", "t_final"),
     ("nu", "inf", "nu"),

@@ -12,8 +12,7 @@ from invariant_burgers import (
     NodeCrossingError, NonFiniteSolutionError, TAU, apply_field,
     equidistribute_initial, mean_spacing, transform_monitor, uniform_slice,
 )
-from invariant_burgers.grid import (Layer, advance_constant,
-                                    advance_equidistributed,
+from invariant_burgers.grid import (Layer, advance_equidistributed,
                                     advance_lagrangian, advance_stationary,
                                     monitor)
 from invariant_burgers.interpolate import InterpKind, interpolate
@@ -259,27 +258,12 @@ def test_advance_lagrangian_detects_node_crossing():
         advance_lagrangian(layer(grid), values(u), 1.0, Layer(8, TAU))
 
 
-def test_advance_constant_zero_velocity_is_stationary():
-    grid = uniform_slice(12)
-    xg = layer(grid)
-    np.testing.assert_array_equal(
-        advance_constant(xg, 0.0, 0.01, Layer(12, TAU)).g,
-        advance_stationary(xg, 0.01).g)
-
-
-def test_advance_constant_shifts_every_node():
-    grid = uniform_slice(12)
-    out = advance_constant(layer(grid), 1.0, 0.01, Layer(12, TAU))
-    np.testing.assert_allclose(nodes(out) - grid.x, 0.01, rtol=0, atol=1e-14)
-
-
 def test_gap_sum_preserved_by_advances():
     fld = sin_field(32)
     xg, ul = layer(fld.grid), values(fld.u)
     for out in (
         advance_stationary(xg, 0.01),
         advance_lagrangian(xg, ul, 0.01, Layer(32, TAU)),
-        advance_constant(xg, 1.3, 0.01, Layer(32, TAU)),
         advance_equidistributed(xg, ul, 1.0, 0.01, Layer(32, TAU)),
     ):
         assert abs(gaps(out).sum() - TAU) <= 1e-12 * TAU

@@ -256,8 +256,9 @@ def test_run_attaches_step_index_to_failures():
 @pytest.mark.filterwarnings("error")
 def test_an_overflow_in_the_adaptive_set_up_is_a_typed_error():
     # the initial equidistribution squares slopes of 1e160 in the monitor,
-    # and the mesh solve then divides by a sum of vanishing reciprocals
-    with pytest.raises(NonFiniteSolutionError):
+    # whose reciprocals the mesh solve would then divide by their sum, 0
+    with pytest.raises(NonFiniteSolutionError,
+                       match="equidistribution monitor is not finite"):
         run(SchemeConfig(scheme_kind=SchemeKind.EULERIAN_ADAPTIVE,
                          n_points=64), lambda x: 1e160 * np.sin(x))
 
@@ -275,21 +276,39 @@ def test_a_period_near_the_largest_float_runs_without_a_warning(kind):
 
 def test_constant_frame_with_zero_velocity_matches_ftcs():
     ftcs = run(SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS,
-                            n_points=32, t_final=0.1), np.sin)
+                            n_points=32, t_final=0.1), np.sin,
+               snapshot_every=1)
     const = run(SchemeConfig(scheme_kind=SchemeKind.CONSTANT_FRAME,
                              n_points=32, t_final=0.1, frame_velocity=0.0),
-                np.sin)
-    np.testing.assert_allclose(const.final.u, ftcs.final.u, rtol=0,
-                               atol=1e-14)
+                np.sin, snapshot_every=1)
+    assert len(const.snapshots) == len(ftcs.snapshots) > 2
+    for a, b in zip(const.snapshots, ftcs.snapshots):
+        np.testing.assert_array_equal(a.grid.x, b.grid.x)
+        np.testing.assert_array_equal(a.u, b.u)
 
 
 def test_constant_frame_grid_drifts_rigidly():
+    # the lattice is at rest in the frame of the drift, so each snapshot
+    # reports it at x + c t, one rounding per node
     c = 0.7
     traj = run(SchemeConfig(scheme_kind=SchemeKind.CONSTANT_FRAME,
                             n_points=32, t_final=0.1, frame_velocity=c),
-               np.sin)
-    shift = traj.final.grid.x - traj.initial.grid.x
-    np.testing.assert_allclose(shift, c * 0.1, rtol=0, atol=1e-12)
+               np.sin, snapshot_every=1)
+    assert len(traj.snapshots) > 2
+    for snap in traj.snapshots:
+        np.testing.assert_array_equal(snap.grid.x,
+                                      traj.initial.grid.x + c * snap.grid.t)
+
+
+def test_a_collapse_of_the_reported_positions_carries_its_step():
+    # at t = 0.5 a drift of 1e17 moves the lattice to 5e16, where doubles
+    # are 8 apart, so the lab positions of the last snapshot coincide
+    config = SchemeConfig(scheme_kind=SchemeKind.CONSTANT_FRAME, n_points=16,
+                          frame_velocity=1e17)
+    with pytest.raises(NodeCrossingError) as info:
+        run(config, np.zeros_like)
+    assert info.value.step is not None
+    assert str(info.value).startswith(f"step {info.value.step} (t=")
 
 
 def test_config_validation():
