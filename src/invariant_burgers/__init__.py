@@ -4,12 +4,13 @@ discrete symmetry-group toolbox, and a series reference solution for
 quantitative error and convergence studies. Pure Python on numpy; the
 adaptive mesh is placed by a closed-form O(N) equidistribution. One
 moving-mesh stencil serves the solver and the invariance certifier; each
-scheme pairs it with a grid equation: FTCS with the stationary one, and
-constant-frame with the stationary lattice of the frame moving at its drift
-c, reported at x = xi + c t. The solver takes the stencil's grid velocity
-from the grid equation (none, u, or the drift c; the difference quotient
-only on the equidistributed grid), and the certifier from the difference
-quotient, equal to it in exact arithmetic.
+scheme pairs it with a grid equation: FTCS with the stationary one. The
+frame velocity c is the Galilean boost of the initial data on every scheme;
+constant-frame computes in the frame moving with c, on the stationary
+lattice there, and reports at (xi + c t, v + c). The solver takes the
+stencil's grid velocity from the grid equation (none or u; the difference
+quotient only on the equidistributed grid), and the certifier from the
+difference quotient, equal to it in exact arithmetic.
 
 All value types are immutable. Each run owns its layers, the mutable
 buffers it steps through; the step functions write into layers that the

@@ -50,9 +50,8 @@ def _add_common(parser: argparse.ArgumentParser, n: bool = True,
     parser.add_argument("--alpha", type=float, default=1.0,
                         help="monitor weight")
     parser.add_argument("--eps3", type=float, default=0.0,
-                        help="frame velocity: boosts the initial data, or "
-                             "for the constant-frame scheme sets the grid "
-                             "drift velocity")
+                        help="frame velocity: the Galilean boost of the "
+                             "initial data, its bulk velocity")
     parser.add_argument("--interp", choices=[k.value for k in InterpKind],
                         default=InterpKind.QUADRATIC.value)
 
@@ -111,8 +110,9 @@ def _config_from(args: argparse.Namespace, n_points: int) -> SchemeConfig:
     )
 
 
-def _out_path(args: argparse.Namespace, default_name: str) -> str:
-    path = args.out or default_name
+def _out_path(path: str) -> str:
+    """``path``, under the directory ``OUTDIR_ENV`` names if it is set and
+    the path is relative."""
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
@@ -124,10 +124,10 @@ def _cmd_run(args) -> int:
     traj = run(config, np.sin, snapshot_every=args.snapshot_every)
     # the report first: a refused reference leaves no trajectory file behind
     report = linf_error(traj, coefficients(config.nu))
-    path = _out_path(args, "trajectory.csv")
+    path = _out_path(args.out or "trajectory.csv")
     write_trajectory_csv(path, traj)
     if args.errors_out:
-        write_errors_csv(args.errors_out, [report])
+        write_errors_csv(_out_path(args.errors_out), [report])
     print(f"scheme={config.scheme_kind.value} N={config.n_points} "
           f"h={report.h!r} linf={report.linf_error!r} "
           f"rms={report.rms_error!r} -> {path}")
@@ -145,7 +145,7 @@ def _cmd_convergence(args) -> int:
             f"(powers of two)")
     coeffs = coefficients(config.nu)
     rows = convergence_study(config, ns, coeffs)
-    path = _out_path(args, "convergence.csv")
+    path = _out_path(args.out or "convergence.csv")
     write_convergence_csv(path, config.scheme_kind, rows)
     for r in rows:
         order = "-" if r.observed_order is None else f"{r.observed_order:.3f}"
@@ -157,7 +157,7 @@ def _cmd_convergence(args) -> int:
 def _cmd_frames(args) -> int:
     config = _config_from(args, args.n)
     d = frame_comparison(config, args.eps3)
-    path = _out_path(args, "frames.csv")
+    path = _out_path(args.out or "frames.csv")
     write_frames_csv(path, config.scheme_kind, config.n_points, args.eps3, d)
     print(f"scheme={config.scheme_kind.value} eps3={args.eps3!r} "
           f"discrepancy={d!r} -> {path}")
@@ -167,7 +167,7 @@ def _cmd_frames(args) -> int:
 def _cmd_spacing(args) -> int:
     config = _config_from(args, args.n)
     traj = run(config, np.sin)
-    path = _out_path(args, "spacing.csv")
+    path = _out_path(args.out or "spacing.csv")
     write_spacing_csv(path, traj)
     print(f"scheme={config.scheme_kind.value} N={config.n_points} -> {path}")
     return 0
@@ -179,7 +179,7 @@ def _cmd_exact(args) -> int:
     coeffs = coefficients(args.nu)
     x = np.arange(args.n) * (TAU / args.n)
     u = evaluate(coeffs, args.t_final, x)
-    path = _out_path(args, "exact.csv")
+    path = _out_path(args.out or "exact.csv")
     write_exact_csv(path, args.t_final, x, u)
     print(f"exact nu={args.nu!r} t={args.t_final!r} N={args.n} "
           f"J={coeffs.truncation_index} -> {path}")

@@ -51,9 +51,9 @@ class ConvergenceRow:
 
 
 def _measured_field(traj: Trajectory) -> DiscreteField:
-    """Final field, mapped back to the rest frame for moving-frame runs."""
+    """Final field, mapped back by the inverse of the run's boost."""
     fld = traj.final
-    eps3 = traj.config.boost
+    eps3 = traj.config.frame_velocity
     if eps3 != 0.0:
         fld = apply_field(GroupElement(Generator.GALILEAN_BOOST, -eps3), fld)
     return fld
@@ -119,15 +119,9 @@ def frame_comparison(config: SchemeConfig, eps3: float) -> float:
     mapped back with the inverse boost, and both fields are read on a
     common uniform grid through cubic splines; the max-norm difference is
     returned. Symmetry-preserving schemes leave this at roundoff level,
-    the fixed-grid scheme does not. The constant-frame scheme has no
-    boosted run (its frame velocity is the drift of its grid) and raises
-    ``ValueError``.
+    and so does the constant-frame scheme, which computes in the frame of
+    the boost; the fixed-grid scheme does not.
     """
-    if config.scheme_kind is SchemeKind.CONSTANT_FRAME:
-        raise ValueError(
-            "frame_comparison needs a boosted run, and the constant-frame "
-            "scheme has none: its frame velocity is the drift of its grid, "
-            "and its data stays unboosted")
     rest = run(replace(config, frame_velocity=0.0), np.sin)
     boosted = run(replace(config, frame_velocity=eps3), np.sin)
     f_rest = rest.final

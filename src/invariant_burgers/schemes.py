@@ -4,18 +4,21 @@ moving-mesh update into a trajectory.
 
 Every scheme is one moving-mesh stencil (``moving_mesh_terms``) on a layer
 placed by its grid equation; classical FTCS is that stencil on the
-stationary layer, and constant-frame is FTCS on the lattice at rest in the
-frame of its drift c, xi = x - c t, reported at x = xi + c t. Everything
-is explicit (forward Euler in time) with dt = dt_factor * h^2.
+stationary layer. The frame velocity c is the Galilean boost of the initial
+data, the flow's bulk velocity, on every scheme. Constant-frame is the
+remedy of computing in the frame that moves with c, xi = x - c t: there the
+data is unboosted and the lattice at rest, so it steps FTCS, and it reports
+each snapshot at (xi + c t, v + c). Everything is explicit (forward Euler
+in time) with dt = dt_factor * h^2.
 
 The stencil's grid velocity xdot is the one each grid equation defines,
 not a quotient re-derived from positions: none on the stationary grid;
 xdot = u on the Lagrangian grid (and the projection's evolution sub-step),
 where u - xdot is zero and no advection term is formed, so the step is
-u + dt * diffusion; the drift c in constant-frame; and the difference
-quotient (x_next - x)/dt only on the equidistributed grid, which has no
-closed-form velocity. In exact arithmetic each equals the quotient that the
-certifier's relation (``symmetry.satisfy_scheme``) uses.
+u + dt * diffusion; and the difference quotient (x_next - x)/dt only on the
+equidistributed grid, which has no closed-form velocity. In exact
+arithmetic each equals the quotient that the certifier's relation
+(``symmetry.satisfy_scheme``) uses.
 
 At N = 512 a numpy call costs about a microsecond whatever it computes, so
 the step makes few: one stencil pass over a slot row, no grid velocity on
@@ -101,7 +104,8 @@ class SchemeConfig:
     ``scheme_kind`` and ``interp_kind`` may be given as enum members or
     their string values; construction stores the enum member.
     ``dt_factor`` defaults to the scheme's calibrated constant from
-    ``DEFAULT_DT_FACTORS``.
+    ``DEFAULT_DT_FACTORS``. ``frame_velocity`` is the Galilean boost of the
+    initial data, the flow's bulk velocity, on every scheme.
     """
 
     scheme_kind: SchemeKind
@@ -126,12 +130,9 @@ class SchemeConfig:
                      "domain_start", "domain_length"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not self.nu > 0.0:
-            raise ValueError("nu must be positive")
-        if not self.t_final > 0.0:
-            raise ValueError("t_final must be positive")
-        if not self.dt_factor > 0.0:
-            raise ValueError("dt_factor must be positive")
+        for name in ("nu", "t_final", "dt_factor", "domain_length"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if not self.alpha >= 0.0:
             raise ValueError("alpha must be >= 0")
         if not isinstance(self.n_points, numbers.Integral):
@@ -139,15 +140,6 @@ class SchemeConfig:
                              f"{self.n_points!r}")
         if self.n_points < 4:
             raise ValueError("n_points must be >= 4")
-
-    @property
-    def boost(self) -> float:
-        """The Galilean boost applied to the initial data: the frame
-        velocity, except on the constant-frame scheme, where it is the
-        grid's drift velocity instead and the data is not boosted."""
-        if self.scheme_kind is SchemeKind.CONSTANT_FRAME:
-            return 0.0
-        return self.frame_velocity
 
 
 @dataclass(frozen=True)
@@ -183,10 +175,11 @@ def moving_mesh_terms(xl: Layer, ul: Layer, xdot, nu: float, out: Layer
     subtraction (u - 0.0 is u bit for bit, -0.0 included) and gives the
     FTCS relation; the value layer ``ul`` itself on a Lagrangian layer,
     where u_k - xdot is zero, so no advection term is formed and None
-    stands in for it; a scalar (the drift c) or one value per node (the
-    difference quotient) otherwise. Each gap's slope is formed once for
-    its two nodes. The terms are written into the scratch rows of ``out``
-    and returned as views of them.
+    stands in for it; one value per node (the difference quotient)
+    otherwise, or a scalar, which only the certifier passes (the difference
+    quotient at its one node, or 0.0 in its fixed-grid relation). Each
+    gap's slope is formed once for its two nodes. The terms are written
+    into the scratch rows of ``out`` and returned as views of them.
     """
     slopes, advection, diffusion = out.slopes, out.advection, out.diffusion
     np.subtract(ul.row_east, ul.row_west, slopes)
@@ -266,14 +259,16 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         snapshot_every: int = 0) -> Trajectory:
     """Integrate the configured scheme from t = 0 to t_final.
 
-    ``initial`` maps node positions to velocities. A nonzero
-    ``config.boost`` realizes a run in a uniformly moving reference frame:
-    the initial data is boosted before stepping (positions are untouched at
-    t = 0) and outputs are left in the moving frame. ``snapshot_every``
-    stores every k-th step in addition to the first and last; 0 keeps only
-    those two; it must be an integer. A run of more than ``_MAX_STEPS``
-    steps is rejected with a ``ValueError`` before the first one. The
-    step functions it calls check nothing of this again.
+    ``initial`` maps node positions to velocities. ``config.frame_velocity``
+    c is the Galilean boost of that data (positions are untouched at t = 0),
+    and every snapshot is reported in the frame of the boosted data. The
+    constant-frame scheme computes in the frame moving with c, on the
+    unboosted data and a lattice at rest there, and reports each snapshot
+    at (xi + c t, v + c); the others step the boosted data.
+    ``snapshot_every`` stores every k-th step in addition to the first and
+    last; 0 keeps only those two; it must be an integer. A run of more
+    than ``_MAX_STEPS`` steps is rejected with a ``ValueError`` before the
+    first one. The step functions it calls check nothing of this again.
     """
     if not isinstance(snapshot_every, numbers.Integral):
         raise ValueError(f"snapshot_every must be an integer, got "
@@ -292,13 +287,17 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             f"of dt = dt_factor * h^2 = {dt0!r} (dt_factor="
             f"{config.dt_factor!r}); lower t_final or raise dt_factor")
     grid = uniform_slice(config.n_points, 0.0, config.domain_start, length)
+    # the velocity of the frame the scheme computes in: c for
+    # constant-frame, whose data there is unboosted, and 0 for the others
+    drift = config.frame_velocity if kind is SchemeKind.CONSTANT_FRAME else 0.0
+    boost = config.frame_velocity - drift
 
     def sample_initial(x: np.ndarray) -> np.ndarray:
-        return np.asarray(initial(x), dtype=float) + config.boost
+        return np.asarray(initial(x), dtype=float) + boost
 
     if kind is SchemeKind.EULERIAN_ADAPTIVE:
         grid = equidistribute_initial(sample_initial, grid, config.alpha)
-    fld = DiscreteField(grid=grid, u=sample_initial(grid.x))
+    u0 = sample_initial(grid.x)
 
     def equidistributed(xl, ul, dt, out):
         x_next = advance_equidistributed(xl, ul, config.alpha, dt, out)
@@ -309,13 +308,9 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # a composite, has none) with the grid velocity it defines; each looks
     # its advance up when called, so a rebinding of the module attribute
     # reaches the step loop. FTCS and constant-frame step on the lattice at
-    # rest in the frame of their drift (0 for FTCS), xi = x - c t, whose
-    # grid velocity is None at zero drift, so that run is the FTCS run
-    drift = config.frame_velocity if kind is SchemeKind.CONSTANT_FRAME else 0.0
-    lattice_xdot = drift or None
-
+    # rest in the frame they compute in, whose grid velocity is None
     def stationary(xl, ul, dt, out):
-        return advance_stationary(xl, dt), lattice_xdot
+        return advance_stationary(xl, dt), None
 
     advance = {
         SchemeKind.CLASSICAL_FTCS: stationary,
@@ -325,13 +320,15 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         SchemeKind.EULERIAN_ADAPTIVE: equidistributed,
     }.get(kind)
 
-    snapshots = [fld]
+    # each snapshot is reported in the frame of the boosted data, at
+    # (xi + c t, v + c); at t = 0 the lattice is where that frame sees it
+    snapshots = [DiscreteField(grid=grid, u=u0 + drift)]
     # the run's layers, allocated once with one size, the position layers
     # with the period L: the step-start positions and values, the spares
     # each step writes, and the projection's moved layer and the values
     # evolved on it
     n = config.n_points
-    xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(fld.u)
+    xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
     x_spare, moved = Layer(n, length), Layer(n, length)
     u_spare, evolved = Layer(n), Layer(n)
     step, t = 0, 0.0
@@ -357,11 +354,11 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             if is_last or (snapshot_every > 0
                            and (step + 1) % snapshot_every == 0):
                 # the last step was cut to land exactly on t_final; a
-                # snapshot owns its arrays and checks its lab positions
+                # snapshot owns its arrays and checks its reported positions
                 t_snap = config.t_final if is_last else t_next
                 snapshots.append(DiscreteField(
                     grid=replace(grid, t=t_snap, x=xl.nodes + drift * t_snap),
-                    u=ul.nodes.copy()))
+                    u=ul.nodes + drift))
         except SimulationError as exc:
             exc.step = step
             exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)

@@ -145,9 +145,9 @@ def satisfy_scheme(s: Stencil, p: StencilParams) -> Stencil:
     The grid velocity (x_next - x)/dt in the advection factor is what lets
     boosts cancel; with a stationary next layer it degenerates to the
     classical fixed-grid relation. This is the general relation: the
-    solver's step takes xdot from its grid equation instead (u on a
-    Lagrangian layer, the drift c on a constant one), and each of those
-    equals this difference quotient in exact arithmetic.
+    solver's step takes xdot from its grid equation instead (none on a
+    stationary layer, u on a Lagrangian one), and each of those equals this
+    difference quotient in exact arithmetic.
     """
     return _satisfy(s, p, _grid_velocity(s))
 

@@ -230,15 +230,15 @@ def test_a_reference_that_is_not_finite_is_a_typed_error(tmp_path, capsys,
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_frames_rejects_the_constant_frame_scheme(tmp_path, capsys):
-    code = main(["frames", "--scheme", "constant-frame", "--n", "16",
-                 "--t-final", "0.05", "--eps3", "0.5",
-                 "--out", str(tmp_path / "f.csv")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error kind=ValueError step=- message=")
-    assert "constant-frame" in err
-    assert not (tmp_path / "f.csv").exists()
+def test_frames_measures_the_constant_frame_scheme_as_frame_exact(tmp_path):
+    # the bound of acceptance criterion 3
+    path = tmp_path / "f.csv"
+    code = main(["frames", "--scheme", "constant-frame", "--eps3", "1",
+                 "--out", str(path)])
+    assert code == 0
+    header, row = path.read_text().splitlines()
+    assert header == "scheme,N,eps3,discrepancy"
+    assert float(row.split(",")[-1]) <= 1e-10
 
 
 def test_nonzero_exit_with_machine_readable_error(tmp_path, capsys):
@@ -261,11 +261,15 @@ def test_convergence_failure_reports_its_step(tmp_path, capsys):
 
 
 def test_output_directory_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
+    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "out"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
     code = main(["run", "--n", "16", "--t-final", "0.05",
-                 "--out", "nested.csv"])
+                 "--out", "nested.csv", "--errors-out", "errors.csv"])
     assert code == 0
-    assert (tmp_path / "nested.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "errors.csv", "nested.csv"]
+    assert not (tmp_path / "errors.csv").exists()
 
 
 # every flag a subcommand does not read, with a value it would accept

@@ -288,7 +288,7 @@ def test_constant_frame_with_zero_velocity_matches_ftcs():
 
 
 def test_constant_frame_grid_drifts_rigidly():
-    # the lattice is at rest in the frame of the drift, so each snapshot
+    # the lattice is at rest in the frame of the boost c, so each snapshot
     # reports it at x + c t, one rounding per node
     c = 0.7
     traj = run(SchemeConfig(scheme_kind=SchemeKind.CONSTANT_FRAME,
@@ -320,6 +320,10 @@ def test_config_validation():
         SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=2)
     with pytest.raises(ValueError, match="alpha must be >= 0"):
         SchemeConfig(scheme_kind=SchemeKind.EULERIAN_ADAPTIVE, alpha=-1.0)
+    for length in (0.0, -1.0):
+        with pytest.raises(ValueError, match="domain_length must be positive"):
+            SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS,
+                         domain_length=length)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -361,13 +365,6 @@ def test_config_stores_its_kinds_as_enums():
     assert config.dt_factor == DEFAULT_DT_FACTORS[SchemeKind.CONSTANT_FRAME]
 
 
-@pytest.mark.parametrize("kind, boost", [(SchemeKind.CONSTANT_FRAME, 0.0),
-                                         (SchemeKind.LAGRANGIAN, 0.5)])
-def test_config_boost_is_the_frame_velocity_except_on_a_drifting_grid(
-        kind, boost):
-    assert SchemeConfig(scheme_kind=kind, frame_velocity=0.5).boost == boost
-
-
 @pytest.mark.parametrize("field, value", [("t_final", 1e300),
                                           ("dt_factor", 1e-300),
                                           ("dt_factor", 5e-324)])
@@ -404,8 +401,9 @@ def test_run_takes_a_numpy_integer_snapshot_interval():
 @pytest.mark.parametrize("offset", [0.0, 2.7])
 @pytest.mark.parametrize("n", [16, 64, 512])
 def test_constant_frame_at_zero_drift_is_ftcs_byte_for_byte(n, offset):
-    # the drift c = 0 moves no node (x + 0 dt is x) and its grid velocity
-    # makes u - c equal u, so every stored layer matches the FTCS run's
+    # at frame velocity 0 the constant-frame run computes in the frame of
+    # the data, on the same lattice with the same step, and reports each
+    # layer at (x + 0 t, u + 0), so every stored layer matches the FTCS run's
     every = 1 if n < 512 else 10
     ftcs, frame = (run(SchemeConfig(scheme_kind=kind, n_points=n,
                                     domain_start=offset), np.sin,

@@ -70,9 +70,9 @@ def layer_work(config, t_final):
 # per extra step: position layers placed, value layers filled, order
 # checks, layers allocated, containers. Each new layer is placed or filled
 # once, and each placement checks its order once; the step-start layer of
-# FTCS and of constant-frame, the lattice at rest in the frame of the
-# drift, is its next layer too. The adaptive step fills its monitor into
-# the destination layer before placing the positions there. Only the
+# FTCS and of constant-frame, the lattice at rest in the frame each
+# computes in, is its next layer too. The adaptive step fills its monitor
+# into the destination layer before placing the positions there. Only the
 # spline allocates layers in a step: value layers of its gaps, gap slopes
 # and moments.
 PER_STEP = [
@@ -185,16 +185,16 @@ def test_run_matches_a_plain_loop_over_the_oracle(kind, n, every):
     h = TAU / n
     dt0 = config.dt_factor * h * h
     x = np.arange(n) * h
-    u = np.sin(x) + (0.0 if kind is SchemeKind.CONSTANT_FRAME else c)
+    # the constant-frame run steps the unboosted data in the frame moving
+    # at c, where its lattice is at rest
+    drift = c if kind is SchemeKind.CONSTANT_FRAME else 0.0
+    u = np.sin(x) + (c - drift)
     t, layers = 0.0, [(0.0, x, u)]
     while t < config.t_final * (1.0 - 1e-12):
         dt = min(dt0, config.t_final - t)
-        # the grid velocity is the one each grid equation defines; the
-        # constant-frame lattice is at rest in the frame of its drift c
-        if kind is SchemeKind.CLASSICAL_FTCS:
+        # the grid velocity is the one each grid equation defines
+        if kind in (SchemeKind.CLASSICAL_FTCS, SchemeKind.CONSTANT_FRAME):
             x1, xdot = x, 0.0
-        elif kind is SchemeKind.CONSTANT_FRAME:
-            x1, xdot = x, c
         else:
             x1, xdot = x + dt * u, u
         u1 = moving_mesh_update_loop(x, u, xdot, dt, config.nu, TAU)
@@ -215,13 +215,13 @@ def test_run_matches_a_plain_loop_over_the_oracle(kind, n, every):
     # every scheme runs the oracle's arithmetic in the same order (the
     # projection remaps by the searched Newton form and takes the mean as
     # the package does), so each matches it bit for bit
-    # the constant-frame run reports its lattice at lab positions xi + c t
-    drift = c if kind is SchemeKind.CONSTANT_FRAME else 0.0
+    # the constant-frame run reports each layer boosted by c, at
+    # (xi + c t, v + c)
     for snap, s in zip(traj.snapshots, stored):
         t, x, u = layers[s]
         assert abs(snap.grid.t - t) <= 1e-14
         np.testing.assert_array_equal(snap.grid.x, x + drift * snap.grid.t)
-        np.testing.assert_array_equal(snap.u, u)
+        np.testing.assert_array_equal(snap.u, u + drift)
 
 
 @pytest.mark.parametrize("kind", list(SchemeKind))
