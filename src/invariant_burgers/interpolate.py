@@ -9,7 +9,8 @@ nodes in a ``grid.Layer`` (which checks their order), checks that no sum of
 two node positions or squared gap overflows, fills its values in another
 and hands both layers to ``_evaluate``, which reads the period from the
 position layer. The evolution-projection step calls ``_evaluate`` directly
-on the layers it has placed and filled, with targets it has placed. Every
+on the layers it has placed and filled, with targets it has placed, and
+has each interpolant's last addition write into its value layer. Every
 stencil indexes the ghost slots ``g`` of the layers directly:
 
 - linear and spline reduce each query into [x_0, x_0 + L) and bracket it
@@ -94,12 +95,14 @@ def _reach(x: np.ndarray) -> float:
     return max(-2.0 * x[0], 2.0 * x[-1], gap ** 2)
 
 
-def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind
-              ) -> np.ndarray:
+def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
+              out: np.ndarray | None = None) -> np.ndarray:
     """The interpolant of kind ``kind`` through the placed position layer
     ``xl`` and filled value layer ``ul``, at the finite queries ``q`` read
     modulo the period of ``xl``; the quadratic reads the gaps and wide
-    gaps of ``xl``'s slots."""
+    gaps of ``xl``'s slots. The last addition of each interpolant writes
+    its values into ``out``, one per query and aliasing none of the
+    inputs, or into a new array if ``out`` is None."""
     xg, ug, period = xl.g, ul.g, xl.period
     if kind is InterpKind.QUADRATIC:
         # slot b + 1 holds the node nearest q, ties going left: node i for
@@ -108,7 +111,8 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind
         # the queries reduced first if one lies outside (mid[0], mid[-1]]
         mid = 0.5 * (xg[:-1] + xg[1:])
         n = len(xg) - 3
-        if q.shape == (n,) and (mid[:-2] < q).all() and (q <= mid[1:-1]).all():
+        if (q.shape == (n,) and np.logical_and.reduce(mid[:-2] < q)
+                and np.logical_and.reduce(q <= mid[1:-1])):
             b = slice(0, n)
         else:
             if not (mid[0] < q.min(initial=np.inf)
@@ -119,7 +123,8 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind
         # and second differences c_k
         s = (ug[1:] - ug[:-1]) / xl.gaps
         c = (s[1:] - s[:-1]) / xl.wide
-        return ug[b] + (q - xg[b]) * (s[b] + (q - xg[1:][b]) * c[b])
+        return np.add(ug[b], (q - xg[b]) * (s[b] + (q - xg[1:][b]) * c[b]),
+                      out)
 
     # each query shifted by a multiple of L into [x_0, x_0 + L)
     q = xg[1] + np.mod(q - xg[1], period)
@@ -128,7 +133,7 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind
 
     if kind is InterpKind.LINEAR:
         w = (q - xg[j]) / (xg[j + 1] - xg[j])
-        return ug[j] * (1.0 - w) + ug[j + 1] * w
+        return np.add(ug[j] * (1.0 - w), ug[j + 1] * w, out)
 
     # cubic spline: second derivatives m at the nodes. The node gaps h,
     # the gap slopes du and the moments are copied into value layers, so
@@ -142,9 +147,9 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind
     hj = hl.g[j]
     s = (q - xg[j]) / hj
     r = 1.0 - s
-    return (ug[j] * r + ug[j + 1] * s
-            + hj ** 2 / 6.0 * ((r ** 3 - r) * mg[j]
-                               + (s ** 3 - s) * mg[j + 1]))
+    return np.add(ug[j] * r + ug[j + 1] * s,
+                  hj ** 2 / 6.0 * ((r ** 3 - r) * mg[j]
+                                   + (s ** 3 - s) * mg[j + 1]), out)
 
 
 def _solve_cyclic_tridiagonal(west, diag, east, rhs) -> np.ndarray:

@@ -32,15 +32,20 @@ those layers, check none of it again and are not exported. Each step
 writes the new positions and values into spare layers passed as
 destinations, through the views and scratch rows formed at allocation; it
 forms no view and allocates no layer, and no array of values apart from
-the adaptive mesh solve's partial sums and the projection's remap (the
-finiteness check still makes its boolean mask). The adaptive step writes
-its monitor into the destination layer, which the new positions then
-replace; the remap reads the moved and evolved layers (the cubic spline
-copies its gaps, gap slopes and moments into value layers of its own).
-Each new position layer is placed and order-checked once, an unchanged
-one not at all, and each new value layer is filled and checked for
-finiteness once. ``GridSlice`` and ``DiscreteField`` are built only for
-the snapshots ``run`` stores, from copies, so no result aliases a layer.
+the adaptive mesh solve's partial sums and the intermediates of the
+projection's remap, whose last addition writes into its value layer. The
+adaptive step writes its monitor into the destination layer, which the
+new positions then replace; the remap reads the moved and evolved layers
+(the cubic spline copies its gaps, gap slopes and moments into value
+layers of its own). Each new position layer is placed and order-checked
+once, an unchanged one not at all, and each new value layer is filled and
+checked for finiteness once, by one sum of squares with no mask unless a
+square overflows. The stencil takes no viscosity but the diffusion weight
+2 nu / (x_{i+1} - x_{i-1}) of its step-start positions, a row that ``run``
+forms once per position layer: once per run on the stationary lattice of
+FTCS and constant-frame, once per step on the moving meshes.
+``GridSlice`` and ``DiscreteField`` are built only for the snapshots
+``run`` stores, from copies, so no result aliases a layer.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import NodeCrossingError, SimulationError
 from .grid import (TAU, DiscreteField, Layer, advance_equidistributed,
                    advance_lagrangian, advance_stationary,
                    equidistribute_initial, require_finite, uniform_slice)
@@ -163,13 +168,24 @@ class Trajectory:
         return self.snapshots[0]
 
 
-def moving_mesh_terms(xl: Layer, ul: Layer, xdot, nu: float, out: Layer
-                      ) -> tuple[np.ndarray | None, np.ndarray]:
+def diffusion_weight(xl: Layer, nu: float, out: np.ndarray) -> np.ndarray:
+    """The diffusion weight 2 nu / (x_{i+1} - x_{i-1}) at the nodes of the
+    position layer ``xl``, over its row wide gaps, written into ``out`` and
+    returned. It changes only with the positions, so ``run`` forms it once
+    per position layer: once per run on the stationary lattice."""
+    return np.divide(2.0 * nu, xl.row_wide, out)
+
+
+def moving_mesh_terms(xl: Layer, ul: Layer, xdot, weight: np.ndarray,
+                      out: Layer) -> tuple[np.ndarray | None, np.ndarray]:
     """Advection and diffusion terms of the moving-mesh relation
     (u_next - u_k)/dt + advection - diffusion = 0 at the nodes of the
     position layer ``xl`` and value layer ``ul``, read over their slot
     rows: the row gaps and row wide gaps of ``xl`` and the row views of
-    ``ul``. The centred slope is weighted by the velocity relative to the
+    ``ul``. The difference of the gap slopes is multiplied by ``weight``,
+    the diffusion weight of ``xl`` (``diffusion_weight``), which may be
+    the work row of ``out``: it is read before anything is written
+    there. The centred slope is weighted by the velocity relative to the
     grid motion, u_k - xdot, where xdot is the grid velocity its grid
     equation defines: None on a stationary layer, which skips the
     subtraction (u - 0.0 is u bit for bit, -0.0 included) and gives the
@@ -185,8 +201,7 @@ def moving_mesh_terms(xl: Layer, ul: Layer, xdot, nu: float, out: Layer
     np.subtract(ul.row_east, ul.row_west, slopes)
     np.divide(slopes, xl.row_gaps, slopes)
     np.subtract(out.slopes_east, out.slopes_west, diffusion)
-    np.multiply(np.divide(2.0 * nu, xl.row_wide, out.work), diffusion,
-                diffusion)
+    np.multiply(weight, diffusion, diffusion)
     if xdot is ul:
         return None, diffusion
     np.subtract(ul.east, ul.west, advection)
@@ -198,16 +213,20 @@ def moving_mesh_terms(xl: Layer, ul: Layer, xdot, nu: float, out: Layer
 
 
 def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, nu: float,
-                   out: Layer) -> Layer:
+                   out: Layer, weight: np.ndarray | None = None) -> Layer:
     """Explicit update on a moving mesh, written into the value layer
     ``out`` and filled there: the moving-mesh stencil over the slot row of
     the layer ``xl`` (neighbours unwrapped across the seam), with the grid
     velocity ``xdot`` that the grid equation defines (see
     ``moving_mesh_terms``). None, on the stationary layer, gives the
     classical FTCS update; ``ul`` itself, on the Lagrangian layer, gives
-    u + dt * diffusion. The new values are unchecked.
+    u + dt * diffusion. ``weight`` is the diffusion weight of ``xl`` at
+    ``nu``, as ``run`` keeps it per position layer; without it the step
+    forms its own. The new values are unchecked.
     """
-    advection, diffusion = moving_mesh_terms(xl, ul, xdot, nu, out)
+    if weight is None:
+        weight = diffusion_weight(xl, nu, out.work)
+    advection, diffusion = moving_mesh_terms(xl, ul, xdot, weight, out)
     if advection is None:
         np.multiply(dt, diffusion, diffusion)
         np.add(ul.nodes, diffusion, out.nodes)
@@ -220,12 +239,14 @@ def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, nu: float,
 
 def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
                               interp_kind: InterpKind, moved: Layer,
-                              evolved: Layer, targets: Layer, out: Layer
+                              evolved: Layer, targets: Layer, out: Layer,
+                              weight: np.ndarray | None = None
                               ) -> tuple[Layer, Layer]:
     """One mesh-following step, re-mapped to a uniformly spaced layer:
     the positions of that layer are placed in ``targets`` and the values
     on it filled in ``out``, which are returned; ``moved`` and ``evolved``
-    take the moved layer and the values on it.
+    take the moved layer and the values on it. ``weight`` is the diffusion
+    weight of ``xl``, as for ``invariant_step``.
 
     Nodes move Lagrangianly, the moving-mesh update runs onto the moved
     layer with its grid velocity xdot = u (so with no advection term), and
@@ -242,13 +263,13 @@ def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
     node and the quadratic reads that node's parabola without a search.
     """
     advance_lagrangian(xl, ul, dt, moved)
-    invariant_step(xl, ul, ul, dt, nu, evolved)
+    invariant_step(xl, ul, ul, dt, nu, evolved, weight)
     # the mean as np.mean forms it (pairwise sum over n), without its
     # dispatch
     u = ul.nodes
-    np.add(xl.nodes, dt * float(u.sum() / len(u)), targets.nodes)
+    np.add(xl.nodes, dt * float(np.add.reduce(u) / len(u)), targets.nodes)
     targets.place()
-    out.nodes[...] = _evaluate(moved, evolved, targets.nodes, interp_kind)
+    _evaluate(moved, evolved, targets.nodes, interp_kind, out.nodes)
     return targets, out.fill()
 
 
@@ -326,11 +347,13 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # the run's layers, allocated once with one size, the position layers
     # with the period L: the step-start positions and values, the spares
     # each step writes, and the projection's moved layer and the values
-    # evolved on it
+    # evolved on it; and the diffusion weight of the step-start positions,
+    # formed again only when a new position layer replaces them
     n = config.n_points
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
     x_spare, moved = Layer(n, length), Layer(n, length)
     u_spare, evolved = Layer(n), Layer(n)
+    weight = diffusion_weight(xl, config.nu, np.empty(n))
     step, t = 0, 0.0
     t_end = config.t_final - 1e-12 * config.t_final
     while t < t_end:
@@ -341,14 +364,16 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             if advance is None:
                 x_next, u_next = evolution_projection_step(
                     xl, ul, dt, config.nu, config.interp_kind, moved,
-                    evolved, x_spare, u_spare)
+                    evolved, x_spare, u_spare, weight)
             else:
                 x_next, xdot = advance(xl, ul, dt, x_spare)
-                u_next = invariant_step(xl, ul, xdot, dt, config.nu, u_spare)
+                u_next = invariant_step(xl, ul, xdot, dt, config.nu, u_spare,
+                                        weight)
             require_finite(u_next.nodes)
             # the stationary grid equation returns the step-start layer
             if x_next is not xl:
                 xl, x_spare = x_next, xl
+                diffusion_weight(xl, config.nu, weight)
             ul, u_spare = u_next, ul
             is_last = t_next >= t_end
             if is_last or (snapshot_every > 0
@@ -356,9 +381,19 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
                 # the last step was cut to land exactly on t_final; a
                 # snapshot owns its arrays and checks its reported positions
                 t_snap = config.t_final if is_last else t_next
-                snapshots.append(DiscreteField(
-                    grid=replace(grid, t=t_snap, x=xl.nodes + drift * t_snap),
-                    u=ul.nodes + drift))
+                try:
+                    snapshots.append(DiscreteField(
+                        grid=replace(grid, t=t_snap,
+                                     x=xl.nodes + drift * t_snap),
+                        u=ul.nodes + drift))
+                except NodeCrossingError as exc:
+                    # the layer passed the same check, so only the shift by
+                    # c t can have rounded its gaps away
+                    raise NodeCrossingError(
+                        f"the reported positions xi + c t are too coarse "
+                        f"for the lattice gaps: at c t = "
+                        f"{drift * t_snap:.6g} they round gaps of {h:.6g} "
+                        f"away; the lattice itself is intact") from exc
         except SimulationError as exc:
             exc.step = step
             exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)

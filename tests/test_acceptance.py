@@ -98,9 +98,11 @@ def test_criterion_2_convergence_order(coeffs_nu01):
 
 
 def test_criterion_3_invariant_schemes_frame_exact():
+    # constant-frame computes in the frame of the bulk velocity, so it is
+    # frame-exact too (ROADMAP item 8)
     discrepancies = {}
     for kind in (SchemeKind.LAGRANGIAN, SchemeKind.EULERIAN_ADAPTIVE,
-                 SchemeKind.EVOLUTION_PROJECTION):
+                 SchemeKind.EVOLUTION_PROJECTION, SchemeKind.CONSTANT_FRAME):
         discrepancies[kind] = frame_comparison(
             SchemeConfig(scheme_kind=kind), 1.0)
     ok = all(d <= 1e-10 for d in discrepancies.values())

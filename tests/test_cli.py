@@ -147,15 +147,21 @@ def test_blow_up_reports_step_and_time(tmp_path, capsys):
 def test_a_collapse_of_the_reported_positions_reports_its_step(tmp_path,
                                                              capsys):
     # the first snapshot reports the lattice at x + 1e17 dt, where doubles
-    # are farther apart than its nodes
+    # are farther apart than its nodes; the error names that resolution,
+    # not a mesh inversion, and leaves no trajectory behind
     code = main(["run", "--scheme", "constant-frame", "--n", "16",
                  "--eps3", "1e17", "--snapshot-every", "1",
                  "--out", str(tmp_path / "t.csv")])
     assert code == 1
-    err = capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = lines[0]
     assert err.startswith("error kind=NodeCrossingError step=")
     step = int(err.split("step=")[1].split()[0])
     assert f"message='step {step} (t=" in err
+    assert "reported positions xi + c t are too coarse" in err
+    assert "strictly increasing" not in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_constant_frame_at_zero_drift_writes_the_ftcs_trajectory(tmp_path):

@@ -14,7 +14,7 @@ from invariant_burgers import (
 )
 from invariant_burgers.grid import (Layer, advance_equidistributed,
                                     advance_lagrangian, advance_stationary,
-                                    monitor)
+                                    monitor, require_finite)
 from invariant_burgers.interpolate import InterpKind, interpolate
 
 from oracles import (dense_equidistribution_solve, equidistribution_residual,
@@ -140,6 +140,25 @@ def test_container_errors_are_typed_value_errors():
         DiscreteField(grid=grid, u=np.full(8, np.nan))
     assert issubclass(NonFiniteSolutionError, ValueError)
     assert issubclass(NodeCrossingError, ValueError)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=hnp.arrays(float, st.integers(1, 64),
+                    elements=st.floats(-1e300, 1e300)),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+def test_require_finite_refuses_a_non_finite_value_at_any_index(u, bad,
+                                                                data):
+    # the sum of squares decides most arrays; squares that overflow (any
+    # value past 1.3e154) fall through to the exact test, with no warning
+    n = len(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert require_finite(u) is u
+        i = data.draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1),
+                      label="index")
+        u[i] = bad
+        with pytest.raises(NonFiniteSolutionError):
+            require_finite(u)
 
 
 def test_wrapped_positions_stay_in_fundamental_interval():

@@ -39,13 +39,13 @@ def instrument(monkeypatch, original, replacement):
                 monkeypatch.setattr(module, attr, replacement)
 
 
-WORK = ("placed", "filled", "checks", "layers", "containers")
+WORK = ("placed", "filled", "checks", "layers", "containers", "weights")
 
 
 def layer_work(config, t_final):
     """Position layers placed, value layers filled, order checks, layers
-    allocated and containers built by one run of ``config`` to
-    ``t_final``."""
+    allocated, containers built and diffusion weights formed by one run of
+    ``config`` to ``t_final``."""
     counts = dict.fromkeys(WORK, 0)
 
     def counted(key, fn):
@@ -57,6 +57,8 @@ def layer_work(config, t_final):
     with pytest.MonkeyPatch.context() as mp:
         instrument(mp, _require_positive,
                    counted("checks", _require_positive))
+        instrument(mp, schemes.diffusion_weight,
+                   counted("weights", schemes.diffusion_weight))
         mp.setattr(Layer, "__init__", counted("layers", Layer.__init__))
         mp.setattr(Layer, "place", counted("placed", Layer.place))
         mp.setattr(Layer, "fill", counted("filled", Layer.fill))
@@ -68,22 +70,25 @@ def layer_work(config, t_final):
 
 
 # per extra step: position layers placed, value layers filled, order
-# checks, layers allocated, containers. Each new layer is placed or filled
-# once, and each placement checks its order once; the step-start layer of
-# FTCS and of constant-frame, the lattice at rest in the frame each
-# computes in, is its next layer too. The adaptive step fills its monitor
-# into the destination layer before placing the positions there. Only the
+# checks, layers allocated, containers, diffusion weights formed. Each new
+# layer is placed or filled once, and each placement checks its order
+# once; the step-start layer of FTCS and of constant-frame, the lattice at
+# rest in the frame each computes in, is its next layer too, so its
+# diffusion weight is never formed again. The other schemes form it once
+# for each new step-start layer. The adaptive step fills its monitor into
+# the destination layer before placing the positions there. Only the
 # spline allocates layers in a step: value layers of its gaps, gap slopes
 # and moments.
 PER_STEP = [
-    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0, 0)),
-    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0, 0)),
+    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0, 0, 1)),
     ({"scheme_kind": SchemeKind.CONSTANT_FRAME, "frame_velocity": 0.5},
-     (0, 1, 0, 0, 0)),
-    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, (1, 2, 1, 0, 0)),
+     (0, 1, 0, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, (1, 2, 1, 0, 0, 1)),
 ] + [
     ({"scheme_kind": SchemeKind.EVOLUTION_PROJECTION, "interp_kind": kind},
-     (2, 5, 2, 3, 0) if kind is InterpKind.CUBIC_SPLINE else (2, 2, 2, 0, 0))
+     (2, 5, 2, 3, 0, 1) if kind is InterpKind.CUBIC_SPLINE
+     else (2, 2, 2, 0, 0, 1))
     for kind in InterpKind
 ]
 # the schemes whose steps run in the layers the run allocated
