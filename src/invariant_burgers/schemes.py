@@ -212,20 +212,18 @@ def moving_mesh_terms(xl: Layer, ul: Layer, xdot, weight: np.ndarray,
     return advection, diffusion
 
 
-def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, nu: float,
-                   out: Layer, weight: np.ndarray | None = None) -> Layer:
+def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, weight: np.ndarray,
+                   out: Layer) -> Layer:
     """Explicit update on a moving mesh, written into the value layer
     ``out`` and filled there: the moving-mesh stencil over the slot row of
     the layer ``xl`` (neighbours unwrapped across the seam), with the grid
     velocity ``xdot`` that the grid equation defines (see
     ``moving_mesh_terms``). None, on the stationary layer, gives the
     classical FTCS update; ``ul`` itself, on the Lagrangian layer, gives
-    u + dt * diffusion. ``weight`` is the diffusion weight of ``xl`` at
-    ``nu``, as ``run`` keeps it per position layer; without it the step
-    forms its own. The new values are unchecked.
+    u + dt * diffusion. ``weight`` is the diffusion weight of ``xl``
+    (``diffusion_weight``), as ``run`` keeps it per position layer. The new
+    values are unchecked.
     """
-    if weight is None:
-        weight = diffusion_weight(xl, nu, out.work)
     advection, diffusion = moving_mesh_terms(xl, ul, xdot, weight, out)
     if advection is None:
         np.multiply(dt, diffusion, diffusion)
@@ -237,11 +235,10 @@ def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, nu: float,
     return out.fill()
 
 
-def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
-                              interp_kind: InterpKind, moved: Layer,
-                              evolved: Layer, targets: Layer, out: Layer,
-                              weight: np.ndarray | None = None
-                              ) -> tuple[Layer, Layer]:
+def evolution_projection_step(xl: Layer, ul: Layer, dt: float,
+                              weight: np.ndarray, interp_kind: InterpKind,
+                              moved: Layer, evolved: Layer, targets: Layer,
+                              out: Layer) -> tuple[Layer, Layer]:
     """One mesh-following step, re-mapped to a uniformly spaced layer:
     the positions of that layer are placed in ``targets`` and the values
     on it filled in ``out``, which are returned; ``moved`` and ``evolved``
@@ -263,7 +260,7 @@ def evolution_projection_step(xl: Layer, ul: Layer, dt: float, nu: float,
     node and the quadratic reads that node's parabola without a search.
     """
     advance_lagrangian(xl, ul, dt, moved)
-    invariant_step(xl, ul, ul, dt, nu, evolved, weight)
+    invariant_step(xl, ul, ul, dt, weight, evolved)
     # the mean as np.mean forms it (pairwise sum over n), without its
     # dispatch
     u = ul.nodes
@@ -363,12 +360,11 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         try:
             if advance is None:
                 x_next, u_next = evolution_projection_step(
-                    xl, ul, dt, config.nu, config.interp_kind, moved,
-                    evolved, x_spare, u_spare, weight)
+                    xl, ul, dt, weight, config.interp_kind, moved, evolved,
+                    x_spare, u_spare)
             else:
                 x_next, xdot = advance(xl, ul, dt, x_spare)
-                u_next = invariant_step(xl, ul, xdot, dt, config.nu, u_spare,
-                                        weight)
+                u_next = invariant_step(xl, ul, xdot, dt, weight, u_spare)
             require_finite(u_next.nodes)
             # the stationary grid equation returns the step-start layer
             if x_next is not xl:

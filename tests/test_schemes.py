@@ -11,7 +11,9 @@ from invariant_burgers import (
 )
 
 from invariant_burgers.grid import Layer
-from invariant_burgers.schemes import evolution_projection_step, invariant_step
+from invariant_burgers.schemes import (diffusion_weight,
+                                      evolution_projection_step,
+                                      invariant_step)
 
 from oracles import (ftcs_update_loop, moving_mesh_update_loop,
                      random_smooth_field)
@@ -32,20 +34,28 @@ def layer(grid):
     return Layer.of_positions(grid.x, grid.domain_length)
 
 
+def weight(xl, nu):
+    """The diffusion weight of the position layer ``xl`` at ``nu``, as
+    ``run`` forms it for the step functions."""
+    return diffusion_weight(xl, nu, np.empty(len(xl.nodes)))
+
+
 def moving_step(fld, grid_next, dt, nu):
     """The moving-mesh update from ``fld`` onto the slice ``grid_next``,
     with the grid velocity its difference quotient."""
     xdot = (grid_next.x - fld.grid.x) / dt
-    out = invariant_step(layer(fld.grid), Layer.of_values(fld.u), xdot, dt,
-                         nu, Layer(fld.grid.n))
+    xl = layer(fld.grid)
+    out = invariant_step(xl, Layer.of_values(fld.u), xdot, dt, weight(xl, nu),
+                         Layer(fld.grid.n))
     return DiscreteField(grid=grid_next, u=out.nodes)
 
 
 def projection_step(fld, dt, nu, interp_kind):
     n, length = fld.grid.n, fld.grid.domain_length
     # the moved and target layers hold positions, the other two values
+    start = layer(fld.grid)
     xl, ul = evolution_projection_step(
-        layer(fld.grid), Layer.of_values(fld.u), dt, nu, interp_kind,
+        start, Layer.of_values(fld.u), dt, weight(start, nu), interp_kind,
         Layer(n, length), Layer(n), Layer(n, length), Layer(n))
     return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xl.nodes),
                          u=ul.nodes)
@@ -56,8 +66,9 @@ def projection_step(fld, dt, nu, interp_kind):
 # ---------------------------------------------------------------------------
 
 def ftcs_step(fld, dt, nu):
-    out = invariant_step(layer(fld.grid), Layer.of_values(fld.u), None, dt,
-                         nu, Layer(fld.grid.n))
+    xl = layer(fld.grid)
+    out = invariant_step(xl, Layer.of_values(fld.u), None, dt, weight(xl, nu),
+                         Layer(fld.grid.n))
     return DiscreteField(grid=fld.grid, u=out.nodes)
 
 
@@ -142,9 +153,10 @@ def test_a_stationary_step_equals_a_step_onto_a_copied_layer(n, seed, dt,
     x, u = random_smooth_field(rng, n)
     u[rng.integers(0, n, 3)] = rng.choice([0.0, -0.0], 3)
     xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
-    skipped = invariant_step(xl, ul, None, dt, nu, Layer(n))
+    w = weight(xl, nu)
+    skipped = invariant_step(xl, ul, None, dt, w, Layer(n))
     for xdot in ((x - x.copy()) / dt, 0.0):
-        formed = invariant_step(xl, ul, xdot, dt, nu, Layer(n))
+        formed = invariant_step(xl, ul, xdot, dt, w, Layer(n))
         assert skipped.g.tobytes() == formed.g.tobytes()
 
 
