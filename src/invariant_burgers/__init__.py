@@ -1,23 +1,23 @@
-"""Symmetry-preserving finite-difference schemes for the 1-D viscous
-Burgers equation on a periodic domain, with a moving-mesh engine, a
-discrete symmetry-group toolbox, and a series reference solution for
-quantitative error and convergence studies. Pure Python on numpy; the
-adaptive mesh is placed by a closed-form O(N) equidistribution. One
-moving-mesh stencil serves the solver and the invariance certifier; each
-scheme pairs it with a grid equation: FTCS with the stationary one. The
-frame velocity c is the Galilean boost of the initial data on every scheme;
-constant-frame computes in the frame moving with c, on the stationary
-lattice there, and reports at (xi + c t, v + c). The solver takes the
-stencil's grid velocity from the grid equation (none or u; the difference
-quotient only on the equidistributed grid), and the certifier from the
-difference quotient, equal to it in exact arithmetic.
+"""Symmetry-preserving finite-difference schemes for the 1-D viscous Burgers
+equation on a periodic domain, with a moving-mesh engine, a discrete
+symmetry-group toolbox, and a series reference solution for quantitative
+error and convergence studies. Pure Python on numpy; the adaptive mesh is
+placed by a closed-form O(N) equidistribution. One moving-mesh stencil
+serves the solver and the invariance certifier; each moving scheme pairs it
+with a grid equation, FTCS steps it on the lattice at rest, and the
+evolution-projection adds a remap. The frame velocity c is the Galilean
+boost of the initial data on every scheme; constant-frame computes on the
+lattice at rest in the frame moving with c and reports at (xi + c t, v + c).
+The solver takes the stencil's grid velocity from the grid equation (none or
+u; the difference quotient only on the equidistributed grid), and the
+certifier from the difference quotient, equal to it in exact arithmetic.
 
 All value types are immutable. Each run owns its layers, the mutable
 buffers it steps through; the step functions write into layers that the
 caller passes, and the results a run returns are copies that never alias
 them. So independent runs may execute concurrently without coordination.
 The public API takes and returns validated values only; the functions on
-``grid.Layer``s (grid equations, monitor, stencil) are the inside of
+``grid.Layer``s (grid equations, monitor, stencil, remap) are the inside of
 ``run``, which validates once, and are not exported.
 """
 

@@ -236,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error kind={type(exc).__name__} step={step_txt} "
               f"message={str(exc)!r}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error kind={type(exc).__name__} step=- message={str(exc)!r}",
               file=sys.stderr)
         return 1

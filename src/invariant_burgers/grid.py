@@ -1,6 +1,6 @@
-"""Periodic grids on one time layer and the three grid-evolution equations:
-stationary, Lagrangian, and equidistribution of a monitor function, whose
-discrete relation is solved exactly in O(N).
+"""Periodic grids on one time layer and the grid-evolution equations of
+the moving meshes (the lattice at rest needs none): Lagrangian, and
+equidistribution of a monitor function, solved exactly in O(N).
 
 Node positions are stored unwrapped (they may drift outside the fundamental
 interval); the array order realizes the computational coordinate, and the
@@ -231,12 +231,6 @@ class DiscreteField:
 def mean_spacing(grid: GridSlice) -> float:
     """Mean grid spacing L / N; independent of node distribution."""
     return grid.domain_length / grid.n
-
-
-def advance_stationary(xl: Layer, dt: float) -> Layer:
-    """Keep every node in place: the layer ``xl`` is the next layer too,
-    written, placed and checked no further."""
-    return xl
 
 
 def advance_lagrangian(xl: Layer, ul: Layer, dt: float, out: Layer

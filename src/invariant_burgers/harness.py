@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteSolutionError, SimulationError
+from .errors import (NodeCrossingError, NonFiniteSolutionError,
+                     SimulationError)
 from .exact import FourierCoeffs, evaluate
 from .grid import DiscreteField, mean_spacing, uniform_slice
 from .interpolate import InterpKind, interpolate
@@ -55,7 +56,15 @@ def _measured_field(traj: Trajectory) -> DiscreteField:
     fld = traj.final
     eps3 = traj.config.frame_velocity
     if eps3 != 0.0:
-        fld = apply_field(GroupElement(Generator.GALILEAN_BOOST, -eps3), fld)
+        g = GroupElement(Generator.GALILEAN_BOOST, -eps3)
+        try:
+            fld = apply_field(g, fld)
+        except NodeCrossingError as exc:
+            # the final layer passed the same check: only the shift failed
+            raise NodeCrossingError(
+                f"the inverse boost x - c t at c t = {eps3 * fld.grid.t:.6g} "
+                f"rounds the gaps of the final positions away; the run "
+                f"itself finished") from exc
     return fld
 
 

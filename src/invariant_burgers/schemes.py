@@ -1,18 +1,19 @@
-"""Time stepping: the moving-mesh discretization, the evolution-projection
-composite, and the ``run`` driver that pairs a grid equation with the
-moving-mesh update into a trajectory.
-
-Every scheme is one moving-mesh stencil (``moving_mesh_terms``) on a layer
-placed by its grid equation; classical FTCS is that stencil on the
-stationary layer. The frame velocity c is the Galilean boost of the initial
-data, the flow's bulk velocity, on every scheme. Constant-frame is the
-remedy of computing in the frame that moves with c, xi = x - c t: there the
-data is unboosted and the lattice at rest, so it steps FTCS, and it reports
-each snapshot at (xi + c t, v + c). Everything is explicit (forward Euler
-in time) with dt = dt_factor * h^2.
+"""Time stepping: the moving-mesh discretization and the ``run`` driver,
+each of whose steps has three stages. The scheme's grid equation gives the
+next position layer and its grid velocity, the one moving-mesh stencil
+(``invariant_step``) steps the values onto it, and the evolution-projection
+alone then remaps them (``project``). Lagrangian and the projection move
+the nodes with u, the adaptive scheme equidistributes a monitor, and FTCS
+and constant-frame step on the lattice at rest, which needs no equation:
+its next layer is the one it has. The frame velocity c is the Galilean
+boost of the initial data, the flow's bulk velocity, on every scheme.
+Constant-frame is the remedy of computing in the frame that moves with c,
+xi = x - c t: there the data is unboosted and the lattice at rest, so it
+steps FTCS, and it reports each snapshot at (xi + c t, v + c). Everything
+is explicit (forward Euler in time) with dt = dt_factor * h^2.
 
 The stencil's grid velocity xdot is the one each grid equation defines,
-not a quotient re-derived from positions: none on the stationary grid;
+not a quotient re-derived from positions: none on the lattice at rest;
 xdot = u on the Lagrangian grid (and the projection's evolution sub-step),
 where u - xdot is zero and no advection term is formed, so the step is
 u + dt * diffusion; and the difference quotient (x_next - x)/dt only on the
@@ -22,7 +23,7 @@ arithmetic each equals the quotient that the certifier's relation
 
 At N = 512 a numpy call costs about a microsecond whatever it computes, so
 the step makes few: one stencil pass over a slot row, no grid velocity on
-a stationary layer and no advection term on a Lagrangian one.
+the lattice at rest and no advection term on a Lagrangian one.
 
 ``run`` is the step layer's one boundary. It and ``SchemeConfig``
 validate once; it then allocates its ``grid.Layer``s once, each of N + 3
@@ -42,7 +43,7 @@ once, an unchanged one not at all, and each new value layer is filled and
 checked for finiteness once, by one sum of squares with no mask unless a
 square overflows. The stencil takes no viscosity but the diffusion weight
 2 nu / (x_{i+1} - x_{i-1}) of its step-start positions, a row that ``run``
-forms once per position layer: once per run on the stationary lattice of
+forms once per position layer: once per run on the lattice at rest of
 FTCS and constant-frame, once per step on the moving meshes.
 ``GridSlice`` and ``DiscreteField`` are built only for the snapshots
 ``run`` stores, from copies, so no result aliases a layer.
@@ -59,8 +60,8 @@ import numpy as np
 
 from .errors import NodeCrossingError, SimulationError
 from .grid import (TAU, DiscreteField, Layer, advance_equidistributed,
-                   advance_lagrangian, advance_stationary,
-                   equidistribute_initial, require_finite, uniform_slice)
+                   advance_lagrangian, equidistribute_initial,
+                   require_finite, uniform_slice)
 from .interpolate import InterpKind, _evaluate
 
 
@@ -235,32 +236,23 @@ def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, weight: np.ndarray,
     return out.fill()
 
 
-def evolution_projection_step(xl: Layer, ul: Layer, dt: float,
-                              weight: np.ndarray, interp_kind: InterpKind,
-                              moved: Layer, evolved: Layer, targets: Layer,
-                              out: Layer) -> tuple[Layer, Layer]:
-    """One mesh-following step, re-mapped to a uniformly spaced layer:
-    the positions of that layer are placed in ``targets`` and the values
-    on it filled in ``out``, which are returned; ``moved`` and ``evolved``
-    take the moved layer and the values on it. ``weight`` is the diffusion
-    weight of ``xl``, as for ``invariant_step``.
+def project(xl: Layer, ul: Layer, dt: float, moved: Layer, evolved: Layer,
+            interp_kind: InterpKind, targets: Layer, out: Layer
+            ) -> tuple[Layer, Layer]:
+    """The projection's remap: the values ``evolved`` on the layer
+    ``moved``, which the Lagrangian step and the stencil wrote from ``xl``
+    and ``ul``, interpolated onto the lattice ``xl`` advanced by the bulk
+    (mean) velocity of ``ul``. The targets are placed in ``targets`` and
+    the values filled in ``out``, which are returned.
 
-    Nodes move Lagrangianly, the moving-mesh update runs onto the moved
-    layer with its grid velocity xdot = u (so with no advection term), and
-    the result is interpolated back onto the step-start lattice
-    advanced by the bulk (mean) velocity. Advancing the re-mapping targets
-    with the bulk velocity keeps the whole composite boost-equivariant: a
-    lattice held fixed in one frame is a moving lattice in every other.
-    For zero-mean data the targets stay on the original lattice to
-    roundoff, so the grid remains the familiar stationary uniform one.
-    The interpolant reads the moved and evolved layers as their placement
-    and fill left them, gaps and wide gaps included. Each target is its
-    node moved by dt (mean(u) - u_i), a fraction of a gap once N is past a
-    few dozen, so it normally lies between the midpoints beside its moved
-    node and the quadratic reads that node's parabola without a search.
+    Advancing the targets with the bulk velocity keeps the composite
+    boost-equivariant: a lattice held fixed in one frame is a moving
+    lattice in every other. For zero-mean data they stay on the original
+    lattice to roundoff. Each target is its node moved by
+    dt (mean(u) - u_i), a fraction of a gap once N is past a few dozen, so
+    it normally lies between the midpoints beside its moved node and the
+    quadratic reads that node's parabola without a search.
     """
-    advance_lagrangian(xl, ul, dt, moved)
-    invariant_step(xl, ul, ul, dt, weight, evolved)
     # the mean as np.mean forms it (pairwise sum over n), without its
     # dispatch
     u = ul.nodes
@@ -317,26 +309,24 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         grid = equidistribute_initial(sample_initial, grid, config.alpha)
     u0 = sample_initial(grid.x)
 
+    def lagrangian(xl, ul, dt, out):
+        return advance_lagrangian(xl, ul, dt, out), ul
+
     def equidistributed(xl, ul, dt, out):
         x_next = advance_equidistributed(xl, ul, config.alpha, dt, out)
         # the one grid with no closed-form velocity: its difference quotient
         return x_next, (x_next.nodes - xl.nodes) / dt
 
-    # the grid equation of each moving-mesh scheme (evolution-projection,
-    # a composite, has none) with the grid velocity it defines; each looks
-    # its advance up when called, so a rebinding of the module attribute
-    # reaches the step loop. FTCS and constant-frame step on the lattice at
-    # rest in the frame they compute in, whose grid velocity is None
-    def stationary(xl, ul, dt, out):
-        return advance_stationary(xl, dt), None
-
-    advance = {
-        SchemeKind.CLASSICAL_FTCS: stationary,
-        SchemeKind.CONSTANT_FRAME: stationary,
-        SchemeKind.LAGRANGIAN:
-            lambda xl, ul, dt, out: (advance_lagrangian(xl, ul, dt, out), ul),
+    # the grid equation of each moving scheme with the grid velocity it
+    # defines; each looks its advance up when called, so a rebinding of the
+    # module attribute reaches the step loop. The lattice at rest has none:
+    # it is its own next layer, with no grid velocity
+    grid_equation = {
+        SchemeKind.LAGRANGIAN: lagrangian,
         SchemeKind.EULERIAN_ADAPTIVE: equidistributed,
+        SchemeKind.EVOLUTION_PROJECTION: lagrangian,
     }.get(kind)
+    projecting = kind is SchemeKind.EVOLUTION_PROJECTION
 
     # each snapshot is reported in the frame of the boosted data, at
     # (xi + c t, v + c); at t = 0 the lattice is where that frame sees it
@@ -348,8 +338,9 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # formed again only when a new position layer replaces them
     n = config.n_points
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
-    x_spare, moved = Layer(n, length), Layer(n, length)
-    u_spare, evolved = Layer(n), Layer(n)
+    x_spare, u_spare = Layer(n, length), Layer(n)
+    if projecting:
+        moved, evolved = Layer(n, length), Layer(n)
     weight = diffusion_weight(xl, config.nu, np.empty(n))
     step, t = 0, 0.0
     t_end = config.t_final - 1e-12 * config.t_final
@@ -358,15 +349,19 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         dt = min(dt0, config.t_final - t)
         t_next = t + dt
         try:
-            if advance is None:
-                x_next, u_next = evolution_projection_step(
-                    xl, ul, dt, weight, config.interp_kind, moved, evolved,
-                    x_spare, u_spare)
+            # the grid equation, the stencil and the projection's remap
+            x_to, u_to = ((moved, evolved) if projecting
+                          else (x_spare, u_spare))
+            if grid_equation is None:
+                x_next, xdot = xl, None
             else:
-                x_next, xdot = advance(xl, ul, dt, x_spare)
-                u_next = invariant_step(xl, ul, xdot, dt, weight, u_spare)
+                x_next, xdot = grid_equation(xl, ul, dt, x_to)
+            u_next = invariant_step(xl, ul, xdot, dt, weight, u_to)
+            if projecting:
+                x_next, u_next = project(xl, ul, dt, x_next, u_next,
+                                         config.interp_kind, x_spare, u_spare)
             require_finite(u_next.nodes)
-            # the stationary grid equation returns the step-start layer
+            # the lattice at rest keeps its layer and its diffusion weight
             if x_next is not xl:
                 xl, x_spare = x_next, xl
                 diffusion_weight(xl, config.nu, weight)

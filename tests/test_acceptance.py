@@ -284,3 +284,47 @@ def test_criterion_9_grid_shapes_at_final_time():
               f"min/mean={gaps.min() / gaps.mean():.3f}, "
               f"uniformity defect={uniform_defect:.2e}")
     assert _verdict("9 (final grid shapes)", ok, detail), detail
+
+
+# the largest relative change of an invariant-or-remedy scheme's L-inf
+# under a bulk velocity c in {1, 2, 4} against c = 0, at N in {64, 256}:
+# 4.2e-9 measured (Lagrangian, N = 256), at most 1.2e-9 for the others
+BULK_RTOL = 1e-8
+
+
+def test_criterion_10_bulk_velocity(coeffs_nu01):
+    # the paper's comparison: the invariant schemes and the remedy of
+    # computing in the frame of the bulk velocity c keep their error at
+    # every c; FTCS on the lattice at rest does not
+    start = time.perf_counter()
+    cs = (0.0, 1.0, 2.0, 4.0)
+
+    def error(kind, n, c):
+        config = SchemeConfig(scheme_kind=kind, n_points=n, frame_velocity=c)
+        return linf_error(run(config, np.sin), coeffs_nu01).linf_error
+
+    worst, ftcs = {}, {}
+    for n in (64, 256):
+        ftcs[n] = [error(SchemeKind.CLASSICAL_FTCS, n, c) for c in cs]
+        for kind in (SchemeKind.CONSTANT_FRAME, SchemeKind.LAGRANGIAN,
+                     SchemeKind.EULERIAN_ADAPTIVE,
+                     SchemeKind.EVOLUTION_PROJECTION):
+            errs = [error(kind, n, c) for c in cs]
+            worst[kind, n] = max(abs(e / errs[0] - 1.0) for e in errs[1:])
+    growing = all(a < b for errs in ftcs.values()
+                  for a, b in zip(errs, errs[1:]))
+
+    # Bernardini's "more grid points": the first N, in steps of 8, at
+    # which FTCS at c = 1 matches its own c = 0 error at N = 64
+    n = 64
+    while n < 512 and error(SchemeKind.CLASSICAL_FTCS, n, 1.0) > ftcs[64][0]:
+        n += 8
+    elapsed = time.perf_counter() - start
+
+    ok = max(worst.values()) <= BULK_RTOL and growing
+    detail = (", ".join(f"{k.value} N={m}: {d:.1e}"
+                        for (k, m), d in worst.items())
+              + "; ftcs N=64: " + ", ".join(f"{e:.2e}" for e in ftcs[64])
+              + f"; ftcs at c=1 matches its c=0 error from N={n}"
+              + f"; {elapsed:.2f}s")
+    assert _verdict("10 (bulk velocity)", ok, detail), detail

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from invariant_burgers import cli
 from invariant_burgers.cli import OUTDIR_ENV, build_parser, main
 
 
@@ -162,6 +163,45 @@ def test_a_collapse_of_the_reported_positions_reports_its_step(tmp_path,
     assert "reported positions xi + c t are too coarse" in err
     assert "strictly increasing" not in err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "frames"])
+def test_a_collapse_of_the_mapped_back_positions_names_the_inverse_boost(
+        tmp_path, capsys, command):
+    # the FTCS run at c = 1e17 finishes, as spacing shows, but mapping its
+    # final positions back by x - c t, at c t = 5e16, rounds their gaps
+    # away; the error names that shift, not a mesh inversion
+    flags = ["--scheme", "ftcs", "--n", "16", "--eps3", "1e17"]
+    assert main(["spacing", *flags, "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    code = main([command, *flags, "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = lines[0]
+    assert err.startswith("error kind=NodeCrossingError step=- message=")
+    assert "the inverse boost x - c t at c t = 5e+16" in err
+    assert "the run itself finished" in err
+    assert "strictly increasing" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_an_allocation_too_large_is_a_typed_error(tmp_path, capsys,
+                                                  monkeypatch):
+    # exact --n 1e8 asks numpy for the n x (J + 1) phase matrix, 17.9 GiB;
+    # whether that allocation fails depends on the machine, so the
+    # reference raises here as numpy's MemoryError would
+    def refuse(coeffs, t, x):
+        raise MemoryError("Unable to allocate 17.9 GiB for an array")
+
+    monkeypatch.setattr(cli, "evaluate", refuse)
+    code = main(["exact", "--n", "100000000",
+                 "--out", str(tmp_path / "e.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error kind=MemoryError step=- message='Unable to allocate 17.9 GiB "
+        "for an array'"]
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_constant_frame_at_zero_drift_writes_the_ftcs_trajectory(tmp_path):

@@ -13,8 +13,8 @@ from invariant_burgers import (
     equidistribute_initial, mean_spacing, transform_monitor, uniform_slice,
 )
 from invariant_burgers.grid import (Layer, advance_equidistributed,
-                                    advance_lagrangian, advance_stationary,
-                                    monitor, require_finite)
+                                    advance_lagrangian, monitor,
+                                    require_finite)
 from invariant_burgers.interpolate import InterpKind, interpolate
 
 from oracles import (dense_equidistribution_solve, equidistribution_residual,
@@ -234,16 +234,8 @@ def test_a_placed_layer_matches_the_order_oracle(x, ordered, length):
 
 
 # ---------------------------------------------------------------------------
-# stationary / lagrangian / constant advances
+# lagrangian and equidistributed advances
 # ---------------------------------------------------------------------------
-
-def test_advance_stationary_keeps_positions():
-    grid = uniform_slice(64)
-    xg = layer(grid)
-    out = advance_stationary(xg, 0.01)
-    assert out is xg
-    np.testing.assert_array_equal(nodes(out), grid.x)
-
 
 def test_advance_lagrangian_zero_velocity():
     grid = uniform_slice(16)
@@ -281,7 +273,6 @@ def test_gap_sum_preserved_by_advances():
     fld = sin_field(32)
     xg, ul = layer(fld.grid), values(fld.u)
     for out in (
-        advance_stationary(xg, 0.01),
         advance_lagrangian(xg, ul, 0.01, Layer(32, TAU)),
         advance_equidistributed(xg, ul, 1.0, 0.01, Layer(32, TAU)),
     ):

@@ -10,10 +10,8 @@ from invariant_burgers import (
     apply_field, mean_spacing, run, uniform_slice,
 )
 
-from invariant_burgers.grid import Layer
-from invariant_burgers.schemes import (diffusion_weight,
-                                      evolution_projection_step,
-                                      invariant_step)
+from invariant_burgers.grid import Layer, advance_lagrangian
+from invariant_burgers.schemes import diffusion_weight, invariant_step, project
 
 from oracles import (ftcs_update_loop, moving_mesh_update_loop,
                      random_smooth_field)
@@ -51,12 +49,15 @@ def moving_step(fld, grid_next, dt, nu):
 
 
 def projection_step(fld, dt, nu, interp_kind):
+    """The projection's step as ``run`` composes it: the Lagrangian grid
+    equation, the stencil onto the moved layer with xdot = u, and the
+    remap."""
     n, length = fld.grid.n, fld.grid.domain_length
-    # the moved and target layers hold positions, the other two values
-    start = layer(fld.grid)
-    xl, ul = evolution_projection_step(
-        start, Layer.of_values(fld.u), dt, weight(start, nu), interp_kind,
-        Layer(n, length), Layer(n), Layer(n, length), Layer(n))
+    start, ul = layer(fld.grid), Layer.of_values(fld.u)
+    moved = advance_lagrangian(start, ul, dt, Layer(n, length))
+    evolved = invariant_step(start, ul, ul, dt, weight(start, nu), Layer(n))
+    xl, ul = project(start, ul, dt, moved, evolved, interp_kind,
+                     Layer(n, length), Layer(n))
     return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xl.nodes),
                          u=ul.nodes)
 
