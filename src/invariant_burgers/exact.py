@@ -56,7 +56,8 @@ def coefficients(nu: float) -> FourierCoeffs:
     the tail bound at t = 0; the damping exp(-nu t j^2) only shrinks it
     for t > 0, so one table serves every t >= 0. The number of quadrature
     points doubles until a_0 is stable to _TOL relative and the retained
-    modes are safely below the aliasing range.
+    modes are safely below the aliasing range; once they reach the cap
+    with none below the bound, ``NoDecayError`` is raised before a_0 settles.
     """
     if not 0.0 < nu < np.inf:
         raise ValueError(f"nu must be positive and finite, got {nu!r}")
@@ -75,7 +76,7 @@ def coefficients(nu: float) -> FourierCoeffs:
             J = int(j[np.argmax(below)])
             return FourierCoeffs(nu=nu, a=np.concatenate([[a0], a[:J]]),
                                  quad_points=m)
-        if a0_stable and j_hi >= _J_CAP:
+        if j_hi >= _J_CAP and not below.any():
             raise NoDecayError(
                 f"coefficients did not decay below tol={_TOL:g} within "
                 f"j <= {_J_CAP} (nu={nu:g})")
@@ -89,14 +90,18 @@ def evaluate(coeffs: FourierCoeffs, t: float, x) -> np.ndarray:
 
     The denominator is the smoothed potential, strictly positive; queries
     are reduced into the fundamental period first so the series arguments
-    stay small. At small nu the cosine sums cancel, and where that leaves
-    a value that is not finite ``NonFiniteSolutionError`` is raised.
+    stay small; a non-finite one is refused (``ValueError``). At small nu
+    the cosine sums cancel, and where that leaves a value that is not
+    finite ``NonFiniteSolutionError`` is raised.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t!r}")
     a = coeffs.a
     J = coeffs.truncation_index
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        i = int(np.argmin(np.isfinite(x)))
+        raise ValueError(f"x[{i}] is {float(x.flat[i])!r}; x must be finite")
     scalar = x.ndim == 0
     # symmetric reduction keeps series arguments small and makes the odd
     # symmetry of the solution exact (negation is exact in floating point)

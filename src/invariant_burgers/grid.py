@@ -7,8 +7,8 @@ interval); the array order realizes the computational coordinate, and the
 periodic closure gap ``x[0] + L - x[-1]`` must stay positive. Wrapping into
 the fundamental interval happens only on output.
 
-The grid equations and the monitor work on ``Layer``s: one buffer per
-layer holding the N + 3 periodic ghost slots, with the views a step reads.
+The grid equations and the monitor work on ``Layer``s: a layer is its
+N + 3 periodic ghost slots, their gaps and the views a step reads.
 A position layer carries its period from allocation on, so no grid
 equation takes the domain length. A run allocates its layers once; a grid
 equation writes the next layer's positions into a destination layer that
@@ -123,10 +123,10 @@ class Layer:
     domain length for a layer of positions and 0 for a layer of values,
     whose ghosts are copies (a -0.0 keeps its sign). ``fill`` ignores the
     period, so one layer may hold values and then positions, as the
-    adaptive step's destination holds its monitor and then the mesh. Every
-    other member is a view of ``g`` or a buffer of its own, all formed when
-    the layer is allocated, so writing a layer forms no view and allocates
-    no array.
+    adaptive step's destination holds its monitor and then the mesh. A
+    layer owns three buffers, ``g``, ``gaps`` and ``wide``; every other
+    member is a view of them, formed when the layer is allocated, so
+    writing a layer forms no view and allocates no array.
 
     - ``nodes`` is slots 1 .. N. The stencil and the monitor read the slot
       row g[:-1] through ``row_east`` g[1:-1] and ``row_west`` g[:-2]
@@ -135,9 +135,6 @@ class Layer:
     - ``gaps`` g[1:] - g[:-1] (N + 2) and ``wide`` g[2:] - g[:-2]
       (N + 1), with their slot-row parts ``row_gaps`` and ``row_wide``,
       hold the gaps and wide gaps of a position layer.
-    - ``slopes`` (with ``slopes_east`` and ``slopes_west``),
-      ``advection``, ``diffusion`` and ``work`` are the scratch rows of the
-      stencil that writes the layer as values.
 
     Write the nodes, then ``place`` positions (period L > 0) or ``fill``
     values; both take N >= 1. The interpolants bracket a query by slots j,
@@ -154,10 +151,6 @@ class Layer:
         self.row_gaps, self.row_wide = self.gaps[:-1], self.wide[:-1]
         self._node_gaps = self.gaps[1:-1]
         self._slots = (g[1:], g[:-1], g[2:], g[:-2])
-        self.slopes = np.empty(n + 1)
-        self.slopes_east, self.slopes_west = self.slopes[1:], self.slopes[:-1]
-        self.advection, self.diffusion, self.work = (
-            np.empty(n), np.empty(n), np.empty(n))
 
     @classmethod
     def of_positions(cls, x: np.ndarray, domain_length: float) -> Layer:

@@ -25,23 +25,23 @@ At N = 512 a numpy call costs about a microsecond whatever it computes, so
 the step makes few: one stencil pass over a slot row, no grid velocity on
 the lattice at rest and no advection term on a Lagrangian one.
 
-``run`` is the step layer's one boundary. It and ``SchemeConfig``
-validate once; it then allocates its ``grid.Layer``s once, each of N + 3
-slots and each position layer with the period L, and steps with a finite
-dt in (0, dt_factor * h^2], so the step functions, which work in place on
-those layers, check none of it again and are not exported. Each step
+``run`` is the step layer's one boundary. It and ``SchemeConfig`` validate
+once; it then allocates its ``grid.Layer``s (N + 3 slots each, a position
+layer with the period L) and its ``StencilRows`` once, and steps with a
+finite dt in (0, dt_factor * h^2], so the step functions, which work in
+place on those, check none of it again and are not exported. Each step
 writes the new positions and values into spare layers passed as
-destinations, through the views and scratch rows formed at allocation; it
-forms no view and allocates no layer, and no array of values apart from
-the adaptive mesh solve's partial sums and the intermediates of the
-projection's remap, whose last addition writes into its value layer. The
-adaptive step writes its monitor into the destination layer, which the
-new positions then replace; the remap reads the moved and evolved layers
-(the cubic spline copies its gaps, gap slopes and moments into value
-layers of its own). Each new position layer is placed and order-checked
-once, an unchanged one not at all, and each new value layer is filled and
-checked for finiteness once, by one sum of squares with no mask unless a
-square overflows. The stencil takes no viscosity but the diffusion weight
+destinations, through the views formed at allocation; it forms no view and
+allocates no layer, and no array of values apart from the adaptive mesh
+solve's partial sums and the intermediates of the projection's remap,
+whose last addition writes into its value layer. The adaptive step writes
+its monitor into the destination layer, which the new positions then
+replace; the remap reads the moved and evolved layers (the cubic spline
+copies its gaps, gap slopes and moments into value layers of its own).
+Each new position layer is placed and order-checked once, an unchanged one
+not at all, and each new value layer is filled and checked for finiteness
+once, by one sum of squares with no mask unless a square overflows. The
+stencil takes no viscosity but the diffusion weight
 2 nu / (x_{i+1} - x_{i-1}) of its step-start positions, a row that ``run``
 forms once per position layer: once per run on the lattice at rest of
 FTCS and constant-frame, once per step on the moving meshes.
@@ -169,6 +169,18 @@ class Trajectory:
         return self.snapshots[0]
 
 
+class StencilRows:
+    """The moving-mesh stencil's rows at N nodes: the diffusion ``weight``,
+    the N + 1 gap ``slopes`` (east and west views), ``advection``,
+    ``diffusion`` and ``work``."""
+
+    def __init__(self, n: int):
+        self.weight, self.slopes = np.empty(n), np.empty(n + 1)
+        self.slopes_east, self.slopes_west = self.slopes[1:], self.slopes[:-1]
+        self.advection, self.diffusion, self.work = (
+            np.empty(n), np.empty(n), np.empty(n))
+
+
 def diffusion_weight(xl: Layer, nu: float, out: np.ndarray) -> np.ndarray:
     """The diffusion weight 2 nu / (x_{i+1} - x_{i-1}) at the nodes of the
     position layer ``xl``, over its row wide gaps, written into ``out`` and
@@ -177,16 +189,15 @@ def diffusion_weight(xl: Layer, nu: float, out: np.ndarray) -> np.ndarray:
     return np.divide(2.0 * nu, xl.row_wide, out)
 
 
-def moving_mesh_terms(xl: Layer, ul: Layer, xdot, weight: np.ndarray,
-                      out: Layer) -> tuple[np.ndarray | None, np.ndarray]:
+def moving_mesh_terms(xl: Layer, ul: Layer, xdot, rows: StencilRows
+                      ) -> tuple[np.ndarray | None, np.ndarray]:
     """Advection and diffusion terms of the moving-mesh relation
     (u_next - u_k)/dt + advection - diffusion = 0 at the nodes of the
     position layer ``xl`` and value layer ``ul``, read over their slot
     rows: the row gaps and row wide gaps of ``xl`` and the row views of
-    ``ul``. The difference of the gap slopes is multiplied by ``weight``,
-    the diffusion weight of ``xl`` (``diffusion_weight``), which may be
-    the work row of ``out``: it is read before anything is written
-    there. The centred slope is weighted by the velocity relative to the
+    ``ul``. The difference of the gap slopes is multiplied by the
+    diffusion weight of ``xl`` in ``rows.weight`` (``diffusion_weight``).
+    The centred slope is weighted by the velocity relative to the
     grid motion, u_k - xdot, where xdot is the grid velocity its grid
     equation defines: None on a stationary layer, which skips the
     subtraction (u - 0.0 is u bit for bit, -0.0 included) and gives the
@@ -196,24 +207,24 @@ def moving_mesh_terms(xl: Layer, ul: Layer, xdot, weight: np.ndarray,
     otherwise, or a scalar, which only the certifier passes (the difference
     quotient at its one node, or 0.0 in its fixed-grid relation). Each
     gap's slope is formed once for its two nodes. The terms are written
-    into the scratch rows of ``out`` and returned as views of them.
+    into ``rows`` and returned as those rows.
     """
-    slopes, advection, diffusion = out.slopes, out.advection, out.diffusion
+    slopes, advection, diffusion = rows.slopes, rows.advection, rows.diffusion
     np.subtract(ul.row_east, ul.row_west, slopes)
     np.divide(slopes, xl.row_gaps, slopes)
-    np.subtract(out.slopes_east, out.slopes_west, diffusion)
-    np.multiply(weight, diffusion, diffusion)
+    np.subtract(rows.slopes_east, rows.slopes_west, diffusion)
+    np.multiply(rows.weight, diffusion, diffusion)
     if xdot is ul:
         return None, diffusion
     np.subtract(ul.east, ul.west, advection)
     np.divide(advection, xl.row_wide, advection)
     relative = (ul.nodes if xdot is None
-                else np.subtract(ul.nodes, xdot, out.work))
+                else np.subtract(ul.nodes, xdot, rows.work))
     np.multiply(relative, advection, advection)
     return advection, diffusion
 
 
-def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, weight: np.ndarray,
+def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, rows: StencilRows,
                    out: Layer) -> Layer:
     """Explicit update on a moving mesh, written into the value layer
     ``out`` and filled there: the moving-mesh stencil over the slot row of
@@ -221,11 +232,11 @@ def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, weight: np.ndarray,
     velocity ``xdot`` that the grid equation defines (see
     ``moving_mesh_terms``). None, on the stationary layer, gives the
     classical FTCS update; ``ul`` itself, on the Lagrangian layer, gives
-    u + dt * diffusion. ``weight`` is the diffusion weight of ``xl``
-    (``diffusion_weight``), as ``run`` keeps it per position layer. The new
-    values are unchecked.
+    u + dt * diffusion. ``rows`` holds the diffusion weight of ``xl``
+    (``diffusion_weight``), as ``run`` keeps it per position layer, and
+    takes the terms. The new values are unchecked.
     """
-    advection, diffusion = moving_mesh_terms(xl, ul, xdot, weight, out)
+    advection, diffusion = moving_mesh_terms(xl, ul, xdot, rows)
     if advection is None:
         np.multiply(dt, diffusion, diffusion)
         np.add(ul.nodes, diffusion, out.nodes)
@@ -334,14 +345,15 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # the run's layers, allocated once with one size, the position layers
     # with the period L: the step-start positions and values, the spares
     # each step writes, and the projection's moved layer and the values
-    # evolved on it; and the diffusion weight of the step-start positions,
-    # formed again only when a new position layer replaces them
+    # evolved on it; and the stencil's rows, whose diffusion weight is
+    # formed again only when a new position layer replaces xl
     n = config.n_points
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
     x_spare, u_spare = Layer(n, length), Layer(n)
     if projecting:
         moved, evolved = Layer(n, length), Layer(n)
-    weight = diffusion_weight(xl, config.nu, np.empty(n))
+    rows = StencilRows(n)
+    diffusion_weight(xl, config.nu, rows.weight)
     step, t = 0, 0.0
     t_end = config.t_final - 1e-12 * config.t_final
     while t < t_end:
@@ -356,7 +368,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
                 x_next, xdot = xl, None
             else:
                 x_next, xdot = grid_equation(xl, ul, dt, x_to)
-            u_next = invariant_step(xl, ul, xdot, dt, weight, u_to)
+            u_next = invariant_step(xl, ul, xdot, dt, rows, u_to)
             if projecting:
                 x_next, u_next = project(xl, ul, dt, x_next, u_next,
                                          config.interp_kind, x_spare, u_spare)
@@ -364,7 +376,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             # the lattice at rest keeps its layer and its diffusion weight
             if x_next is not xl:
                 xl, x_spare = x_next, xl
-                diffusion_weight(xl, config.nu, weight)
+                diffusion_weight(xl, config.nu, rows.weight)
             ul, u_spare = u_next, ul
             is_last = t_next >= t_end
             if is_last or (snapshot_every > 0

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .grid import TAU, DiscreteField, GridSlice, Layer
-from .schemes import diffusion_weight, moving_mesh_terms
+from .schemes import StencilRows, diffusion_weight, moving_mesh_terms
 
 
 class Generator(Enum):
@@ -162,11 +162,11 @@ def _terms(s: Stencil, xdot: float, nu: float) -> tuple[float, float]:
     """The advection and diffusion terms of the moving-mesh stencil at the
     center of ``s``: its step-start rows are the slot rows of one-node
     layers, whose last slot the stencil never reads."""
-    xl, ul, out = Layer(1), Layer(1), Layer(1)
+    xl, ul, rows = Layer(1), Layer(1), StencilRows(1)
     xl.g[:-1], ul.g[:-1] = s.x, s.u
     xl.g[-1] = ul.g[-1] = np.nan
-    weight = diffusion_weight(xl.measure(), nu, out.work)
-    (advection,), (diffusion,) = moving_mesh_terms(xl, ul, xdot, weight, out)
+    diffusion_weight(xl.measure(), nu, rows.weight)
+    (advection,), (diffusion,) = moving_mesh_terms(xl, ul, xdot, rows)
     return advection, diffusion
 
 

@@ -252,6 +252,15 @@ def test_exact_rejects_a_hostile_value_by_name(tmp_path, capsys, flag, value,
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_exact_refuses_a_tiny_viscosity_at_the_mode_cap(tmp_path, capsys):
+    code = main(["exact", "--nu", "1e-10", "--out", str(tmp_path / "e.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error kind=NoDecayError step=- message='coefficients did not decay "
+        "below tol=1e-12 within j <= 200 (nu=1e-10)'"]
+    assert not (tmp_path / "e.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--scheme", "lagrangian", "--n", "32", "--nu", "0.02",
      "--errors-out", "e.csv"],

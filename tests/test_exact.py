@@ -1,9 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from invariant_burgers import (FourierCoeffs, NoDecayError,
-                               NonFiniteSolutionError, TAU, coefficients,
-                               evaluate)
+                               NonFiniteSolutionError, SimulationError, TAU,
+                               coefficients, evaluate)
 
 from oracles import leading_coefficient_quadrature, trapezoid_coefficient
 
@@ -109,6 +112,32 @@ def test_no_decay_error_for_impossible_tolerance():
     # within the mode cap
     with pytest.raises(NoDecayError):
         coefficients(1e-4)
+
+
+@pytest.mark.parametrize("nu", [1e-7, 1e-10, 1e-20, 1e-300])
+def test_a_tiny_viscosity_is_refused_at_the_mode_cap(nu):
+    # the potential is too narrow for any quadrature up to the point cap to
+    # settle a_0, and its modes do not decay within the mode cap either:
+    # the refusal names the mode cap without first doubling the quadrature
+    # to the point cap
+    with pytest.raises(NoDecayError, match=r"within j <= 200"):
+        coefficients(nu)
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.inf, "x[0] is inf"),
+    (-np.inf, "x[0] is -inf"),
+    (np.nan, "x[0] is nan"),
+    (np.array([0.0, 1.0, -np.inf, np.nan]), "x[2] is -inf"),
+])
+def test_a_non_finite_position_is_refused_by_index(coeffs_nu01, x, message):
+    # a bad argument, not a numerical failure, and refused before any
+    # arithmetic, so no numpy warning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)) as caught:
+            evaluate(coeffs_nu01, 0.5, x)
+    assert not isinstance(caught.value, SimulationError)
 
 
 def test_scalar_and_array_evaluation(coeffs_nu01):

@@ -198,6 +198,21 @@ def test_a_layer_matches_the_concatenated_layout_by_bytes(n, seed, jump,
     assert g.tobytes() == ghosted_by_concatenation(a, jump).tobytes()
 
 
+@pytest.mark.parametrize("n, period", [(1, 0.0), (16, TAU), (512, 0.0)])
+def test_a_layer_owns_its_slots_gaps_and_wide_gaps_only(n, period):
+    # a layer is its slots and gaps: the stencil's rows belong to the run,
+    # and every other member of a layer is a view of its three buffers
+    layer = Layer(n, period)
+    arrays = [a for value in vars(layer).values()
+              for a in (value if isinstance(value, tuple) else (value,))
+              if isinstance(a, np.ndarray)]
+    owned = [a for a in arrays if a.base is None]
+    assert sorted(map(id, owned)) == sorted(
+        map(id, (layer.g, layer.gaps, layer.wide)))
+    for a in arrays:
+        assert a.base is None or any(a.base is b for b in owned)
+
+
 def verdict(fn, *args):
     """The message of the ``NodeCrossingError`` that ``fn`` raises, or
     None."""

@@ -2,7 +2,7 @@
 module-level name is read somewhere in the package, no package attribute
 hides a submodule of the same name, one function brackets queries,
 one class checks node order, and no exported name takes or returns a
-``grid.Layer``.
+``grid.Layer`` or the stencil's ``schemes.StencilRows``.
 
 Package ``__init__.py`` files are exempt from the import scan (their imports
 are the public re-exports), and so are ``from __future__`` imports.
@@ -172,9 +172,9 @@ def test_only_a_layer_checks_node_order():
 
 def layer_signatures(module) -> list[str]:
     """Public names of ``module``, other than its submodules, with a
-    parameter or return annotated with ``Layer`` (the annotations are the
-    strings of ``from __future__ import annotations``); for a class, the
-    functions it defines count."""
+    parameter or return annotated with ``Layer`` or ``StencilRows`` (the
+    annotations are the strings of ``from __future__ import annotations``);
+    for a class, the functions it defines count."""
     found = []
     for name, value in sorted(vars(module).items()):
         if name.startswith("_") or isinstance(value, types.ModuleType):
@@ -182,7 +182,7 @@ def layer_signatures(module) -> list[str]:
         functions = ([value] if inspect.isfunction(value) else
                      [f for f in vars(value).values() if inspect.isfunction(f)]
                      if inspect.isclass(value) else [])
-        if any(re.search(r"\bLayer\b", str(annotation))
+        if any(re.search(r"\b(Layer|StencilRows)\b", str(annotation))
                for f in functions
                for annotation in inspect.unwrap(f).__annotations__.values()):
             found.append(name)
@@ -196,16 +196,21 @@ def test_scan_finds_a_function_on_layers():
          "def step(xl: Layer, dt: float) -> None: ...\n"
          "def place(x: np.ndarray) -> tuple[Layer, Layer]: ...\n"
          "def gaps(x: np.ndarray) -> np.ndarray: ...\n"
+         "def terms(xl, ul, rows: StencilRows) -> np.ndarray: ...\n"
+         "def rows(n: int) -> StencilRows | None: ...\n"
          "def _inner(xl: Layer) -> Layer: ...\n"
          "class Slice:\n    def layer(self) -> Layer: ...\n"
          "class Layers:\n    def gaps(self) -> np.ndarray: ...\n",
          vars(module))
-    assert layer_signatures(module) == ["Slice", "place", "step"]
+    assert layer_signatures(module) == ["Slice", "place", "rows", "step",
+                                        "terms"]
 
 
 def test_no_exported_name_takes_a_layer():
-    # the functions on layers are the inside of run(), which validates
-    # once; the package exports only what checks its own arguments
+    # the functions on layers and the stencil's rows are the inside of
+    # run(), which validates once; the package exports only what checks
+    # its own arguments
     import invariant_burgers
 
     assert layer_signatures(invariant_burgers) == []
+    assert {"Layer", "StencilRows"}.isdisjoint(vars(invariant_burgers))

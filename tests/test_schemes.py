@@ -11,7 +11,8 @@ from invariant_burgers import (
 )
 
 from invariant_burgers.grid import Layer, advance_lagrangian
-from invariant_burgers.schemes import diffusion_weight, invariant_step, project
+from invariant_burgers.schemes import (StencilRows, diffusion_weight,
+                                       invariant_step, project)
 
 from oracles import (ftcs_update_loop, moving_mesh_update_loop,
                      random_smooth_field)
@@ -32,10 +33,13 @@ def layer(grid):
     return Layer.of_positions(grid.x, grid.domain_length)
 
 
-def weight(xl, nu):
-    """The diffusion weight of the position layer ``xl`` at ``nu``, as
-    ``run`` forms it for the step functions."""
-    return diffusion_weight(xl, nu, np.empty(len(xl.nodes)))
+def stencil_rows(xl, nu):
+    """The stencil's rows at the nodes of the position layer ``xl``, with
+    its diffusion weight at ``nu`` formed, as ``run`` keeps them for the
+    step functions."""
+    rows = StencilRows(len(xl.nodes))
+    diffusion_weight(xl, nu, rows.weight)
+    return rows
 
 
 def moving_step(fld, grid_next, dt, nu):
@@ -43,8 +47,8 @@ def moving_step(fld, grid_next, dt, nu):
     with the grid velocity its difference quotient."""
     xdot = (grid_next.x - fld.grid.x) / dt
     xl = layer(fld.grid)
-    out = invariant_step(xl, Layer.of_values(fld.u), xdot, dt, weight(xl, nu),
-                         Layer(fld.grid.n))
+    out = invariant_step(xl, Layer.of_values(fld.u), xdot, dt,
+                         stencil_rows(xl, nu), Layer(fld.grid.n))
     return DiscreteField(grid=grid_next, u=out.nodes)
 
 
@@ -55,7 +59,8 @@ def projection_step(fld, dt, nu, interp_kind):
     n, length = fld.grid.n, fld.grid.domain_length
     start, ul = layer(fld.grid), Layer.of_values(fld.u)
     moved = advance_lagrangian(start, ul, dt, Layer(n, length))
-    evolved = invariant_step(start, ul, ul, dt, weight(start, nu), Layer(n))
+    evolved = invariant_step(start, ul, ul, dt, stencil_rows(start, nu),
+                             Layer(n))
     xl, ul = project(start, ul, dt, moved, evolved, interp_kind,
                      Layer(n, length), Layer(n))
     return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xl.nodes),
@@ -68,8 +73,8 @@ def projection_step(fld, dt, nu, interp_kind):
 
 def ftcs_step(fld, dt, nu):
     xl = layer(fld.grid)
-    out = invariant_step(xl, Layer.of_values(fld.u), None, dt, weight(xl, nu),
-                         Layer(fld.grid.n))
+    out = invariant_step(xl, Layer.of_values(fld.u), None, dt,
+                         stencil_rows(xl, nu), Layer(fld.grid.n))
     return DiscreteField(grid=fld.grid, u=out.nodes)
 
 
@@ -154,10 +159,10 @@ def test_a_stationary_step_equals_a_step_onto_a_copied_layer(n, seed, dt,
     x, u = random_smooth_field(rng, n)
     u[rng.integers(0, n, 3)] = rng.choice([0.0, -0.0], 3)
     xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
-    w = weight(xl, nu)
-    skipped = invariant_step(xl, ul, None, dt, w, Layer(n))
+    rows = stencil_rows(xl, nu)
+    skipped = invariant_step(xl, ul, None, dt, rows, Layer(n))
     for xdot in ((x - x.copy()) / dt, 0.0):
-        formed = invariant_step(xl, ul, xdot, dt, w, Layer(n))
+        formed = invariant_step(xl, ul, xdot, dt, rows, Layer(n))
         assert skipped.g.tobytes() == formed.g.tobytes()
 
 

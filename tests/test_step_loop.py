@@ -19,6 +19,7 @@ from invariant_burgers import (DiscreteField, GridSlice, InterpKind,
                                SchemeConfig, SchemeKind, SimulationError, TAU)
 from invariant_burgers import grid, schemes
 from invariant_burgers.grid import Layer, _require_positive
+from invariant_burgers.schemes import StencilRows
 
 from oracles import moving_mesh_update_loop, quadratic_by_search
 
@@ -39,13 +40,14 @@ def instrument(monkeypatch, original, replacement):
                 monkeypatch.setattr(module, attr, replacement)
 
 
-WORK = ("placed", "filled", "checks", "layers", "containers", "weights")
+WORK = ("placed", "filled", "checks", "layers", "containers", "weights",
+        "rows")
 
 
 def layer_work(config, t_final):
     """Position layers placed, value layers filled, order checks, layers
-    allocated, containers built and diffusion weights formed by one run of
-    ``config`` to ``t_final``."""
+    allocated, containers built, diffusion weights formed and stencil rows
+    allocated by one run of ``config`` to ``t_final``."""
     counts = dict.fromkeys(WORK, 0)
 
     def counted(key, fn):
@@ -60,6 +62,8 @@ def layer_work(config, t_final):
         instrument(mp, schemes.diffusion_weight,
                    counted("weights", schemes.diffusion_weight))
         mp.setattr(Layer, "__init__", counted("layers", Layer.__init__))
+        mp.setattr(StencilRows, "__init__",
+                   counted("rows", StencilRows.__init__))
         mp.setattr(Layer, "place", counted("placed", Layer.place))
         mp.setattr(Layer, "fill", counted("filled", Layer.fill))
         for cls in (GridSlice, DiscreteField):
@@ -70,25 +74,26 @@ def layer_work(config, t_final):
 
 
 # per extra step: position layers placed, value layers filled, order
-# checks, layers allocated, containers, diffusion weights formed. Each new
-# layer is placed or filled once, and each placement checks its order
-# once; the step-start layer of FTCS and of constant-frame, the lattice at
-# rest in the frame each computes in, is its next layer too, so its
-# diffusion weight is never formed again. The other schemes form it once
-# for each new step-start layer. The adaptive step fills its monitor into
-# the destination layer before placing the positions there. Only the
-# spline allocates layers in a step: value layers of its gaps, gap slopes
-# and moments.
+# checks, layers allocated, containers, diffusion weights formed, stencil
+# rows allocated. Each new layer is placed or filled once, and each
+# placement checks its order once; the step-start layer of FTCS and of
+# constant-frame, the lattice at rest in the frame each computes in, is its
+# next layer too, so its diffusion weight is never formed again. The other
+# schemes form it once for each new step-start layer. The adaptive step
+# fills its monitor into the destination layer before placing the positions
+# there. Only the spline allocates layers in a step: value layers of its
+# gaps, gap slopes and moments. The stencil's rows are allocated once per
+# run.
 PER_STEP = [
-    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0, 0, 0)),
-    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0, 0, 1)),
+    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0, 0, 1, 0)),
     ({"scheme_kind": SchemeKind.CONSTANT_FRAME, "frame_velocity": 0.5},
-     (0, 1, 0, 0, 0, 0)),
-    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, (1, 2, 1, 0, 0, 1)),
+     (0, 1, 0, 0, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, (1, 2, 1, 0, 0, 1, 0)),
 ] + [
     ({"scheme_kind": SchemeKind.EVOLUTION_PROJECTION, "interp_kind": kind},
-     (2, 5, 2, 3, 0, 1) if kind is InterpKind.CUBIC_SPLINE
-     else (2, 2, 2, 0, 0, 1))
+     (2, 5, 2, 3, 0, 1, 0) if kind is InterpKind.CUBIC_SPLINE
+     else (2, 2, 2, 0, 0, 1, 0))
     for kind in InterpKind
 ]
 # the schemes whose steps run in the layers the run allocated
@@ -107,6 +112,7 @@ def test_each_step_ghosts_and_checks_each_new_layer_once(config, per_step):
     long = layer_work(fields, (2 * k - 0.5) * dt0)
     extra = {key: long[key] - short[key] for key in WORK}
     assert tuple(extra.values()) == tuple(k * n for n in per_step)
+    assert short["rows"] == long["rows"] == 1
     if config in IN_PLACE:
         assert extra["layers"] == 0
 
@@ -124,7 +130,8 @@ STEP_FUNCTIONS = [
 def asserting(fn, positions, config, calls):
     """``fn``, asserting first that its dt is finite and in (0, dt0],
     dt0 = dt_factor * h^2 as ``run`` forms it, that each of its layers has
-    N + 3 slots and that each position layer has the run's period."""
+    N + 3 slots, that each position layer has the run's period and that
+    its stencil rows have N weights and N + 1 slopes."""
     signature = inspect.signature(fn)
     n, length = config.n_points, config.domain_length
     h = length / n
@@ -139,6 +146,10 @@ def asserting(fn, positions, config, calls):
                 assert len(value.g) == n + 3, name
                 if name in positions:
                     assert value.period == length, name
+        if "rows" in bound:
+            rows = bound["rows"]
+            assert isinstance(rows, StencilRows)
+            assert len(rows.weight) == n and len(rows.slopes) == n + 1
         calls[fn.__name__] += 1
         return fn(*args, **kwargs)
 

@@ -14,7 +14,8 @@ from invariant_burgers import (
 )
 
 from invariant_burgers.grid import Layer, monitor
-from invariant_burgers.schemes import diffusion_weight, invariant_step
+from invariant_burgers.schemes import (StencilRows, diffusion_weight,
+                                       invariant_step)
 
 from oracles import moving_mesh_update_loop
 
@@ -206,9 +207,9 @@ def test_scheme_step_sits_on_residual_manifold(case):
     fld, grid_next, dt = case
     p = StencilParams(nu=0.1)
     xdot = (grid_next.x - fld.grid.x) / dt
-    xl = Layer.of_positions(fld.grid.x, TAU)
-    out_u = invariant_step(xl, Layer.of_values(fld.u), xdot, dt,
-                           diffusion_weight(xl, p.nu, np.empty(fld.grid.n)),
+    xl, rows = Layer.of_positions(fld.grid.x, TAU), StencilRows(fld.grid.n)
+    diffusion_weight(xl, p.nu, rows.weight)
+    out_u = invariant_step(xl, Layer.of_values(fld.u), xdot, dt, rows,
                            Layer(fld.grid.n)).nodes
     expected = moving_mesh_update_loop(fld.grid.x, fld.u, xdot, dt, p.nu,
                                        TAU)
