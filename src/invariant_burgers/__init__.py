@@ -26,8 +26,8 @@ from .errors import (NoConvergenceError, NoDecayError, NodeCrossingError,
 from .exact import FourierCoeffs, coefficients, evaluate
 from .grid import (TAU, DiscreteField, GridSlice, equidistribute_initial,
                    mean_spacing, uniform_slice)
-from .harness import (ConvergenceRow, ErrorReport, convergence_study,
-                      frame_comparison, grid_spacing_profile, linf_error)
+from .harness import (ErrorReport, convergence_study, frame_comparison,
+                      grid_spacing_profile, linf_error)
 from .interpolate import InterpKind
 from .schemes import (DEFAULT_DT_FACTORS, SchemeConfig, SchemeKind,
                       Trajectory, run)

@@ -146,7 +146,7 @@ def _cmd_convergence(args) -> int:
     coeffs = coefficients(config.nu)
     rows = convergence_study(config, ns, coeffs)
     path = _out_path(args.out or "convergence.csv")
-    write_convergence_csv(path, config.scheme_kind, rows)
+    write_convergence_csv(path, rows)
     for r in rows:
         order = "-" if r.observed_order is None else f"{r.observed_order:.3f}"
         print(f"N={r.n:4d} h={r.h:.6e} linf={r.linf_error:.6e} order={order}")
@@ -156,10 +156,10 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_frames(args) -> int:
     config = _config_from(args, args.n)
-    d = frame_comparison(config, args.eps3)
+    d = frame_comparison(config)
     path = _out_path(args.out or "frames.csv")
-    write_frames_csv(path, config.scheme_kind, config.n_points, args.eps3, d)
-    print(f"scheme={config.scheme_kind.value} eps3={args.eps3!r} "
+    write_frames_csv(path, config, d)
+    print(f"scheme={config.scheme_kind.value} eps3={config.frame_velocity!r} "
           f"discrepancy={d!r} -> {path}")
     return 0
 

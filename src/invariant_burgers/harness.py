@@ -1,6 +1,6 @@
-"""Experiment layer: error norms against the reference solution, frame
-comparisons, convergence studies, grid-spacing profiles, and the CSV
-artifacts they produce.
+"""Experiments on one ``SchemeConfig`` each, its frame velocity c included:
+error norms (``ErrorReport``, a convergence row too), frame comparisons,
+convergence studies, grid-spacing profiles, and their CSV artifacts.
 
 Every CSV goes through ``_write_csv``: a header line, then one block per
 snapshot or per report row. A block's scalar columns (t, scheme, N) repeat
@@ -31,38 +31,33 @@ from .symmetry import Generator, GroupElement, apply_field
 
 @dataclass(frozen=True)
 class ErrorReport:
+    """A run's final deviation from the reference; ``convergence_study``
+    sets ``observed_order`` on each row but the first, log2(e_prev / e)."""
+
     scheme_kind: SchemeKind
     n: int
     h: float
     linf_error: float
     rms_error: float
+    observed_order: float | None = None
 
     def __post_init__(self):
         if self.linf_error < 0.0:
             raise ValueError("linf_error must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    h: float
-    linf_error: float
-    rms_error: float
-    observed_order: float | None  # absent for the first row
-
-
 def _measured_field(traj: Trajectory) -> DiscreteField:
     """Final field, mapped back by the inverse of the run's boost."""
     fld = traj.final
-    eps3 = traj.config.frame_velocity
-    if eps3 != 0.0:
-        g = GroupElement(Generator.GALILEAN_BOOST, -eps3)
+    c = traj.config.frame_velocity
+    if c != 0.0:
+        g = GroupElement(Generator.GALILEAN_BOOST, -c)
         try:
             fld = apply_field(g, fld)
         except NodeCrossingError as exc:
             # the final layer passed the same check: only the shift failed
             raise NodeCrossingError(
-                f"the inverse boost x - c t at c t = {eps3 * fld.grid.t:.6g} "
+                f"the inverse boost x - c t at c t = {c * fld.grid.t:.6g} "
                 f"rounds the gaps of the final positions away; the run "
                 f"itself finished") from exc
     return fld
@@ -72,9 +67,13 @@ def linf_error(traj: Trajectory, coeffs: FourierCoeffs) -> ErrorReport:
     """Max nodal deviation from the reference solution at the final time.
 
     The reference is evaluated at the final node positions themselves, so
-    moving-mesh runs are compared without any re-mapping error. An error
-    that is not finite raises ``NonFiniteSolutionError``.
+    moving-mesh runs are compared without any re-mapping error. A table for
+    another nu raises ``ValueError``, an error that is not finite
+    ``NonFiniteSolutionError``.
     """
+    if coeffs.nu != traj.config.nu:
+        raise ValueError(f"reference for nu={coeffs.nu!r}, run at "
+                         f"nu={traj.config.nu!r}")
     fld = _measured_field(traj)
     u_ref = evaluate(coeffs, fld.grid.t, fld.grid.x)
     with np.errstate(all="ignore"):
@@ -95,13 +94,14 @@ def linf_error(traj: Trajectory, coeffs: FourierCoeffs) -> ErrorReport:
 
 
 def convergence_study(config: SchemeConfig, ns: Sequence[int],
-                      coeffs: FourierCoeffs) -> list[ConvergenceRow]:
-    """One run per resolution from u0 = sin x, the initial data ``coeffs``
+                      coeffs: FourierCoeffs) -> list[ErrorReport]:
+    """One run per N in ``ns``, each twice the one before as the order
+    log2(e_k / e_{k+1}) needs, from u0 = sin x, the initial data ``coeffs``
     describe, with dt recomputed from the mean spacing."""
     ns = list(ns)
     if any(b != 2 * a for a, b in zip(ns, ns[1:])) or not ns:
-        raise ValueError("resolutions must be consecutive powers of two")
-    rows: list[ConvergenceRow] = []
+        raise ValueError(f"each N must be twice the one before, got {ns}")
+    rows: list[ErrorReport] = []
     for n in ns:
         cfg = replace(config, n_points=n)
         try:
@@ -110,29 +110,26 @@ def convergence_study(config: SchemeConfig, ns: Sequence[int],
             # the same object, so a typed failure keeps its step
             exc.args = (f"N={n}: {exc}",)
             raise
-        order = None
         if rows:
-            order = float(np.log2(rows[-1].linf_error / report.linf_error))
-        rows.append(ConvergenceRow(n=n, h=report.h,
-                                   linf_error=report.linf_error,
-                                   rms_error=report.rms_error,
-                                   observed_order=order))
+            report = replace(report, observed_order=float(
+                np.log2(rows[-1].linf_error / report.linf_error)))
+        rows.append(report)
     return rows
 
 
-def frame_comparison(config: SchemeConfig, eps3: float) -> float:
-    """Discrepancy between a rest-frame run and a boosted run from
-    u0 = sin x.
+def frame_comparison(config: SchemeConfig) -> float:
+    """Discrepancy between ``config``'s run from u0 = sin x, boosted by its
+    frame velocity c, and the same run at rest (c = 0).
 
     The boosted run starts from boosted initial data, its final field is
     mapped back with the inverse boost, and both fields are read on a
     common uniform grid through cubic splines; the max-norm difference is
-    returned. Symmetry-preserving schemes leave this at roundoff level,
-    and so does the constant-frame scheme, which computes in the frame of
-    the boost; the fixed-grid scheme does not.
+    returned. Symmetry-preserving schemes leave this at roundoff level, and
+    so does the constant-frame scheme, which computes in the frame of the
+    boost; the fixed-grid scheme does not.
     """
     rest = run(replace(config, frame_velocity=0.0), np.sin)
-    boosted = run(replace(config, frame_velocity=eps3), np.sin)
+    boosted = run(config, np.sin)
     f_rest = rest.final
     f_back = _measured_field(boosted)
     comp = uniform_slice(config.n_points, config.t_final,
@@ -208,11 +205,10 @@ def write_errors_csv(path, reports: Sequence[ErrorReport]):
     )
 
 
-def write_convergence_csv(path, scheme_kind: SchemeKind,
-                          rows: Sequence[ConvergenceRow]):
+def write_convergence_csv(path, rows: Sequence[ErrorReport]):
     _write_csv(
         path, ["scheme", "N", "h", "linf", "order", "rms"],
-        ((scheme_kind.value, r.n, r.h, r.linf_error,
+        ((r.scheme_kind.value, r.n, r.h, r.linf_error,
           "" if r.observed_order is None else repr(r.observed_order),
           r.rms_error) for r in rows),
     )
@@ -226,7 +222,7 @@ def write_exact_csv(path, t: float, x, u):
     _write_csv(path, ["t", "x", "u"], [(float(t), x, u)])
 
 
-def write_frames_csv(path, scheme_kind: SchemeKind, n: int, eps3: float,
-                     discrepancy: float):
+def write_frames_csv(path, config: SchemeConfig, discrepancy: float):
     _write_csv(path, ["scheme", "N", "eps3", "discrepancy"],
-               [(scheme_kind.value, n, eps3, discrepancy)])
+               [(config.scheme_kind.value, config.n_points,
+                 config.frame_velocity, discrepancy)])

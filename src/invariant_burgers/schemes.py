@@ -134,7 +134,10 @@ class SchemeConfig:
                                DEFAULT_DT_FACTORS[self.scheme_kind])
         for name in ("nu", "t_final", "dt_factor", "alpha", "frame_velocity",
                      "domain_start", "domain_length"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         for name in ("nu", "t_final", "dt_factor", "domain_length"):
             if not getattr(self, name) > 0.0:

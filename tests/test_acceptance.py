@@ -6,6 +6,7 @@ numbers alongside the verdicts.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def test_criterion_3_invariant_schemes_frame_exact():
     for kind in (SchemeKind.LAGRANGIAN, SchemeKind.EULERIAN_ADAPTIVE,
                  SchemeKind.EVOLUTION_PROJECTION, SchemeKind.CONSTANT_FRAME):
         discrepancies[kind] = frame_comparison(
-            SchemeConfig(scheme_kind=kind), 1.0)
+            SchemeConfig(scheme_kind=kind, frame_velocity=1.0))
     ok = all(d <= 1e-10 for d in discrepancies.values())
     detail = ", ".join(f"{k.value}={d:.2e}" for k, d in discrepancies.items())
     assert _verdict("3 (invariant frame change <= 1e-10)", ok, detail), detail
@@ -112,7 +113,7 @@ def test_criterion_3_invariant_schemes_frame_exact():
 
 def test_criterion_4_fixed_grid_scheme_frame_defect():
     config = SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS)
-    measured = frame_comparison(config, 1.0)
+    measured = frame_comparison(replace(config, frame_velocity=1.0))
 
     # independently scripted pair of runs, compared through scipy splines
     eps = 1.0

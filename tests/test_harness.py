@@ -52,7 +52,7 @@ def test_linf_error_reports_geometry(coeffs_nu01):
 
 def test_frame_comparison_zero_boost_is_exact():
     config = config_for(SchemeKind.CLASSICAL_FTCS, n_points=32, t_final=0.1)
-    assert frame_comparison(config, 0.0) == 0.0
+    assert frame_comparison(config) == 0.0
 
 
 def test_constant_frame_kind_given_as_a_string_measures_alike(coeffs_nu01):
@@ -61,8 +61,7 @@ def test_constant_frame_kind_given_as_a_string_measures_alike(coeffs_nu01):
     by_string = config_for("constant-frame", n_points=32, frame_velocity=0.5)
     assert (linf_error(run(by_string, np.sin), coeffs_nu01)
             == linf_error(run(by_enum, np.sin), coeffs_nu01))
-    assert (frame_comparison(by_string, 0.5)
-            == frame_comparison(by_enum, 0.5))
+    assert frame_comparison(by_string) == frame_comparison(by_enum)
 
 
 def bulk_velocity_error(kind, c, coeffs):
@@ -109,10 +108,32 @@ def test_convergence_study_rows(coeffs_nu01):
 
 def test_convergence_study_rejects_bad_resolutions(coeffs_nu01):
     config = config_for(SchemeKind.CLASSICAL_FTCS)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"twice the one before, got \[16, 48"):
         convergence_study(config, [16, 48], coeffs_nu01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"twice the one before, got \[\]"):
         convergence_study(config, [], coeffs_nu01)
+
+
+def test_convergence_study_needs_doubling_not_powers_of_two(coeffs_nu01):
+    rows = convergence_study(config_for(SchemeKind.CLASSICAL_FTCS),
+                             [24, 48, 96], coeffs_nu01)
+    assert [r.n for r in rows] == [24, 48, 96]
+    assert [r.scheme_kind for r in rows] == [SchemeKind.CLASSICAL_FTCS] * 3
+    assert rows[0].observed_order is None
+    for row in rows[1:]:
+        assert row.observed_order == pytest.approx(2.0, abs=0.3)
+
+
+def test_a_reference_for_another_viscosity_is_refused(coeffs_nu01):
+    # measured against the nu = 0.1 table, FTCS at nu = 0.05 read
+    # L-inf 3.74e-2 (its own table gives 2.92e-3), and the study at
+    # nu = 0.2 an order of -0.09
+    traj = run(config_for(SchemeKind.CLASSICAL_FTCS, nu=0.05), np.sin)
+    with pytest.raises(ValueError, match="nu=0.1, run at nu=0.05"):
+        linf_error(traj, coeffs_nu01)
+    config = config_for(SchemeKind.CLASSICAL_FTCS, nu=0.2)
+    with pytest.raises(ValueError, match="^N=16: .*nu=0.1, run at nu=0.2"):
+        convergence_study(config, [16, 32], coeffs_nu01)
 
 
 def test_convergence_study_failure_keeps_its_step(coeffs_nu01):
@@ -179,7 +200,7 @@ def test_convergence_csv_schema(tmp_path, coeffs_nu01):
     rows = convergence_study(config_for(SchemeKind.CLASSICAL_FTCS),
                              [16, 32], coeffs_nu01)
     path = tmp_path / "conv.csv"
-    write_convergence_csv(path, SchemeKind.CLASSICAL_FTCS, rows)
+    write_convergence_csv(path, rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "scheme,N,h,linf,order,rms"
     assert lines[1].split(",")[4] == ""  # first row carries no order
@@ -249,8 +270,7 @@ def csv_cases(wrapping_run, coeffs_nu01):
              for r in reports]),
         "convergence": (
             write_convergence_csv,
-            lambda p: write_convergence_csv(p, SchemeKind.CLASSICAL_FTCS,
-                                            conv),
+            lambda p: write_convergence_csv(p, conv),
             ["scheme", "N", "h", "linf", "order", "rms"],
             [("ftcs", r.n, r.h, r.linf_error,
               "" if r.observed_order is None else repr(r.observed_order),
@@ -276,8 +296,9 @@ def csv_cases(wrapping_run, coeffs_nu01):
             [(0.0, float(a), float(b)) for a, b in zip(x[:4], u[:4])]),
         "frames": (
             write_frames_csv,
-            lambda p: write_frames_csv(p, SchemeKind.LAGRANGIAN, 512, 0.75,
-                                       3.4e-7),
+            lambda p: write_frames_csv(
+                p, config_for(SchemeKind.LAGRANGIAN, n_points=512,
+                              frame_velocity=0.75), 3.4e-7),
             ["scheme", "N", "eps3", "discrepancy"],
             [("lagrangian", 512, 0.75, 3.4e-7)]),
     }

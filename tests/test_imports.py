@@ -1,14 +1,16 @@
 """Every module of the package uses what it imports, every private
 module-level name is read somewhere in the package, no package attribute
 hides a submodule of the same name, one function brackets queries,
-one class checks node order, and no exported name takes or returns a
-``grid.Layer`` or the stencil's ``schemes.StencilRows``.
+one class checks node order, no exported name takes or returns a
+``grid.Layer`` or the stencil's ``schemes.StencilRows``, and no function
+that takes a ``SchemeConfig`` takes one of its fields a second time.
 
 Package ``__init__.py`` files are exempt from the import scan (their imports
 are the public re-exports), and so are ``from __future__`` imports.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -214,3 +216,53 @@ def test_no_exported_name_takes_a_layer():
 
     assert layer_signatures(invariant_burgers) == []
     assert {"Layer", "StencilRows"}.isdisjoint(vars(invariant_burgers))
+
+
+def config_echoes(module, config_class) -> list[str]:
+    """Public functions of ``module`` with a parameter annotated with
+    ``SchemeConfig`` and another named after a field of ``config_class``
+    or ``eps3``, the CLI's name of the frame velocity, as "name: params"."""
+    fields = {f.name for f in dataclasses.fields(config_class)} | {"eps3"}
+    found = []
+    for name, value in sorted(vars(module).items()):
+        if name.startswith("_") or not inspect.isfunction(value):
+            continue
+        annotations = dict(inspect.unwrap(value).__annotations__)
+        annotations.pop("return", None)
+        if not any(re.search(r"\bSchemeConfig\b", str(annotation))
+                   for annotation in annotations.values()):
+            continue
+        echoes = sorted(fields & set(inspect.signature(value).parameters))
+        if echoes:
+            found.append(f"{name}: {', '.join(echoes)}")
+    return found
+
+
+def test_scan_finds_a_config_field_passed_twice():
+    @dataclasses.dataclass
+    class SchemeConfig:
+        nu: float
+        frame_velocity: float
+
+    module = types.ModuleType("m")
+    exec("from __future__ import annotations\n"
+         "def compare(config: SchemeConfig, eps3: float) -> float: ...\n"
+         "def study(config: SchemeConfig, ns, nu) -> list: ...\n"
+         "def alone(config: SchemeConfig, coeffs) -> float: ...\n"
+         "def untyped(config, nu: float) -> float: ...\n"
+         "def made(nu: float) -> SchemeConfig: ...\n"
+         "def _inner(config: SchemeConfig, nu: float) -> None: ...\n",
+         vars(module))
+    assert config_echoes(module, SchemeConfig) == ["compare: eps3",
+                                                   "study: nu"]
+
+
+def test_an_experiment_reads_its_parameters_from_its_config():
+    # the config is the one description of a run: a second parameter for
+    # one of its fields (frame_comparison's eps3 once was) can disagree
+    # with it and be silently ignored
+    import invariant_burgers
+    from invariant_burgers import SchemeConfig, harness
+
+    assert config_echoes(invariant_burgers, SchemeConfig) == []
+    assert config_echoes(harness, SchemeConfig) == []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,18 @@ def test_config_validation():
                                   "domain_length"])
 def test_config_rejects_a_non_finite_value_by_name(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SchemeConfig(scheme_kind=SchemeKind.LAGRANGIAN, **{name: value})
+
+
+@pytest.mark.parametrize("value", ["0.1", 0.1 + 0j])
+@pytest.mark.parametrize("name", ["nu", "t_final", "dt_factor", "alpha",
+                                  "frame_velocity", "domain_start",
+                                  "domain_length"])
+def test_config_names_a_value_that_is_not_a_real_number(name, value):
+    # numpy's own complaint ("ufunc 'isfinite' not supported ...") names
+    # no field, and a complex value got past the finiteness check
+    with pytest.raises(TypeError, match=re.escape(
+            f"{name} must be a real number, got {value!r}")):
         SchemeConfig(scheme_kind=SchemeKind.LAGRANGIAN, **{name: value})
 
 
