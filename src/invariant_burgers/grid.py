@@ -34,6 +34,7 @@ from .errors import (NoConvergenceError, NodeCrossingError,
                      NonFiniteSolutionError)
 
 TAU = 2.0 * np.pi
+_ONE, _HALF = np.array(1.0), np.array(0.5)  # 0-d: read faster than scalars
 
 
 def _as_float_array(values) -> np.ndarray:
@@ -88,10 +89,10 @@ class GridSlice:
 
 def _require_positive(gaps: np.ndarray):
     """Raise ``NodeCrossingError`` naming the first of the periodic node
-    gaps that is not positive, if any is (a NaN gap makes the minimum
-    NaN, which is not positive). The minimum is the ufunc's own reduction,
-    without the dispatch of the ndarray method."""
-    if not np.minimum.reduce(gaps) > 0.0:
+    gaps that is not positive, if any is. The check reads the gap at
+    ``argmin``: the first NaN, which is not positive, if there is one, and
+    the smallest gap otherwise, at less cost than a minimum reduction."""
+    if not gaps[gaps.argmin()] > 0.0:
         i = int(np.argmin(gaps > 0.0))
         east = "x[0] + L" if i == len(gaps) - 1 else f"x[{i + 1}]"
         raise NodeCrossingError(
@@ -242,13 +243,13 @@ def monitor(xl: Layer, ul: Layer, alpha: float, out: Layer) -> Layer:
     the periodic centered difference quotient of the values ``ul`` over
     the wide gaps of the positions ``xl``, written into the value layer
     ``out`` and filled there. ``SchemeConfig`` checks that the weight
-    ``alpha`` is finite and >= 0."""
+    ``alpha`` is finite and >= 0; ``run`` passes it as a 0-d array."""
     rho = out.nodes
     np.subtract(ul.east, ul.west, rho)
     np.divide(rho, xl.row_wide, rho)
     np.square(rho, rho)
     np.multiply(alpha, rho, rho)
-    np.add(1.0, rho, rho)
+    np.add(_ONE, rho, rho)
     np.sqrt(rho, rho)
     return out.fill()
 
@@ -266,7 +267,8 @@ def advance_equidistributed(xl: Layer, ul: Layer, alpha: float, dt: float,
     boosts; a fixed anchor would not be. The monitor is written into
     ``out`` as a value layer first, and the positions then replace it.
     """
-    anchor = xl.nodes[0] + dt * ul.nodes[0]
+    # in scalar arithmetic: a 0-d dt would send the product through a ufunc
+    anchor = xl.nodes[0] + float(dt) * ul.nodes[0]
     _solve_equidistribution(monitor(xl, ul, alpha, out), anchor, out.nodes)
     return out.place()
 
@@ -323,10 +325,12 @@ def _solve_equidistribution(rho: Layer, anchor: float, x: np.ndarray
     which is returned; ``x`` may be the nodes of ``rho``, which are read
     first. A sum not in (0, inf) raises ``NonFiniteSolutionError``.
     """
-    c = np.cumsum(1.0 / (rho.nodes + rho.east))
+    # the ufunc's own accumulation, without the dispatch of np.cumsum
+    c = np.add.accumulate(_ONE / (rho.nodes + rho.east))
     if not 0.0 < c[-1] < np.inf:
         raise NonFiniteSolutionError(
             f"equidistribution monitor is not finite: its sum is {c[-1]!r}")
-    x[0] = anchor
-    x[1:] = anchor + c[:-1] * (rho.period / c[-1])
+    x[0], rest = anchor, x[1:]
+    np.multiply(c[:-1], np.array(rho.period / c[-1]), rest)
+    np.add(np.array(anchor), rest, rest)
     return x

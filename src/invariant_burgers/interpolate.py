@@ -19,12 +19,13 @@ stencil indexes the ghost slots ``g`` of the layers directly:
   the query, midpoint ties going left. When there is one query per node
   and each lies between the midpoints beside its node, as the
   projection's targets normally do, b = i for query i: two comparisons
-  over the midpoints check that, with no search. Otherwise one search
-  over the midpoints gives b, after reducing the queries into the period
-  if one lies outside the window the stencils reach, between the
-  midpoints of the first and of the last two ghost slots. Both ways give
-  the same b. The value is the Newton form of the parabola through the
-  three nodes (slot slopes, then second differences).
+  over the midpoints, each read at its ``argmin`` (its first False, if
+  any), check that with no search. Otherwise one search over the
+  midpoints gives b, after reducing the queries into the period if one
+  lies outside the window the stencils reach, between the midpoints of
+  the first and of the last two ghost slots. Both ways give the same b.
+  The value is the Newton form of the parabola through the three nodes
+  (slot slopes, then second differences).
 
 The spline solves for its moments on every call.
 """
@@ -35,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import TAU, Layer, _as_float_array
+from .grid import _HALF, TAU, Layer, _as_float_array
 
 
 class InterpKind(str, Enum):
@@ -109,10 +110,10 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
         # query i when each lies between the midpoints beside its node;
         # else the count of inner midpoints left of q (0 .. N for any q),
         # the queries reduced first if one lies outside (mid[0], mid[-1]]
-        mid = 0.5 * (xg[:-1] + xg[1:])
+        mid = _HALF * (xg[:-1] + xg[1:])
         n = len(xg) - 3
-        if (q.shape == (n,) and np.logical_and.reduce(mid[:-2] < q)
-                and np.logical_and.reduce(q <= mid[1:-1])):
+        if (q.shape == (n,) and (lo := mid[:-2] < q)[lo.argmin()]
+                and (hi := q <= mid[1:-1])[hi.argmin()]):
             b = slice(0, n)
         else:
             if not (mid[0] < q.min(initial=np.inf)

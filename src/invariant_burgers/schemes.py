@@ -23,7 +23,11 @@ arithmetic each equals the quotient that the certifier's relation
 
 At N = 512 a numpy call costs about a microsecond whatever it computes, so
 the step makes few: one stencil pass over a slot row, no grid velocity on
-the lattice at rest and no advection term on a Lagrangian one.
+the lattice at rest and no advection term on a Lagrangian one. Nor does it
+pay two surcharges on that floor: a ufunc reads a 0-d array operand 0.2 us
+faster than a scalar, so the step's constants and computed scalars are 0-d
+arrays; and ``a[a.argmin()]`` gives a reduction's verdict (the first NaN,
+else the minimum; the first False) at a third to half its cost.
 
 ``run`` is the step layer's one boundary. It and ``SchemeConfig`` validate
 once; it then allocates its ``grid.Layer``s (N + 3 slots each, a position
@@ -103,6 +107,15 @@ DEFAULT_DT_FACTORS = {
 _MAX_STEPS = 10**7
 
 
+def _require_integer(name: str, value):
+    """Raise ``ValueError`` if ``value`` is not an integer, ``TypeError`` if
+    it is a bool (a ``numbers.Integral``: True would count as 1)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Everything a run needs besides the initial data.
@@ -135,7 +148,7 @@ class SchemeConfig:
         for name in ("nu", "t_final", "dt_factor", "alpha", "frame_velocity",
                      "domain_start", "domain_length"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
@@ -144,9 +157,7 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.alpha >= 0.0:
             raise ValueError("alpha must be >= 0")
-        if not isinstance(self.n_points, numbers.Integral):
-            raise ValueError(f"n_points must be an integer, got "
-                             f"{self.n_points!r}")
+        _require_integer("n_points", self.n_points)
         if self.n_points < 4:
             raise ValueError("n_points must be >= 4")
 
@@ -173,23 +184,24 @@ class Trajectory:
 
 
 class StencilRows:
-    """The moving-mesh stencil's rows at N nodes: the diffusion ``weight``,
-    the N + 1 gap ``slopes`` (east and west views), ``advection``,
-    ``diffusion`` and ``work``."""
+    """The moving-mesh stencil's rows at N nodes: the diffusion ``weight``
+    and its numerator ``two_nu`` (2 nu, 0-d), the N + 1 gap ``slopes``
+    (east and west views), ``advection``, ``diffusion`` and ``work``."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, nu: float):
+        self.two_nu = np.array(2.0 * nu)
         self.weight, self.slopes = np.empty(n), np.empty(n + 1)
         self.slopes_east, self.slopes_west = self.slopes[1:], self.slopes[:-1]
         self.advection, self.diffusion, self.work = (
             np.empty(n), np.empty(n), np.empty(n))
 
 
-def diffusion_weight(xl: Layer, nu: float, out: np.ndarray) -> np.ndarray:
+def diffusion_weight(xl: Layer, rows: StencilRows) -> np.ndarray:
     """The diffusion weight 2 nu / (x_{i+1} - x_{i-1}) at the nodes of the
-    position layer ``xl``, over its row wide gaps, written into ``out`` and
-    returned. It changes only with the positions, so ``run`` forms it once
-    per position layer: once per run on the stationary lattice."""
-    return np.divide(2.0 * nu, xl.row_wide, out)
+    position layer ``xl``, over its row wide gaps, in ``rows.weight``. It
+    changes only with the positions, so ``run`` forms it once per position
+    layer: once per run on the stationary lattice."""
+    return np.divide(rows.two_nu, xl.row_wide, rows.weight)
 
 
 def moving_mesh_terms(xl: Layer, ul: Layer, xdot, rows: StencilRows
@@ -270,7 +282,8 @@ def project(xl: Layer, ul: Layer, dt: float, moved: Layer, evolved: Layer,
     # the mean as np.mean forms it (pairwise sum over n), without its
     # dispatch
     u = ul.nodes
-    np.add(xl.nodes, dt * float(np.add.reduce(u) / len(u)), targets.nodes)
+    shift = float(dt) * (np.add.reduce(u) / len(u))
+    np.add(xl.nodes, np.array(shift), targets.nodes)
     targets.place()
     _evaluate(moved, evolved, targets.nodes, interp_kind, out.nodes)
     return targets, out.fill()
@@ -294,9 +307,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     than ``_MAX_STEPS`` steps is rejected with a ``ValueError`` before the
     first one. The step functions it calls check nothing of this again.
     """
-    if not isinstance(snapshot_every, numbers.Integral):
-        raise ValueError(f"snapshot_every must be an integer, got "
-                         f"{snapshot_every!r}")
+    _require_integer("snapshot_every", snapshot_every)
     if snapshot_every < 0:
         raise ValueError("snapshot_every must be >= 0")
     kind = config.scheme_kind
@@ -327,7 +338,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         return advance_lagrangian(xl, ul, dt, out), ul
 
     def equidistributed(xl, ul, dt, out):
-        x_next = advance_equidistributed(xl, ul, config.alpha, dt, out)
+        x_next = advance_equidistributed(xl, ul, alpha, dt, out)
         # the one grid with no closed-form velocity: its difference quotient
         return x_next, (x_next.nodes - xl.nodes) / dt
 
@@ -355,14 +366,16 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     x_spare, u_spare = Layer(n, length), Layer(n)
     if projecting:
         moved, evolved = Layer(n, length), Layer(n)
-    rows = StencilRows(n)
-    diffusion_weight(xl, config.nu, rows.weight)
+    rows = StencilRows(n, config.nu)
+    diffusion_weight(xl, rows)
+    dt, alpha = np.array(dt0), np.array(config.alpha)
     step, t = 0, 0.0
     t_end = config.t_final - 1e-12 * config.t_final
     while t < t_end:
-        # finite and in (0, dt0]: dt0 > 0 and t < t_end <= t_final
-        dt = min(dt0, config.t_final - t)
-        t_next = t + dt
+        # in (0, dt0]: dt0 > 0, t < t_end <= t_final; cut only on the last step
+        span = min(dt0, config.t_final - t)
+        dt = dt if span == dt0 else np.array(span)
+        t_next = t + span
         try:
             # the grid equation, the stencil and the projection's remap
             x_to, u_to = ((moved, evolved) if projecting
@@ -379,7 +392,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             # the lattice at rest keeps its layer and its diffusion weight
             if x_next is not xl:
                 xl, x_spare = x_next, xl
-                diffusion_weight(xl, config.nu, rows.weight)
+                diffusion_weight(xl, rows)
             ul, u_spare = u_next, ul
             is_last = t_next >= t_end
             if is_last or (snapshot_every > 0

@@ -162,10 +162,10 @@ def _terms(s: Stencil, xdot: float, nu: float) -> tuple[float, float]:
     """The advection and diffusion terms of the moving-mesh stencil at the
     center of ``s``: its step-start rows are the slot rows of one-node
     layers, whose last slot the stencil never reads."""
-    xl, ul, rows = Layer(1), Layer(1), StencilRows(1)
+    xl, ul, rows = Layer(1), Layer(1), StencilRows(1, nu)
     xl.g[:-1], ul.g[:-1] = s.x, s.u
     xl.g[-1] = ul.g[-1] = np.nan
-    diffusion_weight(xl.measure(), nu, rows.weight)
+    diffusion_weight(xl.measure(), rows)
     (advection,), (diffusion,) = moving_mesh_terms(xl, ul, xdot, rows)
     return advection, diffusion
 

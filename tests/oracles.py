@@ -78,13 +78,20 @@ def ghosted_by_concatenation(a, jump):
 
 def order_verdict(x, length):
     """The message of the order check on the positions ``x`` of period
-    ``length``, or None: a scalar loop over the periodic gaps, the closing
-    one (x_0 + L) - x_{N-1}, that stops at the first gap that is not
-    positive (a NaN gap is not)."""
+    ``length``, or None: the verdict on their periodic gaps, the closing
+    one (x_0 + L) - x_{N-1}."""
     n = len(x)
-    for i in range(n):
-        east = x[i + 1] if i < n - 1 else x[0] + length
-        gap = float(east - x[i])
+    return order_gap_verdict(
+        [float((x[i + 1] if i < n - 1 else x[0] + length) - x[i])
+         for i in range(n)])
+
+
+def order_gap_verdict(gaps):
+    """The message of the order check on the periodic node ``gaps``, or
+    None: a scalar loop that stops at the first gap that is not positive
+    (a NaN gap is not)."""
+    n = len(gaps)
+    for i, gap in enumerate(gaps):
         if not gap > 0.0:
             name = "x[0] + L" if i == n - 1 else f"x[{i + 1}]"
             return (f"mesh interval x[{i}] -> {name} has gap {gap:.6g}; "

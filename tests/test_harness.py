@@ -55,6 +55,25 @@ def test_frame_comparison_zero_boost_is_exact():
     assert frame_comparison(config) == 0.0
 
 
+@pytest.mark.parametrize("c, runs", [(0.0, 1), (-0.0, 1), (0.5, 2)])
+def test_frame_comparison_runs_the_rest_run_once_at_zero_boost(
+        monkeypatch, c, runs):
+    # at c = 0 the rest run and the boosted run are the same run
+    calls = []
+
+    def counted(config, initial, *args, **kwargs):
+        calls.append(config.frame_velocity)
+        return run(config, initial, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", counted)
+    config = config_for(SchemeKind.LAGRANGIAN, n_points=16, t_final=0.05,
+                        frame_velocity=c)
+    discrepancy = frame_comparison(config)
+    assert len(calls) == runs
+    if runs == 1:
+        assert discrepancy == 0.0
+
+
 def test_constant_frame_kind_given_as_a_string_measures_alike(coeffs_nu01):
     by_enum = config_for(SchemeKind.CONSTANT_FRAME, n_points=32,
                          frame_velocity=0.5)

@@ -38,8 +38,8 @@ def stencil_rows(xl, nu):
     """The stencil's rows at the nodes of the position layer ``xl``, with
     its diffusion weight at ``nu`` formed, as ``run`` keeps them for the
     step functions."""
-    rows = StencilRows(len(xl.nodes))
-    diffusion_weight(xl, nu, rows.weight)
+    rows = StencilRows(len(xl.nodes), nu)
+    diffusion_weight(xl, rows)
     return rows
 
 
@@ -377,6 +377,26 @@ def test_config_takes_a_numpy_integer_grid_size(value):
     config = SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS,
                           n_points=value, t_final=0.05)
     assert len(run(config, np.sin).final.u) == 16
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", ["nu", "t_final", "dt_factor", "alpha",
+                                  "frame_velocity", "domain_start",
+                                  "domain_length", "n_points",
+                                  "snapshot_every"])
+def test_a_bool_is_not_a_number(name, value):
+    # bool is a numbers.Integral: nu=True ran at nu = 1 and
+    # snapshot_every=True stored every step
+    match = re.escape(f"{name} must be ") + "(a real number|an integer)" + (
+        re.escape(f", got {value!r}"))
+    with pytest.raises(TypeError, match=match):
+        if name == "snapshot_every":
+            run(SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS,
+                             n_points=8, t_final=0.01), np.sin,
+                snapshot_every=value)
+        else:
+            SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS,
+                         **{name: value})
 
 
 @pytest.mark.parametrize("name, value, kind", [

@@ -21,7 +21,8 @@ from invariant_burgers import grid, schemes
 from invariant_burgers.grid import Layer, _require_positive
 from invariant_burgers.schemes import StencilRows
 
-from oracles import moving_mesh_update_loop, quadratic_by_search
+from oracles import (monitor_loop, moving_mesh_update_loop,
+                     order_gap_verdict, quadratic_by_search)
 
 PACKAGE = "invariant_burgers"
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -128,8 +129,9 @@ STEP_FUNCTIONS = [
 
 
 def asserting(fn, positions, config, calls):
-    """``fn``, asserting first that its dt is finite and in (0, dt0],
-    dt0 = dt_factor * h^2 as ``run`` forms it, that each of its layers has
+    """``fn``, asserting first that its dt is a 0-d float64 array, finite
+    and in (0, dt0], dt0 = dt_factor * h^2 as ``run`` forms it, that each
+    of its layers has
     N + 3 slots, that each position layer has the run's period and that
     its stencil rows have N weights and N + 1 slopes."""
     signature = inspect.signature(fn)
@@ -140,6 +142,8 @@ def asserting(fn, positions, config, calls):
     def call(*args, **kwargs):
         bound = signature.bind(*args, **kwargs).arguments
         dt = bound["dt"]
+        assert (isinstance(dt, np.ndarray) and dt.shape == ()
+                and dt.dtype == np.float64), repr(dt)
         assert math.isfinite(dt) and 0.0 < dt <= dt0, dt
         for name, value in bound.items():
             if isinstance(value, Layer):
@@ -236,6 +240,72 @@ def test_run_matches_a_plain_loop_over_the_oracle(kind, n, every):
         assert abs(snap.grid.t - t) <= 1e-14
         np.testing.assert_array_equal(snap.grid.x, x + drift * snap.grid.t)
         np.testing.assert_array_equal(snap.u, u + drift)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("n, c", [(16, 0.5), (32, 0.0)])
+def test_the_adaptive_run_matches_a_plain_loop_over_the_oracle(n, c, every):
+    config = SchemeConfig(scheme_kind=SchemeKind.EULERIAN_ADAPTIVE,
+                          n_points=n, frame_velocity=c)
+    traj = ib.run(config, np.sin, snapshot_every=every)
+
+    h = TAU / n
+    dt0 = config.dt_factor * h * h
+    # from the run's own equidistributed start
+    x, u = traj.initial.grid.x, traj.initial.u
+    t, layers = 0.0, [(0.0, x, u)]
+    while t < config.t_final * (1.0 - 1e-12):
+        dt = min(dt0, config.t_final - t)
+        # the monitor on the step-start layer, then the gaps 1/(rho_i +
+        # rho_{i+1}) summed in sequence and scaled by L over their sum,
+        # from node 0 moved Lagrangianly
+        rho = monitor_loop(x, u, config.alpha, TAU)
+        anchor = x[0] + dt * u[0]
+        sums, total = [], 0.0
+        for i in range(n):
+            total += 1.0 / (rho[i] + rho[(i + 1) % n])
+            sums.append(total)
+        x1 = np.array([anchor] + [anchor + s * (TAU / total)
+                                  for s in sums[:-1]])
+        # the grid velocity is the difference quotient
+        xdot = (x1 - x) / dt
+        u1 = moving_mesh_update_loop(x, u, xdot, dt, config.nu, TAU)
+        x, u, t = x1, u1, t + dt
+        layers.append((t, x, u))
+    steps = len(layers) - 1
+    assert steps * dt0 > config.t_final  # the last step is cut
+
+    stored = [0] + [s for s in range(1, steps + 1)
+                    if s % every == 0 or s == steps]
+    assert len(traj.snapshots) == len(stored)
+    # the monitor's alpha is 1, where the oracle's alpha * slope * slope
+    # is the package's alpha * slope^2, so the arithmetic is the same, in
+    # the same order, and the match is bit for bit
+    for snap, s in zip(traj.snapshots, stored):
+        t, x, u = layers[s]
+        assert abs(snap.grid.t - t) <= 1e-14
+        np.testing.assert_array_equal(snap.grid.x, x)
+        np.testing.assert_array_equal(snap.u, u)
+
+
+# gaps that fail the order check, and ones that pass it
+BAD_GAPS = st.sampled_from([np.nan, -np.inf, 0.0, -0.0, -5e-324, -1.0])
+GOOD_GAPS = st.one_of(st.sampled_from([np.inf, 5e-324, 1e308]),
+                      st.floats(1e-300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(GOOD_GAPS, GOOD_GAPS, BAD_GAPS), min_size=1,
+                max_size=40))
+def test_the_order_check_names_the_first_gap_that_is_not_positive(gaps):
+    gaps = np.array(gaps)
+    expected = order_gap_verdict(gaps)
+    if expected is None:
+        _require_positive(gaps)
+    else:
+        with pytest.raises(ib.NodeCrossingError) as info:
+            _require_positive(gaps)
+        assert str(info.value) == expected
 
 
 @pytest.mark.parametrize("kind", list(SchemeKind))

@@ -207,8 +207,9 @@ def test_scheme_step_sits_on_residual_manifold(case):
     fld, grid_next, dt = case
     p = StencilParams(nu=0.1)
     xdot = (grid_next.x - fld.grid.x) / dt
-    xl, rows = Layer.of_positions(fld.grid.x, TAU), StencilRows(fld.grid.n)
-    diffusion_weight(xl, p.nu, rows.weight)
+    xl = Layer.of_positions(fld.grid.x, TAU)
+    rows = StencilRows(fld.grid.n, p.nu)
+    diffusion_weight(xl, rows)
     out_u = invariant_step(xl, Layer.of_values(fld.u), xdot, dt, rows,
                            Layer(fld.grid.n)).nodes
     expected = moving_mesh_update_loop(fld.grid.x, fld.u, xdot, dt, p.nu,
