@@ -12,10 +12,10 @@ The solver takes the stencil's grid velocity from the grid equation (none or
 u; the difference quotient only on the equidistributed grid), and the
 certifier from the difference quotient, equal to it in exact arithmetic.
 
-All value types are immutable. Each run owns its layers and stencil rows,
-the mutable buffers it steps through; the step functions write into those
-the caller passes, and the results a run returns are copies that never
-alias them. So independent runs may execute concurrently without
+All value types are immutable. Each run owns its layers and its stencil and
+remap rows, the mutable buffers it steps through; the step functions write
+into those the caller passes, and the results a run returns are copies that
+never alias them. So independent runs may execute concurrently without
 coordination. The public API takes and returns validated values only; the
 functions on those buffers (grid equations, monitor, stencil, remap) are
 the inside of ``run``, which validates once, and are not exported.

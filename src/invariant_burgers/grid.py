@@ -321,12 +321,16 @@ def _solve_equidistribution(rho: Layer, anchor: float, x: np.ndarray
     sum, so the closing gap does not absorb the rounding of N - 1 additions.
     The monitor is read from the filled value layer ``rho``, each node's
     east neighbour from its ``east`` view, and L from its period, that of
-    the positions the solve places. The positions are written into ``x``,
+    the positions the solve places. The reciprocal sums and their partial
+    sums go to the node and row wide gaps of ``rho``, unused until
+    positions are placed there. The positions are written into ``x``,
     which is returned; ``x`` may be the nodes of ``rho``, which are read
     first. A sum not in (0, inf) raises ``NonFiniteSolutionError``.
     """
     # the ufunc's own accumulation, without the dispatch of np.cumsum
-    c = np.add.accumulate(_ONE / (rho.nodes + rho.east))
+    inverse, c = rho._node_gaps, rho.row_wide
+    np.divide(_ONE, np.add(rho.nodes, rho.east, inverse), inverse)
+    np.add.accumulate(inverse, out=c)
     if not 0.0 < c[-1] < np.inf:
         raise NonFiniteSolutionError(
             f"equidistribution monitor is not finite: its sum is {c[-1]!r}")

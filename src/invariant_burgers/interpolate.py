@@ -7,11 +7,12 @@ safe projection operators for the symmetry-preserving schemes.
 ``interpolate`` is the one entry point: it checks its queries, places its
 nodes in a ``grid.Layer`` (which checks their order), checks that no sum of
 two node positions or squared gap overflows, fills its values in another
-and hands both layers to ``_evaluate``, which reads the period from the
-position layer. The evolution-projection step calls ``_evaluate`` directly
-on the layers it has placed and filled, with targets it has placed, and
-has each interpolant's last addition write into its value layer. Every
-stencil indexes the ghost slots ``g`` of the layers directly:
+and hands both layers and rows sized for its queries to ``_evaluate``,
+which reads the period from the position layer. The evolution-projection
+step calls it on the layers and targets it has placed and filled, with the
+rows its run allocated once, and has each interpolant's last operation
+write into its value layer. Every stencil indexes the ghost slots ``g`` of
+the layers directly:
 
 - linear and spline reduce each query into [x_0, x_0 + L) and bracket it
   by ghost slots j, j + 1 (the node at or left of it and the next one);
@@ -25,7 +26,9 @@ stencil indexes the ghost slots ``g`` of the layers directly:
   lies outside the window the stencils reach, between the midpoints of
   the first and of the last two ghost slots. Both ways give the same b.
   The value is the Newton form of the parabola through the three nodes
-  (slot slopes, then second differences).
+  (slot slopes, then second differences), formed in ``QuadraticRows``;
+  the partner bracket reads views of the layers and rows where the search
+  gathers at b, so it allocates no array.
 
 The spline solves for its moments on every call.
 """
@@ -86,7 +89,8 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
         raise ValueError(f"domain_length={domain_length!r} swamps the node "
                          f"gaps: a node and its neighbour across the seam "
                          f"round to one position one period away")
-    return _evaluate(xl, Layer.of_values(u), q, kind)
+    return _evaluate(xl, Layer.of_values(u), q, kind, np.empty(q.shape),
+                     QuadraticRows(len(x), q.shape))
 
 
 def _reach(x: np.ndarray) -> float:
@@ -96,36 +100,52 @@ def _reach(x: np.ndarray) -> float:
     return max(-2.0 * x[0], 2.0 * x[-1], gap ** 2)
 
 
+class QuadraticRows:
+    """The quadratic's rows at N nodes for queries of shape ``shape``: slot
+    midpoints, slopes, second differences, their views, test and work."""
+
+    def __init__(self, n: int, shape):
+        mid, s, c = self.midpoints, self.slopes, self.second = (
+            np.empty(n + 2), np.empty(n + 2), np.empty(n + 1))
+        self.mid_west, self.mid_east, self.s_east, self.s_west = (
+            mid[:-2], mid[1:-1], s[1:], s[:-1])
+        self.s0, self.c0 = s[:n], c[:n]
+        self.test, self.work = np.empty(shape, bool), np.empty(shape)
+
+
 def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray, rows: QuadraticRows) -> np.ndarray:
     """The interpolant of kind ``kind`` through the placed position layer
     ``xl`` and filled value layer ``ul``, at the finite queries ``q`` read
     modulo the period of ``xl``; the quadratic reads the gaps and wide
-    gaps of ``xl``'s slots. The last addition of each interpolant writes
-    its values into ``out``, one per query and aliasing none of the
-    inputs, or into a new array if ``out`` is None."""
+    gaps of ``xl``'s slots and works in ``rows``, sized for ``xl`` and
+    ``q``. The last operation of each interpolant writes its values into
+    ``out``, of the queries' shape and aliasing none of the other inputs."""
     xg, ug, period = xl.g, ul.g, xl.period
     if kind is InterpKind.QUADRATIC:
+        mid, s, c, w = rows.midpoints, rows.slopes, rows.second, rows.work
+        np.multiply(_HALF, np.add(xg[:-1], xg[1:], mid), mid)
+        # the slot slopes s_k and second differences c_k of the Newton form
+        np.divide(np.subtract(ug[1:], ug[:-1], s), xl.gaps, s)
+        np.divide(np.subtract(rows.s_east, rows.s_west, c), xl.wide, c)
         # slot b + 1 holds the node nearest q, ties going left: node i for
         # query i when each lies between the midpoints beside its node;
         # else the count of inner midpoints left of q (0 .. N for any q),
         # the queries reduced first if one lies outside (mid[0], mid[-1]]
-        mid = _HALF * (xg[:-1] + xg[1:])
-        n = len(xg) - 3
-        if (q.shape == (n,) and (lo := mid[:-2] < q)[lo.argmin()]
-                and (hi := q <= mid[1:-1])[hi.argmin()]):
-            b = slice(0, n)
+        n, test = len(xg) - 3, rows.test
+        if (q.shape == (n,) and np.less(rows.mid_west, q, test)[test.argmin()]
+                and np.less_equal(q, rows.mid_east, test)[test.argmin()]):
+            u0, x0, x1, s0, c0 = ul.west, xl.west, xl.nodes, rows.s0, rows.c0
         else:
             if not (mid[0] < q.min(initial=np.inf)
                     and q.max(initial=-np.inf) <= mid[-1]):
                 q = xg[1] + np.mod(q - xg[1], period)
-            b = np.searchsorted(mid[1:-1], q, side="left")
-        # the Newton form over slots b .. b + 2, from the slot slopes s_k
-        # and second differences c_k
-        s = (ug[1:] - ug[:-1]) / xl.gaps
-        c = (s[1:] - s[:-1]) / xl.wide
-        return np.add(ug[b], (q - xg[b]) * (s[b] + (q - xg[1:][b]) * c[b]),
-                      out)
+            b = np.searchsorted(rows.mid_east, q, side="left")
+            u0, x0, x1, s0, c0 = ug[b], xg[b], xg[1:][b], s[b], c[b]
+        # u_b + (q - x_b) (s_b + (q - x_{b+1}) c_b), over slots b .. b + 2
+        np.add(s0, np.multiply(np.subtract(q, x1, w), c0, w), w)
+        np.multiply(np.subtract(q, x0, out), w, out)
+        return np.add(u0, out, out)
 
     # each query shifted by a multiple of L into [x_0, x_0 + L)
     q = xg[1] + np.mod(q - xg[1], period)

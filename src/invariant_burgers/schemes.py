@@ -31,17 +31,17 @@ else the minimum; the first False) at a third to half its cost.
 
 ``run`` is the step layer's one boundary. It and ``SchemeConfig`` validate
 once; it then allocates its ``grid.Layer``s (N + 3 slots each, a position
-layer with the period L) and its ``StencilRows`` once, and steps with a
-finite dt in (0, dt_factor * h^2], so the step functions, which work in
-place on those, check none of it again and are not exported. Each step
-writes the new positions and values into spare layers passed as
-destinations, through the views formed at allocation; it forms no view and
-allocates no layer, and no array of values apart from the adaptive mesh
-solve's partial sums and the intermediates of the projection's remap,
-whose last addition writes into its value layer. The adaptive step writes
-its monitor into the destination layer, which the new positions then
-replace; the remap reads the moved and evolved layers (the cubic spline
-copies its gaps, gap slopes and moments into value layers of its own).
+layer with the period L), its ``StencilRows`` and the remap's
+``QuadraticRows`` once, and steps with a finite dt in (0, dt_factor * h^2],
+so the step functions, which work in place on those, check none of it again
+and are not exported. Each step writes into spare layers passed as
+destinations, through the views formed at allocation, and allocates no row
+but the linear and spline remaps' intermediates. The adaptive step writes
+its monitor and its mesh solve's sums into the destination layer, which the
+new positions then replace, and its grid velocity into the stencil rows;
+the quadratic remap reads the moved and evolved layers, through their views
+where each target lies beside its moved node (the cubic spline copies its
+gaps, gap slopes and moments into value layers of its own).
 Each new position layer is placed and order-checked once, an unchanged one
 not at all, and each new value layer is filled and checked for finiteness
 once, by one sum of squares with no mask unless a square overflows. The
@@ -55,6 +55,7 @@ FTCS and constant-frame, once per step on the moving meshes.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -66,7 +67,7 @@ from .errors import NodeCrossingError, SimulationError
 from .grid import (TAU, DiscreteField, Layer, advance_equidistributed,
                    advance_lagrangian, equidistribute_initial,
                    require_finite, uniform_slice)
-from .interpolate import InterpKind, _evaluate
+from .interpolate import InterpKind, QuadraticRows, _evaluate
 
 
 class SchemeKind(str, Enum):
@@ -150,8 +151,13 @@ class SchemeConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
-            if not np.isfinite(value):
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         for name in ("nu", "t_final", "dt_factor", "domain_length"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -186,14 +192,15 @@ class Trajectory:
 class StencilRows:
     """The moving-mesh stencil's rows at N nodes: the diffusion ``weight``
     and its numerator ``two_nu`` (2 nu, 0-d), the N + 1 gap ``slopes``
-    (east and west views), ``advection``, ``diffusion`` and ``work``."""
+    (east and west views), ``advection``, ``diffusion``, ``work`` and the
+    adaptive grid velocity ``xdot``."""
 
     def __init__(self, n: int, nu: float):
         self.two_nu = np.array(2.0 * nu)
         self.weight, self.slopes = np.empty(n), np.empty(n + 1)
         self.slopes_east, self.slopes_west = self.slopes[1:], self.slopes[:-1]
-        self.advection, self.diffusion, self.work = (
-            np.empty(n), np.empty(n), np.empty(n))
+        self.advection, self.diffusion, self.work, self.xdot = (
+            np.empty(n), np.empty(n), np.empty(n), np.empty(n))
 
 
 def diffusion_weight(xl: Layer, rows: StencilRows) -> np.ndarray:
@@ -263,13 +270,13 @@ def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, rows: StencilRows,
 
 
 def project(xl: Layer, ul: Layer, dt: float, moved: Layer, evolved: Layer,
-            interp_kind: InterpKind, targets: Layer, out: Layer
-            ) -> tuple[Layer, Layer]:
+            interp_kind: InterpKind, remap_rows: QuadraticRows,
+            targets: Layer, out: Layer) -> tuple[Layer, Layer]:
     """The projection's remap: the values ``evolved`` on the layer
     ``moved``, which the Lagrangian step and the stencil wrote from ``xl``
     and ``ul``, interpolated onto the lattice ``xl`` advanced by the bulk
-    (mean) velocity of ``ul``. The targets are placed in ``targets`` and
-    the values filled in ``out``, which are returned.
+    (mean) velocity of ``ul``, working in ``remap_rows``. The targets are
+    placed in ``targets`` and the values filled in ``out``, which are returned.
 
     Advancing the targets with the bulk velocity keeps the composite
     boost-equivariant: a lattice held fixed in one frame is a moving
@@ -285,7 +292,8 @@ def project(xl: Layer, ul: Layer, dt: float, moved: Layer, evolved: Layer,
     shift = float(dt) * (np.add.reduce(u) / len(u))
     np.add(xl.nodes, np.array(shift), targets.nodes)
     targets.place()
-    _evaluate(moved, evolved, targets.nodes, interp_kind, out.nodes)
+    _evaluate(moved, evolved, targets.nodes, interp_kind, out.nodes,
+              remap_rows)
     return targets, out.fill()
 
 
@@ -340,7 +348,8 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     def equidistributed(xl, ul, dt, out):
         x_next = advance_equidistributed(xl, ul, alpha, dt, out)
         # the one grid with no closed-form velocity: its difference quotient
-        return x_next, (x_next.nodes - xl.nodes) / dt
+        xdot = np.subtract(x_next.nodes, xl.nodes, rows.xdot)
+        return x_next, np.divide(xdot, dt, xdot)
 
     # the grid equation of each moving scheme with the grid velocity it
     # defines; each looks its advance up when called, so a rebinding of the
@@ -359,13 +368,14 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # the run's layers, allocated once with one size, the position layers
     # with the period L: the step-start positions and values, the spares
     # each step writes, and the projection's moved layer and the values
-    # evolved on it; and the stencil's rows, whose diffusion weight is
-    # formed again only when a new position layer replaces xl
+    # evolved on it, with the remap's rows; and the stencil's rows, whose
+    # diffusion weight is formed again when a new layer replaces xl
     n = config.n_points
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
     x_spare, u_spare = Layer(n, length), Layer(n)
     if projecting:
         moved, evolved = Layer(n, length), Layer(n)
+        remap_rows = QuadraticRows(n, n)
     rows = StencilRows(n, config.nu)
     diffusion_weight(xl, rows)
     dt, alpha = np.array(dt0), np.array(config.alpha)
@@ -387,7 +397,8 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             u_next = invariant_step(xl, ul, xdot, dt, rows, u_to)
             if projecting:
                 x_next, u_next = project(xl, ul, dt, x_next, u_next,
-                                         config.interp_kind, x_spare, u_spare)
+                                         config.interp_kind, remap_rows,
+                                         x_spare, u_spare)
             require_finite(u_next.nodes)
             # the lattice at rest keeps its layer and its diffusion weight
             if x_next is not xl:

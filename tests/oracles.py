@@ -142,6 +142,36 @@ def trapezoid_coefficient(nu, j, m):
     return float(2.0 * (f * np.cos(j * x)).mean())
 
 
+def coefficients_all_rows(nu):
+    """The cosine coefficient table a_0 .. a_J and its quadrature size,
+    formed with every mode up to min(200, m / 4) at once at each doubling
+    of the m trapezoid points from 256: J is the first mode with
+    |a_J| J < 1e-12 a_0, taken once a_0 moves by at most 1e-12 a_0 from
+    the last doubling. ``NoDecayError`` where 200 modes hold none below
+    that bound."""
+    from invariant_burgers import NoDecayError
+
+    m, a0_prev = 256, None
+    while m <= 2 ** 20:
+        x = np.arange(m) * (TAU / m)
+        f = np.exp(-(1.0 - np.cos(x)) / (2.0 * nu))
+        a0 = float(f.mean())
+        j_hi = min(200, m // 4)
+        j = np.arange(1, j_hi + 1)
+        a = 2.0 * (f[None, :] * np.cos(np.outer(j, x))).mean(axis=1)
+        below = np.abs(a) * j < 1e-12 * a0
+        stable = a0_prev is not None and abs(a0 - a0_prev) <= 1e-12 * a0
+        if below.any() and stable:
+            return np.concatenate([[a0], a[:int(j[np.argmax(below)])]]), m
+        if j_hi >= 200 and not below.any():
+            raise NoDecayError(f"coefficients did not decay below "
+                               f"tol={1e-12:g} within j <= 200 (nu={nu:g})")
+        a0_prev = a0
+        m *= 2
+    raise NoDecayError(f"quadrature did not converge within {2 ** 20} "
+                       f"points")
+
+
 def periodic_spline_scipy(x, u, length, queries):
     """Periodic cubic spline through scipy, for cross-checking ours."""
     from scipy.interpolate import CubicSpline

@@ -1,19 +1,44 @@
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invariant_burgers import (FourierCoeffs, NoDecayError,
                                NonFiniteSolutionError, SimulationError, TAU,
                                coefficients, evaluate)
 
-from oracles import leading_coefficient_quadrature, trapezoid_coefficient
+from oracles import (coefficients_all_rows, leading_coefficient_quadrature,
+                     trapezoid_coefficient)
 
 
 def test_leading_coefficient_matches_adaptive_quadrature(coeffs_nu01):
     ref = leading_coefficient_quadrature(0.1)
     assert abs(coeffs_nu01.a[0] - ref) <= 1e-12 * ref
+
+
+def outcome(table, nu):
+    """The coefficient bytes and quadrature size ``table(nu)`` gives, or
+    the type and message of what it raises."""
+    try:
+        result = table(nu)
+    except (NoDecayError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, FourierCoeffs):
+        result = result.a, result.quad_points
+    return result[0].tobytes(), result[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(math.log(1e-4), math.log(50.0)))
+def test_coefficients_match_the_table_of_all_modes(log_nu):
+    # the table forms its modes only where the doubling can stop, in
+    # blocks up to the cut; each is the trapezoid mean over its own row,
+    # so it gives the bits, the size and the error of the whole table
+    nu = math.exp(log_nu)
+    assert outcome(coefficients, nu) == outcome(coefficients_all_rows, nu)
 
 
 def test_large_viscosity_limit():

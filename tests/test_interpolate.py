@@ -9,7 +9,8 @@ from invariant_burgers import (DiscreteField, Generator, GridSlice,
                                GroupElement, InterpKind, NodeCrossingError,
                                TAU, apply_field, uniform_slice)
 from invariant_burgers.grid import Layer
-from invariant_burgers.interpolate import (_solve_cyclic_tridiagonal,
+from invariant_burgers.interpolate import (QuadraticRows, _evaluate,
+                                           _solve_cyclic_tridiagonal,
                                            interpolate)
 
 from oracles import (dense_spline_matrix, periodic_quadratic_loop,
@@ -157,6 +158,28 @@ def test_partner_bracket_agrees_with_the_search_by_bytes(x, data):
         flat = interpolate(x, u, shaped.ravel(), InterpKind.QUADRATIC, TAU)
         assert (interpolate(x, u, shaped, InterpKind.QUADRATIC, TAU).tobytes()
                 == flat.reshape(shaped.shape).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 64), st.data())
+def test_one_rows_object_serves_calls_on_other_layers_and_queries(n, data):
+    # the projection's run keeps one QuadraticRows for every step: what a
+    # call leaves in it must not reach the next, on either bracket (the
+    # queries moved one period up are always searched)
+    rows = QuadraticRows(n, n)
+    for _ in range(3):
+        x = data.draw(ordered_grids(min_n=n, max_n=n))
+        u = 1e-6 * data.draw(hnp.arrays(np.int64, n,
+                                        elements=st.integers(-10**7, 10**7)))
+        near = data.draw(partner_queries(x))
+        for q in (near, near + TAU):
+            xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
+            reused = _evaluate(xl, ul, q, InterpKind.QUADRATIC, np.empty(n),
+                               rows)
+            fresh = _evaluate(xl, ul, q, InterpKind.QUADRATIC, np.empty(n),
+                              QuadraticRows(n, n))
+            assert (reused.tobytes() == fresh.tobytes() == interpolate(
+                x, u, q, InterpKind.QUADRATIC, TAU).tobytes())
 
 
 @pytest.mark.parametrize("kind", KINDS)

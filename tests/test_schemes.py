@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from invariant_burgers import (
 )
 
 from invariant_burgers.grid import Layer, advance_lagrangian
+from invariant_burgers.interpolate import QuadraticRows
 from invariant_burgers.schemes import (StencilRows, diffusion_weight,
                                        invariant_step, project)
 
@@ -63,7 +65,7 @@ def projection_step(fld, dt, nu, interp_kind):
     evolved = invariant_step(start, ul, ul, dt, stencil_rows(start, nu),
                              Layer(n))
     xl, ul = project(start, ul, dt, moved, evolved, interp_kind,
-                     Layer(n, length), Layer(n))
+                     QuadraticRows(n, n), Layer(n, length), Layer(n))
     return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xl.nodes),
                          u=ul.nodes)
 
@@ -345,7 +347,9 @@ def test_config_validation():
                          domain_length=length)
 
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+# an int or a Fraction past the largest float overflows its conversion
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 10 ** 400,
+                                   -Fraction(10 ** 400, 3)])
 @pytest.mark.parametrize("name", ["nu", "t_final", "dt_factor", "alpha",
                                   "frame_velocity", "domain_start",
                                   "domain_length"])

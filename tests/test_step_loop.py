@@ -7,7 +7,10 @@ import importlib.util
 import inspect
 import math
 import sys
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from invariant_burgers import (DiscreteField, GridSlice, InterpKind,
                                SchemeConfig, SchemeKind, SimulationError, TAU)
 from invariant_burgers import grid, schemes
 from invariant_burgers.grid import Layer, _require_positive
+from invariant_burgers.interpolate import QuadraticRows
 from invariant_burgers.schemes import StencilRows
 
 from oracles import (monitor_loop, moving_mesh_update_loop,
@@ -42,13 +46,13 @@ def instrument(monkeypatch, original, replacement):
 
 
 WORK = ("placed", "filled", "checks", "layers", "containers", "weights",
-        "rows")
+        "rows", "remap")
 
 
 def layer_work(config, t_final):
     """Position layers placed, value layers filled, order checks, layers
-    allocated, containers built, diffusion weights formed and stencil rows
-    allocated by one run of ``config`` to ``t_final``."""
+    allocated, containers built, diffusion weights formed, stencil rows and
+    remap rows allocated by one run of ``config`` to ``t_final``."""
     counts = dict.fromkeys(WORK, 0)
 
     def counted(key, fn):
@@ -65,6 +69,8 @@ def layer_work(config, t_final):
         mp.setattr(Layer, "__init__", counted("layers", Layer.__init__))
         mp.setattr(StencilRows, "__init__",
                    counted("rows", StencilRows.__init__))
+        mp.setattr(QuadraticRows, "__init__",
+                   counted("remap", QuadraticRows.__init__))
         mp.setattr(Layer, "place", counted("placed", Layer.place))
         mp.setattr(Layer, "fill", counted("filled", Layer.fill))
         for cls in (GridSlice, DiscreteField):
@@ -74,27 +80,28 @@ def layer_work(config, t_final):
     return counts
 
 
-# per extra step: position layers placed, value layers filled, order
-# checks, layers allocated, containers, diffusion weights formed, stencil
-# rows allocated. Each new layer is placed or filled once, and each
+# per extra step: position layers placed, value layers filled, order checks,
+# layers allocated, containers, diffusion weights formed, stencil rows and
+# remap rows allocated. Each new layer is placed or filled once, and each
 # placement checks its order once; the step-start layer of FTCS and of
 # constant-frame, the lattice at rest in the frame each computes in, is its
 # next layer too, so its diffusion weight is never formed again. The other
-# schemes form it once for each new step-start layer. The adaptive step
-# fills its monitor into the destination layer before placing the positions
-# there. Only the spline allocates layers in a step: value layers of its
-# gaps, gap slopes and moments. The stencil's rows are allocated once per
-# run.
+# schemes form it once for each new step-start layer. The adaptive step fills
+# its monitor into the destination layer before placing the positions there.
+# Only the spline allocates layers in a step: value layers of its gaps, gap
+# slopes and moments. The stencil's rows are allocated once per run, and so
+# are the remap's on a projecting run.
 PER_STEP = [
-    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0, 0, 0, 0)),
-    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0, 0, 1, 0)),
+    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, (0, 1, 0, 0, 0, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.LAGRANGIAN}, (1, 1, 1, 0, 0, 1, 0, 0)),
     ({"scheme_kind": SchemeKind.CONSTANT_FRAME, "frame_velocity": 0.5},
-     (0, 1, 0, 0, 0, 0, 0)),
-    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, (1, 2, 1, 0, 0, 1, 0)),
+     (0, 1, 0, 0, 0, 0, 0, 0)),
+    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE},
+     (1, 2, 1, 0, 0, 1, 0, 0)),
 ] + [
     ({"scheme_kind": SchemeKind.EVOLUTION_PROJECTION, "interp_kind": kind},
-     (2, 5, 2, 3, 0, 1, 0) if kind is InterpKind.CUBIC_SPLINE
-     else (2, 2, 2, 0, 0, 1, 0))
+     (2, 5, 2, 3, 0, 1, 0, 0) if kind is InterpKind.CUBIC_SPLINE
+     else (2, 2, 2, 0, 0, 1, 0, 0))
     for kind in InterpKind
 ]
 # the schemes whose steps run in the layers the run allocated
@@ -114,6 +121,8 @@ def test_each_step_ghosts_and_checks_each_new_layer_once(config, per_step):
     extra = {key: long[key] - short[key] for key in WORK}
     assert tuple(extra.values()) == tuple(k * n for n in per_step)
     assert short["rows"] == long["rows"] == 1
+    projecting = config["scheme_kind"] is SchemeKind.EVOLUTION_PROJECTION
+    assert short["remap"] == long["remap"] == int(projecting)
     if config in IN_PLACE:
         assert extra["layers"] == 0
 
@@ -132,8 +141,9 @@ def asserting(fn, positions, config, calls):
     """``fn``, asserting first that its dt is a 0-d float64 array, finite
     and in (0, dt0], dt0 = dt_factor * h^2 as ``run`` forms it, that each
     of its layers has
-    N + 3 slots, that each position layer has the run's period and that
-    its stencil rows have N weights and N + 1 slopes."""
+    N + 3 slots, that each position layer has the run's period, that
+    its stencil rows have N weights and N + 1 slopes and that a grid
+    velocity given as an array is their own ``xdot`` row."""
     signature = inspect.signature(fn)
     n, length = config.n_points, config.domain_length
     h = length / n
@@ -154,6 +164,8 @@ def asserting(fn, positions, config, calls):
             rows = bound["rows"]
             assert isinstance(rows, StencilRows)
             assert len(rows.weight) == n and len(rows.slopes) == n + 1
+            if isinstance(bound.get("xdot"), np.ndarray):
+                assert bound["xdot"] is rows.xdot
         calls[fn.__name__] += 1
         return fn(*args, **kwargs)
 
@@ -184,6 +196,79 @@ def test_run_hands_every_step_a_valid_dt_and_layers(kind, n, log_dt_factor,
             return
     # every scheme steps through the one stencil
     assert calls["invariant_step"] >= 1
+
+
+def allocating(fn, peaks):
+    """``fn``, recording in ``peaks`` the largest growth of tracemalloc's
+    peak over the memory traced when a call starts."""
+    def call(*args, **kwargs):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        growth = tracemalloc.get_traced_memory()[1] - start
+        peaks[fn.__name__] = max(peaks[fn.__name__], growth)
+        return result
+
+    return call
+
+
+def test_no_step_function_allocates_a_row():
+    # each step writes into the rows and layers its run allocated; the
+    # projection's quadratic remap and the adaptive mesh solve formed 6 and
+    # 2 rows of temporaries per call. The linear and spline remaps, which
+    # are not the default, still do
+    n = 4096
+    h = TAU / n
+    peaks = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for fn, _ in STEP_FUNCTIONS:
+            instrument(mp, fn, allocating(fn, peaks))
+        for kind in SchemeKind:
+            config = SchemeConfig(scheme_kind=kind, n_points=n)
+            tracemalloc.start()
+            try:
+                ib.run(replace(config, t_final=3.5 * config.dt_factor * h * h),
+                       np.sin)
+            finally:
+                tracemalloc.stop()
+    assert set(peaks) == {fn.__name__ for fn, _ in STEP_FUNCTIONS}
+    assert {name: peak for name, peak in peaks.items() if peak >= 8 * n} == {}
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("nu", Fraction(1, 10), SchemeKind.LAGRANGIAN),
+    ("nu", np.float32(0.1), SchemeKind.CLASSICAL_FTCS),
+    ("t_final", np.float32(0.03), SchemeKind.LAGRANGIAN),
+    ("t_final", Fraction(3, 100), SchemeKind.EVOLUTION_PROJECTION),
+    ("dt_factor", np.float32(1.3), SchemeKind.EULERIAN_ADAPTIVE),
+    ("dt_factor", 1, SchemeKind.CLASSICAL_FTCS),
+    ("alpha", Fraction(1, 3), SchemeKind.EULERIAN_ADAPTIVE),
+    ("frame_velocity", np.float32(0.3), SchemeKind.CONSTANT_FRAME),
+    ("domain_start", np.float64(0.37), SchemeKind.EVOLUTION_PROJECTION),
+    ("domain_length", np.float32(6.3), SchemeKind.LAGRANGIAN),
+    ("domain_length", 6, SchemeKind.CONSTANT_FRAME),
+])
+def test_a_real_field_of_any_type_runs_as_its_float(name, value, kind):
+    # a Fraction failed inside numpy, naming no field; a float32 dt_factor,
+    # t_final or domain_length made every step's dt a float32 and a float32
+    # t_final the final snapshot time
+    fields = {"scheme_kind": kind, "n_points": 16, "t_final": 0.03}
+    config = SchemeConfig(**{**fields, name: value})
+    assert type(getattr(config, name)) is float
+    assert getattr(config, name) == float(value)
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for fn, positions in STEP_FUNCTIONS:
+            instrument(mp, fn, asserting(fn, positions, config, calls))
+        traj = ib.run(config, np.sin, snapshot_every=1)
+    ref = ib.run(SchemeConfig(**{**fields, name: float(value)}), np.sin,
+                 snapshot_every=1)
+    assert calls["invariant_step"] == len(traj.snapshots) - 1
+    assert len(traj.snapshots) == len(ref.snapshots)
+    for snap, expected in zip(traj.snapshots, ref.snapshots):
+        assert type(snap.grid.t) is float and snap.grid.t == expected.grid.t
+        assert snap.grid.x.tobytes() == expected.grid.x.tobytes()
+        assert snap.u.tobytes() == expected.u.tobytes()
 
 
 # the projection brackets its targets by the search on one of its two
