@@ -230,15 +230,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config_file(args, parser, argv)
         return args.func(args)
-    except SimulationError as exc:
+    except (SimulationError, ValueError, OSError, MemoryError) as exc:
         step = getattr(exc, "step", None)
         step_txt = "-" if step is None else str(step)
         print(f"error kind={type(exc).__name__} step={step_txt} "
               f"message={str(exc)!r}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error kind={type(exc).__name__} step=- message={str(exc)!r}",
-              file=sys.stderr)
         return 1
 
 

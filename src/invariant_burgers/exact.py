@@ -58,8 +58,8 @@ def coefficients(nu: float) -> FourierCoeffs:
     points doubles until a_0 is stable to _TOL relative and the retained
     modes are safely below the aliasing range; once they reach the cap
     with none below the bound, ``NoDecayError`` is raised before a_0 settles.
-    So the modes are formed only where the doubling can stop, in blocks of
-    32 up to the first below the bound; each is the mean over its own row.
+    So the modes are formed only where the doubling can stop, one
+    trapezoid row each, in order up to the first below the bound.
     """
     if not 0.0 < nu < np.inf:
         raise ValueError(f"nu must be positive and finite, got {nu!r}")
@@ -72,19 +72,19 @@ def coefficients(nu: float) -> FourierCoeffs:
         j_hi = min(_J_CAP, m // 4)
         a0_stable = a0_prev is not None and abs(a0 - a0_prev) <= _TOL * a0
         if a0_stable or j_hi >= _J_CAP:
-            a = [[a0]]
-            for start in range(1, j_hi + 1, 32):
-                j = np.arange(start, min(start + 32, j_hi + 1))
-                a.append(2.0 * (f * np.cos(np.outer(j, x))).mean(axis=1))
-                if (below := np.abs(a[-1]) * j < _TOL * a0).any():
+            a = [a0]
+            for j in range(1, j_hi + 1):
+                a.append(2.0 * (f * np.cos(j * x)).mean())
+                if abs(a[-1]) * j < _TOL * a0:
+                    if a0_stable:
+                        return FourierCoeffs(nu=nu, a=np.array(a),
+                                             quad_points=m)
                     break
-            if below.any() and a0_stable:
-                a[-1] = a[-1][:np.argmax(below) + 1]
-                return FourierCoeffs(nu=nu, a=np.concatenate(a), quad_points=m)
-            if j_hi >= _J_CAP and not below.any():
-                raise NoDecayError(
-                    f"coefficients did not decay below tol={_TOL:g} within "
-                    f"j <= {_J_CAP} (nu={nu:g})")
+            else:
+                if j_hi >= _J_CAP:
+                    raise NoDecayError(
+                        f"coefficients did not decay below tol={_TOL:g} "
+                        f"within j <= {_J_CAP} (nu={nu:g})")
         a0_prev = a0
         m *= 2
     raise NoDecayError(f"quadrature did not converge within {_M_CAP} points")

@@ -34,21 +34,22 @@ once; it then allocates its ``grid.Layer``s (N + 3 slots each, a position
 layer with the period L), its ``StencilRows`` and the remap's
 ``QuadraticRows`` once, and steps with a finite dt in (0, dt_factor * h^2],
 so the step functions, which work in place on those, check none of it again
-and are not exported. Each step writes into spare layers passed as
-destinations, through the views formed at allocation, and allocates no row
-but the linear and spline remaps' intermediates. The adaptive step writes
-its monitor and its mesh solve's sums into the destination layer, which the
-new positions then replace, and its grid velocity into the stencil rows;
-the quadratic remap reads the moved and evolved layers, through their views
-where each target lies beside its moved node (the cubic spline copies its
-gaps, gap slopes and moments into value layers of its own).
-Each new position layer is placed and order-checked once, an unchanged one
-not at all, and each new value layer is filled and checked for finiteness
-once, by one sum of squares with no mask unless a square overflows. The
-stencil takes no viscosity but the diffusion weight
-2 nu / (x_{i+1} - x_{i-1}) of its step-start positions, a row that ``run``
-forms once per position layer: once per run on the lattice at rest of
-FTCS and constant-frame, once per step on the moving meshes.
+and are not exported. A run's layers are the mesh, the solution, which the
+stencil steps in place, and a spare position layer for the grid equation;
+the projection steps into a fourth, of evolved values, and remaps them back
+into the other two. No step allocates a row but the linear and spline
+remaps' intermediates. The adaptive step writes its monitor and mesh-solve
+sums into the spare layer before the new positions replace them, and its
+grid velocity into the stencil rows; the quadratic remap reads the moved
+and evolved layers through their views where each target lies beside its
+moved node (the spline copies its gaps, gap slopes and moments into value
+layers of its own). Each new position layer is placed and order-checked
+once, an unchanged one not at all, and each new value layer is filled and
+checked for finiteness once, by one sum of squares with no mask unless a
+square overflows. The stencil takes no viscosity but the diffusion weight
+2 nu / (x_{i+1} - x_{i-1}) of its step-start positions, which ``run``
+forms before the loop, where the lattice at rest keeps it, and once per
+step where the mesh moved.
 ``GridSlice`` and ``DiscreteField`` are built only for the snapshots
 ``run`` stores, from copies, so no result aliases a layer.
 """
@@ -256,7 +257,9 @@ def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, rows: StencilRows,
     classical FTCS update; ``ul`` itself, on the Lagrangian layer, gives
     u + dt * diffusion. ``rows`` holds the diffusion weight of ``xl``
     (``diffusion_weight``), as ``run`` keeps it per position layer, and
-    takes the terms. The new values are unchecked.
+    takes the terms. ``out`` may be ``ul``: every term is formed in
+    ``rows`` before the one write into ``out.nodes``. The new values are
+    unchecked.
     """
     advection, diffusion = moving_mesh_terms(xl, ul, xdot, rows)
     if advection is None:
@@ -270,13 +273,14 @@ def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, rows: StencilRows,
 
 
 def project(xl: Layer, ul: Layer, dt: float, moved: Layer, evolved: Layer,
-            interp_kind: InterpKind, remap_rows: QuadraticRows,
-            targets: Layer, out: Layer) -> tuple[Layer, Layer]:
-    """The projection's remap: the values ``evolved`` on the layer
-    ``moved``, which the Lagrangian step and the stencil wrote from ``xl``
-    and ``ul``, interpolated onto the lattice ``xl`` advanced by the bulk
-    (mean) velocity of ``ul``, working in ``remap_rows``. The targets are
-    placed in ``targets`` and the values filled in ``out``, which are returned.
+            interp_kind: InterpKind, remap_rows: QuadraticRows) -> Layer:
+    """The projection's remap, back into the step-start layers: the values
+    ``evolved`` on the layer ``moved``, which the Lagrangian step and the
+    stencil wrote from ``xl`` and ``ul``, interpolated onto the lattice
+    ``xl`` advanced by the bulk (mean) velocity of ``ul``, working in
+    ``remap_rows``. The shift is read from ``ul`` before anything writes
+    it; the targets are shifted into ``xl`` and placed there, and the
+    values remapped into ``ul`` and filled. Returns ``xl``.
 
     Advancing the targets with the bulk velocity keeps the composite
     boost-equivariant: a lattice held fixed in one frame is a moving
@@ -290,11 +294,11 @@ def project(xl: Layer, ul: Layer, dt: float, moved: Layer, evolved: Layer,
     # dispatch
     u = ul.nodes
     shift = float(dt) * (np.add.reduce(u) / len(u))
-    np.add(xl.nodes, np.array(shift), targets.nodes)
-    targets.place()
-    _evaluate(moved, evolved, targets.nodes, interp_kind, out.nodes,
-              remap_rows)
-    return targets, out.fill()
+    np.add(xl.nodes, np.array(shift), xl.nodes)
+    xl.place()
+    _evaluate(moved, evolved, xl.nodes, interp_kind, u, remap_rows)
+    ul.fill()
+    return xl
 
 
 # a blow-up, in the set-up or in a step, surfaces as a typed error (a
@@ -366,16 +370,15 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # (xi + c t, v + c); at t = 0 the lattice is where that frame sees it
     snapshots = [DiscreteField(grid=grid, u=u0 + drift)]
     # the run's layers, allocated once with one size, the position layers
-    # with the period L: the step-start positions and values, the spares
-    # each step writes, and the projection's moved layer and the values
-    # evolved on it, with the remap's rows; and the stencil's rows, whose
-    # diffusion weight is formed again when a new layer replaces xl
+    # with the period L: the mesh xl and the solution ul, which the stencil
+    # steps in place, the spare position layer the grid equation writes,
+    # and the projection's values evolved on the moved layer, with the
+    # remap's rows; and the stencil's rows
     n = config.n_points
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
-    x_spare, u_spare = Layer(n, length), Layer(n)
+    x_spare = Layer(n, length)
     if projecting:
-        moved, evolved = Layer(n, length), Layer(n)
-        remap_rows = QuadraticRows(n, n)
+        evolved, remap_rows = Layer(n), QuadraticRows(n, n)
     rows = StencilRows(n, config.nu)
     diffusion_weight(xl, rows)
     dt, alpha = np.array(dt0), np.array(config.alpha)
@@ -388,23 +391,22 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         t_next = t + span
         try:
             # the grid equation, the stencil and the projection's remap
-            x_to, u_to = ((moved, evolved) if projecting
-                          else (x_spare, u_spare))
             if grid_equation is None:
                 x_next, xdot = xl, None
             else:
-                x_next, xdot = grid_equation(xl, ul, dt, x_to)
-            u_next = invariant_step(xl, ul, xdot, dt, rows, u_to)
+                x_next, xdot = grid_equation(xl, ul, dt, x_spare)
             if projecting:
-                x_next, u_next = project(xl, ul, dt, x_next, u_next,
-                                         config.interp_kind, remap_rows,
-                                         x_spare, u_spare)
-            require_finite(u_next.nodes)
-            # the lattice at rest keeps its layer and its diffusion weight
+                invariant_step(xl, ul, xdot, dt, rows, evolved)
+                x_next = project(xl, ul, dt, x_next, evolved,
+                                 config.interp_kind, remap_rows)
+            else:
+                invariant_step(xl, ul, xdot, dt, rows, ul)
+            require_finite(ul.nodes)
             if x_next is not xl:
                 xl, x_spare = x_next, xl
+            if grid_equation is not None:
+                # the mesh moved: its diffusion weight, formed here alone
                 diffusion_weight(xl, rows)
-            ul, u_spare = u_next, ul
             is_last = t_next >= t_end
             if is_last or (snapshot_every > 0
                            and (step + 1) % snapshot_every == 0):

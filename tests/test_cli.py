@@ -119,6 +119,28 @@ def test_abbreviated_flag_wins_over_config_file(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 8 * 16
 
 
+def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("\n# a comment\n   \nscheme = lagrangian  \n"
+                   "\t# indented\nn = 16\n\n")
+    by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(by_file)]) == 0
+    assert main(["run", "--scheme", "lagrangian", "--n", "16",
+                 "--out", str(by_flags)]) == 0
+    assert by_file.read_bytes() == by_flags.read_bytes()
+    assert "scheme=lagrangian N=16" in capsys.readouterr().out
+
+
+def test_config_line_without_an_equals_sign_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scheme = lagrangian\nn 16\n")
+    out = tmp_path / "t.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error kind=ValueError step=- message=\"bad config line: 'n 16'\"\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["interp = cubic", "n = 1.5",
                                   "dt_factor = fast", "dt-facotr = 1.5"])
 def test_config_file_rejects_bad_values(tmp_path, capsys, line):

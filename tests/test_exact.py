@@ -119,6 +119,13 @@ def test_constructor_rejects_growing_tail():
                       quad_points=256)
 
 
+@pytest.mark.parametrize("a0", [0.0, -1.0])
+def test_constructor_rejects_a_leading_coefficient_not_positive(a0):
+    with pytest.raises(ValueError, match="^a_0 must be positive$") as refused:
+        FourierCoeffs(nu=0.1, a=np.array([a0, 0.1]), quad_points=256)
+    assert refused.type is ValueError
+
+
 def test_negative_time_rejected(coeffs_nu01):
     with pytest.raises(ValueError):
         evaluate(coeffs_nu01, -0.1, 1.0)

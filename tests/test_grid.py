@@ -134,6 +134,20 @@ def test_equal_infinite_nodes_are_a_crossing_without_a_warning(x, interval):
             GridSlice(t=0.0, x=x)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GridSlice(t=0.0, x=np.zeros((2, 4))),
+     r"expected a 1-D array, got shape \(2, 4\)"),
+    (lambda: GridSlice(t=np.inf, x=np.arange(4.0)), "non-finite layer time"),
+    (lambda: GridSlice(t=np.nan, x=np.arange(4.0)), "non-finite layer time"),
+    (lambda: DiscreteField(grid=uniform_slice(4), u=np.zeros(5)),
+     "u has 5 values for 4 nodes"),
+])
+def test_a_container_names_what_it_refuses(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as refused:
+        make()
+    assert refused.type is ValueError
+
+
 def test_container_errors_are_typed_value_errors():
     grid = uniform_slice(8)
     with pytest.raises(NonFiniteSolutionError):

@@ -236,6 +236,14 @@ def test_spacing_csv_schema(tmp_path):
     assert len(lines) == 17
 
 
+def test_an_error_report_refuses_a_negative_linf():
+    with pytest.raises(ValueError,
+                       match="^linf_error must be nonnegative$") as refused:
+        harness.ErrorReport(SchemeKind.CLASSICAL_FTCS, 4, TAU / 4, -1e-3,
+                            0.0)
+    assert refused.type is ValueError
+
+
 def test_linf_error_rejects_an_error_that_is_not_finite(coeffs_nu01):
     # finite values whose squared deviation overflows: the rms is inf
     huge = Trajectory(

@@ -314,6 +314,16 @@ def test_a_bad_domain_length_is_refused_by_name(kind, length):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_a_length_that_swamps_the_gaps_is_refused_by_name(kind):
+    # beside the seam, x_3 - L and x_0 + L round to -L and L
+    with pytest.raises(ValueError, match=r"^domain_length=1e\+150 swamps "
+                                         r"the node gaps: ") as refused:
+        interpolate([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], [0.5],
+                    kind, domain_length=1e150)
+    assert refused.type is ValueError
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("length", [4.0, 1e6, 1e15])
 def test_a_long_domain_gives_finite_values(kind, length):
     with warnings.catch_warnings():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from invariant_burgers import (
     DEFAULT_DT_FACTORS, DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
     NodeCrossingError, NonFiniteSolutionError, SchemeConfig, SchemeKind, TAU,
-    apply_field, mean_spacing, run, uniform_slice,
+    Trajectory, apply_field, mean_spacing, run, uniform_slice,
 )
 
 from invariant_burgers.grid import Layer, advance_lagrangian
@@ -58,14 +58,14 @@ def moving_step(fld, grid_next, dt, nu):
 def projection_step(fld, dt, nu, interp_kind):
     """The projection's step as ``run`` composes it: the Lagrangian grid
     equation, the stencil onto the moved layer with xdot = u, and the
-    remap."""
+    remap back into the step-start layers."""
     n, length = fld.grid.n, fld.grid.domain_length
     start, ul = layer(fld.grid), Layer.of_values(fld.u)
     moved = advance_lagrangian(start, ul, dt, Layer(n, length))
     evolved = invariant_step(start, ul, ul, dt, stencil_rows(start, nu),
                              Layer(n))
-    xl, ul = project(start, ul, dt, moved, evolved, interp_kind,
-                     QuadraticRows(n, n), Layer(n, length), Layer(n))
+    xl = project(start, ul, dt, moved, evolved, interp_kind,
+                 QuadraticRows(n, n))
     return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xl.nodes),
                          u=ul.nodes)
 
@@ -167,6 +167,39 @@ def test_a_stationary_step_equals_a_step_onto_a_copied_layer(n, seed, dt,
     for xdot in ((x - x.copy()) / dt, 0.0):
         formed = invariant_step(xl, ul, xdot, dt, rows, Layer(n))
         assert skipped.g.tobytes() == formed.g.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 200), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(1e-5, 1e-2), nu=st.floats(1e-3, 1.0),
+       velocity=st.sampled_from(["none", "values", "row"]))
+def test_a_step_in_place_equals_a_step_into_a_spare_layer(n, seed, dt, nu,
+                                                          velocity):
+    # every term is formed in the stencil rows before the one write into
+    # out, so run steps its solution layer in place; the values, ghost
+    # slots included, must not differ from a step into a spare layer
+    rng = np.random.default_rng(seed)
+    x, u = random_smooth_field(rng, n)
+    xl = Layer.of_positions(x, TAU)
+    rows = stencil_rows(xl, nu)
+    rows.xdot[...] = rng.normal(size=n)
+    spare_from, ul = Layer.of_values(u), Layer.of_values(u)
+    xdot = {"none": None, "values": spare_from, "row": rows.xdot}[velocity]
+    spare = invariant_step(xl, spare_from, xdot, dt, rows, Layer(n))
+    xdot = ul if velocity == "values" else xdot
+    assert invariant_step(xl, ul, xdot, dt, rows, ul) is ul
+    assert ul.g.tobytes() == spare.g.tobytes()
+
+
+@pytest.mark.parametrize("times", [(0.0,), (0.0, 0.0), (0.5, 0.25)])
+def test_a_trajectory_refuses_times_that_do_not_increase(times):
+    snapshots = tuple(DiscreteField(grid=uniform_slice(4, t=t),
+                                    u=np.zeros(4)) for t in times)
+    with pytest.raises(ValueError, match="^snapshot times must be strictly "
+                                         "increasing$") as refused:
+        Trajectory(snapshots=snapshots,
+                   config=SchemeConfig(scheme_kind=SchemeKind.LAGRANGIAN))
+    assert refused.type is ValueError
 
 
 # ---------------------------------------------------------------------------

@@ -127,13 +127,49 @@ def test_each_step_ghosts_and_checks_each_new_layer_once(config, per_step):
         assert extra["layers"] == 0
 
 
+def layers_of_run(config):
+    """The layers ``run`` allocates itself: those whose first caller
+    outside ``Layer`` (whose constructors allocate for their caller) is
+    ``run``, not the containers, the set-up or the spline."""
+    count = 0
+    init = Layer.__init__
+    constructors = {Layer.of_positions.__code__, Layer.of_values.__code__}
+
+    def counted(self, *args, **kwargs):
+        nonlocal count
+        frame = sys._getframe(1)
+        while frame.f_code in constructors:
+            frame = frame.f_back
+        count += (frame.f_code.co_name == "run"
+                  and frame.f_globals["__name__"] == schemes.__name__)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Layer, "__init__", counted)
+        ib.run(config, np.sin)
+    return count
+
+
+@pytest.mark.parametrize("config", [config for config, _ in PER_STEP])
+def test_a_run_allocates_three_layers_and_the_projection_four(config):
+    # the mesh, the solution, which the stencil steps in place, and the
+    # grid equation's spare position layer; the projection's evolved values
+    # are the fourth. The count does not grow with the steps
+    fields = {**config, "n_points": 32}
+    dt0 = SchemeConfig(**fields).dt_factor * (TAU / 32) ** 2
+    projecting = config["scheme_kind"] is SchemeKind.EVOLUTION_PROJECTION
+    for steps in (1, 7):
+        run_config = SchemeConfig(**fields, t_final=(steps - 0.5) * dt0)
+        assert layers_of_run(run_config) == 3 + projecting
+
+
 # the step functions run() calls, each with the names of its arguments that
 # are position layers; its other layer arguments hold values
 STEP_FUNCTIONS = [
     (grid.advance_lagrangian, {"xl", "out"}),
     (grid.advance_equidistributed, {"xl", "out"}),
     (schemes.invariant_step, {"xl"}),
-    (schemes.project, {"xl", "moved", "targets"}),
+    (schemes.project, {"xl", "moved"}),
 ]
 
 

@@ -10,7 +10,8 @@ from invariant_burgers import (
     Stencil, StencilParams, TAU, apply_field, apply_point, invariance_defect,
     max_defect, relation_defect,
     sample_stencil, satisfy_constant, satisfy_ftcs, satisfy_scheme,
-    satisfy_stationary, stencil_scale, transform_stencil, uniform_slice,
+    satisfy_stationary, stencil_scale, transform_monitor, transform_stencil,
+    uniform_slice,
 )
 
 from invariant_burgers.grid import Layer, monitor
@@ -35,6 +36,23 @@ def sin_field(n=32, t=0.0):
 def test_zero_parameter_is_identity(gen):
     p = (0.3, 1.7, -0.4)
     assert apply_point(GroupElement(gen, 0.0), *p) == p
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+def test_a_group_element_refuses_a_parameter_not_finite(gen, eps):
+    with pytest.raises(ValueError,
+                       match="^epsilon must be finite$") as refused:
+        GroupElement(gen, eps)
+    assert refused.type is ValueError
+
+
+@pytest.mark.parametrize("gen", [Generator.TIME_TRANSLATION,
+                                 Generator.SPACE_TRANSLATION,
+                                 Generator.GALILEAN_BOOST])
+def test_translations_and_boosts_keep_the_monitor_weight(gen):
+    # the centred slope is unchanged by translations and boosts
+    assert transform_monitor(GroupElement(gen, 0.7), 0.3) == 0.3
 
 
 def test_scaling_by_log_two():
