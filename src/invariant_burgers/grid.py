@@ -257,20 +257,12 @@ def monitor(xl: Layer, ul: Layer, alpha: float, out: Layer) -> Layer:
 def advance_equidistributed(xl: Layer, ul: Layer, alpha: float, dt: float,
                             out: Layer) -> Layer:
     """Place the next grid layer, in ``out``, by equidistributing the
-    monitor.
-
-    The new positions satisfy
-    (rho_{i+1}+rho_i)(x_{i+1}-x_i) = (rho_i+rho_{i-1})(x_i-x_{i-1})
-    cyclically, with the monitor lagged on the current layer. The singular
-    cyclic system is closed by moving node 0 Lagrangianly
-    (x_0 += dt*u_0), which keeps the grid equation equivariant under
-    boosts; a fixed anchor would not be. The monitor is written into
-    ``out`` as a value layer first, and the positions then replace it.
-    """
+    monitor of the current layer (``_equidistribute``) with node 0 moved
+    Lagrangianly, x_0 += dt*u_0. That anchor keeps the grid equation
+    equivariant under boosts; a fixed anchor would not be."""
     # in scalar arithmetic: a 0-d dt would send the product through a ufunc
     anchor = xl.nodes[0] + float(dt) * ul.nodes[0]
-    _solve_equidistribution(monitor(xl, ul, alpha, out), anchor, out.nodes)
-    return out.place()
+    return _equidistribute(xl, ul, alpha, anchor, out)
 
 
 # largest node displacement between rounds, relative to L, at which the
@@ -286,55 +278,60 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
     Starting an adaptive run from a uniform mesh would shove the nodes to
     their equidistributed positions within the first step, injecting a
     remap error that does not vanish with resolution. Iterating
-    mesh -> resample ``initial`` -> mesh before stepping removes it. Node 0
-    stays at its current position (no time has elapsed, so the Lagrangian
-    anchor degenerates to a fixed one).
+    mesh -> resample ``initial`` -> mesh before stepping removes it. Each
+    round is the step's solve (``_equidistribute``) at the anchor x_0 (no
+    time has elapsed, so the Lagrangian anchor degenerates to a fixed one),
+    from one position layer into the other, which then swap.
     """
-    x, length = grid.x, grid.domain_length
-    tol = _SETTLE_RTOL * length
-    # the monitor's layer carries the period that the mesh solve reads
-    xl, ul, rho = Layer(grid.n, length), Layer(grid.n), Layer(grid.n, length)
+    length, tol = grid.domain_length, _SETTLE_RTOL * grid.domain_length
+    xl, out = Layer.of_positions(grid.x, length), Layer(grid.n, length)
+    ul, anchor = Layer(grid.n), grid.x[0]
     for _ in range(_MAX_ROUNDS):
-        ul.nodes[...] = require_finite(_as_float_array(initial(x)))
-        xl.nodes[...] = x
-        x_new = _solve_equidistribution(
-            monitor(xl.place(), ul.fill(), alpha, rho), x[0],
-            np.empty(grid.n))
-        change = float(np.max(np.abs(x_new - x)))
-        x = x_new
+        ul.nodes[...] = require_finite(
+            _as_float_array(initial(xl.nodes.copy())))
+        _equidistribute(xl, ul.fill(), alpha, anchor, out)
+        # the last read of the old positions: the next round writes there
+        moved = np.subtract(out.nodes, xl.nodes, xl.nodes)
+        change = float(np.max(np.abs(moved, moved)))
+        xl, out = out, xl
         if change <= tol:
             break
     else:
         raise NoConvergenceError(
             f"initial equidistribution did not settle in {_MAX_ROUNDS} rounds")
-    return replace(grid, x=x)
+    return replace(grid, x=xl.nodes.copy())
 
 
-def _solve_equidistribution(rho: Layer, anchor: float, x: np.ndarray
-                            ) -> np.ndarray:
-    """Exact solution of the anchored cyclic equidistribution system.
+def _equidistribute(xl: Layer, ul: Layer, alpha: float, anchor: float,
+                    out: Layer) -> Layer:
+    """Place in ``out`` the exact solution of the cyclic equidistribution
+    system of the monitor of (``xl``, ``ul``), anchored at x_0 =
+    ``anchor``.
 
-    Each relation equates the flux (rho_i + rho_{i+1}) * gap_i of two
-    adjacent cells, so every gap carries one flux C, and the N gaps summing
-    to L fix C = L / sum_i 1/(rho_i + rho_{i+1}). The positions are the
-    partial sums of 1/(rho_i + rho_{i+1}) scaled by L over their own last
-    sum, so the closing gap does not absorb the rounding of N - 1 additions.
-    The monitor is read from the filled value layer ``rho``, each node's
-    east neighbour from its ``east`` view, and L from its period, that of
-    the positions the solve places. The reciprocal sums and their partial
-    sums go to the node and row wide gaps of ``rho``, unused until
-    positions are placed there. The positions are written into ``x``,
-    which is returned; ``x`` may be the nodes of ``rho``, which are read
-    first. A sum not in (0, inf) raises ``NonFiniteSolutionError``.
+    The new positions satisfy
+    (rho_{i+1}+rho_i)(x_{i+1}-x_i) = (rho_i+rho_{i-1})(x_i-x_{i-1})
+    cyclically, with the monitor lagged on the given layer, and the anchor
+    closes the singular system. Each relation equates the flux
+    (rho_i + rho_{i+1}) * gap_i of two adjacent cells, so every gap
+    carries one flux C, and the N gaps summing to L fix
+    C = L / sum_i 1/(rho_i + rho_{i+1}). The positions are the partial
+    sums of 1/(rho_i + rho_{i+1}) scaled by L over their own last sum, so
+    the closing gap does not absorb the rounding of N - 1 additions.
+
+    The monitor is written into ``out`` as a value layer first, and the
+    reciprocal sums and their partial sums into its node and row wide gaps;
+    the positions then replace the monitor and are placed over the layer's
+    period L. A sum not in (0, inf) raises ``NonFiniteSolutionError``.
     """
+    monitor(xl, ul, alpha, out)
     # the ufunc's own accumulation, without the dispatch of np.cumsum
-    inverse, c = rho._node_gaps, rho.row_wide
-    np.divide(_ONE, np.add(rho.nodes, rho.east, inverse), inverse)
+    inverse, c = out._node_gaps, out.row_wide
+    np.divide(_ONE, np.add(out.nodes, out.east, inverse), inverse)
     np.add.accumulate(inverse, out=c)
     if not 0.0 < c[-1] < np.inf:
         raise NonFiniteSolutionError(
             f"equidistribution monitor is not finite: its sum is {c[-1]!r}")
-    x[0], rest = anchor, x[1:]
-    np.multiply(c[:-1], np.array(rho.period / c[-1]), rest)
+    out.nodes[0], rest = anchor, out.nodes[1:]
+    np.multiply(c[:-1], np.array(out.period / c[-1]), rest)
     np.add(np.array(anchor), rest, rest)
-    return x
+    return out.place()

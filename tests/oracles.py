@@ -34,6 +34,43 @@ def dense_equidistribution_solve(rho, anchor, length):
     return np.linalg.solve(A, b)
 
 
+def equidistribute_initial_rounds(initial, grid, alpha, settle_rtol,
+                                  max_rounds):
+    """The initial equidistribution as its own loop: each round resamples
+    ``initial``, writes the monitor into a third layer, takes the
+    reciprocal sums and their partial sums, and writes the positions
+    anchored at x_0 into a fresh array, until no node moves by more than
+    ``settle_rtol`` * L. The slice at the settled positions, or the error
+    of the first check that fails."""
+    from dataclasses import replace
+
+    from invariant_burgers.errors import (NoConvergenceError,
+                                          NonFiniteSolutionError)
+    from invariant_burgers.grid import Layer, monitor, require_finite
+
+    x, length = grid.x, grid.domain_length
+    n = len(x)
+    xl, ul, rho = Layer(n, length), Layer(n), Layer(n, length)
+    for _ in range(max_rounds):
+        ul.nodes[...] = require_finite(np.asarray(initial(x), dtype=float))
+        xl.nodes[...] = x
+        r = monitor(xl.place(), ul.fill(), alpha, rho).nodes
+        sums = np.cumsum(1.0 / (r + np.roll(r, -1)))
+        if not 0.0 < sums[-1] < np.inf:
+            raise NonFiniteSolutionError(
+                f"equidistribution monitor is not finite: its sum is "
+                f"{sums[-1]!r}")
+        x_new = np.empty(n)
+        x_new[0] = x[0]
+        x_new[1:] = x[0] + sums[:-1] * (length / sums[-1])
+        change = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if change <= settle_rtol * length:
+            return replace(grid, x=x)
+    raise NoConvergenceError(
+        f"initial equidistribution did not settle in {max_rounds} rounds")
+
+
 def ftcs_update_loop(u, dt, nu, h):
     """Scalar-loop evaluation of the fixed-grid update formula."""
     n = len(u)
@@ -172,6 +209,31 @@ def coefficients_all_rows(nu):
                        f"points")
 
 
+def burgers_bessel_mp(nu, t, x, digits=40, modes=60):
+    """The sine-data solution u(t, x) in mpmath at ``digits`` digits, from
+    the Bessel generating function of its Cole-Hopf potential:
+    phi = I_0(z) + 2 sum_j I_j(z) exp(-nu t j^2) cos(j x), z = 1/(2 nu),
+    with u = -2 nu phi_x / phi and the sum cut after ``modes`` terms.
+    ``nu``, ``t`` and each x enter as their exact doubles; the values are
+    returned rounded to doubles."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        nu, t = mpmath.mpf(float(nu)), mpmath.mpf(float(t))
+        z = 1 / (2 * nu)
+        terms = [mpmath.besseli(j, z) * mpmath.exp(-nu * t * j * j)
+                 for j in range(modes + 1)]
+        out = []
+        for xi in np.atleast_1d(x):
+            xi = mpmath.mpf(float(xi))
+            phi = terms[0] + 2 * mpmath.fsum(
+                terms[j] * mpmath.cos(j * xi) for j in range(1, modes + 1))
+            phi_x = -2 * mpmath.fsum(
+                j * terms[j] * mpmath.sin(j * xi) for j in range(1, modes + 1))
+            out.append(float(-2 * nu * phi_x / phi))
+    return np.array(out)
+
+
 def periodic_spline_scipy(x, u, length, queries):
     """Periodic cubic spline through scipy, for cross-checking ours."""
     from scipy.interpolate import CubicSpline
@@ -241,16 +303,27 @@ def quadratic_by_search(x, u, length, queries):
         s.take(b) + (q - xg[1:].take(b)) * c.take(b))
 
 
+def random_smooth_profile(rng, n_modes=3, amplitude=1.0):
+    """A low-mode random periodic profile, as a function of the positions:
+    the sum over k of amplitude * (a_k sin kx + b_k cos kx) / k with
+    standard normal a_k, b_k, drawn in that order."""
+    modes = [(rng.normal(), rng.normal()) for _ in range(n_modes)]
+
+    def profile(x):
+        u = np.zeros(len(x))
+        for k, (a, b) in enumerate(modes, 1):
+            u += amplitude * (a * np.sin(k * x) + b * np.cos(k * x)) / k
+        return u
+
+    return profile
+
+
 def random_smooth_field(rng, n, n_modes=3, amplitude=1.0):
     """Strictly ordered periodic grid plus a low-mode random profile."""
     gaps = rng.uniform(0.4, 1.6, n)
     gaps *= TAU / gaps.sum()
     x = rng.uniform(0.0, TAU) + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-    u = np.zeros(n)
-    for k in range(1, n_modes + 1):
-        u += amplitude * (rng.normal() * np.sin(k * x)
-                          + rng.normal() * np.cos(k * x)) / k
-    return x, u
+    return x, random_smooth_profile(rng, n_modes, amplitude)(x)
 
 
 def dense_spline_matrix(x, length):

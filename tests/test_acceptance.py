@@ -329,3 +329,57 @@ def test_criterion_10_bulk_velocity(coeffs_nu01):
               + f"; ftcs at c=1 matches its c=0 error from N={n}"
               + f"; {elapsed:.2f}s")
     assert _verdict("10 (bulk velocity)", ok, detail), detail
+
+
+EQUAL_ACCURACY_TARGET = 2.6e-3
+
+
+def test_criterion_11_equal_accuracy(coeffs_nu01):
+    # the paper's comparison priced: at each bulk velocity c, the smallest
+    # N (from 32, in steps of 8) at which each scheme's error reaches one
+    # target, with its steps and node-steps. The target sits clear of every
+    # scheme's error at its N and at N - 8, so no roundoff tie decides an N
+    start = time.perf_counter()
+    cs = (0.0, 1.0, 2.0, 4.0)
+    kinds = (SchemeKind.CLASSICAL_FTCS, SchemeKind.LAGRANGIAN,
+             SchemeKind.EULERIAN_ADAPTIVE, SchemeKind.CONSTANT_FRAME,
+             SchemeKind.EVOLUTION_PROJECTION)
+
+    def error(kind, n, c):
+        config = SchemeConfig(scheme_kind=kind, n_points=n, frame_velocity=c)
+        return linf_error(run(config, np.sin), coeffs_nu01).linf_error
+
+    found, closest, reached = {}, math.inf, True
+    for kind in kinds:
+        for c in cs:
+            n, prev = 32, None
+            while ((err := error(kind, n, c)) > EQUAL_ACCURACY_TARGET
+                   and n < 512):
+                n, prev = n + 8, err
+            reached &= err <= EQUAL_ACCURACY_TARGET
+            config = SchemeConfig(scheme_kind=kind, n_points=n,
+                                  frame_velocity=c)
+            steps = len(run(config, np.sin, snapshot_every=1).snapshots) - 1
+            found[kind, c] = n, steps
+            for e in (err, prev):
+                if e is not None:
+                    closest = min(closest,
+                                  abs(e / EQUAL_ACCURACY_TARGET - 1.0))
+    elapsed = time.perf_counter() - start
+
+    equal = all(found[kind, c] == found[kind, 0.0]
+                for kind in kinds[1:] for c in cs)
+    ftcs_n = [found[SchemeKind.CLASSICAL_FTCS, c][0] for c in cs]
+    growing = all(a < b for a, b in zip(ftcs_n, ftcs_n[1:]))
+    for kind in kinds:
+        print(f"  {kind.value}: " + ", ".join(
+            f"c={c:g} N={n} steps={s} node-steps={n * s}"
+            for c in cs for n, s in [found[kind, c]]))
+    n_f, s_f = found[SchemeKind.CLASSICAL_FTCS, 4.0]
+    n_k, s_k = found[SchemeKind.CONSTANT_FRAME, 4.0]
+    ok = reached and equal and growing and closest > 1e-6
+    detail = (f"ftcs N={ftcs_n}; at c=4 ftcs takes {s_f / s_k:.0f}x "
+              f"constant-frame's steps and {n_f * s_f / (n_k * s_k):.0f}x "
+              f"its node-steps; closest to the target {closest:.1e} "
+              f"relative; {elapsed:.2f}s")
+    assert _verdict("11 (equal accuracy)", ok, detail), detail

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from invariant_burgers import (FourierCoeffs, NoDecayError,
                                NonFiniteSolutionError, SimulationError, TAU,
-                               coefficients, evaluate)
+                               coefficients, evaluate, uniform_slice)
 
-from oracles import (coefficients_all_rows, leading_coefficient_quadrature,
-                     trapezoid_coefficient)
+from oracles import (burgers_bessel_mp, coefficients_all_rows,
+                     leading_coefficient_quadrature, trapezoid_coefficient)
 
 
 def test_leading_coefficient_matches_adaptive_quadrature(coeffs_nu01):
@@ -34,9 +34,10 @@ def outcome(table, nu):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(math.log(1e-4), math.log(50.0)))
 def test_coefficients_match_the_table_of_all_modes(log_nu):
-    # the table forms its modes only where the doubling can stop, in
-    # blocks up to the cut; each is the trapezoid mean over its own row,
-    # so it gives the bits, the size and the error of the whole table
+    # the table forms its modes only where the doubling can stop, one
+    # trapezoid row per mode, in order up to the first below the bound;
+    # each is the mean over its own row, so it gives the bits, the size
+    # and the error of the whole table
     nu = math.exp(log_nu)
     assert outcome(coefficients, nu) == outcome(coefficients_all_rows, nu)
 
@@ -59,6 +60,21 @@ def test_zeros_at_origin_and_pi(coeffs_nu01):
     for t in (0.0, 0.1, 0.5, 2.0):
         assert abs(evaluate(coeffs_nu01, t, 0.0)) <= 1e-13
         assert abs(evaluate(coeffs_nu01, t, np.pi)) <= 1e-13
+
+
+def test_reference_matches_the_bessel_series_in_mpmath(coeffs_nu01):
+    # an independent form of the same solution: the Bessel generating
+    # function of the potential, summed at 40 digits. At nu = 0.05 the
+    # series cancels near the front (ROADMAP item 3), so that viscosity is
+    # printed, not gated
+    x = uniform_slice(64).x
+    for nu, coeffs in ((0.1, coeffs_nu01), (0.05, coefficients(0.05))):
+        errs = [float(np.max(np.abs(evaluate(coeffs, t, x)
+                                    - burgers_bessel_mp(nu, t, x))))
+                for t in (0.0, 0.25, 0.5)]
+        print(f"nu={nu}: " + ", ".join(f"{e:.1e}" for e in errs))
+        if nu == 0.1:
+            assert max(errs) <= 1e-10, errs
 
 
 def test_initial_condition_consistency(coeffs_nu01):

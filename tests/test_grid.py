@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (
@@ -12,14 +12,16 @@ from invariant_burgers import (
     NodeCrossingError, NonFiniteSolutionError, TAU, apply_field,
     equidistribute_initial, mean_spacing, transform_monitor, uniform_slice,
 )
-from invariant_burgers.grid import (Layer, advance_equidistributed,
+from invariant_burgers.grid import (_MAX_ROUNDS, _SETTLE_RTOL, Layer,
+                                    _equidistribute, advance_equidistributed,
                                     advance_lagrangian, monitor,
                                     require_finite)
 from invariant_burgers.interpolate import InterpKind, interpolate
 
-from oracles import (dense_equidistribution_solve, equidistribution_residual,
+from oracles import (dense_equidistribution_solve,
+                     equidistribute_initial_rounds, equidistribution_residual,
                      ghosted_by_concatenation, monitor_loop, order_verdict,
-                     random_smooth_field)
+                     random_smooth_field, random_smooth_profile)
 
 
 def sin_field(n=64, amplitude=1.0):
@@ -467,6 +469,57 @@ def test_equidistribute_initial_concentrates_where_slope_is_steep():
     assert gaps.min() < gaps.mean() < gaps.max()
     assert min(out.wrapped_x()[np.argmin(gaps)] % math.pi,
                math.pi - out.wrapped_x()[np.argmin(gaps)] % math.pi) < 0.5
+
+
+@st.composite
+def initial_cases(draw):
+    """Low-mode initial data on a uniform slice of 4 to 128 nodes at a
+    random start, with a monitor weight of 0 or log-uniform in
+    [1e-3, 1e3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(4, 128))
+    start = draw(st.floats(-10.0, 10.0))
+    alpha = draw(st.just(0.0) | st.floats(math.log(1e-3), math.log(1e3))
+                 .map(math.exp))
+    return random_smooth_profile(rng), uniform_slice(n, 0.0, start), alpha
+
+
+def initial_outcome(equidistribute, *args):
+    """The positions ``equidistribute(*args)`` settles at, or the type and
+    message of what it raises."""
+    try:
+        return equidistribute(*args).x.tobytes()
+    except (NoConvergenceError, NodeCrossingError,
+            NonFiniteSolutionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(initial_cases())
+def test_equidistribute_initial_matches_its_own_loop(case):
+    # each round is the step's solve at the anchor x_0, placed in one of two
+    # swapping layers: the bits of the loop that solves into fresh arrays
+    initial, grid, alpha = case
+    assert (initial_outcome(equidistribute_initial, initial, grid, alpha)
+            == initial_outcome(equidistribute_initial_rounds, initial, grid,
+                               alpha, _SETTLE_RTOL, _MAX_ROUNDS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(initial_cases())
+def test_equidistribute_initial_settles_at_a_fixed_point(case):
+    # one more solve from the settled mesh, at the anchor x_0 of the slice
+    # it started from, moves no node by more than the settling tolerance.
+    # A steep monitor on a coarse mesh can keep the rounds from settling
+    # at all; such a draw has no mesh to check
+    initial, grid, alpha = case
+    try:
+        out = equidistribute_initial(initial, grid, alpha)
+    except NoConvergenceError:
+        reject()
+    again = _equidistribute(layer(out), values(initial(out.x)), alpha,
+                            grid.x[0], Layer(grid.n, TAU))
+    assert np.max(np.abs(nodes(again) - out.x)) <= _SETTLE_RTOL * TAU
 
 
 # ---------------------------------------------------------------------------
