@@ -18,7 +18,6 @@ from .errors import NoDecayError, NonFiniteSolutionError
 TAU = 2.0 * np.pi
 
 _M_START = 256
-_M_CAP = 2 ** 20
 # the series tail bound at t = 0, relative to a_0, below which it is cut,
 # and the highest mode it may keep
 _TOL = 1e-12
@@ -54,50 +53,48 @@ def coefficients(nu: float) -> FourierCoeffs:
 
     The truncation index J is the smallest j with |a_j| * j < _TOL * a_0,
     the tail bound at t = 0; the damping exp(-nu t j^2) only shrinks it
-    for t > 0, so one table serves every t >= 0. The number of quadrature
-    points doubles until a_0 is stable to _TOL relative and the retained
-    modes are safely below the aliasing range; once they reach the cap
-    with none below the bound, ``NoDecayError`` is raised before a_0 settles.
-    So the modes are formed only where the doubling can stop, one
-    trapezoid row each, in order up to the first below the bound.
+    for t > 0, so one table serves every t >= 0. The m quadrature points
+    double until a_0 is stable to _TOL relative and the retained modes,
+    at most m / 4, are safely below the aliasing range. At m = 1024 the
+    modes reach the cap and the doubling stops: the m-point a_0 is off by
+    a_m + a_2m + ..., far below any mode up to the cap that is below the
+    bound, so the table ends at the first such mode, or ``NoDecayError``
+    is raised. So the modes are formed only where the doubling can stop,
+    one trapezoid row each, in order up to the first below the bound.
     """
     if not 0.0 < nu < np.inf:
         raise ValueError(f"nu must be positive and finite, got {nu!r}")
     m = _M_START
     a0_prev = None
-    while m <= _M_CAP:
+    while True:
         x = np.arange(m) * (TAU / m)
         f = np.exp(-(1.0 - np.cos(x)) / (2.0 * nu))
         a0 = float(f.mean())
         j_hi = min(_J_CAP, m // 4)
         a0_stable = a0_prev is not None and abs(a0 - a0_prev) <= _TOL * a0
-        if a0_stable or j_hi >= _J_CAP:
+        if a0_stable or j_hi == _J_CAP:
             a = [a0]
             for j in range(1, j_hi + 1):
                 a.append(2.0 * (f * np.cos(j * x)).mean())
                 if abs(a[-1]) * j < _TOL * a0:
-                    if a0_stable:
-                        return FourierCoeffs(nu=nu, a=np.array(a),
-                                             quad_points=m)
-                    break
-            else:
-                if j_hi >= _J_CAP:
-                    raise NoDecayError(
-                        f"coefficients did not decay below tol={_TOL:g} "
-                        f"within j <= {_J_CAP} (nu={nu:g})")
+                    return FourierCoeffs(nu=nu, a=np.array(a), quad_points=m)
+            if j_hi == _J_CAP:
+                raise NoDecayError(
+                    f"coefficients did not decay below tol={_TOL:g} "
+                    f"within j <= {_J_CAP} (nu={nu:g})")
         a0_prev = a0
         m *= 2
-    raise NoDecayError(f"quadrature did not converge within {_M_CAP} points")
 
 
 def evaluate(coeffs: FourierCoeffs, t: float, x) -> np.ndarray:
     """Reference solution at time t and position(s) x.
 
-    The denominator is the smoothed potential, strictly positive; queries
-    are reduced into the fundamental period first so the series arguments
-    stay small; a non-finite one is refused (``ValueError``). At small nu
-    the cosine sums cancel, and where that leaves a value that is not
-    finite ``NonFiniteSolutionError`` is raised.
+    The result has the shape of x. The denominator, the smoothed
+    potential, is strictly positive in exact arithmetic only: at small nu
+    its float cosine sum cancels. Queries are reduced into the fundamental
+    period first so the series arguments stay small; a non-finite one is
+    refused (``ValueError``). Where the cancellation leaves a value that
+    is not finite ``NonFiniteSolutionError`` is raised.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t!r}")
@@ -123,4 +120,4 @@ def evaluate(coeffs: FourierCoeffs, t: float, x) -> np.ndarray:
         raise NonFiniteSolutionError(
             f"reference solution is not finite at t={float(t)!r} "
             f"(nu={coeffs.nu!r}): the cosine series cancels")
-    return float(out[0]) if scalar else out
+    return float(out[0]) if scalar else out.reshape(x.shape)

@@ -164,12 +164,24 @@ def test_no_decay_error_for_impossible_tolerance():
 
 @pytest.mark.parametrize("nu", [1e-7, 1e-10, 1e-20, 1e-300])
 def test_a_tiny_viscosity_is_refused_at_the_mode_cap(nu):
-    # the potential is too narrow for any quadrature up to the point cap to
-    # settle a_0, and its modes do not decay within the mode cap either:
-    # the refusal names the mode cap without first doubling the quadrature
-    # to the point cap
+    # the potential is too narrow for the quadrature to settle a_0, and its
+    # modes do not decay within the mode cap either: the refusal names the
+    # mode cap at the quadrature size where the modes first reach it
     with pytest.raises(NoDecayError, match=r"within j <= 200"):
         coefficients(nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(math.log(1e-300), math.log(1e8)))
+def test_the_table_ends_where_its_modes_reach_the_cap(log_nu):
+    # m / 4 modes first reach the cap of 200 at m = 1024, where the table
+    # returns or is refused; it is never formed on more points
+    try:
+        coeffs = coefficients(math.exp(log_nu))
+    except NoDecayError as exc:
+        assert re.search(r"within j <= 200", str(exc))
+    else:
+        assert coeffs.quad_points in (512, 1024)
 
 
 @pytest.mark.parametrize("x, message", [
@@ -193,3 +205,8 @@ def test_scalar_and_array_evaluation(coeffs_nu01):
     array = evaluate(coeffs_nu01, 0.5, np.array([1.0]))
     assert isinstance(scalar, float)
     assert scalar == array[0]
+    # a 2-D x keeps its shape, with the bytes of the flat call
+    x = np.linspace(-4.0, 4.0, 6)
+    shaped = evaluate(coeffs_nu01, 0.5, x.reshape(2, 3))
+    assert shaped.shape == (2, 3)
+    assert shaped.tobytes() == evaluate(coeffs_nu01, 0.5, x).tobytes()

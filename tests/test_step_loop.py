@@ -271,6 +271,24 @@ def test_no_step_function_allocates_a_row():
     assert {name: peak for name, peak in peaks.items() if peak >= 8 * n} == {}
 
 
+@pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
+def test_a_runs_memory_does_not_grow_with_its_step_count(kind):
+    # the layers and rows are allocated before the loop and no step keeps
+    # or allocates a layer, so ten times the steps leave the whole run's
+    # traced peak within one N-row of the shorter run's
+    n = 512
+    peaks = []
+    for t_final in (0.05, 0.5):
+        tracemalloc.start()
+        try:
+            ib.run(SchemeConfig(scheme_kind=kind, n_points=n,
+                                t_final=t_final), np.sin)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 8 * n, peaks
+
+
 @pytest.mark.parametrize("name, value, kind", [
     ("nu", Fraction(1, 10), SchemeKind.LAGRANGIAN),
     ("nu", np.float32(0.1), SchemeKind.CLASSICAL_FTCS),
