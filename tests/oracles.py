@@ -209,14 +209,25 @@ def coefficients_all_rows(nu):
                        f"points")
 
 
-def burgers_bessel_mp(nu, t, x, digits=40, modes=60):
+def burgers_bessel_mp(nu, t, x, digits=None, modes=None):
     """The sine-data solution u(t, x) in mpmath at ``digits`` digits, from
     the Bessel generating function of its Cole-Hopf potential:
     phi = I_0(z) + 2 sum_j I_j(z) exp(-nu t j^2) cos(j x), z = 1/(2 nu),
     with u = -2 nu phi_x / phi and the sum cut after ``modes`` terms.
     ``nu``, ``t`` and each x enter as their exact doubles; the values are
-    returned rounded to doubles."""
+    returned rounded to doubles.
+
+    The defaults scale with 1/nu, since phi at the front is about e^(-1/nu)
+    times its peak: 40 digits beyond the 1/(nu ln 10) that cancel there,
+    and sqrt((2/nu)(2/nu + 40)) + 20 modes, where the last I_j is below
+    e^(-1/nu - 40) I_0 (e^-351 at nu = 0.01). Fixed at 40 digits and 60
+    modes, the value at nu = 0.01 was off by 1.9."""
     import mpmath
+
+    if digits is None:
+        digits = max(40, math.ceil(1 / (nu * math.log(10)) + 40))
+    if modes is None:
+        modes = max(60, math.ceil(math.sqrt((2 / nu) * (2 / nu + 40)) + 20))
 
     with mpmath.workdps(digits):
         nu, t = mpmath.mpf(float(nu)), mpmath.mpf(float(t))

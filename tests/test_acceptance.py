@@ -383,3 +383,45 @@ def test_criterion_11_equal_accuracy(coeffs_nu01):
               f"its node-steps; closest to the target {closest:.1e} "
               f"relative; {elapsed:.2f}s")
     assert _verdict("11 (equal accuracy)", ok, detail), detail
+
+
+def test_criterion_13_unknown_bulk_velocity(coeffs_nu01):
+    # the remedy needs the flow's bulk velocity, the invariant schemes do
+    # not: constant-frame computes in the frame of c = 4 on sin x + 4 + d,
+    # a bulk velocity known only up to d. linf_error boosts its reference
+    # by the config's c, which is not the bulk here, so the reference is
+    # formed at the bulk 4 + d
+    start = time.perf_counter()
+    c, ds = 4.0, (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+
+    def final(kind, frame_velocity, d=0.0):
+        config = SchemeConfig(scheme_kind=kind, frame_velocity=frame_velocity)
+        return run(config, lambda x: np.sin(x) + d).final
+
+    def error(fld, bulk):
+        t = fld.grid.t
+        ref = evaluate(coeffs_nu01, t, fld.grid.x - bulk * t) + bulk
+        return float(np.max(np.abs(fld.u - ref)))
+
+    remedy, ulps = [], []
+    for d in ds:
+        fld = final(SchemeKind.CONSTANT_FRAME, c, d)
+        ftcs = final(SchemeKind.CLASSICAL_FTCS, d)
+        remedy.append(error(fld, c + d))
+        ulps.append(float(np.max(np.abs((fld.u - c) - ftcs.u))
+                          / np.spacing(np.max(np.abs(fld.u)))))
+    worst = {}
+    for kind in (SchemeKind.LAGRANGIAN, SchemeKind.EULERIAN_ADAPTIVE,
+                 SchemeKind.EVOLUTION_PROJECTION):
+        errs = [error(final(kind, c + d), c + d) for d in ds]
+        worst[kind] = max(abs(e / errs[0] - 1.0) for e in errs[1:])
+    elapsed = time.perf_counter() - start
+
+    growing = all(a < b for a, b in zip(remedy, remedy[1:]))
+    ok = max(ulps) <= 4.0 and growing and max(worst.values()) <= BULK_RTOL
+    detail = ("constant-frame at c=4: " + ", ".join(
+                  f"d={d:g} {e:.3e}" for d, e in zip(ds, remedy))
+              + f"; less c, it is ftcs at c=d within {max(ulps):g} ulps; "
+              + ", ".join(f"{k.value}: {w:.1e}" for k, w in worst.items())
+              + f"; {elapsed:.2f}s")
+    assert _verdict("13 (unknown bulk velocity)", ok, detail), detail

@@ -77,6 +77,23 @@ def test_reference_matches_the_bessel_series_in_mpmath(coeffs_nu01):
             assert max(errs) <= 1e-10, errs
 
 
+def test_the_bessel_oracle_holds_at_small_viscosity():
+    # at nu = 0.01 the oracle's defaults scale with 1/nu; at a fixed 40
+    # digits and 60 modes it gave -0.955 at x = 3 pi / 4, where the
+    # solution is about +0.946
+    nu, t = 0.01, 0.5
+    s = np.array([np.pi / 8, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
+    x = np.concatenate([np.pi - s, np.pi + s])
+    u = burgers_bessel_mp(nu, t, x)
+    left, right = u[:len(s)], u[len(s):]
+    assert np.all(left > 0.0) and abs(left[1] - 0.946) < 5e-4, left
+    assert np.max(np.abs(left + right)) <= 1e-12, left + right
+    digits = math.ceil(1 / (nu * math.log(10)) + 40)
+    modes = math.ceil(math.sqrt((2 / nu) * (2 / nu + 40)) + 20)
+    finer = burgers_bessel_mp(nu, t, x, digits=2 * digits, modes=2 * modes)
+    assert np.max(np.abs(u - finer)) <= 1e-15, u - finer
+
+
 def test_initial_condition_consistency(coeffs_nu01):
     x = np.arange(1024) * (TAU / 1024)
     gap = np.max(np.abs(evaluate(coeffs_nu01, 0.0, x) - np.sin(x)))

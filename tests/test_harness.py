@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from invariant_burgers import (
     convergence_study, evaluate, frame_comparison, grid_spacing_profile,
     linf_error, mean_spacing, run, uniform_slice,
 )
-from invariant_burgers import harness
+from invariant_burgers import cli, harness
 from invariant_burgers.harness import (write_convergence_csv,
                                        write_errors_csv, write_exact_csv,
                                        write_frames_csv, write_spacing_csv,
@@ -382,3 +383,125 @@ def test_every_writer_goes_through_the_one_csv_writer(tmp_path, monkeypatch,
     writers = {name for name in vars(harness)
                if name.startswith("write_") and name.endswith("_csv")}
     assert writers == {csv_cases[k][0].__name__ for k in CSV_KINDS}
+
+
+# ---------------------------------------------------------------------------
+# The split write: runs of blocks formatted by forked children
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Four usable CPUs whatever the machine has; collects the pid of each
+    child the CSV writer forks."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def formatter_failing(where):
+    """``harness._block_text``, raising in the parent or in a child only;
+    a child forked after the patch runs the patch too."""
+    parent, block_text = os.getpid(), harness._block_text
+
+    def failing(block):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError(f"formatter failed in the {where}")
+        return block_text(block)
+
+    return failing
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "errors", "convergence"])
+def test_split_csv_bytes_match_the_per_value_oracle(tmp_path, monkeypatch,
+                                                    forks, csv_cases, kind):
+    # a share of one value: one part per block, up to the four CPUs
+    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+    _, write, header, rows = csv_cases[kind]
+    path = tmp_path / f"{kind}.csv"
+    write(path)
+    assert forks
+    assert path.read_bytes() == csv_bytes(header, rows)
+    assert_no_child_left()
+
+
+def test_a_large_trajectory_is_split_and_keeps_its_bytes(tmp_path, forks):
+    traj = run(config_for(SchemeKind.LAGRANGIAN, n_points=512,
+                          frame_velocity=1.3), np.sin, snapshot_every=10)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj)
+    assert len(forks) == 3
+    assert path.read_bytes() == csv_bytes(
+        ["t", "x", "u"],
+        [(f.grid.t, float(xi), float(ui)) for f in traj.snapshots
+         for xi, ui in zip(f.grid.wrapped_x(), f.u)])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", ["one", "unknown"])
+def test_one_cpu_writes_serially(tmp_path, monkeypatch, csv_cases, cpus):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+    _, write, header, rows = csv_cases["trajectory"]
+    path = tmp_path / "traj.csv"
+    write(path)
+    assert path.read_bytes() == csv_bytes(header, rows)
+
+
+def test_a_failing_child_raises_oserror_and_is_reaped(tmp_path, monkeypatch,
+                                                      forks, wrapping_run):
+    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+    monkeypatch.setattr(harness, "_block_text", formatter_failing("child"))
+    with pytest.raises(OSError, match="ended with wait statuses"):
+        write_trajectory_csv(tmp_path / "traj.csv", wrapping_run)
+    assert forks
+    assert_no_child_left()
+
+
+def test_a_failing_child_is_one_error_line_from_the_cli(tmp_path, monkeypatch,
+                                                        forks, capsys):
+    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+    monkeypatch.setattr(harness, "_block_text", formatter_failing("child"))
+    code = cli.main(["run", "--scheme", "lagrangian", "--n", "16",
+                     "--t-final", "0.05", "--snapshot-every", "1",
+                     "--out", str(tmp_path / "traj.csv")])
+    assert code == 1 and forks
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error kind=OSError step=- message=")
+    assert_no_child_left()
+
+
+def test_a_failing_parent_unblocks_and_reaps_its_children(tmp_path,
+                                                          monkeypatch, forks):
+    # each child's block is about 1 MB of text, more than a pipe holds, so
+    # the children are still writing when the parent fails on its own
+    # block; closing the pipes must end them, or this test hangs
+    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+    monkeypatch.setattr(harness, "_block_text", formatter_failing("parent"))
+    x = np.linspace(0.0, 1.0, 20_000)
+    with pytest.raises(RuntimeError, match="failed in the parent"):
+        harness._write_csv(tmp_path / "big.csv", ["t", "x", "u"],
+                           [(0.5, x, x + 1.0)] * 4)
+    assert len(forks) == 3
+    assert_no_child_left()
