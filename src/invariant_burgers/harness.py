@@ -2,13 +2,22 @@
 error norms (``ErrorReport``, a convergence row too), frame comparisons,
 convergence studies, grid-spacing profiles, and their CSV artifacts.
 
+Two jobs use both CPUs, through ``_forked``, the one fork path: a forked
+child formats each later run of a large CSV's blocks (see below), and
+``frame_comparison`` runs its boosted half in a forked child beside the rest
+run once that run has more than ``_MIN_FORKED_STEPS`` steps. Each caller
+decides what a failed child means: the CSV writer raises ``OSError``, and
+the frame comparison runs the boosted half again itself, which meets the
+same typed error as one CPU does. No result depends on the CPU count.
+
 Every CSV goes through ``_write_csv``: a header line, then one block per
 snapshot or per report row. A block's scalar columns (t, scheme, N) repeat
 on each of its rows and its array columns (x, u, gaps) give one value per
 row; a block of scalars only is one row. Forked processes format a large
 file in contiguous runs of blocks, copied in order, so no byte depends on
-the split. The files keep three promises, so identical configurations
-produce bitwise-identical files:
+the split, and a write that fails leaves no regular file at its path.
+The files keep three promises, so identical configurations produce
+bitwise-identical files:
 
 - floats are written with the shortest repr that round-trips, ``repr(v)``;
 - the decimal point is ``.`` whatever the locale;
@@ -19,9 +28,10 @@ from __future__ import annotations
 
 import os
 import shutil
+import stat
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -132,19 +142,46 @@ def frame_comparison(config: SchemeConfig) -> float:
     returned. Symmetry-preserving schemes leave this at roundoff level, and
     so does the constant-frame scheme, which computes in the frame of the
     boost; the fixed-grid scheme does not.
+
+    With two usable CPUs and more than ``_MIN_FORKED_STEPS`` steps, the
+    boosted half (run, inverse boost, spline read) runs in a forked child
+    beside the rest run and sends back its N values. A child that fails
+    is not trusted: the parent runs the boosted half itself, so a failure
+    is the typed error, message and step that one CPU gives, and raised in
+    the same order.
     """
-    rest = run(replace(config, frame_velocity=0.0), np.sin)
+    rest_config = replace(config, frame_velocity=0.0)
     if config.frame_velocity == 0.0:
+        run(rest_config, np.sin)
         return 0.0
-    boosted = run(config, np.sin)
-    f_rest = rest.final
-    f_back = _measured_field(boosted)
-    comp = uniform_slice(config.n_points, config.t_final,
-                         config.domain_start, config.domain_length)
-    v_rest = interpolate(f_rest.grid.x, f_rest.u, comp.x,
-                         InterpKind.CUBIC_SPLINE, config.domain_length)
-    v_back = interpolate(f_back.grid.x, f_back.u, comp.x,
-                         InterpKind.CUBIC_SPLINE, config.domain_length)
+
+    def read(fld: DiscreteField) -> np.ndarray:
+        # the comparison lattice, formed after the runs, which refuse a
+        # config before they form the same positions
+        comp = uniform_slice(config.n_points, config.t_final,
+                             config.domain_start, config.domain_length)
+        return interpolate(fld.grid.x, fld.u, comp.x,
+                           InterpKind.CUBIC_SPLINE, config.domain_length)
+
+    def boosted_half() -> np.ndarray:
+        return read(_measured_field(run(config, np.sin)))
+
+    h = config.domain_length / config.n_points
+    # the step count ceil(t_final / dt0) against the threshold, compared,
+    # not divided: dt0 may underflow to 0
+    forks = (_usable_cpus() > 1 and
+             config.t_final > _MIN_FORKED_STEPS * config.dt_factor * h * h)
+    (rest, sent), statuses = _forked(
+        [boosted_half] if forks else [],
+        lambda pipes: (run(rest_config, np.sin),
+                       [pipe.read() for pipe in pipes]))
+    if forks and not any(statuses):
+        v_rest, v_back = read(rest.final), np.frombuffer(sent[0])
+    else:
+        # one CPU's order: the boosted run and its inverse boost, then the
+        # two spline reads, so that the first failure is the same one
+        f_back = _measured_field(run(config, np.sin))
+        v_rest, v_back = read(rest.final), read(f_back)
     return float(np.max(np.abs(v_rest - v_back)))
 
 
@@ -155,13 +192,65 @@ def grid_spacing_profile(traj: Trajectory) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Forked children: the boosted half of a frame comparison, CSV formatting
+# ---------------------------------------------------------------------------
+
+# steps a boosted run takes before it forks: the fork costs about 5 ms,
+# and it broke even at about 1,000 steps of the cheapest step (FTCS, N = 64)
+_MIN_FORKED_STEPS = 1_000
+
+
+def _usable_cpus() -> int:
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _forked(jobs: Sequence[Callable[[], object]],
+            own: Callable[[list], object]) -> tuple[object, list[int]]:
+    """Runs each of ``jobs`` in a forked child while the parent calls
+    ``own`` on the read ends of their pipes (binary, in job order); returns
+    what ``own`` returned and the children's wait statuses. A child writes
+    the bytes its job returns to its pipe and exits 0, or 1 if anything
+    raised; what a failed child means is the caller's to decide. Each pipe
+    is recorded before its fork and each pid straight after it, and every
+    child is reaped, whatever ``own`` raises."""
+    pids, pipes = [], []
+    try:
+        for job in jobs:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:
+                # Python 3.12+ warns on fork while threads run, BLAS's
+                # too; ignored, so that under -W error it is reaped too
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:  # a child exits here, never unwinding
+                    try:
+                        for pipe in pipes:
+                            pipe.close()
+                        out.write(job())
+                        out.close()
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+                pids.append(pid)
+        result = own(pipes)
+    finally:
+        # closed first, so that a child blocked on a full pipe gets EPIPE
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    return result, statuses
+
+
+# ---------------------------------------------------------------------------
 # CSV artifacts
 # ---------------------------------------------------------------------------
 
 # values a formatting process takes at least: ~40 ms, 10x a fork's 3.5 ms
 _MIN_SHARE = 40_000
-
-
 def _block_text(block) -> str:
     """A block's rows: each array value ``repr(float(v))`` by one %-format
     in C, a scalar column on every row (repr of a float, else str)."""
@@ -184,47 +273,42 @@ def _write_csv(path, header: Sequence[str], blocks: Iterable[Sequence]):
     """The one CSV writer. It cuts the blocks into ``parts`` contiguous
     runs, one per usable CPU, block and ``_MIN_SHARE`` values at most, and
     writes the first while forked children format the rest; their pipes are
-    copied in order, so no byte depends on ``parts``. Every child is reaped;
-    a failed one raises ``OSError``."""
+    copied in order, so no byte depends on ``parts``. A failed child raises
+    ``OSError``. A write that fails leaves no file at ``path``: a regular
+    file that ``path`` itself names is removed (a device such as /dev/null,
+    or a file reached through a link, is not)."""
     blocks = list(blocks)
     values = sum(np.size(col) for block in blocks for col in block)
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    parts = max(1, min(len(cpus), len(blocks), values // _MIN_SHARE))
+    parts = max(1, min(_usable_cpus(), len(blocks), values // _MIN_SHARE))
     cuts = [len(blocks) * k // parts for k in range(parts + 1)]
-    pids, pipes = [], []
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
         try:
-            for lo, hi in zip(cuts[1:], cuts[2:]):
-                r, w = os.pipe()
-                pipes.append(open(r, encoding=fh.encoding, newline=""))
-                with open(w, "w", encoding=fh.encoding, newline="\n") as out:
-                    # Python 3.12+ warns on fork while threads run, BLAS's
-                    # too; ignored, so that under -W error it is reaped too
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", DeprecationWarning)
-                        pid = os.fork()
-                    if pid == 0:  # a child exits here, never unwinding
-                        try:
-                            for pipe in pipes:
-                                pipe.close()
-                            text = "".join(map(_block_text, blocks[lo:hi]))
-                            out.write(text)
-                            out.close()
-                        except BaseException:
-                            os._exit(1)
-                        os._exit(0)
-                    pids.append(pid)
-            fh.writelines(map(_block_text, blocks[:cuts[1]]))
-            for pipe in pipes:
-                shutil.copyfileobj(pipe, fh)
-        finally:
-            # closed first, so that a child blocked on a full pipe gets EPIPE
-            for pipe in pipes:
-                pipe.close()
-            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    if any(statuses):
-        raise OSError(f"CSV formatters ended with wait statuses {statuses}")
+            fh.write(",".join(header) + "\n")
+
+            def own(pipes):
+                fh.writelines(map(_block_text, blocks[:cuts[1]]))
+                fh.flush()
+                for pipe in pipes:
+                    shutil.copyfileobj(pipe, fh.buffer)
+
+            def formatted(part):
+                return lambda: "".join(map(_block_text, part)).encode(
+                    fh.encoding)
+
+            _, statuses = _forked([formatted(blocks[lo:hi]) for lo, hi
+                                   in zip(cuts[1:], cuts[2:])], own)
+            if any(statuses):
+                raise OSError(f"CSV formatters ended with wait statuses "
+                              f"{statuses}")
+            # inside the try, so that a write failing on its last bytes
+            # leaves no file either
+            fh.flush()
+        except BaseException:
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode) and os.path.samestat(
+                    st, os.lstat(path)):
+                os.unlink(path)
+            raise
 
 
 def write_trajectory_csv(path, traj: Trajectory):

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -12,3 +13,16 @@ from invariant_burgers import coefficients
 def coeffs_nu01():
     """Coefficient table for the standard benchmark viscosity."""
     return coefficients(0.1)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process behind, running or not
+    reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind: "
+                f"{f'pid {pid}' if pid else 'one still runs'}")

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -58,19 +59,24 @@ def test_frame_comparison_zero_boost_is_exact():
 
 @pytest.mark.parametrize("c, runs", [(0.0, 1), (-0.0, 1), (0.5, 2)])
 def test_frame_comparison_runs_the_rest_run_once_at_zero_boost(
-        monkeypatch, c, runs):
-    # at c = 0 the rest run and the boosted run are the same run
-    calls = []
+        tmp_path, monkeypatch, forks, c, runs):
+    # at c = 0 the rest run and the boosted run are the same run. The
+    # boosted half is forced into a child, so each call appends a line to
+    # a file, which counts the calls of both processes
+    calls = tmp_path / "calls"
 
     def counted(config, initial, *args, **kwargs):
-        calls.append(config.frame_velocity)
+        with open(calls, "a") as fh:
+            fh.write(f"{config.frame_velocity!r}\n")
         return run(config, initial, *args, **kwargs)
 
     monkeypatch.setattr(harness, "run", counted)
+    monkeypatch.setattr(harness, "_MIN_FORKED_STEPS", 0)
     config = config_for(SchemeKind.LAGRANGIAN, n_points=16, t_final=0.05,
                         frame_velocity=c)
     discrepancy = frame_comparison(config)
-    assert len(calls) == runs
+    assert len(calls.read_text().splitlines()) == runs
+    assert len(forks) == runs - 1
     if runs == 1:
         assert discrepancy == 0.0
 
@@ -392,7 +398,7 @@ def test_every_writer_goes_through_the_one_csv_writer(tmp_path, monkeypatch,
 @pytest.fixture
 def forks(monkeypatch):
     """Four usable CPUs whatever the machine has; collects the pid of each
-    child the CSV writer forks."""
+    child forked."""
     pids, fork = [], os.fork
 
     def recorded():
@@ -505,3 +511,144 @@ def test_a_failing_parent_unblocks_and_reaps_its_children(tmp_path,
                            [(0.5, x, x + 1.0)] * 4)
     assert len(forks) == 3
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, forks,
+                                       wrapping_run, where):
+    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+    monkeypatch.setattr(harness, "_block_text", formatter_failing(where))
+    path = tmp_path / "traj.csv"
+    path.write_text("an earlier file\n")
+    with pytest.raises((OSError, RuntimeError)):
+        write_trajectory_csv(path, wrapping_run)
+    assert forks
+    assert list(tmp_path.iterdir()) == []
+    assert_no_child_left()
+
+
+def test_a_failed_write_through_a_link_keeps_the_link(tmp_path, monkeypatch,
+                                                      wrapping_run):
+    monkeypatch.setattr(harness, "_block_text", formatter_failing("parent"))
+    link = tmp_path / "traj.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    with pytest.raises(RuntimeError):
+        write_trajectory_csv(link, wrapping_run)
+    assert link.is_symlink()
+
+
+def test_a_csv_has_the_mode_a_plain_open_gives(tmp_path, wrapping_run):
+    plain = tmp_path / "plain"
+    plain.open("w").close()
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, wrapping_run)
+    assert path.stat().st_mode == plain.stat().st_mode
+
+
+def test_a_split_write_to_dev_null_succeeds(monkeypatch, forks, capsys):
+    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+    code = cli.main(["run", "--scheme", "lagrangian", "--n", "16",
+                     "--t-final", "0.05", "--snapshot-every", "1",
+                     "--out", os.devnull])
+    assert code == 0 and forks
+    assert capsys.readouterr().err == ""
+    assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# The frame comparison: the boosted half in a forked child
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def statuses(monkeypatch):
+    """Collects the wait status of each child ``harness._forked`` reaps."""
+    got, forked = [], harness._forked
+
+    def recorded(jobs, own):
+        result, statuses = forked(jobs, own)
+        got.extend(statuses)
+        return result, statuses
+
+    monkeypatch.setattr(harness, "_forked", recorded)
+    return got
+
+
+@pytest.mark.parametrize("c", [0.5, -1.3])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_a_forked_frame_comparison_is_bit_for_bit(monkeypatch, forks,
+                                                  statuses, kind, c):
+    monkeypatch.setattr(harness, "_MIN_FORKED_STEPS", 0)
+    config = config_for(kind, n_points=32, t_final=0.1, frame_velocity=c)
+    two = frame_comparison(config)
+    assert len(forks) == 1 and statuses == [0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = frame_comparison(config)
+    assert len(forks) == 1
+    assert two.hex() == one.hex()
+    assert_no_child_left()
+
+
+def test_a_failing_boosted_half_is_the_one_cpu_error(monkeypatch, forks,
+                                                     statuses):
+    # c t = 5e16 rounds the inverse boost's positions together: the
+    # boosted half fails after its run, with no step
+    monkeypatch.setattr(harness, "_MIN_FORKED_STEPS", 0)
+    config = config_for(SchemeKind.CLASSICAL_FTCS, frame_velocity=1e17)
+    errors = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with pytest.raises(NodeCrossingError) as info:
+            frame_comparison(config)
+        errors.append((type(info.value), str(info.value), info.value.step))
+    assert len(forks) == 1 and statuses[0] != 0
+    assert errors[0] == errors[1]
+    assert errors[0][2] is None
+    assert_no_child_left()
+
+
+def test_a_failing_rest_half_reaps_the_running_child(monkeypatch, forks):
+    # the child is still in its run when the parent's rest run fails; the
+    # parent must wait for it and reap it, or this test leaves it behind
+    monkeypatch.setattr(harness, "_MIN_FORKED_STEPS", 0)
+
+    def rest_fails(config, initial, *args, **kwargs):
+        if config.frame_velocity == 0.0:
+            raise NonFiniteSolutionError("the rest run failed")
+        time.sleep(0.5)
+        return run(config, initial, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", rest_fails)
+    start = time.monotonic()
+    with pytest.raises(NonFiniteSolutionError, match="the rest run failed"):
+        frame_comparison(config_for(SchemeKind.LAGRANGIAN, n_points=16,
+                                    t_final=0.05, frame_velocity=0.5))
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert time.monotonic() - start < 30.0
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "unknown-cpus", "at-threshold",
+                                  "cli-default", "zero-boost"])
+def test_frame_comparison_forks_only_when_it_pays(monkeypatch, case):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    if case == "cli-default":
+        # the module's threshold against N = 64's 34 Lagrangian steps
+        config = config_for(SchemeKind.LAGRANGIAN, frame_velocity=0.5)
+    else:
+        config = config_for(SchemeKind.LAGRANGIAN, n_points=16, t_final=0.05,
+                            frame_velocity=0.0 if case == "zero-boost"
+                            else 0.5)
+        h = config.domain_length / config.n_points
+        steps = math.ceil(config.t_final / (config.dt_factor * h * h))
+        monkeypatch.setattr(harness, "_MIN_FORKED_STEPS",
+                            steps if case == "at-threshold" else 0)
+    if case == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif case == "unknown-cpus":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert frame_comparison(config) >= 0.0
