@@ -1,6 +1,6 @@
 """Symmetry-preserving finite-difference schemes for the 1-D viscous Burgers
 equation on a periodic domain, with a moving-mesh engine, a discrete
-symmetry-group toolbox, and a series reference solution for quantitative
+symmetry-group toolbox, and a heat-kernel reference solution for quantitative
 error and convergence studies. Pure Python on numpy; the adaptive mesh is
 placed by a closed-form O(N) equidistribution. One moving-mesh stencil
 serves the solver and the invariance certifier; each moving scheme pairs it
@@ -21,9 +21,9 @@ functions on those buffers (grid equations, monitor, stencil, remap) are
 the inside of ``run``, which validates once, and are not exported.
 """
 
-from .errors import (NoConvergenceError, NoDecayError, NodeCrossingError,
+from .errors import (NoConvergenceError, NodeCrossingError,
                      NonFiniteSolutionError, SimulationError)
-from .exact import FourierCoeffs, coefficients, evaluate
+from .exact import Reference, coefficients, evaluate
 from .grid import (TAU, DiscreteField, GridSlice, equidistribute_initial,
                    mean_spacing, uniform_slice)
 from .harness import (ErrorReport, convergence_study, frame_comparison,

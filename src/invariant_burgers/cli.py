@@ -143,8 +143,7 @@ def _cmd_convergence(args) -> int:
             f"n-min={args.n_min} and n-max={args.n_max} leave no resolution "
             f"of the ladder {CONVERGENCE_NS[0]}..{CONVERGENCE_NS[-1]} "
             f"(powers of two)")
-    coeffs = coefficients(config.nu)
-    rows = convergence_study(config, ns, coeffs)
+    rows = convergence_study(config, ns, coefficients(config.nu))
     path = _out_path(args.out or "convergence.csv")
     write_convergence_csv(path, rows)
     for r in rows:
@@ -176,13 +175,11 @@ def _cmd_spacing(args) -> int:
 def _cmd_exact(args) -> int:
     if args.n < 1:
         raise ValueError(f"n must be >= 1, got {args.n}")
-    coeffs = coefficients(args.nu)
     x = np.arange(args.n) * (TAU / args.n)
-    u = evaluate(coeffs, args.t_final, x)
+    u = evaluate(coefficients(args.nu), args.t_final, x)
     path = _out_path(args.out or "exact.csv")
     write_exact_csv(path, args.t_final, x, u)
-    print(f"exact nu={args.nu!r} t={args.t_final!r} N={args.n} "
-          f"J={coeffs.truncation_index} -> {path}")
+    print(f"exact nu={args.nu!r} t={args.t_final!r} N={args.n} -> {path}")
     return 0
 
 

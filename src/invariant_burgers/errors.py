@@ -1,4 +1,4 @@
-"""Exception types raised by the solvers and the exact-solution module."""
+"""Exception types raised by the solvers and the error measurement."""
 
 from __future__ import annotations
 
@@ -39,10 +39,6 @@ class NonFiniteSolutionError(SimulationError, ValueError):
     Raised by ``grid.require_finite``: on ``DiscreteField`` construction and
     on the values of every step of a run, where it means the step blew up;
     it is also a ``ValueError``, because building a field from non-finite
-    values is a bad argument. ``exact.evaluate`` and ``harness.linf_error``
-    raise it for a reference solution or an error that is not finite.
+    values is a bad argument. ``harness.linf_error`` raises it for an error
+    against the reference that is not finite.
     """
-
-
-class NoDecayError(SimulationError):
-    """Fourier coefficients did not decay below tolerance within the cap."""

@@ -1,123 +1,121 @@
-"""Closed-form series reference solution for the sine initial condition.
+"""Reference solution for the sine initial condition, by the Cole-Hopf
+heat-kernel integral.
 
-The solution is the log-derivative of a heat-kernel-smoothed positive
-potential, expressed through Fourier cosine coefficients of
-exp(-(1 - cos x)/(2 nu)). Coefficients are integrated with the composite
-trapezoid rule, which is spectrally accurate for smooth periodic
-integrands.
+With the potential Phi0 = 1 - cos y of u0 = sin y, the solution is the
+average of u0 over the heat kernel tilted by the potential:
+
+    u(t, x) = int u0(x - z) w dz / int w dz,
+    w = exp(-[z^2 / (2 t) + Phi0(x - z)] / (2 nu)),
+
+which is -2 nu phi_x / phi of the Cole-Hopf potential phi, integrated by
+parts in z = x - y. Averaging u0 rather than z / t divides by no t, so the
+values tend to u0 as t -> 0 without loss. The trapezoid rule in z converges
+geometrically for this smooth, rapidly decaying integrand. Its window
+|z| <= t max|u0| + 12 sqrt(2 nu t) holds the characteristics and the
+kernel's tails, and its step, a third of sqrt(2 nu t / (1 + t max u0')),
+resolves the narrowest the integrand can be. Each query's exponent is
+shifted by its own maximum before ``exp``, so the denominator is at least 1
+and can neither cancel nor overflow, at any viscosity. Each query's sums
+are reductions over its own row, so a value does not depend on the other
+query points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoDecayError, NonFiniteSolutionError
-
-TAU = 2.0 * np.pi
-
-_M_START = 256
-# the series tail bound at t = 0, relative to a_0, below which it is cut,
-# and the highest mode it may keep
-_TOL = 1e-12
-_J_CAP = 200
+# max|u0| and max u0' of the data u0 = sin x
+_U0_MAX = 1.0
+_U0_SLOPE_MAX = 1.0
+# quadrature points a query may take, and matrix entries one block of
+# query rows holds
+_POINT_CAP = 2 ** 16
+_BLOCK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
-class FourierCoeffs:
-    """Immutable coefficient table a_0..a_J for one viscosity."""
+class Reference:
+    """The reference solution of u0 = sin x at viscosity ``nu``."""
 
     nu: float
-    a: np.ndarray
-    quad_points: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        if self.a[0] <= 0.0:
-            raise ValueError("a_0 must be positive")
-        # eventual monotone decay, judged above the quadrature noise floor
-        tail = np.abs(self.a[len(self.a) // 2:])
-        significant = tail[tail > 1e-13 * self.a[0]]
-        if np.any(np.diff(significant) > 0.0):
-            raise ValueError("stored coefficient tail is not decaying")
-
-    @property
-    def truncation_index(self) -> int:
-        return len(self.a) - 1
+        if not 0.0 < self.nu < np.inf:
+            raise ValueError(f"nu must be positive and finite, got "
+                             f"{self.nu!r}")
 
 
-def coefficients(nu: float) -> FourierCoeffs:
-    """Compute coefficients until the evaluation tail bound drops below
-    ``_TOL``.
-
-    The truncation index J is the smallest j with |a_j| * j < _TOL * a_0,
-    the tail bound at t = 0; the damping exp(-nu t j^2) only shrinks it
-    for t > 0, so one table serves every t >= 0. The m quadrature points
-    double until a_0 is stable to _TOL relative and the retained modes,
-    at most m / 4, are safely below the aliasing range. At m = 1024 the
-    modes reach the cap and the doubling stops: the m-point a_0 is off by
-    a_m + a_2m + ..., far below any mode up to the cap that is below the
-    bound, so the table ends at the first such mode, or ``NoDecayError``
-    is raised. So the modes are formed only where the doubling can stop,
-    one trapezoid row each, in order up to the first below the bound.
-    """
-    if not 0.0 < nu < np.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu!r}")
-    m = _M_START
-    a0_prev = None
-    while True:
-        x = np.arange(m) * (TAU / m)
-        f = np.exp(-(1.0 - np.cos(x)) / (2.0 * nu))
-        a0 = float(f.mean())
-        j_hi = min(_J_CAP, m // 4)
-        a0_stable = a0_prev is not None and abs(a0 - a0_prev) <= _TOL * a0
-        if a0_stable or j_hi == _J_CAP:
-            a = [a0]
-            for j in range(1, j_hi + 1):
-                a.append(2.0 * (f * np.cos(j * x)).mean())
-                if abs(a[-1]) * j < _TOL * a0:
-                    return FourierCoeffs(nu=nu, a=np.array(a), quad_points=m)
-            if j_hi == _J_CAP:
-                raise NoDecayError(
-                    f"coefficients did not decay below tol={_TOL:g} "
-                    f"within j <= {_J_CAP} (nu={nu:g})")
-        a0_prev = a0
-        m *= 2
+def coefficients(nu: float) -> Reference:
+    """The reference at viscosity ``nu``: a positive finite nu, else
+    ``ValueError``."""
+    return Reference(nu)
 
 
-def evaluate(coeffs: FourierCoeffs, t: float, x) -> np.ndarray:
-    """Reference solution at time t and position(s) x.
+def _window(nu: float, t: float) -> tuple[float, float]:
+    """The trapezoid step in z and the half-width of its window."""
+    spread = 2.0 * nu * t
+    return (math.sqrt(spread / (1.0 + t * _U0_SLOPE_MAX)) / 3.0,
+            t * _U0_MAX + 12.0 * math.sqrt(spread))
 
-    The result has the shape of x. The denominator, the smoothed
-    potential, is strictly positive in exact arithmetic only: at small nu
-    its float cosine sum cancels. Queries are reduced into the fundamental
-    period first so the series arguments stay small; a non-finite one is
-    refused (``ValueError``). Where the cancellation leaves a value that
-    is not finite ``NonFiniteSolutionError`` is raised.
+
+def _cole_hopf(nu: float, t: float, x: np.ndarray, step: float,
+               half: float) -> np.ndarray:
+    """The trapezoid rule at spacing ``step`` over |z| <= ``half`` for
+    each of the 1-D queries ``x`` at t > 0, in blocks of at most
+    ``_BLOCK_ENTRIES`` matrix entries; ``ValueError`` past ``_POINT_CAP``
+    points per query."""
+    # compared before dividing, so a step that underflows to 0 is refused
+    k = math.ceil(half / step) if half < _POINT_CAP * step else _POINT_CAP
+    if 2 * k + 1 > _POINT_CAP:
+        raise ValueError(
+            f"the reference at nu={nu!r}, t={t!r} needs more than "
+            f"{_POINT_CAP} quadrature points per query")
+    z = step * np.arange(-k, k + 1)
+    cz, sz = np.cos(z), np.sin(z)
+    # the exponent is (cos x cos z + sin x sin z - z^2 / (2 t) - 1) / (2 nu)
+    a, b = cz / (2.0 * nu), sz / (2.0 * nu)
+    kernel = (z * z / (2.0 * t) + 1.0) / (2.0 * nu)
+    cx, sx = np.cos(x)[:, None], np.sin(x)[:, None]
+    out = np.empty(x.shape)
+    rows = max(1, _BLOCK_ENTRIES // len(z))
+    for lo in range(0, len(x), rows):
+        c, s = cx[lo:lo + rows], sx[lo:lo + rows]
+        w = c * a
+        w += s * b
+        w -= kernel
+        w -= w.max(axis=1, keepdims=True)
+        # weights below e^-600 vanish beside a sum of at least 1; raised to
+        # it, neither exp nor the products meet the subnormal range, where
+        # they run up to a hundred times slower
+        np.maximum(w, -600.0, out=w)
+        np.exp(w, out=w)
+        # u0(x - z) = sin x cos z - cos x sin z, one reduction per sum
+        den = np.add.reduce(w, axis=1)
+        on_cos = np.add.reduce(w * cz, axis=1)
+        on_sin = np.add.reduce(w * sz, axis=1)
+        out[lo:lo + rows] = (s[:, 0] * on_cos - c[:, 0] * on_sin) / den
+    return out
+
+
+def evaluate(ref: Reference, t: float, x) -> np.ndarray:
+    """Reference solution at time t and position(s) x, with the shape of x.
+
+    At t = 0 it is sin x. A non-finite query is refused (``ValueError``),
+    and so is a (nu, t) whose quadrature needs more than ``_POINT_CAP``
+    points per query.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t!r}")
-    a = coeffs.a
-    J = coeffs.truncation_index
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         i = int(np.argmin(np.isfinite(x)))
         raise ValueError(f"x[{i}] is {float(x.flat[i])!r}; x must be finite")
-    scalar = x.ndim == 0
-    # symmetric reduction keeps series arguments small and makes the odd
-    # symmetry of the solution exact (negation is exact in floating point)
-    xr = np.atleast_1d(x)
-    xr = xr - TAU * np.round(xr / TAU)
-    j = np.arange(J + 1, dtype=float)
-    with np.errstate(all="ignore"):
-        damped = a * np.exp(-coeffs.nu * t * j ** 2)
-        phase = np.outer(xr, j)
-        num = 2.0 * coeffs.nu * np.sin(phase[:, 1:]) @ (damped[1:] * j[1:])
-        den = np.cos(phase) @ damped
-        out = num / den
-    if not np.isfinite(out).all():
-        raise NonFiniteSolutionError(
-            f"reference solution is not finite at t={float(t)!r} "
-            f"(nu={coeffs.nu!r}): the cosine series cancels")
-    return float(out[0]) if scalar else out.reshape(x.shape)
+    if t == 0.0:
+        out = np.sin(x)
+    else:
+        out = _cole_hopf(ref.nu, t, x.reshape(-1),
+                         *_window(ref.nu, t)).reshape(x.shape)
+    return float(out) if x.ndim == 0 else out

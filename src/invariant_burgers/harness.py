@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (NodeCrossingError, NonFiniteSolutionError,
                      SimulationError)
-from .exact import FourierCoeffs, evaluate
+from .exact import Reference, evaluate
 from .grid import DiscreteField, mean_spacing, uniform_slice
 from .interpolate import InterpKind, interpolate
 from .schemes import SchemeConfig, SchemeKind, Trajectory, run
@@ -78,19 +78,19 @@ def _measured_field(traj: Trajectory) -> DiscreteField:
     return fld
 
 
-def linf_error(traj: Trajectory, coeffs: FourierCoeffs) -> ErrorReport:
+def linf_error(traj: Trajectory, ref: Reference) -> ErrorReport:
     """Max nodal deviation from the reference solution at the final time.
 
     The reference is evaluated at the final node positions themselves, so
-    moving-mesh runs are compared without any re-mapping error. A table for
-    another nu raises ``ValueError``, an error that is not finite
+    moving-mesh runs are compared without any re-mapping error. A reference
+    for another nu raises ``ValueError``, an error that is not finite
     ``NonFiniteSolutionError``.
     """
-    if coeffs.nu != traj.config.nu:
-        raise ValueError(f"reference for nu={coeffs.nu!r}, run at "
+    if ref.nu != traj.config.nu:
+        raise ValueError(f"reference for nu={ref.nu!r}, run at "
                          f"nu={traj.config.nu!r}")
     fld = _measured_field(traj)
-    u_ref = evaluate(coeffs, fld.grid.t, fld.grid.x)
+    u_ref = evaluate(ref, fld.grid.t, fld.grid.x)
     with np.errstate(all="ignore"):
         diff = fld.u - u_ref
         linf = float(np.max(np.abs(diff)))
@@ -109,10 +109,10 @@ def linf_error(traj: Trajectory, coeffs: FourierCoeffs) -> ErrorReport:
 
 
 def convergence_study(config: SchemeConfig, ns: Sequence[int],
-                      coeffs: FourierCoeffs) -> list[ErrorReport]:
+                      ref: Reference) -> list[ErrorReport]:
     """One run per N in ``ns``, each twice the one before as the order
-    log2(e_k / e_{k+1}) needs, from u0 = sin x, the initial data ``coeffs``
-    describe, with dt recomputed from the mean spacing."""
+    log2(e_k / e_{k+1}) needs, from u0 = sin x, the initial data of
+    ``ref``, with dt recomputed from the mean spacing."""
     ns = list(ns)
     if any(b != 2 * a for a, b in zip(ns, ns[1:])) or not ns:
         raise ValueError(f"each N must be twice the one before, got {ns}")
@@ -120,7 +120,7 @@ def convergence_study(config: SchemeConfig, ns: Sequence[int],
     for n in ns:
         cfg = replace(config, n_points=n)
         try:
-            report = linf_error(run(cfg, np.sin), coeffs)
+            report = linf_error(run(cfg, np.sin), ref)
         except (SimulationError, ValueError) as exc:
             # the same object, so a typed failure keeps its step
             exc.args = (f"N={n}: {exc}",)
@@ -274,9 +274,9 @@ def _write_csv(path, header: Sequence[str], blocks: Iterable[Sequence]):
     runs, one per usable CPU, block and ``_MIN_SHARE`` values at most, and
     writes the first while forked children format the rest; their pipes are
     copied in order, so no byte depends on ``parts``. A failed child raises
-    ``OSError``. A write that fails leaves no file at ``path``: a regular
-    file that ``path`` itself names is removed (a device such as /dev/null,
-    or a file reached through a link, is not)."""
+    ``OSError``. A write that fails leaves no file at ``path``: the regular
+    file written, the target where ``path`` is a link, is removed; the link
+    itself and a device such as /dev/null are not."""
     blocks = list(blocks)
     values = sum(np.size(col) for block in blocks for col in block)
     parts = max(1, min(_usable_cpus(), len(blocks), values // _MIN_SHARE))
@@ -306,8 +306,8 @@ def _write_csv(path, header: Sequence[str], blocks: Iterable[Sequence]):
         except BaseException:
             st = os.fstat(fh.fileno())
             if stat.S_ISREG(st.st_mode) and os.path.samestat(
-                    st, os.lstat(path)):
-                os.unlink(path)
+                    st, os.stat(path)):
+                os.unlink(os.path.realpath(path))
             raise
 
 

@@ -11,7 +11,7 @@ from invariant_burgers import coefficients
 
 @pytest.fixture(scope="session")
 def coeffs_nu01():
-    """Coefficient table for the standard benchmark viscosity."""
+    """The reference solution at the standard benchmark viscosity."""
     return coefficients(0.1)
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written along a different path from the
 package: dense linear algebra instead of closed forms, scalar loops instead
-of vectorized stencils, adaptive quadrature instead of trapezoid sums.
+of vectorized stencils, a multiprecision Bessel series instead of a
+trapezoid sum.
 """
 
 import bisect
@@ -156,57 +157,6 @@ def monitor_loop(x, u, alpha, length):
         slope = (u[ip] - u[im]) / (xe - xw)
         out[i] = math.sqrt(1.0 + alpha * slope * slope)
     return np.array(out)
-
-
-def leading_coefficient_quadrature(nu):
-    """a_0 through adaptive quadrature (scipy), not a trapezoid sum."""
-    from scipy.integrate import quad
-
-    value, abserr = quad(
-        lambda s: math.exp(-(1.0 - math.cos(s)) / (2.0 * nu)) / TAU,
-        0.0, TAU, epsabs=1e-15, epsrel=1e-14, limit=200,
-    )
-    assert abserr < 1e-13
-    return value
-
-
-def trapezoid_coefficient(nu, j, m):
-    """One cosine coefficient on an m-point trapezoid rule."""
-    x = np.arange(m) * (TAU / m)
-    f = np.exp(-(1.0 - np.cos(x)) / (2.0 * nu))
-    if j == 0:
-        return float(f.mean())
-    return float(2.0 * (f * np.cos(j * x)).mean())
-
-
-def coefficients_all_rows(nu):
-    """The cosine coefficient table a_0 .. a_J and its quadrature size,
-    formed with every mode up to min(200, m / 4) at once at each doubling
-    of the m trapezoid points from 256: J is the first mode with
-    |a_J| J < 1e-12 a_0, taken once a_0 moves by at most 1e-12 a_0 from
-    the last doubling. ``NoDecayError`` where 200 modes hold none below
-    that bound."""
-    from invariant_burgers import NoDecayError
-
-    m, a0_prev = 256, None
-    while m <= 2 ** 20:
-        x = np.arange(m) * (TAU / m)
-        f = np.exp(-(1.0 - np.cos(x)) / (2.0 * nu))
-        a0 = float(f.mean())
-        j_hi = min(200, m // 4)
-        j = np.arange(1, j_hi + 1)
-        a = 2.0 * (f[None, :] * np.cos(np.outer(j, x))).mean(axis=1)
-        below = np.abs(a) * j < 1e-12 * a0
-        stable = a0_prev is not None and abs(a0 - a0_prev) <= 1e-12 * a0
-        if below.any() and stable:
-            return np.concatenate([[a0], a[:int(j[np.argmax(below)])]]), m
-        if j_hi >= 200 and not below.any():
-            raise NoDecayError(f"coefficients did not decay below "
-                               f"tol={1e-12:g} within j <= 200 (nu={nu:g})")
-        a0_prev = a0
-        m *= 2
-    raise NoDecayError(f"quadrature did not converge within {2 ** 20} "
-                       f"points")
 
 
 def burgers_bessel_mp(nu, t, x, digits=None, modes=None):

@@ -22,10 +22,10 @@ from invariant_burgers import (
 from invariant_burgers.grid import Layer, advance_equidistributed, monitor
 from invariant_burgers.interpolate import interpolate
 
-from oracles import (dense_equidistribution_solve,
-                     leading_coefficient_quadrature, periodic_spline_scipy,
-                     random_smooth_field, trapezoid_coefficient)
-from invariant_burgers.exact import FourierCoeffs
+from invariant_burgers.exact import _cole_hopf, _window
+
+from oracles import (burgers_bessel_mp, dense_equidistribution_solve,
+                     periodic_spline_scipy, random_smooth_field)
 
 BENCH_KINDS = (SchemeKind.CLASSICAL_FTCS, SchemeKind.LAGRANGIAN,
                SchemeKind.EULERIAN_ADAPTIVE, SchemeKind.EVOLUTION_PROJECTION)
@@ -194,23 +194,33 @@ def test_criterion_6_mesh_oracle_equivalence():
 
 
 def test_criterion_7_reference_solution_self_checks(coeffs_nu01):
-    a0_ref = leading_coefficient_quadrature(0.1)
-    a0_rel = abs(coeffs_nu01.a[0] - a0_ref) / a0_ref
-
     zeros = max(max(abs(evaluate(coeffs_nu01, t, 0.0)),
                     abs(evaluate(coeffs_nu01, t, math.pi)))
-                for t in (0.0, 0.25, 0.5))
+                for t in (0.0, 0.25, 0.5, 2.0))
 
-    j2 = 2 * coeffs_nu01.truncation_index
-    m2 = 2 * coeffs_nu01.quad_points
-    a2 = np.array([trapezoid_coefficient(0.1, j, m2) for j in range(j2 + 1)])
-    deeper = FourierCoeffs(nu=0.1, a=a2, quad_points=m2)
+    # the trapezoid rule at half its step and on twice its window
     x = np.arange(64) * (TAU / 64)
-    drift = float(np.max(np.abs(evaluate(coeffs_nu01, 0.5, x)
-                                - evaluate(deeper, 0.5, x))))
+    finer = wider = 0.0
+    for t in (0.05, 0.5, 2.0):
+        step, half = _window(0.1, t)
+        base = _cole_hopf(0.1, t, x, step, half)
+        finer = max(finer, float(np.max(np.abs(
+            _cole_hopf(0.1, t, x, step / 2.0, half) - base))))
+        wider = max(wider, float(np.max(np.abs(
+            _cole_hopf(0.1, t, x, step, 2.0 * half) - base))))
 
-    ok = a0_rel <= 1e-12 and zeros <= 1e-13 and drift <= 1e-10
-    detail = f"a0 rel={a0_rel:.2e}, zeros={zeros:.2e}, doubling={drift:.2e}"
+    # against the Bessel series in mpmath, and sin x itself at t = 0
+    x16 = np.arange(16) * (TAU / 16)
+    oracle = max(float(np.max(np.abs(evaluate(coeffs_nu01, t, x16)
+                                     - burgers_bessel_mp(0.1, t, x16))))
+                 for t in (0.05, 0.5, 1.0, 2.0))
+    initial = np.array_equal(evaluate(coeffs_nu01, 0.0, x), np.sin(x))
+
+    ok = (zeros <= 1e-14 and finer <= 1e-14 and wider <= 1e-14
+          and oracle <= 1e-13 and initial)
+    detail = (f"zeros={zeros:.2e}, halved step={finer:.2e}, "
+              f"doubled window={wider:.2e}, oracle={oracle:.2e}, "
+              f"t=0 is sin x: {initial}")
     assert _verdict("7 (reference solution self-checks)", ok, detail), detail
 
 

@@ -1,4 +1,5 @@
 import argparse
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,15 @@ import pytest
 
 from invariant_burgers import cli
 from invariant_burgers.cli import OUTDIR_ENV, build_parser, main
+
+from oracles import burgers_bessel_mp
+
+
+def column(path, name):
+    """The column ``name`` of a CSV the CLI wrote, as floats."""
+    lines = path.read_text().splitlines()
+    i = lines[0].split(",").index(name)
+    return np.array([float(line.split(",")[i]) for line in lines[1:]])
 
 
 def test_run_writes_trajectory_and_summary(tmp_path, capsys):
@@ -210,9 +220,10 @@ def test_a_collapse_of_the_mapped_back_positions_names_the_inverse_boost(
 
 def test_an_allocation_too_large_is_a_typed_error(tmp_path, capsys,
                                                   monkeypatch):
-    # exact --n 1e8 asks numpy for the n x (J + 1) phase matrix, 17.9 GiB;
-    # whether that allocation fails depends on the machine, so the
-    # reference raises here as numpy's MemoryError would
+    # exact --n 1e8 asks numpy for rows of 1e8 positions, their cosines,
+    # sines and values, 0.8 GB each; whether that allocation fails depends
+    # on the machine, so the reference raises here as numpy's MemoryError
+    # would
     def refuse(coeffs, t, x):
         raise MemoryError("Unable to allocate 17.9 GiB for an array")
 
@@ -274,13 +285,28 @@ def test_exact_rejects_a_hostile_value_by_name(tmp_path, capsys, flag, value,
     assert not (tmp_path / "e.csv").exists()
 
 
-def test_exact_refuses_a_tiny_viscosity_at_the_mode_cap(tmp_path, capsys):
+def test_exact_refuses_a_tiny_viscosity_at_the_point_cap(tmp_path, capsys):
     code = main(["exact", "--nu", "1e-10", "--out", str(tmp_path / "e.csv")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error kind=NoDecayError step=- message='coefficients did not decay "
-        "below tol=1e-12 within j <= 200 (nu=1e-10)'"]
+        "error kind=ValueError step=- message='the reference at nu=1e-10, "
+        "t=0.5 needs more than 65536 quadrature points per query'"]
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_exact_at_a_small_viscosity(tmp_path, capsys):
+    # the cosine series this form replaced wrote u(pi) = 1567475.96 and
+    # u(pi/2) = -0.178 here, and exited 0
+    out = tmp_path / "e.csv"
+    code = main(["exact", "--n", "8", "--nu", "0.01", "--t-final", "0.5",
+                 "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        f"exact nu=0.01 t=0.5 N=8 -> {out}\n")
+    u = column(out, "u")
+    assert abs(u[4]) <= 1e-12, u[4]
+    oracle = burgers_bessel_mp(0.01, 0.5, [math.pi / 2])[0]
+    assert abs(u[2] - oracle) <= 1e-13 and abs(oracle - 0.897) < 1e-3
 
 
 @pytest.mark.parametrize("argv", [
@@ -288,23 +314,28 @@ def test_exact_refuses_a_tiny_viscosity_at_the_mode_cap(tmp_path, capsys):
      "--errors-out", "e.csv"],
     ["exact", "--n", "8", "--nu", "0.005", "--t-final", "0.5"],
 ])
-def test_a_reference_that_is_not_finite_is_a_typed_error(tmp_path, capsys,
+def test_a_reference_where_the_series_cancelled_is_right(tmp_path, capsys,
                                                          monkeypatch, argv):
-    # at small nu the series reference cancels to inf; the command must
-    # fail cleanly instead of writing inf or leaking a numpy warning
+    # at these nu the cosine series this form replaced cancelled to inf,
+    # and the commands failed with NonFiniteSolutionError; now they write
+    # the solution, or the error against it, with no numpy warning
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv + ["--out", "o.csv"])
-    assert code == 1
+    assert code == 0
     assert caught == []
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(
-        "error kind=NonFiniteSolutionError step=- message='reference "
-        "solution is not finite")
-    assert not (tmp_path / "e.csv").exists()
-    assert not (tmp_path / "o.csv").exists()
+    assert capsys.readouterr().err == ""
+    t = column(tmp_path / "o.csv", "t")
+    final = t == t.max()
+    x, u = (column(tmp_path / "o.csv", name)[final] for name in "xu")
+    nu = float(argv[argv.index("--nu") + 1])
+    diff = u - burgers_bessel_mp(nu, t.max(), x)
+    if argv[0] == "exact":
+        assert np.max(np.abs(diff)) <= 1e-13, diff
+    else:
+        linf = column(tmp_path / "e.csv", "linf")[0]
+        assert abs(linf - np.max(np.abs(diff))) <= 1e-13, linf
 
 
 def test_frames_measures_the_constant_frame_scheme_as_frame_exact(tmp_path):

@@ -1,59 +1,54 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invariant_burgers import (FourierCoeffs, NoDecayError,
-                               NonFiniteSolutionError, SimulationError, TAU,
-                               coefficients, evaluate, uniform_slice)
+from invariant_burgers import (Reference, SimulationError, TAU, coefficients,
+                               evaluate, exact)
 
-from oracles import (burgers_bessel_mp, coefficients_all_rows,
-                     leading_coefficient_quadrature, trapezoid_coefficient)
+from oracles import burgers_bessel_mp
 
-
-def test_leading_coefficient_matches_adaptive_quadrature(coeffs_nu01):
-    ref = leading_coefficient_quadrature(0.1)
-    assert abs(coeffs_nu01.a[0] - ref) <= 1e-12 * ref
+LATTICE_16 = np.arange(16) * (TAU / 16)
 
 
-def outcome(table, nu):
-    """The coefficient bytes and quadrature size ``table(nu)`` gives, or
-    the type and message of what it raises."""
-    try:
-        result = table(nu)
-    except (NoDecayError, ValueError) as exc:
-        return type(exc), str(exc)
-    if isinstance(result, FourierCoeffs):
-        result = result.a, result.quad_points
-    return result[0].tobytes(), result[1]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(math.log(1e-4), math.log(50.0)))
-def test_coefficients_match_the_table_of_all_modes(log_nu):
-    # the table forms its modes only where the doubling can stop, one
-    # trapezoid row per mode, in order up to the first below the bound;
-    # each is the mean over its own row, so it gives the bits, the size
-    # and the error of the whole table
-    nu = math.exp(log_nu)
-    assert outcome(coefficients, nu) == outcome(coefficients_all_rows, nu)
+def moved_by_refining(nu, t, x):
+    """How far halving the trapezoid step and, apart, doubling the window
+    move the values at x."""
+    step, half = exact._window(nu, t)
+    base = exact._cole_hopf(nu, t, x, step, half)
+    finer = exact._cole_hopf(nu, t, x, step / 2.0, half)
+    wider = exact._cole_hopf(nu, t, x, step, 2.0 * half)
+    return (float(np.max(np.abs(finer - base))),
+            float(np.max(np.abs(wider - base))))
 
 
 def test_large_viscosity_limit():
-    # integrand tends to 1, so a_0 -> 1 and the higher modes die out
-    coeffs = coefficients(100.0)
-    assert abs(coeffs.a[0] - 1.0) <= 1e-2
-    assert np.all(np.abs(coeffs.a[1:]) < coeffs.a[0])
+    # diffusion outweighs advection: u tends to the heat equation's
+    # e^(-nu t) sin x, with a nonlinear correction of order 1 / nu
+    x = np.arange(64) * (TAU / 64)
+    for nu in (100.0, 1e4):
+        t = 1.0 / nu
+        u = evaluate(coefficients(nu), t, x)
+        gap = np.max(np.abs(u - math.exp(-nu * t) * np.sin(x)))
+        assert gap <= 0.05 / nu, (nu, gap)
 
 
-def test_quadrature_converged_in_point_count(coeffs_nu01):
-    m = coeffs_nu01.quad_points
-    for j in range(len(coeffs_nu01.a)):
-        refined = trapezoid_coefficient(0.1, j, 2 * m)
-        assert abs(coeffs_nu01.a[j] - refined) <= 1e-12 * coeffs_nu01.a[0]
+def test_quadrature_converged_in_point_count():
+    # halving the step moves no value beyond roundoff
+    for t in (0.05, 0.5, 2.0):
+        finer, _ = moved_by_refining(0.1, t, np.arange(64) * (TAU / 64))
+        assert finer <= 1e-14, (t, finer)
+
+
+def test_truncation_robust_to_doubling():
+    # the window holds the integrand's tails: doubling it moves no value
+    for t in (0.05, 0.5, 2.0):
+        _, wider = moved_by_refining(0.1, t, np.arange(64) * (TAU / 64))
+        assert wider <= 1e-14, (t, wider)
 
 
 def test_zeros_at_origin_and_pi(coeffs_nu01):
@@ -62,19 +57,40 @@ def test_zeros_at_origin_and_pi(coeffs_nu01):
         assert abs(evaluate(coeffs_nu01, t, np.pi)) <= 1e-13
 
 
-def test_reference_matches_the_bessel_series_in_mpmath(coeffs_nu01):
+def test_reference_matches_the_bessel_series_in_mpmath():
     # an independent form of the same solution: the Bessel generating
-    # function of the potential, summed at 40 digits. At nu = 0.05 the
-    # series cancels near the front (ROADMAP item 3), so that viscosity is
-    # printed, not gated
-    x = uniform_slice(64).x
-    for nu, coeffs in ((0.1, coeffs_nu01), (0.05, coefficients(0.05))):
-        errs = [float(np.max(np.abs(evaluate(coeffs, t, x)
-                                    - burgers_bessel_mp(nu, t, x))))
-                for t in (0.0, 0.25, 0.5)]
-        print(f"nu={nu}: " + ", ".join(f"{e:.1e}" for e in errs))
-        if nu == 0.1:
-            assert max(errs) <= 1e-10, errs
+    # function of the potential, in mpmath at digits and modes scaled
+    # with 1 / nu, on the 16-node lattice; past the breaking time t = 1
+    # too (measured at most 1.1e-15)
+    worst = {}
+    for nu in (0.1, 0.05, 0.02, 0.01, 0.005):
+        ref = coefficients(nu)
+        assert np.array_equal(evaluate(ref, 0.0, LATTICE_16),
+                              np.sin(LATTICE_16))
+        worst[nu] = max(
+            float(np.max(np.abs(evaluate(ref, t, LATTICE_16)
+                                - burgers_bessel_mp(nu, t, LATTICE_16))))
+            for t in (0.05, 0.5, 1.0, 2.0))
+    print(", ".join(f"nu={nu}: {e:.1e}" for nu, e in worst.items()))
+    assert max(worst.values()) <= 1e-13, worst
+
+
+def test_the_quadrature_settles_at_a_tiny_viscosity():
+    # at nu = 0.001 the oracle is too slow (39 s for 16 points), so the
+    # reference is checked against itself: a finer step and a wider window
+    # move nothing, and the zeros hold. fl(pi) lies pi - fl(pi) =
+    # sin(fl(pi)) below pi, where the front's slope u_x(pi) is about -500
+    # at t = 2, so u(fl(pi)) is not 0 but -u_x(pi) sin(fl(pi)), 6e-14
+    nu, d = 0.001, 1e-9
+    ref = coefficients(nu)
+    for t in (0.5, 2.0):
+        finer, wider = moved_by_refining(nu, t, LATTICE_16)
+        assert finer <= 1e-14 and wider <= 1e-14, (t, finer, wider)
+        at_0, at_pi, left, right = evaluate(
+            ref, t, [0.0, np.pi, np.pi - d, np.pi + d])
+        slope = (right - left) / (2.0 * d)
+        assert abs(at_0) <= 1e-14, (t, at_0)
+        assert abs(at_pi + slope * math.sin(np.pi)) <= 1e-14, (t, at_pi)
 
 
 def test_the_bessel_oracle_holds_at_small_viscosity():
@@ -96,21 +112,26 @@ def test_the_bessel_oracle_holds_at_small_viscosity():
 
 def test_initial_condition_consistency(coeffs_nu01):
     x = np.arange(1024) * (TAU / 1024)
-    gap = np.max(np.abs(evaluate(coeffs_nu01, 0.0, x) - np.sin(x)))
-    assert gap <= 1e-8
+    for ref in (coeffs_nu01, coefficients(0.05)):
+        assert evaluate(ref, 0.0, x).tobytes() == np.sin(x).tobytes()
 
 
-def test_truncation_robust_to_doubling(coeffs_nu01):
-    # double both the truncation index and the quadrature resolution using
-    # the independent trapezoid oracle; benchmark-time values must not move
-    j2 = 2 * coeffs_nu01.truncation_index
-    m2 = 2 * coeffs_nu01.quad_points
-    a2 = np.array([trapezoid_coefficient(0.1, j, m2) for j in range(j2 + 1)])
-    deeper = FourierCoeffs(nu=0.1, a=a2, quad_points=m2)
+def test_small_times_approach_the_initial_data(coeffs_nu01):
+    # |u - sin x| <= t (1/2 + nu) to first order in t; the weights are an
+    # average of u0 itself, so nothing is divided by t
     x = np.arange(64) * (TAU / 64)
-    delta = np.max(np.abs(evaluate(coeffs_nu01, 0.5, x)
-                          - evaluate(deeper, 0.5, x)))
-    assert delta <= 1e-10
+    for t in (1e-8, 1e-12, 1e-30, 1e-300):
+        gap = np.max(np.abs(evaluate(coeffs_nu01, t, x) - np.sin(x)))
+        assert gap <= t + 2e-16, (t, gap)
+
+
+def test_a_value_does_not_depend_on_the_other_queries(coeffs_nu01):
+    x = np.random.default_rng(5).uniform(-TAU, 2.0 * TAU, 50)
+    for ref in (coeffs_nu01, coefficients(0.01)):
+        for t in (0.5, 2.0):
+            together = evaluate(ref, t, x)
+            alone = [evaluate(ref, t, xi) for xi in x]
+            assert together.tobytes() == np.array(alone).tobytes()
 
 
 def test_odd_symmetry(coeffs_nu01):
@@ -124,9 +145,9 @@ def test_odd_symmetry(coeffs_nu01):
 def test_periodicity(coeffs_nu01):
     rng = np.random.default_rng(4)
     x = rng.uniform(0.0, TAU, 50)
-    # x + 2pi rounds before the argument reduction ever sees it; near the
-    # steep front the small denominator amplifies that single ulp, so
-    # exact equality is not representable and near-roundoff is the contract
+    # x + 2pi rounds before cos and sin ever see it; near the steep front
+    # that single ulp moves the value by the slope times it, so exact
+    # equality is not representable and near-roundoff is the contract
     np.testing.assert_allclose(evaluate(coeffs_nu01, 0.5, x + TAU),
                                evaluate(coeffs_nu01, 0.5, x),
                                rtol=0, atol=2e-12)
@@ -141,64 +162,68 @@ def test_amplitude_decays_in_time(coeffs_nu01):
     assert np.max(np.abs(evaluate(coeffs_nu01, 0.5, x))) < 1.0
 
 
-def test_coefficient_tail_decays(coeffs_nu01):
-    tail = np.abs(coeffs_nu01.a[len(coeffs_nu01.a) // 2:])
-    assert np.all(np.diff(tail) <= 0.0)
-
-
-def test_constructor_rejects_growing_tail():
-    with pytest.raises(ValueError):
-        FourierCoeffs(nu=0.1, a=np.array([1.0, 0.5, 1e-4, 1e-3]),
-                      quad_points=256)
-
-
-@pytest.mark.parametrize("a0", [0.0, -1.0])
-def test_constructor_rejects_a_leading_coefficient_not_positive(a0):
-    with pytest.raises(ValueError, match="^a_0 must be positive$") as refused:
-        FourierCoeffs(nu=0.1, a=np.array([a0, 0.1]), quad_points=256)
-    assert refused.type is ValueError
-
-
 def test_negative_time_rejected(coeffs_nu01):
     with pytest.raises(ValueError):
         evaluate(coeffs_nu01, -0.1, 1.0)
 
 
-def test_reference_that_cancels_to_inf_is_a_typed_error():
-    # at nu = 0.005 the series' denominator cancels to zero at x = pi; the
-    # error is raised without a numpy warning (warnings fail the suite)
-    coeffs = coefficients(0.005)
-    with pytest.raises(NonFiniteSolutionError, match="t=0.5 .nu=0.005"):
-        evaluate(coeffs, 0.5, np.arange(8) * (TAU / 8))
-
-
-def test_no_decay_error_for_impossible_tolerance():
-    # at nu = 1e-4 the modes decay too slowly to fall below the tolerance
-    # within the mode cap
-    with pytest.raises(NoDecayError):
-        coefficients(1e-4)
-
-
-@pytest.mark.parametrize("nu", [1e-7, 1e-10, 1e-20, 1e-300])
-def test_a_tiny_viscosity_is_refused_at_the_mode_cap(nu):
-    # the potential is too narrow for the quadrature to settle a_0, and its
-    # modes do not decay within the mode cap either: the refusal names the
-    # mode cap at the quadrature size where the modes first reach it
-    with pytest.raises(NoDecayError, match=r"within j <= 200"):
+@pytest.mark.parametrize("nu", [0.0, -1.0, np.inf, np.nan])
+def test_a_reference_needs_a_positive_finite_viscosity(nu):
+    with pytest.raises(ValueError, match="^nu must be positive and finite"):
         coefficients(nu)
 
 
+def test_a_reference_where_the_series_cancelled_is_right():
+    # at nu = 0.005 the cosine series this form replaced cancelled to inf
+    # at x = pi; no numpy warning either (warnings fail the suite)
+    x = np.arange(8) * (TAU / 8)
+    u = evaluate(coefficients(0.005), 0.5, x)
+    assert np.max(np.abs(u - burgers_bessel_mp(0.005, 0.5, x))) <= 1e-13
+
+
+@pytest.mark.parametrize("nu", [1e-9, 1e-10, 1e-20, 1e-300])
+def test_a_tiny_viscosity_is_refused_at_the_point_cap(nu):
+    # the integrand is too narrow for 2^16 trapezoid points to span its
+    # window: a bad argument, named by nu and t, not a numerical failure.
+    # nu = 1e-7, which the series refused, takes 11,703 points
+    with pytest.raises(ValueError, match=re.escape(
+            f"nu={nu!r}, t=0.5 needs more than 65536 quadrature points")) \
+            as refused:
+        evaluate(coefficients(nu), 0.5, LATTICE_16)
+    assert not isinstance(refused.value, SimulationError)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.floats(math.log(1e-300), math.log(1e8)))
-def test_the_table_ends_where_its_modes_reach_the_cap(log_nu):
-    # m / 4 modes first reach the cap of 200 at m = 1024, where the table
-    # returns or is refused; it is never formed on more points
+@given(st.floats(math.log(1e-300), math.log(1e8)),
+       st.floats(math.log(1e-300), math.log(1e4)))
+def test_every_viscosity_and_time_gives_bounded_values_or_the_point_cap(
+        log_nu, log_t):
+    # the maximum principle: u is an average of u0 = sin x, so |u| <= 1
+    nu, t = math.exp(log_nu), math.exp(log_t)
     try:
-        coeffs = coefficients(math.exp(log_nu))
-    except NoDecayError as exc:
-        assert re.search(r"within j <= 200", str(exc))
+        u = evaluate(coefficients(nu), t, LATTICE_16)
+    except ValueError as exc:
+        assert "needs more than 65536 quadrature points" in str(exc)
     else:
-        assert coeffs.quad_points in (512, 1024)
+        assert np.max(np.abs(u)) <= 1.0 + 1e-15, u
+
+
+def test_memory_is_bounded_near_the_point_cap():
+    # 64,051 points per query, so 16 query rows to a block of 2^20
+    # entries: unblocked, one 4,096-row matrix would take 2.1 GB. The
+    # measured peak is 19.6 MB: two blocks of 8.2 MB and six rows of z
+    nu, t = 3.3e-9, 0.5
+    step, half = exact._window(nu, t)
+    assert 2 * math.ceil(half / step) + 1 > 64_000
+    x = np.arange(4096) * (TAU / 4096)
+    tracemalloc.start()
+    try:
+        u = evaluate(coefficients(nu), t, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22_000_000, peak
+    assert abs(u[0]) <= 1e-14 and abs(u[1024] - 0.90) < 0.01, u[[0, 1024]]
 
 
 @pytest.mark.parametrize("x, message", [
@@ -222,8 +247,16 @@ def test_scalar_and_array_evaluation(coeffs_nu01):
     array = evaluate(coeffs_nu01, 0.5, np.array([1.0]))
     assert isinstance(scalar, float)
     assert scalar == array[0]
+    assert isinstance(evaluate(coeffs_nu01, 0.0, 1.0), float)
     # a 2-D x keeps its shape, with the bytes of the flat call
     x = np.linspace(-4.0, 4.0, 6)
     shaped = evaluate(coeffs_nu01, 0.5, x.reshape(2, 3))
     assert shaped.shape == (2, 3)
     assert shaped.tobytes() == evaluate(coeffs_nu01, 0.5, x).tobytes()
+
+
+def test_a_reference_is_a_frozen_value():
+    ref = coefficients(0.1)
+    assert ref == Reference(0.1)
+    with pytest.raises(AttributeError):
+        ref.nu = 0.2

@@ -535,6 +535,8 @@ def test_a_failed_write_through_a_link_keeps_the_link(tmp_path, monkeypatch,
     with pytest.raises(RuntimeError):
         write_trajectory_csv(link, wrapping_run)
     assert link.is_symlink()
+    # the target the failed write truncated is removed
+    assert not (tmp_path / "target.csv").exists()
 
 
 def test_a_csv_has_the_mode_a_plain_open_gives(tmp_path, wrapping_run):
