@@ -1,23 +1,21 @@
 """Reference solution for the sine initial condition, by the Cole-Hopf
-heat-kernel integral.
-
-With the potential Phi0 = 1 - cos y of u0 = sin y, the solution is the
-average of u0 over the heat kernel tilted by the potential:
+heat-kernel integral. With Phi0 = 1 - cos y the potential of u0 = sin y,
 
     u(t, x) = int u0(x - z) w dz / int w dz,
     w = exp(-[z^2 / (2 t) + Phi0(x - z)] / (2 nu)),
 
-which is -2 nu phi_x / phi of the Cole-Hopf potential phi, integrated by
-parts in z = x - y. Averaging u0 rather than z / t divides by no t, so the
-values tend to u0 as t -> 0 without loss. The trapezoid rule in z converges
-geometrically for this smooth, rapidly decaying integrand. Its window
-|z| <= t max|u0| + 12 sqrt(2 nu t) holds the characteristics and the
-kernel's tails, and its step, a third of sqrt(2 nu t / (1 + t max u0')),
-resolves the narrowest the integrand can be. Each query's exponent is
-shifted by its own maximum before ``exp``, so the denominator is at least 1
-and can neither cancel nor overflow, at any viscosity. Each query's sums
-are reductions over its own row, so a value does not depend on the other
-query points.
+which is -2 nu phi_x / phi of the Cole-Hopf potential phi integrated by
+parts in z = x - y; averaging u0 rather than z / t divides by no t. Its
+trapezoid rule in z converges geometrically on the window
+|z| <= t max|u0| + 12 sqrt(2 nu t), which holds the characteristics and
+the kernel's tails, at a step that divides 2 pi and is at most 2 pi / 16
+and a third of the narrowest width sqrt(2 nu t / (1 + t max u0')). A
+window wider than the period is folded onto it, with the Gaussian summed
+over its periodic images, so a query takes at most 2 pi / step points and
+the step never aliases the period. Each query's exponent is shifted by
+its own maximum, so the denominator is at least 1 and cannot cancel or
+overflow; its sums are reductions over its own row, so a value does not
+depend on the other queries.
 """
 
 from __future__ import annotations
@@ -30,10 +28,10 @@ import numpy as np
 # max|u0| and max u0' of the data u0 = sin x
 _U0_MAX = 1.0
 _U0_SLOPE_MAX = 1.0
-# quadrature points a query may take, and matrix entries one block of
-# query rows holds
+# quadrature points a query may take, and matrix entries (64 KB) one
+# block of query rows holds
 _POINT_CAP = 2 ** 16
-_BLOCK_ENTRIES = 2 ** 20
+_BLOCK_ENTRIES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -49,35 +47,51 @@ class Reference:
 
 
 def coefficients(nu: float) -> Reference:
-    """The reference at viscosity ``nu``: a positive finite nu, else
-    ``ValueError``."""
+    """The reference at a positive finite viscosity ``nu``."""
     return Reference(nu)
 
 
 def _window(nu: float, t: float) -> tuple[float, float]:
-    """The trapezoid step in z and the half-width of its window."""
+    """The trapezoid step in z, which divides 2 pi, and the half-width of
+    its window; a step that underflows to 0 stays 0."""
     spread = 2.0 * nu * t
-    return (math.sqrt(spread / (1.0 + t * _U0_SLOPE_MAX)) / 3.0,
-            t * _U0_MAX + 12.0 * math.sqrt(spread))
+    step = min(math.sqrt(spread / (1.0 + t * _U0_SLOPE_MAX)) / 3.0,
+               math.tau / 16.0)
+    if step > 0.0:
+        step = math.tau / math.ceil(math.tau / step)
+    return step, t * _U0_MAX + 12.0 * math.sqrt(spread)
 
 
 def _cole_hopf(nu: float, t: float, x: np.ndarray, step: float,
                half: float) -> np.ndarray:
-    """The trapezoid rule at spacing ``step`` over |z| <= ``half`` for
-    each of the 1-D queries ``x`` at t > 0, in blocks of at most
-    ``_BLOCK_ENTRIES`` matrix entries; ``ValueError`` past ``_POINT_CAP``
-    points per query."""
+    """The trapezoid rule at spacing ``step`` over |z| <= ``half``, or over
+    one period if that is shorter, for each of the 1-D queries ``x`` at
+    t > 0, in blocks of at most ``_BLOCK_ENTRIES`` matrix entries;
+    ``ValueError`` where that spans ``_POINT_CAP`` steps."""
     # compared before dividing, so a step that underflows to 0 is refused
-    k = math.ceil(half / step) if half < _POINT_CAP * step else _POINT_CAP
-    if 2 * k + 1 > _POINT_CAP:
-        raise ValueError(
-            f"the reference at nu={nu!r}, t={t!r} needs more than "
-            f"{_POINT_CAP} quadrature points per query")
-    z = step * np.arange(-k, k + 1)
-    cz, sz = np.cos(z), np.sin(z)
-    # the exponent is (cos x cos z + sin x sin z - z^2 / (2 t) - 1) / (2 nu)
-    a, b = cz / (2.0 * nu), sz / (2.0 * nu)
+    if not min(half, math.pi) < _POINT_CAP * step / 2.0:
+        raise ValueError(f"the reference at nu={nu!r}, t={t!r} needs more "
+                         f"than {_POINT_CAP} quadrature points per query")
+    n = round(math.tau / step)
+    # folded where 2 ceil(half / step) + 1 >= n, so an infinite window too
+    folded = half / step > (n - 2) // 2
+    k = n // 2 if folded else math.ceil(half / step)
+    z = step * np.arange(-k, n - k if folded else k + 1)
+    # the exponent is (cos x cos z + sin x sin z) / (2 nu) - kernel
     kernel = (z * z / (2.0 * t) + 1.0) / (2.0 * nu)
+    spread = 2.0 * nu * t
+    if folded and spread > 81.0:
+        # the periodic Gaussian is flat to 2 e^(-spread / 2) < 5e-18
+        kernel[:] = 1.0 / (2.0 * nu)
+    elif folded:
+        # the Gaussian at each image z + 2 pi m, at most 1 relative to z,
+        # and below e^-72 past those within pi + 12 sqrt(spread) of 0
+        reach = 1 + int(6.0 * math.sqrt(spread) / math.pi)
+        m = math.tau * np.arange(-reach, reach + 1)[:, None]
+        kernel -= np.log(np.add.reduce(
+            np.exp(-m * (2.0 * z + m) / (2.0 * spread)), axis=0))
+    cz, sz = np.cos(z), np.sin(z)
+    a, b = cz / (2.0 * nu), sz / (2.0 * nu)
     cx, sx = np.cos(x)[:, None], np.sin(x)[:, None]
     out = np.empty(x.shape)
     rows = max(1, _BLOCK_ENTRIES // len(z))
@@ -88,8 +102,7 @@ def _cole_hopf(nu: float, t: float, x: np.ndarray, step: float,
         w -= kernel
         w -= w.max(axis=1, keepdims=True)
         # weights below e^-600 vanish beside a sum of at least 1; raised to
-        # it, neither exp nor the products meet the subnormal range, where
-        # they run up to a hundred times slower
+        # it, exp and the products stay out of the slow subnormal range
         np.maximum(w, -600.0, out=w)
         np.exp(w, out=w)
         # u0(x - z) = sin x cos z - cos x sin z, one reduction per sum
@@ -101,11 +114,9 @@ def _cole_hopf(nu: float, t: float, x: np.ndarray, step: float,
 
 
 def evaluate(ref: Reference, t: float, x) -> np.ndarray:
-    """Reference solution at time t and position(s) x, with the shape of x.
-
-    At t = 0 it is sin x. A non-finite query is refused (``ValueError``),
-    and so is a (nu, t) whose quadrature needs more than ``_POINT_CAP``
-    points per query.
+    """Reference solution at time t and position(s) x, with the shape of
+    x; sin x at t = 0. A non-finite query is refused (``ValueError``), and
+    so is a (nu, t) whose quadrature needs ``_POINT_CAP`` points a query.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t!r}")
@@ -113,9 +124,6 @@ def evaluate(ref: Reference, t: float, x) -> np.ndarray:
     if not np.isfinite(x).all():
         i = int(np.argmin(np.isfinite(x)))
         raise ValueError(f"x[{i}] is {float(x.flat[i])!r}; x must be finite")
-    if t == 0.0:
-        out = np.sin(x)
-    else:
-        out = _cole_hopf(ref.nu, t, x.reshape(-1),
-                         *_window(ref.nu, t)).reshape(x.shape)
+    out = np.sin(x) if t == 0.0 else _cole_hopf(
+        ref.nu, t, x.reshape(-1), *_window(ref.nu, t)).reshape(x.shape)
     return float(out) if x.ndim == 0 else out

@@ -309,6 +309,28 @@ def test_exact_at_a_small_viscosity(tmp_path, capsys):
     assert abs(u[2] - oracle) <= 1e-13 and abs(oracle - 0.897) < 1e-3
 
 
+@pytest.mark.parametrize("nu, t", [("400", "1"), ("0.1", "1e4")])
+def test_exact_where_the_kernel_is_wider_than_the_period(tmp_path, nu, t):
+    # a step sized by the kernel alone aliased the period at nu = 400
+    # (0.27 sin x, for a solution within e^-400 of 0), and a window
+    # unfolded past the period refused t = 1e4 at the point cap
+    out = tmp_path / "e.csv"
+    code = main(["exact", "--n", "8", "--nu", nu, "--t-final", t,
+                 "--out", str(out)])
+    assert code == 0
+    u = column(out, "u")
+    oracle = burgers_bessel_mp(float(nu), float(t), column(out, "x"))
+    assert np.max(np.abs(u - oracle)) <= 1e-15, u - oracle
+
+
+def test_a_long_run_reports_its_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--n", "4", "--t-final", "1e4",
+                 "--errors-out", "e.csv", "--out", "o.csv"])
+    assert code == 0
+    assert column(tmp_path / "e.csv", "linf")[0] <= 1e-15
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--scheme", "lagrangian", "--n", "32", "--nu", "0.02",
      "--errors-out", "e.csv"],
