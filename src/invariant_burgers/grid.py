@@ -10,23 +10,26 @@ the fundamental interval happens only on output.
 The grid equations and the monitor work on ``Layer``s: a layer is its
 N + 3 periodic ghost slots, their gaps and the views a step reads.
 A position layer carries its period from allocation on, so no grid
-equation takes the domain length. A run allocates its layers once; a grid
-equation writes the next layer's positions into a destination layer that
-the caller passes and places it there (ghost slots, gaps, wide gaps, order
-check), so placing a layer forms no view and allocates no array. ``Layer``
-is the one ghost builder and its placement the one order check:
-``GridSlice``, the interpolants and the mesh solve place or fill a layer
-too. The layer functions are the inside of ``schemes.run``, which
-validates once (N, the period, a finite dt > 0): they check none of it
-again and are not exported. ``GridSlice`` and ``DiscreteField`` are the
-validated containers for a layer handed across the API (snapshots,
-transformations, error measurement).
+equation takes the domain length. A run allocates its layers once and
+binds each grid equation to them once per layer parity
+(``bind_lagrangian``, ``bind_equidistributed``): the bound equation writes
+the next layer's positions into the destination layer it was bound to and
+places it there (ghost slots, gaps, wide gaps, order check), so placing a
+layer forms no view and allocates no array. ``Layer`` is the one ghost
+builder and its placement the one order check: ``GridSlice``, the
+interpolants and the mesh solve place or fill a layer too. The layer
+functions are the inside of ``schemes.run``, which validates once (N, the
+period, a finite dt > 0): they check none of it again and are not
+exported. ``GridSlice`` and ``DiscreteField`` are the validated containers
+for a layer handed across the API (snapshots, transformations, error
+measurement).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -127,7 +130,9 @@ class Layer:
     adaptive step's destination holds its monitor and then the mesh. A
     layer owns three buffers, ``g``, ``gaps`` and ``wide``; every other
     member is a view of them, formed when the layer is allocated, so
-    writing a layer forms no view and allocates no array.
+    writing a layer forms no view and allocates no array. So are its
+    ``place``, ``fill`` and ``measure``: closures over those views, bound
+    when the layer is allocated, which load no member when they run.
 
     - ``nodes`` is slots 1 .. N. The stencil and the monitor read the slot
       row g[:-1] through ``row_east`` g[1:-1] and ``row_west`` g[:-2]
@@ -137,9 +142,14 @@ class Layer:
       (N + 1), with their slot-row parts ``row_gaps`` and ``row_wide``,
       hold the gaps and wide gaps of a position layer.
 
-    Write the nodes, then ``place`` positions (period L > 0) or ``fill``
-    values; both take N >= 1. The interpolants bracket a query by slots j,
-    j + 1 with 1 <= j <= N and read at most one slot beyond.
+    Write the nodes, then ``place()`` positions (period L > 0) or
+    ``fill()`` values; both take N >= 1. ``place`` writes the ghost slots
+    over the period, forms the gaps and wide gaps (``measure``, which
+    forms them of the slots as they stand) and checks the node gaps,
+    raising ``NodeCrossingError`` naming the first interval whose gap is
+    not positive; ``fill`` copies the ghost slots without arithmetic. The
+    interpolants bracket a query by slots j, j + 1 with 1 <= j <= N and
+    read at most one slot beyond.
     """
 
     def __init__(self, n: int, period: float = 0.0):
@@ -148,56 +158,48 @@ class Layer:
         self.nodes = g[1:-2]
         self.row_east, self.row_west = g[1:-1], g[:-2]
         self.east, self.west = g[2:-1], g[:-3]
-        self.gaps, self.wide = np.empty(n + 2), np.empty(n + 1)
-        self.row_gaps, self.row_wide = self.gaps[:-1], self.wide[:-1]
-        self._node_gaps = self.gaps[1:-1]
-        self._slots = (g[1:], g[:-1], g[2:], g[:-2])
+        gaps, wide = self.gaps, self.wide = np.empty(n + 2), np.empty(n + 1)
+        self.row_gaps, self.row_wide = gaps[:-1], wide[:-1]
+        node_gaps = self._node_gaps = gaps[1:-1]
+        ahead, behind, ahead2, behind2 = g[1:], g[:-1], g[2:], g[:-2]
+        subtract = np.subtract
+
+        def measure():
+            subtract(ahead, behind, gaps)
+            subtract(ahead2, behind2, wide)
+
+        def place():
+            g[0] = g[-3] - period
+            g[-2] = g[1] + period
+            # with one node, slot 2 is the ghost a_0 + L just written, and
+            # the last slot is a_0 + 2L in one addition
+            g[-1] = g[2] + period if n > 1 else g[1] + 2.0 * period
+            measure()
+            _require_positive(node_gaps)
+
+        def fill():
+            # in order: with one node, slot 2 is the ghost slot written second
+            g[0] = g[-3]
+            g[-2] = g[1]
+            g[-1] = g[2]
+
+        self.measure, self.place, self.fill = measure, place, fill
 
     @classmethod
     def of_positions(cls, x: np.ndarray, domain_length: float) -> Layer:
         """A new layer holding the positions ``x``, placed."""
         layer = cls(len(x), domain_length)
         layer.nodes[...] = x
-        return layer.place()
+        layer.place()
+        return layer
 
     @classmethod
     def of_values(cls, u: np.ndarray) -> Layer:
         """A new layer holding the values ``u``, filled."""
         layer = cls(len(u))
         layer.nodes[...] = u
-        return layer.fill()
-
-    def place(self) -> Layer:
-        """Complete a layer of node positions over its period: its ghost
-        slots, its gaps and wide gaps, and the order check on the node
-        gaps, which raises ``NodeCrossingError`` naming the first interval
-        whose gap is not positive."""
-        g, period = self.g, self.period
-        g[0] = g[-3] - period
-        g[-2] = g[1] + period
-        # with one node, slot 2 is the ghost a_0 + L just written, and the
-        # last slot is a_0 + 2L in one addition
-        g[-1] = g[2] + period if len(g) > 4 else g[1] + 2.0 * period
-        self.measure()
-        _require_positive(self._node_gaps)
-        return self
-
-    def fill(self) -> Layer:
-        """Complete a layer of nodal values: its ghost slots copied,
-        without arithmetic."""
-        g = self.g
-        # in order: with one node, slot 2 is the ghost slot written second
-        g[0] = g[-3]
-        g[-2] = g[1]
-        g[-1] = g[2]
-        return self
-
-    def measure(self) -> Layer:
-        """Form the gaps and wide gaps of the slots as they stand."""
-        east, west, east2, west2 = self._slots
-        np.subtract(east, west, self.gaps)
-        np.subtract(east2, west2, self.wide)
-        return self
+        layer.fill()
+        return layer
 
 
 def uniform_slice(n: int, t: float = 0.0, domain_start: float = 0.0,
@@ -227,15 +229,27 @@ def mean_spacing(grid: GridSlice) -> float:
     return grid.domain_length / grid.n
 
 
-def advance_lagrangian(xl: Layer, ul: Layer, dt: float, out: Layer
-                       ) -> Layer:
-    """Move every node with its local velocity, x_i += dt * u_i, into the
-    layer ``out``, and place it there. A step too large for the velocity
+def bind_lagrangian(xl: Layer, ul: Layer, dt: np.ndarray, out: Layer
+                    ) -> Callable[[], None]:
+    """The Lagrangian grid equation bound to its layers: a closure that
+    moves every node with its local velocity, x_i += dt * u_i, into the
+    layer ``out``, and places it there. A step too large for the velocity
     gradient inverts an interval, which the placement rejects with
-    ``NodeCrossingError``."""
-    np.multiply(dt, ul.nodes, out.nodes)
-    np.add(xl.nodes, out.nodes, out.nodes)
-    return out.place()
+    ``NodeCrossingError``. ``dt`` is read when the closure runs."""
+    x, u, x_next, place = xl.nodes, ul.nodes, out.nodes, out.place
+
+    def equation():
+        np.multiply(dt, u, x_next)
+        np.add(x, x_next, x_next)
+        place()
+
+    return equation
+
+
+def advance_lagrangian(equation: Callable[[], None]):
+    """One step of a Lagrangian grid equation that ``bind_lagrangian``
+    bound: the entry through which ``schemes.run`` takes it, once a step."""
+    equation()
 
 
 def monitor(xl: Layer, ul: Layer, alpha: float, out: Layer) -> Layer:
@@ -251,18 +265,38 @@ def monitor(xl: Layer, ul: Layer, alpha: float, out: Layer) -> Layer:
     np.multiply(alpha, rho, rho)
     np.add(_ONE, rho, rho)
     np.sqrt(rho, rho)
-    return out.fill()
+    out.fill()
+    return out
 
 
-def advance_equidistributed(xl: Layer, ul: Layer, alpha: float, dt: float,
-                            out: Layer) -> Layer:
-    """Place the next grid layer, in ``out``, by equidistributing the
+def bind_equidistributed(xl: Layer, ul: Layer, alpha: float,
+                         dt: np.ndarray, out: Layer, xdot: np.ndarray
+                         ) -> Callable[[], None]:
+    """The equidistributing grid equation bound to its layers: a closure
+    that places the next grid layer, in ``out``, by equidistributing the
     monitor of the current layer (``_equidistribute``) with node 0 moved
-    Lagrangianly, x_0 += dt*u_0. That anchor keeps the grid equation
-    equivariant under boosts; a fixed anchor would not be."""
-    # in scalar arithmetic: a 0-d dt would send the product through a ufunc
-    anchor = xl.nodes[0] + float(dt) * ul.nodes[0]
-    return _equidistribute(xl, ul, alpha, anchor, out)
+    Lagrangianly, x_0 += dt*u_0, and writes its grid velocity, the
+    difference quotient (x_next - x)/dt, into the row ``xdot``: the one
+    grid with no closed-form velocity. The anchor keeps the grid equation
+    equivariant under boosts; a fixed anchor would not be. ``dt`` is read
+    when the closure runs."""
+    x, u, x_next = xl.nodes, ul.nodes, out.nodes
+
+    def equation():
+        # in scalar arithmetic: a 0-d dt would send the product through a
+        # ufunc
+        _equidistribute(xl, ul, alpha, x[0] + float(dt) * u[0], out)
+        np.subtract(x_next, x, xdot)
+        np.divide(xdot, dt, xdot)
+
+    return equation
+
+
+def advance_equidistributed(equation: Callable[[], None]):
+    """One step of an equidistributing grid equation that
+    ``bind_equidistributed`` bound: the entry through which
+    ``schemes.run`` takes it, once a step."""
+    equation()
 
 
 # largest node displacement between rounds, relative to L, at which the
@@ -289,7 +323,8 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
     for _ in range(_MAX_ROUNDS):
         ul.nodes[...] = require_finite(
             _as_float_array(initial(xl.nodes.copy())))
-        _equidistribute(xl, ul.fill(), alpha, anchor, out)
+        ul.fill()
+        _equidistribute(xl, ul, alpha, anchor, out)
         # the last read of the old positions: the next round writes there
         moved = np.subtract(out.nodes, xl.nodes, xl.nodes)
         change = float(np.max(np.abs(moved, moved)))
@@ -334,4 +369,5 @@ def _equidistribute(xl: Layer, ul: Layer, alpha: float, anchor: float,
     out.nodes[0], rest = anchor, out.nodes[1:]
     np.multiply(c[:-1], np.array(out.period / c[-1]), rest)
     np.add(np.array(anchor), rest, rest)
-    return out.place()
+    out.place()
+    return out

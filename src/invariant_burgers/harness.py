@@ -82,9 +82,12 @@ def linf_error(traj: Trajectory, ref: Reference) -> ErrorReport:
     """Max nodal deviation from the reference solution at the final time.
 
     The reference is evaluated at the final node positions themselves, so
-    moving-mesh runs are compared without any re-mapping error. A reference
-    for another nu raises ``ValueError``, an error that is not finite
-    ``NonFiniteSolutionError``.
+    moving-mesh runs are compared without any re-mapping error. The rms is
+    formed from the squared deviations where they neither underflow nor
+    overflow and from the deviations scaled by the L-inf error where they
+    do, so linf / sqrt(N) <= rms <= linf whenever linf is finite. A
+    reference for another nu raises ``ValueError``, an error that is not
+    finite ``NonFiniteSolutionError``.
     """
     if ref.nu != traj.config.nu:
         raise ValueError(f"reference for nu={ref.nu!r}, run at "
@@ -95,6 +98,10 @@ def linf_error(traj: Trajectory, ref: Reference) -> ErrorReport:
         diff = fld.u - u_ref
         linf = float(np.max(np.abs(diff)))
         rms = float(np.sqrt(np.mean(diff ** 2)))
+        if 0.0 < linf < np.inf and not 0.0 < rms < np.inf:
+            # the squares underflowed to 0 or overflowed: the same mean
+            # over deviations scaled by linf, which keeps them in range
+            rms = linf * float(np.sqrt(np.mean((diff / linf) ** 2)))
     if not np.isfinite([linf, rms]).all():
         raise NonFiniteSolutionError(
             f"error against the reference is not finite at "

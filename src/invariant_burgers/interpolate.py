@@ -8,11 +8,13 @@ safe projection operators for the symmetry-preserving schemes.
 nodes in a ``grid.Layer`` (which checks their order), checks that no sum of
 two node positions or squared gap overflows, fills its values in another
 and hands both layers and rows sized for its queries to ``_evaluate``,
-which reads the period from the position layer. The evolution-projection
-step calls it on the layers and targets it has placed and filled, with the
-rows its run allocated once, and has each interpolant's last operation
-write into its value layer. Every stencil indexes the ghost slots ``g`` of
-the layers directly:
+which reads the period from the position layer and binds the interpolant
+to them as a closure; ``interpolate`` runs it once. The evolution-projection
+binds it once per run, to the layers and targets it places and fills on
+every step, with the rows its run allocated once, and has each
+interpolant's last operation write into its value layer; it runs the
+closure once a step. Every stencil indexes the ghost slots ``g`` of the
+layers directly:
 
 - linear and spline reduce each query into [x_0, x_0 + L) and bracket it
   by ghost slots j, j + 1 (the node at or left of it and the next one);
@@ -30,12 +32,14 @@ the layers directly:
   the partner bracket reads views of the layers and rows where the search
   gathers at b, so it allocates no array.
 
-The spline solves for its moments on every call.
+The spline solves for its moments, and allocates its intermediates, on
+every call.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -90,7 +94,7 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
                          f"gaps: a node and its neighbour across the seam "
                          f"round to one position one period away")
     return _evaluate(xl, Layer.of_values(u), q, kind, np.empty(q.shape),
-                     QuadraticRows(len(x), q.shape))
+                     QuadraticRows(len(x), q.shape))()
 
 
 def _reach(x: np.ndarray) -> float:
@@ -114,63 +118,84 @@ class QuadraticRows:
 
 
 def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
-              out: np.ndarray, rows: QuadraticRows) -> np.ndarray:
+              out: np.ndarray, rows: QuadraticRows
+              ) -> Callable[[], np.ndarray]:
     """The interpolant of kind ``kind`` through the placed position layer
     ``xl`` and filled value layer ``ul``, at the finite queries ``q`` read
-    modulo the period of ``xl``; the quadratic reads the gaps and wide
-    gaps of ``xl``'s slots and works in ``rows``, sized for ``xl`` and
-    ``q``. The last operation of each interpolant writes its values into
-    ``out``, of the queries' shape and aliasing none of the other inputs."""
+    modulo the period of ``xl``, bound: a closure that evaluates it at the
+    layers and queries as they stand when it runs. The quadratic reads the
+    gaps and wide gaps of ``xl``'s slots and works in ``rows``, sized for
+    ``xl`` and ``q``. The last operation of each interpolant writes its
+    values into ``out``, of the queries' shape and aliasing none of the
+    other inputs, and the closure returns ``out``. The linear and spline
+    closures allocate their intermediates; the spline's moments are solved
+    on every call."""
     xg, ug, period = xl.g, ul.g, xl.period
     if kind is InterpKind.QUADRATIC:
-        mid, s, c, w = rows.midpoints, rows.slopes, rows.second, rows.work
-        np.multiply(_HALF, np.add(xg[:-1], xg[1:], mid), mid)
-        # the slot slopes s_k and second differences c_k of the Newton form
-        np.divide(np.subtract(ug[1:], ug[:-1], s), xl.gaps, s)
-        np.divide(np.subtract(rows.s_east, rows.s_west, c), xl.wide, c)
+        mid, s, c, w, test = (rows.midpoints, rows.slopes, rows.second,
+                              rows.work, rows.test)
+        x_west, x_east, u_west, u_east = xg[:-1], xg[1:], ug[:-1], ug[1:]
+        gaps, wide, s_east, s_west = xl.gaps, xl.wide, rows.s_east, rows.s_west
+        mid_west, mid_east = rows.mid_west, rows.mid_east
         # slot b + 1 holds the node nearest q, ties going left: node i for
-        # query i when each lies between the midpoints beside its node;
-        # else the count of inner midpoints left of q (0 .. N for any q),
-        # the queries reduced first if one lies outside (mid[0], mid[-1]]
-        n, test = len(xg) - 3, rows.test
-        if (q.shape == (n,) and np.less(rows.mid_west, q, test)[test.argmin()]
-                and np.less_equal(q, rows.mid_east, test)[test.argmin()]):
-            u0, x0, x1, s0, c0 = ul.west, xl.west, xl.nodes, rows.s0, rows.c0
-        else:
-            if not (mid[0] < q.min(initial=np.inf)
-                    and q.max(initial=-np.inf) <= mid[-1]):
-                q = xg[1] + np.mod(q - xg[1], period)
-            b = np.searchsorted(rows.mid_east, q, side="left")
-            u0, x0, x1, s0, c0 = ug[b], xg[b], xg[1:][b], s[b], c[b]
-        # u_b + (q - x_b) (s_b + (q - x_{b+1}) c_b), over slots b .. b + 2
-        np.add(s0, np.multiply(np.subtract(q, x1, w), c0, w), w)
-        np.multiply(np.subtract(q, x0, out), w, out)
-        return np.add(u0, out, out)
+        # query i when there is one query per node and each lies between
+        # the midpoints beside its node; else the count of inner midpoints
+        # left of q (0 .. N for any q), the queries reduced first if one
+        # lies outside (mid[0], mid[-1]]
+        partner = q.shape == (len(xg) - 3,)
+        beside = ul.west, xl.west, xl.nodes, rows.s0, rows.c0
+        add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
+                                           np.divide)
 
-    # each query shifted by a multiple of L into [x_0, x_0 + L)
-    q = xg[1] + np.mod(q - xg[1], period)
-    # the ghost slot j of the node at or left of each query
-    j = np.searchsorted(xg[1:-2], q, side="right")
+        def quadratic():
+            multiply(_HALF, add(x_west, x_east, mid), mid)
+            # the slot slopes s_k and second differences c_k of the Newton
+            # form
+            divide(subtract(u_east, u_west, s), gaps, s)
+            divide(subtract(s_east, s_west, c), wide, c)
+            at = q
+            if (partner and np.less(mid_west, q, test)[test.argmin()]
+                    and np.less_equal(q, mid_east, test)[test.argmin()]):
+                u0, x0, x1, s0, c0 = beside
+            else:
+                if not (mid[0] < q.min(initial=np.inf)
+                        and q.max(initial=-np.inf) <= mid[-1]):
+                    at = xg[1] + np.mod(q - xg[1], period)
+                b = np.searchsorted(mid_east, at, side="left")
+                u0, x0, x1, s0, c0 = ug[b], xg[b], x_east[b], s[b], c[b]
+            # u_b + (q - x_b) (s_b + (q - x_{b+1}) c_b), over slots b .. b + 2
+            add(s0, multiply(subtract(at, x1, w), c0, w), w)
+            multiply(subtract(at, x0, out), w, out)
+            return add(u0, out, out)
 
-    if kind is InterpKind.LINEAR:
-        w = (q - xg[j]) / (xg[j + 1] - xg[j])
-        return np.add(ug[j] * (1.0 - w), ug[j + 1] * w, out)
+        return quadratic
 
-    # cubic spline: second derivatives m at the nodes. The node gaps h,
-    # the gap slopes du and the moments are copied into value layers, so
-    # each row reads its west neighbour from a ghost copy and rows 0 and
-    # N-1 share one closing gap
-    hl = Layer.of_values(xl.gaps[1:-1])
-    h, hw = hl.nodes, hl.west
-    dl = Layer.of_values((ul.east - ul.nodes) / h)
-    mg = Layer.of_values(_solve_cyclic_tridiagonal(
-        hw / 6.0, (hw + h) / 3.0, h / 6.0, dl.nodes - dl.west)).g
-    hj = hl.g[j]
-    s = (q - xg[j]) / hj
-    r = 1.0 - s
-    return np.add(ug[j] * r + ug[j + 1] * s,
-                  hj ** 2 / 6.0 * ((r ** 3 - r) * mg[j]
-                                   + (s ** 3 - s) * mg[j + 1]), out)
+    def piecewise():
+        # each query shifted by a multiple of L into [x_0, x_0 + L)
+        at = xg[1] + np.mod(q - xg[1], period)
+        # the ghost slot j of the node at or left of each query
+        j = np.searchsorted(xg[1:-2], at, side="right")
+        if kind is InterpKind.LINEAR:
+            w = (at - xg[j]) / (xg[j + 1] - xg[j])
+            return np.add(ug[j] * (1.0 - w), ug[j + 1] * w, out)
+
+        # cubic spline: second derivatives m at the nodes. The node gaps h,
+        # the gap slopes du and the moments are copied into value layers,
+        # so each row reads its west neighbour from a ghost copy and rows
+        # 0 and N-1 share one closing gap
+        hl = Layer.of_values(xl.gaps[1:-1])
+        h, hw = hl.nodes, hl.west
+        dl = Layer.of_values((ul.east - ul.nodes) / h)
+        mg = Layer.of_values(_solve_cyclic_tridiagonal(
+            hw / 6.0, (hw + h) / 3.0, h / 6.0, dl.nodes - dl.west)).g
+        hj = hl.g[j]
+        s = (at - xg[j]) / hj
+        r = 1.0 - s
+        return np.add(ug[j] * r + ug[j + 1] * s,
+                      hj ** 2 / 6.0 * ((r ** 3 - r) * mg[j]
+                                       + (s ** 3 - s) * mg[j + 1]), out)
+
+    return piecewise
 
 
 def _solve_cyclic_tridiagonal(west, diag, east, rhs) -> np.ndarray:

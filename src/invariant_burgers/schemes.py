@@ -1,8 +1,8 @@
 """Time stepping: the moving-mesh discretization and the ``run`` driver,
 each of whose steps has three stages. The scheme's grid equation gives the
 next position layer and its grid velocity, the one moving-mesh stencil
-(``invariant_step``) steps the values onto it, and the evolution-projection
-alone then remaps them (``project``). Lagrangian and the projection move
+(``bind_stencil``) steps the values onto it, and the evolution-projection
+alone remaps them (``bind_projection``). Lagrangian and the projection move
 the nodes with u, the adaptive scheme equidistributes a monitor, and FTCS
 and constant-frame step on the lattice at rest, which needs no equation:
 its next layer is the one it has. The frame velocity c is the Galilean
@@ -27,13 +27,23 @@ the lattice at rest and no advection term on a Lagrangian one. Nor does it
 pay two surcharges on that floor: a ufunc reads a 0-d array operand 0.2 us
 faster than a scalar, so the step's constants and computed scalars are 0-d
 arrays; and ``a[a.argmin()]`` gives a reduction's verdict (the first NaN,
-else the minimum; the first False) at a third to half its cost.
+else the minimum; the first False) at a third to half its cost. Nor does
+it find the operands of those calls again on every step: ``run`` binds
+each stage once per layer parity, before its loop, as a zero-argument
+closure over the run's layers, rows and one 0-d dt (the grid equation with
+its placement, the stencil with its fill, the projection's remap and the
+diffusion weight), and each ``grid.Layer`` binds its own placement and
+fill. The closures issue the same ufunc calls in the same order, so every
+value is the same to the bit. The loop enters the stencil and the grid
+equations through ``invariant_step``, ``grid.advance_lagrangian`` and
+``grid.advance_equidistributed``, looked up when ``run`` starts, so that
+a rebinding of those module attributes reaches it.
 
 ``run`` is the step layer's one boundary. It and ``SchemeConfig`` validate
 once; it then allocates its ``grid.Layer``s (N + 3 slots each, a position
 layer with the period L), its ``StencilRows`` and the remap's
 ``QuadraticRows`` once, and steps with a finite dt in (0, dt_factor * h^2],
-so the step functions, which work in place on those, check none of it again
+so its stages, bound to those and working in place, check none of it again
 and are not exported. A run's layers are the mesh, the solution, which the
 stencil steps in place, and a spare position layer for the grid equation;
 the projection steps into a fourth, of evolved values, and remaps them back
@@ -66,8 +76,8 @@ import numpy as np
 
 from .errors import NodeCrossingError, SimulationError
 from .grid import (TAU, DiscreteField, Layer, advance_equidistributed,
-                   advance_lagrangian, equidistribute_initial,
-                   require_finite, uniform_slice)
+                   advance_lagrangian, bind_equidistributed, bind_lagrangian,
+                   equidistribute_initial, require_finite, uniform_slice)
 from .interpolate import InterpKind, QuadraticRows, _evaluate
 
 
@@ -204,83 +214,98 @@ class StencilRows:
             np.empty(n), np.empty(n), np.empty(n), np.empty(n))
 
 
-def diffusion_weight(xl: Layer, rows: StencilRows) -> np.ndarray:
+def bind_weight(xl: Layer, rows: StencilRows) -> Callable[[], None]:
     """The diffusion weight 2 nu / (x_{i+1} - x_{i-1}) at the nodes of the
-    position layer ``xl``, over its row wide gaps, in ``rows.weight``. It
-    changes only with the positions, so ``run`` forms it once per position
-    layer: once per run on the stationary lattice."""
-    return np.divide(rows.two_nu, xl.row_wide, rows.weight)
+    position layer ``xl``, over its row wide gaps, bound: a closure that
+    forms it in ``rows.weight``. It changes only with the positions, so
+    ``run`` forms it once per position layer: once per run on the
+    stationary lattice."""
+    two_nu, wide, weight = rows.two_nu, xl.row_wide, rows.weight
+
+    def form():
+        np.divide(two_nu, wide, weight)
+
+    return form
 
 
-def moving_mesh_terms(xl: Layer, ul: Layer, xdot, rows: StencilRows
-                      ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Advection and diffusion terms of the moving-mesh relation
-    (u_next - u_k)/dt + advection - diffusion = 0 at the nodes of the
-    position layer ``xl`` and value layer ``ul``, read over their slot
-    rows: the row gaps and row wide gaps of ``xl`` and the row views of
-    ``ul``. The difference of the gap slopes is multiplied by the
-    diffusion weight of ``xl`` in ``rows.weight`` (``diffusion_weight``).
-    The centred slope is weighted by the velocity relative to the
-    grid motion, u_k - xdot, where xdot is the grid velocity its grid
-    equation defines: None on a stationary layer, which skips the
+def bind_stencil(xl: Layer, ul: Layer, xdot, dt, rows: StencilRows,
+                 out: Layer) -> Callable[[], None]:
+    """The moving-mesh stencil bound to its layers: a closure that writes
+    the explicit update u_next = u_k - dt * (advection - diffusion) into
+    the value layer ``out`` and fills it there. The relation
+    (u_next - u_k)/dt + advection - diffusion = 0 is read over the slot
+    rows of the position layer ``xl`` and value layer ``ul`` (neighbours
+    unwrapped across the seam): the row gaps and row wide gaps of ``xl``
+    and the row views of ``ul``. Each gap's slope is formed once for its
+    two nodes, and their difference multiplied by the diffusion weight of
+    ``xl`` in ``rows.weight`` (``bind_weight``). The centred slope is
+    weighted by the velocity relative to the grid motion, u_k - xdot,
+    where xdot is the grid velocity its grid equation defines, and its
+    form is chosen here, once: None on a stationary layer skips the
     subtraction (u - 0.0 is u bit for bit, -0.0 included) and gives the
-    FTCS relation; the value layer ``ul`` itself on a Lagrangian layer,
-    where u_k - xdot is zero, so no advection term is formed and None
-    stands in for it; one value per node (the difference quotient)
-    otherwise, or a scalar, which only the certifier passes (the difference
-    quotient at its one node, or 0.0 in its fixed-grid relation). Each
-    gap's slope is formed once for its two nodes. The terms are written
-    into ``rows`` and returned as those rows.
+    classical FTCS update; the value layer ``ul`` itself on a Lagrangian
+    layer, where u_k - xdot is zero, forms no advection term and gives
+    u + dt * diffusion; one value per node (the difference quotient,
+    which the adaptive grid equation writes into ``rows.xdot``) or a
+    scalar, which only the certifier passes, is subtracted.
+
+    The terms stay in ``rows.advection`` and ``rows.diffusion``, and the
+    update is formed in ``rows.work`` before the one write into
+    ``out.nodes``, so ``out`` may be ``ul``. ``dt`` and the weight are
+    read when the closure runs. The new values are unchecked.
     """
-    slopes, advection, diffusion = rows.slopes, rows.advection, rows.diffusion
-    np.subtract(ul.row_east, ul.row_west, slopes)
-    np.divide(slopes, xl.row_gaps, slopes)
-    np.subtract(rows.slopes_east, rows.slopes_west, diffusion)
-    np.multiply(rows.weight, diffusion, diffusion)
-    if xdot is ul:
-        return None, diffusion
-    np.subtract(ul.east, ul.west, advection)
-    np.divide(advection, xl.row_wide, advection)
-    relative = (ul.nodes if xdot is None
-                else np.subtract(ul.nodes, xdot, rows.work))
-    np.multiply(relative, advection, advection)
-    return advection, diffusion
+    row_east, row_west, east, west = (ul.row_east, ul.row_west, ul.east,
+                                      ul.west)
+    u, u_next, fill = ul.nodes, out.nodes, out.fill
+    gaps, wide = xl.row_gaps, xl.row_wide
+    slopes, slopes_east, slopes_west = (rows.slopes, rows.slopes_east,
+                                        rows.slopes_west)
+    weight, advection, diffusion, work = (rows.weight, rows.advection,
+                                          rows.diffusion, rows.work)
+    add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
+                                       np.divide)
+    # the form of the update, fixed here: no advection term on a
+    # Lagrangian layer, and no relative velocity to form on one at rest
+    lagrangian, still = xdot is ul, xdot is None
+
+    def stencil():
+        subtract(row_east, row_west, slopes)
+        divide(slopes, gaps, slopes)
+        subtract(slopes_east, slopes_west, diffusion)
+        multiply(weight, diffusion, diffusion)
+        if lagrangian:
+            multiply(dt, diffusion, work)
+            add(u, work, u_next)
+        else:
+            subtract(east, west, advection)
+            divide(advection, wide, advection)
+            multiply(u if still else subtract(u, xdot, work), advection,
+                     advection)
+            subtract(advection, diffusion, work)
+            multiply(dt, work, work)
+            subtract(u, work, u_next)
+        fill()
+
+    return stencil
 
 
-def invariant_step(xl: Layer, ul: Layer, xdot, dt: float, rows: StencilRows,
-                   out: Layer) -> Layer:
-    """Explicit update on a moving mesh, written into the value layer
-    ``out`` and filled there: the moving-mesh stencil over the slot row of
-    the layer ``xl`` (neighbours unwrapped across the seam), with the grid
-    velocity ``xdot`` that the grid equation defines (see
-    ``moving_mesh_terms``). None, on the stationary layer, gives the
-    classical FTCS update; ``ul`` itself, on the Lagrangian layer, gives
-    u + dt * diffusion. ``rows`` holds the diffusion weight of ``xl``
-    (``diffusion_weight``), as ``run`` keeps it per position layer, and
-    takes the terms. ``out`` may be ``ul``: every term is formed in
-    ``rows`` before the one write into ``out.nodes``. The new values are
-    unchecked.
-    """
-    advection, diffusion = moving_mesh_terms(xl, ul, xdot, rows)
-    if advection is None:
-        np.multiply(dt, diffusion, diffusion)
-        np.add(ul.nodes, diffusion, out.nodes)
-    else:
-        np.subtract(advection, diffusion, advection)
-        np.multiply(dt, advection, advection)
-        np.subtract(ul.nodes, advection, out.nodes)
-    return out.fill()
+def invariant_step(stencil: Callable[[], None]):
+    """One step of a stencil that ``bind_stencil`` bound: the entry through
+    which ``run`` takes it, once a step."""
+    stencil()
 
 
-def project(xl: Layer, ul: Layer, dt: float, moved: Layer, evolved: Layer,
-            interp_kind: InterpKind, remap_rows: QuadraticRows) -> Layer:
-    """The projection's remap, back into the step-start layers: the values
-    ``evolved`` on the layer ``moved``, which the Lagrangian step and the
-    stencil wrote from ``xl`` and ``ul``, interpolated onto the lattice
-    ``xl`` advanced by the bulk (mean) velocity of ``ul``, working in
-    ``remap_rows``. The shift is read from ``ul`` before anything writes
-    it; the targets are shifted into ``xl`` and placed there, and the
-    values remapped into ``ul`` and filled. Returns ``xl``.
+def bind_projection(xl: Layer, ul: Layer, dt, moved: Layer, evolved: Layer,
+                    interp_kind: InterpKind, remap_rows: QuadraticRows
+                    ) -> Callable[[], None]:
+    """The projection's remap bound to its layers: a closure that remaps,
+    back into the step-start layers, the values ``evolved`` on the layer
+    ``moved``, which the Lagrangian step and the stencil wrote from ``xl``
+    and ``ul``, interpolated onto the lattice ``xl`` advanced by the bulk
+    (mean) velocity of ``ul``, working in ``remap_rows``. The shift is read
+    from ``ul`` before anything writes it; the targets are shifted into
+    ``xl`` and placed there, and the values remapped into ``ul`` and
+    filled. ``dt`` is read when the closure runs.
 
     Advancing the targets with the bulk velocity keeps the composite
     boost-equivariant: a lattice held fixed in one frame is a moving
@@ -290,15 +315,20 @@ def project(xl: Layer, ul: Layer, dt: float, moved: Layer, evolved: Layer,
     it normally lies between the midpoints beside its moved node and the
     quadratic reads that node's parabola without a search.
     """
-    # the mean as np.mean forms it (pairwise sum over n), without its
-    # dispatch
-    u = ul.nodes
-    shift = float(dt) * (np.add.reduce(u) / len(u))
-    np.add(xl.nodes, np.array(shift), xl.nodes)
-    xl.place()
-    _evaluate(moved, evolved, xl.nodes, interp_kind, u, remap_rows)
-    ul.fill()
-    return xl
+    x, u, place, fill = xl.nodes, ul.nodes, xl.place, ul.fill
+    n, total = len(u), np.add.reduce
+    remap = _evaluate(moved, evolved, x, interp_kind, u, remap_rows)
+
+    def projection():
+        # the mean as np.mean forms it (pairwise sum over n), without its
+        # dispatch
+        shift = float(dt) * (total(u) / n)
+        np.add(x, np.array(shift), x)
+        place()
+        remap()
+        fill()
+
+    return projection
 
 
 # a blow-up, in the set-up or in a step, surfaces as a typed error (a
@@ -317,7 +347,10 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     ``snapshot_every`` stores every k-th step in addition to the first and
     last; 0 keeps only those two; it must be an integer. A run of more
     than ``_MAX_STEPS`` steps is rejected with a ``ValueError`` before the
-    first one. The step functions it calls check nothing of this again.
+    first one. The stages are bound before the loop, one set per layer
+    parity: the Lagrangian and adaptive meshes alternate between two
+    position layers, the others keep one. They check nothing of this
+    again.
     """
     _require_integer("snapshot_every", snapshot_every)
     if snapshot_every < 0:
@@ -346,26 +379,6 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         grid = equidistribute_initial(sample_initial, grid, config.alpha)
     u0 = sample_initial(grid.x)
 
-    def lagrangian(xl, ul, dt, out):
-        return advance_lagrangian(xl, ul, dt, out), ul
-
-    def equidistributed(xl, ul, dt, out):
-        x_next = advance_equidistributed(xl, ul, alpha, dt, out)
-        # the one grid with no closed-form velocity: its difference quotient
-        xdot = np.subtract(x_next.nodes, xl.nodes, rows.xdot)
-        return x_next, np.divide(xdot, dt, xdot)
-
-    # the grid equation of each moving scheme with the grid velocity it
-    # defines; each looks its advance up when called, so a rebinding of the
-    # module attribute reaches the step loop. The lattice at rest has none:
-    # it is its own next layer, with no grid velocity
-    grid_equation = {
-        SchemeKind.LAGRANGIAN: lagrangian,
-        SchemeKind.EULERIAN_ADAPTIVE: equidistributed,
-        SchemeKind.EVOLUTION_PROJECTION: lagrangian,
-    }.get(kind)
-    projecting = kind is SchemeKind.EVOLUTION_PROJECTION
-
     # each snapshot is reported in the frame of the boosted data, at
     # (xi + c t, v + c); at t = 0 the lattice is where that frame sees it
     snapshots = [DiscreteField(grid=grid, u=u0 + drift)]
@@ -373,40 +386,82 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # with the period L: the mesh xl and the solution ul, which the stencil
     # steps in place, the spare position layer the grid equation writes,
     # and the projection's values evolved on the moved layer, with the
-    # remap's rows; and the stencil's rows
+    # remap's rows; the stencil's rows; and one 0-d dt, which the cut last
+    # step rewrites in place
     n = config.n_points
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
     x_spare = Layer(n, length)
+    projecting = kind is SchemeKind.EVOLUTION_PROJECTION
     if projecting:
         evolved, remap_rows = Layer(n), QuadraticRows(n, n)
     rows = StencilRows(n, config.nu)
-    diffusion_weight(xl, rows)
+    bind_weight(xl, rows)()
     dt, alpha = np.array(dt0), np.array(config.alpha)
+    # the entries of the stencil and of the scheme's grid equation, looked
+    # up here, so that a rebinding of the module attributes reaches the
+    # loop; the lattice at rest has no grid equation: it is its own next
+    # layer, with no grid velocity
+    stencil_step = invariant_step
+    advance = {SchemeKind.LAGRANGIAN: advance_lagrangian,
+               SchemeKind.EULERIAN_ADAPTIVE: advance_equidistributed,
+               SchemeKind.EVOLUTION_PROJECTION: advance_lagrangian}.get(kind)
+
+    def bind(x_start: Layer, x_next: Layer):
+        """The stages of a step from the position layer ``x_start``, its
+        grid equation writing ``x_next``: the grid equation, the stencil,
+        the remap and the diffusion weight of the position layer the step
+        ends on, bound to the run's layers (None for a stage the scheme
+        lacks), and that layer."""
+        if advance is None:
+            equation, xdot = None, None
+        elif kind is SchemeKind.EULERIAN_ADAPTIVE:
+            xdot = rows.xdot
+            equation = bind_equidistributed(x_start, ul, alpha, dt, x_next,
+                                            xdot)
+        else:
+            equation, xdot = bind_lagrangian(x_start, ul, dt, x_next), ul
+        stencil = bind_stencil(x_start, ul, xdot, dt, rows,
+                               evolved if projecting else ul)
+        remap = (bind_projection(x_start, ul, dt, x_next, evolved,
+                                 config.interp_kind, remap_rows)
+                 if projecting else None)
+        end = x_start if projecting else x_next
+        # the mesh moves: its diffusion weight, formed once a step
+        weight = None if equation is None else bind_weight(end, rows)
+        return equation, stencil, remap, weight, end
+
+    # one set of stages per layer parity: the Lagrangian and adaptive
+    # meshes alternate between two position layers, the others keep one
+    if kind in (SchemeKind.LAGRANGIAN, SchemeKind.EULERIAN_ADAPTIVE):
+        stages = (bind(xl, x_spare), bind(x_spare, xl))
+    else:
+        stages = (bind(xl, x_spare if projecting else xl),) * 2
+    # the solution row's own product, the BLAS sum of squares that
+    # require_finite forms first, without np.vdot's dispatch; this
+    # function's errstate silences its overflow warning
+    u, isfinite = ul.nodes, math.isfinite
+    square_sum = u.dot
     step, t = 0, 0.0
     t_end = config.t_final - 1e-12 * config.t_final
     while t < t_end:
         # in (0, dt0]: dt0 > 0, t < t_end <= t_final; cut only on the last step
         span = min(dt0, config.t_final - t)
-        dt = dt if span == dt0 else np.array(span)
+        if span != dt0:
+            dt[()] = span
         t_next = t + span
+        equation, stencil, remap, weight, end = stages[step & 1]
         try:
-            # the grid equation, the stencil and the projection's remap
-            if grid_equation is None:
-                x_next, xdot = xl, None
-            else:
-                x_next, xdot = grid_equation(xl, ul, dt, x_spare)
-            if projecting:
-                invariant_step(xl, ul, xdot, dt, rows, evolved)
-                x_next = project(xl, ul, dt, x_next, evolved,
-                                 config.interp_kind, remap_rows)
-            else:
-                invariant_step(xl, ul, xdot, dt, rows, ul)
-            require_finite(ul.nodes)
-            if x_next is not xl:
-                xl, x_spare = x_next, xl
-            if grid_equation is not None:
-                # the mesh moved: its diffusion weight, formed here alone
-                diffusion_weight(xl, rows)
+            if equation is not None:
+                advance(equation)
+            stencil_step(stencil)
+            if remap is not None:
+                remap()
+            # the sum of squares clears nearly every step; require_finite
+            # decides the rest
+            if not isfinite(square_sum(u)):
+                require_finite(u)
+            if weight is not None:
+                weight()
             is_last = t_next >= t_end
             if is_last or (snapshot_every > 0
                            and (step + 1) % snapshot_every == 0):
@@ -416,7 +471,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
                 try:
                     snapshots.append(DiscreteField(
                         grid=replace(grid, t=t_snap,
-                                     x=xl.nodes + drift * t_snap),
+                                     x=end.nodes + drift * t_snap),
                         u=ul.nodes + drift))
                 except NodeCrossingError as exc:
                     # the layer passed the same check, so only the shift by

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .grid import TAU, DiscreteField, GridSlice, Layer
-from .schemes import StencilRows, diffusion_weight, moving_mesh_terms
+from .schemes import StencilRows, bind_stencil, bind_weight
 
 
 class Generator(Enum):
@@ -158,22 +158,24 @@ def satisfy_ftcs(s: Stencil, p: StencilParams) -> Stencil:
     return _satisfy(s, p, 0.0)
 
 
-def _terms(s: Stencil, xdot: float, nu: float) -> tuple[float, float]:
+def _terms(s: Stencil, xdot: float, nu: float
+           ) -> tuple[float, float, float]:
     """The advection and diffusion terms of the moving-mesh stencil at the
-    center of ``s``: its step-start rows are the slot rows of one-node
-    layers, whose last slot the stencil never reads."""
-    xl, ul, rows = Layer(1), Layer(1), StencilRows(1, nu)
+    center of ``s`` and the center value it steps to: its step-start rows
+    are the slot rows of one-node layers, whose last slot the stencil never
+    reads, and the solver's stencil, bound to them, runs once."""
+    xl, ul, out, rows = Layer(1), Layer(1), Layer(1), StencilRows(1, nu)
     xl.g[:-1], ul.g[:-1] = s.x, s.u
     xl.g[-1] = ul.g[-1] = np.nan
-    diffusion_weight(xl.measure(), rows)
-    (advection,), (diffusion,) = moving_mesh_terms(xl, ul, xdot, rows)
-    return advection, diffusion
+    xl.measure()
+    bind_weight(xl, rows)()
+    bind_stencil(xl, ul, xdot, s.dt, rows, out)()
+    return rows.advection[0], rows.diffusion[0], out.nodes[0]
 
 
 def _satisfy(s: Stencil, p: StencilParams, xdot: float) -> Stencil:
-    advection, diffusion = _terms(s, xdot, p.nu)
     u_next = s.u_next.copy()
-    u_next[1] = s.u[1] - s.dt * (advection - diffusion)
+    u_next[1] = _terms(s, xdot, p.nu)[2]
     return replace(s, u_next=u_next)
 
 
@@ -193,7 +195,7 @@ def satisfy_constant(s: Stencil, p: StencilParams) -> Stencil:
 
 def stencil_scale(s: Stencil, p: StencilParams) -> float:
     """Magnitude of the individual relation terms, for defect normalization."""
-    advection, diffusion = _terms(s, _grid_velocity(s), p.nu)
+    advection, diffusion, _ = _terms(s, _grid_velocity(s), p.nu)
     return max(abs((s.u_next[1] - s.u[1]) / s.dt), abs(advection),
                abs(diffusion), 1.0)
 

@@ -55,7 +55,9 @@ def equidistribute_initial_rounds(initial, grid, alpha, settle_rtol,
     for _ in range(max_rounds):
         ul.nodes[...] = require_finite(np.asarray(initial(x), dtype=float))
         xl.nodes[...] = x
-        r = monitor(xl.place(), ul.fill(), alpha, rho).nodes
+        xl.place()
+        ul.fill()
+        r = monitor(xl, ul, alpha, rho).nodes
         sums = np.cumsum(1.0 / (r + np.roll(r, -1)))
         if not 0.0 < sums[-1] < np.inf:
             raise NonFiniteSolutionError(

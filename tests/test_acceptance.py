@@ -19,7 +19,8 @@ from invariant_burgers import (
     satisfy_constant, satisfy_scheme, satisfy_stationary, StencilParams,
     transform_stencil, uniform_slice,
 )
-from invariant_burgers.grid import Layer, advance_equidistributed, monitor
+from invariant_burgers.grid import (Layer, advance_equidistributed,
+                                    bind_equidistributed, monitor)
 from invariant_burgers.interpolate import interpolate
 
 from invariant_burgers.exact import _cole_hopf, _window
@@ -184,7 +185,10 @@ def test_criterion_6_mesh_oracle_equivalence():
         x, u = random_smooth_field(rng, n)
         xl, ul = Layer.of_positions(x - x[0], TAU), Layer.of_values(u)
         dt = float(rng.uniform(1e-4, 5e-3))
-        out = advance_equidistributed(xl, ul, 1.0, dt, Layer(n, TAU)).nodes
+        out = Layer(n, TAU)
+        advance_equidistributed(bind_equidistributed(xl, ul, 1.0, dt, out,
+                                                     np.empty(n)))
+        out = out.nodes
         rho = monitor(xl, ul, 1.0, Layer(n)).nodes
         ref = dense_equidistribution_solve(rho, xl.nodes[0] + dt * u[0], TAU)
         worst = max(worst, float(np.max(np.abs(out - ref))))
@@ -393,6 +397,50 @@ def test_criterion_11_equal_accuracy(coeffs_nu01):
               f"its node-steps; closest to the target {closest:.1e} "
               f"relative; {elapsed:.2f}s")
     assert _verdict("11 (equal accuracy)", ok, detail), detail
+
+
+# criterion 12 divides each scheme's fitted time-step constant by this, so
+# that the time error falls below the space error
+TIME_REFINEMENT = 64
+ORDER_TOLERANCE = 0.2
+
+
+def test_criterion_12_space_and_time(coeffs_nu01):
+    # the fitted constants put the paper's error table largely in the
+    # forward-Euler time error; at C/64 the space error remains, and every
+    # scheme converges in it at order 2. FTCS's bulk-velocity penalty is a
+    # space error, so it survives there
+    start = time.perf_counter()
+    ns = [32, 64, 128]
+    table, orders = {}, {}
+    for kind in SchemeKind:
+        config = SchemeConfig(scheme_kind=kind)
+        config = replace(config,
+                         dt_factor=config.dt_factor / TIME_REFINEMENT)
+        rows = convergence_study(config, ns, coeffs_nu01)
+        table[kind] = [r.linf_error for r in rows]
+        orders[kind] = [r.observed_order for r in rows[1:]]
+
+    def ftcs_error(c):
+        config = SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS,
+                              frame_velocity=c)
+        config = replace(config,
+                         dt_factor=config.dt_factor / TIME_REFINEMENT)
+        return linf_error(run(config, np.sin), coeffs_nu01).linf_error
+
+    penalty = ftcs_error(4.0) / ftcs_error(0.0)
+    elapsed = time.perf_counter() - start
+
+    print(f"  L-inf at C/{TIME_REFINEMENT}, N = " + ", ".join(map(str, ns)))
+    for kind in SchemeKind:
+        print(f"  {kind.value}: " + ", ".join(f"{e:.3e}" for e in table[kind])
+              + "; orders " + ", ".join(f"{o:.3f}" for o in orders[kind]))
+    ok = (all(abs(o - 2.0) <= ORDER_TOLERANCE
+              for row in orders.values() for o in row) and penalty > 10.0)
+    detail = (f"orders in [{min(min(o) for o in orders.values()):.3f}, "
+              f"{max(max(o) for o in orders.values()):.3f}]; ftcs c=4 over "
+              f"c=0 at N=64 {penalty:.1f}x; {elapsed:.2f}s")
+    assert _verdict("12 (space and time)", ok, detail), detail
 
 
 def test_criterion_13_unknown_bulk_velocity(coeffs_nu01):

@@ -1,5 +1,6 @@
 import argparse
 import math
+import re
 import warnings
 
 import numpy as np
@@ -329,6 +330,19 @@ def test_a_long_run_reports_its_error(tmp_path, monkeypatch):
                  "--errors-out", "e.csv", "--out", "o.csv"])
     assert code == 0
     assert column(tmp_path / "e.csv", "linf")[0] <= 1e-15
+
+
+def test_an_error_whose_squares_underflow_reports_a_positive_rms(
+        tmp_path, capsys, monkeypatch):
+    # the squared deviations of 4e-192 underflow to 0; the rms printed was
+    # 0.0 under a positive L-inf
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--t-final", "1e-320", "--n", "8",
+                 "--out", "o.csv"]) == 0
+    summary = capsys.readouterr().out
+    linf, rms = (float(re.search(rf"{name}=(\S+)", summary).group(1))
+                 for name in ("linf", "rms"))
+    assert 0.0 < linf and 0.0 < rms <= linf
 
 
 @pytest.mark.parametrize("argv", [

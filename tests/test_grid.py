@@ -14,8 +14,8 @@ from invariant_burgers import (
 )
 from invariant_burgers.grid import (_MAX_ROUNDS, _SETTLE_RTOL, Layer,
                                     _equidistribute, advance_equidistributed,
-                                    advance_lagrangian, monitor,
-                                    require_finite)
+                                    advance_lagrangian, bind_equidistributed,
+                                    bind_lagrangian, monitor, require_finite)
 from invariant_burgers.interpolate import InterpKind, interpolate
 
 from oracles import (dense_equidistribution_solve,
@@ -37,6 +37,21 @@ def layer(grid):
 
 def values(u):
     return Layer.of_values(u)
+
+
+def lagrangian_step(xl, ul, dt, out):
+    """One step of the Lagrangian grid equation bound to the layers, as
+    ``run`` takes it: the layer ``out`` it placed."""
+    advance_lagrangian(bind_lagrangian(xl, ul, dt, out))
+    return out
+
+
+def equidistributed_step(xl, ul, alpha, dt, out):
+    """One step of the equidistributing grid equation bound to the layers,
+    as ``run`` takes it: the layer ``out`` it placed."""
+    advance_equidistributed(bind_equidistributed(xl, ul, alpha, dt, out,
+                                                 np.empty(len(out.nodes))))
+    return out
 
 
 def nodes(xl):
@@ -270,14 +285,14 @@ def test_a_placed_layer_matches_the_order_oracle(x, ordered, length):
 
 def test_advance_lagrangian_zero_velocity():
     grid = uniform_slice(16)
-    out = advance_lagrangian(layer(grid), values(np.zeros(16)), 0.05,
+    out = lagrangian_step(layer(grid), values(np.zeros(16)), 0.05,
                              Layer(16, TAU))
     np.testing.assert_array_equal(nodes(out), grid.x)
 
 
 def test_advance_lagrangian_rigid_motion_preserves_gaps():
     grid = uniform_slice(16)
-    out = advance_lagrangian(layer(grid), values(np.full(16, 0.7)), 0.1,
+    out = lagrangian_step(layer(grid), values(np.full(16, 0.7)), 0.1,
                              Layer(16, TAU))
     np.testing.assert_allclose(nodes(out), grid.x + 0.1 * 0.7, rtol=0, atol=0)
     np.testing.assert_allclose(gaps(out), grid.gaps(), rtol=0, atol=5e-15)
@@ -287,7 +302,7 @@ def test_advance_lagrangian_matches_formula():
     # independent elementwise evaluation of the node-motion rule
     grid = uniform_slice(8)
     u = np.sin(grid.x)
-    out = advance_lagrangian(layer(grid), values(u), 0.1, Layer(8, TAU))
+    out = lagrangian_step(layer(grid), values(u), 0.1, Layer(8, TAU))
     expected = [grid.x[i] + 0.1 * math.sin(grid.x[i]) for i in range(8)]
     np.testing.assert_allclose(nodes(out), expected, rtol=0, atol=1e-16)
 
@@ -297,15 +312,15 @@ def test_advance_lagrangian_detects_node_crossing():
     u = np.zeros(8)
     u[3] = -2.0 * mean_spacing(grid)  # node 3 would overtake node 2
     with pytest.raises(NodeCrossingError):
-        advance_lagrangian(layer(grid), values(u), 1.0, Layer(8, TAU))
+        lagrangian_step(layer(grid), values(u), 1.0, Layer(8, TAU))
 
 
 def test_gap_sum_preserved_by_advances():
     fld = sin_field(32)
     xg, ul = layer(fld.grid), values(fld.u)
     for out in (
-        advance_lagrangian(xg, ul, 0.01, Layer(32, TAU)),
-        advance_equidistributed(xg, ul, 1.0, 0.01, Layer(32, TAU)),
+        lagrangian_step(xg, ul, 0.01, Layer(32, TAU)),
+        equidistributed_step(xg, ul, 1.0, 0.01, Layer(32, TAU)),
     ):
         assert abs(gaps(out).sum() - TAU) <= 1e-12 * TAU
 
@@ -357,7 +372,7 @@ def test_monitor_at_least_one():
 
 def test_equidistributed_constant_monitor_gives_uniform_gaps():
     fld = sin_field(32)
-    out = advance_equidistributed(layer(fld.grid), values(fld.u), 0.0, 0.01,
+    out = equidistributed_step(layer(fld.grid), values(fld.u), 0.0, 0.01,
                                   Layer(32, TAU))
     np.testing.assert_allclose(gaps(out), TAU / 32, rtol=0, atol=1e-9)
 
@@ -368,7 +383,7 @@ def test_equidistributed_matches_dense_solve():
         x, u = random_smooth_field(rng, 32)
         fld = DiscreteField(grid=GridSlice(t=0.0, x=x - x[0] + 0.2), u=u)
         dt = 1e-3
-        out = advance_equidistributed(layer(fld.grid), values(u), 1.0, dt,
+        out = equidistributed_step(layer(fld.grid), values(u), 1.0, dt,
                                       Layer(32, TAU))
         rho = field_monitor(fld, 1.0)
         ref = dense_equidistribution_solve(rho, fld.grid.x[0] + dt * u[0], TAU)
@@ -396,7 +411,7 @@ def monitored_fields(draw):
 def check_placement(fld, alpha, dt):
     """The placed layer agrees with the dense solve, carries one flux in
     every cell up to the rounding of stored positions, and spans L."""
-    out = advance_equidistributed(layer(fld.grid), values(fld.u), alpha, dt,
+    out = equidistributed_step(layer(fld.grid), values(fld.u), alpha, dt,
                                   Layer(fld.grid.n, TAU))
     rho = field_monitor(fld, alpha)
     ref = dense_equidistribution_solve(rho, fld.grid.x[0] + dt * fld.u[0],
@@ -432,7 +447,7 @@ def test_equidistributed_closing_gap_keeps_the_flux():
 
 def test_equidistributed_products_are_equal():
     fld = sin_field(64)
-    out = nodes(advance_equidistributed(layer(fld.grid), values(fld.u), 1.0,
+    out = nodes(equidistributed_step(layer(fld.grid), values(fld.u), 1.0,
                                         0.005, Layer(64, TAU)))
     rho = field_monitor(fld, 1.0)
     res = equidistribution_residual(out, rho, TAU)
@@ -448,7 +463,7 @@ def test_equidistributed_products_are_equal():
 def test_equidistributed_anchor_is_lagrangian():
     fld = sin_field(32)
     dt = 0.01
-    out = advance_equidistributed(layer(fld.grid), values(fld.u), 1.0, dt,
+    out = equidistributed_step(layer(fld.grid), values(fld.u), 1.0, dt,
                                   Layer(32, TAU))
     assert nodes(out)[0] == pytest.approx(fld.grid.x[0] + dt * fld.u[0],
                                           abs=0)
@@ -530,13 +545,13 @@ def test_lagrangian_advance_commutes_with_boost_exactly():
     fld = sin_field(32)
     dt = 0.02
     boost = GroupElement(Generator.GALILEAN_BOOST, 1.5)
-    moved = GridSlice(t=dt, x=nodes(advance_lagrangian(
+    moved = GridSlice(t=dt, x=nodes(lagrangian_step(
         layer(fld.grid), values(fld.u), dt, Layer(32, TAU))))
     direct = DiscreteField(grid=moved, u=fld.u)  # carry values for transform
     transformed_after = apply_field(boost, direct)
 
     boosted = apply_field(boost, fld)
-    moved_boosted = advance_lagrangian(layer(boosted.grid), values(boosted.u),
+    moved_boosted = lagrangian_step(layer(boosted.grid), values(boosted.u),
                                        dt, Layer(32, TAU))
     np.testing.assert_allclose(nodes(moved_boosted), transformed_after.grid.x,
                                rtol=0, atol=1e-12)
@@ -547,10 +562,10 @@ def test_equidistributed_advance_commutes_with_boost():
     dt = 0.01
     boost = GroupElement(Generator.GALILEAN_BOOST, 1.0)
 
-    rest = advance_equidistributed(layer(fld.grid), values(fld.u), 1.0, dt,
+    rest = equidistributed_step(layer(fld.grid), values(fld.u), 1.0, dt,
                                    Layer(48, TAU))
     boosted_in = apply_field(boost, fld)
-    boosted_out = advance_equidistributed(layer(boosted_in.grid),
+    boosted_out = equidistributed_step(layer(boosted_in.grid),
                                           values(boosted_in.u), 1.0, dt,
                                           Layer(48, TAU))
     # the boosted mesh should be the rest mesh shifted by eps*(t+dt)

@@ -251,15 +251,42 @@ def test_an_error_report_refuses_a_negative_linf():
     assert refused.type is ValueError
 
 
-def test_linf_error_rejects_an_error_that_is_not_finite(coeffs_nu01):
-    # finite values whose squared deviation overflows: the rms is inf
-    huge = Trajectory(
-        snapshots=tuple(DiscreteField(grid=uniform_slice(16, t=t),
-                                      u=np.full(16, 1e200))
-                        for t in (0.0, 0.5)),
-        config=config_for(SchemeKind.CLASSICAL_FTCS))
+def test_linf_error_rejects_an_error_that_is_not_finite(coeffs_nu01,
+                                                        monkeypatch):
+    # finite values measured against a reference that is not finite
+    monkeypatch.setattr(harness, "evaluate",
+                        lambda ref, t, x: np.full(len(x), np.inf))
+    traj = run(config_for(SchemeKind.CLASSICAL_FTCS, n_points=16,
+                          t_final=0.01), np.sin)
     with pytest.raises(NonFiniteSolutionError, match="not finite"):
-        linf_error(huge, coeffs_nu01)
+        linf_error(traj, coeffs_nu01)
+
+
+def far_final_field(coeffs, offset):
+    """A trajectory whose final values are the reference's, offset by
+    ``offset``."""
+    grid = uniform_slice(16, t=0.5)
+    final = evaluate(coeffs, 0.5, grid.x) + offset
+    return Trajectory(
+        snapshots=(DiscreteField(grid=uniform_slice(16), u=np.sin(grid.x)),
+                   DiscreteField(grid=grid, u=final)),
+        config=config_for(SchemeKind.CLASSICAL_FTCS))
+
+
+@pytest.mark.parametrize("traj", [
+    # the squared deviations overflow: the unscaled rms was inf, and the
+    # report refused the finite error
+    lambda coeffs: far_final_field(coeffs, 1e200),
+    # they underflow: the unscaled rms was 0 under an L-inf of 4e-192
+    lambda coeffs: run(config_for(SchemeKind.CLASSICAL_FTCS, n_points=8,
+                                  t_final=1e-320), np.sin),
+], ids=["overflow", "underflow"])
+def test_the_rms_lies_between_linf_over_root_n_and_linf(coeffs_nu01, traj):
+    traj = traj(coeffs_nu01)
+    report = linf_error(traj, coeffs_nu01)
+    assert 0.0 < report.linf_error < math.inf
+    assert (report.linf_error / math.sqrt(traj.config.n_points)
+            <= report.rms_error <= report.linf_error)
 
 
 @pytest.fixture(scope="module")

@@ -175,9 +175,9 @@ def test_one_rows_object_serves_calls_on_other_layers_and_queries(n, data):
         for q in (near, near + TAU):
             xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
             reused = _evaluate(xl, ul, q, InterpKind.QUADRATIC, np.empty(n),
-                               rows)
+                               rows)()
             fresh = _evaluate(xl, ul, q, InterpKind.QUADRATIC, np.empty(n),
-                              QuadraticRows(n, n))
+                              QuadraticRows(n, n))()
             assert (reused.tobytes() == fresh.tobytes() == interpolate(
                 x, u, q, InterpKind.QUADRATIC, TAU).tobytes())
 

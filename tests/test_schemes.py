@@ -12,10 +12,11 @@ from invariant_burgers import (
     Trajectory, apply_field, mean_spacing, run, uniform_slice,
 )
 
-from invariant_burgers.grid import Layer, advance_lagrangian
+from invariant_burgers.grid import Layer, advance_lagrangian, bind_lagrangian
 from invariant_burgers.interpolate import QuadraticRows
-from invariant_burgers.schemes import (StencilRows, diffusion_weight,
-                                       invariant_step, project)
+from invariant_burgers.schemes import (StencilRows, bind_projection,
+                                       bind_stencil, bind_weight,
+                                       invariant_step)
 
 from oracles import (ftcs_update_loop, moving_mesh_update_loop,
                      random_smooth_field)
@@ -41,8 +42,15 @@ def stencil_rows(xl, nu):
     its diffusion weight at ``nu`` formed, as ``run`` keeps them for the
     step functions."""
     rows = StencilRows(len(xl.nodes), nu)
-    diffusion_weight(xl, rows)
+    bind_weight(xl, rows)()
     return rows
+
+
+def stencil_step(xl, ul, xdot, dt, rows, out):
+    """One step of the stencil bound to the layers, as ``run`` takes it:
+    the value layer ``out`` it filled."""
+    invariant_step(bind_stencil(xl, ul, xdot, dt, rows, out))
+    return out
 
 
 def moving_step(fld, grid_next, dt, nu):
@@ -50,7 +58,7 @@ def moving_step(fld, grid_next, dt, nu):
     with the grid velocity its difference quotient."""
     xdot = (grid_next.x - fld.grid.x) / dt
     xl = layer(fld.grid)
-    out = invariant_step(xl, Layer.of_values(fld.u), xdot, dt,
+    out = stencil_step(xl, Layer.of_values(fld.u), xdot, dt,
                          stencil_rows(xl, nu), Layer(fld.grid.n))
     return DiscreteField(grid=grid_next, u=out.nodes)
 
@@ -60,12 +68,11 @@ def projection_step(fld, dt, nu, interp_kind):
     equation, the stencil onto the moved layer with xdot = u, and the
     remap back into the step-start layers."""
     n, length = fld.grid.n, fld.grid.domain_length
-    start, ul = layer(fld.grid), Layer.of_values(fld.u)
-    moved = advance_lagrangian(start, ul, dt, Layer(n, length))
-    evolved = invariant_step(start, ul, ul, dt, stencil_rows(start, nu),
-                             Layer(n))
-    xl = project(start, ul, dt, moved, evolved, interp_kind,
-                 QuadraticRows(n, n))
+    xl, ul, moved = layer(fld.grid), Layer.of_values(fld.u), Layer(n, length)
+    advance_lagrangian(bind_lagrangian(xl, ul, dt, moved))
+    evolved = stencil_step(xl, ul, ul, dt, stencil_rows(xl, nu), Layer(n))
+    bind_projection(xl, ul, dt, moved, evolved, interp_kind,
+                    QuadraticRows(n, n))()
     return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xl.nodes),
                          u=ul.nodes)
 
@@ -76,7 +83,7 @@ def projection_step(fld, dt, nu, interp_kind):
 
 def ftcs_step(fld, dt, nu):
     xl = layer(fld.grid)
-    out = invariant_step(xl, Layer.of_values(fld.u), None, dt,
+    out = stencil_step(xl, Layer.of_values(fld.u), None, dt,
                          stencil_rows(xl, nu), Layer(fld.grid.n))
     return DiscreteField(grid=fld.grid, u=out.nodes)
 
@@ -163,9 +170,9 @@ def test_a_stationary_step_equals_a_step_onto_a_copied_layer(n, seed, dt,
     u[rng.integers(0, n, 3)] = rng.choice([0.0, -0.0], 3)
     xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
     rows = stencil_rows(xl, nu)
-    skipped = invariant_step(xl, ul, None, dt, rows, Layer(n))
+    skipped = stencil_step(xl, ul, None, dt, rows, Layer(n))
     for xdot in ((x - x.copy()) / dt, 0.0):
-        formed = invariant_step(xl, ul, xdot, dt, rows, Layer(n))
+        formed = stencil_step(xl, ul, xdot, dt, rows, Layer(n))
         assert skipped.g.tobytes() == formed.g.tobytes()
 
 
@@ -185,9 +192,9 @@ def test_a_step_in_place_equals_a_step_into_a_spare_layer(n, seed, dt, nu,
     rows.xdot[...] = rng.normal(size=n)
     spare_from, ul = Layer.of_values(u), Layer.of_values(u)
     xdot = {"none": None, "values": spare_from, "row": rows.xdot}[velocity]
-    spare = invariant_step(xl, spare_from, xdot, dt, rows, Layer(n))
+    spare = stencil_step(xl, spare_from, xdot, dt, rows, Layer(n))
     xdot = ul if velocity == "values" else xdot
-    assert invariant_step(xl, ul, xdot, dt, rows, ul) is ul
+    stencil_step(xl, ul, xdot, dt, rows, ul)
     assert ul.g.tobytes() == spare.g.tobytes()
 
 

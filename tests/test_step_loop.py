@@ -61,18 +61,29 @@ def layer_work(config, t_final):
             return fn(*args, **kwargs)
         return call
 
+    def binding(key, bind):
+        # each run of the stage that ``bind`` binds is counted
+        return lambda *args, **kwargs: counted(key, bind(*args, **kwargs))
+
+    init = Layer.__init__
+
+    def allocated(layer, *args, **kwargs):
+        # a layer binds its own placement and fill when it is allocated
+        counts["layers"] += 1
+        init(layer, *args, **kwargs)
+        layer.place = counted("placed", layer.place)
+        layer.fill = counted("filled", layer.fill)
+
     with pytest.MonkeyPatch.context() as mp:
         instrument(mp, _require_positive,
                    counted("checks", _require_positive))
-        instrument(mp, schemes.diffusion_weight,
-                   counted("weights", schemes.diffusion_weight))
-        mp.setattr(Layer, "__init__", counted("layers", Layer.__init__))
+        instrument(mp, schemes.bind_weight,
+                   binding("weights", schemes.bind_weight))
+        mp.setattr(Layer, "__init__", allocated)
         mp.setattr(StencilRows, "__init__",
                    counted("rows", StencilRows.__init__))
         mp.setattr(QuadraticRows, "__init__",
                    counted("remap", QuadraticRows.__init__))
-        mp.setattr(Layer, "place", counted("placed", Layer.place))
-        mp.setattr(Layer, "fill", counted("filled", Layer.fill))
         for cls in (GridSlice, DiscreteField):
             mp.setattr(cls, "__post_init__",
                        counted("containers", cls.__post_init__))
@@ -163,23 +174,94 @@ def test_a_run_allocates_three_layers_and_the_projection_four(config):
         assert layers_of_run(run_config) == 3 + projecting
 
 
-# the step functions run() calls, each with the names of its arguments that
-# are position layers; its other layer arguments hold values
+def python_calls(config, t_final):
+    """The Python function calls that one run of ``config`` to ``t_final``
+    makes, as ``sys.setprofile`` sees them."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        ib.run(SchemeConfig(**{**config, "t_final": t_final}), np.sin)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+# Python calls per extra step at N = 32: before the stages were bound, when
+# the loop handed the layers to each step function, and now. A step calls
+# the entries of the grid equation and the stencil, their bound closures,
+# each layer's own placement (with its gaps and its order check) or fill,
+# and the bound remap and diffusion weight; the sum of squares that clears
+# its values as finite is no Python call. At N = 32 the projection's
+# quadratic searches on every step (its five calls of numpy's search and
+# extrema); the spline allocates three value layers
+CALLS_PER_STEP = [
+    ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, 5, 3),
+    ({"scheme_kind": SchemeKind.CONSTANT_FRAME, "frame_velocity": 0.5}, 5, 3),
+    ({"scheme_kind": SchemeKind.LAGRANGIAN}, 11, 9),
+    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, 14, 12),
+] + [
+    ({"scheme_kind": SchemeKind.EVOLUTION_PROJECTION, "interp_kind": kind},
+     unbound, bound)
+    for kind, unbound, bound in ((InterpKind.LINEAR, 20, 18),
+                                 (InterpKind.QUADRATIC, 22, 20),
+                                 (InterpKind.CUBIC_SPLINE, 30, 28))
+]
+
+
+@pytest.mark.parametrize("config, unbound, bound", CALLS_PER_STEP)
+def test_each_step_makes_fewer_python_calls_than_the_unbound_loop(
+        config, unbound, bound):
+    fields = {**config, "n_points": 32}
+    h = TAU / 32
+    dt0 = SchemeConfig(**fields).dt_factor * h * h
+    k = 4
+    extra = (python_calls(fields, (2 * k - 0.5) * dt0)
+             - python_calls(fields, (k - 0.5) * dt0))
+    assert extra == k * bound
+    assert bound < unbound
+
+
+def test_the_solver_and_the_certifier_bind_one_stencil(monkeypatch):
+    # run binds the stencil once per layer parity, and the certifier's
+    # relation binds the same binder on its one-node layers
+    callers = Counter()
+    bind_stencil = schemes.bind_stencil
+
+    def counted(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_qualname] += 1
+        return bind_stencil(*args, **kwargs)
+
+    instrument(monkeypatch, bind_stencil, counted)
+    ib.run(SchemeConfig(scheme_kind=SchemeKind.LAGRANGIAN, n_points=16),
+           np.sin)
+    ib.satisfy_scheme(ib.sample_stencil(np.random.default_rng(0)),
+                      ib.StencilParams())
+    assert callers == {"run.<locals>.bind": 2, "_terms": 1}
+
+
+# the binders of the stages run() calls, each with the names of its
+# arguments that are position layers; its other layer arguments hold values
 STEP_FUNCTIONS = [
-    (grid.advance_lagrangian, {"xl", "out"}),
-    (grid.advance_equidistributed, {"xl", "out"}),
-    (schemes.invariant_step, {"xl"}),
-    (schemes.project, {"xl", "moved"}),
+    (grid.bind_lagrangian, {"xl", "out"}),
+    (grid.bind_equidistributed, {"xl", "out"}),
+    (schemes.bind_stencil, {"xl"}),
+    (schemes.bind_projection, {"xl", "moved"}),
 ]
 
 
 def asserting(fn, positions, config, calls):
-    """``fn``, asserting first that its dt is a 0-d float64 array, finite
-    and in (0, dt0], dt0 = dt_factor * h^2 as ``run`` forms it, that each
-    of its layers has
-    N + 3 slots, that each position layer has the run's period, that
-    its stencil rows have N weights and N + 1 slopes and that a grid
-    velocity given as an array is their own ``xdot`` row."""
+    """The binder ``fn``, asserting first that its dt is a 0-d float64
+    array, that each of its layers has N + 3 slots, that each position
+    layer has the run's period, that its stencil rows have N weights and
+    N + 1 slopes and that a grid velocity given as an array is their own
+    ``xdot`` row; and asserting, each time the stage it bound runs, that
+    dt is finite and in (0, dt0], dt0 = dt_factor * h^2 as ``run`` forms
+    it. ``calls`` counts the stage's runs under the binder's name."""
     signature = inspect.signature(fn)
     n, length = config.n_points, config.domain_length
     h = length / n
@@ -190,7 +272,6 @@ def asserting(fn, positions, config, calls):
         dt = bound["dt"]
         assert (isinstance(dt, np.ndarray) and dt.shape == ()
                 and dt.dtype == np.float64), repr(dt)
-        assert math.isfinite(dt) and 0.0 < dt <= dt0, dt
         for name, value in bound.items():
             if isinstance(value, Layer):
                 assert len(value.g) == n + 3, name
@@ -202,8 +283,14 @@ def asserting(fn, positions, config, calls):
             assert len(rows.weight) == n and len(rows.slopes) == n + 1
             if isinstance(bound.get("xdot"), np.ndarray):
                 assert bound["xdot"] is rows.xdot
-        calls[fn.__name__] += 1
-        return fn(*args, **kwargs)
+        stage = fn(*args, **kwargs)
+
+        def checked():
+            assert math.isfinite(dt) and 0.0 < dt <= dt0, dt
+            calls[fn.__name__] += 1
+            return stage()
+
+        return checked
 
     return call
 
@@ -231,19 +318,25 @@ def test_run_hands_every_step_a_valid_dt_and_layers(kind, n, log_dt_factor,
         except (ValueError, SimulationError):
             return
     # every scheme steps through the one stencil
-    assert calls["invariant_step"] >= 1
+    assert calls["bind_stencil"] >= 1
 
 
 def allocating(fn, peaks):
-    """``fn``, recording in ``peaks`` the largest growth of tracemalloc's
-    peak over the memory traced when a call starts."""
+    """The binder ``fn``, recording in ``peaks`` the largest growth of
+    tracemalloc's peak over the memory traced when a run of the stage it
+    bound starts."""
     def call(*args, **kwargs):
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn(*args, **kwargs)
-        growth = tracemalloc.get_traced_memory()[1] - start
-        peaks[fn.__name__] = max(peaks[fn.__name__], growth)
-        return result
+        stage = fn(*args, **kwargs)
+
+        def measured():
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = stage()
+            growth = tracemalloc.get_traced_memory()[1] - start
+            peaks[fn.__name__] = max(peaks[fn.__name__], growth)
+            return result
+
+        return measured
 
     return call
 
@@ -317,7 +410,7 @@ def test_a_real_field_of_any_type_runs_as_its_float(name, value, kind):
         traj = ib.run(config, np.sin, snapshot_every=1)
     ref = ib.run(SchemeConfig(**{**fields, name: float(value)}), np.sin,
                  snapshot_every=1)
-    assert calls["invariant_step"] == len(traj.snapshots) - 1
+    assert calls["bind_stencil"] == len(traj.snapshots) - 1
     assert len(traj.snapshots) == len(ref.snapshots)
     for snap, expected in zip(traj.snapshots, ref.snapshots):
         assert type(snap.grid.t) is float and snap.grid.t == expected.grid.t

@@ -15,8 +15,8 @@ from invariant_burgers import (
 )
 
 from invariant_burgers.grid import Layer, monitor
-from invariant_burgers.schemes import (StencilRows, diffusion_weight,
-                                       invariant_step)
+from invariant_burgers.schemes import (StencilRows, bind_stencil,
+                                       bind_weight, invariant_step)
 
 from oracles import moving_mesh_update_loop
 
@@ -226,10 +226,11 @@ def test_scheme_step_sits_on_residual_manifold(case):
     p = StencilParams(nu=0.1)
     xdot = (grid_next.x - fld.grid.x) / dt
     xl = Layer.of_positions(fld.grid.x, TAU)
-    rows = StencilRows(fld.grid.n, p.nu)
-    diffusion_weight(xl, rows)
-    out_u = invariant_step(xl, Layer.of_values(fld.u), xdot, dt, rows,
-                           Layer(fld.grid.n)).nodes
+    rows, out = StencilRows(fld.grid.n, p.nu), Layer(fld.grid.n)
+    bind_weight(xl, rows)()
+    invariant_step(bind_stencil(xl, Layer.of_values(fld.u), xdot, dt, rows,
+                                out))
+    out_u = out.nodes
     expected = moving_mesh_update_loop(fld.grid.x, fld.u, xdot, dt, p.nu,
                                        TAU)
     np.testing.assert_array_equal(out_u, expected)
