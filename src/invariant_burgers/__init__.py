@@ -17,7 +17,7 @@ remap rows, the mutable buffers it steps through; the step functions write
 into those the caller passes, and the results a run returns are copies that
 never alias them. So independent runs may execute concurrently without
 coordination. The public API takes and returns validated values only; the
-functions on those buffers (grid equations, monitor, stencil, remap) are
+functions on those buffers (grid equations, stencil, remap) are
 the inside of ``run``, which validates once, and are not exported.
 """
 

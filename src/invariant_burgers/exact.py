@@ -15,11 +15,15 @@ over its periodic images, so a query takes at most 2 pi / step points and
 the step never aliases the period. Each query's exponent is shifted by
 its own maximum, so the denominator is at least 1 and cannot cancel or
 overflow; its sums are reductions over its own row, so a value does not
-depend on the other queries.
+depend on the other queries. The rows that no query enters (the kernel
+with its periodic images, cos z, sin z) are formed once per (nu, t) and
+kept, read only, for the last few, so repeated queries at one time, as an
+error study makes, pay only for their own rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,12 +66,14 @@ def _window(nu: float, t: float) -> tuple[float, float]:
     return step, t * _U0_MAX + 12.0 * math.sqrt(spread)
 
 
-def _cole_hopf(nu: float, t: float, x: np.ndarray, step: float,
-               half: float) -> np.ndarray:
-    """The trapezoid rule at spacing ``step`` over |z| <= ``half``, or over
-    one period if that is shorter, for each of the 1-D queries ``x`` at
-    t > 0, in blocks of at most ``_BLOCK_ENTRIES`` matrix entries;
-    ``ValueError`` where that spans ``_POINT_CAP`` steps."""
+@functools.lru_cache(maxsize=4)
+def _quadrature(nu: float, t: float, step: float, half: float
+                ) -> tuple[np.ndarray, ...]:
+    """The rows of the trapezoid rule at spacing ``step`` over
+    |z| <= ``half``, or over one period if that is shorter, that no query
+    enters: the kernel's exponent, cos z, sin z and both over 2 nu, read
+    only and kept for the last few (nu, t); ``ValueError`` where that
+    spans ``_POINT_CAP`` steps."""
     # compared before dividing, so a step that underflows to 0 is refused
     if not min(half, math.pi) < _POINT_CAP * step / 2.0:
         raise ValueError(f"the reference at nu={nu!r}, t={t!r} needs more "
@@ -91,16 +97,27 @@ def _cole_hopf(nu: float, t: float, x: np.ndarray, step: float,
         kernel -= np.log(np.add.reduce(
             np.exp(-m * (2.0 * z + m) / (2.0 * spread)), axis=0))
     cz, sz = np.cos(z), np.sin(z)
-    a, b = cz / (2.0 * nu), sz / (2.0 * nu)
+    rows = kernel, cz, sz, cz / (2.0 * nu), sz / (2.0 * nu)
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+def _cole_hopf(nu: float, t: float, x: np.ndarray, step: float,
+               half: float) -> np.ndarray:
+    """The trapezoid rule of ``_quadrature`` for each of the 1-D queries
+    ``x`` at t > 0, in blocks of at most ``_BLOCK_ENTRIES`` matrix
+    entries."""
+    kernel, cz, sz, a, b = _quadrature(nu, t, step, half)
     cx, sx = np.cos(x)[:, None], np.sin(x)[:, None]
     out = np.empty(x.shape)
-    rows = max(1, _BLOCK_ENTRIES // len(z))
+    rows = max(1, _BLOCK_ENTRIES // len(cz))
     for lo in range(0, len(x), rows):
         c, s = cx[lo:lo + rows], sx[lo:lo + rows]
         w = c * a
         w += s * b
         w -= kernel
-        w -= w.max(axis=1, keepdims=True)
+        w -= np.maximum.reduce(w, axis=1, keepdims=True)
         # weights below e^-600 vanish beside a sum of at least 1; raised to
         # it, exp and the products stay out of the slow subnormal range
         np.maximum(w, -600.0, out=w)

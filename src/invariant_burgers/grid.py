@@ -15,9 +15,14 @@ binds each grid equation to them once per layer parity
 (``bind_lagrangian``, ``bind_equidistributed``): the bound equation writes
 the next layer's positions into the destination layer it was bound to and
 places it there (ghost slots, gaps, wide gaps, order check), so placing a
-layer forms no view and allocates no array. ``Layer`` is the one ghost
-builder and its placement the one order check: ``GridSlice``, the
-interpolants and the mesh solve place or fill a layer too. The layer
+layer forms no view and allocates no array. The equidistributing equation
+is one closure (``_bind_solve``) that forms the monitor, solves for the
+positions, places them and forms the grid velocity; it leaves the
+monitor's centred slope in a row that the stencil reads, and the initial
+mesh's rounds run through the same closure at a fixed anchor. ``Layer``
+is the one ghost builder and its placement the one order check:
+``GridSlice``, the interpolants and the mesh solve place or fill a layer
+too. The layer
 functions are the inside of ``schemes.run``, which validates once (N, the
 period, a finite dt > 0): they check none of it again and are not
 exported. ``GridSlice`` and ``DiscreteField`` are the validated containers
@@ -252,44 +257,17 @@ def advance_lagrangian(equation: Callable[[], None]):
     equation()
 
 
-def monitor(xl: Layer, ul: Layer, alpha: float, out: Layer) -> Layer:
-    """Nodal monitor values sqrt(1 + alpha * slope^2), where the slope is
-    the periodic centered difference quotient of the values ``ul`` over
-    the wide gaps of the positions ``xl``, written into the value layer
-    ``out`` and filled there. ``SchemeConfig`` checks that the weight
-    ``alpha`` is finite and >= 0; ``run`` passes it as a 0-d array."""
-    rho = out.nodes
-    np.subtract(ul.east, ul.west, rho)
-    np.divide(rho, xl.row_wide, rho)
-    np.square(rho, rho)
-    np.multiply(alpha, rho, rho)
-    np.add(_ONE, rho, rho)
-    np.sqrt(rho, rho)
-    out.fill()
-    return out
-
-
-def bind_equidistributed(xl: Layer, ul: Layer, alpha: float,
-                         dt: np.ndarray, out: Layer, xdot: np.ndarray
+def bind_equidistributed(xl: Layer, ul: Layer, alpha, dt: np.ndarray,
+                         out: Layer, xdot: np.ndarray, slope: np.ndarray
                          ) -> Callable[[], None]:
-    """The equidistributing grid equation bound to its layers: a closure
-    that places the next grid layer, in ``out``, by equidistributing the
-    monitor of the current layer (``_equidistribute``) with node 0 moved
-    Lagrangianly, x_0 += dt*u_0, and writes its grid velocity, the
-    difference quotient (x_next - x)/dt, into the row ``xdot``: the one
-    grid with no closed-form velocity. The anchor keeps the grid equation
-    equivariant under boosts; a fixed anchor would not be. ``dt`` is read
-    when the closure runs."""
-    x, u, x_next = xl.nodes, ul.nodes, out.nodes
-
-    def equation():
-        # in scalar arithmetic: a 0-d dt would send the product through a
-        # ufunc
-        _equidistribute(xl, ul, alpha, x[0] + float(dt) * u[0], out)
-        np.subtract(x_next, x, xdot)
-        np.divide(xdot, dt, xdot)
-
-    return equation
+    """The equidistributing grid equation bound to its layers
+    (``_bind_solve``), with node 0 moved Lagrangianly, x_0 += dt*u_0: that
+    anchor keeps the equation equivariant under boosts, where a fixed one
+    would not. Its grid velocity, the difference quotient (x_next - x)/dt,
+    goes into the row ``xdot`` (the one grid with no closed-form
+    velocity), and its monitor's centred slope into the row ``slope``,
+    where the stencil reads it. ``dt`` is read when the closure runs."""
+    return _bind_solve(xl, ul, alpha, out, slope, dt, xdot)
 
 
 def advance_equidistributed(equation: Callable[[], None]):
@@ -300,9 +278,12 @@ def advance_equidistributed(equation: Callable[[], None]):
 
 
 # largest node displacement between rounds, relative to L, at which the
-# initial equidistribution counts as settled, and the rounds allowed for it
+# initial equidistribution counts as settled, the plain rounds allowed for
+# it and as many accelerated rounds after them, and the depth of the
+# acceleration
 _SETTLE_RTOL = 1e-12
 _MAX_ROUNDS = 100
+_DEPTH = 5
 
 
 def equidistribute_initial(initial, grid: GridSlice, alpha: float
@@ -313,37 +294,80 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
     their equidistributed positions within the first step, injecting a
     remap error that does not vanish with resolution. Iterating
     mesh -> resample ``initial`` -> mesh before stepping removes it. Each
-    round is the step's solve (``_equidistribute``) at the anchor x_0 (no
-    time has elapsed, so the Lagrangian anchor degenerates to a fixed one),
-    from one position layer into the other, which then swap.
+    round is the step's bound solve (``_bind_solve``) at the fixed anchor
+    x_0: no time has elapsed, so the Lagrangian anchor degenerates to it.
+
+    Steep data on a coarse mesh can keep the plain rounds oscillating. If
+    they have not settled in ``_MAX_ROUNDS`` rounds, as many more restart
+    from the last mesh with Anderson acceleration of depth ``_DEPTH`` on
+    the residual F(x) - x of a round F, taking the plain round F(x) where
+    a candidate's nodes cross, and return the first x that F moves by no
+    more than the tolerance. So every mesh the plain rounds settle at
+    keeps its bits. ``NoConvergenceError`` names the last residual.
     """
-    length, tol = grid.domain_length, _SETTLE_RTOL * grid.domain_length
-    xl, out = Layer.of_positions(grid.x, length), Layer(grid.n, length)
-    ul, anchor = Layer(grid.n), grid.x[0]
-    for _ in range(_MAX_ROUNDS):
+    n, length = grid.n, grid.domain_length
+    tol = _SETTLE_RTOL * length
+    xl, ul, out = Layer(n, length), Layer(n), Layer(n, length)
+    solve = _bind_solve(xl, ul, alpha, out, np.empty(n))
+
+    def round_from(x):
+        """F(x) and its largest node move; ``NodeCrossingError`` if the
+        nodes x cross."""
+        xl.nodes[...] = x
+        xl.place()
         ul.nodes[...] = require_finite(
             _as_float_array(initial(xl.nodes.copy())))
         ul.fill()
-        _equidistribute(xl, ul, alpha, anchor, out)
-        # the last read of the old positions: the next round writes there
-        moved = np.subtract(out.nodes, xl.nodes, xl.nodes)
-        change = float(np.max(np.abs(moved, moved)))
-        xl, out = out, xl
+        solve()
+        f = out.nodes.copy()
+        return f, float(np.max(np.abs(f - x)))
+
+    x = grid.x
+    for _ in range(_MAX_ROUNDS):
+        x, change = round_from(x)
         if change <= tol:
-            break
-    else:
-        raise NoConvergenceError(
-            f"initial equidistribution did not settle in {_MAX_ROUNDS} rounds")
-    return replace(grid, x=xl.nodes.copy())
+            return replace(grid, x=x)
+    plain, history = x, []
+    for _ in range(_MAX_ROUNDS):
+        try:
+            f, change = round_from(x)
+        except NodeCrossingError:
+            x = plain
+            f, change = round_from(x)
+        if change <= tol:
+            return replace(grid, x=x)
+        plain, history = f, history[-_DEPTH:] + [(x, f - x)]
+        x = _anderson(history) if len(history) > 1 else f
+    raise NoConvergenceError(
+        f"initial equidistribution did not settle in {2 * _MAX_ROUNDS} "
+        f"rounds: the last moved a node by {change:.3g}, more than "
+        f"{tol:.3g}")
 
 
-def _equidistribute(xl: Layer, ul: Layer, alpha: float, anchor: float,
-                    out: Layer) -> Layer:
-    """Place in ``out`` the exact solution of the cyclic equidistribution
-    system of the monitor of (``xl``, ``ul``), anchored at x_0 =
-    ``anchor``.
+def _anderson(history) -> np.ndarray:
+    """The Anderson candidate x + g - (dX + dG) gamma of the rounds
+    ``history``, pairs of a mesh x and its residual g = F(x) - x, oldest
+    first: gamma, over the differences dX and dG of successive pairs, is
+    the least-squares fit of dG gamma to the last residual."""
+    xs, gs = (np.array(rows) for rows in zip(*history))
+    dx, dg = np.diff(xs, axis=0).T, np.diff(gs, axis=0).T
+    gamma = np.linalg.lstsq(dg, gs[-1], rcond=None)[0]
+    return xs[-1] + gs[-1] - (dx + dg) @ gamma
 
-    The new positions satisfy
+
+def _bind_solve(xl: Layer, ul: Layer, alpha, out: Layer, slope: np.ndarray,
+                dt: np.ndarray | None = None, xdot: np.ndarray | None = None
+                ) -> Callable[[], None]:
+    """The exact solution of the cyclic equidistribution system of the
+    monitor of (``xl``, ``ul``), bound: a closure that places it in
+    ``out``, anchored at x_0 + dt * u_0 and writing its grid velocity
+    (x_next - x)/dt into ``xdot`` when given a 0-d ``dt`` and ``xdot``,
+    and at x_0 otherwise.
+
+    The monitor is sqrt(1 + alpha * s^2) of the centred slope
+    s = (u_{i+1} - u_{i-1})/(x_{i+1} - x_{i-1}) over the wide gaps of
+    ``xl``, which stays in the row ``slope``; ``SchemeConfig`` checks that
+    the weight ``alpha`` is finite and >= 0. The new positions satisfy
     (rho_{i+1}+rho_i)(x_{i+1}-x_i) = (rho_i+rho_{i-1})(x_i-x_{i-1})
     cyclically, with the monitor lagged on the given layer, and the anchor
     closes the singular system. Each relation equates the flux
@@ -356,18 +380,43 @@ def _equidistribute(xl: Layer, ul: Layer, alpha: float, anchor: float,
     The monitor is written into ``out`` as a value layer first, and the
     reciprocal sums and their partial sums into its node and row wide gaps;
     the positions then replace the monitor and are placed over the layer's
-    period L. A sum not in (0, inf) raises ``NonFiniteSolutionError``.
+    period L. The scale L / sum and the anchor are 0-d arrays, written in
+    place. A sum not in (0, inf) raises ``NonFiniteSolutionError``.
     """
-    monitor(xl, ul, alpha, out)
-    # the ufunc's own accumulation, without the dispatch of np.cumsum
-    inverse, c = out._node_gaps, out.row_wide
-    np.divide(_ONE, np.add(out.nodes, out.east, inverse), inverse)
-    np.add.accumulate(inverse, out=c)
-    if not 0.0 < c[-1] < np.inf:
-        raise NonFiniteSolutionError(
-            f"equidistribution monitor is not finite: its sum is {c[-1]!r}")
-    out.nodes[0], rest = anchor, out.nodes[1:]
-    np.multiply(c[:-1], np.array(out.period / c[-1]), rest)
-    np.add(np.array(anchor), rest, rest)
-    out.place()
-    return out
+    x, u, east, west, wide = xl.nodes, ul.nodes, ul.east, ul.west, xl.row_wide
+    rho, rho_east, fill, place = out.nodes, out.east, out.fill, out.place
+    inverse, sums, period = out._node_gaps, out.row_wide, out.period
+    head, rest = sums[:-1], rho[1:]
+    scale, shift = np.empty(()), np.empty(())
+    add, subtract, multiply, divide, square, sqrt = (
+        np.add, np.subtract, np.multiply, np.divide, np.square, np.sqrt)
+    moving = dt is not None
+
+    def solve():
+        subtract(east, west, slope)
+        divide(slope, wide, slope)
+        square(slope, rho)
+        multiply(alpha, rho, rho)
+        add(_ONE, rho, rho)
+        sqrt(rho, rho)
+        fill()
+        divide(_ONE, add(rho, rho_east, inverse), inverse)
+        # the ufunc's own accumulation, without the dispatch of np.cumsum
+        add.accumulate(inverse, out=sums)
+        total = sums[-1]
+        if not 0.0 < total < math.inf:
+            raise NonFiniteSolutionError(
+                f"equidistribution monitor is not finite: its sum is "
+                f"{total!r}")
+        scale[()] = period / total
+        # in scalar arithmetic: a 0-d dt would send the product through a
+        # ufunc
+        rho[0] = shift[()] = x[0] + float(dt) * u[0] if moving else x[0]
+        multiply(head, scale, rest)
+        add(shift, rest, rest)
+        place()
+        if moving:
+            subtract(rho, x, xdot)
+            divide(xdot, dt, xdot)
+
+    return solve

@@ -258,6 +258,8 @@ def _forked(jobs: Sequence[Callable[[], object]],
 
 # values a formatting process takes at least: ~40 ms, 10x a fork's 3.5 ms
 _MIN_SHARE = 40_000
+
+
 def _block_text(block) -> str:
     """A block's rows: each array value ``repr(float(v))`` by one %-format
     in C, a scalar column on every row (repr of a float, else str)."""

@@ -33,9 +33,14 @@ each stage once per layer parity, before its loop, as a zero-argument
 closure over the run's layers, rows and one 0-d dt (the grid equation with
 its placement, the stencil with its fill, the projection's remap and the
 diffusion weight), and each ``grid.Layer`` binds its own placement and
-fill. The closures issue the same ufunc calls in the same order, so every
-value is the same to the bit. The loop enters the stencil and the grid
-equations through ``invariant_step``, ``grid.advance_lagrangian`` and
+fill. The adaptive grid equation is one closure over its monitor, its
+exact solve, its placement and its grid velocity. Nor does the adaptive
+step form a quantity twice: the centred slope of its monitor is the one
+its stencil weights, so the stencil reads it from the row the grid
+equation wrote. The closures issue the same ufunc calls in the same
+order, less that repeated slope, so every value is the same to the bit.
+The loop enters the stencil and the grid equations through
+``invariant_step``, ``grid.advance_lagrangian`` and
 ``grid.advance_equidistributed``, looked up when ``run`` starts, so that
 a rebinding of those module attributes reaches it.
 
@@ -50,16 +55,17 @@ the projection steps into a fourth, of evolved values, and remaps them back
 into the other two. No step allocates a row but the linear and spline
 remaps' intermediates. The adaptive step writes its monitor and mesh-solve
 sums into the spare layer before the new positions replace them, and its
-grid velocity into the stencil rows; the quadratic remap reads the moved
-and evolved layers through their views where each target lies beside its
-moved node (the spline copies its gaps, gap slopes and moments into value
-layers of its own). Each new position layer is placed and order-checked
-once, an unchanged one not at all, and each new value layer is filled and
-checked for finiteness once, by one sum of squares with no mask unless a
-square overflows. The stencil takes no viscosity but the diffusion weight
-2 nu / (x_{i+1} - x_{i-1}) of its step-start positions, which ``run``
-forms before the loop, where the lattice at rest keeps it, and once per
-step where the mesh moved.
+monitor's centred slope and its grid velocity into the stencil rows'
+``advection`` and ``xdot``, where the stencil reads them; the quadratic
+remap reads the moved and evolved layers through their views where each
+target lies beside its moved node (the spline copies its gaps, gap slopes
+and moments into value layers of its own). Each new position layer is
+placed and order-checked once, an unchanged one not at all, and each new
+value layer is filled and checked for finiteness once, by one sum of
+squares with no mask unless a square overflows. The stencil takes no
+viscosity but the diffusion weight 2 nu / (x_{i+1} - x_{i-1}) of its
+step-start positions, which ``run`` forms before the loop, where the
+lattice at rest keeps it, and once per step where the mesh moved.
 ``GridSlice`` and ``DiscreteField`` are built only for the snapshots
 ``run`` stores, from copies, so no result aliases a layer.
 """
@@ -203,8 +209,9 @@ class Trajectory:
 class StencilRows:
     """The moving-mesh stencil's rows at N nodes: the diffusion ``weight``
     and its numerator ``two_nu`` (2 nu, 0-d), the N + 1 gap ``slopes``
-    (east and west views), ``advection``, ``diffusion``, ``work`` and the
-    adaptive grid velocity ``xdot``."""
+    (east and west views), ``advection`` (on the adaptive mesh, the
+    centred slope its grid equation writes), ``diffusion``, ``work`` and
+    the adaptive grid velocity ``xdot``."""
 
     def __init__(self, n: int, nu: float):
         self.two_nu = np.array(2.0 * nu)
@@ -245,12 +252,17 @@ def bind_stencil(xl: Layer, ul: Layer, xdot, dt, rows: StencilRows,
     subtraction (u - 0.0 is u bit for bit, -0.0 included) and gives the
     classical FTCS update; the value layer ``ul`` itself on a Lagrangian
     layer, where u_k - xdot is zero, forms no advection term and gives
-    u + dt * diffusion; one value per node (the difference quotient,
-    which the adaptive grid equation writes into ``rows.xdot``) or a
-    scalar, which only the certifier passes, is subtracted.
+    u + dt * diffusion; the row ``rows.xdot``, which only the adaptive
+    grid equation writes (the difference quotient), is subtracted from
+    values whose centred slope that equation left in ``rows.advection``
+    (``grid.bind_equidistributed``), so the stencil does not form it; a
+    scalar, which only the certifier passes, is subtracted, and the slope
+    formed.
 
-    The terms stay in ``rows.advection`` and ``rows.diffusion``, and the
-    update is formed in ``rows.work`` before the one write into
+    The diffusion term stays in ``rows.diffusion`` and the advection term
+    in ``rows.advection``, except where the slope was given: the step
+    leaves that row as it found it and forms the term in ``rows.work``.
+    The update is formed in ``rows.work`` before the one write into
     ``out.nodes``, so ``out`` may be ``ul``. ``dt`` and the weight are
     read when the closure runs. The new values are unchecked.
     """
@@ -265,8 +277,12 @@ def bind_stencil(xl: Layer, ul: Layer, xdot, dt, rows: StencilRows,
     add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
                                        np.divide)
     # the form of the update, fixed here: no advection term on a
-    # Lagrangian layer, and no relative velocity to form on one at rest
-    lagrangian, still = xdot is ul, xdot is None
+    # Lagrangian layer, no relative velocity to form on one at rest, and
+    # no slope to form where the adaptive grid equation left it
+    lagrangian, still, sloped = xdot is ul, xdot is None, xdot is rows.xdot
+    # where the slope is given, the step keeps it and forms its advection
+    # term in ``work``
+    term = work if sloped else advection
 
     def stencil():
         subtract(row_east, row_west, slopes)
@@ -277,11 +293,12 @@ def bind_stencil(xl: Layer, ul: Layer, xdot, dt, rows: StencilRows,
             multiply(dt, diffusion, work)
             add(u, work, u_next)
         else:
-            subtract(east, west, advection)
-            divide(advection, wide, advection)
+            if not sloped:
+                subtract(east, west, advection)
+                divide(advection, wide, advection)
             multiply(u if still else subtract(u, xdot, work), advection,
-                     advection)
-            subtract(advection, diffusion, work)
+                     term)
+            subtract(term, diffusion, work)
             multiply(dt, work, work)
             subtract(u, work, u_next)
         fill()
@@ -417,7 +434,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         elif kind is SchemeKind.EULERIAN_ADAPTIVE:
             xdot = rows.xdot
             equation = bind_equidistributed(x_start, ul, alpha, dt, x_next,
-                                            xdot)
+                                            xdot, rows.advection)
         else:
             equation, xdot = bind_lagrangian(x_start, ul, dt, x_next), ul
         stencil = bind_stencil(x_start, ul, xdot, dt, rows,

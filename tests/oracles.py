@@ -38,26 +38,29 @@ def dense_equidistribution_solve(rho, anchor, length):
 def equidistribute_initial_rounds(initial, grid, alpha, settle_rtol,
                                   max_rounds):
     """The initial equidistribution as its own loop: each round resamples
-    ``initial``, writes the monitor into a third layer, takes the
-    reciprocal sums and their partial sums, and writes the positions
-    anchored at x_0 into a fresh array, until no node moves by more than
-    ``settle_rtol`` * L. The slice at the settled positions, or the error
-    of the first check that fails."""
+    ``initial``, forms the monitor over the concatenated ghost layout,
+    takes the reciprocal sums and their partial sums, and writes the
+    positions anchored at x_0 into a fresh array, until no node moves by
+    more than ``settle_rtol`` * L. The slice at the settled positions, or
+    the error of the first check that fails."""
     from dataclasses import replace
 
     from invariant_burgers.errors import (NoConvergenceError,
                                           NonFiniteSolutionError)
-    from invariant_burgers.grid import Layer, monitor, require_finite
+    from invariant_burgers.grid import Layer, require_finite
 
     x, length = grid.x, grid.domain_length
     n = len(x)
-    xl, ul, rho = Layer(n, length), Layer(n), Layer(n, length)
+    xl = Layer(n, length)
     for _ in range(max_rounds):
-        ul.nodes[...] = require_finite(np.asarray(initial(x), dtype=float))
+        u = require_finite(np.asarray(initial(x), dtype=float))
+        # the order check of the layer each round starts from
         xl.nodes[...] = x
         xl.place()
-        ul.fill()
-        r = monitor(xl, ul, alpha, rho).nodes
+        xg, ug = (ghosted_by_concatenation(x, length),
+                  ghosted_by_concatenation(u, 0.0))
+        slope = (ug[2:-1] - ug[:-3]) / (xg[2:-1] - xg[:-3])
+        r = np.sqrt(1.0 + alpha * np.square(slope))
         sums = np.cumsum(1.0 / (r + np.roll(r, -1)))
         if not 0.0 < sums[-1] < np.inf:
             raise NonFiniteSolutionError(
