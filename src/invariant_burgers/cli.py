@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import SimulationError
-from .exact import coefficients, evaluate
+from .exact import Reference, evaluate
 from .grid import TAU
 from .harness import (frame_comparison, linf_error, write_convergence_csv,
                       write_errors_csv, write_exact_csv, write_frames_csv,
@@ -123,7 +123,7 @@ def _cmd_run(args) -> int:
     config = _config_from(args, args.n)
     traj = run(config, np.sin, snapshot_every=args.snapshot_every)
     # the report first: a refused reference leaves no trajectory file behind
-    report = linf_error(traj, coefficients(config.nu))
+    report = linf_error(traj, Reference(config.nu))
     path = _out_path(args.out or "trajectory.csv")
     write_trajectory_csv(path, traj)
     if args.errors_out:
@@ -143,7 +143,7 @@ def _cmd_convergence(args) -> int:
             f"n-min={args.n_min} and n-max={args.n_max} leave no resolution "
             f"of the ladder {CONVERGENCE_NS[0]}..{CONVERGENCE_NS[-1]} "
             f"(powers of two)")
-    rows = convergence_study(config, ns, coefficients(config.nu))
+    rows = convergence_study(config, ns, Reference(config.nu))
     path = _out_path(args.out or "convergence.csv")
     write_convergence_csv(path, rows)
     for r in rows:
@@ -176,7 +176,7 @@ def _cmd_exact(args) -> int:
     if args.n < 1:
         raise ValueError(f"n must be >= 1, got {args.n}")
     x = np.arange(args.n) * (TAU / args.n)
-    u = evaluate(coefficients(args.nu), args.t_final, x)
+    u = evaluate(Reference(args.nu), args.t_final, x)
     path = _out_path(args.out or "exact.csv")
     write_exact_csv(path, args.t_final, x, u)
     print(f"exact nu={args.nu!r} t={args.t_final!r} N={args.n} -> {path}")

@@ -15,10 +15,7 @@ over its periodic images, so a query takes at most 2 pi / step points and
 the step never aliases the period. Each query's exponent is shifted by
 its own maximum, so the denominator is at least 1 and cannot cancel or
 overflow; its sums are reductions over its own row, so a value does not
-depend on the other queries. The rows that no query enters (the kernel
-with its periodic images, cos z, sin z) are formed once per (nu, t) and
-kept, read only, for the last few, so repeated queries at one time, as an
-error study makes, pay only for their own rows.
+depend on the other queries.
 """
 
 from __future__ import annotations
@@ -51,7 +48,9 @@ class Reference:
 
 
 def coefficients(nu: float) -> Reference:
-    """The reference at a positive finite viscosity ``nu``."""
+    """``Reference(nu)``, under the name that the benchmark's setup probe
+    and workloads call, its only callers; ROADMAP item 1b renames it with
+    the benchmark."""
     return Reference(nu)
 
 

@@ -1,33 +1,20 @@
-"""Periodic grids on one time layer and the grid-evolution equations of
-the moving meshes (the lattice at rest needs none): Lagrangian, and
-equidistribution of a monitor function, solved exactly in O(N).
+"""Periodic grids on one time layer and the grid equations of the moving
+meshes: Lagrangian, and equidistribution of a monitor function, solved
+exactly in O(N). The lattice at rest needs none.
 
 Node positions are stored unwrapped (they may drift outside the fundamental
 interval); the array order realizes the computational coordinate, and the
 periodic closure gap ``x[0] + L - x[-1]`` must stay positive. Wrapping into
 the fundamental interval happens only on output.
 
-The grid equations and the monitor work on ``Layer``s: a layer is its
-N + 3 periodic ghost slots, their gaps and the views a step reads.
-A position layer carries its period from allocation on, so no grid
-equation takes the domain length. A run allocates its layers once and
-binds each grid equation to them once per layer parity
-(``bind_lagrangian``, ``bind_equidistributed``): the bound equation writes
-the next layer's positions into the destination layer it was bound to and
-places it there (ghost slots, gaps, wide gaps, order check), so placing a
-layer forms no view and allocates no array. The equidistributing equation
-is one closure (``_bind_solve``) that forms the monitor, solves for the
-positions, places them and forms the grid velocity; it leaves the
-monitor's centred slope in a row that the stencil reads, and the initial
-mesh's rounds run through the same closure at a fixed anchor. ``Layer``
-is the one ghost builder and its placement the one order check:
-``GridSlice``, the interpolants and the mesh solve place or fill a layer
-too. The layer
+The grid equations work on ``Layer``s and are bound once per run to the
+layers they read and write (``bind_lagrangian``, ``bind_equidistributed``).
+A bound equation writes the next positions into its destination layer and
+places them there, with the one order check (``Layer.place``). These
 functions are the inside of ``schemes.run``, which validates once (N, the
 period, a finite dt > 0): they check none of it again and are not
 exported. ``GridSlice`` and ``DiscreteField`` are the validated containers
-for a layer handed across the API (snapshots, transformations, error
-measurement).
+for a layer handed across the API.
 """
 
 from __future__ import annotations
@@ -56,10 +43,9 @@ def _as_float_array(values) -> np.ndarray:
 class GridSlice:
     """One time layer: a time value plus ordered node positions.
 
-    Construction checks node order by placing a transient layer of the
-    nodes (``Layer.place``), the same check every grid equation applies to
-    the layer it returns; a non-finite node fails it too (some gap is NaN
-    or not positive). The slice keeps no layer.
+    Construction checks node order, a non-finite node included, by placing
+    a transient layer of the nodes (``Layer.place``), the check every grid
+    equation applies to the layer it returns. The slice keeps no layer.
     """
 
     t: float
@@ -133,11 +119,10 @@ class Layer:
     whose ghosts are copies (a -0.0 keeps its sign). ``fill`` ignores the
     period, so one layer may hold values and then positions, as the
     adaptive step's destination holds its monitor and then the mesh. A
-    layer owns three buffers, ``g``, ``gaps`` and ``wide``; every other
-    member is a view of them, formed when the layer is allocated, so
-    writing a layer forms no view and allocates no array. So are its
-    ``place``, ``fill`` and ``measure``: closures over those views, bound
-    when the layer is allocated, which load no member when they run.
+    layer owns three buffers, ``g``, ``gaps`` and ``wide``; its other
+    members are views of them and its ``place``, ``fill`` and ``measure``
+    closures over those views, all formed at allocation, so writing a
+    layer forms no view and allocates no array.
 
     - ``nodes`` is slots 1 .. N. The stencil and the monitor read the slot
       row g[:-1] through ``row_east`` g[1:-1] and ``row_west`` g[:-2]
@@ -209,6 +194,7 @@ class Layer:
 
 def uniform_slice(n: int, t: float = 0.0, domain_start: float = 0.0,
                   domain_length: float = TAU) -> GridSlice:
+    """N equally spaced nodes from ``domain_start``, at time ``t``."""
     x = domain_start + np.arange(n) * (domain_length / n)
     return GridSlice(t=t, x=x, domain_start=domain_start,
                      domain_length=domain_length)
@@ -257,17 +243,75 @@ def advance_lagrangian(equation: Callable[[], None]):
     equation()
 
 
-def bind_equidistributed(xl: Layer, ul: Layer, alpha, dt: np.ndarray,
-                         out: Layer, xdot: np.ndarray, slope: np.ndarray
+def bind_equidistributed(xl: Layer, ul: Layer, alpha, out: Layer,
+                         slope: np.ndarray, dt: np.ndarray | None = None,
+                         xdot: np.ndarray | None = None
                          ) -> Callable[[], None]:
-    """The equidistributing grid equation bound to its layers
-    (``_bind_solve``), with node 0 moved Lagrangianly, x_0 += dt*u_0: that
-    anchor keeps the equation equivariant under boosts, where a fixed one
-    would not. Its grid velocity, the difference quotient (x_next - x)/dt,
-    goes into the row ``xdot`` (the one grid with no closed-form
-    velocity), and its monitor's centred slope into the row ``slope``,
-    where the stencil reads it. ``dt`` is read when the closure runs."""
-    return _bind_solve(xl, ul, alpha, out, slope, dt, xdot)
+    """The equidistributing grid equation bound to its layers: a closure
+    that places in ``out`` the exact solution of the cyclic
+    equidistribution system of the monitor of (``xl``, ``ul``). Given a
+    0-d ``dt`` and a row ``xdot``, node 0 moves Lagrangianly to
+    x_0 + dt * u_0, which keeps the equation equivariant under boosts where
+    a fixed anchor would not, and the grid velocity (x_next - x)/dt, the
+    one grid velocity with no closed form, goes into ``xdot``; without
+    them node 0 stays at x_0, as in the initial mesh's rounds. ``dt`` is
+    read when the closure runs.
+
+    The monitor is sqrt(1 + alpha * s^2) of the centred slope
+    s = (u_{i+1} - u_{i-1})/(x_{i+1} - x_{i-1}) over the wide gaps of
+    ``xl``, which stays in the row ``slope``, where the stencil reads it;
+    ``SchemeConfig`` checks that the weight ``alpha`` is finite and >= 0.
+    The new positions satisfy
+    (rho_{i+1}+rho_i)(x_{i+1}-x_i) = (rho_i+rho_{i-1})(x_i-x_{i-1})
+    cyclically, with the monitor lagged on the given layer, and the anchor
+    closes the singular system. So every gap carries one flux
+    C = L / sum_i 1/(rho_i + rho_{i+1}), and the positions are the partial
+    sums of 1/(rho_i + rho_{i+1}) scaled by L over their own last sum, so
+    the closing gap does not absorb the rounding of N - 1 additions.
+
+    The monitor is written into ``out`` as a value layer first, and the
+    reciprocal sums and their partial sums into its node and row wide
+    gaps; the positions then replace the monitor and are placed over the
+    layer's period L. A sum not in (0, inf) raises
+    ``NonFiniteSolutionError``.
+    """
+    x, u, east, west, wide = xl.nodes, ul.nodes, ul.east, ul.west, xl.row_wide
+    rho, rho_east, fill, place = out.nodes, out.east, out.fill, out.place
+    inverse, sums, period = out._node_gaps, out.row_wide, out.period
+    head, rest = sums[:-1], rho[1:]
+    scale, shift = np.empty(()), np.empty(())
+    add, subtract, multiply, divide, square, sqrt = (
+        np.add, np.subtract, np.multiply, np.divide, np.square, np.sqrt)
+    moving = dt is not None
+
+    def solve():
+        subtract(east, west, slope)
+        divide(slope, wide, slope)
+        square(slope, rho)
+        multiply(alpha, rho, rho)
+        add(_ONE, rho, rho)
+        sqrt(rho, rho)
+        fill()
+        divide(_ONE, add(rho, rho_east, inverse), inverse)
+        # the ufunc's own accumulation, without the dispatch of np.cumsum
+        add.accumulate(inverse, out=sums)
+        total = sums[-1]
+        if not 0.0 < total < math.inf:
+            raise NonFiniteSolutionError(
+                f"equidistribution monitor is not finite: its sum is "
+                f"{total!r}")
+        scale[()] = period / total
+        # in scalar arithmetic: a 0-d dt would send the product through a
+        # ufunc
+        rho[0] = shift[()] = x[0] + float(dt) * u[0] if moving else x[0]
+        multiply(head, scale, rest)
+        add(shift, rest, rest)
+        place()
+        if moving:
+            subtract(rho, x, xdot)
+            divide(xdot, dt, xdot)
+
+    return solve
 
 
 def advance_equidistributed(equation: Callable[[], None]):
@@ -294,21 +338,22 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
     their equidistributed positions within the first step, injecting a
     remap error that does not vanish with resolution. Iterating
     mesh -> resample ``initial`` -> mesh before stepping removes it. Each
-    round is the step's bound solve (``_bind_solve``) at the fixed anchor
-    x_0: no time has elapsed, so the Lagrangian anchor degenerates to it.
+    round is the step's grid equation (``bind_equidistributed``) at the
+    fixed anchor x_0: no time has elapsed, so the Lagrangian anchor
+    degenerates to it.
 
     Steep data on a coarse mesh can keep the plain rounds oscillating. If
     they have not settled in ``_MAX_ROUNDS`` rounds, as many more restart
     from the last mesh with Anderson acceleration of depth ``_DEPTH`` on
     the residual F(x) - x of a round F, taking the plain round F(x) where
     a candidate's nodes cross, and return the first x that F moves by no
-    more than the tolerance. So every mesh the plain rounds settle at
-    keeps its bits. ``NoConvergenceError`` names the last residual.
+    more than the tolerance. ``NoConvergenceError`` names the last
+    residual.
     """
     n, length = grid.n, grid.domain_length
     tol = _SETTLE_RTOL * length
     xl, ul, out = Layer(n, length), Layer(n), Layer(n, length)
-    solve = _bind_solve(xl, ul, alpha, out, np.empty(n))
+    solve = bind_equidistributed(xl, ul, alpha, out, np.empty(n))
 
     def round_from(x):
         """F(x) and its largest node move; ``NodeCrossingError`` if the
@@ -353,70 +398,3 @@ def _anderson(history) -> np.ndarray:
     dx, dg = np.diff(xs, axis=0).T, np.diff(gs, axis=0).T
     gamma = np.linalg.lstsq(dg, gs[-1], rcond=None)[0]
     return xs[-1] + gs[-1] - (dx + dg) @ gamma
-
-
-def _bind_solve(xl: Layer, ul: Layer, alpha, out: Layer, slope: np.ndarray,
-                dt: np.ndarray | None = None, xdot: np.ndarray | None = None
-                ) -> Callable[[], None]:
-    """The exact solution of the cyclic equidistribution system of the
-    monitor of (``xl``, ``ul``), bound: a closure that places it in
-    ``out``, anchored at x_0 + dt * u_0 and writing its grid velocity
-    (x_next - x)/dt into ``xdot`` when given a 0-d ``dt`` and ``xdot``,
-    and at x_0 otherwise.
-
-    The monitor is sqrt(1 + alpha * s^2) of the centred slope
-    s = (u_{i+1} - u_{i-1})/(x_{i+1} - x_{i-1}) over the wide gaps of
-    ``xl``, which stays in the row ``slope``; ``SchemeConfig`` checks that
-    the weight ``alpha`` is finite and >= 0. The new positions satisfy
-    (rho_{i+1}+rho_i)(x_{i+1}-x_i) = (rho_i+rho_{i-1})(x_i-x_{i-1})
-    cyclically, with the monitor lagged on the given layer, and the anchor
-    closes the singular system. Each relation equates the flux
-    (rho_i + rho_{i+1}) * gap_i of two adjacent cells, so every gap
-    carries one flux C, and the N gaps summing to L fix
-    C = L / sum_i 1/(rho_i + rho_{i+1}). The positions are the partial
-    sums of 1/(rho_i + rho_{i+1}) scaled by L over their own last sum, so
-    the closing gap does not absorb the rounding of N - 1 additions.
-
-    The monitor is written into ``out`` as a value layer first, and the
-    reciprocal sums and their partial sums into its node and row wide gaps;
-    the positions then replace the monitor and are placed over the layer's
-    period L. The scale L / sum and the anchor are 0-d arrays, written in
-    place. A sum not in (0, inf) raises ``NonFiniteSolutionError``.
-    """
-    x, u, east, west, wide = xl.nodes, ul.nodes, ul.east, ul.west, xl.row_wide
-    rho, rho_east, fill, place = out.nodes, out.east, out.fill, out.place
-    inverse, sums, period = out._node_gaps, out.row_wide, out.period
-    head, rest = sums[:-1], rho[1:]
-    scale, shift = np.empty(()), np.empty(())
-    add, subtract, multiply, divide, square, sqrt = (
-        np.add, np.subtract, np.multiply, np.divide, np.square, np.sqrt)
-    moving = dt is not None
-
-    def solve():
-        subtract(east, west, slope)
-        divide(slope, wide, slope)
-        square(slope, rho)
-        multiply(alpha, rho, rho)
-        add(_ONE, rho, rho)
-        sqrt(rho, rho)
-        fill()
-        divide(_ONE, add(rho, rho_east, inverse), inverse)
-        # the ufunc's own accumulation, without the dispatch of np.cumsum
-        add.accumulate(inverse, out=sums)
-        total = sums[-1]
-        if not 0.0 < total < math.inf:
-            raise NonFiniteSolutionError(
-                f"equidistribution monitor is not finite: its sum is "
-                f"{total!r}")
-        scale[()] = period / total
-        # in scalar arithmetic: a 0-d dt would send the product through a
-        # ufunc
-        rho[0] = shift[()] = x[0] + float(dt) * u[0] if moving else x[0]
-        multiply(head, scale, rest)
-        add(shift, rest, rest)
-        place()
-        if moving:
-            subtract(rho, x, xdot)
-            divide(xdot, dt, xdot)
-
-    return solve

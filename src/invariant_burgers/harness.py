@@ -2,26 +2,21 @@
 error norms (``ErrorReport``, a convergence row too), frame comparisons,
 convergence studies, grid-spacing profiles, and their CSV artifacts.
 
-Two jobs use both CPUs, through ``_forked``, the one fork path: a forked
-child formats each later run of a large CSV's blocks (see below), and
-``frame_comparison`` runs its boosted half in a forked child beside the rest
-run once that run has more than ``_MIN_FORKED_STEPS`` steps. Each caller
-decides what a failed child means: the CSV writer raises ``OSError``, and
-the frame comparison runs the boosted half again itself, which meets the
-same typed error as one CPU does. No result depends on the CPU count.
+Two jobs use both CPUs through ``_forked``, the one fork path: the CSV
+writer formats later runs of a large file's blocks in forked children, and
+``frame_comparison`` runs its boosted half in a child beside the rest run
+once that run has more than ``_MIN_FORKED_STEPS`` steps. A failed child
+makes the writer raise ``OSError``; the frame comparison runs the boosted
+half again itself, so it meets the typed error that one CPU does. No
+result depends on the CPU count.
 
 Every CSV goes through ``_write_csv``: a header line, then one block per
-snapshot or per report row. A block's scalar columns (t, scheme, N) repeat
-on each of its rows and its array columns (x, u, gaps) give one value per
-row; a block of scalars only is one row. Forked processes format a large
-file in contiguous runs of blocks, copied in order, so no byte depends on
-the split, and a write that fails leaves no regular file at its path.
-The files keep three promises, so identical configurations produce
-bitwise-identical files:
-
-- floats are written with the shortest repr that round-trips, ``repr(v)``;
-- the decimal point is ``.`` whatever the locale;
-- lines end in LF alone.
+snapshot or per report row, whose scalar columns (t, scheme, N) repeat on
+each of its rows and whose array columns (x, u, gaps) give one value per
+row. Identical configurations produce bitwise-identical files: floats are
+written with the shortest repr that round-trips, ``repr(v)``, the decimal
+point is ``.`` whatever the locale, and lines end in LF alone. A write
+that fails leaves no regular file at its path.
 """
 
 from __future__ import annotations

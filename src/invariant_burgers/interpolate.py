@@ -4,36 +4,18 @@ All three reproduce affine data exactly and commute with translations of
 nodes and queries and with constant value offsets, which is what makes them
 safe projection operators for the symmetry-preserving schemes.
 
-``interpolate`` is the one entry point: it checks its queries, places its
-nodes in a ``grid.Layer`` (which checks their order), checks that no sum of
-two node positions or squared gap overflows, fills its values in another
-and hands both layers and rows sized for its queries to ``_evaluate``,
-which reads the period from the position layer and binds the interpolant
-to them as a closure; ``interpolate`` runs it once. The evolution-projection
-binds it once per run, to the layers and targets it places and fills on
-every step, with the rows its run allocated once, and has each
-interpolant's last operation write into its value layer; it runs the
-closure once a step. Every stencil indexes the ghost slots ``g`` of the
-layers directly:
-
-- linear and spline reduce each query into [x_0, x_0 + L) and bracket it
-  by ghost slots j, j + 1 (the node at or left of it and the next one);
-- quadratic reads the three slots b .. b + 2 centred on the node nearest
-  the query, midpoint ties going left. When there is one query per node
-  and each lies between the midpoints beside its node, as the
-  projection's targets normally do, b = i for query i: two comparisons
-  over the midpoints, each read at its ``argmin`` (its first False, if
-  any), check that with no search. Otherwise one search over the
-  midpoints gives b, after reducing the queries into the period if one
-  lies outside the window the stencils reach, between the midpoints of
-  the first and of the last two ghost slots. Both ways give the same b.
-  The value is the Newton form of the parabola through the three nodes
-  (slot slopes, then second differences), formed in ``QuadraticRows``;
-  the partner bracket reads views of the layers and rows where the search
-  gathers at b, so it allocates no array.
-
-The spline solves for its moments, and allocates its intermediates, on
-every call.
+``interpolate`` is the one entry point that validates: its queries, the
+order of its nodes, placed in a ``grid.Layer``, and that no sum of two node
+positions or squared gap overflows. ``_evaluate`` binds the interpolant to
+a placed position layer and a filled value layer as a closure, which
+``interpolate`` runs once and the evolution-projection once a step. Linear
+and spline bracket each query, reduced into [x_0, x_0 + L), by the ghost
+slots j, j + 1 of the node at or left of it and the next one. Quadratic
+reads the three slots centred on the node nearest the query, midpoint ties
+going left; where each of one query per node lies between the midpoints
+beside its node, as the projection's targets normally do, that node is
+taken without a search, and either way the slots are the same. The spline
+solves for its moments, and allocates its intermediates, on every call.
 """
 
 from __future__ import annotations
@@ -47,6 +29,8 @@ from .grid import _HALF, TAU, Layer, _as_float_array
 
 
 class InterpKind(str, Enum):
+    """The three interpolants, by their command-line names."""
+
     LINEAR = "linear"
     QUADRATIC = "quadratic"
     CUBIC_SPLINE = "cubic-spline"

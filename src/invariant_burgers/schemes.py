@@ -1,73 +1,39 @@
-"""Time stepping: the moving-mesh discretization and the ``run`` driver,
-each of whose steps has three stages. The scheme's grid equation gives the
-next position layer and its grid velocity, the one moving-mesh stencil
+"""Time stepping: the moving-mesh discretization and the ``run`` driver.
+
+Each step has three stages. The scheme's grid equation gives the next
+position layer and its grid velocity, the one moving-mesh stencil
 (``bind_stencil``) steps the values onto it, and the evolution-projection
 alone remaps them (``bind_projection``). Lagrangian and the projection move
 the nodes with u, the adaptive scheme equidistributes a monitor, and FTCS
-and constant-frame step on the lattice at rest, which needs no equation:
-its next layer is the one it has. The frame velocity c is the Galilean
-boost of the initial data, the flow's bulk velocity, on every scheme.
-Constant-frame is the remedy of computing in the frame that moves with c,
-xi = x - c t: there the data is unboosted and the lattice at rest, so it
-steps FTCS, and it reports each snapshot at (xi + c t, v + c). Everything
-is explicit (forward Euler in time) with dt = dt_factor * h^2.
+and constant-frame step on the lattice at rest, which needs no equation.
+The frame velocity c is the Galilean boost of the initial data on every
+scheme. Constant-frame computes in the frame moving with c, xi = x - c t,
+where the data is unboosted and the lattice at rest, and reports each
+snapshot at (xi + c t, v + c). Everything is explicit (forward Euler in
+time) with dt = dt_factor * h^2.
 
-The stencil's grid velocity xdot is the one each grid equation defines,
-not a quotient re-derived from positions: none on the lattice at rest;
-xdot = u on the Lagrangian grid (and the projection's evolution sub-step),
-where u - xdot is zero and no advection term is formed, so the step is
-u + dt * diffusion; and the difference quotient (x_next - x)/dt only on the
+The stencil's grid velocity xdot is the one each grid equation defines:
+none on the lattice at rest; u on the Lagrangian grid, where no advection
+term is formed; and the difference quotient (x_next - x)/dt only on the
 equidistributed grid, which has no closed-form velocity. In exact
-arithmetic each equals the quotient that the certifier's relation
-(``symmetry.satisfy_scheme``) uses.
+arithmetic each equals the quotient of the certifier's relation
+(``symmetry.satisfy_scheme``).
 
-At N = 512 a numpy call costs about a microsecond whatever it computes, so
-the step makes few: one stencil pass over a slot row, no grid velocity on
-the lattice at rest and no advection term on a Lagrangian one. Nor does it
-pay two surcharges on that floor: a ufunc reads a 0-d array operand 0.2 us
-faster than a scalar, so the step's constants and computed scalars are 0-d
-arrays; and ``a[a.argmin()]`` gives a reduction's verdict (the first NaN,
-else the minimum; the first False) at a third to half its cost. Nor does
-it find the operands of those calls again on every step: ``run`` binds
-each stage once per layer parity, before its loop, as a zero-argument
-closure over the run's layers, rows and one 0-d dt (the grid equation with
-its placement, the stencil with its fill, the projection's remap and the
-diffusion weight), and each ``grid.Layer`` binds its own placement and
-fill. The adaptive grid equation is one closure over its monitor, its
-exact solve, its placement and its grid velocity. Nor does the adaptive
-step form a quantity twice: the centred slope of its monitor is the one
-its stencil weights, so the stencil reads it from the row the grid
-equation wrote. The closures issue the same ufunc calls in the same
-order, less that repeated slope, so every value is the same to the bit.
-The loop enters the stencil and the grid equations through
-``invariant_step``, ``grid.advance_lagrangian`` and
-``grid.advance_equidistributed``, looked up when ``run`` starts, so that
-a rebinding of those module attributes reaches it.
-
-``run`` is the step layer's one boundary. It and ``SchemeConfig`` validate
-once; it then allocates its ``grid.Layer``s (N + 3 slots each, a position
-layer with the period L), its ``StencilRows`` and the remap's
-``QuadraticRows`` once, and steps with a finite dt in (0, dt_factor * h^2],
-so its stages, bound to those and working in place, check none of it again
-and are not exported. A run's layers are the mesh, the solution, which the
-stencil steps in place, and a spare position layer for the grid equation;
-the projection steps into a fourth, of evolved values, and remaps them back
-into the other two. No step allocates a row but the linear and spline
-remaps' intermediates. The adaptive step writes its monitor and mesh-solve
-sums into the spare layer before the new positions replace them, and its
-monitor's centred slope and its grid velocity into the stencil rows'
-``advection`` and ``xdot``, where the stencil reads them; the quadratic
-remap reads the moved and evolved layers through their views where each
-target lies beside its moved node (the spline copies its gaps, gap slopes
-and moments into value layers of its own). Each new position layer is
-placed and order-checked once, an unchanged one not at all, and each new
-value layer is filled and checked for finiteness once, by one sum of
-squares with no mask unless a square overflows. The stencil takes no
-viscosity but the diffusion weight 2 nu / (x_{i+1} - x_{i-1}) of its
-step-start positions, which ``run`` forms before the loop, where the
-lattice at rest keeps it, and once per step where the mesh moved.
-``GridSlice`` and ``DiscreteField`` are built only for the snapshots
-``run`` stores, from copies, so no result aliases a layer.
+``run`` is the step layer's one boundary: it and ``SchemeConfig`` validate
+once, and the stages, bound before the loop once per layer parity as
+closures over the run's layers, rows and one 0-d dt, check none of it
+again and are not exported. The layers are the mesh, the solution, which
+the stencil steps in place, a spare position layer for the grid equation
+and, for the projection, the evolved values that its remap reads back
+into the first two. No step allocates a row but the linear and spline
+remaps' intermediates. The adaptive grid equation leaves its monitor's
+centred slope and its grid velocity in the stencil rows' ``advection`` and
+``xdot``, where the stencil reads them. Each new position layer is placed
+and order-checked once, each new value layer filled and checked for
+finiteness once. The loop enters the stencil and the grid equations
+through ``invariant_step``, ``grid.advance_lagrangian`` and
+``grid.advance_equidistributed``, looked up when ``run`` starts, so that a
+rebinding of those module attributes reaches it. Snapshots are copies.
 """
 
 from __future__ import annotations
@@ -88,6 +54,8 @@ from .interpolate import InterpKind, QuadraticRows, _evaluate
 
 
 class SchemeKind(str, Enum):
+    """The five schemes, by their command-line names."""
+
     CLASSICAL_FTCS = "ftcs"
     LAGRANGIAN = "lagrangian"
     EULERIAN_ADAPTIVE = "eulerian-adaptive"
@@ -239,32 +207,24 @@ def bind_stencil(xl: Layer, ul: Layer, xdot, dt, rows: StencilRows,
                  out: Layer) -> Callable[[], None]:
     """The moving-mesh stencil bound to its layers: a closure that writes
     the explicit update u_next = u_k - dt * (advection - diffusion) into
-    the value layer ``out`` and fills it there. The relation
-    (u_next - u_k)/dt + advection - diffusion = 0 is read over the slot
-    rows of the position layer ``xl`` and value layer ``ul`` (neighbours
-    unwrapped across the seam): the row gaps and row wide gaps of ``xl``
-    and the row views of ``ul``. Each gap's slope is formed once for its
-    two nodes, and their difference multiplied by the diffusion weight of
-    ``xl`` in ``rows.weight`` (``bind_weight``). The centred slope is
-    weighted by the velocity relative to the grid motion, u_k - xdot,
-    where xdot is the grid velocity its grid equation defines, and its
-    form is chosen here, once: None on a stationary layer skips the
-    subtraction (u - 0.0 is u bit for bit, -0.0 included) and gives the
-    classical FTCS update; the value layer ``ul`` itself on a Lagrangian
-    layer, where u_k - xdot is zero, forms no advection term and gives
-    u + dt * diffusion; the row ``rows.xdot``, which only the adaptive
-    grid equation writes (the difference quotient), is subtracted from
-    values whose centred slope that equation left in ``rows.advection``
-    (``grid.bind_equidistributed``), so the stencil does not form it; a
-    scalar, which only the certifier passes, is subtracted, and the slope
-    formed.
+    the value layer ``out`` and fills it there. It reads the slot rows of
+    the position layer ``xl`` and value layer ``ul`` (neighbours unwrapped
+    across the seam) and the diffusion weight of ``xl`` in ``rows.weight``
+    (``bind_weight``). The centred slope is weighted by u_k - xdot, and
+    ``xdot`` fixes the form of the update here, once. None, on a stationary
+    layer, gives the classical FTCS update with no subtraction (u - 0.0 is
+    u bit for bit, -0.0 included). The value layer ``ul`` itself, on a
+    Lagrangian layer, forms no advection term: u + dt * diffusion. The row
+    ``rows.xdot``, which only the adaptive grid equation writes, takes the
+    slope that equation left in ``rows.advection`` and forms the term in
+    ``rows.work``, leaving that row as it found it. A scalar, which only
+    the certifier passes, is subtracted and the slope formed.
 
-    The diffusion term stays in ``rows.diffusion`` and the advection term
-    in ``rows.advection``, except where the slope was given: the step
-    leaves that row as it found it and forms the term in ``rows.work``.
-    The update is formed in ``rows.work`` before the one write into
-    ``out.nodes``, so ``out`` may be ``ul``. ``dt`` and the weight are
-    read when the closure runs. The new values are unchecked.
+    The diffusion term stays in ``rows.diffusion`` and, where the slope is
+    formed, the advection term in ``rows.advection``. The update is formed
+    in ``rows.work`` before the one write into ``out.nodes``, so ``out``
+    may be ``ul``. ``dt`` and the weight are read when the closure runs.
+    The new values are unchecked.
     """
     row_east, row_west, east, west = (ul.row_east, ul.row_west, ul.east,
                                       ul.west)
@@ -276,12 +236,7 @@ def bind_stencil(xl: Layer, ul: Layer, xdot, dt, rows: StencilRows,
                                           rows.diffusion, rows.work)
     add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
                                        np.divide)
-    # the form of the update, fixed here: no advection term on a
-    # Lagrangian layer, no relative velocity to form on one at rest, and
-    # no slope to form where the adaptive grid equation left it
     lagrangian, still, sloped = xdot is ul, xdot is None, xdot is rows.xdot
-    # where the slope is given, the step keeps it and forms its advection
-    # term in ``work``
     term = work if sloped else advection
 
     def stencil():
@@ -327,10 +282,8 @@ def bind_projection(xl: Layer, ul: Layer, dt, moved: Layer, evolved: Layer,
     Advancing the targets with the bulk velocity keeps the composite
     boost-equivariant: a lattice held fixed in one frame is a moving
     lattice in every other. For zero-mean data they stay on the original
-    lattice to roundoff. Each target is its node moved by
-    dt (mean(u) - u_i), a fraction of a gap once N is past a few dozen, so
-    it normally lies between the midpoints beside its moved node and the
-    quadratic reads that node's parabola without a search.
+    lattice to roundoff. Each target is its moved node shifted by
+    dt (mean(u) - u_i), a fraction of a gap once N is past a few dozen.
     """
     x, u, place, fill = xl.nodes, ul.nodes, xl.place, ul.fill
     n, total = len(u), np.add.reduce
@@ -364,10 +317,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     ``snapshot_every`` stores every k-th step in addition to the first and
     last; 0 keeps only those two; it must be an integer. A run of more
     than ``_MAX_STEPS`` steps is rejected with a ``ValueError`` before the
-    first one. The stages are bound before the loop, one set per layer
-    parity: the Lagrangian and adaptive meshes alternate between two
-    position layers, the others keep one. They check nothing of this
-    again.
+    first one.
     """
     _require_integer("snapshot_every", snapshot_every)
     if snapshot_every < 0:
@@ -399,12 +349,8 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # each snapshot is reported in the frame of the boosted data, at
     # (xi + c t, v + c); at t = 0 the lattice is where that frame sees it
     snapshots = [DiscreteField(grid=grid, u=u0 + drift)]
-    # the run's layers, allocated once with one size, the position layers
-    # with the period L: the mesh xl and the solution ul, which the stencil
-    # steps in place, the spare position layer the grid equation writes,
-    # and the projection's values evolved on the moved layer, with the
-    # remap's rows; the stencil's rows; and one 0-d dt, which the cut last
-    # step rewrites in place
+    # the run's layers and rows, allocated once, and one 0-d dt, which the
+    # cut last step rewrites in place
     n = config.n_points
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
     x_spare = Layer(n, length)
@@ -414,10 +360,9 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     rows = StencilRows(n, config.nu)
     bind_weight(xl, rows)()
     dt, alpha = np.array(dt0), np.array(config.alpha)
-    # the entries of the stencil and of the scheme's grid equation, looked
-    # up here, so that a rebinding of the module attributes reaches the
-    # loop; the lattice at rest has no grid equation: it is its own next
-    # layer, with no grid velocity
+    # the entries of the stencil and of the grid equation, looked up here,
+    # so that a rebinding of the module attributes reaches the loop; the
+    # lattice at rest has no grid equation and no grid velocity
     stencil_step = invariant_step
     advance = {SchemeKind.LAGRANGIAN: advance_lagrangian,
                SchemeKind.EULERIAN_ADAPTIVE: advance_equidistributed,
@@ -433,8 +378,8 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             equation, xdot = None, None
         elif kind is SchemeKind.EULERIAN_ADAPTIVE:
             xdot = rows.xdot
-            equation = bind_equidistributed(x_start, ul, alpha, dt, x_next,
-                                            xdot, rows.advection)
+            equation = bind_equidistributed(x_start, ul, alpha, x_next,
+                                            rows.advection, dt, xdot)
         else:
             equation, xdot = bind_lagrangian(x_start, ul, dt, x_next), ul
         stencil = bind_stencil(x_start, ul, xdot, dt, rows,

@@ -24,6 +24,8 @@ from .schemes import StencilRows, bind_stencil, bind_weight
 
 
 class Generator(Enum):
+    """The one-parameter symmetry groups of the periodic problem."""
+
     TIME_TRANSLATION = "time-translation"
     SPACE_TRANSLATION = "space-translation"
     GALILEAN_BOOST = "galilean-boost"
@@ -32,7 +34,8 @@ class Generator(Enum):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One generator with its real parameter."""
+    """One generator with its real parameter. A scaling's actions raise
+    ``ValueError`` where a factor e^(k eps) overflows or underflows to 0."""
 
     generator: Generator
     epsilon: float
@@ -43,6 +46,19 @@ class GroupElement:
 
     def inverse(self) -> GroupElement:
         return replace(self, epsilon=-self.epsilon)
+
+
+def _factor(g: GroupElement, power: float) -> float:
+    """The scaling factor e^(power * eps) of ``g``; ``ValueError`` naming
+    the generator and eps where it overflows or underflows to 0."""
+    try:
+        factor = math.exp(power * g.epsilon)
+    except OverflowError:
+        factor = 0.0
+    if not factor > 0.0:
+        raise ValueError(f"{g.generator.value} by eps={g.epsilon!r}: its "
+                         f"factor e^({power:g} eps) overflows or is 0")
+    return factor
 
 
 def apply_point(g: GroupElement, t, x, u):
@@ -57,8 +73,7 @@ def apply_point(g: GroupElement, t, x, u):
     if gen is Generator.GALILEAN_BOOST:
         return t, x + eps * t, u + eps
     # the scaling
-    return (math.exp(2.0 * eps) * t, math.exp(eps) * x,
-            math.exp(-eps) * u)
+    return _factor(g, 2.0) * t, _factor(g, 1.0) * x, _factor(g, -1.0) * u
 
 
 def apply_field(g: GroupElement, fld: DiscreteField) -> DiscreteField:
@@ -70,7 +85,7 @@ def apply_field(g: GroupElement, fld: DiscreteField) -> DiscreteField:
     _, start, _ = apply_point(g, grid.t, grid.domain_start, 0.0)
     length = grid.domain_length
     if g.generator is Generator.SCALING:
-        length = math.exp(g.epsilon) * length
+        length = _factor(g, 1.0) * length
     new_grid = GridSlice(t=float(t), x=x, domain_start=start,
                          domain_length=length)
     return DiscreteField(grid=new_grid, u=u)
@@ -82,7 +97,7 @@ def transform_monitor(g: GroupElement, alpha: float) -> float:
     unchanged takes alpha -> e^(4 eps) * alpha; the other generators keep
     it."""
     if g.generator is Generator.SCALING:
-        return math.exp(4.0 * g.epsilon) * alpha
+        return _factor(g, 4.0) * alpha
     return alpha
 
 
@@ -131,7 +146,7 @@ def transform_params(g: GroupElement, p: StencilParams) -> StencilParams:
     if g.generator is Generator.GALILEAN_BOOST:
         return replace(p, c=p.c + g.epsilon)
     if g.generator is Generator.SCALING:
-        return replace(p, c=math.exp(-g.epsilon) * p.c)
+        return replace(p, c=_factor(g, -1.0) * p.c)
     return p
 
 
@@ -144,18 +159,15 @@ def satisfy_scheme(s: Stencil, p: StencilParams) -> Stencil:
 
     The grid velocity (x_next - x)/dt in the advection factor is what lets
     boosts cancel; with a stationary next layer it degenerates to the
-    classical fixed-grid relation. This is the general relation: the
-    solver's step takes xdot from its grid equation instead (none on a
-    stationary layer, u on a Lagrangian one), and each of those equals this
-    difference quotient in exact arithmetic.
+    classical fixed-grid relation.
     """
-    return _satisfy(s, p, _grid_velocity(s))
+    return _with_center(s, "u_next", _terms(s, _grid_velocity(s), p.nu)[2])
 
 
 def satisfy_ftcs(s: Stencil, p: StencilParams) -> Stencil:
     """Solve the fixed-grid relation (the stencil at xdot = 0) for the
     next-layer center value."""
-    return _satisfy(s, p, 0.0)
+    return _with_center(s, "u_next", _terms(s, 0.0, p.nu)[2])
 
 
 def _terms(s: Stencil, xdot: float, nu: float
@@ -173,24 +185,20 @@ def _terms(s: Stencil, xdot: float, nu: float
     return rows.advection[0], rows.diffusion[0], out.nodes[0]
 
 
-def _satisfy(s: Stencil, p: StencilParams, xdot: float) -> Stencil:
-    u_next = s.u_next.copy()
-    u_next[1] = _terms(s, xdot, p.nu)[2]
-    return replace(s, u_next=u_next)
+def _with_center(s: Stencil, row: str, value: float) -> Stencil:
+    new = getattr(s, row).copy()
+    new[1] = value
+    return replace(s, **{row: new})
 
 
 def satisfy_stationary(s: Stencil, p: StencilParams) -> Stencil:
     """Solve the non-moving grid relation: x stays put."""
-    x_next = s.x_next.copy()
-    x_next[1] = s.x[1]
-    return replace(s, x_next=x_next)
+    return _with_center(s, "x_next", s.x[1])
 
 
 def satisfy_constant(s: Stencil, p: StencilParams) -> Stencil:
     """Solve the rigidly drifting grid relation: x advances by c*dt."""
-    x_next = s.x_next.copy()
-    x_next[1] = s.x[1] + p.c * s.dt
-    return replace(s, x_next=x_next)
+    return _with_center(s, "x_next", s.x[1] + p.c * s.dt)
 
 
 def stencil_scale(s: Stencil, p: StencilParams) -> float:

@@ -6,13 +6,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from invariant_burgers import coefficients
+from invariant_burgers import Reference
 
 
 @pytest.fixture(scope="session")
 def coeffs_nu01():
     """The reference solution at the standard benchmark viscosity."""
-    return coefficients(0.1)
+    return Reference(0.1)
 
 
 @pytest.fixture(autouse=True)

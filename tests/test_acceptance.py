@@ -14,14 +14,15 @@ from invariant_burgers import (
     DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
     SchemeConfig, SchemeKind, TAU, apply_field,
     convergence_study, evaluate, frame_comparison, grid_spacing_profile,
-    invariance_defect, linf_error, max_defect, mean_spacing,
-    relation_defect, run, sample_stencil,
+    invariance_defect, linf_error, max_defect, mean_spacing, run,
     satisfy_constant, satisfy_scheme, satisfy_stationary, StencilParams,
-    transform_stencil, uniform_slice,
+    uniform_slice,
 )
 from invariant_burgers.grid import (Layer, advance_equidistributed,
                                     bind_equidistributed)
 from invariant_burgers.interpolate import interpolate
+from invariant_burgers.symmetry import (relation_defect, sample_stencil,
+                                        transform_stencil)
 
 from invariant_burgers.exact import _cole_hopf, _window
 
@@ -187,8 +188,9 @@ def test_criterion_6_mesh_oracle_equivalence():
         xl, ul = Layer.of_positions(x - x[0], TAU), Layer.of_values(u)
         dt = float(rng.uniform(1e-4, 5e-3))
         out = Layer(n, TAU)
-        advance_equidistributed(bind_equidistributed(xl, ul, 1.0, dt, out,
-                                                     np.empty(n), np.empty(n)))
+        advance_equidistributed(bind_equidistributed(xl, ul, 1.0, out,
+                                                     np.empty(n), dt,
+                                                     np.empty(n)))
         out = out.nodes
         rho = monitor_loop(xl.nodes, u, 1.0, TAU)
         ref = dense_equidistribution_solve(rho, xl.nodes[0] + dt * u[0], TAU)

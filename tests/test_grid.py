@@ -11,13 +11,15 @@ from hypothesis.extra import numpy as hnp
 from invariant_burgers import (
     DiscreteField, Generator, GridSlice, GroupElement, NoConvergenceError,
     NodeCrossingError, NonFiniteSolutionError, TAU, apply_field,
-    equidistribute_initial, mean_spacing, transform_monitor, uniform_slice,
+    mean_spacing, uniform_slice,
 )
 from invariant_burgers.grid import (_MAX_ROUNDS, _SETTLE_RTOL, Layer,
-                                    _bind_solve, advance_equidistributed,
+                                    advance_equidistributed,
                                     advance_lagrangian, bind_equidistributed,
-                                    bind_lagrangian, require_finite)
+                                    bind_lagrangian, equidistribute_initial,
+                                    require_finite)
 from invariant_burgers.interpolate import InterpKind, interpolate
+from invariant_burgers.symmetry import transform_monitor
 
 from oracles import (dense_equidistribution_solve,
                      equidistribute_initial_rounds, equidistribution_residual,
@@ -51,8 +53,8 @@ def equidistributed_step(xl, ul, alpha, dt, out):
     """One step of the equidistributing grid equation bound to the layers,
     as ``run`` takes it: the layer ``out`` it placed."""
     n = len(out.nodes)
-    advance_equidistributed(bind_equidistributed(xl, ul, alpha, dt, out,
-                                                 np.empty(n), np.empty(n)))
+    advance_equidistributed(bind_equidistributed(xl, ul, alpha, out,
+                                                 np.empty(n), dt, np.empty(n)))
     return out
 
 
@@ -68,8 +70,8 @@ def field_monitor(fld, alpha):
     """The monitor sqrt(1 + alpha s^2) of the centred slope s that the
     equidistribution solve leaves in its slope row."""
     slope = np.empty(fld.grid.n)
-    _bind_solve(layer(fld.grid), values(fld.u), alpha,
-                Layer(fld.grid.n, TAU), slope)()
+    bind_equidistributed(layer(fld.grid), values(fld.u), alpha,
+                         Layer(fld.grid.n, TAU), slope)()
     return np.sqrt(1.0 + alpha * np.square(slope))
 
 
@@ -550,8 +552,8 @@ def assert_settled(initial, grid, alpha, out):
     """One more solve from the mesh ``out`` settled from ``grid`` keeps
     node 0 at the anchor and moves no node by more than the tolerance."""
     again = Layer(grid.n, TAU)
-    _bind_solve(layer(out), values(initial(out.x)), alpha, again,
-                np.empty(grid.n))()
+    bind_equidistributed(layer(out), values(initial(out.x)), alpha, again,
+                         np.empty(grid.n))()
     assert again.nodes[0] == grid.x[0]
     assert np.max(np.abs(nodes(again) - out.x)) <= _SETTLE_RTOL * TAU
 

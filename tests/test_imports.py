@@ -3,7 +3,10 @@ module-level name is read somewhere in the package, no package attribute
 hides a submodule of the same name, one function brackets queries,
 one class checks node order, no exported name takes or returns a
 ``grid.Layer`` or the stencil's ``schemes.StencilRows``, and no function
-that takes a ``SchemeConfig`` takes one of its fields a second time.
+that takes a ``SchemeConfig`` takes one of its fields a second time. The
+package exports a pinned list of names, each function and class of it
+with a docstring, and every name a docstring quotes in double backticks
+is one the package defines, reads or takes.
 
 Package ``__init__.py`` files are exempt from the import scan (their imports
 are the public re-exports), and so are ``from __future__`` imports.
@@ -266,3 +269,121 @@ def test_an_experiment_reads_its_parameters_from_its_config():
 
     assert config_echoes(invariant_burgers, SchemeConfig) == []
     assert config_echoes(harness, SchemeConfig) == []
+
+
+# what a user of the package calls; the functions on a run's buffers and
+# the certifier's internals are imported from their modules. A new export
+# is a deliberate change of this list
+EXPORTS = [
+    "DEFAULT_DT_FACTORS", "DiscreteField", "ErrorReport", "Generator",
+    "GridSlice", "GroupElement", "InterpKind", "NoConvergenceError",
+    "NodeCrossingError", "NonFiniteSolutionError", "Reference",
+    "SchemeConfig", "SchemeKind", "SimulationError", "StencilParams", "TAU",
+    "Trajectory", "apply_field", "apply_point", "coefficients",
+    "convergence_study", "evaluate", "frame_comparison",
+    "grid_spacing_profile", "invariance_defect", "linf_error", "max_defect",
+    "mean_spacing", "run", "satisfy_constant", "satisfy_ftcs",
+    "satisfy_scheme", "satisfy_stationary", "uniform_slice",
+]
+
+
+def exported(module) -> dict:
+    """The public attributes of ``module`` that are not submodules."""
+    return {name: value for name, value in vars(module).items()
+            if not name.startswith("_")
+            and not isinstance(value, types.ModuleType)}
+
+
+def test_the_package_exports_the_pinned_names():
+    import invariant_burgers
+
+    assert sorted(exported(invariant_burgers)) == EXPORTS
+
+
+def test_every_exported_function_and_class_has_a_docstring():
+    # read from the source: a dataclass without one gets its signature as
+    # ``__doc__``, and an enum inherits one
+    import invariant_burgers
+
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    missing = []
+    for name, value in sorted(exported(invariant_burgers).items()):
+        if not (inspect.isfunction(value) or inspect.isclass(value)):
+            continue
+        tree = trees[value.__module__.rpartition(".")[2]]
+        node = next(node for node in tree.body if getattr(node, "name", None)
+                    == value.__name__)
+        if not ast.get_docstring(node):
+            missing.append(name)
+    assert missing == []
+
+
+QUOTED = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+
+
+def unresolved_docstring_names(sources: dict[str, str]) -> list[str]:
+    """Dotted names quoted in double backticks in a docstring of
+    ``sources`` (file name -> text) with a part that no module of them
+    defines, reads, takes as a parameter or names as a module; a name
+    given as a string, such as a subcommand's, counts as defined. Each as
+    "file:line: name", at the docstring's first line. Quoted text that is
+    not a dotted name, such as an expression, is not checked."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    known = {Path(name).stem for name in sources}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                known.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                known.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                known.add(node.name)
+            elif isinstance(node, ast.arg):
+                known.add(node.arg)
+            elif isinstance(node, ast.keyword) and node.arg:
+                known.add(node.arg)
+            elif isinstance(node, ast.alias):
+                known.update(node.name.split("."))
+                known.add(node.asname or node.name)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                known.update(node.module.split("."))
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                known.add(node.value)
+    found = []
+    for name, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            doc = ast.get_docstring(node, clean=False)
+            if not doc:
+                continue
+            line = node.body[0].lineno
+            found += [f"{name}:{line}: {quoted}"
+                      for quoted in QUOTED.findall(doc)
+                      if not set(quoted.split(".")) <= known]
+    return found
+
+
+def test_scan_finds_a_stale_name_in_a_docstring():
+    sources = {
+        "a.py": ('"""Binds ``b.bind`` and ``grid.Layer``; ``run`` and\n'
+                 '``x[0] + L`` and ``error ...`` pass."""\n'
+                 "import grid\n"
+                 "def run(config):\n"
+                 '    """Reads ``config``, not ``_gone``."""\n'
+                 "    return grid.Layer(config)\n"),
+        "b.py": ('def bind(xl):\n'
+                 '    """Places ``xl`` with ``Layer.missing``; ``ftcs``."""\n'
+                 '    return ["ftcs"]\n'),
+    }
+    assert unresolved_docstring_names(sources) == [
+        "a.py:5: _gone", "b.py:2: Layer.missing"]
+
+
+def test_docstrings_quote_only_names_the_package_has():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unresolved_docstring_names(sources) == []

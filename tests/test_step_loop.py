@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 import invariant_burgers as ib
 from invariant_burgers import (DiscreteField, GridSlice, InterpKind,
                                SchemeConfig, SchemeKind, SimulationError, TAU)
-from invariant_burgers import grid, schemes
+from invariant_burgers import grid, schemes, symmetry
 from invariant_burgers.grid import Layer, _require_positive
 from invariant_burgers.interpolate import QuadraticRows
 from invariant_burgers.schemes import StencilRows
@@ -241,9 +241,25 @@ def test_the_solver_and_the_certifier_bind_one_stencil(monkeypatch):
     instrument(monkeypatch, bind_stencil, counted)
     ib.run(SchemeConfig(scheme_kind=SchemeKind.LAGRANGIAN, n_points=16),
            np.sin)
-    ib.satisfy_scheme(ib.sample_stencil(np.random.default_rng(0)),
+    ib.satisfy_scheme(symmetry.sample_stencil(np.random.default_rng(0)),
                       ib.StencilParams())
     assert callers == {"run.<locals>.bind": 2, "_terms": 1}
+
+
+def test_the_steps_and_the_initial_mesh_bind_one_solve(monkeypatch):
+    # the adaptive run binds the equidistribution solve once per layer
+    # parity, and its initial mesh binds the same binder once, with no dt
+    callers = Counter()
+    bind_equidistributed = grid.bind_equidistributed
+
+    def counted(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_qualname] += 1
+        return bind_equidistributed(*args, **kwargs)
+
+    instrument(monkeypatch, bind_equidistributed, counted)
+    ib.run(SchemeConfig(scheme_kind=SchemeKind.EULERIAN_ADAPTIVE,
+                        n_points=16), np.sin)
+    assert callers == {"run.<locals>.bind": 2, "equidistribute_initial": 1}
 
 
 # the binders of the stages run() calls, each with the names of its
@@ -263,7 +279,9 @@ def asserting(fn, positions, config, calls):
     N + 1 slopes and that a grid velocity given as an array is their own
     ``xdot`` row; and asserting, each time the stage it bound runs, that
     dt is finite and in (0, dt0], dt0 = dt_factor * h^2 as ``run`` forms
-    it. ``calls`` counts the stage's runs under the binder's name."""
+    it. The initial mesh's solve, bound with no dt, is checked for its
+    layers alone. ``calls`` counts the stage's runs under the binder's
+    name."""
     signature = inspect.signature(fn)
     n, length = config.n_points, config.domain_length
     h = length / n
@@ -271,9 +289,11 @@ def asserting(fn, positions, config, calls):
 
     def call(*args, **kwargs):
         bound = signature.bind(*args, **kwargs).arguments
-        dt = bound["dt"]
-        assert (isinstance(dt, np.ndarray) and dt.shape == ()
-                and dt.dtype == np.float64), repr(dt)
+        dt = bound.get("dt")
+        stepping = dt is not None or "xdot" in bound
+        if stepping:
+            assert (isinstance(dt, np.ndarray) and dt.shape == ()
+                    and dt.dtype == np.float64), repr(dt)
         for name, value in bound.items():
             if isinstance(value, Layer):
                 assert len(value.g) == n + 3, name
@@ -288,7 +308,8 @@ def asserting(fn, positions, config, calls):
         stage = fn(*args, **kwargs)
 
         def checked():
-            assert math.isfinite(dt) and 0.0 < dt <= dt0, dt
+            if stepping:
+                assert math.isfinite(dt) and 0.0 < dt <= dt0, dt
             calls[fn.__name__] += 1
             return stage()
 
@@ -562,8 +583,9 @@ def test_the_adaptive_run_matches_the_oracle_on_random_data(seed, n, c):
                           n_points=n, frame_velocity=c)
     profile = random_smooth_profile(np.random.default_rng(seed))
     try:
-        start = ib.equidistribute_initial(lambda x: profile(x) + c,
-                                          ib.uniform_slice(n), config.alpha)
+        start = grid.equidistribute_initial(lambda x: profile(x) + c,
+                                            ib.uniform_slice(n),
+                                            config.alpha)
     except ib.NoConvergenceError:
         # the initial mesh does not settle: no run to compare
         assume(False)

@@ -6,17 +6,18 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (
-    DiscreteField, Generator, GridSlice, GroupElement,
-    Stencil, StencilParams, TAU, apply_field, apply_point, invariance_defect,
-    max_defect, relation_defect,
-    sample_stencil, satisfy_constant, satisfy_ftcs, satisfy_scheme,
-    satisfy_stationary, stencil_scale, transform_monitor, transform_stencil,
-    uniform_slice,
+    DiscreteField, Generator, GridSlice, GroupElement, StencilParams, TAU,
+    apply_field, apply_point, invariance_defect, max_defect, satisfy_constant,
+    satisfy_ftcs, satisfy_scheme, satisfy_stationary, uniform_slice,
 )
 
-from invariant_burgers.grid import Layer, _bind_solve
+from invariant_burgers.grid import Layer, bind_equidistributed
 from invariant_burgers.schemes import (StencilRows, bind_stencil,
                                        bind_weight, invariant_step)
+from invariant_burgers.symmetry import (Stencil, relation_defect,
+                                        sample_stencil, stencil_scale,
+                                        transform_monitor, transform_params,
+                                        transform_stencil)
 
 from oracles import moving_mesh_update_loop
 
@@ -256,8 +257,9 @@ def test_monitor_invariant_under_boosted_field():
         # sqrt(1 + s^2) of the centred slope s that the equidistribution
         # solve leaves in its slope row
         slope = np.empty(64)
-        _bind_solve(Layer.of_positions(f.grid.x, TAU), Layer.of_values(f.u),
-                    1.0, Layer(64, TAU), slope)()
+        bind_equidistributed(Layer.of_positions(f.grid.x, TAU),
+                             Layer.of_values(f.u), 1.0, Layer(64, TAU),
+                             slope)()
         return np.sqrt(1.0 + np.square(slope))
 
     np.testing.assert_allclose(monitor(boosted), monitor(fld), rtol=0,
@@ -268,3 +270,35 @@ def test_transformed_stencil_rescales_dt_under_scaling():
     s = manual_stencil()
     out = transform_stencil(GroupElement(Generator.SCALING, 0.5), s)
     assert out.dt == pytest.approx(math.exp(1.0) * s.dt, rel=1e-13)
+
+
+# each entry point of a scaling's factors e^(k eps), k in {4, 2, 1, -1}
+SCALED = {
+    "apply_point": lambda g: apply_point(g, 0.5, 1.0, 0.3),
+    "apply_field": lambda g: apply_field(g, sin_field()),
+    "transform_monitor": lambda g: transform_monitor(g, 1.0),
+    "transform_stencil": lambda g: transform_stencil(g, manual_stencil()),
+    "max_defect": lambda g: max_defect(satisfy_scheme, g, n_samples=3),
+}
+
+
+@pytest.mark.parametrize("eps", [400.0, -400.0])
+@pytest.mark.parametrize("entry", sorted(SCALED))
+def test_a_scaling_factor_out_of_range_is_a_value_error(entry, eps):
+    # e^(2 eps) overflows at eps = 400 and is 0 at eps = -400: a ValueError
+    # naming the element, not math.exp's bare OverflowError or a map that
+    # collapses t
+    with pytest.raises(ValueError, match=rf"^scaling by eps={eps!r}: its "
+                                         rf"factor e\^\(\d eps\)"):
+        SCALED[entry](GroupElement(Generator.SCALING, eps))
+
+
+@pytest.mark.parametrize("eps", [400.0, -400.0, 800.0, -800.0])
+def test_transform_params_refuses_only_a_factor_out_of_range(eps):
+    g, p = GroupElement(Generator.SCALING, eps), StencilParams(c=1.0)
+    if abs(eps) < 700.0:
+        assert transform_params(g, p).c == math.exp(-eps)
+    else:
+        with pytest.raises(ValueError, match=rf"^scaling by eps={eps!r}: "
+                                             rf"its factor e\^\(-1 eps\)"):
+            transform_params(g, p)
