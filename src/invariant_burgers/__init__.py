@@ -21,8 +21,7 @@ from .interpolate import InterpKind
 from .schemes import (DEFAULT_DT_FACTORS, SchemeConfig, SchemeKind,
                       Trajectory, run)
 from .symmetry import (Generator, GroupElement, StencilParams, apply_field,
-                       apply_point, invariance_defect, max_defect,
-                       satisfy_constant, satisfy_ftcs, satisfy_scheme,
-                       satisfy_stationary)
+                       apply_point, max_defect, satisfy_constant,
+                       satisfy_ftcs, satisfy_scheme, satisfy_stationary)
 
 __version__ = "0.1.0"

@@ -111,18 +111,17 @@ def require_finite(u: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """One time layer held in place: ``g`` is one buffer of the N + 3
-    periodic ghost slots [a_{N-1} - L, a_0 .. a_{N-1}, a_0 + L, a_1 + L]
-    of N entries a (slot j holds entry j - 1; with one node the last slot
-    is a_0 + 2L). L is the layer's ``period``, given at allocation: the
-    domain length for a layer of positions and 0 for a layer of values,
-    whose ghosts are copies (a -0.0 keeps its sign). ``fill`` ignores the
-    period, so one layer may hold values and then positions, as the
-    adaptive step's destination holds its monitor and then the mesh. A
-    layer owns three buffers, ``g``, ``gaps`` and ``wide``; its other
-    members are views of them and its ``place``, ``fill`` and ``measure``
-    closures over those views, all formed at allocation, so writing a
-    layer forms no view and allocates no array.
+    """One time layer of N >= 2 entries a held in place: N positions that
+    ``place()`` lays out, or N values that ``fill()`` lays out, never both,
+    and nothing reads the layer before one of them has run. ``g`` is one
+    buffer of the N + 3 periodic ghost slots
+    [a_{N-1} - L, a_0 .. a_{N-1}, a_0 + L, a_1 + L] (slot j holds entry
+    j - 1), L the layer's ``period``, given at allocation: the domain length
+    for a layer of positions and 0 for a layer of values, whose ghosts are
+    copies (a -0.0 keeps its sign). A layer owns three buffers, ``g``,
+    ``gaps`` and ``wide``; its other members are views of them and its
+    ``place`` and ``fill`` closures over those views, all formed at
+    allocation, so writing a layer forms no view and allocates no array.
 
     - ``nodes`` is slots 1 .. N. The stencil and the monitor read the slot
       row g[:-1] through ``row_east`` g[1:-1] and ``row_west`` g[:-2]
@@ -133,11 +132,10 @@ class Layer:
       hold the gaps and wide gaps of a position layer.
 
     Write the nodes, then ``place()`` positions (period L > 0) or
-    ``fill()`` values; both take N >= 1. ``place`` writes the ghost slots
-    over the period, forms the gaps and wide gaps (``measure``, which
-    forms them of the slots as they stand) and checks the node gaps,
-    raising ``NodeCrossingError`` naming the first interval whose gap is
-    not positive; ``fill`` copies the ghost slots without arithmetic. The
+    ``fill()`` values. ``place`` writes the ghost slots over the period,
+    forms the gaps and wide gaps and checks the node gaps, raising
+    ``NodeCrossingError`` naming the first interval whose gap is not
+    positive; ``fill`` copies the ghost slots without arithmetic. The
     interpolants bracket a query by slots j, j + 1 with 1 <= j <= N and
     read at most one slot beyond.
     """
@@ -150,30 +148,24 @@ class Layer:
         self.east, self.west = g[2:-1], g[:-3]
         gaps, wide = self.gaps, self.wide = np.empty(n + 2), np.empty(n + 1)
         self.row_gaps, self.row_wide = gaps[:-1], wide[:-1]
-        node_gaps = self._node_gaps = gaps[1:-1]
+        node_gaps = gaps[1:-1]
         ahead, behind, ahead2, behind2 = g[1:], g[:-1], g[2:], g[:-2]
         subtract = np.subtract
-
-        def measure():
-            subtract(ahead, behind, gaps)
-            subtract(ahead2, behind2, wide)
 
         def place():
             g[0] = g[-3] - period
             g[-2] = g[1] + period
-            # with one node, slot 2 is the ghost a_0 + L just written, and
-            # the last slot is a_0 + 2L in one addition
-            g[-1] = g[2] + period if n > 1 else g[1] + 2.0 * period
-            measure()
+            g[-1] = g[2] + period
+            subtract(ahead, behind, gaps)
+            subtract(ahead2, behind2, wide)
             _require_positive(node_gaps)
 
         def fill():
-            # in order: with one node, slot 2 is the ghost slot written second
             g[0] = g[-3]
             g[-2] = g[1]
             g[-1] = g[2]
 
-        self.measure, self.place, self.fill = measure, place, fill
+        self.place, self.fill = place, fill
 
     @classmethod
     def of_positions(cls, x: np.ndarray, domain_length: float) -> Layer:
@@ -269,16 +261,16 @@ def bind_equidistributed(xl: Layer, ul: Layer, alpha, out: Layer,
     sums of 1/(rho_i + rho_{i+1}) scaled by L over their own last sum, so
     the closing gap does not absorb the rounding of N - 1 additions.
 
-    The monitor is written into ``out`` as a value layer first, and the
-    reciprocal sums and their partial sums into its node and row wide
-    gaps; the positions then replace the monitor and are placed over the
-    layer's period L. A sum not in (0, inf) raises
-    ``NonFiniteSolutionError``.
+    The solve owns the monitor's value layer and two rows, the reciprocal
+    sums and their partial sums, all allocated when it is bound; the
+    positions are written into ``out`` and placed over its period L. A sum
+    not in (0, inf) raises ``NonFiniteSolutionError``.
     """
     x, u, east, west, wide = xl.nodes, ul.nodes, ul.east, ul.west, xl.row_wide
-    rho, rho_east, fill, place = out.nodes, out.east, out.fill, out.place
-    inverse, sums, period = out._node_gaps, out.row_wide, out.period
-    head, rest = sums[:-1], rho[1:]
+    monitor, inverse, sums = Layer(len(x)), np.empty_like(x), np.empty_like(x)
+    rho, rho_east, fill = monitor.nodes, monitor.east, monitor.fill
+    x_next, place, period = out.nodes, out.place, out.period
+    head, rest = sums[:-1], x_next[1:]
     scale, shift = np.empty(()), np.empty(())
     add, subtract, multiply, divide, square, sqrt = (
         np.add, np.subtract, np.multiply, np.divide, np.square, np.sqrt)
@@ -303,12 +295,12 @@ def bind_equidistributed(xl: Layer, ul: Layer, alpha, out: Layer,
         scale[()] = period / total
         # in scalar arithmetic: a 0-d dt would send the product through a
         # ufunc
-        rho[0] = shift[()] = x[0] + float(dt) * u[0] if moving else x[0]
+        x_next[0] = shift[()] = x[0] + float(dt) * u[0] if moving else x[0]
         multiply(head, scale, rest)
         add(shift, rest, rest)
         place()
         if moving:
-            subtract(rho, x, xdot)
+            subtract(x_next, x, xdot)
             divide(xdot, dt, xdot)
 
     return solve

@@ -40,19 +40,21 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
                 domain_length: float = TAU) -> np.ndarray:
     """Evaluate the periodic interpolant of (nodes_x, nodes_u) at query_x.
 
-    The nodes must be strictly increasing with a positive periodic closure
-    gap (``NodeCrossingError`` otherwise). ``domain_length`` must be
-    positive, finite and small enough that the nodes beside the seam keep
-    apart from their images one period away (``ValueError`` naming it
-    otherwise). Nodes or a length at which a sum of two positions or a
-    squared gap overflows are refused (``ValueError`` naming the one at
-    fault). The queries must be finite (``ValueError`` naming the first
-    one that is not); they may lie anywhere and are read modulo it.
+    It takes at least two nodes and one value per node (``ValueError``
+    naming both counts otherwise). The nodes must be strictly increasing
+    with a positive periodic closure gap (``NodeCrossingError``
+    otherwise). ``domain_length`` must be positive, finite and small enough
+    that the nodes beside the seam keep apart from their images one period
+    away (``ValueError`` naming it otherwise). Nodes or a length at which a
+    sum of two positions or a squared gap overflows are refused
+    (``ValueError`` naming the one at fault). The queries must be finite
+    (``ValueError`` naming the first one that is not); they may lie
+    anywhere and are read modulo it.
     """
     kind = InterpKind(kind)
     x, u = _as_float_array(nodes_x), _as_float_array(nodes_u)
-    if not 0 < len(x) == len(u):
-        raise ValueError(f"need one value per node and at least one node, "
+    if not 1 < len(x) == len(u):
+        raise ValueError(f"need one value per node and at least two nodes, "
                          f"got {len(u)} values for {len(x)} nodes")
     if not 0.0 < domain_length < np.inf:
         raise ValueError(f"domain_length must be positive and finite, got "

@@ -173,16 +173,16 @@ def satisfy_ftcs(s: Stencil, p: StencilParams) -> Stencil:
 def _terms(s: Stencil, xdot: float, nu: float
            ) -> tuple[float, float, float]:
     """The advection and diffusion terms of the moving-mesh stencil at the
-    center of ``s`` and the center value it steps to: its step-start rows
-    are the slot rows of one-node layers, whose last slot the stencil never
-    reads, and the solver's stencil, bound to them, runs once."""
-    xl, ul, out, rows = Layer(1), Layer(1), Layer(1), StencilRows(1, nu)
-    xl.g[:-1], ul.g[:-1] = s.x, s.u
-    xl.g[-1] = ul.g[-1] = np.nan
-    xl.measure()
+    center of ``s`` and the center value it steps to: the solver's stencil,
+    bound to the step-start layers of the three nodes, runs once, and node
+    1 is read. Their period 2 (x_e - x_w) reaches only the ghosts, which
+    node 1 does not read; placing the positions raises
+    ``NodeCrossingError`` unless x_w < x_c < x_e."""
+    xl = Layer.of_positions(s.x, 2.0 * (s.x[2] - s.x[0]))
+    ul, out, rows = Layer.of_values(s.u), Layer(3), StencilRows(3, nu)
     bind_weight(xl, rows)()
     bind_stencil(xl, ul, xdot, s.dt, rows, out)()
-    return rows.advection[0], rows.diffusion[0], out.nodes[0]
+    return rows.advection[1], rows.diffusion[1], out.nodes[1]
 
 
 def _with_center(s: Stencil, row: str, value: float) -> Stencil:

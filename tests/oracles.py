@@ -107,15 +107,15 @@ def moving_mesh_update_loop(x0, u, xdot, dt, nu, length):
 
 
 def ghosted_by_concatenation(a, jump):
-    """The N + 3 ghost slots of ``grid.Layer``, laid out by concatenating
-    [a_{N-1}], a, [a_0], [a_1] (a_0 again when N = 1) and then adding the
-    jump to the three ghosts only when it is nonzero."""
+    """The N + 3 ghost slots of ``grid.Layer`` (N >= 2), laid out by
+    concatenating [a_{N-1}], a, [a_0], [a_1] and then adding the jump to the
+    three ghosts only when it is nonzero."""
     n = len(a)
-    g = np.concatenate((a[-1:], a, a[:1], a[1 % n:1 % n + 1]))
+    g = np.concatenate((a[-1:], a, a[:2]))
     if jump:
         g[0] -= jump
         g[n + 1] += jump
-        g[n + 2] += jump if n > 1 else 2.0 * jump
+        g[n + 2] += jump
     return g
 
 

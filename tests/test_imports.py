@@ -281,9 +281,9 @@ EXPORTS = [
     "SchemeConfig", "SchemeKind", "SimulationError", "StencilParams", "TAU",
     "Trajectory", "apply_field", "apply_point", "coefficients",
     "convergence_study", "evaluate", "frame_comparison",
-    "grid_spacing_profile", "invariance_defect", "linf_error", "max_defect",
-    "mean_spacing", "run", "satisfy_constant", "satisfy_ftcs",
-    "satisfy_scheme", "satisfy_stationary", "uniform_slice",
+    "grid_spacing_profile", "linf_error", "max_defect", "mean_spacing",
+    "run", "satisfy_constant", "satisfy_ftcs", "satisfy_scheme",
+    "satisfy_stationary", "uniform_slice",
 ]
 
 

@@ -85,7 +85,7 @@ def test_local_stencils_reproduce_affine_data(x, a, b, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ordered_grids(min_n=1), st.data())
+@given(ordered_grids(min_n=2), st.data())
 def test_quadratic_matches_the_scalar_loop_oracle(x, data):
     # Newton form against the oracle's Lagrange form, on the same stencil.
     # Both round to a few ulp(max |u|) times the largest ratio R of ghost
@@ -245,9 +245,8 @@ def test_constant_reproduction(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
 def test_constant_reproduction_on_few_nodes(kind, n):
-    # with one node the quadratic stencil reaches node 0 two periods on
     x = 0.4 + np.arange(n) * (TAU / n) + np.arange(n) ** 2 * 0.1
     q = np.linspace(-TAU, 2 * TAU, 301)
     values = interpolate(x, np.full(n, -1.5), q, kind, TAU)
@@ -289,6 +288,14 @@ def test_values_must_match_nodes(kind):
             interpolate(x, u, 0.5, kind, TAU)
     with pytest.raises(ValueError, match="values for"):
         interpolate([], [], 0.5, kind, TAU)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_node_is_refused_by_its_count(kind):
+    # a layer holds at least two nodes
+    with pytest.raises(ValueError, match="at least two nodes, got 1 values "
+                                         "for 1 nodes"):
+        interpolate([0.5], [1.0], 0.5, kind, TAU)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -99,7 +99,7 @@ def layer_work(config, t_final):
 # constant-frame, the lattice at rest in the frame each computes in, is its
 # next layer too, so its diffusion weight is never formed again. The other
 # schemes form it once for each new step-start layer. The adaptive step fills
-# its monitor into the destination layer before placing the positions there.
+# its monitor into a value layer of its own before placing the positions.
 # Only the spline allocates layers in a step: value layers of its gaps, gap
 # slopes and moments. The stencil's rows are allocated once per run, and so
 # are the remap's on a projecting run.
@@ -195,23 +195,23 @@ def python_calls(config, t_final):
 # Python calls per extra step at N = 32: before the stages were bound, when
 # the loop handed the layers to each step function, and now. A step calls
 # the entries of the grid equation and the stencil, their bound closures,
-# each layer's own placement (with its gaps and its order check) or fill,
-# and the bound remap and diffusion weight; the sum of squares that clears
-# its values as finite is no Python call. The adaptive grid equation forms
-# its monitor and solve in its one closure. At N = 32 the projection's
-# quadratic searches on every step (its five calls of numpy's search and
-# extrema); the spline allocates three value layers
+# each layer's own placement (which forms its gaps and calls its order
+# check) or fill, and the bound remap and diffusion weight; the sum of
+# squares that clears its values as finite is no Python call. The adaptive
+# grid equation forms its monitor and solve in its one closure. At N = 32
+# the projection's quadratic searches on every step (its five calls of
+# numpy's search and extrema); the spline allocates three value layers
 CALLS_PER_STEP = [
     ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, 5, 3),
     ({"scheme_kind": SchemeKind.CONSTANT_FRAME, "frame_velocity": 0.5}, 5, 3),
-    ({"scheme_kind": SchemeKind.LAGRANGIAN}, 11, 9),
-    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, 14, 10),
+    ({"scheme_kind": SchemeKind.LAGRANGIAN}, 11, 8),
+    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, 14, 9),
 ] + [
     ({"scheme_kind": SchemeKind.EVOLUTION_PROJECTION, "interp_kind": kind},
      unbound, bound)
-    for kind, unbound, bound in ((InterpKind.LINEAR, 20, 18),
-                                 (InterpKind.QUADRATIC, 22, 20),
-                                 (InterpKind.CUBIC_SPLINE, 30, 28))
+    for kind, unbound, bound in ((InterpKind.LINEAR, 20, 16),
+                                 (InterpKind.QUADRATIC, 22, 18),
+                                 (InterpKind.CUBIC_SPLINE, 30, 26))
 ]
 
 
@@ -230,7 +230,7 @@ def test_each_step_makes_fewer_python_calls_than_the_unbound_loop(
 
 def test_the_solver_and_the_certifier_bind_one_stencil(monkeypatch):
     # run binds the stencil once per layer parity, and the certifier's
-    # relation binds the same binder on its one-node layers
+    # relation binds the same binder on its three-node layers
     callers = Counter()
     bind_stencil = schemes.bind_stencil
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,15 +7,17 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invariant_burgers import (
-    DiscreteField, Generator, GridSlice, GroupElement, StencilParams, TAU,
-    apply_field, apply_point, invariance_defect, max_defect, satisfy_constant,
-    satisfy_ftcs, satisfy_scheme, satisfy_stationary, uniform_slice,
+    DiscreteField, Generator, GridSlice, GroupElement, NodeCrossingError,
+    StencilParams, TAU, apply_field, apply_point, max_defect,
+    satisfy_constant, satisfy_ftcs, satisfy_scheme, satisfy_stationary,
+    uniform_slice,
 )
 
 from invariant_burgers.grid import Layer, bind_equidistributed
 from invariant_burgers.schemes import (StencilRows, bind_stencil,
                                        bind_weight, invariant_step)
-from invariant_burgers.symmetry import (Stencil, relation_defect,
+from invariant_burgers.symmetry import (Stencil, _grid_velocity,
+                                        invariance_defect, relation_defect,
                                         sample_stencil, stencil_scale,
                                         transform_monitor, transform_params,
                                         transform_stencil)
@@ -199,6 +202,39 @@ def test_fixed_grid_relation_boost_defect_closed_form():
         measured = invariance_defect(satisfy_ftcs, g, s, p)
         analytic = abs(eps * (s.u[2] - s.u[0]) / (s.x[2] - s.x[0]))
         assert abs(measured - analytic) <= 1e-12 * stencil_scale(s, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xc=st.floats(-10.0, 10.0), gaps=st.tuples(st.floats(1e-3, 1.0),
+                                                 st.floats(1e-3, 1.0)),
+       u=hnp.arrays(float, 3, elements=st.floats(-2.0, 2.0)),
+       dt=st.floats(1e-5, 1e-2), velocity=st.floats(-2.0, 2.0),
+       nu=st.floats(1e-3, 1.0), moving=st.booleans())
+def test_the_certifier_steps_the_centre_as_the_oracle(xc, gaps, u, dt,
+                                                      velocity, nu, moving):
+    # the certifier places its three nodes as one layer and reads node 1,
+    # which the oracle steps by the same arithmetic in the same order: the
+    # match is bit for bit (== also takes a centre of -0.0 against 0.0,
+    # the one pair of bit patterns two orders of a zero sum can differ by)
+    x = np.array([xc - gaps[0], xc, xc + gaps[1]])
+    s = Stencil(t=0.0, dt=dt, x=x, u=u, x_next=x + dt * velocity,
+                u_next=np.zeros(3))
+    satisfy, xdot = ((satisfy_scheme, _grid_velocity(s)) if moving
+                     else (satisfy_ftcs, 0.0))
+    expected = moving_mesh_update_loop(x, u, xdot, dt, nu,
+                                       2.0 * (x[2] - x[0]))
+    assert satisfy(s, StencilParams(nu=nu)).u_next[1] == expected[1]
+
+
+@pytest.mark.parametrize("x", [[1.0, 0.5, 2.0], [1.0, 2.0, 1.5],
+                               [2.0, 1.5, 1.0], [1.0, 1.0, 2.0]])
+@pytest.mark.parametrize("satisfy", [satisfy_scheme, satisfy_ftcs])
+def test_an_unordered_stencil_is_a_node_crossing(x, satisfy):
+    # the stencil's positions are placed as a layer, whose order check
+    # refuses nodes that are not strictly increasing
+    s = replace(manual_stencil(), x=np.array(x))
+    with pytest.raises(NodeCrossingError):
+        satisfy(s, StencilParams())
 
 
 @st.composite
