@@ -18,8 +18,9 @@ class NodeCrossingError(SimulationError, ValueError):
     closure gap.
 
     Raised by the placement of a layer of positions (``grid.Layer.place``):
-    of each layer a grid equation or the projection's remap writes, and of
-    the nodes of a ``GridSlice`` and of the interpolants. Inside a run it
+    of each layer a grid equation or the projection's remap writes, of the
+    nodes of a ``GridSlice`` and of the interpolants, and of the
+    certifier's three-point sample (``symmetry._terms``). Inside a run it
     means a grid update inverted a mesh interval (time step too large), or,
     on the constant-frame scheme, that its reported positions xi + c t are
     too coarse for the lattice gaps (a frame velocity too large); after a

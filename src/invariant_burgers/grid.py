@@ -77,8 +77,11 @@ class GridSlice:
 
     def wrapped_x(self) -> np.ndarray:
         """Positions reduced into [domain_start, domain_start + L)."""
-        return self.domain_start + np.mod(self.x - self.domain_start,
-                                          self.domain_length)
+        start, end = self.domain_start, self.domain_start + self.domain_length
+        x = start + np.mod(self.x - start, self.domain_length)
+        # a position a hair below the start rounds up to the end
+        x[x >= end] = start
+        return x
 
 
 def _require_positive(gaps: np.ndarray):

@@ -14,8 +14,10 @@ slots j, j + 1 of the node at or left of it and the next one. Quadratic
 reads the three slots centred on the node nearest the query, midpoint ties
 going left; where each of one query per node lies between the midpoints
 beside its node, as the projection's targets normally do, that node is
-taken without a search, and either way the slots are the same. The spline
-solves for its moments, and allocates its intermediates, on every call.
+taken without a search, and either way the slots are the same. The
+quadratic allocates its rows once, when it is bound; the linear and spline
+interpolants allocate their intermediates, and the spline solves for its
+moments, on every call.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ def interpolate(nodes_x, nodes_u, query_x, kind: InterpKind,
         raise ValueError(f"domain_length={domain_length!r} swamps the node "
                          f"gaps: a node and its neighbour across the seam "
                          f"round to one position one period away")
-    return _evaluate(xl, Layer.of_values(u), q, kind, np.empty(q.shape),
-                     QuadraticRows(len(x), q.shape))()
+    return _evaluate(xl, Layer.of_values(u), q, kind, np.empty(q.shape))()
 
 
 def _reach(x: np.ndarray) -> float:
@@ -90,46 +91,35 @@ def _reach(x: np.ndarray) -> float:
     return max(-2.0 * x[0], 2.0 * x[-1], gap ** 2)
 
 
-class QuadraticRows:
-    """The quadratic's rows at N nodes for queries of shape ``shape``: slot
-    midpoints, slopes, second differences, their views, test and work."""
-
-    def __init__(self, n: int, shape):
-        mid, s, c = self.midpoints, self.slopes, self.second = (
-            np.empty(n + 2), np.empty(n + 2), np.empty(n + 1))
-        self.mid_west, self.mid_east, self.s_east, self.s_west = (
-            mid[:-2], mid[1:-1], s[1:], s[:-1])
-        self.s0, self.c0 = s[:n], c[:n]
-        self.test, self.work = np.empty(shape, bool), np.empty(shape)
-
-
 def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
-              out: np.ndarray, rows: QuadraticRows
-              ) -> Callable[[], np.ndarray]:
+              out: np.ndarray) -> Callable[[], np.ndarray]:
     """The interpolant of kind ``kind`` through the placed position layer
     ``xl`` and filled value layer ``ul``, at the finite queries ``q`` read
     modulo the period of ``xl``, bound: a closure that evaluates it at the
-    layers and queries as they stand when it runs. The quadratic reads the
-    gaps and wide gaps of ``xl``'s slots and works in ``rows``, sized for
-    ``xl`` and ``q``. The last operation of each interpolant writes its
-    values into ``out``, of the queries' shape and aliasing none of the
-    other inputs, and the closure returns ``out``. The linear and spline
-    closures allocate their intermediates; the spline's moments are solved
-    on every call."""
-    xg, ug, period = xl.g, ul.g, xl.period
+    layers and queries as they stand when it runs. Each reads the gaps of
+    ``xl``'s slots, and the quadratic its wide gaps too. The quadratic
+    works in rows sized for ``xl`` and ``q``, allocated here; the linear
+    and spline closures allocate their intermediates, and the spline's
+    moments are solved, on every call. The last operation of each
+    interpolant writes its values into ``out``, of the queries' shape and
+    aliasing none of the other inputs, and the closure returns ``out``."""
+    xg, ug, period, gaps = xl.g, ul.g, xl.period, xl.gaps
     if kind is InterpKind.QUADRATIC:
-        mid, s, c, w, test = (rows.midpoints, rows.slopes, rows.second,
-                              rows.work, rows.test)
+        n = len(xg) - 3
+        # the slot midpoints and slopes, the second differences, and a
+        # test and a work row of the queries' shape
+        mid, s, c = np.empty(n + 2), np.empty(n + 2), np.empty(n + 1)
+        test, w = np.empty(q.shape, bool), np.empty(q.shape)
         x_west, x_east, u_west, u_east = xg[:-1], xg[1:], ug[:-1], ug[1:]
-        gaps, wide, s_east, s_west = xl.gaps, xl.wide, rows.s_east, rows.s_west
-        mid_west, mid_east = rows.mid_west, rows.mid_east
+        wide, s_east, s_west = xl.wide, s[1:], s[:-1]
+        mid_west, mid_east = mid[:-2], mid[1:-1]
         # slot b + 1 holds the node nearest q, ties going left: node i for
         # query i when there is one query per node and each lies between
         # the midpoints beside its node; else the count of inner midpoints
         # left of q (0 .. N for any q), the queries reduced first if one
         # lies outside (mid[0], mid[-1]]
-        partner = q.shape == (len(xg) - 3,)
-        beside = ul.west, xl.west, xl.nodes, rows.s0, rows.c0
+        partner = q.shape == (n,)
+        beside = ul.west, xl.west, xl.nodes, s[:n], c[:n]
         add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
                                            np.divide)
 
@@ -156,25 +146,29 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
 
         return quadratic
 
+    # the node gaps h_i = x_{i+1} - x_i, the last closing the period, and
+    # each node's west neighbour
+    h, west = gaps[1:-1], np.arange(-1, len(xg) - 4)
+
     def piecewise():
         # each query shifted by a multiple of L into [x_0, x_0 + L)
         at = xg[1] + np.mod(q - xg[1], period)
         # the ghost slot j of the node at or left of each query
         j = np.searchsorted(xg[1:-2], at, side="right")
         if kind is InterpKind.LINEAR:
-            w = (at - xg[j]) / (xg[j + 1] - xg[j])
+            w = (at - xg[j]) / gaps[j]
             return np.add(ug[j] * (1.0 - w), ug[j + 1] * w, out)
 
-        # cubic spline: second derivatives m at the nodes. The node gaps h,
-        # the gap slopes du and the moments are copied into value layers,
-        # so each row reads its west neighbour from a ghost copy and rows
-        # 0 and N-1 share one closing gap
-        hl = Layer.of_values(xl.gaps[1:-1])
-        h, hw = hl.nodes, hl.west
-        dl = Layer.of_values((ul.east - ul.nodes) / h)
+        # cubic spline: second derivatives m at the nodes, from the node
+        # gaps h and gap slopes du and each one's west neighbour, taken
+        # round the seam (the ghost gap before node 0 may differ from the
+        # closing gap in its last bit); the moments' value layer closes the
+        # period
+        du = (ul.east - ul.nodes) / h
+        hw = h.take(west)
         mg = Layer.of_values(_solve_cyclic_tridiagonal(
-            hw / 6.0, (hw + h) / 3.0, h / 6.0, dl.nodes - dl.west)).g
-        hj = hl.g[j]
+            hw / 6.0, (hw + h) / 3.0, h / 6.0, du - du.take(west))).g
+        hj = gaps[j]
         s = (at - xg[j]) / hj
         r = 1.0 - s
         return np.add(ug[j] * r + ug[j + 1] * s,

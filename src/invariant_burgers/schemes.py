@@ -50,7 +50,7 @@ from .errors import NodeCrossingError, SimulationError
 from .grid import (TAU, DiscreteField, Layer, advance_equidistributed,
                    advance_lagrangian, bind_equidistributed, bind_lagrangian,
                    equidistribute_initial, require_finite, uniform_slice)
-from .interpolate import InterpKind, QuadraticRows, _evaluate
+from .interpolate import InterpKind, _evaluate
 
 
 class SchemeKind(str, Enum):
@@ -189,42 +189,31 @@ class StencilRows:
             np.empty(n), np.empty(n), np.empty(n), np.empty(n))
 
 
-def bind_weight(xl: Layer, rows: StencilRows) -> Callable[[], None]:
-    """The diffusion weight 2 nu / (x_{i+1} - x_{i-1}) at the nodes of the
-    position layer ``xl``, over its row wide gaps, bound: a closure that
-    forms it in ``rows.weight``. It changes only with the positions, so
-    ``run`` forms it once per position layer: once per run on the
-    stationary lattice."""
-    two_nu, wide, weight = rows.two_nu, xl.row_wide, rows.weight
-
-    def form():
-        np.divide(two_nu, wide, weight)
-
-    return form
-
-
 def bind_stencil(xl: Layer, ul: Layer, xdot, dt, rows: StencilRows,
                  out: Layer) -> Callable[[], None]:
     """The moving-mesh stencil bound to its layers: a closure that writes
     the explicit update u_next = u_k - dt * (advection - diffusion) into
     the value layer ``out`` and fills it there. It reads the slot rows of
     the position layer ``xl`` and value layer ``ul`` (neighbours unwrapped
-    across the seam) and the diffusion weight of ``xl`` in ``rows.weight``
-    (``bind_weight``). The centred slope is weighted by u_k - xdot, and
-    ``xdot`` fixes the form of the update here, once. None, on a stationary
-    layer, gives the classical FTCS update with no subtraction (u - 0.0 is
+    across the seam) and forms the diffusion weight
+    2 nu / (x_{i+1} - x_{i-1}) of ``xl`` in ``rows.weight``. The centred
+    slope is weighted by u_k - xdot, and ``xdot`` fixes the form of the
+    update here, once. None, on a stationary layer, gives the classical
+    FTCS update with no subtraction (u - 0.0 is
     u bit for bit, -0.0 included). The value layer ``ul`` itself, on a
     Lagrangian layer, forms no advection term: u + dt * diffusion. The row
     ``rows.xdot``, which only the adaptive grid equation writes, takes the
     slope that equation left in ``rows.advection`` and forms the term in
     ``rows.work``, leaving that row as it found it. A scalar, which only
-    the certifier passes, is subtracted and the slope formed.
+    the certifier passes, is subtracted and the slope formed. The weight is
+    formed here, once, on a stationary layer, and at the start of every
+    call on the others, whose positions may be unset when it is bound.
 
     The diffusion term stays in ``rows.diffusion`` and, where the slope is
     formed, the advection term in ``rows.advection``. The update is formed
     in ``rows.work`` before the one write into ``out.nodes``, so ``out``
-    may be ``ul``. ``dt`` and the weight are read when the closure runs.
-    The new values are unchecked.
+    may be ``ul``. ``dt`` is read when the closure runs. The new values are
+    unchecked.
     """
     row_east, row_west, east, west = (ul.row_east, ul.row_west, ul.east,
                                       ul.west)
@@ -232,14 +221,18 @@ def bind_stencil(xl: Layer, ul: Layer, xdot, dt, rows: StencilRows,
     gaps, wide = xl.row_gaps, xl.row_wide
     slopes, slopes_east, slopes_west = (rows.slopes, rows.slopes_east,
                                         rows.slopes_west)
-    weight, advection, diffusion, work = (rows.weight, rows.advection,
-                                          rows.diffusion, rows.work)
+    two_nu, weight, advection, diffusion, work = (
+        rows.two_nu, rows.weight, rows.advection, rows.diffusion, rows.work)
     add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
                                        np.divide)
     lagrangian, still, sloped = xdot is ul, xdot is None, xdot is rows.xdot
     term = work if sloped else advection
+    if still:
+        divide(two_nu, wide, weight)
 
     def stencil():
+        if not still:
+            divide(two_nu, wide, weight)
         subtract(row_east, row_west, slopes)
         divide(slopes, gaps, slopes)
         subtract(slopes_east, slopes_west, diffusion)
@@ -268,16 +261,15 @@ def invariant_step(stencil: Callable[[], None]):
 
 
 def bind_projection(xl: Layer, ul: Layer, dt, moved: Layer, evolved: Layer,
-                    interp_kind: InterpKind, remap_rows: QuadraticRows
-                    ) -> Callable[[], None]:
+                    interp_kind: InterpKind) -> Callable[[], None]:
     """The projection's remap bound to its layers: a closure that remaps,
     back into the step-start layers, the values ``evolved`` on the layer
     ``moved``, which the Lagrangian step and the stencil wrote from ``xl``
     and ``ul``, interpolated onto the lattice ``xl`` advanced by the bulk
-    (mean) velocity of ``ul``, working in ``remap_rows``. The shift is read
-    from ``ul`` before anything writes it; the targets are shifted into
-    ``xl`` and placed there, and the values remapped into ``ul`` and
-    filled. ``dt`` is read when the closure runs.
+    (mean) velocity of ``ul``. The shift is read from ``ul`` before
+    anything writes it; the targets are shifted into ``xl`` and placed
+    there, and the values remapped into ``ul`` and filled. ``dt`` is read
+    when the closure runs.
 
     Advancing the targets with the bulk velocity keeps the composite
     boost-equivariant: a lattice held fixed in one frame is a moving
@@ -287,7 +279,7 @@ def bind_projection(xl: Layer, ul: Layer, dt, moved: Layer, evolved: Layer,
     """
     x, u, place, fill = xl.nodes, ul.nodes, xl.place, ul.fill
     n, total = len(u), np.add.reduce
-    remap = _evaluate(moved, evolved, x, interp_kind, u, remap_rows)
+    remap = _evaluate(moved, evolved, x, interp_kind, u)
 
     def projection():
         # the mean as np.mean forms it (pairwise sum over n), without its
@@ -356,9 +348,8 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     x_spare = Layer(n, length)
     projecting = kind is SchemeKind.EVOLUTION_PROJECTION
     if projecting:
-        evolved, remap_rows = Layer(n), QuadraticRows(n, n)
+        evolved = Layer(n)
     rows = StencilRows(n, config.nu)
-    bind_weight(xl, rows)()
     dt, alpha = np.array(dt0), np.array(config.alpha)
     # the entries of the stencil and of the grid equation, looked up here,
     # so that a rebinding of the module attributes reaches the loop; the
@@ -370,10 +361,9 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
 
     def bind(x_start: Layer, x_next: Layer):
         """The stages of a step from the position layer ``x_start``, its
-        grid equation writing ``x_next``: the grid equation, the stencil,
-        the remap and the diffusion weight of the position layer the step
-        ends on, bound to the run's layers (None for a stage the scheme
-        lacks), and that layer."""
+        grid equation writing ``x_next``: the grid equation, the stencil
+        and the remap, bound to the run's layers (None for a stage the
+        scheme lacks), and the position layer the step ends on."""
         if advance is None:
             equation, xdot = None, None
         elif kind is SchemeKind.EULERIAN_ADAPTIVE:
@@ -385,12 +375,9 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         stencil = bind_stencil(x_start, ul, xdot, dt, rows,
                                evolved if projecting else ul)
         remap = (bind_projection(x_start, ul, dt, x_next, evolved,
-                                 config.interp_kind, remap_rows)
+                                 config.interp_kind)
                  if projecting else None)
-        end = x_start if projecting else x_next
-        # the mesh moves: its diffusion weight, formed once a step
-        weight = None if equation is None else bind_weight(end, rows)
-        return equation, stencil, remap, weight, end
+        return equation, stencil, remap, x_start if projecting else x_next
 
     # one set of stages per layer parity: the Lagrangian and adaptive
     # meshes alternate between two position layers, the others keep one
@@ -411,7 +398,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         if span != dt0:
             dt[()] = span
         t_next = t + span
-        equation, stencil, remap, weight, end = stages[step & 1]
+        equation, stencil, remap, end = stages[step & 1]
         try:
             if equation is not None:
                 advance(equation)
@@ -422,8 +409,6 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             # decides the rest
             if not isfinite(square_sum(u)):
                 require_finite(u)
-            if weight is not None:
-                weight()
             is_last = t_next >= t_end
             if is_last or (snapshot_every > 0
                            and (step + 1) % snapshot_every == 0):

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .grid import TAU, DiscreteField, GridSlice, Layer
-from .schemes import StencilRows, bind_stencil, bind_weight
+from .schemes import StencilRows, bind_stencil
 
 
 class Generator(Enum):
@@ -180,7 +180,6 @@ def _terms(s: Stencil, xdot: float, nu: float
     ``NodeCrossingError`` unless x_w < x_c < x_e."""
     xl = Layer.of_positions(s.x, 2.0 * (s.x[2] - s.x[0]))
     ul, out, rows = Layer.of_values(s.u), Layer(3), StencilRows(3, nu)
-    bind_weight(xl, rows)()
     bind_stencil(xl, ul, xdot, s.dt, rows, out)()
     return rows.advection[1], rows.diffusion[1], out.nodes[1]
 

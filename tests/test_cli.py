@@ -404,16 +404,44 @@ def test_convergence_failure_reports_its_step(tmp_path, capsys):
                           "message='N=32: step 0 (t=0): ")
 
 
+# each subcommand, with flags that keep it short, and its default output
+# file name
+DEFAULT_OUTPUTS = [
+    (["run", "--n", "8", "--t-final", "0.05"], "trajectory.csv"),
+    (["convergence", "--n-max", "16", "--t-final", "0.05"],
+     "convergence.csv"),
+    (["frames", "--n", "8", "--t-final", "0.05"], "frames.csv"),
+    (["spacing", "--n", "8", "--t-final", "0.05"], "spacing.csv"),
+    (["exact", "--n", "8"], "exact.csv"),
+]
+
+
 def test_output_directory_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "out"))
+    # for every subcommand, the default name, a relative --out and a
+    # relative --errors-out are written under the directory the environment
+    # names; an absolute --out is written where it points
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "out").mkdir()
-    code = main(["run", "--n", "16", "--t-final", "0.05",
-                 "--out", "nested.csv", "--errors-out", "errors.csv"])
-    assert code == 0
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-        "errors.csv", "nested.csv"]
-    assert not (tmp_path / "errors.csv").exists()
+    for argv, default in DEFAULT_OUTPUTS:
+        outdir = tmp_path / argv[0]
+        outdir.mkdir()
+        monkeypatch.setenv(OUTDIR_ENV, str(outdir))
+        expected = {default, "nested.csv"}
+        assert main(argv) == 0
+        assert main([*argv, "--out", "nested.csv"]) == 0
+        if argv[0] == "run":
+            assert main([*argv, "--errors-out", "errors.csv"]) == 0
+            expected.add("errors.csv")
+        absolute = tmp_path / f"{argv[0]}.csv"
+        assert main([*argv, "--out", str(absolute)]) == 0
+        assert {p.name for p in outdir.iterdir()} == expected, argv[0]
+        summary = capsys.readouterr().out
+        assert f"-> {outdir / default}\n" in summary
+        assert f"-> {absolute}\n" in summary
+    # the working directory holds only the subcommands' directories and
+    # the absolute outputs
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for argv, _ in DEFAULT_OUTPUTS
+        for name in (argv[0], f"{argv[0]}.csv"))
 
 
 # every flag a subcommand does not read, with a value it would accept

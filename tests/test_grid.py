@@ -207,6 +207,21 @@ def test_wrapped_positions_stay_in_fundamental_interval():
     assert np.all((w >= 0.0) & (w < TAU))
 
 
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(-1e3, 1e3), length=st.floats(1e-3, 1e3),
+       k=st.integers(-5, 5),
+       delta=st.one_of(st.just(0.0), st.floats(5e-324, 1e-12)))
+def test_a_position_a_hair_below_a_period_wraps_into_the_interval(
+        start, length, k, delta):
+    # np.mod rounds a position a hair below start + k L up to L, which put
+    # it at start + L, outside [start, start + L)
+    x = start + k * length + np.array([-delta, 0.25, 0.5, 0.75]) * [
+        1.0, length, length, length]
+    grid = GridSlice(t=0.0, x=x, domain_start=start, domain_length=length)
+    w = grid.wrapped_x()
+    assert np.all((start <= w) & (w < start + length)), w
+
+
 # ---------------------------------------------------------------------------
 # ghost slots
 # ---------------------------------------------------------------------------

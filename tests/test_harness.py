@@ -300,6 +300,24 @@ def wrapping_run():
     return traj
 
 
+def test_a_node_a_hair_below_the_start_is_written_at_the_start(tmp_path):
+    # node 0 of a Lagrangian run from sin x at c = 0 (u = 0) drifts a hair
+    # below x = 0 by roundoff, and so does a node of the adaptive mesh at
+    # t = 0.5; the trajectory CSV and the spacing profile wrote those at
+    # x = 2 pi, outside [0, 2 pi)
+    lagrangian = run(config_for(SchemeKind.LAGRANGIAN, n_points=16), np.sin,
+                     snapshot_every=1)
+    assert any(f.grid.x.min() < 0.0 for f in lagrangian.snapshots)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, lagrangian)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    adaptive = run(config_for(SchemeKind.EULERIAN_ADAPTIVE), np.sin)
+    assert adaptive.final.grid.x.min() < 0.0
+    for x in (rows[:, 1], grid_spacing_profile(adaptive)[:, 0]):
+        assert np.all((0.0 <= x) & (x < TAU))
+        assert np.count_nonzero(x == 0.0) >= 1
+
+
 AWKWARD = np.array([-0.0, 5e-324, 1e-7, 1e16, 0.1 + 0.2, -1.5e300, 2.0])
 
 

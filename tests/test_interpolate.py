@@ -9,7 +9,7 @@ from invariant_burgers import (DiscreteField, Generator, GridSlice,
                                GroupElement, InterpKind, NodeCrossingError,
                                TAU, apply_field, uniform_slice)
 from invariant_burgers.grid import Layer
-from invariant_burgers.interpolate import (QuadraticRows, _evaluate,
+from invariant_burgers.interpolate import (_evaluate,
                                            _solve_cyclic_tridiagonal,
                                            interpolate)
 
@@ -163,23 +163,24 @@ def test_partner_bracket_agrees_with_the_search_by_bytes(x, data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(4, 64), st.data())
 def test_one_rows_object_serves_calls_on_other_layers_and_queries(n, data):
-    # the projection's run keeps one QuadraticRows for every step: what a
-    # call leaves in it must not reach the next, on either bracket (the
-    # queries moved one period up are always searched)
-    rows = QuadraticRows(n, n)
+    # the projection binds its quadratic once, on layers not yet written,
+    # and calls it every step after rewriting its layers and queries in
+    # place: what a call leaves in the rows the closure allocated must not
+    # reach the next, on either bracket (the queries moved one period up
+    # are always searched)
+    xl, ul, q = Layer(n, TAU), Layer(n), np.empty(n)
+    quadratic = _evaluate(xl, ul, q, InterpKind.QUADRATIC, np.empty(n))
     for _ in range(3):
         x = data.draw(ordered_grids(min_n=n, max_n=n))
         u = 1e-6 * data.draw(hnp.arrays(np.int64, n,
                                         elements=st.integers(-10**7, 10**7)))
         near = data.draw(partner_queries(x))
-        for q in (near, near + TAU):
-            xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
-            reused = _evaluate(xl, ul, q, InterpKind.QUADRATIC, np.empty(n),
-                               rows)()
-            fresh = _evaluate(xl, ul, q, InterpKind.QUADRATIC, np.empty(n),
-                              QuadraticRows(n, n))()
-            assert (reused.tobytes() == fresh.tobytes() == interpolate(
-                x, u, q, InterpKind.QUADRATIC, TAU).tobytes())
+        for queries in (near, near + TAU):
+            xl.nodes[...], ul.nodes[...], q[...] = x, u, queries
+            xl.place()
+            ul.fill()
+            assert quadratic().tobytes() == interpolate(
+                x, u, queries, InterpKind.QUADRATIC, TAU).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -13,10 +13,8 @@ from invariant_burgers import (
 )
 
 from invariant_burgers.grid import Layer, advance_lagrangian, bind_lagrangian
-from invariant_burgers.interpolate import QuadraticRows
 from invariant_burgers.schemes import (StencilRows, bind_projection,
-                                       bind_stencil, bind_weight,
-                                       invariant_step)
+                                       bind_stencil, invariant_step)
 
 from oracles import (ftcs_update_loop, moving_mesh_update_loop,
                      random_smooth_field)
@@ -37,15 +35,6 @@ def layer(grid):
     return Layer.of_positions(grid.x, grid.domain_length)
 
 
-def stencil_rows(xl, nu):
-    """The stencil's rows at the nodes of the position layer ``xl``, with
-    its diffusion weight at ``nu`` formed, as ``run`` keeps them for the
-    step functions."""
-    rows = StencilRows(len(xl.nodes), nu)
-    bind_weight(xl, rows)()
-    return rows
-
-
 def stencil_step(xl, ul, xdot, dt, rows, out):
     """One step of the stencil bound to the layers, as ``run`` takes it:
     the value layer ``out`` it filled."""
@@ -59,7 +48,7 @@ def moving_step(fld, grid_next, dt, nu):
     xdot = (grid_next.x - fld.grid.x) / dt
     xl = layer(fld.grid)
     out = stencil_step(xl, Layer.of_values(fld.u), xdot, dt,
-                         stencil_rows(xl, nu), Layer(fld.grid.n))
+                       StencilRows(fld.grid.n, nu), Layer(fld.grid.n))
     return DiscreteField(grid=grid_next, u=out.nodes)
 
 
@@ -70,9 +59,8 @@ def projection_step(fld, dt, nu, interp_kind):
     n, length = fld.grid.n, fld.grid.domain_length
     xl, ul, moved = layer(fld.grid), Layer.of_values(fld.u), Layer(n, length)
     advance_lagrangian(bind_lagrangian(xl, ul, dt, moved))
-    evolved = stencil_step(xl, ul, ul, dt, stencil_rows(xl, nu), Layer(n))
-    bind_projection(xl, ul, dt, moved, evolved, interp_kind,
-                    QuadraticRows(n, n))()
+    evolved = stencil_step(xl, ul, ul, dt, StencilRows(n, nu), Layer(n))
+    bind_projection(xl, ul, dt, moved, evolved, interp_kind)()
     return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xl.nodes),
                          u=ul.nodes)
 
@@ -84,7 +72,7 @@ def projection_step(fld, dt, nu, interp_kind):
 def ftcs_step(fld, dt, nu):
     xl = layer(fld.grid)
     out = stencil_step(xl, Layer.of_values(fld.u), None, dt,
-                         stencil_rows(xl, nu), Layer(fld.grid.n))
+                       StencilRows(fld.grid.n, nu), Layer(fld.grid.n))
     return DiscreteField(grid=fld.grid, u=out.nodes)
 
 
@@ -169,7 +157,7 @@ def test_a_stationary_step_equals_a_step_onto_a_copied_layer(n, seed, dt,
     x, u = random_smooth_field(rng, n)
     u[rng.integers(0, n, 3)] = rng.choice([0.0, -0.0], 3)
     xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
-    rows = stencil_rows(xl, nu)
+    rows = StencilRows(n, nu)
     skipped = stencil_step(xl, ul, None, dt, rows, Layer(n))
     for xdot in ((x - x.copy()) / dt, 0.0):
         formed = stencil_step(xl, ul, xdot, dt, rows, Layer(n))
@@ -188,7 +176,7 @@ def test_a_step_in_place_equals_a_step_into_a_spare_layer(n, seed, dt, nu,
     rng = np.random.default_rng(seed)
     x, u = random_smooth_field(rng, n)
     xl = Layer.of_positions(x, TAU)
-    rows = stencil_rows(xl, nu)
+    rows = StencilRows(n, nu)
     rows.xdot[...] = rng.normal(size=n)
     spare_from, ul = Layer.of_values(u), Layer.of_values(u)
     xdot = {"none": None, "values": spare_from, "row": rows.xdot}[velocity]

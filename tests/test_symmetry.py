@@ -15,7 +15,7 @@ from invariant_burgers import (
 
 from invariant_burgers.grid import Layer, bind_equidistributed
 from invariant_burgers.schemes import (StencilRows, bind_stencil,
-                                       bind_weight, invariant_step)
+                                       invariant_step)
 from invariant_burgers.symmetry import (Stencil, _grid_velocity,
                                         invariance_defect, relation_defect,
                                         sample_stencil, stencil_scale,
@@ -264,7 +264,6 @@ def test_scheme_step_sits_on_residual_manifold(case):
     xdot = (grid_next.x - fld.grid.x) / dt
     xl = Layer.of_positions(fld.grid.x, TAU)
     rows, out = StencilRows(fld.grid.n, p.nu), Layer(fld.grid.n)
-    bind_weight(xl, rows)()
     invariant_step(bind_stencil(xl, Layer.of_values(fld.u), xdot, dt, rows,
                                 out))
     out_u = out.nodes
