@@ -18,15 +18,16 @@ class NodeCrossingError(SimulationError, ValueError):
     closure gap.
 
     Raised by the placement of a layer of positions (``grid.Layer.place``):
-    of each layer a grid equation or the projection's remap writes, of the
-    nodes of a ``GridSlice`` and of the interpolants, and of the
-    certifier's three-point sample (``symmetry._terms``). Inside a run it
-    means a grid update inverted a mesh interval (time step too large), or,
-    on the constant-frame scheme, that its reported positions xi + c t are
-    too coarse for the lattice gaps (a frame velocity too large); after a
-    run, that the inverse boost x - c t of the error measurement rounds the
-    final gaps away. It is also a ``ValueError``, because building a grid
-    from unordered nodes is a bad argument.
+    of each new mesh, placed by the step loop after the stencil or by the
+    projection's remap, of the nodes of a ``GridSlice`` and of the
+    interpolants, and of the certifier's sample (``symmetry._terms``).
+    Inside a run it means a grid update inverted a mesh interval (time step
+    too large), or, on the constant-frame scheme, that its reported
+    positions xi + c t are too coarse for the lattice gaps (a frame
+    velocity too large); after a run, that the inverse boost x - c t of the
+    error measurement rounds the final gaps away. It is also a
+    ``ValueError``, because building a grid from unordered nodes is a bad
+    argument.
     """
 
 

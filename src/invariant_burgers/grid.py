@@ -9,12 +9,13 @@ the fundamental interval happens only on output.
 
 The grid equations work on ``Layer``s and are bound once per run to the
 layers they read and write (``bind_lagrangian``, ``bind_equidistributed``).
-A bound equation writes the next positions into its destination layer and
-places them there, with the one order check (``Layer.place``). These
-functions are the inside of ``schemes.run``, which validates once (N, the
-period, a finite dt > 0): they check none of it again and are not
-exported. ``GridSlice`` and ``DiscreteField`` are the validated containers
-for a layer handed across the API.
+A bound equation writes the next positions into the nodes of its
+destination layer, which may be its source, and leaves their placement,
+the one order check (``Layer.place``), to its caller. These functions are
+the inside of ``schemes.run``, which validates once (N, the period, a
+finite dt > 0): they check none of it again and are not exported.
+``GridSlice`` and ``DiscreteField`` are the validated containers for a
+layer handed across the API.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def require_finite(u: np.ndarray) -> np.ndarray:
 class Layer:
     """One time layer of N >= 2 entries a held in place: N positions that
     ``place()`` lays out, or N values that ``fill()`` lays out, never both,
-    and nothing reads the layer before one of them has run. ``g`` is one
+    and nothing reads a new layer before one of them has run. ``g`` is one
     buffer of the N + 3 periodic ghost slots
     [a_{N-1} - L, a_0 .. a_{N-1}, a_0 + L, a_1 + L] (slot j holds entry
     j - 1), L the layer's ``period``, given at allocation: the domain length
@@ -135,7 +136,9 @@ class Layer:
       hold the gaps and wide gaps of a position layer.
 
     Write the nodes, then ``place()`` positions (period L > 0) or
-    ``fill()`` values. ``place`` writes the ghost slots over the period,
+    ``fill()`` values. Nodes may be written ahead of ``place()``: until it
+    runs, the ghost slots and gap rows keep the positions placed last.
+    ``place`` writes the ghost slots over the period,
     forms the gaps and wide gaps and checks the node gaps, raising
     ``NodeCrossingError`` naming the first interval whose gap is not
     positive; ``fill`` copies the ghost slots without arithmetic. The
@@ -218,16 +221,16 @@ def mean_spacing(grid: GridSlice) -> float:
 def bind_lagrangian(xl: Layer, ul: Layer, dt: np.ndarray, out: Layer
                     ) -> Callable[[], None]:
     """The Lagrangian grid equation bound to its layers: a closure that
-    moves every node with its local velocity, x_i += dt * u_i, into the
-    layer ``out``, and places it there. A step too large for the velocity
-    gradient inverts an interval, which the placement rejects with
-    ``NodeCrossingError``. ``dt`` is read when the closure runs."""
-    x, u, x_next, place = xl.nodes, ul.nodes, out.nodes, out.place
+    writes x_i + dt * u_i, every node moved with its local velocity, into
+    the nodes of ``out``, which may be ``xl``, through a row of its own.
+    The placement of ``out`` rejects a step too large for the velocity
+    gradient with ``NodeCrossingError``. ``dt`` is read when it runs."""
+    x, u, x_next = xl.nodes, ul.nodes, out.nodes
+    step = np.empty_like(u)
 
     def equation():
-        np.multiply(dt, u, x_next)
-        np.add(x, x_next, x_next)
-        place()
+        np.multiply(dt, u, step)
+        np.add(x, step, x_next)
 
     return equation
 
@@ -243,14 +246,14 @@ def bind_equidistributed(xl: Layer, ul: Layer, alpha, out: Layer,
                          xdot: np.ndarray | None = None
                          ) -> Callable[[], None]:
     """The equidistributing grid equation bound to its layers: a closure
-    that places in ``out`` the exact solution of the cyclic
-    equidistribution system of the monitor of (``xl``, ``ul``). Given a
-    0-d ``dt`` and a row ``xdot``, node 0 moves Lagrangianly to
-    x_0 + dt * u_0, which keeps the equation equivariant under boosts where
-    a fixed anchor would not, and the grid velocity (x_next - x)/dt, the
-    one grid velocity with no closed form, goes into ``xdot``; without
-    them node 0 stays at x_0, as in the initial mesh's rounds. ``dt`` is
-    read when the closure runs.
+    that writes into the nodes of ``out``, which may be ``xl``, the exact
+    solution of the cyclic equidistribution system of the monitor of
+    (``xl``, ``ul``). Given a 0-d ``dt`` and a row ``xdot``, node 0 moves
+    Lagrangianly to x_0 + dt * u_0, which keeps the equation equivariant
+    under boosts where a fixed anchor would not, and the grid velocity
+    (x_next - x)/dt, the one grid velocity with no closed form, goes into
+    ``xdot``; without them node 0 stays at x_0, as in the initial mesh's
+    rounds. ``dt`` is read when the closure runs.
 
     The monitor is sqrt(1 + alpha * s^2) of the centred slope
     s = (u_{i+1} - u_{i-1})/(x_{i+1} - x_{i-1}) over the wide gaps of
@@ -265,15 +268,16 @@ def bind_equidistributed(xl: Layer, ul: Layer, alpha, out: Layer,
     the closing gap does not absorb the rounding of N - 1 additions.
 
     The solve owns the monitor's value layer and two rows, the reciprocal
-    sums and their partial sums, all allocated when it is bound; the
-    positions are written into ``out`` and placed over its period L. A sum
-    not in (0, inf) raises ``NonFiniteSolutionError``.
+    sums and their partial sums, all allocated when it is bound; it forms
+    the positions over the period L of ``out``, and their grid velocity,
+    in the first, before one copy into ``out.nodes``. A sum not in
+    (0, inf) raises ``NonFiniteSolutionError``.
     """
     x, u, east, west, wide = xl.nodes, ul.nodes, ul.east, ul.west, xl.row_wide
     monitor, inverse, sums = Layer(len(x)), np.empty_like(x), np.empty_like(x)
     rho, rho_east, fill = monitor.nodes, monitor.east, monitor.fill
-    x_next, place, period = out.nodes, out.place, out.period
-    head, rest = sums[:-1], x_next[1:]
+    x_next, period = out.nodes, out.period
+    head, rest = sums[:-1], inverse[1:]
     scale, shift = np.empty(()), np.empty(())
     add, subtract, multiply, divide, square, sqrt = (
         np.add, np.subtract, np.multiply, np.divide, np.square, np.sqrt)
@@ -296,15 +300,15 @@ def bind_equidistributed(xl: Layer, ul: Layer, alpha, out: Layer,
                 f"equidistribution monitor is not finite: its sum is "
                 f"{total!r}")
         scale[()] = period / total
-        # in scalar arithmetic: a 0-d dt would send the product through a
-        # ufunc
-        x_next[0] = shift[()] = x[0] + float(dt) * u[0] if moving else x[0]
+        # the positions, in the reciprocals' row, summed; in scalar
+        # arithmetic: a 0-d dt would send the product through a ufunc
+        inverse[0] = shift[()] = x[0] + float(dt) * u[0] if moving else x[0]
         multiply(head, scale, rest)
         add(shift, rest, rest)
-        place()
         if moving:
-            subtract(x_next, x, xdot)
+            subtract(inverse, x, xdot)
             divide(xdot, dt, xdot)
+        x_next[...] = inverse
 
     return solve
 
@@ -359,6 +363,7 @@ def equidistribute_initial(initial, grid: GridSlice, alpha: float
             _as_float_array(initial(xl.nodes.copy())))
         ul.fill()
         solve()
+        out.place()
         f = out.nodes.copy()
         return f, float(np.max(np.abs(f - x)))
 

@@ -52,8 +52,9 @@ class ErrorReport:
     observed_order: float | None = None
 
     def __post_init__(self):
-        if self.linf_error < 0.0:
-            raise ValueError("linf_error must be nonnegative")
+        for name in ("linf_error", "rms_error"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def _measured_field(traj: Trajectory) -> DiscreteField:

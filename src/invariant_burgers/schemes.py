@@ -1,8 +1,8 @@
 """Time stepping: the moving-mesh discretization and the ``run`` driver.
 
 Each step has three stages. The scheme's grid equation gives the next
-position layer and its grid velocity, the one moving-mesh stencil
-(``bind_stencil``) steps the values onto it, and the evolution-projection
+positions and their grid velocity, the one moving-mesh stencil
+(``bind_stencil``) steps the values onto them, and the evolution-projection
 alone remaps them (``bind_projection``). Lagrangian and the projection move
 the nodes with u, the adaptive scheme equidistributes a monitor, and FTCS
 and constant-frame step on the lattice at rest, which needs no equation.
@@ -20,18 +20,21 @@ arithmetic each equals the quotient of the certifier's relation
 (``symmetry.satisfy_scheme``).
 
 ``run`` is the step layer's one boundary: it and ``SchemeConfig`` validate
-once, and the stages, bound before the loop once per layer parity as
-closures over the run's layers, rows and one 0-d dt, check none of it
-again and are not exported. The layers are the mesh, the solution, which
-the stencil steps in place, a spare position layer for the grid equation
-and, for the projection, the evolved values that its remap reads back
-into the first two. No step allocates a row but the linear and spline
-remaps' intermediates. The adaptive grid equation leaves its monitor's
-centred slope and its grid velocity in the stencil rows' ``advection`` and
-``xdot``, where the stencil reads them. Each new position layer is placed
-and order-checked once, each new value layer filled and checked for
-finiteness once. The loop enters the stencil and the grid equations
-through ``invariant_step``, ``grid.advance_lagrangian`` and
+once, and the stages, each bound once before the loop as a closure over
+the run's layers, rows and one 0-d dt, check none of it again and are not
+exported. The layers are the mesh and the solution, which the stencil
+steps in place; the projection adds the moved positions and the evolved
+values that its remap reads back into the first two. The stencil reads
+only the mesh's gap rows, so the grid equation writes the next positions
+ahead into the mesh (the projection's into the moved layer) and the loop
+places that layer after the stencil: at the top of every step the mesh
+holds the step-start gaps. No step allocates a row but the linear and
+spline remaps' intermediates. The adaptive grid equation leaves its
+monitor's centred slope and its grid velocity in the stencil rows'
+``advection`` and ``xdot``, where the stencil reads them. Each new
+position layer is placed and order-checked once, each new value layer
+filled and checked for finiteness once. The loop enters the stencil and
+the grid equations through ``invariant_step``, ``grid.advance_lagrangian`` and
 ``grid.advance_equidistributed``, looked up when ``run`` starts, so that a
 rebinding of those module attributes reaches it. Snapshots are copies.
 """
@@ -207,7 +210,7 @@ def bind_stencil(xl: Layer, ul: Layer, xdot, dt, rows: StencilRows,
     ``rows.work``, leaving that row as it found it. A scalar, which only
     the certifier passes, is subtracted and the slope formed. The weight is
     formed here, once, on a stationary layer, and at the start of every
-    call on the others, whose positions may be unset when it is bound.
+    call on the others. Of ``xl`` it reads the gap rows, never the nodes.
 
     The diffusion term stays in ``rows.diffusion`` and, where the slope is
     formed, the advection term in ``rows.advection``. The update is formed
@@ -265,7 +268,8 @@ def bind_projection(xl: Layer, ul: Layer, dt, moved: Layer, evolved: Layer,
     """The projection's remap bound to its layers: a closure that remaps,
     back into the step-start layers, the values ``evolved`` on the layer
     ``moved``, which the Lagrangian step and the stencil wrote from ``xl``
-    and ``ul``, interpolated onto the lattice ``xl`` advanced by the bulk
+    and ``ul`` and the step loop placed, interpolated onto the lattice
+    ``xl`` advanced by the bulk
     (mean) velocity of ``ul``. The shift is read from ``ul`` before
     anything writes it; the targets are shifted into ``xl`` and placed
     there, and the values remapped into ``ul`` and filled. ``dt`` is read
@@ -345,46 +349,27 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # cut last step rewrites in place
     n = config.n_points
     xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
-    x_spare = Layer(n, length)
-    projecting = kind is SchemeKind.EVOLUTION_PROJECTION
-    if projecting:
-        evolved = Layer(n)
     rows = StencilRows(n, config.nu)
     dt, alpha = np.array(dt0), np.array(config.alpha)
-    # the entries of the stencil and of the grid equation, looked up here,
-    # so that a rebinding of the module attributes reaches the loop; the
-    # lattice at rest has no grid equation and no grid velocity
-    stencil_step = invariant_step
-    advance = {SchemeKind.LAGRANGIAN: advance_lagrangian,
-               SchemeKind.EULERIAN_ADAPTIVE: advance_equidistributed,
-               SchemeKind.EVOLUTION_PROJECTION: advance_lagrangian}.get(kind)
-
-    def bind(x_start: Layer, x_next: Layer):
-        """The stages of a step from the position layer ``x_start``, its
-        grid equation writing ``x_next``: the grid equation, the stencil
-        and the remap, bound to the run's layers (None for a stage the
-        scheme lacks), and the position layer the step ends on."""
-        if advance is None:
-            equation, xdot = None, None
-        elif kind is SchemeKind.EULERIAN_ADAPTIVE:
-            xdot = rows.xdot
-            equation = bind_equidistributed(x_start, ul, alpha, x_next,
-                                            rows.advection, dt, xdot)
-        else:
-            equation, xdot = bind_lagrangian(x_start, ul, dt, x_next), ul
-        stencil = bind_stencil(x_start, ul, xdot, dt, rows,
-                               evolved if projecting else ul)
-        remap = (bind_projection(x_start, ul, dt, x_next, evolved,
-                                 config.interp_kind)
-                 if projecting else None)
-        return equation, stencil, remap, x_start if projecting else x_next
-
-    # one set of stages per layer parity: the Lagrangian and adaptive
-    # meshes alternate between two position layers, the others keep one
-    if kind in (SchemeKind.LAGRANGIAN, SchemeKind.EULERIAN_ADAPTIVE):
-        stages = (bind(xl, x_spare), bind(x_spare, xl))
-    else:
-        stages = (bind(xl, x_spare if projecting else xl),) * 2
+    # the stages, each bound once; the lattice at rest has no grid equation
+    # and no grid velocity. The entries of the stencil and of the grid
+    # equation are looked up here, so that a rebinding of the module
+    # attributes reaches the loop
+    projecting = kind is SchemeKind.EVOLUTION_PROJECTION
+    moved, evolved = ((Layer(n, length), Layer(n)) if projecting
+                      else (xl, ul))
+    stencil_step, equation, xdot = invariant_step, None, None
+    if kind is SchemeKind.EULERIAN_ADAPTIVE:
+        advance, xdot = advance_equidistributed, rows.xdot
+        equation = bind_equidistributed(xl, ul, alpha, xl, rows.advection,
+                                        dt, xdot)
+    elif kind in (SchemeKind.LAGRANGIAN, SchemeKind.EVOLUTION_PROJECTION):
+        advance, xdot = advance_lagrangian, ul
+        equation = bind_lagrangian(xl, ul, dt, moved)
+    stencil = bind_stencil(xl, ul, xdot, dt, rows, evolved)
+    remap = (bind_projection(xl, ul, dt, moved, evolved, config.interp_kind)
+             if projecting else None)
+    place = moved.place
     # the solution row's own product, the BLAS sum of squares that
     # require_finite forms first, without np.vdot's dispatch; this
     # function's errstate silences its overflow warning
@@ -398,11 +383,12 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         if span != dt0:
             dt[()] = span
         t_next = t + span
-        equation, stencil, remap, end = stages[step & 1]
         try:
             if equation is not None:
                 advance(equation)
             stencil_step(stencil)
+            if equation is not None:
+                place()  # once the stencil has read the step-start gaps
             if remap is not None:
                 remap()
             # the sum of squares clears nearly every step; require_finite
@@ -418,7 +404,7 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
                 try:
                     snapshots.append(DiscreteField(
                         grid=replace(grid, t=t_snap,
-                                     x=end.nodes + drift * t_snap),
+                                     x=xl.nodes + drift * t_snap),
                         u=ul.nodes + drift))
                 except NodeCrossingError as exc:
                     # the layer passed the same check, so only the shift by

@@ -34,13 +34,15 @@ class Generator(Enum):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One generator with its real parameter. A scaling's actions raise
+    """One generator, given as a ``Generator`` or its value and stored as
+    the member, with its real parameter. A scaling's actions raise
     ``ValueError`` where a factor e^(k eps) overflows or underflows to 0."""
 
     generator: Generator
     epsilon: float
 
     def __post_init__(self):
+        object.__setattr__(self, "generator", Generator(self.generator))
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
 

@@ -11,19 +11,27 @@ lines before and after. One line per part names the part and its digest:
 - ``frames``: ``frame_comparison`` of each scheme at N = 64 and c = 1.3;
 - ``certificates``: ``max_defect`` of the four certified relations under a
   boost, a scaling and a translation;
+- ``seam``: every fifth snapshot of each (scheme, interpolant) at N in
+  {16, 64, 512}, c in {-1.3, 0.37, 2.9, -0.71} and domain start in
+  {0.3, -2}, where the lattice's periodic seam falls between nodes of a
+  shifted lattice;
+- ``failures``: runs built to cross or blow up (``FAILING_RUNS``): the
+  type, step and message of the ``SimulationError`` each ends in, or its
+  first and last snapshots where it finishes;
 - ``cli``: the 53 commands of ``CLI_COMMANDS``, run in-process in a
   temporary directory: each command's exit code, stdout, stderr and the
   names and bytes of the files it wrote.
 
 The last line is one digest over the runs, frames and certificates, in
-that order; it leaves out the command-line part, so that it compares with
-the single line earlier versions of this script printed.
+that order; it leaves out the seam, failure and command-line parts, so
+that it compares with the single line earlier versions of this script
+printed.
 
 Run it from the repository root, against the checkout to be compared:
 
     PYTHONPATH=src python tests/bitgrid.py
 
-It takes a few seconds. pytest does not collect it.
+It takes about ten seconds. pytest does not collect it.
 """
 
 import contextlib
@@ -37,10 +45,10 @@ from pathlib import Path
 import numpy as np
 
 from invariant_burgers import (Generator, GroupElement, InterpKind,
-                               SchemeConfig, SchemeKind, frame_comparison,
-                               max_defect, run, satisfy_constant,
-                               satisfy_ftcs, satisfy_scheme,
-                               satisfy_stationary)
+                               SchemeConfig, SchemeKind, SimulationError,
+                               frame_comparison, max_defect, run,
+                               satisfy_constant, satisfy_ftcs,
+                               satisfy_scheme, satisfy_stationary)
 from invariant_burgers import cli
 
 CONFIGS = [(kind, InterpKind.QUADRATIC) for kind in SchemeKind
@@ -71,18 +79,92 @@ CLI_COMMANDS = [
 ]
 
 
+def _two_modes(x):
+    return np.sin(x) + 0.8 * np.sin(2.0 * x + 0.3)
+
+
+def _huge(x):
+    return 1e200 * np.sin(x)
+
+
+def _three_modes(rng):
+    """Three sine modes of random amplitudes in [-3, 3] and phases."""
+    a, phase = rng.uniform(-3.0, 3.0, 3), rng.uniform(0.0, 2.0 * np.pi, 3)
+    return lambda x: sum(a[k] * np.sin((k + 1) * x + phase[k])
+                         for k in range(3))
+
+
+def _failing_runs():
+    """(config, initial data) of runs built to cross or blow up: each
+    scheme with a published table at dt_factor 5, 20 and 80 on two-mode
+    data at N = 256, six seeded three-mode draws per (scheme, interpolant)
+    at N = 64 and dt_factor 1, 2 or 4, a monitor and a step that overflow,
+    and a constant-frame run whose reported positions round its gaps
+    away."""
+    runs = [(SchemeConfig(scheme_kind=kind, n_points=256, dt_factor=factor),
+             _two_modes)
+            for kind in TABLED for factor in (5.0, 20.0, 80.0)]
+    rng = np.random.default_rng(1301)
+    for i in range(6 * len(CONFIGS)):
+        kind, interp = CONFIGS[i % len(CONFIGS)]
+        runs.append((SchemeConfig(scheme_kind=kind, interp_kind=interp,
+                                  n_points=64,
+                                  dt_factor=float(rng.choice([1, 2, 4]))),
+                     _three_modes(rng)))
+    return runs + [
+        (SchemeConfig(scheme_kind="eulerian-adaptive", n_points=64), _huge),
+        (SchemeConfig(scheme_kind="lagrangian", n_points=64), _huge),
+        (SchemeConfig(scheme_kind="constant-frame", n_points=64,
+                      frame_velocity=1e17), np.sin)]
+
+
+def _outcome(update, part, config, initial, every):
+    """Digest into ``part`` by ``update`` every stored snapshot (t, x, u) of
+    a run, or the type, step and message of the ``SimulationError`` it ends
+    in."""
+    try:
+        traj = run(config, initial, snapshot_every=every)
+    except SimulationError as exc:
+        update(part, repr((type(exc).__name__, exc.step,
+                           str(exc))).encode())
+        return
+    for snap in traj.snapshots:
+        update(part, struct.pack("<d", snap.grid.t))
+        update(part, snap.grid.x.tobytes())
+        update(part, snap.u.tobytes())
+
+
+def _own(part, data: bytes):
+    part.update(data)
+
+
+def seam_digest() -> str:
+    part = hashlib.sha256()
+    for kind, interp in CONFIGS:
+        for n in (16, 64, 512):
+            for c in (-1.3, 0.37, 2.9, -0.71):
+                for start in (0.3, -2.0):
+                    _outcome(_own, part, SchemeConfig(
+                        scheme_kind=kind, interp_kind=interp, n_points=n,
+                        frame_velocity=c, domain_start=start), np.sin, 5)
+    return part.hexdigest()
+
+
+def failures_digest() -> str:
+    part = hashlib.sha256()
+    for config, initial in _failing_runs():
+        _outcome(_own, part, config, initial, 0)
+    return part.hexdigest()
+
+
 def _runs(update):
     for kind, interp in CONFIGS:
         part = hashlib.sha256()
         for n in (16, 64, 512):
             for c in (0.0, 1.3):
-                traj = run(SchemeConfig(scheme_kind=kind, interp_kind=interp,
-                                        n_points=n, frame_velocity=c),
-                           np.sin, snapshot_every=7)
-                for snap in traj.snapshots:
-                    update(part, struct.pack("<d", snap.grid.t))
-                    update(part, snap.grid.x.tobytes())
-                    update(part, snap.u.tobytes())
+                _outcome(update, part, SchemeConfig(
+                    scheme_kind=kind, interp_kind=interp, n_points=n,
+                    frame_velocity=c), np.sin, 7)
         yield f"runs {kind.value}/{interp.value}", part
 
 
@@ -142,7 +224,8 @@ def digests() -> list[tuple[str, str]]:
     lines = [(name, part.hexdigest())
              for parts in (_runs, _frames, _certificates)
              for name, part in parts(update)]
-    lines.append(("cli", cli_digest()))
+    lines += [("seam", seam_digest()), ("failures", failures_digest()),
+              ("cli", cli_digest())]
     return lines + [("total", total.hexdigest())]
 
 

@@ -44,17 +44,21 @@ def values(u):
 
 def lagrangian_step(xl, ul, dt, out):
     """One step of the Lagrangian grid equation bound to the layers, as
-    ``run`` takes it: the layer ``out`` it placed."""
+    ``run`` takes it: the layer ``out`` it wrote, placed as the step loop
+    places it after the stencil."""
     advance_lagrangian(bind_lagrangian(xl, ul, dt, out))
+    out.place()
     return out
 
 
 def equidistributed_step(xl, ul, alpha, dt, out):
     """One step of the equidistributing grid equation bound to the layers,
-    as ``run`` takes it: the layer ``out`` it placed."""
+    as ``run`` takes it: the layer ``out`` it wrote, placed as the step
+    loop places it after the stencil."""
     n = len(out.nodes)
     advance_equidistributed(bind_equidistributed(xl, ul, alpha, out,
                                                  np.empty(n), dt, np.empty(n)))
+    out.place()
     return out
 
 
@@ -334,8 +338,12 @@ def test_advance_lagrangian_detects_node_crossing():
     grid = uniform_slice(8)
     u = np.zeros(8)
     u[3] = -2.0 * mean_spacing(grid)  # node 3 would overtake node 2
+    out = Layer(8, TAU)
+    # the equation only writes the nodes; their placement rejects them
+    advance_lagrangian(bind_lagrangian(layer(grid), values(u), np.array(1.0),
+                                       out))
     with pytest.raises(NodeCrossingError):
-        lagrangian_step(layer(grid), values(u), 1.0, Layer(8, TAU))
+        out.place()
 
 
 def test_gap_sum_preserved_by_advances():

@@ -244,11 +244,23 @@ def test_spacing_csv_schema(tmp_path):
 
 
 def test_an_error_report_refuses_a_negative_linf():
-    with pytest.raises(ValueError,
-                       match="^linf_error must be nonnegative$") as refused:
-        harness.ErrorReport(SchemeKind.CLASSICAL_FTCS, 4, TAU / 4, -1e-3,
-                            0.0)
-    assert refused.type is ValueError
+    # and a NaN or infinite L-inf error, and any rms error that is not
+    # finite and >= 0, which a check of the L-inf error's sign alone let
+    # through to the errors CSV
+    for linf, rms, name in [(-1e-3, 0.0, "linf_error"),
+                            (math.nan, 0.0, "linf_error"),
+                            (math.inf, 0.0, "linf_error"),
+                            (1e-3, -1.0, "rms_error"),
+                            (1e-3, math.nan, "rms_error"),
+                            (1e-3, -math.inf, "rms_error")]:
+        with pytest.raises(ValueError) as refused:
+            harness.ErrorReport(SchemeKind.CLASSICAL_FTCS, 4, TAU / 4, linf,
+                                rms)
+        assert refused.type is ValueError
+        assert str(refused.value) == f"{name} must be finite and nonnegative"
+    report = harness.ErrorReport(SchemeKind.CLASSICAL_FTCS, 4, TAU / 4, 0.0,
+                                 -0.0)
+    assert report.linf_error == 0.0 == report.rms_error
 
 
 def test_linf_error_rejects_an_error_that_is_not_finite(coeffs_nu01,

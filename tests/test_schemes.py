@@ -12,7 +12,8 @@ from invariant_burgers import (
     Trajectory, apply_field, mean_spacing, run, uniform_slice,
 )
 
-from invariant_burgers.grid import Layer, advance_lagrangian, bind_lagrangian
+from invariant_burgers.grid import (Layer, advance_lagrangian,
+                                    bind_equidistributed, bind_lagrangian)
 from invariant_burgers.schemes import (StencilRows, bind_projection,
                                        bind_stencil, invariant_step)
 
@@ -54,12 +55,14 @@ def moving_step(fld, grid_next, dt, nu):
 
 def projection_step(fld, dt, nu, interp_kind):
     """The projection's step as ``run`` composes it: the Lagrangian grid
-    equation, the stencil onto the moved layer with xdot = u, and the
-    remap back into the step-start layers."""
+    equation, the stencil onto the moved layer with xdot = u, the
+    placement of the moved layer and the remap back into the step-start
+    layers."""
     n, length = fld.grid.n, fld.grid.domain_length
     xl, ul, moved = layer(fld.grid), Layer.of_values(fld.u), Layer(n, length)
     advance_lagrangian(bind_lagrangian(xl, ul, dt, moved))
     evolved = stencil_step(xl, ul, ul, dt, StencilRows(n, nu), Layer(n))
+    moved.place()
     bind_projection(xl, ul, dt, moved, evolved, interp_kind)()
     return DiscreteField(grid=GridSlice(t=fld.grid.t + dt, x=xl.nodes),
                          u=ul.nodes)
@@ -184,6 +187,71 @@ def test_a_step_in_place_equals_a_step_into_a_spare_layer(n, seed, dt, nu,
     xdot = ul if velocity == "values" else xdot
     stencil_step(xl, ul, xdot, dt, rows, ul)
     assert ul.g.tobytes() == spare.g.tobytes()
+
+
+def bound_step(x, u, nu, dt, adaptive, ahead):
+    """The layers and rows of a grid equation and the stencil bound to
+    the position layer of ``x``: the equation writes that layer itself if
+    ``ahead``, a layer of its own otherwise."""
+    n = len(x)
+    xl, ul = Layer.of_positions(x, TAU), Layer.of_values(u)
+    rows = StencilRows(n, nu)
+    out = xl if ahead else Layer(n, TAU)
+    if adaptive:
+        xdot = rows.xdot
+        equation = bind_equidistributed(xl, ul, 1.0, out, rows.advection,
+                                        dt, xdot)
+    else:
+        xdot, equation = ul, bind_lagrangian(xl, ul, dt, out)
+    evolved = Layer(n)
+    return (xl, out, evolved, equation,
+            bind_stencil(xl, ul, xdot, dt, rows, evolved))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 200), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(1e-5, 1e-2), nu=st.floats(1e-3, 1.0),
+       adaptive=st.booleans())
+def test_a_grid_equation_writes_its_step_start_layer_ahead_of_placement(
+        n, seed, dt, nu, adaptive):
+    # the stencil reads only the gap rows of its position layer, so a grid
+    # equation may write the next positions into that layer's nodes: until
+    # the layer is placed, its ghost slots and gap rows keep the step-start
+    # layer, and the stencil steps the values it steps when the equation
+    # writes a layer of its own, or, on the Lagrangian grid, has not run
+    rng = np.random.default_rng(seed)
+    x, u = random_smooth_field(rng, n)
+    dt = np.array(dt)
+    xl, _, evolved, equation, stencil = bound_step(x, u, nu, dt, adaptive,
+                                                   ahead=True)
+    ghosts = [0, -2, -1]
+
+    def placed_rows():
+        return [xl.g[ghosts].tobytes(), xl.gaps.tobytes(), xl.wide.tobytes()]
+
+    start = placed_rows()
+    equation()
+    assert xl.nodes.tobytes() != x.tobytes()
+    assert placed_rows() == start
+    stencil()
+    _, spare, expected, spare_equation, spare_stencil = bound_step(
+        x, u, nu, dt, adaptive, ahead=False)
+    if not adaptive:
+        # the Lagrangian stencil reads no row the equation writes
+        spare_stencil()
+        assert evolved.g.tobytes() == expected.g.tobytes()
+    spare_equation()
+    spare_stencil()
+    assert evolved.g.tobytes() == expected.g.tobytes()
+    try:
+        spare.place()
+    except NodeCrossingError:
+        with pytest.raises(NodeCrossingError):
+            xl.place()
+        return
+    xl.place()
+    for row in ("g", "gaps", "wide"):
+        assert getattr(xl, row).tobytes() == getattr(spare, row).tobytes()
 
 
 @pytest.mark.parametrize("times", [(0.0,), (0.0, 0.0), (0.5, 0.25)])

@@ -99,12 +99,13 @@ def layer_work(config, t_final):
 # per extra step: position layers placed, value layers filled, order checks,
 # layers allocated, containers, diffusion weights formed and stencil rows
 # allocated. Each new layer is placed or filled once, and each placement
-# checks its order once; the step-start layer of FTCS and of constant-frame,
-# the lattice at rest in the frame each computes in, is its next layer too,
-# so the stencil forms its diffusion weight once, when it is bound. The
-# other stencils form it at the start of every step, from the step-start
-# layer. The adaptive step fills its monitor into a value layer of its own
-# before placing the positions. Only the spline allocates a layer in a step:
+# checks its order once; the loop places the positions a grid equation
+# wrote after the stencil has read the step-start gaps. The lattice at rest
+# of FTCS and of constant-frame, in the frame each computes in, is never
+# placed again, so the stencil forms its diffusion weight once, when it is
+# bound. The other stencils form it at the start of every step, from the
+# step-start gaps. The adaptive step fills its monitor into a value layer
+# of its own before the stencil runs. Only the spline allocates a layer in a step:
 # the value layer of its moments. The stencil's rows are allocated once per
 # run. The quadratic remap allocates its rows when it is bound, which no
 # column here counts: test_no_step_function_allocates_a_row and
@@ -166,16 +167,17 @@ def layers_of_run(config):
 
 
 @pytest.mark.parametrize("config", [config for config, _ in PER_STEP])
-def test_a_run_allocates_three_layers_and_the_projection_four(config):
-    # the mesh, the solution, which the stencil steps in place, and the
-    # grid equation's spare position layer; the projection's evolved values
-    # are the fourth. The count does not grow with the steps
+def test_a_run_allocates_two_layers_and_the_projection_four(config):
+    # the mesh, which the grid equation writes ahead of its placement, and
+    # the solution, which the stencil steps in place; the projection's
+    # moved positions and evolved values are the third and fourth. The
+    # count does not grow with the steps
     fields = {**config, "n_points": 32}
     dt0 = SchemeConfig(**fields).dt_factor * (TAU / 32) ** 2
     projecting = config["scheme_kind"] is SchemeKind.EVOLUTION_PROJECTION
     for steps in (1, 7):
         run_config = SchemeConfig(**fields, t_final=(steps - 0.5) * dt0)
-        assert layers_of_run(run_config) == 3 + projecting
+        assert layers_of_run(run_config) == 2 + 2 * projecting
 
 
 def python_calls(config, t_final):
@@ -233,8 +235,8 @@ def test_each_step_makes_fewer_python_calls_than_the_unbound_loop(
 
 
 def test_the_solver_and_the_certifier_bind_one_stencil(monkeypatch):
-    # run binds the stencil once per layer parity, and the certifier's
-    # relation binds the same binder on its three-node layers
+    # run binds the stencil once, and the certifier's relation binds the
+    # same binder on its three-node layers
     callers = Counter()
     bind_stencil = schemes.bind_stencil
 
@@ -247,12 +249,12 @@ def test_the_solver_and_the_certifier_bind_one_stencil(monkeypatch):
            np.sin)
     ib.satisfy_scheme(symmetry.sample_stencil(np.random.default_rng(0)),
                       ib.StencilParams())
-    assert callers == {"run.<locals>.bind": 2, "_terms": 1}
+    assert callers == {"run": 1, "_terms": 1}
 
 
 def test_the_steps_and_the_initial_mesh_bind_one_solve(monkeypatch):
-    # the adaptive run binds the equidistribution solve once per layer
-    # parity, and its initial mesh binds the same binder once, with no dt
+    # the adaptive run binds the equidistribution solve once, and its
+    # initial mesh binds the same binder once, with no dt
     callers = Counter()
     bind_equidistributed = grid.bind_equidistributed
 
@@ -263,7 +265,7 @@ def test_the_steps_and_the_initial_mesh_bind_one_solve(monkeypatch):
     instrument(monkeypatch, bind_equidistributed, counted)
     ib.run(SchemeConfig(scheme_kind=SchemeKind.EULERIAN_ADAPTIVE,
                         n_points=16), np.sin)
-    assert callers == {"run.<locals>.bind": 2, "equidistribute_initial": 1}
+    assert callers == {"run": 1, "equidistribute_initial": 1}
 
 
 # the binders of the stages run() calls, each with the names of its

@@ -51,6 +51,41 @@ def test_a_group_element_refuses_a_parameter_not_finite(gen, eps):
     assert refused.type is ValueError
 
 
+@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.value)
+def test_a_generator_given_by_its_value_acts_as_its_member(gen):
+    # a string generator was kept as given, failed every identity test
+    # against the members and fell through to the scaling
+    by_value, by_member = GroupElement(gen.value, 0.7), GroupElement(gen, 0.7)
+    assert by_value == by_member and by_value.generator is gen
+    t, x, u = 0.5, np.array([1.0, 2.5]), np.array([2.0, -1.0])
+    for got, expected in zip(apply_point(by_value, t, x, u),
+                             apply_point(by_member, t, x, u)):
+        np.testing.assert_array_equal(got, expected)
+    got, expected = (apply_field(g, sin_field()) for g in (by_value,
+                                                            by_member))
+    assert (got.grid.t, got.grid.domain_start, got.grid.domain_length) == (
+        expected.grid.t, expected.grid.domain_start,
+        expected.grid.domain_length)
+    np.testing.assert_array_equal(got.grid.x, expected.grid.x)
+    np.testing.assert_array_equal(got.u, expected.u)
+    p = StencilParams(c=0.3)
+    assert transform_params(by_value, p) == transform_params(by_member, p)
+    assert transform_monitor(by_value, 0.3) == transform_monitor(by_member,
+                                                                 0.3)
+
+
+def test_a_space_translation_given_by_its_value_translates():
+    assert apply_point(GroupElement("space-translation", 1.0), 0.5, 1.0,
+                       2.0) == (0.5, 2.0, 2.0)
+
+
+def test_a_group_element_refuses_an_unknown_generator():
+    with pytest.raises(ValueError, match="'no-such-generator' is not a "
+                                         "valid Generator") as refused:
+        GroupElement("no-such-generator", 1.0)
+    assert refused.type is ValueError
+
+
 @pytest.mark.parametrize("gen", [Generator.TIME_TRANSLATION,
                                  Generator.SPACE_TRANSLATION,
                                  Generator.GALILEAN_BOOST])
