@@ -89,7 +89,10 @@ def _require_positive(gaps: np.ndarray):
     """Raise ``NodeCrossingError`` naming the first of the periodic node
     gaps that is not positive, if any is. The check reads the gap at
     ``argmin``: the first NaN, which is not positive, if there is one, and
-    the smallest gap otherwise, at less cost than a minimum reduction."""
+    the smallest gap otherwise, at less cost than a minimum reduction.
+    ``Layer.place`` makes the same test itself, reading that gap as a
+    Python float through a view, and calls this only to raise, so the
+    message is this one."""
     if not gaps[gaps.argmin()] > 0.0:
         i = int(np.argmin(gaps > 0.0))
         east = "x[0] + L" if i == len(gaps) - 1 else f"x[{i + 1}]"
@@ -123,9 +126,15 @@ class Layer:
     j - 1), L the layer's ``period``, given at allocation: the domain length
     for a layer of positions and 0 for a layer of values, whose ghosts are
     copies (a -0.0 keeps its sign). A layer owns three buffers, ``g``,
-    ``gaps`` and ``wide``; its other members are views of them and its
-    ``place`` and ``fill`` closures over those views, all formed at
-    allocation, so writing a layer forms no view and allocates no array.
+    ``gaps`` and ``wide``, NaN until the first ``place()`` or ``fill()``,
+    so that a read of a layer neither laid out fails; its other members
+    are views of them and its ``place`` and ``fill`` closures over those
+    views, all formed at allocation, so writing a layer forms no view and
+    allocates no array. The closures read and write the ghost slots, and
+    ``place`` the node gap its order test reads, as Python floats through
+    ``memoryview``s bound at allocation: the same IEEE double operations
+    on the same operands as numpy's float64 scalars, so the same bits, at
+    about half their cost and with no scalar warning.
 
     - ``nodes`` is slots 1 .. N. The stencil and the monitor read the slot
       row g[:-1] through ``row_east`` g[1:-1] and ``row_west`` g[:-2]
@@ -147,29 +156,33 @@ class Layer:
     """
 
     def __init__(self, n: int, period: float = 0.0):
-        self.period = period
-        g = self.g = np.empty(n + 3)
+        self.period = period = float(period)
+        g, gaps, wide = self.g, self.gaps, self.wide = (
+            np.empty(n + 3), np.empty(n + 2), np.empty(n + 1))
+        for row in g, gaps, wide:
+            row.fill(np.nan)  # until placed or filled: a read fails
         self.nodes = g[1:-2]
         self.row_east, self.row_west = g[1:-1], g[:-2]
         self.east, self.west = g[2:-1], g[:-3]
-        gaps, wide = self.gaps, self.wide = np.empty(n + 2), np.empty(n + 1)
         self.row_gaps, self.row_wide = gaps[:-1], wide[:-1]
         node_gaps = gaps[1:-1]
         ahead, behind, ahead2, behind2 = g[1:], g[:-1], g[2:], g[:-2]
-        subtract = np.subtract
+        subtract, least = np.subtract, node_gaps.argmin
+        g_v, node_gaps_v = memoryview(g), memoryview(node_gaps)
 
         def place():
-            g[0] = g[-3] - period
-            g[-2] = g[1] + period
-            g[-1] = g[2] + period
+            g_v[0] = g_v[-3] - period
+            g_v[-2] = g_v[1] + period
+            g_v[-1] = g_v[2] + period
             subtract(ahead, behind, gaps)
             subtract(ahead2, behind2, wide)
-            _require_positive(node_gaps)
+            if not node_gaps_v[least()] > 0.0:
+                _require_positive(node_gaps)
 
         def fill():
-            g[0] = g[-3]
-            g[-2] = g[1]
-            g[-1] = g[2]
+            g_v[0] = g_v[-3]
+            g_v[-2] = g_v[1]
+            g_v[-1] = g_v[2]
 
         self.place, self.fill = place, fill
 
@@ -271,7 +284,11 @@ def bind_equidistributed(xl: Layer, ul: Layer, alpha, out: Layer,
     sums and their partial sums, all allocated when it is bound; it forms
     the positions over the period L of ``out``, and their grid velocity,
     in the first, before one copy into ``out.nodes``. A sum not in
-    (0, inf) raises ``NonFiniteSolutionError``.
+    (0, inf) raises ``NonFiniteSolutionError``. Its scalars, the last
+    partial sum, the scale and shift, the anchor and dt, are Python floats
+    read and written through views bound with it (``dt`` through a 0-d
+    array: the run's own, or one made of a float), the same IEEE
+    operations as numpy's scalars.
     """
     x, u, east, west, wide = xl.nodes, ul.nodes, ul.east, ul.west, xl.row_wide
     monitor, inverse, sums = Layer(len(x)), np.empty_like(x), np.empty_like(x)
@@ -282,6 +299,10 @@ def bind_equidistributed(xl: Layer, ul: Layer, alpha, out: Layer,
     add, subtract, multiply, divide, square, sqrt = (
         np.add, np.subtract, np.multiply, np.divide, np.square, np.sqrt)
     moving = dt is not None
+    # the scalars, read and written as Python floats through views
+    x_v, u_v, inverse_v, sums_v, scale_v, shift_v, dt_v = (
+        memoryview(a) for a in (x, u, inverse, sums, scale, shift,
+                                np.asarray(dt if moving else 0.0)))
 
     def solve():
         subtract(east, west, slope)
@@ -294,15 +315,15 @@ def bind_equidistributed(xl: Layer, ul: Layer, alpha, out: Layer,
         divide(_ONE, add(rho, rho_east, inverse), inverse)
         # the ufunc's own accumulation, without the dispatch of np.cumsum
         add.accumulate(inverse, out=sums)
-        total = sums[-1]
+        total = sums_v[-1]
         if not 0.0 < total < math.inf:
             raise NonFiniteSolutionError(
                 f"equidistribution monitor is not finite: its sum is "
-                f"{total!r}")
-        scale[()] = period / total
-        # the positions, in the reciprocals' row, summed; in scalar
-        # arithmetic: a 0-d dt would send the product through a ufunc
-        inverse[0] = shift[()] = x[0] + float(dt) * u[0] if moving else x[0]
+                f"{np.float64(total)!r}")
+        scale_v[()] = period / total
+        # the positions, in the reciprocals' row, summed
+        inverse_v[0] = shift_v[()] = (x_v[0] + dt_v[()] * u_v[0] if moving
+                                     else x_v[0])
         multiply(head, scale, rest)
         add(shift, rest, rest)
         if moving:

@@ -110,6 +110,7 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
         # test and a work row of the queries' shape
         mid, s, c = np.empty(n + 2), np.empty(n + 2), np.empty(n + 1)
         test, w = np.empty(q.shape, bool), np.empty(q.shape)
+        test_v = memoryview(test)
         x_west, x_east, u_west, u_east = xg[:-1], xg[1:], ug[:-1], ug[1:]
         wide, s_east, s_west = xl.wide, s[1:], s[:-1]
         mid_west, mid_east = mid[:-2], mid[1:-1]
@@ -130,8 +131,9 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
             divide(subtract(u_east, u_west, s), gaps, s)
             divide(subtract(s_east, s_west, c), wide, c)
             at = q
-            if (partner and np.less(mid_west, q, test)[test.argmin()]
-                    and np.less_equal(q, mid_east, test)[test.argmin()]):
+            # each test's least entry, read through a view as a Python bool
+            if (partner and test_v[np.less(mid_west, q, test).argmin()]
+                    and test_v[np.less_equal(q, mid_east, test).argmin()]):
                 u0, x0, x1, s0, c0 = beside
             else:
                 if not (mid[0] < q.min(initial=np.inf)

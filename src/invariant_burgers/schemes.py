@@ -37,6 +37,13 @@ filled and checked for finiteness once. The loop enters the stencil and
 the grid equations through ``invariant_step``, ``grid.advance_lagrangian`` and
 ``grid.advance_equidistributed``, looked up when ``run`` starts, so that a
 rebinding of those module attributes reaches it. Snapshots are copies.
+
+A step's scalars are Python floats: the ghost slots, the order test's
+gap, the adaptive anchor and scale and the projection's shift are read and
+written through ``memoryview``s bound with their layers and stages, and the
+loop keeps its clock, its cut test and its next snapshot step in locals.
+Each is the same IEEE double operation as the numpy scalar it replaces, so
+every bit of a trajectory is the same.
 """
 
 from __future__ import annotations
@@ -280,16 +287,22 @@ def bind_projection(xl: Layer, ul: Layer, dt, moved: Layer, evolved: Layer,
     lattice in every other. For zero-mean data they stay on the original
     lattice to roundoff. Each target is its moved node shifted by
     dt (mean(u) - u_i), a fraction of a gap once N is past a few dozen.
+    The shift dt * (sum(u) / N) is formed in a 0-d array, its scalar
+    operations on Python floats read through views of it and of ``dt`` (a
+    0-d array, or a float made one): the same IEEE operations as numpy's
+    scalars.
     """
     x, u, place, fill = xl.nodes, ul.nodes, xl.place, ul.fill
-    n, total = len(u), np.add.reduce
+    n, total, add, shift = len(u), np.add.reduce, np.add, np.empty(())
+    shift_v, dt_v = memoryview(shift), memoryview(np.asarray(dt))
     remap = _evaluate(moved, evolved, x, interp_kind, u)
 
     def projection():
         # the mean as np.mean forms it (pairwise sum over n), without its
-        # dispatch
-        shift = float(dt) * (total(u) / n)
-        np.add(x, np.array(shift), x)
+        # dispatch; the sum, then the shift, in the one 0-d array
+        total(u, out=shift)
+        shift_v[()] = dt_v[()] * (shift_v[()] / n)
+        add(x, shift, x)
         place()
         remap()
         fill()
@@ -375,13 +388,18 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     # function's errstate silences its overflow warning
     u, isfinite = ul.nodes, math.isfinite
     square_sum = u.dot
-    step, t = 0, 0.0
-    t_end = config.t_final - 1e-12 * config.t_final
+    step, t, t_final = 0, 0.0, config.t_final
+    t_end = t_final - 1e-12 * t_final
+    # the next step (from 0) that snapshot_every stores; -1 stores none
+    due = snapshot_every - 1
     while t < t_end:
-        # in (0, dt0]: dt0 > 0, t < t_end <= t_final; cut only on the last step
-        span = min(dt0, config.t_final - t)
-        if span != dt0:
+        # in (0, dt0]: dt0 > 0, t < t_end <= t_final; cut only on the last
+        # step, the one step that rewrites dt
+        span = t_final - t
+        if span < dt0:
             dt[()] = span
+        else:
+            span = dt0
         t_next = t + span
         try:
             if equation is not None:
@@ -396,11 +414,11 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
             if not isfinite(square_sum(u)):
                 require_finite(u)
             is_last = t_next >= t_end
-            if is_last or (snapshot_every > 0
-                           and (step + 1) % snapshot_every == 0):
+            if is_last or step == due:
+                due += snapshot_every
                 # the last step was cut to land exactly on t_final; a
                 # snapshot owns its arrays and checks its reported positions
-                t_snap = config.t_final if is_last else t_next
+                t_snap = t_final if is_last else t_next
                 try:
                     snapshots.append(DiscreteField(
                         grid=replace(grid, t=t_snap,

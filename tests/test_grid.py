@@ -14,6 +14,7 @@ from invariant_burgers import (
     mean_spacing, uniform_slice,
 )
 from invariant_burgers.grid import (_MAX_ROUNDS, _SETTLE_RTOL, Layer,
+                                    _require_positive,
                                     advance_equidistributed,
                                     advance_lagrangian, bind_equidistributed,
                                     bind_lagrangian, equidistribute_initial,
@@ -304,6 +305,69 @@ def test_a_placed_layer_matches_the_order_oracle(x, ordered, length):
     assert placed.g.tobytes() == xg.tobytes()
     assert placed.gaps.tobytes() == gaps.tobytes()
     assert placed.wide.tobytes() == wide.tobytes()
+
+
+def by_numpy_scalars(a, period):
+    """The slots, gaps and wide gaps of a layer of the entries ``a``, its
+    ghost slots written by float64 scalar indexing as g[0] = g[-3] - L,
+    g[-2] = g[1] + L and g[-1] = g[2] + L (plain copies at period 0),
+    and the warnings its two row subtractions raise."""
+    g = np.empty(len(a) + 3)
+    g[1:-2] = a
+    with np.errstate(all="ignore"):
+        if period:
+            g[0], g[-2], g[-1] = g[-3] - period, g[1] + period, g[2] + period
+        else:
+            g[0], g[-2], g[-1] = g[-3], g[1], g[2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gaps, wide = np.subtract(g[1:], g[:-1]), np.subtract(g[2:], g[:-2])
+    return g, gaps, wide, {str(w.message) for w in caught}
+
+
+def warned(fn):
+    """The verdict of ``fn`` (``verdict``) and the messages of the warnings
+    it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = verdict(fn)
+    return result, {str(w.message) for w in caught}
+
+
+# entries at the edges of the doubles: signed zeros, subnormals, the largest
+# finite values (whose ghosts overflow to inf over a large period), equal
+# infinities and NaN
+edge_entries = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7e308, -1.7e308, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=hnp.arrays(float, st.integers(2, 24), elements=edge_entries),
+       ordered=st.booleans(),
+       period=st.one_of(st.sampled_from([0.0, TAU, 5e-324, 1e308, 1.7e308]),
+                        st.floats(1e-300, 1e300)))
+def test_the_scalar_path_writes_the_bytes_of_numpy_scalars(a, ordered,
+                                                          period):
+    # place() and fill() write their ghost slots as Python floats through a
+    # view of the slots: the same IEEE operations, so the same bytes, as
+    # numpy's float64 scalars, with no scalar warning; a placement raises
+    # the full order check's message on the gaps it forms, and warns only
+    # as its row subtractions do
+    if ordered:
+        a = np.sort(a)
+    g, gaps, wide, row_warnings = by_numpy_scalars(a, period)
+    layer = Layer(len(a), period)
+    layer.nodes[...] = a
+    if period:
+        assert warned(layer.place) == (
+            verdict(_require_positive, gaps[1:-1]), row_warnings)
+        assert layer.gaps.tobytes() == gaps.tobytes()
+        assert layer.wide.tobytes() == wide.tobytes()
+    else:
+        assert warned(layer.fill) == (None, set())
+    assert layer.g.tobytes() == g.tobytes()
 
 
 # ---------------------------------------------------------------------------

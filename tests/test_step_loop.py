@@ -50,11 +50,14 @@ WORK = ("placed", "filled", "checks", "layers", "containers", "weights",
 
 
 def layer_work(config, t_final):
-    """Position layers placed, value layers filled, order checks, layers
-    allocated, containers built, diffusion weights formed (divisions into
-    the ``weight`` row of a ``StencilRows``) and stencil rows allocated by
-    one run of ``config`` to ``t_final``."""
+    """Position layers placed, value layers filled, order checks (reads of
+    the argmin of a layer's node gaps, the order test a placement makes
+    without a Python call), layers allocated, containers built, diffusion
+    weights formed (divisions into the ``weight`` row of a
+    ``StencilRows``) and stencil rows allocated by one run of ``config``
+    to ``t_final``."""
     counts = dict.fromkeys(WORK, 0)
+    gap_rows = []
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -69,6 +72,7 @@ def layer_work(config, t_final):
         # a layer binds its own placement and fill when it is allocated
         counts["layers"] += 1
         init(layer, *args, **kwargs)
+        gap_rows.append(layer.gaps)
         layer.place = counted("placed", layer.place)
         layer.fill = counted("filled", layer.fill)
 
@@ -83,16 +87,24 @@ def layer_work(config, t_final):
         counts["weights"] += any(out is weight for weight in weights)
         return divide(*args, **kwargs)
 
+    def profile(frame, event, arg):
+        # the C call of argmin on the node gaps of a layer allocated here
+        if event == "c_call" and arg.__name__ == "argmin":
+            row = getattr(getattr(arg, "__self__", None), "base", None)
+            counts["checks"] += any(row is gaps for gaps in gap_rows)
+
     with pytest.MonkeyPatch.context() as mp:
-        instrument(mp, _require_positive,
-                   counted("checks", _require_positive))
         mp.setattr(Layer, "__init__", allocated)
         mp.setattr(StencilRows, "__init__", allocated_rows)
         mp.setattr(np, "divide", dividing)
         for cls in (GridSlice, DiscreteField):
             mp.setattr(cls, "__post_init__",
                        counted("containers", cls.__post_init__))
-        ib.run(SchemeConfig(**{**config, "t_final": t_final}), np.sin)
+        sys.setprofile(profile)
+        try:
+            ib.run(SchemeConfig(**{**config, "t_final": t_final}), np.sin)
+        finally:
+            sys.setprofile(None)
     return counts
 
 
@@ -200,24 +212,25 @@ def python_calls(config, t_final):
 # Python calls per extra step at N = 32: before the stages were bound, when
 # the loop handed the layers to each step function, and now. A step calls
 # the entries of the grid equation and the stencil, their bound closures,
-# each layer's own placement (which forms its gaps and calls its order
-# check) or fill, and the bound remap; the stencil forms its diffusion
-# weight itself, and the sum of squares that clears its values as finite is
-# no Python call. The adaptive grid equation forms its monitor and solve in
-# its one closure. At N = 32 the projection's quadratic searches on every
-# step (its five calls of numpy's search and extrema); the spline allocates
-# one value layer, its moments
+# each layer's own placement (which forms its gaps and tests their order
+# with no call, calling the order check only to raise) or fill, and the
+# bound remap; the stencil forms its diffusion weight itself, and the sum
+# of squares that clears its values as finite is no Python call. The
+# adaptive grid equation forms its monitor and solve in its one closure.
+# At N = 32 the projection's quadratic searches on every step (its five
+# calls of numpy's search and extrema); the spline allocates one value
+# layer, its moments
 CALLS_PER_STEP = [
     ({"scheme_kind": SchemeKind.CLASSICAL_FTCS}, 5, 3),
     ({"scheme_kind": SchemeKind.CONSTANT_FRAME, "frame_velocity": 0.5}, 5, 3),
-    ({"scheme_kind": SchemeKind.LAGRANGIAN}, 11, 7),
-    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, 14, 8),
+    ({"scheme_kind": SchemeKind.LAGRANGIAN}, 11, 6),
+    ({"scheme_kind": SchemeKind.EULERIAN_ADAPTIVE}, 14, 7),
 ] + [
     ({"scheme_kind": SchemeKind.EVOLUTION_PROJECTION, "interp_kind": kind},
      unbound, bound)
-    for kind, unbound, bound in ((InterpKind.LINEAR, 20, 15),
-                                 (InterpKind.QUADRATIC, 22, 17),
-                                 (InterpKind.CUBIC_SPLINE, 30, 19))
+    for kind, unbound, bound in ((InterpKind.LINEAR, 20, 13),
+                                 (InterpKind.QUADRATIC, 22, 15),
+                                 (InterpKind.CUBIC_SPLINE, 30, 17))
 ]
 
 
@@ -635,6 +648,34 @@ def test_the_order_check_names_the_first_gap_that_is_not_positive(gaps):
         with pytest.raises(ib.NodeCrossingError) as info:
             _require_positive(gaps)
         assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("every", [0, 1, 2, 3, 7, 50])
+@pytest.mark.parametrize("steps", [6, 14])
+@pytest.mark.parametrize("kind, c", [
+    (SchemeKind.CLASSICAL_FTCS, 0.0), (SchemeKind.LAGRANGIAN, 0.0),
+    (SchemeKind.CONSTANT_FRAME, 0.7), (SchemeKind.EULERIAN_ADAPTIVE, -0.4)])
+def test_snapshots_follow_the_modulo_rule(kind, c, steps, every):
+    # the loop counts down to the next stored step; it stores step s (from
+    # 1) where s % every == 0, and the cut last step, which lands on a
+    # scheduled snapshot where every divides steps, once, at t_final; 50 is
+    # more than the steps. Every stored snapshot is the one a run that
+    # stores every step holds for its step
+    config = SchemeConfig(scheme_kind=kind, n_points=32, frame_velocity=c)
+    dt0 = config.dt_factor * (TAU / 32) ** 2
+    config = replace(config, t_final=(steps - 0.5) * dt0)
+    stored = [0] + [s for s in range(1, steps + 1)
+                    if every and s % every == 0 or s == steps]
+    every_step = ib.run(config, np.sin, snapshot_every=1).snapshots
+    traj = ib.run(config, np.sin, snapshot_every=every)
+    assert len(every_step) == steps + 1
+    assert len(traj.snapshots) == len(stored)
+    assert traj.final.grid.t == config.t_final
+    for snap, s in zip(traj.snapshots, stored):
+        expected = every_step[s]
+        assert snap.grid.t == expected.grid.t
+        assert snap.grid.x.tobytes() == expected.grid.x.tobytes()
+        assert snap.u.tobytes() == expected.u.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(SchemeKind))
