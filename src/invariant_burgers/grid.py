@@ -104,13 +104,16 @@ def _require_positive(gaps: np.ndarray):
 
 def require_finite(u: np.ndarray) -> np.ndarray:
     """``u`` if every value is finite; raise ``NonFiniteSolutionError``
-    otherwise.
+    otherwise. This is the one exact finiteness test: ``DiscreteField``
+    runs it on every value row it takes, and ``schemes.run``'s step loop
+    only on a step whose ufuncs raised a floating-point flag.
 
     The sum of squares, one BLAS call with no mask, decides nearly every
     case: a NaN or an infinity anywhere makes it NaN or inf, so a finite
     sum proves every value finite. Finite values whose squares overflow
-    make it inf too; they fall through to the exact test. ``np.vdot``
-    raises no overflow warning there, where ``np.dot`` and ``@`` do.
+    make it inf too; they fall through to the elementwise test.
+    ``np.vdot`` raises no overflow warning there, where numpy's dot and
+    ``@`` do.
     """
     if not (math.isfinite(np.vdot(u, u)) or np.isfinite(u).all()):
         raise NonFiniteSolutionError("non-finite solution values")

@@ -15,9 +15,10 @@ reads the three slots centred on the node nearest the query, midpoint ties
 going left; where each of one query per node lies between the midpoints
 beside its node, as the projection's targets normally do, that node is
 taken without a search, and either way the slots are the same. The
-quadratic allocates its rows once, when it is bound; the linear and spline
-interpolants allocate their intermediates, and the spline solves for its
-moments, on every call.
+quadratic and linear interpolants allocate their rows once, when they are
+bound, the linear one allocating only its search's index row on each call;
+the spline allocates its intermediates, and solves for its moments, on
+every call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import _HALF, TAU, Layer, _as_float_array
+from .grid import _HALF, _ONE, TAU, Layer, _as_float_array
 
 
 class InterpKind(str, Enum):
@@ -98,11 +99,13 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
     modulo the period of ``xl``, bound: a closure that evaluates it at the
     layers and queries as they stand when it runs. Each reads the gaps of
     ``xl``'s slots, and the quadratic its wide gaps too. The quadratic
-    works in rows sized for ``xl`` and ``q``, allocated here; the linear
-    and spline closures allocate their intermediates, and the spline's
-    moments are solved, on every call. The last operation of each
-    interpolant writes its values into ``out``, of the queries' shape and
-    aliasing none of the other inputs, and the closure returns ``out``."""
+    and linear work in rows sized for ``xl`` and ``q``, allocated here,
+    the linear allocating only the index row of ``np.searchsorted``, which
+    takes no ``out``, on each call; the spline closure allocates its
+    intermediates, and solves for its moments, on every call. The last
+    operation of each interpolant writes its values into ``out``, of the
+    queries' shape and aliasing none of the other inputs, and the closure
+    returns ``out``."""
     xg, ug, period, gaps = xl.g, ul.g, xl.period, xl.gaps
     if kind is InterpKind.QUADRATIC:
         n = len(xg) - 3
@@ -148,18 +151,31 @@ def _evaluate(xl: Layer, ul: Layer, q: np.ndarray, kind: InterpKind,
 
         return quadratic
 
+    # slot 1 (a 0-d view), the nodes and the east slots; a row of the
+    # reduced queries and, for the linear, one of weights and one that
+    # takes slot values
+    first, nodes, ug_east = xg[1, ...], xg[1:-2], ug[1:]
+    at, w, taken = (np.empty(q.shape) for _ in range(3))
+    add, subtract, multiply, divide, mod = (np.add, np.subtract, np.multiply,
+                                            np.divide, np.mod)
     # the node gaps h_i = x_{i+1} - x_i, the last closing the period, and
     # each node's west neighbour
     h, west = gaps[1:-1], np.arange(-1, len(xg) - 4)
 
     def piecewise():
         # each query shifted by a multiple of L into [x_0, x_0 + L)
-        at = xg[1] + np.mod(q - xg[1], period)
+        add(first, mod(subtract(q, first, at), period, at), at)
         # the ghost slot j of the node at or left of each query
-        j = np.searchsorted(xg[1:-2], at, side="right")
+        j = np.searchsorted(nodes, at, side="right")
         if kind is InterpKind.LINEAR:
-            w = (at - xg[j]) / gaps[j]
-            return np.add(ug[j] * (1.0 - w), ug[j + 1] * w, out)
+            # w = (q - x_j) / h_j; u_j (1 - w) + u_{j+1} w, the first term
+            # formed in out
+            subtract(at, xg.take(j, out=taken, mode="clip"), w)
+            divide(w, gaps.take(j, out=taken, mode="clip"), w)
+            subtract(_ONE, w, out)
+            multiply(ug.take(j, out=taken, mode="clip"), out, out)
+            multiply(ug_east.take(j, out=taken, mode="clip"), w, w)
+            return add(out, w, out)
 
         # cubic spline: second derivatives m at the nodes, from the node
         # gaps h and gap slopes du and each one's west neighbour, taken

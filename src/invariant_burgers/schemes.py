@@ -28,13 +28,16 @@ values that its remap reads back into the first two. The stencil reads
 only the mesh's gap rows, so the grid equation writes the next positions
 ahead into the mesh (the projection's into the moved layer) and the loop
 places that layer after the stencil: at the top of every step the mesh
-holds the step-start gaps. No step allocates a row but the linear and
-spline remaps' intermediates. The adaptive grid equation leaves its
-monitor's centred slope and its grid velocity in the stencil rows'
-``advection`` and ``xdot``, where the stencil reads them. Each new
-position layer is placed and order-checked once, each new value layer
-filled and checked for finiteness once. The loop enters the stencil and
-the grid equations through ``invariant_step``, ``grid.advance_lagrangian`` and
+holds the step-start gaps. No step allocates a row but the linear
+remap's index row and the spline remap's intermediates. The adaptive grid
+equation leaves its monitor's centred slope and its grid velocity in the
+stencil rows' ``advection`` and ``xdot``, where the stencil reads them.
+Each new position layer is placed and order-checked once, each new value
+layer filled once. The values are tested for finiteness only on a step
+whose ufuncs raised a floating-point flag, which numpy hands to the run's
+``record`` (the argument is in ``run``'s docstring); no step forms a sum
+of squares. The loop enters the stencil and the grid equations through
+``invariant_step``, ``grid.advance_lagrangian`` and
 ``grid.advance_equidistributed``, looked up when ``run`` starts, so that a
 rebinding of those module attributes reaches it. Snapshots are copies.
 
@@ -310,9 +313,6 @@ def bind_projection(xl: Layer, ul: Layer, dt, moved: Layer, evolved: Layer,
     return projection
 
 
-# a blow-up, in the set-up or in a step, surfaces as a typed error (a
-# NonFiniteSolutionError or a NodeCrossingError), not as numpy warnings
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
         snapshot_every: int = 0) -> Trajectory:
     """Integrate the configured scheme from t = 0 to t_final.
@@ -327,114 +327,145 @@ def run(config: SchemeConfig, initial: Callable[[np.ndarray], np.ndarray],
     last; 0 keeps only those two; it must be an integer. A run of more
     than ``_MAX_STEPS`` steps is rejected with a ``ValueError`` before the
     first one.
+
+    A blow-up, in the set-up or in a step, surfaces as a typed error (a
+    ``NonFiniteSolutionError`` or a ``NodeCrossingError``), never as a
+    numpy warning or floating-point exception, whatever the caller's
+    floating-point settings: the run sets its own, ignoring underflow,
+    whose results are finite, and passing numpy's overflow, invalid and
+    divide-by-zero events to ``record``. A step runs
+    ``require_finite`` on its values only if one was recorded since the
+    last check. That misses no non-finite value:
+
+    - At the start of a step the values, the nodes and dt are finite:
+      the previous step's check and placement, or the set-up's, passed.
+    - Every value a step writes into the solution comes from a ufunc (the
+      fills copy ghost slots). A ufunc that turns finite operands into an
+      infinity or a NaN raises one of the three flags, and numpy reads the
+      flags after every ufunc.
+    - The step's Python-float scalars (the ghost slots, the adaptive
+      anchor and scale, the projection's shift) raise no flag, but they
+      feed only positions, and every position layer is placed before the
+      check. An infinite node makes a NaN or non-positive gap there, which
+      raises ``NodeCrossingError``.
+
+    So a step whose values go non-finite raises the same typed error at
+    the same step as a test of every step would.
     """
-    _require_integer("snapshot_every", snapshot_every)
-    if snapshot_every < 0:
-        raise ValueError("snapshot_every must be >= 0")
-    kind = config.scheme_kind
-    length = config.domain_length
-    # the mean spacing L / N, taken before a grid of N nodes is built
-    h = length / config.n_points
-    dt0 = config.dt_factor * h * h
-    # compared, not divided: dt0 may underflow to 0
-    if config.t_final > _MAX_STEPS * dt0:
-        raise ValueError(
-            f"t_final={config.t_final!r} needs more than {_MAX_STEPS} steps "
-            f"of dt = dt_factor * h^2 = {dt0!r} (dt_factor="
-            f"{config.dt_factor!r}); lower t_final or raise dt_factor")
-    grid = uniform_slice(config.n_points, 0.0, config.domain_start, length)
-    # the velocity of the frame the scheme computes in: c for
-    # constant-frame, whose data there is unboosted, and 0 for the others
-    drift = config.frame_velocity if kind is SchemeKind.CONSTANT_FRAME else 0.0
-    boost = config.frame_velocity - drift
+    events = []
 
-    def sample_initial(x: np.ndarray) -> np.ndarray:
-        return np.asarray(initial(x), dtype=float) + boost
+    def record(kind, flag):
+        events.append(kind)
 
-    if kind is SchemeKind.EULERIAN_ADAPTIVE:
-        grid = equidistribute_initial(sample_initial, grid, config.alpha)
-    u0 = sample_initial(grid.x)
+    with np.errstate(over="call", invalid="call", divide="call",
+                     under="ignore", call=record):
+        _require_integer("snapshot_every", snapshot_every)
+        if snapshot_every < 0:
+            raise ValueError("snapshot_every must be >= 0")
+        kind = config.scheme_kind
+        length = config.domain_length
+        # the mean spacing L / N, taken before a grid of N nodes is built
+        h = length / config.n_points
+        dt0 = config.dt_factor * h * h
+        # compared, not divided: dt0 may underflow to 0
+        if config.t_final > _MAX_STEPS * dt0:
+            raise ValueError(
+                f"t_final={config.t_final!r} needs more than {_MAX_STEPS} "
+                f"steps of dt = dt_factor * h^2 = {dt0!r} (dt_factor="
+                f"{config.dt_factor!r}); lower t_final or raise dt_factor")
+        grid = uniform_slice(config.n_points, 0.0, config.domain_start, length)
+        # the velocity of the frame the scheme computes in: c for
+        # constant-frame, whose data there is unboosted, and 0 for the others
+        drift = (config.frame_velocity if kind is SchemeKind.CONSTANT_FRAME
+                 else 0.0)
+        boost = config.frame_velocity - drift
 
-    # each snapshot is reported in the frame of the boosted data, at
-    # (xi + c t, v + c); at t = 0 the lattice is where that frame sees it
-    snapshots = [DiscreteField(grid=grid, u=u0 + drift)]
-    # the run's layers and rows, allocated once, and one 0-d dt, which the
-    # cut last step rewrites in place
-    n = config.n_points
-    xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
-    rows = StencilRows(n, config.nu)
-    dt, alpha = np.array(dt0), np.array(config.alpha)
-    # the stages, each bound once; the lattice at rest has no grid equation
-    # and no grid velocity. The entries of the stencil and of the grid
-    # equation are looked up here, so that a rebinding of the module
-    # attributes reaches the loop
-    projecting = kind is SchemeKind.EVOLUTION_PROJECTION
-    moved, evolved = ((Layer(n, length), Layer(n)) if projecting
-                      else (xl, ul))
-    stencil_step, equation, xdot = invariant_step, None, None
-    if kind is SchemeKind.EULERIAN_ADAPTIVE:
-        advance, xdot = advance_equidistributed, rows.xdot
-        equation = bind_equidistributed(xl, ul, alpha, xl, rows.advection,
-                                        dt, xdot)
-    elif kind in (SchemeKind.LAGRANGIAN, SchemeKind.EVOLUTION_PROJECTION):
-        advance, xdot = advance_lagrangian, ul
-        equation = bind_lagrangian(xl, ul, dt, moved)
-    stencil = bind_stencil(xl, ul, xdot, dt, rows, evolved)
-    remap = (bind_projection(xl, ul, dt, moved, evolved, config.interp_kind)
-             if projecting else None)
-    place = moved.place
-    # the solution row's own product, the BLAS sum of squares that
-    # require_finite forms first, without np.vdot's dispatch; this
-    # function's errstate silences its overflow warning
-    u, isfinite = ul.nodes, math.isfinite
-    square_sum = u.dot
-    step, t, t_final = 0, 0.0, config.t_final
-    t_end = t_final - 1e-12 * t_final
-    # the next step (from 0) that snapshot_every stores; -1 stores none
-    due = snapshot_every - 1
-    while t < t_end:
-        # in (0, dt0]: dt0 > 0, t < t_end <= t_final; cut only on the last
-        # step, the one step that rewrites dt
-        span = t_final - t
-        if span < dt0:
-            dt[()] = span
-        else:
-            span = dt0
-        t_next = t + span
-        try:
-            if equation is not None:
-                advance(equation)
-            stencil_step(stencil)
-            if equation is not None:
-                place()  # once the stencil has read the step-start gaps
-            if remap is not None:
-                remap()
-            # the sum of squares clears nearly every step; require_finite
-            # decides the rest
-            if not isfinite(square_sum(u)):
-                require_finite(u)
-            is_last = t_next >= t_end
-            if is_last or step == due:
-                due += snapshot_every
-                # the last step was cut to land exactly on t_final; a
-                # snapshot owns its arrays and checks its reported positions
-                t_snap = t_final if is_last else t_next
-                try:
-                    snapshots.append(DiscreteField(
-                        grid=replace(grid, t=t_snap,
-                                     x=xl.nodes + drift * t_snap),
-                        u=ul.nodes + drift))
-                except NodeCrossingError as exc:
-                    # the layer passed the same check, so only the shift by
-                    # c t can have rounded its gaps away
-                    raise NodeCrossingError(
-                        f"the reported positions xi + c t are too coarse "
-                        f"for the lattice gaps: at c t = "
-                        f"{drift * t_snap:.6g} they round gaps of {h:.6g} "
-                        f"away; the lattice itself is intact") from exc
-        except SimulationError as exc:
-            exc.step = step
-            exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)
-            raise
-        step, t = step + 1, t_next
-    return Trajectory(snapshots=tuple(snapshots), config=config)
+        def sample_initial(x: np.ndarray) -> np.ndarray:
+            return np.asarray(initial(x), dtype=float) + boost
+
+        if kind is SchemeKind.EULERIAN_ADAPTIVE:
+            grid = equidistribute_initial(sample_initial, grid, config.alpha)
+        u0 = sample_initial(grid.x)
+
+        # each snapshot is reported in the frame of the boosted data, at
+        # (xi + c t, v + c); at t = 0 the lattice is where that frame sees it
+        snapshots = [DiscreteField(grid=grid, u=u0 + drift)]
+        # the run's layers and rows, allocated once, and one 0-d dt, which the
+        # cut last step rewrites in place
+        n = config.n_points
+        xl, ul = Layer.of_positions(grid.x, length), Layer.of_values(u0)
+        rows = StencilRows(n, config.nu)
+        dt, alpha = np.array(dt0), np.array(config.alpha)
+        # the stages, each bound once; the lattice at rest has no grid equation
+        # and no grid velocity. The entries of the stencil and of the grid
+        # equation are looked up here, so that a rebinding of the module
+        # attributes reaches the loop
+        projecting = kind is SchemeKind.EVOLUTION_PROJECTION
+        moved, evolved = ((Layer(n, length), Layer(n)) if projecting
+                          else (xl, ul))
+        stencil_step, equation, xdot = invariant_step, None, None
+        if kind is SchemeKind.EULERIAN_ADAPTIVE:
+            advance, xdot = advance_equidistributed, rows.xdot
+            equation = bind_equidistributed(xl, ul, alpha, xl, rows.advection,
+                                            dt, xdot)
+        elif kind in (SchemeKind.LAGRANGIAN, SchemeKind.EVOLUTION_PROJECTION):
+            advance, xdot = advance_lagrangian, ul
+            equation = bind_lagrangian(xl, ul, dt, moved)
+        stencil = bind_stencil(xl, ul, xdot, dt, rows, evolved)
+        remap = (bind_projection(xl, ul, dt, moved, evolved,
+                                 config.interp_kind) if projecting else None)
+        place, u = moved.place, ul.nodes
+        step, t, t_final = 0, 0.0, config.t_final
+        t_end = t_final - 1e-12 * t_final
+        # the next step (from 0) that snapshot_every stores; -1 stores none
+        due = snapshot_every - 1
+        # the set-up's events are its own: its values passed their checks
+        events.clear()
+        while t < t_end:
+            # in (0, dt0]: dt0 > 0, t < t_end <= t_final; cut only on the last
+            # step, the one step that rewrites dt
+            span = t_final - t
+            if span < dt0:
+                dt[()] = span
+            else:
+                span = dt0
+            t_next = t + span
+            try:
+                if equation is not None:
+                    advance(equation)
+                stencil_step(stencil)
+                if equation is not None:
+                    place()  # once the stencil has read the step-start gaps
+                if remap is not None:
+                    remap()
+                # a step whose ufuncs raised no flag kept its values finite
+                # (see the docstring); require_finite decides a flagged one
+                if events:
+                    events.clear()
+                    require_finite(u)
+                is_last = t_next >= t_end
+                if is_last or step == due:
+                    due += snapshot_every
+                    # the last step was cut to land exactly on t_final; a
+                    # snapshot owns its arrays and checks its reported
+                    # positions
+                    t_snap = t_final if is_last else t_next
+                    try:
+                        snapshots.append(DiscreteField(
+                            grid=replace(grid, t=t_snap,
+                                         x=xl.nodes + drift * t_snap),
+                            u=ul.nodes + drift))
+                    except NodeCrossingError as exc:
+                        # the layer passed the same check, so only the shift by
+                        # c t can have rounded its gaps away
+                        raise NodeCrossingError(
+                            f"the reported positions xi + c t are too coarse "
+                            f"for the lattice gaps: at c t = "
+                            f"{drift * t_snap:.6g} they round gaps of {h:.6g} "
+                            f"away; the lattice itself is intact") from exc
+            except SimulationError as exc:
+                exc.step = step
+                exc.args = (f"step {step} (t={t:.6g}): {exc.args[0]}",)
+                raise
+            step, t = step + 1, t_next
+        return Trajectory(snapshots=tuple(snapshots), config=config)

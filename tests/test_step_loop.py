@@ -8,7 +8,9 @@ import inspect
 import math
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +21,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import invariant_burgers as ib
 from invariant_burgers import (DiscreteField, GridSlice, InterpKind,
-                               SchemeConfig, SchemeKind, SimulationError, TAU)
+                               NonFiniteSolutionError, SchemeConfig,
+                               SchemeKind, SimulationError, TAU)
 from invariant_burgers import grid, schemes, symmetry
 from invariant_burgers.grid import Layer, _require_positive
 from invariant_burgers.schemes import StencilRows
@@ -214,9 +217,10 @@ def python_calls(config, t_final):
 # the entries of the grid equation and the stencil, their bound closures,
 # each layer's own placement (which forms its gaps and tests their order
 # with no call, calling the order check only to raise) or fill, and the
-# bound remap; the stencil forms its diffusion weight itself, and the sum
-# of squares that clears its values as finite is no Python call. The
-# adaptive grid equation forms its monitor and solve in its one closure.
+# bound remap; the stencil forms its diffusion weight itself. The run's
+# floating-point recorder, which decides whether a step's values need the
+# finiteness test, is called only on an event, and these runs raise none.
+# The adaptive grid equation forms its monitor and solve in its one closure.
 # At N = 32 the projection's quadratic searches on every step (its five
 # calls of numpy's search and extrema); the spline allocates one value
 # layer, its moments
@@ -385,25 +389,37 @@ def allocating(fn, peaks):
 
 def test_no_step_function_allocates_a_row():
     # each step writes into the rows and layers its run allocated; the
-    # projection's quadratic remap and the adaptive mesh solve formed 6 and
-    # 2 rows of temporaries per call. The linear and spline remaps, which
-    # are not the default, still do
+    # projection's quadratic and linear remaps and the adaptive mesh solve
+    # formed 6, about 6 and 2 rows of temporaries per call. The linear
+    # remap still allocates its search's index row, which np.searchsorted
+    # gives no out for; the spline remap, which is not the default, still
+    # allocates its intermediates
     n = 4096
     h = TAU / n
-    peaks = Counter()
-    with pytest.MonkeyPatch.context() as mp:
-        for fn, _ in STEP_FUNCTIONS:
-            instrument(mp, fn, allocating(fn, peaks))
-        for kind in SchemeKind:
-            config = SchemeConfig(scheme_kind=kind, n_points=n)
+    configs = [SchemeConfig(scheme_kind=kind, n_points=n)
+               for kind in SchemeKind] + [
+        SchemeConfig(scheme_kind=SchemeKind.EVOLUTION_PROJECTION, n_points=n,
+                     interp_kind=InterpKind.LINEAR)]
+    peaks = []
+    for config in configs:
+        peaks.append(Counter())
+        with pytest.MonkeyPatch.context() as mp:
+            for fn, _ in STEP_FUNCTIONS:
+                instrument(mp, fn, allocating(fn, peaks[-1]))
             tracemalloc.start()
             try:
                 ib.run(replace(config, t_final=3.5 * config.dt_factor * h * h),
                        np.sin)
             finally:
                 tracemalloc.stop()
-    assert set(peaks) == {fn.__name__ for fn, _ in STEP_FUNCTIONS}
-    assert {name: peak for name, peak in peaks.items() if peak >= 8 * n} == {}
+    assert set().union(*peaks) == {fn.__name__ for fn, _ in STEP_FUNCTIONS}
+    # one row of N intp indices is 8 N bytes, as one of N floats is
+    *default, linear = peaks
+    for counted in default:
+        assert {name: peak for name, peak in counted.items()
+                if peak >= 8 * n} == {}
+    assert {name: peak for name, peak in linear.items()
+            if peak >= 16 * n} == {}
 
 
 @pytest.mark.parametrize("kind", list(SchemeKind), ids=lambda k: k.value)
@@ -610,9 +626,12 @@ def test_the_adaptive_run_matches_the_oracle_on_random_data(seed, n, c):
         assume(False)
     u0 = profile(start.x) + c
     layers, crossed = adaptive_oracle_layers(config, start.x, u0)
-    if crossed:
+    while crossed:
         # a steep front closes a gap: the run refuses the step at which the
-        # oracle's mesh crosses, and matches it up to there
+        # oracle's mesh crosses, and matches it up to there. The shorter
+        # run's last step is cut to land on its t_final, and its dt may
+        # differ from dt0 in the last bits, so a gap that closed to 0 one
+        # step later may close on it; the oracle then crosses there too
         steps = len(layers) - 1
         with pytest.raises(ib.NodeCrossingError) as refused:
             ib.run(config, profile, snapshot_every=1)
@@ -621,7 +640,6 @@ def test_the_adaptive_run_matches_the_oracle_on_random_data(seed, n, c):
         config = replace(config, t_final=steps * config.dt_factor
                          * (TAU / n) ** 2)
         layers, crossed = adaptive_oracle_layers(config, start.x, u0)
-        assert not crossed
     traj = ib.run(config, profile, snapshot_every=1)
     assert len(traj.snapshots) == len(layers)
     for snap, (t, x, u) in zip(traj.snapshots, layers):
@@ -713,6 +731,114 @@ def test_the_projection_searches_only_where_the_partner_bracket_fails(
 
     assert searches(64) == 0
     assert searches(32) >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([SchemeKind.CLASSICAL_FTCS,
+                             SchemeKind.CONSTANT_FRAME]),
+       n=st.integers(4, 32), dt_factor=st.floats(6.0, 200.0),
+       log_amplitude=st.floats(-2.0, 150.0), phase=st.floats(0.0, TAU),
+       c=st.floats(-2.0, 2.0), steps=st.integers(1, 200))
+def test_a_blow_up_ends_where_the_plain_loop_first_goes_non_finite(
+        kind, n, dt_factor, log_amplitude, phase, c, steps):
+    # past dt_factor = 1/(2 nu) = 5 the explicit diffusion is unstable, so
+    # most of these runs blow up; the run tests its values for finiteness
+    # only on a step that raised a floating-point flag, and must still end
+    # at the first step of the plain loop whose values are not all finite
+    amplitude = 10.0 ** log_amplitude
+    config = SchemeConfig(scheme_kind=kind, n_points=n, dt_factor=dt_factor,
+                          frame_velocity=c)
+    h = TAU / n
+    dt0 = dt_factor * h * h
+    config = replace(config, t_final=(steps - 0.5) * dt0)
+
+    def initial(x):
+        return amplitude * np.sin(x + phase)
+
+    x = np.arange(n) * h
+    drift = c if kind is SchemeKind.CONSTANT_FRAME else 0.0
+    u = initial(x) + (c - drift)
+    t, step, blown = 0.0, 0, None
+    # the oracle's scalars are numpy's, which would warn as they overflow
+    with np.errstate(all="ignore"):
+        while t < config.t_final * (1.0 - 1e-12):
+            dt = min(dt0, config.t_final - t)
+            u = moving_mesh_update_loop(x, u, 0.0, dt, config.nu, TAU)
+            if not np.isfinite(u).all():
+                blown = step
+                break
+            t, step = t + dt, step + 1
+
+    if blown is None:
+        traj = ib.run(config, initial)
+        np.testing.assert_array_equal(traj.final.u, u + drift)
+        return
+    with pytest.raises(NonFiniteSolutionError) as raised:
+        ib.run(config, initial)
+    assert raised.value.step == blown
+    assert str(raised.value).endswith(": non-finite solution values")
+
+
+# a run that finishes, one that blows up, one whose nodes cross and one
+# that finishes through underflowing products, each from amplitude * sin x
+ENDINGS = [
+    (SchemeConfig(scheme_kind=SchemeKind.EVOLUTION_PROJECTION, n_points=32),
+     1.0, "finished"),
+    (SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=16,
+                  dt_factor=40.0, t_final=1000.0), 1.0,
+     "NonFiniteSolutionError"),
+    (SchemeConfig(scheme_kind=SchemeKind.LAGRANGIAN, n_points=16,
+                  dt_factor=40.0), 1e100, "NodeCrossingError"),
+    (SchemeConfig(scheme_kind=SchemeKind.CLASSICAL_FTCS, n_points=16), 1e-300,
+     "finished"),
+]
+
+
+def ending(config, amplitude):
+    """How a run of ``config`` from amplitude * sin x ends: the bits of its
+    final values, or the type, step and message of the error it raises."""
+    try:
+        traj = ib.run(config, lambda x: amplitude * np.sin(x))
+    except SimulationError as exc:
+        return type(exc).__name__, exc.step, str(exc)
+    return "finished", traj.final.u.tobytes()
+
+
+@pytest.mark.parametrize("config, amplitude, kind", ENDINGS,
+                         ids=["finishes", "blows-up", "crosses",
+                              "underflows"])
+def test_a_run_keeps_to_its_own_floating_point_settings(config, amplitude,
+                                                        kind):
+    # the run sets its own floating-point handling for its ufuncs and
+    # restores the caller's, which cannot change how it ends: not under
+    # numpy's defaults, nor where every event raises and every warning is
+    # an error
+    alone = ending(config, amplitude)
+    assert alone[0] == kind
+
+    def caller_handler(event, flag):
+        raise AssertionError(f"the caller's handler saw {event}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise", call=caller_handler):
+            settings_before = np.geterr(), np.geterrcall()
+            assert ending(config, amplitude) == alone
+            assert (np.geterr(), np.geterrcall()) == settings_before
+    assert np.geterrcall() is None
+
+
+def test_concurrent_runs_keep_their_own_recorders():
+    # numpy's floating-point settings are a context variable, so each
+    # thread's run records only its own events: a blow-up beside a
+    # finishing run ends as it does alone, and so does the finishing run
+    finishing, blowing_up = ENDINGS[0][:2], ENDINGS[1][:2]
+    alone = [ending(*finishing), ending(*blowing_up)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(20):
+            ends = [pool.submit(ending, *finishing),
+                    pool.submit(ending, *blowing_up)]
+            assert [end.result() for end in ends] == alone
 
 
 def load_spans():
