@@ -2,9 +2,12 @@
 
 Subcommands: ``run`` (trajectory CSV), ``convergence`` (error-vs-N CSV),
 ``frames`` (rest-vs-boosted discrepancy), ``spacing`` (final grid gaps),
-``exact`` (reference solution samples). A flat key=value config file can
-seed the flags; explicit flags win. On a numerical failure the process
-exits nonzero after printing one machine-readable ``error ...`` line.
+``exact`` (reference solution samples). A config file line ``key = value``
+is the flag ``--key=value`` (``_`` read as ``-``, ``#`` a comment), so an
+unambiguous abbreviation works as on the command line, whose flags win over
+the file's. Exit codes: 0 on success, 1 for a failed run or I/O, 2 for a
+usage error, from the command line or the file; a nonzero exit prints one
+machine-readable ``error kind=...`` line.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import numpy as np
 from .errors import SimulationError
 from .exact import Reference, evaluate
 from .grid import TAU
-from .harness import (frame_comparison, linf_error, write_convergence_csv,
-                      write_errors_csv, write_exact_csv, write_frames_csv,
-                      write_spacing_csv, write_trajectory_csv,
-                      convergence_study)
+from .harness import (convergence_study, discard, frame_comparison,
+                      linf_error, write_convergence_csv, write_errors_csv,
+                      write_exact_csv, write_frames_csv, write_spacing_csv,
+                      write_trajectory_csv)
 from .interpolate import InterpKind
 from .schemes import SchemeConfig, SchemeKind, run
 
@@ -33,8 +36,9 @@ def _add_common(parser: argparse.ArgumentParser, n: bool = True,
                 scheme: bool = True):
     """Add the flags a subcommand reads; ``n`` and ``scheme`` false leave
     out the grid size and the scheme settings."""
-    parser.add_argument("--config", help="flat key=value file with defaults "
-                                         "for the flags below")
+    parser.add_argument("--config", help="file of key = value lines, each "
+                                         "read as the flag --key=value; "
+                                         "command-line flags win")
     if n:
         parser.add_argument("--n", type=int, default=64, help="grid points")
     parser.add_argument("--nu", type=float, default=0.1, help="viscosity")
@@ -56,45 +60,28 @@ def _add_common(parser: argparse.ArgumentParser, n: bool = True,
                         default=InterpKind.QUADRATIC.value)
 
 
-def _apply_config_file(args: argparse.Namespace,
-                       parser: argparse.ArgumentParser,
-                       argv: list[str]) -> argparse.Namespace:
-    """Reparse ``argv`` with the file values as the subcommand's defaults,
-    so every flag given on the command line, abbreviated or not, wins."""
-    if not args.config:
-        return args
-    values = {}
-    with open(args.config) as fh:
+class UsageError(ValueError):
+    """A flag or config line the parser refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _config_flags(path: str) -> list[str]:
+    """The config file at ``path`` as flags, one ``--key=value`` a line."""
+    flags = []
+    with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
+                raise UsageError(f"bad config line: {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            values[key.replace("-", "_")] = key, value
-    sub = next(a for a in parser._actions if isinstance(
-        a, argparse._SubParsersAction)).choices[args.command]
-    actions = {a.dest: a for a in sub._actions if a.option_strings}
-    defaults = {}
-    for key, (written, value) in values.items():
-        action = actions.get(key)
-        if action is None:
-            raise ValueError(f"config {written!r}: no such flag for "
-                             f"{args.command}")
-        # the flag's own converter: a default of None says nothing of type
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except ValueError:
-                raise ValueError(f"config {key} = {value!r}: not a valid "
-                                 f"{action.type.__name__}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config {key} = {value!r}: choose from "
-                             f"{', '.join(map(str, action.choices))}")
-        defaults[key] = value
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _config_from(args: argparse.Namespace, n_points: int) -> SchemeConfig:
@@ -127,7 +114,11 @@ def _cmd_run(args) -> int:
     path = _out_path(args.out or "trajectory.csv")
     write_trajectory_csv(path, traj)
     if args.errors_out:
-        write_errors_csv(_out_path(args.errors_out), [report])
+        try:
+            write_errors_csv(_out_path(args.errors_out), [report])
+        except BaseException:
+            discard(path)
+            raise
     print(f"scheme={config.scheme_kind.value} N={config.n_points} "
           f"h={report.h!r} linf={report.linf_error!r} "
           f"rms={report.rms_error!r} -> {path}")
@@ -184,7 +175,7 @@ def _cmd_exact(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invariant-burgers",
         description="Symmetry-preserving finite-difference runs for the "
                     "1-D viscous Burgers equation")
@@ -223,16 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, parser, argv)
+        args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags right after the subcommand, so later ones win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_flags(args.config) + argv[at:])
         return args.func(args)
     except (SimulationError, ValueError, OSError, MemoryError) as exc:
         step = getattr(exc, "step", None)
         step_txt = "-" if step is None else str(step)
         print(f"error kind={type(exc).__name__} step={step_txt} "
               f"message={str(exc)!r}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

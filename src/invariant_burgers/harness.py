@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import stat
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -279,9 +278,7 @@ def _write_csv(path, header: Sequence[str], blocks: Iterable[Sequence]):
     runs, one per usable CPU, block and ``_MIN_SHARE`` values at most, and
     writes the first while forked children format the rest; their pipes are
     copied in order, so no byte depends on ``parts``. A failed child raises
-    ``OSError``. A write that fails leaves no file at ``path``: the regular
-    file written, the target where ``path`` is a link, is removed; the link
-    itself and a device such as /dev/null are not."""
+    ``OSError``. A write that fails leaves no file (``discard``)."""
     blocks = list(blocks)
     values = sum(np.size(col) for block in blocks for col in block)
     parts = max(1, min(_usable_cpus(), len(blocks), values // _MIN_SHARE))
@@ -309,11 +306,17 @@ def _write_csv(path, header: Sequence[str], blocks: Iterable[Sequence]):
             # leaves no file either
             fh.flush()
         except BaseException:
-            st = os.fstat(fh.fileno())
-            if stat.S_ISREG(st.st_mode) and os.path.samestat(
-                    st, os.stat(path)):
-                os.unlink(os.path.realpath(path))
+            discard(path, os.fstat(fh.fileno()))
             raise
+
+
+def discard(path, written: os.stat_result | None = None):
+    """Removes what a failed write left at ``path`` if it is still the file
+    ``written`` (default: any): a regular file, or a link's target; never
+    the link itself or a device such as /dev/null."""
+    if os.path.isfile(path) and (
+            written is None or os.path.samestat(written, os.stat(path))):
+        os.unlink(os.path.realpath(path))
 
 
 def write_trajectory_csv(path, traj: Trajectory):

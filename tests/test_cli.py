@@ -1,10 +1,17 @@
 import argparse
+import contextlib
+import io
 import math
+import os
 import re
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invariant_burgers import cli
 from invariant_burgers.cli import OUTDIR_ENV, build_parser, main
@@ -92,6 +99,27 @@ def test_convergence_rejects_an_empty_range(tmp_path, capsys, n_min, n_max):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("link", [False, True])
+def test_a_failed_error_report_leaves_no_trajectory(tmp_path, capsys,
+                                                    monkeypatch, link):
+    # the report is written after the trajectory; when it fails, the
+    # trajectory goes as a failed write of its own would: the target of a
+    # link is removed, the link stays
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    if link:
+        (tmp_path / "t.csv").symlink_to(tmp_path / "target.csv")
+    code = main(["run", "--n", "8", "--t-final", "0.01", "--out", "t.csv",
+                 "--errors-out", "nodir/e.csv"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error kind=FileNotFoundError step=- message=")
+    assert [p.name for p in tmp_path.iterdir()] == (["t.csv"] if link
+                                                     else [])
+    assert (tmp_path / "t.csv").is_symlink() == link
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scheme = lagrangian\nn = 16\nt-final = 0.05  # short\n")
@@ -146,23 +174,43 @@ def test_config_line_without_an_equals_sign_is_refused(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scheme = lagrangian\nn 16\n")
     out = tmp_path / "t.csv"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error kind=ValueError step=- message=\"bad config line: 'n 16'\"\n")
+        "error kind=UsageError step=- message=\"bad config line: 'n 16'\"\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["interp = cubic", "n = 1.5",
-                                  "dt_factor = fast", "dt-facotr = 1.5"])
+# a bad config line and the message it is refused with
+BAD_LINES = {
+    "interp = cubic": "argument --interp: invalid choice: 'cubic' (choose "
+                      "from 'linear', 'quadratic', 'cubic-spline')",
+    "n = 1.5": "argument --n: invalid int value: '1.5'",
+    "dt_factor = fast": "argument --dt-factor: invalid float value: 'fast'",
+    "dt-facotr = 1.5": "unrecognized arguments: --dt-facotr=1.5",
+}
+
+
+@pytest.mark.parametrize("line", BAD_LINES)
 def test_config_file_rejects_bad_values(tmp_path, capsys, line):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(line + "\n")
-    code = main(["run", "--config", str(cfg),
-                 "--out", str(tmp_path / "t.csv")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error kind=ValueError step=- message=")
-    assert line.split(" = ")[0] in err
+    out = tmp_path / "t.csv"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error kind=UsageError step=- message={BAD_LINES[line]!r}"]
+    assert not out.exists()
+
+
+def test_config_file_key_may_be_an_abbreviation(tmp_path, capsys):
+    # "dt" is --dt-factor, as on the command line
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dt = 0.5\n")
+    by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    base = ["run", "--n", "8", "--t-final", "0.05", "--snapshot-every", "1"]
+    assert main([*base, "--config", str(cfg), "--out", str(by_file)]) == 0
+    assert main([*base, "--dt-factor", "0.5", "--out", str(by_flag)]) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -462,17 +510,16 @@ UNREAD_FLAGS = [
 @pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
 def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys,
                                                      command, flag, value):
-    out = str(tmp_path / "out.csv")
-    with pytest.raises(SystemExit) as exc:
-        main([command, f"--{flag}", value, "--out", out])
-    assert exc.value.code == 2
+    out = tmp_path / "out.csv"
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"{flag} = {value}\n")
-    capsys.readouterr()
-    assert main([command, "--config", str(cfg), "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error kind=ValueError step=- message=")
-    assert f"config '{flag}': no such flag for {command}" in err
+    for source in ([f"--{flag}", value], ["--config", str(cfg)]):
+        assert main([command, *source, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error kind=UsageError step=- message=")
+        assert f"--{flag}" in err[0]
+        assert not out.exists()
 
 
 def subcommand_flags():
@@ -532,3 +579,124 @@ def test_every_flag_reads_alike_from_argv_and_config_file(
         assert files
         outputs.append((capsys.readouterr().out, files))
     assert outputs[0] == outputs[1]
+
+
+# an invalid value for each converter; "cubic" is no choice of any flag
+BAD_VALUES = {int: "1.5", float: "fast", None: "cubic"}
+
+
+@pytest.mark.parametrize(
+    "command, action",
+    [pytest.param(c, a, id=f"{c}-{a.option_strings[0][2:]}")
+     for c, a in subcommand_flags()
+     if a.type is not None or a.choices is not None])
+def test_a_bad_value_reads_alike_from_argv_and_config_file(
+        tmp_path, capsys, command, action):
+    flag = action.option_strings[0]
+    value = BAD_VALUES[action.type]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    out = tmp_path / "out.csv"
+    outcomes = []
+    for source in ([flag, value], ["--config", str(cfg)]):
+        code = main([command, *source, "--out", str(out)])
+        outcomes.append((code, capsys.readouterr().err))
+        assert not out.exists()
+    assert outcomes[0] == outcomes[1]
+    code, err = outcomes[0]
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"error kind=UsageError step=- message=\"argument "
+                          f"{flag}: invalid ")
+
+
+# ---------------------------------------------------------------------------
+# Hostile input: every case ends in success or in one error line
+# ---------------------------------------------------------------------------
+
+# edge values: non-finite, subnormal and huge floats, the empty string, a
+# fullwidth digit, an underscore, a hex float, and characters that argparse
+# or %-formatting treat specially; then a few valid ones
+EDGE_VALUES = ["nan", "inf", "-inf", "5e-324", "1e308", "", "\uff11", "1_0",
+               "0x1p-3", "=", "-x", "%", "0", "-1", "8", "0.01",
+               "lagrangian", "linear"]
+ABBREVIATED_FLAGS = ["--dt", "--t", "--sch", "--int", "--snap", "--err",
+                     "--n-m", "--n-mi", "--conf", "--e", "--he"]
+MISSPELT_FLAGS = ["--dt-facotr", "--nn", "--sheme", "--t_final", "--n-",
+                  "--outt", "-n", "--"]
+# config keys: each flag's own spelling, with "_" and with "-", and keys
+# that name no flag or more than one
+CONFIG_KEYS = sorted({a.dest for _, a in subcommand_flags()}
+                     | {a.option_strings[0][2:] for _, a in subcommand_flags()}
+                     | {"dt", "dt-facotr", "", "--n", "a b", "config", "help"})
+# defaults that keep each case well under a second; drawn flags follow them
+# and so may override them, with values from EDGE_VALUES only
+CAPS = {"run": ["--n", "16", "--t-final", "0.05"],
+        "convergence": ["--n-max", "16", "--t-final", "0.05"],
+        "frames": ["--n", "16", "--t-final", "0.05"],
+        "spacing": ["--n", "16", "--t-final", "0.05"],
+        "exact": ["--n", "16", "--t-final", "0.05"]}
+
+
+@st.composite
+def hostile_invocations(draw):
+    """(argv, config file bytes or None) for one subcommand."""
+    command = draw(st.sampled_from(sorted(CAPS)))
+    flag = st.sampled_from(
+        [a.option_strings[0] for c, a in subcommand_flags() if c == command]
+        + ["--config", "-h"] + ABBREVIATED_FLAGS + MISSPELT_FLAGS)
+    value = st.sampled_from(EDGE_VALUES)
+    item = st.one_of(st.tuples(flag, value), st.tuples(flag), st.tuples(value),
+                     st.builds(lambda f, v: (f"{f}={v}",), flag, value))
+    argv = [command, *CAPS[command]]
+    argv += [token for group in draw(st.lists(item, max_size=4))
+             for token in group]
+    line = st.one_of(
+        st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), value),
+        st.sampled_from(["n 16", "# a comment", "", "=", "scheme = ftcs  #"]))
+    config = draw(st.one_of(
+        st.none(), st.binary(max_size=60),
+        st.lists(line, max_size=4).map(lambda ls: "\n".join(ls).encode())))
+    if config is not None:
+        argv += ["--config", "exp.cfg"]
+    return argv, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_invocations())
+def test_hostile_input_ends_in_success_or_one_error_line(invocation):
+    argv, config = invocation
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp,
+          mock.patch.dict(os.environ, {OUTDIR_ENV: tmp})):
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            if config is not None:
+                Path("exp.cfg").write_bytes(config)
+            with (warnings.catch_warnings(),
+                  contextlib.redirect_stdout(stdout),
+                  contextlib.redirect_stderr(stderr)):
+                warnings.simplefilter("error")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # -h: help on stdout
+                    assert exc.code == 0
+                    assert stdout.getvalue().startswith("usage:")
+                    code = None
+            written = set(os.listdir(tmp)) - {"exp.cfg"}
+            if code == 0:
+                # the summary's last word is the path it wrote
+                assert os.path.isfile(stdout.getvalue().split()[-1])
+        finally:
+            os.chdir(cwd)
+    err = stderr.getvalue()
+    if code == 0:
+        assert err == "" and written
+    elif code is None:
+        assert err == "" and not written
+    else:
+        assert code in (1, 2)
+        assert err.count("\n") == 1 and err.startswith("error kind=")
+        assert (code == 2) == err.startswith("error kind=UsageError ")
+        assert not written

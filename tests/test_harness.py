@@ -596,6 +596,22 @@ def test_a_failed_write_through_a_link_keeps_the_link(tmp_path, monkeypatch,
     assert not (tmp_path / "target.csv").exists()
 
 
+def test_discard_keeps_what_the_write_did_not_leave(tmp_path):
+    # a FIFO is not a regular file, and a file put in place of the one
+    # written is another's; neither is removed
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    harness.discard(fifo)
+    path = tmp_path / "traj.csv"
+    path.write_text("written\n")
+    written = os.stat(path)
+    (tmp_path / "another.csv").write_text("another file\n")
+    os.replace(tmp_path / "another.csv", path)
+    harness.discard(path, written)
+    harness.discard(tmp_path / "missing.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "traj.csv"]
+
+
 def test_a_csv_has_the_mode_a_plain_open_gives(tmp_path, wrapping_run):
     plain = tmp_path / "plain"
     plain.open("w").close()

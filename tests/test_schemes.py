@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from invariant_burgers import (
     DEFAULT_DT_FACTORS, DiscreteField, Generator, GridSlice, GroupElement, InterpKind,
-    NodeCrossingError, NonFiniteSolutionError, SchemeConfig, SchemeKind, TAU,
+    NodeCrossingError, NonFiniteSolutionError, SchemeConfig, SchemeKind,
+    SimulationError, TAU,
     Trajectory, apply_field, mean_spacing, run, uniform_slice,
 )
 
@@ -514,6 +516,60 @@ def test_config_stores_its_kinds_as_enums():
     assert config.scheme_kind is SchemeKind.CONSTANT_FRAME
     assert config.interp_kind is InterpKind.LINEAR
     assert config.dt_factor == DEFAULT_DT_FACTORS[SchemeKind.CONSTANT_FRAME]
+
+
+# values a caller might pass for a field: bools, exact rationals,
+# non-finite and subnormal floats, the edge of the float range, strings
+HOSTILE_VALUES = {
+    "real": [True, False, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+             1e308, -1e308, 0.0, -0.0, -1.0, 10 ** 400, Fraction(1, 3),
+             np.float32(0.3), "0.1", "", None, 1 + 0j],
+    "size": [3, 0, -1, 8.0, Fraction(8), "8", np.int64(8), True, None],
+    "kind": ["ftsc", "", "FTCS", "cubic", None],
+}
+FIELD_KINDS = {"nu": "real", "t_final": "real", "dt_factor": "real",
+               "alpha": "real", "frame_velocity": "real",
+               "domain_start": "real", "domain_length": "real",
+               "n_points": "size", "scheme_kind": "kind",
+               "interp_kind": "kind"}
+
+
+@st.composite
+def hostile_configs(draw):
+    """SchemeConfig fields: a short valid run, enum values given as members
+    or strings, with up to three fields replaced by hostile values."""
+    fields = {
+        "scheme_kind": draw(st.sampled_from(
+            [*SchemeKind, *(k.value for k in SchemeKind)])),
+        "interp_kind": draw(st.sampled_from(
+            [*InterpKind, *(k.value for k in InterpKind)])),
+        "n_points": draw(st.integers(4, 16)),
+        "nu": draw(st.sampled_from([0.1, 0.02, Fraction(1, 10)])),
+        "t_final": draw(st.sampled_from([0.05, Fraction(1, 20)])),
+        "dt_factor": draw(st.sampled_from([None, 0.5, Fraction(1, 2)])),
+        "alpha": draw(st.sampled_from([1.0, 7.5])),
+        "frame_velocity": draw(st.sampled_from([0.0, 1.3, -4])),
+        "domain_start": draw(st.sampled_from([0.0, -2.0])),
+        "domain_length": draw(st.sampled_from([TAU, 1.0])),
+    }
+    for name in draw(st.sets(st.sampled_from(sorted(FIELD_KINDS)),
+                             max_size=3)):
+        fields[name] = draw(st.sampled_from(HOSTILE_VALUES[FIELD_KINDS[name]]))
+    return fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_configs())
+def test_any_config_runs_or_raises_a_typed_error(fields):
+    # the library boundary: a config either runs to t_final or is refused
+    # by TypeError, ValueError or a SimulationError, and no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            traj = run(SchemeConfig(**fields), np.sin)
+        except (TypeError, ValueError, SimulationError):
+            return
+    assert traj.final.grid.t == traj.config.t_final
 
 
 @pytest.mark.parametrize("field, value", [("t_final", 1e300),
